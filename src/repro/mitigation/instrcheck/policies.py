@@ -51,10 +51,6 @@ WorkUnit = tuple[OpCall, ...]
 #: mismatch callback: (suspect core id, op mnemonic, unit tag)
 MismatchHook = Callable[[str, str, int], None]
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 def result_digest(result) -> int:
     """Host-side digest of one op result (scalar or tuple of lanes)."""
@@ -70,18 +66,13 @@ def _hash01(seed: int, counter: int) -> float:
     touches an RNG stream, so checking policies cannot perturb the
     defect randomness of the run they are wrapping.
     """
-    h = _FNV_OFFSET
-    for word in (seed & _MASK64, counter & _MASK64):
-        for shift in range(0, 64, 8):
-            h ^= (word >> shift) & 0xFF
-            h = (h * _FNV_PRIME) & _MASK64
-    return h / 2.0**64
+    return digest_ints((seed, counter)) / 2.0**64
 
 
 class OpSampler:
     """Deterministic op sampler: rate plus optional op-class filter."""
 
-    __slots__ = ("rate", "ops", "seed", "_counter")
+    __slots__ = ("rate", "ops", "seed", "_seed_state", "_counter")
 
     def __init__(
         self,
@@ -94,6 +85,8 @@ class OpSampler:
         self.rate = rate
         self.ops = frozenset(ops) if ops is not None else None
         self.seed = seed
+        #: FNV state after the seed word; ``take`` continues from it
+        self._seed_state = digest_ints((seed,))
         self._counter = 0
 
     def take(self, op: str) -> bool:
@@ -105,7 +98,8 @@ class OpSampler:
         if self.rate <= 0.0:
             return False
         self._counter += 1
-        return _hash01(self.seed, self._counter) < self.rate
+        # == _hash01(self.seed, self._counter), seed word hashed once
+        return digest_ints((self._counter,), self._seed_state) / 2.0**64 < self.rate
 
 
 @dataclasses.dataclass(slots=True)

@@ -12,7 +12,7 @@ form 'this code has miscomputed (or crashed) on that core'").
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -20,7 +20,11 @@ from repro import obs
 from repro.silicon.defects import DefectModel, MachineCheckDefect
 from repro.silicon.environment import NOMINAL, OperatingPoint
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.golden import golden_call, golden_execute
+from repro.silicon.golden import (
+    golden_cache_enabled,
+    golden_call,
+    golden_execute,
+)
 
 # Observability is touched only on the rare corruption / machine-check
 # branches — never on the per-op fast path, which stays exactly as the
@@ -45,6 +49,11 @@ def _obs_counters() -> tuple[obs.Counter, obs.Counter]:
     return _OBS_CORRUPTIONS, _OBS_MCES
 
 
+#: a healthy core's target set; shared so a fleet of healthy cores
+#: holds one object, not one each
+_NO_OPS: frozenset[str] = frozenset()
+
+
 class Core:
     """One hardware thread of execution, possibly mercurial.
 
@@ -60,7 +69,7 @@ class Core:
     """
 
     __slots__ = (
-        "core_id", "_defects", "env", "_rng", "age_days", "online",
+        "core_id", "_defects", "_targeted", "env", "_rng", "age_days", "online",
         "ops_executed", "corruptions_induced", "machine_checks_raised",
     )
 
@@ -77,6 +86,14 @@ class Core:
         for defect in self._defects:
             if isinstance(defect, MachineCheckDefect):
                 defect.bind_core(core_id)
+        # Every op a defect of this core can act on.  Frozen here: the
+        # defect tuple is immutable and nothing rebinds a defect's
+        # ``target_ops`` after construction, so an op outside this set
+        # is golden on this core for life — no ``apply``, no rng draw.
+        self._targeted = (
+            frozenset().union(*(d.target_ops for d in self._defects))
+            if self._defects else _NO_OPS
+        )
         self.env = env
         self._rng = rng
         self.age_days = age_days
@@ -146,7 +163,7 @@ class Core:
             raise CoreOfflineError(self.core_id)
         self.ops_executed += 1
         result = golden_call(op, operands)
-        if not self._defects:
+        if op not in self._targeted:
             return result
         golden = result
         rng = self.rng
@@ -165,6 +182,39 @@ class Core:
             if obs.metrics.enabled:
                 _obs_counters()[0].inc()
         return result
+
+    def credit_untargeted(self, ops: AbstractSet[str], n_ops: int) -> bool:
+        """Charge ``n_ops`` executions of ``ops`` in one step, if no defect can act.
+
+        The library primitives (``workloads.hashing``/``crypto``) ask
+        this before a sequential stream: on True they have been charged
+        ``n_ops`` on ``ops_executed`` and compute the stream with a
+        host-speed golden kernel; on False they must issue every op
+        through :meth:`execute`.  True only for a plain ``Core`` (a
+        subclass may override ``execute``), online, with the golden
+        memo switch on (off forces the per-op reference path) and
+        ``ops`` disjoint from every defect's ``target_ops``.  Such ops
+        return the golden result and never touch the rng, so counters,
+        results and rng state equal the per-op path's exactly.  A
+        targeted op stays per-op even before defect onset, where
+        ``apply`` still draws.
+
+        Raises:
+            CoreOfflineError: the core is offline and ``n_ops > 0`` —
+                where the first per-op ``execute`` would have raised.
+        """
+        if (
+            type(self) is not Core
+            or not golden_cache_enabled()
+            or not self._targeted.isdisjoint(ops)
+        ):
+            return False
+        if not self.online:
+            if n_ops > 0:
+                raise CoreOfflineError(self.core_id)
+            return False
+        self.ops_executed += n_ops
+        return True
 
     def golden(self, op: str, *operands):
         """Defect-free result; the oracle used by ground-truth scoring."""

@@ -24,10 +24,6 @@ MASK64 = (1 << 64) - 1
 WORD_BITS = 64
 
 
-def _u64(value: int) -> int:
-    return value & MASK64
-
-
 def _gf256_mul(a: int, b: int) -> int:
     """Multiply in GF(2^8) modulo the AES polynomial x^8+x^4+x^3+x+1."""
     product = 0
@@ -77,39 +73,42 @@ AES_INV_SBOX: Tuple[int, ...] = tuple(
 
 
 def _shl(a: int, b: int) -> int:
-    return _u64(a << (b % WORD_BITS))
+    return (a << (b % WORD_BITS)) & MASK64
 
 
 def _shr(a: int, b: int) -> int:
-    return _u64(a) >> (b % WORD_BITS)
+    return (a & MASK64) >> (b % WORD_BITS)
 
 
 def _rotl(a: int, b: int) -> int:
     b %= WORD_BITS
-    a = _u64(a)
+    a &= MASK64
     if b == 0:
         return a
-    return _u64((a << b) | (a >> (WORD_BITS - b)))
+    return ((a << b) | (a >> (WORD_BITS - b))) & MASK64
 
 
 def _cmp(a: int, b: int) -> int:
     """Three-way unsigned compare: 0 equal, 1 less-than, 2 greater-than."""
-    a, b = _u64(a), _u64(b)
+    a &= MASK64
+    b &= MASK64
     if a == b:
         return 0
     return 1 if a < b else 2
 
 
 def _div(a: int, b: int) -> int:
-    if _u64(b) == 0:
+    b &= MASK64
+    if b == 0:
         raise ZeroDivisionError("division by zero on simulated core")
-    return _u64(a) // _u64(b)
+    return (a & MASK64) // b
 
 
 def _mod(a: int, b: int) -> int:
-    if _u64(b) == 0:
+    b &= MASK64
+    if b == 0:
         raise ZeroDivisionError("modulo by zero on simulated core")
-    return _u64(a) % _u64(b)
+    return (a & MASK64) % b
 
 
 def _vec(fn: Callable[..., int]) -> Callable[..., Tuple[int, ...]]:
@@ -127,52 +126,53 @@ def _vperm(vector: Sequence[int], indices: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _copy(data: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(_u64(x) for x in data)
+    return tuple(x & MASK64 for x in data)
 
 
 def _cas(current: int, expected: int, new: int) -> int:
-    return _u64(new) if _u64(current) == _u64(expected) else _u64(current)
+    current &= MASK64
+    return new & MASK64 if current == (expected & MASK64) else current
 
 
 GOLDEN: dict[str, Callable] = {
-    Op.ADD: lambda a, b: _u64(a + b),
-    Op.SUB: lambda a, b: _u64(a - b),
-    Op.AND: lambda a, b: _u64(a & b),
-    Op.OR: lambda a, b: _u64(a | b),
-    Op.XOR: lambda a, b: _u64(a ^ b),
-    Op.NOT: lambda a: _u64(~a),
-    Op.NEG: lambda a: _u64(-a),
+    Op.ADD: lambda a, b: (a + b) & MASK64,
+    Op.SUB: lambda a, b: (a - b) & MASK64,
+    Op.AND: lambda a, b: a & b & MASK64,
+    Op.OR: lambda a, b: (a | b) & MASK64,
+    Op.XOR: lambda a, b: (a ^ b) & MASK64,
+    Op.NOT: lambda a: ~a & MASK64,
+    Op.NEG: lambda a: -a & MASK64,
     Op.SHL: _shl,
     Op.SHR: _shr,
     Op.ROTL: _rotl,
     Op.CMP: _cmp,
-    Op.POPCNT: lambda a: bin(_u64(a)).count("1"),
-    Op.MUL: lambda a, b: _u64(a * b),
-    Op.MULH: lambda a, b: _u64((_u64(a) * _u64(b)) >> 64),
+    Op.POPCNT: lambda a: bin(a & MASK64).count("1"),
+    Op.MUL: lambda a, b: (a * b) & MASK64,
+    Op.MULH: lambda a, b: ((a & MASK64) * (b & MASK64)) >> 64,
     Op.DIV: _div,
     Op.MOD: _mod,
-    Op.VADD: _vec(lambda a, b: _u64(a + b)),
-    Op.VSUB: _vec(lambda a, b: _u64(a - b)),
-    Op.VMUL: _vec(lambda a, b: _u64(a * b)),
-    Op.VXOR: _vec(lambda a, b: _u64(a ^ b)),
-    Op.VAND: _vec(lambda a, b: _u64(a & b)),
-    Op.VOR: _vec(lambda a, b: _u64(a | b)),
+    Op.VADD: _vec(lambda a, b: (a + b) & MASK64),
+    Op.VSUB: _vec(lambda a, b: (a - b) & MASK64),
+    Op.VMUL: _vec(lambda a, b: (a * b) & MASK64),
+    Op.VXOR: _vec(lambda a, b: (a ^ b) & MASK64),
+    Op.VAND: _vec(lambda a, b: a & b & MASK64),
+    Op.VOR: _vec(lambda a, b: (a | b) & MASK64),
     Op.VSHL: _vec(_shl),
     Op.VSHR: _vec(_shr),
-    Op.VDOT: lambda a, b: _u64(sum(_u64(x * y) for x, y in zip(a, b))),
-    Op.VSUM: lambda a: _u64(sum(_u64(x) for x in a)),
+    Op.VDOT: lambda a, b: sum((x * y) & MASK64 for x, y in zip(a, b)) & MASK64,
+    Op.VSUM: lambda a: sum(x & MASK64 for x in a) & MASK64,
     Op.VPERM: _vperm,
-    Op.LOAD: lambda a: _u64(a),
-    Op.STORE: lambda a: _u64(a),
+    Op.LOAD: lambda a: a & MASK64,
+    Op.STORE: lambda a: a & MASK64,
     Op.COPY: _copy,
     Op.SBOX: lambda a: AES_SBOX[a & 0xFF],
     Op.INV_SBOX: lambda a: AES_INV_SBOX[a & 0xFF],
     Op.GFMUL: _gf256_mul,
     Op.CAS: _cas,
-    Op.FETCH_ADD: lambda cur, delta: _u64(cur + delta),
-    Op.XCHG: lambda cur, new: _u64(new),
-    Op.BEQ: lambda a, b: 1 if _u64(a) == _u64(b) else 0,
-    Op.BLT: lambda a, b: 1 if _u64(a) < _u64(b) else 0,
+    Op.FETCH_ADD: lambda cur, delta: (cur + delta) & MASK64,
+    Op.XCHG: lambda cur, new: new & MASK64,
+    Op.BEQ: lambda a, b: 1 if (a & MASK64) == (b & MASK64) else 0,
+    Op.BLT: lambda a, b: 1 if (a & MASK64) < (b & MASK64) else 0,
 }
 
 
@@ -187,13 +187,13 @@ def golden_execute(op: str, *operands):
 
 # -- memoized execution path ------------------------------------------
 #
-# ``golden_execute`` runs for *every* primitive operation of every
-# workload — on a defective core it runs before the defects perturb the
-# result, so campaign-scale experiments (E15/E16) execute it millions
-# of times.  Memoization is *selective*: only operations whose golden
-# function does real Python-level work (GF(2^8) bit loops, per-lane
-# vector loops, string-allocating POPCNT) go through a per-op LRU.
-# Single-expression scalar ops (ADD/XOR/SHL/...) are dispatched
+# ``golden_call`` runs for *every* primitive operation that reaches
+# :meth:`Core.execute` — on a defective core it runs before the defects
+# perturb the result, so campaign-scale experiments (E15/E16) execute
+# it millions of times.  Memoization is *selective*: only operations
+# whose golden function does real Python-level work (GF(2^8) bit loops,
+# per-lane vector loops, string-allocating POPCNT) sit behind a per-op
+# LRU.  Single-expression scalar ops (ADD/XOR/SHL/...) are dispatched
 # straight to their golden function: hashing an operand tuple costs
 # more than computing them, and high-entropy operand streams (e.g. a
 # CRC's running remainder) would only thrash the LRU — the measured
@@ -213,34 +213,38 @@ MEMOIZED_OPS = frozenset({
     Op.VSHL, Op.VSHR, Op.VDOT, Op.VSUM, Op.VPERM, Op.COPY,
 })
 
+#: ``lru_cache`` wraps each golden function directly, so a hit is
+#: answered in C without entering a Python frame.
+_MEMO: dict[str, Callable] = {
+    op: functools.lru_cache(maxsize=_CACHE_CAPACITY)(GOLDEN[op])
+    for op in sorted(MEMOIZED_OPS)
+}
 
-def _memo_table() -> dict[str, Callable]:
-    table = {}
-    for op in MEMOIZED_OPS:
-        fn = GOLDEN[op]
+#: the one dispatch table ``golden_call`` reads: ``GOLDEN`` with the
+#: memoized ops swapped in while the cache is on, ``GOLDEN`` itself
+#: while it is off.
+_MEMOIZED_GOLDEN: dict[str, Callable] = {**GOLDEN, **_MEMO}
 
-        @functools.lru_cache(maxsize=_CACHE_CAPACITY)
-        def cached(operands: tuple, _fn: Callable = fn):
-            return _fn(*operands)
-
-        table[op] = cached
-    return table
-
-
-_MEMO: dict[str, Callable] = _memo_table()
-
-_cache_enabled = os.environ.get("REPRO_GOLDEN_CACHE", "1") != "0"
+_dispatch: dict[str, Callable] = (
+    _MEMOIZED_GOLDEN
+    if os.environ.get("REPRO_GOLDEN_CACHE", "1") != "0" else GOLDEN
+)
 
 
 def set_golden_cache(enabled: bool) -> None:
-    """Enable/disable golden memoization (the bench harness A/Bs this)."""
-    global _cache_enabled
-    _cache_enabled = bool(enabled)
+    """Enable/disable golden memoization (the bench harness A/Bs this).
+
+    Off also forces every library primitive onto the per-op path (see
+    :meth:`repro.silicon.core.Core.credit_untargeted`): it is the
+    reference the kernels are tested against.
+    """
+    global _dispatch
+    _dispatch = _MEMOIZED_GOLDEN if enabled else GOLDEN
 
 
 def golden_cache_enabled() -> bool:
     """Whether golden-result memoization is currently on."""
-    return _cache_enabled
+    return _dispatch is _MEMOIZED_GOLDEN
 
 
 def golden_cache_info():
@@ -265,23 +269,20 @@ def golden_cache_clear() -> None:
 def golden_call(op: str, operands: tuple):
     """Selectively memoized :func:`golden_execute` over an operand tuple.
 
-    Memoized ops (:data:`MEMOIZED_OPS`) go through their per-op LRU;
-    everything else dispatches straight to its golden function — one
-    frame shorter than :func:`golden_execute`, which stays unchanged as
-    the preserved uncached baseline path.  Falls back to the uncached
-    path for unhashable operands (callers passing lists) and preserves
-    ``golden_execute``'s KeyError message for unknown operations.
+    One table lookup and one call: memoized ops (:data:`MEMOIZED_OPS`)
+    hit their per-op LRU, everything else its golden function.  Falls
+    back to the uncached function for unhashable operands (callers
+    passing lists) and preserves ``golden_execute``'s KeyError message
+    for unknown operations.
     """
-    if not _cache_enabled:
-        return golden_execute(op, *operands)
-    memo = _MEMO.get(op)
-    if memo is not None:
-        try:
-            return memo(operands)
-        except TypeError:
-            return golden_execute(op, *operands)
     try:
-        fn = GOLDEN[op]
+        fn = _dispatch[op]
     except KeyError:
         raise KeyError(f"unknown operation {op!r}") from None
-    return fn(*operands)
+    try:
+        return fn(*operands)
+    except TypeError:
+        plain = GOLDEN[op]
+        if fn is plain:
+            raise
+        return plain(*operands)

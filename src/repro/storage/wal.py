@@ -22,16 +22,9 @@ import dataclasses
 
 from repro.workloads.base import CoreLike
 from repro.workloads.copying import copy_bytes
-from repro.workloads.hashing import CRC64_TABLE
-
-
-def host_crc64(data: bytes) -> int:
-    """CRC-64 computed host-side (trusted framing/DMA engine)."""
-    crc = 0
-    for byte in data:
-        index = ((crc >> 56) ^ byte) & 0xFF
-        crc = ((crc << 8) & 0xFFFFFFFFFFFFFFFF) ^ CRC64_TABLE[index]
-    return crc
+# CRC-64 computed host-side (the trusted framing/DMA engine) is the
+# golden kernel an untargeted core's ``crc64`` runs.
+from repro.workloads.hashing import golden_crc64 as host_crc64
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -37,6 +37,17 @@ class CoreLike(Protocol):
         ...
 
 
+def credit_untargeted(core: CoreLike, ops: frozenset[str], n_ops: int) -> bool:
+    """:meth:`Core.credit_untargeted` for any ``CoreLike``.
+
+    The per-op wrappers (:class:`OpCountingCore`, the instruction
+    checkers, fault injectors, lockstep pairs, the VM) are not ``Core``
+    objects and must see every op, so for them the answer is False and
+    the primitive issues its ops one by one.
+    """
+    return isinstance(core, Core) and core.credit_untargeted(ops, n_ops)
+
+
 @dataclasses.dataclass(slots=True)
 class WorkloadResult:
     """Outcome of one unit of work.
@@ -74,9 +85,12 @@ def digest_bytes(data: bytes) -> int:
     return h
 
 
-def digest_ints(values) -> int:
-    """Host-side digest of an int sequence."""
-    h = 0xCBF29CE484222325
+def digest_ints(values, h: int = 0xCBF29CE484222325) -> int:
+    """Host-side digest of an int sequence (each value's low 64 bits).
+
+    ``h`` continues from the digest of an earlier prefix:
+    ``digest_ints(a + b) == digest_ints(b, digest_ints(a))``.
+    """
     for value in values:
         for shift in range(0, 64, 8):
             h ^= (value >> shift) & 0xFF

@@ -15,8 +15,17 @@ host-side; SubBytes, MixColumns and AddRoundKey execute on the core.
 
 from __future__ import annotations
 
+import functools
+from typing import Sequence
+
+from repro.silicon.golden import AES_INV_SBOX, AES_SBOX, GOLDEN
 from repro.silicon.units import Op
-from repro.workloads.base import CoreLike, WorkloadResult, digest_bytes
+from repro.workloads.base import (
+    CoreLike,
+    WorkloadResult,
+    credit_untargeted,
+    digest_bytes,
+)
 
 N_ROUNDS = 10
 BLOCK_BYTES = 16
@@ -29,24 +38,30 @@ _SHIFT_ROWS = tuple(
 _INV_SHIFT_ROWS = tuple(_SHIFT_ROWS.index(i) for i in range(16))
 
 
-# -- healthy-core fast path --------------------------------------------
+# -- golden kernels ------------------------------------------------------
 #
-# A healthy Core returns the golden result of every op and never draws
-# from its rng, so an AES block on a healthy core is a pure function of
-# (block, round_keys) — the per-op trip through Core.execute only
-# maintains the ops_executed counter.  The campaign-scale experiments
-# (E15/E16) encrypt/decrypt millions of blocks on healthy cores; the
-# fast path below computes whole blocks from the same golden tables and
-# credits the counter in one step.  Mercurial cores — even before
-# defect onset — always take the per-op path, so defect behaviour and
-# rng streams are untouched.  Exact op counts and results are pinned to
-# the per-op path by tests/test_workload_crypto.py.
+# An AES block is a sequential stream over XOR, SBOX/INV_SBOX and GFMUL.
+# On a core none of whose defects targets those ops (a healthy core, or
+# a mercurial one whose defect sits in another unit) every op returns
+# the golden result and never draws from the rng, so the block is a pure
+# function of (block, round_keys) and the per-op trip through
+# Core.execute only maintains the ops_executed counter.  The primitives
+# below declare their op set and exact op count to the core
+# (``credit_untargeted``); when it accepts, the kernels here compute the
+# whole block from the same golden tables.  A core whose defect targets
+# any of the ops — even before onset — stays per-op, so defect behaviour
+# and rng streams are untouched.  Exact op counts and results are pinned
+# to the per-op path by tests/test_workloads_crypto.py and the
+# differential test in tests/test_properties_extended.py.
 
+_EXPAND_OPS = frozenset({Op.XOR, Op.SBOX})
+_ENCRYPT_OPS = frozenset({Op.XOR, Op.SBOX, Op.GFMUL})
+_DECRYPT_OPS = frozenset({Op.XOR, Op.INV_SBOX, Op.GFMUL})
 #: ops per expand_key: 40 words x 4 XOR + 10 RotWord steps x (4 SBOX + 1 XOR)
-_EXPAND_OPS = 210
+_EXPAND_N_OPS = 210
 #: ops per block: AddRoundKey 16, SubBytes 16, MixColumns 128 per round
 #: -> 16 + 9 * (16 + 128 + 16) + (16 + 16)
-_BLOCK_OPS = 1488
+_BLOCK_N_OPS = 1488
 
 _GF_TABLES: dict[int, list[int]] = {}
 _MIX_ROWS: dict[tuple, tuple] = {}
@@ -55,8 +70,6 @@ _MIX_ROWS: dict[tuple, tuple] = {}
 def _gf_table(coefficient: int) -> list[int]:
     table = _GF_TABLES.get(coefficient)
     if table is None:
-        from repro.silicon.golden import GOLDEN
-
         gfmul = GOLDEN[Op.GFMUL]
         table = _GF_TABLES[coefficient] = [
             gfmul(coefficient, b) for b in range(256)
@@ -73,19 +86,7 @@ def _mix_rows(matrix: tuple) -> tuple:
     return rows
 
 
-def _fast_core(core: CoreLike) -> bool:
-    from repro.silicon.core import Core
-    from repro.silicon.golden import golden_cache_enabled
-
-    return (
-        type(core) is Core
-        and not core.is_mercurial
-        and core.online
-        and golden_cache_enabled()
-    )
-
-
-def _fast_mix(state: list[int], rows: tuple) -> list[int]:
+def _golden_mix(state: list[int], rows: tuple) -> list[int]:
     out = [0] * 16
     for c in range(4):
         base = 4 * c
@@ -95,9 +96,17 @@ def _fast_mix(state: list[int], rows: tuple) -> list[int]:
     return out
 
 
-def _fast_expand_key(key: bytes) -> list[bytes]:
-    from repro.silicon.golden import AES_SBOX
+def _pack_round_keys(words: list[list[int]]) -> tuple[bytes, ...]:
+    return tuple(
+        bytes(sum((words[4 * r + c] for c in range(4)), []))
+        for r in range(N_ROUNDS + 1)
+    )
 
+
+# Bounded and small: campaigns use a handful of keys (a store re-expands
+# its one StoreConfig.key on every put/get).
+@functools.lru_cache(maxsize=64)
+def _golden_round_keys(key: bytes) -> tuple[bytes, ...]:
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     for i in range(4, 4 * (N_ROUNDS + 1)):
         temp = list(words[i - 1])
@@ -106,49 +115,41 @@ def _fast_expand_key(key: bytes) -> list[bytes]:
             temp = [AES_SBOX[b] for b in temp]
             temp[0] ^= _RCON[i // 4 - 1]
         words.append([a ^ b for a, b in zip(words[i - 4], temp)])
-    return [
-        bytes(sum((words[4 * r + c] for c in range(4)), []))
-        for r in range(N_ROUNDS + 1)
-    ]
+    return _pack_round_keys(words)
 
 
-def _fast_encrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
-    from repro.silicon.golden import AES_SBOX
-
+def _golden_encrypt_block(block: bytes, round_keys: Sequence[bytes]) -> bytes:
     rows = _mix_rows(_MIX)
     state = [b ^ k for b, k in zip(block, round_keys[0])]
     for round_index in range(1, N_ROUNDS):
         state = [AES_SBOX[b] for b in state]
         state = [state[j] for j in _SHIFT_ROWS]
-        state = _fast_mix(state, rows)
+        state = _golden_mix(state, rows)
         state = [a ^ k for a, k in zip(state, round_keys[round_index])]
     state = [AES_SBOX[b] for b in state]
     state = [state[j] for j in _SHIFT_ROWS]
     return bytes(a ^ k for a, k in zip(state, round_keys[N_ROUNDS]))
 
 
-def _fast_decrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
-    from repro.silicon.golden import AES_INV_SBOX
-
+def _golden_decrypt_block(block: bytes, round_keys: Sequence[bytes]) -> bytes:
     rows = _mix_rows(_INV_MIX)
     state = [b ^ k for b, k in zip(block, round_keys[N_ROUNDS])]
     for round_index in range(N_ROUNDS - 1, 0, -1):
         state = [state[j] for j in _INV_SHIFT_ROWS]
         state = [AES_INV_SBOX[b] for b in state]
         state = [a ^ k for a, k in zip(state, round_keys[round_index])]
-        state = _fast_mix(state, rows)
+        state = _golden_mix(state, rows)
     state = [state[j] for j in _INV_SHIFT_ROWS]
     state = [AES_INV_SBOX[b] for b in state]
     return bytes(a ^ k for a, k in zip(state, round_keys[0]))
 
 
-def expand_key(core: CoreLike, key: bytes) -> list[bytes]:
+def expand_key(core: CoreLike, key: bytes) -> tuple[bytes, ...]:
     """FIPS-197 key schedule: 11 round keys from a 16-byte key."""
     if len(key) != 16:
         raise ValueError("AES-128 needs a 16-byte key")
-    if _fast_core(core):
-        core.ops_executed += _EXPAND_OPS
-        return _fast_expand_key(key)
+    if credit_untargeted(core, _EXPAND_OPS, _EXPAND_N_OPS):
+        return _golden_round_keys(bytes(key))
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     for i in range(4, 4 * (N_ROUNDS + 1)):
         temp = list(words[i - 1])
@@ -160,10 +161,7 @@ def expand_key(core: CoreLike, key: bytes) -> list[bytes]:
             [core.execute(Op.XOR, a, b) & 0xFF
              for a, b in zip(words[i - 4], temp)]
         )
-    return [
-        bytes(sum((words[4 * r + c] for c in range(4)), []))
-        for r in range(N_ROUNDS + 1)
-    ]
+    return _pack_round_keys(words)
 
 
 def _add_round_key(core: CoreLike, state: list[int], round_key: bytes) -> list[int]:
@@ -211,13 +209,14 @@ def _mix_columns(core: CoreLike, state: list[int], matrix: tuple) -> list[int]:
     return out
 
 
-def encrypt_block(core: CoreLike, block: bytes, round_keys: list[bytes]) -> bytes:
+def encrypt_block(
+    core: CoreLike, block: bytes, round_keys: Sequence[bytes]
+) -> bytes:
     """Encrypt one 16-byte block."""
     if len(block) != BLOCK_BYTES:
         raise ValueError("block must be 16 bytes")
-    if _fast_core(core):
-        core.ops_executed += _BLOCK_OPS
-        return _fast_encrypt_block(block, round_keys)
+    if credit_untargeted(core, _ENCRYPT_OPS, _BLOCK_N_OPS):
+        return _golden_encrypt_block(block, round_keys)
     state = _add_round_key(core, list(block), round_keys[0])
     for round_index in range(1, N_ROUNDS):
         state = _sub_bytes(core, state)
@@ -230,13 +229,14 @@ def encrypt_block(core: CoreLike, block: bytes, round_keys: list[bytes]) -> byte
     return bytes(state)
 
 
-def decrypt_block(core: CoreLike, block: bytes, round_keys: list[bytes]) -> bytes:
+def decrypt_block(
+    core: CoreLike, block: bytes, round_keys: Sequence[bytes]
+) -> bytes:
     """Decrypt one 16-byte block (inverse cipher, FIPS-197 §5.3)."""
     if len(block) != BLOCK_BYTES:
         raise ValueError("block must be 16 bytes")
-    if _fast_core(core):
-        core.ops_executed += _BLOCK_OPS
-        return _fast_decrypt_block(block, round_keys)
+    if credit_untargeted(core, _DECRYPT_OPS, _BLOCK_N_OPS):
+        return _golden_decrypt_block(block, round_keys)
     state = _add_round_key(core, list(block), round_keys[N_ROUNDS])
     for round_index in range(N_ROUNDS - 1, 0, -1):
         state = _inv_shift_rows(state)

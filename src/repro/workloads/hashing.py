@@ -10,16 +10,39 @@ production storage systems.
 
 from __future__ import annotations
 
-from repro.workloads.base import CoreLike, WorkloadResult, digest_ints
+from repro.workloads.base import (
+    CoreLike,
+    WorkloadResult,
+    credit_untargeted,
+    digest_bytes,
+    digest_ints,
+)
+from repro.silicon.golden import MASK64
 from repro.silicon.units import Op
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _CRC64_POLY = 0x42F0E1EBA9EA3693
 
+# Each primitive below is a sequential stream over a fixed op set.  It
+# declares that set and its exact op count to the core; where no defect
+# of the core targets any of those ops (``credit_untargeted``) the
+# stream is golden by construction and a host-speed kernel computes it,
+# otherwise every op goes through ``core.execute``.  Results, counters
+# and rng state are identical either way (tests/test_properties_extended).
+_FNV_OPS = frozenset({Op.XOR, Op.MUL})
+_CRC_OPS = frozenset({Op.XOR, Op.SHR, Op.SHL})
+_MIX_OPS = frozenset({Op.XOR, Op.SHR, Op.MUL})
+#: ops per mix64: 3 x (SHR + XOR) + 2 MUL
+_MIX_N_OPS = 8
+_MIX_MUL_1 = 0xBF58476D1CE4E5B9
+_MIX_MUL_2 = 0x94D049BB133111EB
+
 
 def fnv1a(core: CoreLike, data: bytes) -> int:
     """FNV-1a 64-bit: xor then multiply, both on the core."""
+    if credit_untargeted(core, _FNV_OPS, 2 * len(data)):
+        return digest_bytes(data)
     h = FNV_OFFSET
     for byte in data:
         h = core.execute(Op.XOR, h, byte)
@@ -44,8 +67,22 @@ def _crc64_table() -> tuple[int, ...]:
 CRC64_TABLE = _crc64_table()
 
 
+def golden_crc64(data: bytes) -> int:
+    """Defect-free CRC-64 at host speed: what a healthy core computes.
+
+    Also the trusted framing/DMA checksum engine of ``repro.storage``.
+    """
+    table = CRC64_TABLE
+    crc = 0
+    for byte in data:
+        crc = ((crc << 8) & MASK64) ^ table[((crc >> 56) ^ byte) & 0xFF]
+    return crc
+
+
 def crc64(core: CoreLike, data: bytes) -> int:
     """Table-driven CRC-64; the per-byte combine runs on the core."""
+    if credit_untargeted(core, _CRC_OPS, 4 * len(data)):
+        return golden_crc64(data)
     crc = 0
     for byte in data:
         index = core.execute(Op.XOR, core.execute(Op.SHR, crc, 56), byte)
@@ -55,18 +92,29 @@ def crc64(core: CoreLike, data: bytes) -> int:
     return crc
 
 
+def _golden_mix64(x: int) -> int:
+    x &= MASK64
+    x = ((x ^ (x >> 30)) * _MIX_MUL_1) & MASK64
+    x = ((x ^ (x >> 27)) * _MIX_MUL_2) & MASK64
+    return x ^ (x >> 31)
+
+
 def mix64(core: CoreLike, x: int) -> int:
     """A splitmix-style finalizer: shifts, xors and multiplies."""
+    if credit_untargeted(core, _MIX_OPS, _MIX_N_OPS):
+        return _golden_mix64(x)
     x = core.execute(Op.XOR, x, core.execute(Op.SHR, x, 30))
-    x = core.execute(Op.MUL, x, 0xBF58476D1CE4E5B9)
+    x = core.execute(Op.MUL, x, _MIX_MUL_1)
     x = core.execute(Op.XOR, x, core.execute(Op.SHR, x, 27))
-    x = core.execute(Op.MUL, x, 0x94D049BB133111EB)
+    x = core.execute(Op.MUL, x, _MIX_MUL_2)
     x = core.execute(Op.XOR, x, core.execute(Op.SHR, x, 31))
     return x
 
 
 def hash_stream(core: CoreLike, seeds: list[int]) -> list[int]:
     """Mix a list of seeds; the vectorizable form of :func:`mix64`."""
+    if credit_untargeted(core, _MIX_OPS, _MIX_N_OPS * len(seeds)):
+        return [_golden_mix64(seed) for seed in seeds]
     return [mix64(core, seed) for seed in seeds]
 
 

@@ -5,11 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.confidence import SuspicionTracker
 from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
+from repro.mitigation.instrcheck import IthicaCheckedCore
 from repro.mitigation.resilient.matfact import GF_PRIME, _gf_mul
+from repro.silicon.aging import AgingProfile
 from repro.silicon.assembler import assemble
+from repro.silicon.catalog import NAMED_CASES, named_case
 from repro.silicon.core import Core
 from repro.silicon.defects import StuckBitDefect
 from repro.silicon.environment import DvfsTable
+from repro.silicon.errors import MachineCheckError
+from repro.silicon.golden import set_golden_cache
 from repro.silicon.sensitivity import (
     ComposedSensitivity,
     FrequencySensitivity,
@@ -18,6 +23,9 @@ from repro.silicon.sensitivity import (
 )
 from repro.silicon.units import FunctionalUnit, Op
 from repro.silicon.vm import Vm
+from repro.workloads.base import OpCountingCore
+from repro.workloads.crypto import decrypt_block, encrypt_block, expand_key
+from repro.workloads.hashing import crc64, fnv1a, hash_stream, mix64
 
 gf_element = st.integers(min_value=0, max_value=GF_PRIME - 1)
 
@@ -168,3 +176,135 @@ class TestDefectRateBounds:
 
         effective = defect.effective_rate(Op.ADD, NOMINAL, age)
         assert 0.0 <= effective <= 1.0
+
+
+# -- untargeted-stream kernels vs. the per-op path ---------------------
+
+KERNEL_ONSET_DAYS = 400.0
+#: a healthy core, every §2 case study, and a rate-drawing stuck bit in
+#: each unit the streams cross (no named case sits in the ALU, the named
+#: multiplier defect never triggers on the hashes' constants, and the
+#: named AES defect is deterministic)
+STUCK_UNITS = {
+    "stuck_alu": FunctionalUnit.ALU,
+    "stuck_mul": FunctionalUnit.MUL_DIV,
+    "stuck_crypto": FunctionalUnit.CRYPTO,
+}
+KERNEL_CASES = (None, *NAMED_CASES, *STUCK_UNITS)
+
+word = st.integers(min_value=0, max_value=2**64 - 1)
+aes_block = st.binary(min_size=16, max_size=16)
+
+
+def _kernel_core(case, age_days, seed):
+    if case is None:
+        defects = ()
+    elif case in STUCK_UNITS:
+        defects = [StuckBitDefect(
+            f"propx:{case}", bit=7, base_rate=0.05, unit=STUCK_UNITS[case])]
+    else:
+        defects = named_case(case)
+    for defect in defects:
+        defect.aging = AgingProfile(onset_days=KERNEL_ONSET_DAYS)
+    return Core(
+        f"propx/{case}", defects=defects, rng=np.random.default_rng(seed),
+        age_days=age_days,
+    )
+
+
+def _per_op(run):
+    """``run()`` with the memo switch off: the per-op reference path."""
+    set_golden_cache(False)
+    try:
+        return run()
+    finally:
+        set_golden_cache(True)
+
+
+def _observe(core, work):
+    try:
+        result = work(core)
+    except MachineCheckError as error:
+        result = ("machine-check", str(error))
+    return (
+        result, core.ops_executed, core.corruptions_induced,
+        core.machine_checks_raised, core.rng.bit_generator.state,
+    )
+
+
+def _aes_round_trip(key, block):
+    def work(core):
+        round_keys = expand_key(core, key)
+        ciphertext = encrypt_block(core, block, round_keys)
+        return round_keys, ciphertext, decrypt_block(core, ciphertext, round_keys)
+
+    return work
+
+
+class TestKernelsMatchThePerOpPath:
+    """Switch on (kernels wherever the target sets allow) against switch
+    off (one ``execute`` per op everywhere): same results, same ground
+    truth counters, same rng state — on every kind of core, before and
+    after its defect's onset."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        data=st.binary(max_size=40), seeds=st.lists(word, max_size=5),
+        key=aes_block, block=aes_block,
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_every_primitive_on_every_core(self, data, seeds, key, block, seed):
+        primitives = (
+            lambda core: crc64(core, data),
+            lambda core: fnv1a(core, data),
+            lambda core: hash_stream(core, seeds),
+            lambda core: [mix64(core, x) for x in seeds],
+            _aes_round_trip(key, block),
+        )
+        for case in KERNEL_CASES:
+            for age_days in (0.0, 2 * KERNEL_ONSET_DAYS):
+                for work in primitives:
+                    kernels = _observe(_kernel_core(case, age_days, seed), work)
+                    per_op = _per_op(lambda: _observe(
+                        _kernel_core(case, age_days, seed), work))
+                    assert kernels == per_op, (case, age_days)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        data=st.binary(max_size=40), key=aes_block, block=aes_block,
+        case=st.sampled_from(KERNEL_CASES),
+    )
+    def test_op_counting_wrapper_sees_every_op(self, data, key, block, case):
+        def counts(work):
+            counting = OpCountingCore(_kernel_core(case, 0.0, 1))
+            work(counting)
+            return counting.counts, counting.inner.ops_executed
+
+        def crc(core):
+            return crc64(core, data)
+
+        crc_counts, crc_ops = counts(crc)
+        assert sum(crc_counts.values()) == crc_ops == 4 * len(data)
+        assert (crc_counts, crc_ops) == _per_op(lambda: counts(crc))
+        aes = _aes_round_trip(key, block)
+        aes_counts, aes_ops = counts(aes)
+        assert sum(aes_counts.values()) == aes_ops == 210 + 2 * 1488
+        assert (aes_counts, aes_ops) == _per_op(lambda: counts(aes))
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        data=st.binary(max_size=40),
+        case=st.sampled_from(KERNEL_CASES),
+        rate=st.sampled_from((0.0, 0.33, 1.0)),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_ithica_checker_sees_every_op(self, data, case, rate, seed):
+        def checked():
+            core = _kernel_core(case, 2 * KERNEL_ONSET_DAYS, seed)
+            wrapper = IthicaCheckedCore(core, rate, seed=seed)
+            return _observe(core, lambda _: crc64(wrapper, data)), wrapper.stats
+
+        observed, stats = checked()
+        assert stats.payload_ops == 4 * len(data)
+        assert observed[1] == stats.payload_ops + stats.check_ops
+        assert (observed, stats) == _per_op(checked)

@@ -7,7 +7,9 @@ from repro.silicon.core import Chip, Core
 from repro.silicon.defects import MachineCheckDefect, StuckBitDefect
 from repro.silicon.environment import NOMINAL
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
+from repro.silicon.golden import golden_execute, set_golden_cache
 from repro.silicon.units import Op
+from repro.workloads.hashing import crc64, fnv1a, hash_stream
 
 
 class TestHealthyCore:
@@ -80,6 +82,97 @@ class TestMercurialCore:
     def test_age_cannot_decrease(self, healthy_core):
         with pytest.raises(ValueError):
             healthy_core.advance_age(-1.0)
+
+
+class TestCreditUntargeted:
+    """Bulk accounting for op streams no defect of the core can touch."""
+
+    ALU_STREAM = frozenset({Op.XOR, Op.SHR, Op.SHL})
+
+    def _add_defect_core(self):
+        return Core(
+            "t/add",
+            defects=[StuckBitDefect("d", bit=0, base_rate=1.0, ops=(Op.ADD,))],
+            rng=np.random.default_rng(0),
+        )
+
+    def test_disjoint_stream_is_credited_in_one_step(self):
+        for core in (Core("t/h"), self._add_defect_core()):
+            assert core.credit_untargeted(self.ALU_STREAM, 40)
+            assert core.ops_executed == 40
+
+    def test_targeted_stream_is_refused_without_credit(self):
+        core = self._add_defect_core()
+        assert not core.credit_untargeted(frozenset({Op.XOR, Op.ADD}), 40)
+        assert core.ops_executed == 0
+
+    def test_memo_switch_off_forces_the_per_op_path(self):
+        core = Core("t/h")
+        set_golden_cache(False)
+        try:
+            assert not core.credit_untargeted(self.ALU_STREAM, 40)
+        finally:
+            set_golden_cache(True)
+        assert core.ops_executed == 0
+
+    def test_subclass_is_refused(self):
+        class Traced(Core):
+            __slots__ = ()
+
+        assert not Traced("t/sub").credit_untargeted(self.ALU_STREAM, 40)
+
+    def test_offline_core_raises_before_any_credit(self):
+        core = Core("t/off")
+        core.set_online(False)
+        with pytest.raises(CoreOfflineError):
+            core.credit_untargeted(self.ALU_STREAM, 4)
+        assert core.ops_executed == 0
+        with pytest.raises(CoreOfflineError):
+            crc64(core, b"x")
+
+    def test_offline_core_with_nothing_to_run_does_not_raise(self):
+        # the per-op path on empty data never calls execute
+        core = Core("t/off")
+        core.set_online(False)
+        assert not core.credit_untargeted(self.ALU_STREAM, 0)
+        assert crc64(core, b"") == 0
+        assert fnv1a(core, b"") == 0xCBF29CE484222325
+        assert hash_stream(core, []) == []
+        assert core.ops_executed == 0
+
+
+class TestExecuteDispatchEdges:
+    """``execute``'s not-targeted exit keeps ``golden_call``'s contract."""
+
+    def _cores(self):
+        return (
+            Core("t/h"),
+            Core(
+                "t/bad",
+                defects=[StuckBitDefect("d", bit=0, base_rate=1.0, ops=(Op.LOAD,))],
+                rng=np.random.default_rng(0),
+            ),
+        )
+
+    def test_unknown_op_keeps_the_golden_execute_message(self):
+        with pytest.raises(KeyError) as reference:
+            golden_execute("NOT_AN_OP", 1, 2)
+        for core in self._cores():
+            with pytest.raises(KeyError) as raised:
+                core.execute("NOT_AN_OP", 1, 2)
+            assert raised.value.args == reference.value.args
+
+    def test_unhashable_operands_fall_back_to_the_uncached_path(self):
+        for core in self._cores():
+            assert core.execute(Op.VADD, [1, 2], [3, 4]) == (4, 6)
+            assert core.execute(Op.COPY, [5, 6]) == (5, 6)
+
+    def test_type_error_from_a_plain_op_propagates(self):
+        for core in self._cores():
+            with pytest.raises(TypeError):
+                core.execute(Op.ADD, "a", 1)
+            with pytest.raises(TypeError):
+                core.execute(Op.GFMUL, "a", 1)
 
 
 class TestChip:

@@ -106,13 +106,31 @@ class TestCryptoWorkload:
         assert result.units == 5  # 64 bytes + padding = 5 blocks
 
 
-class TestHealthyFastPath:
-    """The block fast path must be invisible: same bytes, same counters.
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """Counts per-op trips: every ``Core.execute`` reaches ``golden_call``
+    through the module global, a kernel never does."""
+    from repro.silicon import core as core_module
 
-    A healthy Core always returns golden results, so encrypt/decrypt/
-    expand_key can shortcut the per-op Core.execute trip — but only if
-    results AND the ops_executed accounting stay bit-for-bit identical
-    to the per-op path.
+    calls = []
+    golden_call = core_module.golden_call
+
+    def counting(op, operands):
+        calls.append(op)
+        return golden_call(op, operands)
+
+    monkeypatch.setattr(core_module, "golden_call", counting)
+    return calls
+
+
+class TestHealthyFastPath:
+    """The block kernels must be invisible: same bytes, same counters.
+
+    A core none of whose defects targets an AES op returns golden
+    results for all of them, so encrypt/decrypt/expand_key can shortcut
+    the per-op Core.execute trip — but only if results AND the
+    ops_executed accounting stay bit-for-bit identical to the per-op
+    path.
     """
 
     def _per_op(self, fn, *args):
@@ -151,14 +169,38 @@ class TestHealthyFastPath:
             FIPS_PLAINTEXT
         assert core.ops_executed - before == want_ops
 
-    def test_mercurial_core_never_takes_the_fast_path(self):
-        from repro.workloads.crypto import _fast_core
-
+    def test_sbox_defect_core_stays_per_op_for_aes(self, execute_calls):
         defective = Core(
             "fast/bad", defects=named_case("self_inverting_aes"),
             rng=np.random.default_rng(1),
         )
-        assert not _fast_core(defective)
+        round_keys = expand_key(defective, FIPS_KEY)
+        assert len(execute_calls) == defective.ops_executed == 210
+        encrypt_block(defective, FIPS_PLAINTEXT, round_keys)
+        decrypt_block(defective, FIPS_CIPHERTEXT, round_keys)
+        assert len(execute_calls) == defective.ops_executed == 210 + 2 * 1488
+
+    def test_lock_violator_core_takes_the_aes_and_crc_kernels(
+        self, execute_calls
+    ):
+        from repro.workloads.hashing import crc64
+
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        other_unit = Core(
+            "fast/locks", defects=named_case("lock_violator"), rng=rng,
+        )
+        round_keys = expand_key(other_unit, FIPS_KEY)
+        assert encrypt_block(other_unit, FIPS_PLAINTEXT, round_keys) == \
+            FIPS_CIPHERTEXT
+        assert decrypt_block(other_unit, FIPS_CIPHERTEXT, round_keys) == \
+            FIPS_PLAINTEXT
+        assert crc64(other_unit, FIPS_PLAINTEXT) == \
+            crc64(Core("fast/ref"), FIPS_PLAINTEXT)
+        assert execute_calls == []
+        assert other_unit.ops_executed == 210 + 2 * 1488 + 4 * 16
+        assert other_unit.corruptions_induced == 0
+        assert rng.bit_generator.state == state
 
     def test_offline_core_still_raises(self):
         from repro.silicon.errors import CoreOfflineError
