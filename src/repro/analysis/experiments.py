@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
+import json
 import math
 from typing import Callable
 
@@ -26,6 +28,7 @@ from repro.analysis.stats import (
     poisson_rate_ci,
     trend_slope,
 )
+from repro.campaign import Campaign
 from repro.core.events import EventKind, Reporter
 from repro.core.metrics import (
     confusion,
@@ -1115,45 +1118,134 @@ def _detection_latency_line(label: str, summary: dict) -> str:
     )
 
 
-def _serving_campaign(
-    hardening_name: str,
-    *,
-    ticks: int,
-    n_machines: int,
-    cores_per_machine: int,
-    defect_rate: float,
-    seed: int,
-    onset_age: float,
-) -> tuple:
-    """Run one E15 hardening arm; module-level so the pool can pickle it.
+#: age (days) the E15/E16 chaos scripts advance the bad core to — also
+#: its defect's onset, so the fleet starts clean and rots under load
+ONSET_AGE_DAYS = 400.0
 
-    Returns ``(scorecard, events, bad_core_id)`` — the campaign object
-    itself stays in the worker.
+
+def _victim(replicas, bad_core_id: str) -> str:
+    """The chaos victim must be a core that actually hosts a replica
+    (placement is deterministic, but don't hard-code it here)."""
+    return next(r.core_id for r in replicas if r.core_id != bad_core_id)
+
+
+def _serving_script(campaign, bad_core_id, config) -> ChaosSchedule:
+    return ChaosSchedule.standard(
+        bad_core_id, _victim(campaign.router.replicas, bad_core_id),
+        config.ticks, onset_age_days=ONSET_AGE_DAYS,
+    )
+
+
+def _storage_script(campaign, bad_core_id, config) -> ChaosSchedule:
+    return ChaosSchedule.storage_standard(
+        bad_core_id, _victim(campaign.store.replicas, bad_core_id),
+        config.ticks, onset_age_days=ONSET_AGE_DAYS,
+    )
+
+
+def _scale_script(campaign, bad_core_ids, config) -> ChaosSchedule:
+    # Chaos targets must be cores that actually host replicas: the
+    # whole of shard 0 crashes (shard loss), and two of shard 1's
+    # healthy cores eat the machine-check storm (breaker storm).
+    shards = campaign.cluster.shards
+    shard_loss = [r.core_id for r in shards[0].router.replicas]
+    storm = [
+        r.core_id for r in shards[1 % len(shards)].router.replicas
+        if r.core_id not in bad_core_ids
+    ][:2]
+    return ChaosSchedule.serve_scale(
+        bad_core_ids, shard_loss, storm, config.ticks
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class CampaignSpec:
+    """One row of the campaign table: how an experiment stands up an arm.
+
+    Attributes:
+        label: the ``repro trace`` title of the traced arm.
+        build_fleet: ``build_*_fleet``; returns (machines, bad core id(s)).
+        campaign: ``(machines, arm, config, seed)`` → the runner.
+        config: the runner's config dataclass (scale knobs, ``tick_ms``).
+        script: ``(campaign, bad, config)`` → the chaos script, assigned
+            after construction because it targets placed replicas.
+        trace_arm: the arm ``repro trace|metrics`` instruments.
+        trace_fleet: fleet arguments of that traced run.
     """
-    machines, bad_core_id = build_serving_fleet(
-        n_machines=n_machines,
-        cores_per_machine=cores_per_machine,
-        base_rate=defect_rate,
-        onset_days=onset_age,
-        seed=seed + 7,
-    )
-    campaign = ServingCampaign(
-        machines,
-        CampaignConfig(ticks=ticks),
-        getattr(HardeningConfig, hardening_name)(),
-        seed=seed + 3,
-    )
-    # The chaos victim must be a core that actually hosts a replica
-    # (placement is deterministic, but don't hard-code it here).
-    victim = next(
-        r.core_id for r in campaign.router.replicas
-        if r.core_id != bad_core_id
-    )
-    campaign.chaos = ChaosSchedule.standard(
-        bad_core_id, victim, ticks, onset_age_days=onset_age
-    )
+
+    label: str
+    build_fleet: Callable[..., tuple]
+    campaign: Callable[..., Campaign]
+    config: type
+    script: Callable[..., ChaosSchedule] | None
+    trace_arm: str
+    trace_fleet: dict = dataclasses.field(default_factory=dict)
+
+
+#: the object-fleet campaign experiments (``RideAlongCampaign`` — E19 —
+#: is columnar and shares none of this)
+CAMPAIGNS: dict[str, CampaignSpec] = {
+    "E15": CampaignSpec(
+        "E15 hardened",
+        functools.partial(build_serving_fleet, onset_days=ONSET_AGE_DAYS),
+        lambda machines, arm, config, seed: ServingCampaign(
+            machines, config, getattr(HardeningConfig, arm)(), seed=seed
+        ),
+        CampaignConfig, _serving_script, "hardened",
+    ),
+    "E16": CampaignSpec(
+        "E16 protected",
+        functools.partial(build_storage_fleet, onset_days=ONSET_AGE_DAYS),
+        lambda machines, arm, config, seed: StorageCampaign(
+            machines, getattr(StorageProtections, arm)(), config, seed=seed
+        ),
+        StorageCampaignConfig, _storage_script, "protected",
+    ),
+    "E17": CampaignSpec(
+        "E17 full",
+        build_scale_fleet,
+        lambda machines, arm, config, seed: ServeScaleCampaign(
+            machines, config, getattr(ScaleHardening, arm)(), seed=seed
+        ),
+        ScaleConfig, _scale_script, "full", {"prevalence": 0.2},
+    ),
+    # Traced on MEEK: the richest signal mix — checker mismatches,
+    # lag-overflow breadcrumbs, quarantines and lane re-placement.
+    "E18": CampaignSpec(
+        "E18 instrcheck (meek)",
+        build_instrcheck_fleet,
+        lambda machines, arm, config, seed: InstrCheckCampaign(
+            machines, arm, config, seed=seed
+        ),
+        InstrCheckConfig, None, "meek", {"prevalence": 0.25},
+    ),
+}
+
+
+def campaign_arm(
+    arm: str,
+    *,
+    experiment_id: str,
+    seed: int,
+    fleet: dict | None = None,
+    **config,
+) -> tuple:
+    """Run one arm of a campaign experiment; module-level so the pool
+    can pickle it.
+
+    Fleet and campaign seeds depend only on ``seed`` — every arm at one
+    seed (and one ``fleet``) faces the *identical* fleet, traffic and
+    chaos script, whichever worker runs it.  Returns ``(scorecard,
+    events, bad core id(s))``; the campaign object stays in the worker.
+    """
+    spec = CAMPAIGNS[experiment_id]
+    machines, bad = spec.build_fleet(seed=seed + 7, **(fleet or {}))
+    cfg = spec.config(**config)
+    campaign = spec.campaign(machines, arm, cfg, seed + 3)
+    if spec.script is not None:
+        campaign.chaos = spec.script(campaign, bad, cfg)
     campaign.run()
-    return campaign.scorecard, list(campaign.events), bad_core_id
+    return campaign.scorecard, list(campaign.events), bad
 
 
 def run_serving_under_cee(
@@ -1181,15 +1273,15 @@ def run_serving_under_cee(
     and goodput cost, and the breaker configuration quarantines the bad
     core earlier than validation signals alone.
     """
-    onset_age = 400.0
     campaign_fn = functools.partial(
-        _serving_campaign,
-        ticks=ticks,
-        n_machines=n_machines,
-        cores_per_machine=cores_per_machine,
-        defect_rate=defect_rate,
+        campaign_arm,
+        experiment_id="E15",
         seed=seed,
-        onset_age=onset_age,
+        fleet=dict(
+            n_machines=n_machines, cores_per_machine=cores_per_machine,
+            base_rate=defect_rate,
+        ),
+        ticks=ticks,
     )
     arms = run_tasks(
         campaign_fn,
@@ -1254,46 +1346,6 @@ def run_serving_under_cee(
 # E16 — replicated storage under CEE: the durable-path chaos campaign
 # ---------------------------------------------------------------------
 
-def _storage_campaign(
-    protections_name: str,
-    *,
-    ticks: int,
-    n_machines: int,
-    cores_per_machine: int,
-    defect_rate: float,
-    seed: int,
-    onset_age: float,
-) -> tuple:
-    """Run one E16 protection arm; module-level so the pool can pickle it.
-
-    Returns ``(scorecard, events, bad_core_id)``.
-    """
-    machines, bad_core_id = build_storage_fleet(
-        n_machines=n_machines,
-        cores_per_machine=cores_per_machine,
-        base_rate=defect_rate,
-        onset_days=onset_age,
-        seed=seed + 7,
-    )
-    campaign = StorageCampaign(
-        machines,
-        getattr(StorageProtections, protections_name)(),
-        StorageCampaignConfig(ticks=ticks),
-        seed=seed + 3,
-    )
-    # The chaos victim must be a core that actually hosts a replica
-    # (placement is deterministic, but don't hard-code it here).
-    victim = next(
-        r.core_id for r in campaign.store.replicas
-        if r.core_id != bad_core_id
-    )
-    campaign.chaos = ChaosSchedule.storage_standard(
-        bad_core_id, victim, ticks, onset_age_days=onset_age
-    )
-    campaign.run()
-    return campaign.scorecard, list(campaign.events), bad_core_id
-
-
 def run_storage_under_cee(
     ticks: int = 600,
     n_machines: int = 4,
@@ -1331,15 +1383,15 @@ def run_storage_under_cee(
     *healthy* replica, so it tends to quarantine the noisy innocent
     core (or nobody) while the silent corruptor keeps serving.
     """
-    onset_age = 400.0
     campaign_fn = functools.partial(
-        _storage_campaign,
-        ticks=ticks,
-        n_machines=n_machines,
-        cores_per_machine=cores_per_machine,
-        defect_rate=defect_rate,
+        campaign_arm,
+        experiment_id="E16",
         seed=seed,
-        onset_age=onset_age,
+        fleet=dict(
+            n_machines=n_machines, cores_per_machine=cores_per_machine,
+            base_rate=defect_rate,
+        ),
+        ticks=ticks,
     )
     arms = run_tasks(
         campaign_fn,
@@ -1412,6 +1464,20 @@ def run_storage_under_cee(
     }
 
 
+def grid_fingerprint(result: dict) -> str:
+    """sha256 of a grid runner's ``result["grid"]`` (scorecards as their
+    ``to_json()``, keys sorted): the worker-invariance gate the E17/E18/
+    E19 cards commit as ``grid_fingerprint``."""
+    def plain(node):
+        if isinstance(node, dict):
+            return {key: plain(value) for key, value in node.items()}
+        return node.to_json() if hasattr(node, "to_json") else node
+
+    return hashlib.sha256(
+        json.dumps(plain(result["grid"]), sort_keys=True).encode()
+    ).hexdigest()
+
+
 # ---------------------------------------------------------------------
 # E17 — serve at scale: sharded cluster across a prevalence × spend grid
 # ---------------------------------------------------------------------
@@ -1421,50 +1487,15 @@ SCALE_ARMS: tuple[str, ...] = ("baseline", "retries_breakers", "full")
 
 
 def _scale_cell(
-    cell: tuple[float, str],
-    *,
-    ticks: int,
-    n_machines: int,
-    cores_per_machine: int,
-    defect_rate: float,
-    seed: int,
+    cell: tuple[float, str], *, seed: int, fleet: dict, ticks: int
 ) -> tuple[float, str, "ScaleScorecard", int]:
-    """Run one (prevalence, hardening) E17 cell; module-level so the
-    pool can pickle it.
-
-    Fleet and campaign seeds depend only on the campaign seed and the
-    prevalence — every hardening arm at one prevalence faces the
-    *identical* fleet, traffic and chaos script, and a cell's scorecard
-    is byte-identical regardless of which worker runs it.
-    """
+    """One (prevalence, hardening) E17 cell of :func:`campaign_arm`."""
     prevalence, arm_name = cell
-    machines, bad_core_ids = build_scale_fleet(
-        n_machines=n_machines,
-        cores_per_machine=cores_per_machine,
-        prevalence=prevalence,
-        base_rate=defect_rate,
-        seed=seed + 7,
+    card, _events, bad_core_ids = campaign_arm(
+        arm_name, experiment_id="E17", seed=seed,
+        fleet=dict(fleet, prevalence=prevalence), ticks=ticks,
     )
-    campaign = ServeScaleCampaign(
-        machines,
-        ScaleConfig(ticks=ticks),
-        getattr(ScaleHardening, arm_name)(),
-        seed=seed + 3,
-    )
-    # Chaos targets must be cores that actually host replicas: the
-    # whole of shard 0 crashes (shard loss), and two of shard 1's
-    # healthy cores eat the machine-check storm (breaker storm).
-    shards = campaign.cluster.shards
-    shard_loss = [r.core_id for r in shards[0].router.replicas]
-    storm = [
-        r.core_id for r in shards[1 % len(shards)].router.replicas
-        if r.core_id not in bad_core_ids
-    ][:2]
-    campaign.chaos = ChaosSchedule.serve_scale(
-        bad_core_ids, shard_loss, storm, ticks
-    )
-    campaign.run()
-    return prevalence, arm_name, campaign.scorecard, len(bad_core_ids)
+    return prevalence, arm_name, card, len(bad_core_ids)
 
 
 def run_serve_at_scale(
@@ -1500,11 +1531,12 @@ def run_serve_at_scale(
     ]
     cell_fn = functools.partial(
         _scale_cell,
-        ticks=ticks,
-        n_machines=n_machines,
-        cores_per_machine=cores_per_machine,
-        defect_rate=defect_rate,
         seed=seed,
+        fleet=dict(
+            n_machines=n_machines, cores_per_machine=cores_per_machine,
+            base_rate=defect_rate,
+        ),
+        ticks=ticks,
     )
     results = run_tasks(cell_fn, cells, workers=workers)
 
@@ -1573,32 +1605,19 @@ def run_serve_at_scale(
 # ---------------------------------------------------------------------
 
 def _instrcheck_cell(
-    cell: tuple[float, str, float],
-    *,
-    units: int,
-    seed: int,
+    cell: tuple[float, str, float], *, units: int, seed: int
 ) -> tuple[float, str, float, "InstrCheckScorecard", int]:
-    """Run one (prevalence, arm, sampling rate) E18 cell; module-level
-    so the pool can pickle it.
-
-    The fleet seed depends only on the campaign seed and prevalence, so
-    every arm × rate at one prevalence faces the *identical* mercurial
-    cores, and a cell's scorecard is byte-identical regardless of which
-    worker runs it.
-    """
+    """One (prevalence, arm, sampling rate) E18 cell of
+    :func:`campaign_arm`."""
     prevalence, arm, rate = cell
-    machines, bad_core_ids = build_instrcheck_fleet(
-        prevalence=prevalence, seed=seed + 7
-    )
-    config = InstrCheckConfig(
-        units=units,
-        sample_rate=rate,
+    card, _events, bad_core_ids = campaign_arm(
+        arm, experiment_id="E18", seed=seed,
+        fleet=dict(prevalence=prevalence), units=units, sample_rate=rate,
         # The screening arm spends its budget as battery frequency, not
         # per-op duplication: a higher "rate" screens more often.
         screen_interval_ticks=max(1, round(1.0 / max(rate, 1e-9))),
     )
-    campaign = InstrCheckCampaign(machines, arm, config, seed=seed + 3)
-    return prevalence, arm, rate, campaign.run(), len(bad_core_ids)
+    return prevalence, arm, rate, card, len(bad_core_ids)
 
 
 def run_instrcheck_grid(

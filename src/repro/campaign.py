@@ -1,0 +1,300 @@
+"""The campaign kernel: one detect → quarantine → replace loop.
+
+The paper's §6 describes *one* fleet service — signals in, suspicion,
+policy, quarantine, capacity back-fill — that every workload reports
+into.  :class:`Campaign` is that service for the object-fleet runners
+(E15 serving, E17 serve-at-scale, E16 storage, E18 instrcheck).  A
+runner subclasses it, keeps its own ``run()`` loop, brackets each tick
+with :meth:`Campaign.begin_tick` (clock, chaos) and
+:meth:`Campaign.end_tick` (ground truth, policy), and supplies the one
+abstract hook :meth:`Campaign.replace_quarantined` plus, optionally,
+the chaos hooks ``hosted_on`` / ``on_crash`` / ``on_restore``.
+
+RNG order is part of the contract (scorecards are pinned byte-for-byte
+at equal seeds): :func:`build_small_fleet` seeds ``Core`` generators
+from one root stream in (machine, core) order, the trusted
+``client/c00`` core takes ``seed + 1``, and a machine-level quarantine
+pulls siblings in fleet order.  ``chaos`` is read at every tick, never
+captured: callers assign the script after they have seen placement.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+
+import numpy as np
+
+from repro import obs
+from repro.chaos import ChaosKind, ChaosSchedule
+from repro.core.confidence import SuspicionTracker
+from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
+from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
+from repro.detection.signals import SignalAnalyzer, SignalAnalyzerConfig
+from repro.fleet.machine import Machine
+from repro.fleet.product import CpuProduct
+from repro.fleet.scheduler import FleetScheduler, Task
+from repro.obs.forensics import MS_PER_DAY, detection_latency_summary
+from repro.silicon.core import Chip, Core
+from repro.silicon.defects import DefectModel
+
+
+@dataclasses.dataclass(slots=True)
+class CampaignScorecard:
+    """The fields every campaign scorecard carries; runners extend it."""
+
+    name: str
+    ticks: int = 0
+    quarantine_tick: dict[str, int] = dataclasses.field(default_factory=dict)
+    #: ground truth: first tick each core demonstrably corrupted
+    first_corrupt_tick: dict[str, int] = dataclasses.field(default_factory=dict)
+    #: per-incident stage latencies (see repro.obs.forensics)
+    detection_latency_ms: dict[str, dict] = dataclasses.field(default_factory=dict)
+
+    @staticmethod
+    def percentile(values: Sequence[float], q: float) -> float:
+        """``q``-th percentile of ``values``; 0.0 for an empty sample."""
+        if not values:
+            return 0.0
+        return float(np.percentile(np.array(values), q))
+
+    def detection_json(self) -> dict[str, dict]:
+        """The closing ``to_json`` entries, shared by every scorecard."""
+        return {
+            "quarantine_tick": dict(sorted(self.quarantine_tick.items())),
+            "first_corrupt_tick": dict(sorted(self.first_corrupt_tick.items())),
+            "detection_latency_ms": self.detection_latency_ms,
+        }
+
+
+class Campaign:
+    """One fleet, one chaos script, one scorecard, one policy loop."""
+
+    def __init__(
+        self,
+        machines: list[Machine],
+        scorecard: CampaignScorecard,
+        policy: PolicyConfig,
+        *,
+        label: str,
+        tick_ms: float,
+        seed: int,
+        chaos: ChaosSchedule | None = None,
+        weights: Mapping[EventKind, float] | None = None,
+    ) -> None:
+        """``label`` is the ``application`` of every emitted event;
+        ``weights`` overrides the default per-kind suspicion table."""
+        self.machines = machines
+        self.scorecard = scorecard
+        self.label = label
+        self.tick_ms = tick_ms
+        self.chaos = chaos or ChaosSchedule()
+        self.chaos.reset()
+        self.events = EventLog()
+        self._core_by_id: dict[str, Core] = {}
+        self._machine_by_core: dict[str, str] = {}
+        for machine in machines:
+            for core in machine.cores:
+                self._core_by_id[core.core_id] = core
+                self._machine_by_core[core.core_id] = machine.machine_id
+        self.analyzer = SignalAnalyzer(
+            tracker=SuspicionTracker(),
+            config=SignalAnalyzerConfig(weights=weights) if weights else None,
+        )
+        self.policy = QuarantinePolicy(policy, fleet_cores=len(self._core_by_id))
+        self.scheduler = FleetScheduler(machines)
+        # Healthy by construction: the e2e argument's one honest endpoint.
+        self.client_core = Core("client/c00", rng=np.random.default_rng(seed + 1))
+
+        self.now_ms = 0.0
+        self.burst_multiplier = 1.0
+        self._burst_until = -1
+        self._restore_at: dict[str, int] = {}
+        self._events_seen = 0
+        # Ground-truth corruption watcher: unconditional (not obs-gated)
+        # so scorecards are byte-identical with obs on or off.
+        self._corruption_base = {
+            core_id: core.corruptions_induced
+            for core_id, core in self._core_by_id.items()
+        }
+        #: set by runners (from literal declared names) when obs is on
+        self.quarantine_counter: obs.Counter | None = None
+        self.quarantine_span: str | None = None
+        self._obs_on = obs.enabled()
+        if self._obs_on:
+            obs.tracer.set_clock(lambda: self.now_ms)
+
+    # -- hooks ---------------------------------------------------------
+
+    def replace_quarantined(self) -> None:
+        """Hook: re-place whatever sits on quarantined cores on spares."""
+        raise NotImplementedError
+
+    def hosted_on(self, core_id: str) -> Iterable[Any]:
+        """Hook: the replicas a machine-check burst on this core hits."""
+        return ()
+
+    def on_crash(self, core_id: str) -> None:
+        """Hook: a chaos crash is about to take ``core_id`` offline."""
+
+    def on_restore(self, core_id: str) -> None:
+        """Hook: ``core_id`` is back online after a transient crash."""
+
+    def emit(self, core_id: str, kind: EventKind, detail: str,
+             attributed: bool = True) -> None:
+        """Log one event now; unattributed keeps only the machine."""
+        self.events.append(
+            CeeEvent(
+                time_days=self.now_ms / MS_PER_DAY,
+                machine_id=self._machine_by_core.get(
+                    core_id, core_id.rsplit("/", 1)[0]
+                ),
+                core_id=core_id if attributed else None,
+                kind=kind,
+                reporter=Reporter.AUTOMATED,
+                application=self.label,
+                detail=detail,
+            )
+        )
+
+    # -- the tick bracket ----------------------------------------------
+
+    def begin_tick(self, tick: int) -> float:
+        """Advance the clock and apply due chaos; returns ``now_ms``."""
+        self.now_ms = tick * self.tick_ms
+        for action in self.chaos.due(tick):
+            core_id = action.core_id or ""  # fleet-wide actions name none
+            core = self._core_by_id.get(core_id)
+            until = tick + max(1, action.duration_ticks)
+            if action.kind is ChaosKind.ACTIVATE_DEFECT:
+                if core is not None:
+                    core.advance_age(action.magnitude)
+            elif action.kind is ChaosKind.CRASH_CORE:
+                if core is not None:
+                    self.on_crash(core_id)
+                    core.set_online(False)
+                    self._restore_at[core_id] = until
+            elif action.kind is ChaosKind.MACHINE_CHECK_BURST:
+                for replica in self.hosted_on(core_id):
+                    replica.forced_mce_remaining += int(action.magnitude)
+            elif action.kind is ChaosKind.TRAFFIC_BURST:
+                self.burst_multiplier = action.magnitude
+                self._burst_until = until
+
+        # Transient crashes recover — unless the policy pulled the core.
+        for core_id, restore_tick in list(self._restore_at.items()):
+            if tick >= restore_tick:
+                del self._restore_at[core_id]
+                if core_id not in self.scorecard.quarantine_tick:
+                    self._core_by_id[core_id].set_online(True)
+                    self.on_restore(core_id)
+        if tick >= self._burst_until:
+            self.burst_multiplier = 1.0
+        return self.now_ms
+
+    def end_tick(self, tick: int, confessed: Collection[str] = ()) -> None:
+        """Note ground truth, then detect → quarantine → replace;
+        ``confessed`` names cores a screening battery convicted."""
+        card = self.scorecard
+        base = self._corruption_base
+        for core_id, core in self._core_by_id.items():
+            induced = core.corruptions_induced
+            if induced != base[core_id]:
+                base[core_id] = induced
+                card.first_corrupt_tick.setdefault(core_id, tick)
+
+        self.analyzer.ingest_all(self.events.tail(self._events_seen))
+        self._events_seen = len(self.events)
+        for core_id, score in self.analyzer.suspects(
+            self.now_ms / MS_PER_DAY,
+            threshold=self.policy.config.retest_threshold,
+        ):
+            if core_id not in self._core_by_id or core_id in card.quarantine_tick:
+                continue
+            decision = self.policy.decide(
+                core_id, score, confessed=core_id in confessed
+            )
+            if decision.action is Action.QUARANTINE_CORE:
+                self.quarantine(core_id, tick)
+            elif decision.action is Action.QUARANTINE_MACHINE:
+                self.quarantine(core_id, tick)
+                machine_id = self._machine_by_core[core_id]
+                for sibling_id, owner in self._machine_by_core.items():
+                    if owner == machine_id:
+                        self.quarantine(sibling_id, tick)
+        self.replace_quarantined()
+
+    def quarantine(self, core_id: str, tick: int) -> None:
+        """Pull one core: offline, stamped, its pending restore dropped."""
+        if core_id in self.scorecard.quarantine_tick:
+            return
+        self._core_by_id[core_id].set_online(False)
+        self.scorecard.quarantine_tick[core_id] = tick
+        self._restore_at.pop(core_id, None)
+        if self.quarantine_counter is not None:
+            self.quarantine_counter.inc()
+            if self.quarantine_span is not None:
+                with obs.tracer.span(
+                    self.quarantine_span, core_id=core_id, tick=tick
+                ):
+                    pass
+
+    def spare_core(self, task: Task, occupied: set[str]) -> Core | None:
+        """A scheduled core neither ``occupied`` nor quarantined, or
+        None when the fleet is drained (the runner degrades)."""
+        excluded = occupied | set(self.scorecard.quarantine_tick)
+        placements, _ = self.scheduler.schedule([task], exclude_core_ids=excluded)
+        if not placements:
+            return None
+        return self._core_by_id[placements[0].core_id]
+
+    def finish(self, ticks: int) -> None:
+        """End-of-run bookkeeping every scorecard shares."""
+        card = self.scorecard
+        card.ticks = ticks
+        card.first_corrupt_tick = dict(sorted(card.first_corrupt_tick.items()))
+        card.detection_latency_ms = detection_latency_summary(
+            card.first_corrupt_tick, card.quarantine_tick,
+            list(self.events), self.tick_ms,
+        )
+
+
+def build_small_fleet(
+    n_machines: int,
+    cores_per_machine: int,
+    sku: str,
+    seed: int | np.random.Generator,
+    defects_for: Callable[[str, int], Sequence[DefectModel]],
+    core_prevalence: float = 0.0,
+) -> tuple[list[Machine], list[str]]:
+    """The object fleet every campaign experiment runs on.
+
+    ``defects_for(core_id, flat_index)`` gives one core's defects
+    (empty = healthy).  ``seed`` may be a generator the caller already
+    drew bad slots from; each core's stream is then drawn from it in
+    (machine, core) order.  Returns (machines, defective core ids).
+    """
+    product = CpuProduct(
+        vendor="sim", sku=f"{sku}-{cores_per_machine}c",
+        cores_per_machine=cores_per_machine, core_prevalence=core_prevalence,
+    )
+    root = np.random.default_rng(seed)
+    machines: list[Machine] = []
+    bad_core_ids: list[str] = []
+    for m in range(n_machines):
+        machine_id = f"m{m:05d}"
+        cores = []
+        for c in range(cores_per_machine):
+            core_id = f"{machine_id}/c{c:02d}"
+            defects = defects_for(core_id, m * cores_per_machine + c)
+            if defects:
+                bad_core_ids.append(core_id)
+            rng = np.random.default_rng(root.integers(2**63))
+            cores.append(Core(core_id, defects=defects, rng=rng))
+        machines.append(
+            Machine(machine_id=machine_id, product=product, chip=Chip(cores))
+        )
+    return machines, bad_core_ids
+
+
+__all__ = ["Campaign", "CampaignScorecard", "build_small_fleet"]

@@ -19,6 +19,7 @@ Usage::
     python -m repro bench fleetscreen     # the E19 grid -> BENCH_E19.json
     python -m repro run E19 --scale ci    # fleet-screening grid, smoke scale
     python -m repro trace e18             # instrcheck catch-attribution timeline
+    python -m repro trace e17             # serve-at-scale (full arm) forensics
     python -m repro run E1 --trials 8 --workers 4   # parallel Monte-Carlo
     python -m repro metrics e15           # Prometheus-text metric dump
     python -m repro metrics e16 --format json   # JSON metric snapshot
@@ -37,7 +38,10 @@ import sys
 import time
 from typing import Sequence
 
-from repro.analysis.experiments import EXPERIMENTS
+from repro.analysis.experiments import CAMPAIGNS, EXPERIMENTS, campaign_arm
+
+#: the campaigns ``repro trace|metrics`` can instrument (table rows)
+_OBS_CAMPAIGNS = tuple(experiment_id.lower() for experiment_id in CAMPAIGNS)
 
 #: experiment kwargs at smoke scale (subset; others are already fast)
 _CI_KWARGS: dict[str, dict] = {
@@ -180,7 +184,8 @@ def _cmd_bench(args) -> int:
 def _obs_campaign(source: str, seed: int) -> tuple:
     """Run one observability-instrumented campaign arm at CI scale.
 
-    Returns ``(scorecard, events, bad_core_id, tick_ms)``; the obs
+    ``source`` names a row of the campaign table.  Returns
+    ``(scorecard, events, bad_core_id, tick_ms, label)``; the obs
     registry and tracer hold the run's metrics and spans afterwards.
     """
     from repro import obs
@@ -188,42 +193,15 @@ def _obs_campaign(source: str, seed: int) -> tuple:
     obs.set_enabled(True)
     obs.metrics.reset()
     obs.tracer.reset()
-    if source == "e15":
-        from repro.analysis.experiments import _serving_campaign
-        from repro.serving.campaign import CampaignConfig
-
-        card, events, bad_core_id = _serving_campaign(
-            "hardened", ticks=_CI_KWARGS["E15"]["ticks"], n_machines=4,
-            cores_per_machine=4, defect_rate=0.05, seed=seed,
-            onset_age=400.0,
-        )
-        return card, events, bad_core_id, CampaignConfig().tick_ms
-    if source == "e18":
-        from repro.mitigation.instrcheck import (
-            InstrCheckCampaign,
-            InstrCheckConfig,
-            build_instrcheck_fleet,
-        )
-
-        # The MEEK arm has the richest signal mix: checker mismatches,
-        # lag-overflow breadcrumbs, quarantines and lane re-placement.
-        machines, bad_core_ids = build_instrcheck_fleet(
-            prevalence=0.25, seed=seed + 7
-        )
-        config = InstrCheckConfig(units=_CI_KWARGS["E18"]["units"])
-        campaign = InstrCheckCampaign(machines, "meek", config, seed=seed + 3)
-        card = campaign.run()
-        return (
-            card, campaign.events, ",".join(bad_core_ids), config.tick_ms,
-        )
-    from repro.analysis.experiments import _storage_campaign
-    from repro.storage.campaign import StorageCampaignConfig
-
-    card, events, bad_core_id = _storage_campaign(
-        "protected", ticks=_CI_KWARGS["E16"]["ticks"], n_machines=4,
-        cores_per_machine=4, defect_rate=0.05, seed=seed, onset_age=400.0,
+    experiment_id = source.upper()
+    spec = CAMPAIGNS[experiment_id]
+    scale = _CI_KWARGS[experiment_id]
+    card, events, bad = campaign_arm(
+        spec.trace_arm, experiment_id=experiment_id, seed=seed,
+        fleet=spec.trace_fleet, **scale,
     )
-    return card, events, bad_core_id, StorageCampaignConfig().tick_ms
+    bad_core_id = bad if isinstance(bad, str) else ",".join(bad)
+    return card, events, bad_core_id, spec.config(**scale).tick_ms, spec.label
 
 
 def _cmd_metrics(args) -> int:
@@ -255,14 +233,11 @@ def _cmd_trace(args) -> int:
     from repro.obs.forensics import render_forensics
 
     seed = 0 if args.seed is None else args.seed
-    card, events, bad_core_id, tick_ms = _obs_campaign(args.campaign, seed)
-    arm = {
-        "e15": "E15 hardened",
-        "e16": "E16 protected",
-        "e18": "E18 instrcheck (meek)",
-    }[args.campaign]
+    card, events, bad_core_id, tick_ms, label = _obs_campaign(
+        args.campaign, seed
+    )
     print(render_forensics(
-        f"{arm}, seed {seed}, bad core {bad_core_id}",
+        f"{label}, seed {seed}, bad core {bad_core_id}",
         card.detection_latency_ms, events, obs.tracer.drain(), tick_ms,
         quarantine_tick=card.quarantine_tick,
     ))
@@ -378,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="run an instrumented campaign; dump the metric registry",
     )
     metrics_parser.add_argument(
-        "source", nargs="?", choices=("e1", "e15", "e16", "e18"),
+        "source", nargs="?", choices=("e1",) + _OBS_CAMPAIGNS,
         default="e15",
         help="which campaign to instrument (default: e15)",
     )
@@ -394,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="run an instrumented campaign; print corruption forensics",
     )
     trace_parser.add_argument(
-        "campaign", nargs="?", choices=("e15", "e16", "e18"), default="e15",
+        "campaign", nargs="?", choices=_OBS_CAMPAIGNS, default="e15",
         help="which chaos campaign to trace (default: e15)",
     )
     trace_parser.add_argument(

@@ -469,22 +469,12 @@ def bench_serve_scale(scale: str, workers: int) -> BenchScorecard:
     rates and p99/p99.9 latency per arm) so the EXPERIMENTS.md claims
     are pinned to a measured artifact.
     """
-    import hashlib
     import math
 
-    from repro.analysis.experiments import run_serve_at_scale
+    from repro.analysis.experiments import grid_fingerprint, run_serve_at_scale
 
     ticks = 200 if scale == "ci" else 600
     prevalences = (0.1, 0.2, 0.4)
-
-    def fingerprint(result: dict) -> str:
-        payload = {
-            prevalence: {arm: card.to_json() for arm, card in arms.items()}
-            for prevalence, arms in result["grid"].items()
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
 
     baseline_s, serial = _timed(
         lambda: run_serve_at_scale(
@@ -496,8 +486,8 @@ def bench_serve_scale(scale: str, workers: int) -> BenchScorecard:
             ticks=ticks, prevalences=prevalences, workers=workers
         )
     )
-    serial_fp = fingerprint(serial)
-    fanned_fp = fingerprint(fanned)
+    serial_fp = grid_fingerprint(serial)
+    fanned_fp = grid_fingerprint(fanned)
 
     def finite(value: float) -> float | None:
         return None if math.isinf(value) else value
@@ -550,25 +540,11 @@ def bench_instrcheck(scale: str, workers: int) -> BenchScorecard:
     fraction of CEEs caught pre-propagation at full sampling) so the
     EXPERIMENTS.md claims are pinned to a measured artifact.
     """
-    import hashlib
-
-    from repro.analysis.experiments import run_instrcheck_grid
+    from repro.analysis.experiments import grid_fingerprint, run_instrcheck_grid
 
     units = 160 if scale == "ci" else 320
     prevalences = (0.125, 0.25)
     rates = (0.1, 0.33, 1.0)
-
-    def fingerprint(result: dict) -> str:
-        payload = {
-            prevalence: {
-                arm: {rate: card.to_json() for rate, card in by_rate.items()}
-                for arm, by_rate in arms.items()
-            }
-            for prevalence, arms in result["grid"].items()
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
 
     baseline_s, serial = _timed(
         lambda: run_instrcheck_grid(
@@ -581,8 +557,8 @@ def bench_instrcheck(scale: str, workers: int) -> BenchScorecard:
             workers=workers,
         )
     )
-    serial_fp = fingerprint(serial)
-    fanned_fp = fingerprint(fanned)
+    serial_fp = grid_fingerprint(serial)
+    fanned_fp = grid_fingerprint(fanned)
 
     cells = len(fanned["arms"]) * len(prevalences) * len(rates)
     total_units = cells * units
@@ -637,9 +613,10 @@ def bench_fleetscreen(scale: str, workers: int) -> BenchScorecard:
       the same snapshot so the per-pass cost gap is measured on
       identical cores.
     """
-    import hashlib
-
-    from repro.analysis.experiments import run_fleetscreen_grid
+    from repro.analysis.experiments import (
+        grid_fingerprint,
+        run_fleetscreen_grid,
+    )
     from repro.detection.corpus import TestCorpus
     from repro.detection.fleetscreen import FleetScreener, distill, full_battery
     from repro.fleet import shm as fleet_shm
@@ -651,7 +628,8 @@ def bench_fleetscreen(scale: str, workers: int) -> BenchScorecard:
         n_machines, horizon = 120, 120.0
 
     def fingerprint(result: dict) -> str:
-        payload = {
+        # E19 gates its baseline frontier and headline booleans too
+        return grid_fingerprint({"grid": {
             "grid": result["grid"],
             # frontier rows carry ScreeningPolicy objects; fingerprint
             # only the scalar columns
@@ -665,10 +643,7 @@ def bench_fleetscreen(scale: str, workers: int) -> BenchScorecard:
                 result["distilled_detects_no_less"],
                 result["budget_buys_detection"],
             ],
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
+        }})
 
     baseline_s, serial = _timed(
         lambda: run_fleetscreen_grid(

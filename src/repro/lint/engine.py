@@ -98,6 +98,7 @@ class LintConfig:
         "benchmarks/",
     )
     slots_modules: tuple[str, ...] = (
+        "src/repro/campaign.py",
         "src/repro/core/events.py",
         "src/repro/detection/fleetscreen.py",
         "src/repro/engine/runner.py",
@@ -124,7 +125,8 @@ class LintConfig:
         ("core", "obs"),
         ("silicon", "fleet"),
         ("workloads",),
-        ("chaos", "detection", "mitigation", "serving", "storage"),
+        ("campaign", "chaos", "detection", "mitigation", "serving",
+         "storage"),
         ("engine",),
         ("analysis",),
         ("cli", "lint", "__main__"),

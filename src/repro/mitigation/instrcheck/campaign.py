@@ -42,9 +42,10 @@ Arms:
 Every catch becomes a weighted :class:`~repro.core.events.CeeEvent`
 (``INSTRCHECK_MISMATCH``, ``REPLAY_DIVERGENCE``, ``SCREEN_FAIL``,
 ``APP_REPORT``; queue overflow logs ``CHECKER_LAG_OVERFLOW``) feeding
-the standard analyzer → quarantine loop, so instrcheck catches are
-attributable in ``repro trace`` forensics timelines and a condemned
-lane is re-placed on a spare core through the fleet scheduler.
+the :class:`~repro.campaign.Campaign` kernel's analyzer → quarantine
+loop, so instrcheck catches are attributable in ``repro trace``
+forensics timelines and a condemned lane is re-placed on a spare core
+through the fleet scheduler.
 """
 
 from __future__ import annotations
@@ -54,13 +55,11 @@ import dataclasses
 import numpy as np
 
 from repro import obs
-from repro.core.confidence import SuspicionTracker
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
-from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
-from repro.detection.signals import SignalAnalyzer
+from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
+from repro.core.events import EventKind
+from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
-from repro.fleet.product import CpuProduct
-from repro.fleet.scheduler import FleetScheduler, Task
+from repro.fleet.scheduler import Task
 from repro.mitigation.checkpoint import GranuleFailedError
 from repro.mitigation.instrcheck.policies import (
     InstrCheckStats,
@@ -71,15 +70,16 @@ from repro.mitigation.instrcheck.policies import (
     _hash01,
     result_digest,
 )
-from repro.obs.forensics import detection_latency_summary
-from repro.silicon.core import Chip, Core
-from repro.silicon.defects import OperandPatternDefect, StuckBitDefect
+from repro.silicon.core import Core
+from repro.silicon.defects import (
+    DefectModel,
+    OperandPatternDefect,
+    StuckBitDefect,
+)
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
 from repro.silicon.golden import golden_execute
 from repro.silicon.units import FunctionalUnit, Op
 from repro.workloads.base import digest_ints
-
-MS_PER_DAY = 86_400_000.0
 
 #: the checking arms a campaign can run, cheapest-to-check first
 ARMS: tuple[str, ...] = ("screen", "ithica", "reptfd", "meek", "e2e")
@@ -118,10 +118,9 @@ class InstrCheckConfig:
 
 
 @dataclasses.dataclass(slots=True)
-class InstrCheckScorecard:
+class InstrCheckScorecard(CampaignScorecard):
     """What one (arm, sampling rate) configuration achieved."""
 
-    name: str
     sample_rate: float = 0.0
     units_total: int = 0
     units_delivered: int = 0
@@ -141,14 +140,6 @@ class InstrCheckScorecard:
     mismatches: int = 0
     lag_drops: int = 0
     replays: int = 0
-    ticks: int = 0
-    quarantine_tick: dict[str, int] = dataclasses.field(default_factory=dict)
-    #: ground truth: first tick each core demonstrably corrupted
-    first_corrupt_tick: dict[str, int] = dataclasses.field(
-        default_factory=dict
-    )
-    #: per-incident stage latencies (see repro.obs.forensics)
-    detection_latency_ms: dict = dataclasses.field(default_factory=dict)
 
     @property
     def slowdown_factor(self) -> float:
@@ -199,11 +190,7 @@ class InstrCheckScorecard:
             "screen_fails": self.screen_fails,
             "machine_checks": self.machine_checks,
             "ticks": self.ticks,
-            "quarantine_tick": dict(sorted(self.quarantine_tick.items())),
-            "first_corrupt_tick": dict(
-                sorted(self.first_corrupt_tick.items())
-            ),
-            "detection_latency_ms": self.detection_latency_ms,
+            **self.detection_json(),
         }
 
 
@@ -222,8 +209,10 @@ class _Lane:
         self.buffer_tags: list[int] = []
 
 
-class InstrCheckCampaign:
+class InstrCheckCampaign(Campaign):
     """One arm, one fleet, one deterministic op stream, one scorecard."""
+
+    scorecard: InstrCheckScorecard
 
     def __init__(
         self,
@@ -234,29 +223,17 @@ class InstrCheckCampaign:
     ):
         if arm not in ARMS:
             raise ValueError(f"unknown arm {arm!r}; known: {ARMS}")
-        self.machines = machines
         self.arm = arm
         self.config = config or InstrCheckConfig()
         self.seed = seed
-
-        self.events = EventLog()
-        self._core_by_id: dict[str, Core] = {}
-        self._machine_by_core: dict[str, str] = {}
-        for machine in machines:
-            for core in machine.cores:
-                self._core_by_id[core.core_id] = core
-                self._machine_by_core[core.core_id] = machine.machine_id
-
-        n_cores = len(self._core_by_id)
-        self.analyzer = SignalAnalyzer(tracker=SuspicionTracker())
-        self.policy = QuarantinePolicy(
-            self.config.policy, fleet_cores=n_cores
+        # The kernel's trusted client core runs the E11-style e2e check.
+        super().__init__(
+            machines,
+            InstrCheckScorecard(name=arm, sample_rate=self.config.sample_rate),
+            self.config.policy, label="instrcheck",
+            tick_ms=self.config.tick_ms, seed=seed,
         )
-        self.scheduler = FleetScheduler(machines)
         self.stats = InstrCheckStats()
-        self.scorecard = InstrCheckScorecard(
-            name=arm, sample_rate=self.config.sample_rate
-        )
 
         # Deterministic workload: units and expected digests up front.
         rng = np.random.default_rng(seed)
@@ -293,33 +270,16 @@ class InstrCheckCampaign:
             if not checker_placed:
                 raise ValueError("no spare core available as checker")
             self.checker_core = self._core_by_id[checker_placed[0].core_id]
-        # The E11-style end-to-end check runs on the client's own core,
-        # trusted by construction.
-        self.client_core = Core(
-            "client/c00", rng=np.random.default_rng(seed + 1)
-        )
 
         self._caught: set[int] = set()
         self._delivered: dict[int, int] = {}
         self._confessed: set[str] = set()
-        self._events_seen = 0
         self._lane_generation = 0
         self._current_tick = 0
         self._overflow_tick: dict[str, int] = {}
 
-        # Ground-truth corruption watcher; unconditional so scorecards
-        # are byte-identical with obs on or off.
-        self._corruption_base = {
-            core_id: core.corruptions_induced
-            for core_id, core in self._core_by_id.items()
-        }
-        self._first_corrupt_tick: dict[str, int] = {}
-
-        self._now_ms = 0.0
         self._ops_checked_seen = 0
-        self._obs_on = obs.enabled()
         if self._obs_on:
-            obs.tracer.set_clock(lambda: self._now_ms)
             self._m_ops_checked = obs.metrics.counter(
                 "instrcheck_ops_checked_total",
                 help="ops re-executed by a checking arm (duplicates, "
@@ -342,7 +302,7 @@ class InstrCheckCampaign:
                 help="granules replayed on the checker core (RepTFD)",
                 unit="granules",
             )
-            self._m_quarantines = obs.metrics.counter(
+            self.quarantine_counter = obs.metrics.counter(
                 "instrcheck_quarantines_total",
                 help="cores pulled from the lane pool by the campaign "
                      "policy loop",
@@ -403,36 +363,15 @@ class InstrCheckCampaign:
 
     # -- event plumbing ------------------------------------------------
 
-    def _emit(
-        self,
-        core_id: str,
-        kind: EventKind,
-        detail: str,
-        attributed: bool = True,
-    ) -> None:
-        self.events.append(
-            CeeEvent(
-                time_days=self._now_ms / MS_PER_DAY,
-                machine_id=self._machine_by_core.get(
-                    core_id, core_id.rsplit("/", 1)[0]
-                ),
-                core_id=core_id if attributed else None,
-                kind=kind,
-                reporter=Reporter.AUTOMATED,
-                application="instrcheck",
-                detail=detail,
-            )
-        )
-
     def _on_mismatch(self, core_id: str, op: str, tag: int) -> None:
         self._caught.add(tag)
-        self._emit(core_id, EventKind.INSTRCHECK_MISMATCH, f"op {op}")
+        self.emit(core_id, EventKind.INSTRCHECK_MISMATCH, f"op {op}")
         if self._obs_on:
             self._m_mismatches.inc(arm=self.arm)
 
     def _on_divergence(self, core_id: str, op: str, tag: int) -> None:
         self._caught.add(tag)
-        self._emit(core_id, EventKind.REPLAY_DIVERGENCE, f"granule op {op}")
+        self.emit(core_id, EventKind.REPLAY_DIVERGENCE, f"granule op {op}")
         if self._obs_on:
             self._m_mismatches.inc(arm=self.arm)
 
@@ -448,7 +387,7 @@ class InstrCheckCampaign:
         if self._overflow_tick.get(core_id) == self._current_tick:
             return
         self._overflow_tick[core_id] = self._current_tick
-        self._emit(
+        self.emit(
             core_id, EventKind.CHECKER_LAG_OVERFLOW,
             f"dropped entries near unit {tag}",
             attributed=False,
@@ -477,7 +416,7 @@ class InstrCheckCampaign:
         except MachineCheckError:
             self.scorecard.machine_checks += 1
             self.scorecard.units_crashed += 1
-            self._emit(lane.core.core_id, EventKind.MACHINE_CHECK,
+            self.emit(lane.core.core_id, EventKind.MACHINE_CHECK,
                        "mce in unit")
             return
         except CoreOfflineError:
@@ -496,7 +435,7 @@ class InstrCheckCampaign:
         except MachineCheckError:
             self.scorecard.machine_checks += 1
             self.scorecard.units_crashed += 1
-            self._emit(core.core_id, EventKind.MACHINE_CHECK, "mce in unit")
+            self.emit(core.core_id, EventKind.MACHINE_CHECK, "mce in unit")
             return
         except CoreOfflineError:
             self.scorecard.units_crashed += 1
@@ -516,7 +455,7 @@ class InstrCheckCampaign:
             if redone != delivered:
                 self.stats.mismatches += 1
                 self._caught.add(tag)
-                self._emit(core.core_id, EventKind.APP_REPORT,
+                self.emit(core.core_id, EventKind.APP_REPORT,
                            "e2e digest mismatch")
                 if self._obs_on:
                     self._m_mismatches.inc(arm=self.arm)
@@ -572,42 +511,55 @@ class InstrCheckCampaign:
             if failed:
                 self.scorecard.screen_fails += 1
                 self._confessed.add(core.core_id)
-                self._emit(core.core_id, EventKind.SCREEN_FAIL,
+                self.emit(core.core_id, EventKind.SCREEN_FAIL,
                            f"battery at tick {tick}")
 
     # -- detection loop ------------------------------------------------
 
-    def _run_policy(self, tick: int) -> None:
-        new_events = self.events.tail(self._events_seen)
-        self._events_seen = len(self.events)
-        self.analyzer.ingest_all(new_events)
-
-        now_days = self._now_ms / MS_PER_DAY
-        for core_id, score in self.analyzer.suspects(
-            now_days, threshold=self.config.policy.retest_threshold
-        ):
-            core = self._core_by_id.get(core_id)
-            if core is None or core_id in self.scorecard.quarantine_tick:
-                continue
-            decision = self.policy.decide(
-                core_id, score, confessed=core_id in self._confessed
-            )
-            if decision.action in (
-                Action.QUARANTINE_CORE, Action.QUARANTINE_MACHINE
-            ):
-                self._quarantine(core_id, tick)
-
+    def replace_quarantined(self) -> None:
+        quarantined = self.scorecard.quarantine_tick
+        checker = self.checker_core
+        if checker is not None and checker.core_id in quarantined:
+            self._replace_checker()
         for lane in self.lanes:
-            if lane.core.core_id in self.scorecard.quarantine_tick:
+            if lane.core.core_id in quarantined:
                 self._replace_lane(lane)
 
-    def _quarantine(self, core_id: str, tick: int) -> None:
-        if core_id in self.scorecard.quarantine_tick:
-            return
-        self._core_by_id[core_id].set_online(False)
-        self.scorecard.quarantine_tick[core_id] = tick
-        if self._obs_on:
-            self._m_quarantines.inc()
+    def _dark(self, lane: _Lane) -> bool:
+        """No core left to run this lane on — or to check it on."""
+        quarantined = self.scorecard.quarantine_tick
+        checker = self.checker_core
+        return lane.core.core_id in quarantined or (
+            checker is not None and checker.core_id in quarantined
+        )
+
+    def _replace_checker(self) -> None:
+        """Re-place the shared MEEK/RepTFD checker on a spare core.
+
+        Lanes keep their wrappers (MEEK its unverified backlog) and are
+        re-pointed at the new checker.
+        """
+        new_core = self.spare_core(
+            Task("checker"), {lane.core.core_id for lane in self.lanes}
+        )
+        if new_core is None:
+            return  # degraded: nothing to check on, every lane is dark
+        self.checker_core = new_core
+        for lane in self.lanes:
+            if isinstance(lane.wrapper, MeekCheckedCore):
+                lane.wrapper.checker = new_core
+            if lane.replayer is not None:
+                lane.replayer.replay_core = new_core
+
+    def _drain(self, lane: _Lane, budget: int | None) -> None:
+        """Let the MEEK checker verify up to ``budget`` backlog entries;
+        while the checker is itself down nothing gets verified."""
+        if (
+            isinstance(lane.wrapper, MeekCheckedCore)
+            and self.checker_core is not None
+            and self.checker_core.online
+        ):
+            lane.wrapper.flush(budget)
 
     def _replace_lane(self, lane: _Lane) -> None:
         """Re-place a quarantined lane on a spare core via the scheduler."""
@@ -617,38 +569,17 @@ class InstrCheckCampaign:
             self.scorecard.units_crashed += len(lane.buffer)
             lane.buffer = []
             lane.buffer_tags = []
-        if isinstance(lane.wrapper, MeekCheckedCore):
-            # The checker verifies the backlog before the lane moves.
-            lane.wrapper.flush(None)
+        # The checker verifies the backlog before the lane moves.
+        self._drain(lane, None)
         occupied = {peer.core.core_id for peer in self.lanes}
         if self.checker_core is not None:
             occupied.add(self.checker_core.core_id)
-        quarantined = set(self.policy.quarantined) | set(
-            self.scorecard.quarantine_tick
-        )
-        placements, _ = self.scheduler.schedule(
-            [Task(f"lane/{lane.index}")],
-            exclude_core_ids=occupied | quarantined,
-        )
-        if not placements:
+        new_core = self.spare_core(Task(f"lane/{lane.index}"), occupied)
+        if new_core is None:
             return  # degraded: the lane stays dark
-        lane.core = self._core_by_id[placements[0].core_id]
+        lane.core = new_core
         self._lane_generation += 1
         self._equip_lane(lane)
-
-    def _note_corruptions(self, tick: int) -> None:
-        """Record the first tick each core's corruption counter moved.
-
-        Ground-truth bookkeeping for the forensics timeline; runs
-        unconditionally so scorecards don't depend on REPRO_OBS.
-        """
-        base = self._corruption_base
-        for core_id, core in self._core_by_id.items():
-            induced = core.corruptions_induced
-            if induced != base[core_id]:
-                base[core_id] = induced
-                if core_id not in self._first_corrupt_tick:
-                    self._first_corrupt_tick[core_id] = tick
 
     # -- the main loop -------------------------------------------------
 
@@ -661,11 +592,17 @@ class InstrCheckCampaign:
         while next_unit < len(self.units) or any(
             lane.buffer for lane in self.lanes
         ):
-            self._now_ms = tick * cfg.tick_ms
+            self.begin_tick(tick)
             self._current_tick = tick
+            if all(self._dark(lane) for lane in self.lanes):
+                # No spare anywhere: the rest of the stream is lost.
+                card.units_crashed += len(self.units) - next_unit + sum(
+                    len(lane.buffer) for lane in self.lanes
+                )
+                break
             for lane in self.lanes:
-                if lane.core.core_id in card.quarantine_tick:
-                    continue  # dark lane (no spare was available)
+                if self._dark(lane):
+                    continue  # no spare was available
                 if next_unit >= len(self.units):
                     if self.arm == "reptfd":
                         self._flush_reptfd(lane)
@@ -680,17 +617,14 @@ class InstrCheckCampaign:
                         self._run_unit(lane, tag)
                 else:
                     self._run_unit(lane, tag)
-            if self.arm == "meek":
-                for lane in self.lanes:
-                    if isinstance(lane.wrapper, MeekCheckedCore):
-                        lane.wrapper.flush(cfg.drain_per_tick)
+            for lane in self.lanes:
+                self._drain(lane, cfg.drain_per_tick)
             if (
                 self.arm == "screen"
                 and tick % cfg.screen_interval_ticks == 0
             ):
                 self._run_screen(tick)
-            self._note_corruptions(tick)
-            self._run_policy(tick)
+            self.end_tick(tick, confessed=self._confessed)
             if obs_on:
                 delta = self.stats.ops_sampled - self._ops_checked_seen
                 if delta:
@@ -699,10 +633,8 @@ class InstrCheckCampaign:
             tick += 1
 
         # End-of-run barrier: the MEEK checker drains every backlog.
-        if self.arm == "meek":
-            for lane in self.lanes:
-                if isinstance(lane.wrapper, MeekCheckedCore):
-                    lane.wrapper.flush(None)
+        for lane in self.lanes:
+            self._drain(lane, None)
         self._settle(tick)
         return card
 
@@ -720,7 +652,6 @@ class InstrCheckCampaign:
     def _settle(self, ticks: int) -> None:
         """Final scoring: deliveries vs golden digests vs catches."""
         card = self.scorecard
-        card.ticks = ticks
         card.units_total = len(self.units)
         card.units_delivered = len(self._delivered)
         for tag, delivered in self._delivered.items():
@@ -736,13 +667,7 @@ class InstrCheckCampaign:
         card.ops_sampled = self.stats.ops_sampled
         card.mismatches = self.stats.mismatches
         card.lag_drops = self.stats.lag_drops
-        card.first_corrupt_tick = dict(
-            sorted(self._first_corrupt_tick.items())
-        )
-        card.detection_latency_ms = detection_latency_summary(
-            self._first_corrupt_tick, card.quarantine_tick,
-            list(self.events), self.config.tick_ms,
-        )
+        self.finish(ticks)
 
 
 # ---------------------------------------------------------------------
@@ -770,50 +695,27 @@ def build_instrcheck_fleet(
     """
     n_cores = n_machines * cores_per_machine
     n_bad = max(0, min(round(prevalence * n_cores), cores_per_machine - 1))
-    bad_indices = set(range(1, 1 + n_bad))
-    product = CpuProduct(
-        vendor="sim", sku=f"instrcheck-{cores_per_machine}c",
-        cores_per_machine=cores_per_machine, core_prevalence=0.0,
-    )
-    root = np.random.default_rng(seed)
-    machines: list[Machine] = []
-    bad_core_ids: list[str] = []
-    for m in range(n_machines):
-        machine_id = f"m{m:05d}"
-        cores = []
-        for c in range(cores_per_machine):
-            core_id = f"{machine_id}/c{c:02d}"
-            index = m * cores_per_machine + c
-            defects = ()
-            if index in bad_indices:
-                bad_core_ids.append(core_id)
-                if index % 2 == 1:
-                    defects = (
-                        StuckBitDefect(
-                            f"defect/{core_id}", bit=13,
-                            base_rate=base_rate,
-                            unit=FunctionalUnit.ALU,
-                        ),
-                    )
-                else:
-                    defects = (
-                        OperandPatternDefect(
-                            f"defect/{core_id}", mask=0x7, value=0x5,
-                            error=1 << 9, base_rate=1.0,
-                            unit=FunctionalUnit.ALU,
-                        ),
-                    )
-            cores.append(
-                Core(
-                    core_id,
-                    defects=defects,
-                    rng=np.random.default_rng(root.integers(2**63)),
-                )
+
+    def defects_for(core_id: str, index: int) -> tuple[DefectModel, ...]:
+        if not 1 <= index <= n_bad:
+            return ()
+        if index % 2 == 1:
+            return (
+                StuckBitDefect(
+                    f"defect/{core_id}", bit=13, base_rate=base_rate,
+                    unit=FunctionalUnit.ALU,
+                ),
             )
-        machines.append(
-            Machine(machine_id=machine_id, product=product, chip=Chip(cores))
+        return (
+            OperandPatternDefect(
+                f"defect/{core_id}", mask=0x7, value=0x5,
+                error=1 << 9, base_rate=1.0, unit=FunctionalUnit.ALU,
+            ),
         )
-    return machines, bad_core_ids
+
+    return build_small_fleet(
+        n_machines, cores_per_machine, "instrcheck", seed, defects_for
+    )
 
 
 __all__ = [

@@ -2,9 +2,9 @@
 
 A campaign drives a request stream against an :mod:`repro.serving`
 service for a scripted number of ticks, injects
-:class:`~repro.serving.chaos.ChaosSchedule` faults along the way, and
-scores the configuration on the metrics a service owner actually has
-SLOs for:
+:class:`~repro.chaos.ChaosSchedule` faults along the way, and scores
+the configuration on the metrics a service owner actually has SLOs
+for:
 
 - **corrupt-response escape rate** — well-formed but wrong responses
   delivered as OK (the paper's silent-corruption hazard, measured
@@ -13,14 +13,15 @@ SLOs for:
 - **p99 latency proxy** — tail of the simulated end-to-end latency;
 - **goodput** — *valid* OK responses per tick.
 
-The campaign also runs the detection loop the paper's §6 describes,
-scaled down to serving time: validator catches and breaker trips become
-:class:`~repro.core.events.CeeEvent` entries, a
-:class:`~repro.detection.signals.SignalAnalyzer` turns them into
-per-core suspicion, and a :class:`~repro.core.policy.QuarantinePolicy`
-pulls the offending core out of the replica set — at which point the
-:class:`~repro.fleet.scheduler.FleetScheduler` re-places the replica on
-a spare core.
+Validator catches and breaker trips become
+:class:`~repro.core.events.CeeEvent` entries feeding the §6 detection
+loop the :class:`~repro.campaign.Campaign` kernel runs; when it pulls
+the offending core, the replica is re-placed on a spare.
+
+:class:`RequestCampaign` is what this runner and the E17
+:class:`~repro.serving.scale_campaign.ServeScaleCampaign` share on top
+of the kernel: the request RNG, the trusted validator, the
+``serving_*`` metrics and one attempt against one replica.
 """
 
 from __future__ import annotations
@@ -30,15 +31,13 @@ import dataclasses
 import numpy as np
 
 from repro import obs
-from repro.core.confidence import SuspicionTracker
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
-from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
-from repro.detection.signals import SignalAnalyzer
+from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
+from repro.chaos import ChaosSchedule
+from repro.core.events import EventKind
+from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
-from repro.fleet.product import CpuProduct
-from repro.fleet.scheduler import FleetScheduler, Task
-from repro.chaos import ChaosKind, ChaosSchedule
-from repro.obs.forensics import detection_latency_summary
+from repro.fleet.scheduler import Task
+from repro.obs import names
 from repro.serving.robustness import (
     BreakerBoard,
     HardeningConfig,
@@ -55,12 +54,10 @@ from repro.serving.service import (
     ServerReplica,
 )
 from repro.silicon.aging import AgingProfile
-from repro.silicon.core import Chip, Core
-from repro.silicon.defects import StuckBitDefect
+from repro.silicon.core import Core
+from repro.silicon.defects import DefectModel, StuckBitDefect
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
 from repro.silicon.units import FunctionalUnit, Op
-
-MS_PER_DAY = 86_400_000.0
 
 
 @dataclasses.dataclass
@@ -89,10 +86,9 @@ class CampaignConfig:
 
 
 @dataclasses.dataclass
-class SloScorecard:
+class SloScorecard(CampaignScorecard):
     """What one campaign configuration achieved."""
 
-    name: str
     total_arrivals: int = 0
     ok: int = 0
     corrupt_escapes: int = 0
@@ -105,13 +101,7 @@ class SloScorecard:
     hedges: int = 0
     machine_checks: int = 0
     breaker_trips: int = 0
-    ticks: int = 0
-    quarantine_tick: dict[str, int] = dataclasses.field(default_factory=dict)
     latencies_ms: list[float] = dataclasses.field(default_factory=list)
-    #: ground truth: first tick each core demonstrably corrupted
-    first_corrupt_tick: dict[str, int] = dataclasses.field(default_factory=dict)
-    #: per-incident stage latencies (see repro.obs.forensics)
-    detection_latency_ms: dict = dataclasses.field(default_factory=dict)
 
     @property
     def availability(self) -> float:
@@ -143,9 +133,7 @@ class SloScorecard:
         return self.ok / self.ticks
 
     def latency_percentile(self, q: float) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        return float(np.percentile(np.array(self.latencies_ms), q))
+        return self.percentile(self.latencies_ms, q)
 
     @property
     def p50_latency_ms(self) -> float:
@@ -189,89 +177,35 @@ class SloScorecard:
             "hedges": self.hedges,
             "machine_checks": self.machine_checks,
             "breaker_trips": self.breaker_trips,
-            "quarantine_tick": dict(sorted(self.quarantine_tick.items())),
-            "first_corrupt_tick": dict(sorted(self.first_corrupt_tick.items())),
-            "detection_latency_ms": self.detection_latency_ms,
+            **self.detection_json(),
         }
 
 
-class ServingCampaign:
-    """One configuration, one fleet, one chaos script, one scorecard."""
+class RequestCampaign(Campaign):
+    """The request path both serving runners put on the kernel."""
+
+    scorecard: SloScorecard
 
     def __init__(
         self,
         machines: list[Machine],
-        config: CampaignConfig | None = None,
-        hardening: HardeningConfig | None = None,
-        chaos: ChaosSchedule | None = None,
-        seed: int = 0,
+        config,
+        hardening,
+        scorecard: SloScorecard,
+        chaos: ChaosSchedule | None,
+        seed: int,
     ):
-        self.machines = machines
-        self.config = config or CampaignConfig()
-        self.hardening = hardening or HardeningConfig.hardened()
-        self.chaos = chaos or ChaosSchedule()
-        self.chaos.reset()
+        super().__init__(
+            machines, scorecard, config.policy, label="serving",
+            tick_ms=config.tick_ms, seed=seed, chaos=chaos,
+        )
+        self.config = config
+        self.hardening = hardening
         self.rng = np.random.default_rng(seed)
-
-        self.events = EventLog()
-        self._core_by_id: dict[str, Core] = {}
-        self._machine_by_core: dict[str, str] = {}
-        for machine in machines:
-            for core in machine.cores:
-                self._core_by_id[core.core_id] = core
-                self._machine_by_core[core.core_id] = machine.machine_id
-
-        n_cores = len(self._core_by_id)
-        self.analyzer = SignalAnalyzer(tracker=SuspicionTracker())
-        self.policy = QuarantinePolicy(self.config.policy, fleet_cores=n_cores)
-
-        # The client's own core is trusted (healthy by construction);
-        # the end-to-end argument needs at least one honest endpoint.
-        self.client_core = Core(
-            "client/c00", rng=np.random.default_rng(seed + 1)
-        )
         self.validator = (
-            ResponseValidator(self.client_core)
-            if self.hardening.validate else None
+            ResponseValidator(self.client_core) if hardening.validate else None
         )
-        self.breakers = (
-            BreakerBoard(
-                self.hardening.breaker,
-                event_log=self.events,
-                machine_of=self._machine_by_core,
-            )
-            if self.hardening.breaker else None
-        )
-        self.shedder = (
-            LoadShedder(self.hardening.shed) if self.hardening.shed else None
-        )
-
-        self.scheduler = FleetScheduler(machines)
-        self.router = RoundRobinRouter(self._place_initial_replicas())
-
-        self.scorecard = SloScorecard(name=self.hardening.name)
-        self._queue: list[Request] = []
-        self._next_request_id = 0
-        self._restore_at: dict[str, int] = {}
-        self._burst_multiplier = 1.0
-        self._burst_until = -1
-        self._events_seen = 0
-        self.responses: list[Response] = []
-
-        # Ground-truth corruption watcher.  Unconditional (not obs-gated)
-        # because the scorecard must be byte-identical with obs on or
-        # off: the forensics timeline is campaign bookkeeping, the obs
-        # layer only *also* exports it when enabled.
-        self._corruption_base = {
-            core_id: core.corruptions_induced
-            for core_id, core in self._core_by_id.items()
-        }
-        self._first_corrupt_tick: dict[str, int] = {}
-
-        self._now_ms = 0.0
-        self._obs_on = obs.enabled()
         if self._obs_on:
-            obs.tracer.set_clock(lambda: self._now_ms)
             self._m_requests = obs.metrics.counter(
                 "serving_requests_total",
                 help="terminal request outcomes, by client-visible status",
@@ -292,96 +226,42 @@ class ServingCampaign:
                 help="responses rejected by the e2e validator",
                 unit="responses",
             )
-            self._m_quarantines = obs.metrics.counter(
+            self.quarantine_counter = obs.metrics.counter(
                 "serving_quarantines_total",
                 help="cores pulled from the replica pool by the campaign "
                      "policy loop",
                 unit="cores",
             )
+            self.quarantine_span = names.SPAN_SERVING_QUARANTINE
 
-    # -- placement -----------------------------------------------------
-
-    def _make_replica(self, core: Core, index: int) -> ServerReplica:
+    def _make_replica(self, core: Core, replica_id: str) -> ServerReplica:
         cfg = self.config
         return ServerReplica(
-            f"replica/{index}",
+            replica_id,
             core,
             base_latency_ms=cfg.base_latency_ms,
             straggler_prob=cfg.straggler_prob,
             straggler_factor=cfg.straggler_factor,
         )
 
-    def _place_initial_replicas(self) -> list[ServerReplica]:
-        tasks = [
-            Task(f"replica/{i}", op_mix={Op.COPY: 1.0})
-            for i in range(self.config.n_replicas)
-        ]
-        placements, _ = self.scheduler.schedule(tasks)
-        if len(placements) < self.config.n_replicas:
-            raise ValueError(
-                "fleet too small for the requested replica count"
-            )
-        return [
-            self._make_replica(self._core_by_id[p.core_id], i)
-            for i, p in enumerate(placements)
-        ]
-
-    def _replace_replica(self, replica: ServerReplica) -> None:
-        """Re-place one replica off its (now quarantined) core."""
-        occupied = {r.core_id for r in self.router.replicas}
-        quarantined = set(self.policy.quarantined) | set(
-            self.scorecard.quarantine_tick
-        )
-        placements, _ = self.scheduler.schedule(
-            [Task(replica.replica_id, op_mix={Op.COPY: 1.0})],
-            exclude_core_ids=occupied | quarantined,
-        )
-        if not placements:
-            return  # degraded: serve with fewer replicas
-        new_core = self._core_by_id[placements[0].core_id]
-        self.router.replace(
-            replica,
-            self._make_replica(new_core, len(self.router.replicas)),
-        )
-
-    # -- event plumbing ------------------------------------------------
-
-    def _emit(
-        self, now_ms: float, core_id: str, kind: EventKind, detail: str
-    ) -> None:
-        self.events.append(
-            CeeEvent(
-                time_days=now_ms / MS_PER_DAY,
-                machine_id=self._machine_by_core.get(
-                    core_id, core_id.rsplit("/", 1)[0]
-                ),
-                core_id=core_id,
-                kind=kind,
-                reporter=Reporter.AUTOMATED,
-                application="serving",
-                detail=detail,
-            )
-        )
-
-    # -- one request ---------------------------------------------------
-
     def _attempt_once(
         self,
+        breakers: BreakerBoard | None,
         replica: ServerReplica,
         request: Request,
         expected_checksum: int | None,
-        now_ms: float,
         hedged: bool = False,
     ) -> tuple[Attempt, bytes | None]:
         cfg = self.config
         core_id = replica.core_id
+        now_ms = self.now_ms
         try:
             payload, latency = replica.serve(request, self.rng)
         except MachineCheckError:
             self.scorecard.machine_checks += 1
-            self._emit(now_ms, core_id, EventKind.MACHINE_CHECK, "mce in RPC")
-            if self.breakers:
-                self.breakers.record_failure(core_id, now_ms, "machine check")
+            self.emit(core_id, EventKind.MACHINE_CHECK, "mce in RPC")
+            if breakers:
+                breakers.record_failure(core_id, now_ms, "machine check")
             return (
                 Attempt(core_id, AttemptOutcome.MACHINE_CHECK,
                         cfg.mce_penalty_ms, hedged),
@@ -398,12 +278,11 @@ class ServingCampaign:
                 self.scorecard.corrupt_caught += 1
                 if self._obs_on:
                     self._m_caught.inc()
-                self._emit(
-                    now_ms, core_id, EventKind.APP_REPORT,
-                    "e2e checksum mismatch",
+                self.emit(
+                    core_id, EventKind.APP_REPORT, "e2e checksum mismatch"
                 )
-                if self.breakers:
-                    self.breakers.record_failure(
+                if breakers:
+                    breakers.record_failure(
                         core_id, now_ms, "checksum mismatch"
                     )
                 return (
@@ -411,9 +290,80 @@ class ServingCampaign:
                             latency, hedged),
                     None,
                 )
-        if self.breakers:
-            self.breakers.record_success(core_id, now_ms)
+        if breakers:
+            breakers.record_success(core_id, now_ms)
         return Attempt(core_id, AttemptOutcome.OK, latency, hedged), payload
+
+
+class ServingCampaign(RequestCampaign):
+    """One configuration, one fleet, one chaos script, one scorecard."""
+
+    def __init__(
+        self,
+        machines: list[Machine],
+        config: CampaignConfig | None = None,
+        hardening: HardeningConfig | None = None,
+        chaos: ChaosSchedule | None = None,
+        seed: int = 0,
+    ):
+        hardening = hardening or HardeningConfig.hardened()
+        super().__init__(
+            machines, config or CampaignConfig(), hardening,
+            SloScorecard(name=hardening.name), chaos, seed,
+        )
+        self.breakers = (
+            BreakerBoard(
+                hardening.breaker,
+                event_log=self.events,
+                machine_of=self._machine_by_core,
+            )
+            if hardening.breaker else None
+        )
+        self.shedder = LoadShedder(hardening.shed) if hardening.shed else None
+        self.router = RoundRobinRouter(self._place_initial_replicas())
+        self._queue: list[Request] = []
+        self._next_request_id = 0
+        self.responses: list[Response] = []
+
+    # -- placement -----------------------------------------------------
+
+    def _place_initial_replicas(self) -> list[ServerReplica]:
+        tasks = [
+            Task(f"replica/{i}", op_mix={Op.COPY: 1.0})
+            for i in range(self.config.n_replicas)
+        ]
+        placements, _ = self.scheduler.schedule(tasks)
+        if len(placements) < self.config.n_replicas:
+            raise ValueError(
+                "fleet too small for the requested replica count"
+            )
+        return [
+            self._make_replica(self._core_by_id[p.core_id], f"replica/{i}")
+            for i, p in enumerate(placements)
+        ]
+
+    def hosted_on(self, core_id: str) -> list[ServerReplica]:
+        return [r for r in self.router.replicas if r.core_id == core_id]
+
+    def replace_quarantined(self) -> None:
+        """Re-place each replica off its (now quarantined) core."""
+        for replica in self.router.replicas:
+            if replica.core_id not in self.scorecard.quarantine_tick:
+                continue
+            new_core = self.spare_core(
+                Task(replica.replica_id, op_mix={Op.COPY: 1.0}),
+                {r.core_id for r in self.router.replicas},
+            )
+            if new_core is None:
+                continue  # degraded: serve with fewer replicas
+            self.router.replace(
+                replica,
+                self._make_replica(
+                    new_core, f"replica/{len(self.router.replicas)}"
+                ),
+            )
+
+    # -- one request ---------------------------------------------------
 
     def _dispatch(self, request: Request, now_ms: float,
                   queue_wait_ms: float) -> Response:
@@ -442,7 +392,7 @@ class ServingCampaign:
                     attempt_index - 1, self.rng
                 )
             attempt, payload = self._attempt_once(
-                replica, request, expected, now_ms
+                self.breakers, replica, request, expected
             )
             attempts.append(attempt)
             tried.add(replica.core_id)
@@ -460,7 +410,8 @@ class ServingCampaign:
                 if hedge_replica is not None:
                     self.scorecard.hedges += 1
                     h_attempt, h_payload = self._attempt_once(
-                        hedge_replica, request, expected, now_ms, hedged=True
+                        self.breakers, hedge_replica, request, expected,
+                        hedged=True,
                     )
                     attempts.append(h_attempt)
                     tried.add(hedge_replica.core_id)
@@ -495,80 +446,6 @@ class ServingCampaign:
             request.request_id, status, None, None, total_latency, attempts
         )
 
-    # -- chaos ---------------------------------------------------------
-
-    def _apply_chaos(self, tick: int) -> None:
-        for action in self.chaos.due(tick):
-            if action.kind is ChaosKind.ACTIVATE_DEFECT:
-                core = self._core_by_id.get(action.core_id)
-                if core is not None:
-                    core.advance_age(action.magnitude)
-            elif action.kind is ChaosKind.CRASH_CORE:
-                core = self._core_by_id.get(action.core_id)
-                if core is not None:
-                    core.set_online(False)
-                    self._restore_at[action.core_id] = (
-                        tick + max(1, action.duration_ticks)
-                    )
-            elif action.kind is ChaosKind.MACHINE_CHECK_BURST:
-                for replica in self.router.replicas:
-                    if replica.core_id == action.core_id:
-                        replica.forced_mce_remaining += int(action.magnitude)
-            elif action.kind is ChaosKind.TRAFFIC_BURST:
-                self._burst_multiplier = action.magnitude
-                self._burst_until = tick + max(1, action.duration_ticks)
-
-        # Transient crashes recover — unless the policy pulled the core.
-        for core_id, restore_tick in list(self._restore_at.items()):
-            if tick >= restore_tick:
-                del self._restore_at[core_id]
-                if core_id not in self.scorecard.quarantine_tick:
-                    self._core_by_id[core_id].set_online(True)
-        if tick >= self._burst_until:
-            self._burst_multiplier = 1.0
-
-    # -- detection loop ------------------------------------------------
-
-    def _run_policy(self, tick: int, now_ms: float) -> None:
-        new_events = self.events.tail(self._events_seen)
-        self._events_seen = len(self.events)
-        self.analyzer.ingest_all(new_events)
-
-        now_days = now_ms / MS_PER_DAY
-        for core_id, score in self.analyzer.suspects(
-            now_days, threshold=self.config.policy.retest_threshold
-        ):
-            core = self._core_by_id.get(core_id)
-            if core is None or core_id in self.scorecard.quarantine_tick:
-                continue
-            decision = self.policy.decide(core_id, score, confessed=False)
-            if decision.action in (
-                Action.QUARANTINE_CORE, Action.QUARANTINE_MACHINE
-            ):
-                self._quarantine(core_id, tick)
-                if decision.action is Action.QUARANTINE_MACHINE:
-                    machine_id = self._machine_by_core[core_id]
-                    for sibling_id, owner in self._machine_by_core.items():
-                        if owner == machine_id:
-                            self._quarantine(sibling_id, tick)
-
-        for replica in self.router.replicas:
-            if replica.core_id in self.scorecard.quarantine_tick:
-                self._replace_replica(replica)
-
-    def _quarantine(self, core_id: str, tick: int) -> None:
-        if core_id in self.scorecard.quarantine_tick:
-            return
-        self._core_by_id[core_id].set_online(False)
-        self.scorecard.quarantine_tick[core_id] = tick
-        self._restore_at.pop(core_id, None)
-        if self._obs_on:
-            self._m_quarantines.inc()
-            with obs.tracer.span(
-                "serving.quarantine", core_id=core_id, tick=tick
-            ):
-                pass
-
     # -- the main loop -------------------------------------------------
 
     def run(self) -> SloScorecard:
@@ -576,14 +453,12 @@ class ServingCampaign:
         card = self.scorecard
         obs_on = self._obs_on
         for tick in range(cfg.ticks):
-            now_ms = tick * cfg.tick_ms
-            self._now_ms = now_ms
-            self._apply_chaos(tick)
+            now_ms = self.begin_tick(tick)
 
             live = len(self.router.live_replicas())
             capacity = live * cfg.per_replica_per_tick
             arrivals = int(self.rng.poisson(
-                cfg.arrivals_per_tick * self._burst_multiplier
+                cfg.arrivals_per_tick * self.burst_multiplier
             ))
             card.total_arrivals += arrivals
 
@@ -622,36 +497,16 @@ class ServingCampaign:
                 self.responses.append(response)
                 self._score(request, response)
 
-            self._note_corruptions(tick)
-            self._run_policy(tick, now_ms)
+            self.end_tick(tick)
 
         # Whatever is still queued at the end never got served.
         for request in self._queue:
             card.unavailable += 1
         self._queue.clear()
-        card.ticks = cfg.ticks
         if self.breakers:
             card.breaker_trips = self.breakers.total_trips
-        card.first_corrupt_tick = dict(sorted(self._first_corrupt_tick.items()))
-        card.detection_latency_ms = detection_latency_summary(
-            self._first_corrupt_tick, card.quarantine_tick,
-            list(self.events), cfg.tick_ms,
-        )
+        self.finish(cfg.ticks)
         return card
-
-    def _note_corruptions(self, tick: int) -> None:
-        """Record the first tick each core's corruption counter moved.
-
-        Ground-truth bookkeeping for the forensics timeline; runs
-        unconditionally so scorecards don't depend on REPRO_OBS.
-        """
-        base = self._corruption_base
-        for core_id, core in self._core_by_id.items():
-            induced = core.corruptions_induced
-            if induced != base[core_id]:
-                base[core_id] = induced
-                if core_id not in self._first_corrupt_tick:
-                    self._first_corrupt_tick[core_id] = tick
 
     def _score(self, request: Request, response: Response) -> None:
         card = self.scorecard
@@ -680,6 +535,24 @@ class ServingCampaign:
 # fleet construction for serving experiments
 # ---------------------------------------------------------------------
 
+def copy_path_defect(
+    core_id: str, base_rate: float, onset_days: float
+) -> tuple[DefectModel, ...]:
+    """The serving fleets' defect: a stuck bit on the load/store unit —
+    the §2 "repeated bit-flips ... at a particular bit position"
+    archetype, which corrupts the serving copy path while leaving
+    responses well-formed."""
+    return (
+        StuckBitDefect(
+            f"defect/{core_id}",
+            bit=17,
+            base_rate=base_rate,
+            unit=FunctionalUnit.LOAD_STORE,
+            aging=AgingProfile(onset_days=onset_days),
+        ),
+    )
+
+
 def build_serving_fleet(
     n_machines: int = 4,
     cores_per_machine: int = 4,
@@ -689,53 +562,25 @@ def build_serving_fleet(
     onset_days: float = 0.0,
     seed: int = 7,
 ) -> tuple[list[Machine], str]:
-    """A small fleet with exactly one (possibly late-onset) bad core.
-
-    The defect is a stuck-bit on the load/store unit — the §2
-    "repeated bit-flips ... at a particular bit position" archetype,
-    which corrupts the serving copy path while leaving responses
-    well-formed.  Returns (machines, bad core id).
+    """A small fleet with exactly one (possibly late-onset) bad core,
+    carrying :func:`copy_path_defect`.  Returns (machines, bad core id).
     """
-    product = CpuProduct(
-        vendor="sim", sku=f"serving-{cores_per_machine}c",
-        cores_per_machine=cores_per_machine, core_prevalence=0.0,
+    def defects_for(core_id: str, index: int) -> tuple[DefectModel, ...]:
+        if divmod(index, cores_per_machine) != (bad_machine, bad_core):
+            return ()
+        return copy_path_defect(core_id, base_rate, onset_days)
+
+    machines, bad = build_small_fleet(
+        n_machines, cores_per_machine, "serving", seed, defects_for
     )
-    root = np.random.default_rng(seed)
-    machines: list[Machine] = []
-    bad_core_id = ""
-    for m in range(n_machines):
-        machine_id = f"m{m:05d}"
-        cores = []
-        for c in range(cores_per_machine):
-            core_id = f"{machine_id}/c{c:02d}"
-            defects = ()
-            if m == bad_machine and c == bad_core:
-                bad_core_id = core_id
-                defects = (
-                    StuckBitDefect(
-                        f"defect/{core_id}",
-                        bit=17,
-                        base_rate=base_rate,
-                        unit=FunctionalUnit.LOAD_STORE,
-                        aging=AgingProfile(onset_days=onset_days),
-                    ),
-                )
-            cores.append(
-                Core(
-                    core_id,
-                    defects=defects,
-                    rng=np.random.default_rng(root.integers(2**63)),
-                )
-            )
-        machines.append(
-            Machine(machine_id=machine_id, product=product, chip=Chip(cores))
-        )
-    return machines, bad_core_id
+    return machines, bad[0] if bad else ""
 
 
 __all__ = [
     "CampaignConfig",
+    "RequestCampaign",
     "ServingCampaign",
     "SloScorecard",
     "build_serving_fleet",
+    "copy_path_defect",
 ]

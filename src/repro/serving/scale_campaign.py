@@ -41,15 +41,17 @@ import dataclasses
 import numpy as np
 
 from repro import obs
-from repro.chaos import ChaosKind, ChaosSchedule
-from repro.core.confidence import SuspicionTracker
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
-from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
-from repro.detection.signals import SignalAnalyzer
+from repro.campaign import build_small_fleet
+from repro.chaos import ChaosSchedule
+from repro.core.events import EventKind
+from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
-from repro.fleet.product import CpuProduct
-from repro.fleet.scheduler import FleetScheduler, Task
-from repro.obs.forensics import detection_latency_summary
+from repro.fleet.scheduler import Task
+from repro.serving.campaign import (
+    RequestCampaign,
+    SloScorecard,
+    copy_path_defect,
+)
 from repro.serving.cluster import (
     ROUTER_POLICIES,
     Autoscaler,
@@ -66,7 +68,6 @@ from repro.serving.robustness import (
     BreakerConfig,
     HedgePolicy,
     LoadShedConfig,
-    ResponseValidator,
     RetryPolicy,
 )
 from repro.serving.service import (
@@ -77,13 +78,9 @@ from repro.serving.service import (
     ResponseStatus,
     ServerReplica,
 )
-from repro.silicon.aging import AgingProfile
-from repro.silicon.core import Chip, Core
-from repro.silicon.defects import StuckBitDefect
-from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.units import FunctionalUnit, Op
-
-MS_PER_DAY = 86_400_000.0
+from repro.silicon.core import Core
+from repro.silicon.defects import DefectModel
+from repro.silicon.units import Op
 
 
 # ---------------------------------------------------------------------
@@ -178,50 +175,30 @@ class ScaleHardening:
 # ---------------------------------------------------------------------
 
 @dataclasses.dataclass
-class ScaleScorecard:
-    """What one (prevalence, hardening) cell achieved."""
+class ScaleScorecard(SloScorecard):
+    """What one (prevalence, hardening) cell achieved.
 
-    name: str
-    total_arrivals: int = 0
-    ok: int = 0
-    corrupt_escapes: int = 0
-    corrupt_caught: int = 0
-    timeouts: int = 0
-    shed: int = 0
-    unavailable: int = 0
-    failed: int = 0
+    E15's SLO card plus the degraded-service tail.  ``availability``
+    stays strict (fresh in-deadline OK per arrival) and ``escape_rate``
+    counts only wrong bytes delivered as *fresh* OK.
+    """
+
     fail_closed: int = 0
     stale_served: int = 0
-    retries: int = 0
     retry_budget_exhausted: int = 0
-    hedges: int = 0
     hedges_won: int = 0
-    machine_checks: int = 0
-    breaker_trips: int = 0
     autoscale_ups: int = 0
     autoscale_downs: int = 0
-    ticks: int = 0
     #: ticks each shard spent in each non-normal tier (summed over shards)
     degraded_ticks: dict[str, int] = dataclasses.field(default_factory=dict)
-    quarantine_tick: dict[str, int] = dataclasses.field(default_factory=dict)
-    latencies_ms: list[float] = dataclasses.field(default_factory=list)
     per_cohort: dict[str, dict[str, int]] = dataclasses.field(
         default_factory=dict
     )
-    first_corrupt_tick: dict[str, int] = dataclasses.field(default_factory=dict)
-    detection_latency_ms: dict = dataclasses.field(default_factory=dict)
 
     @property
     def answered(self) -> int:
         """Responses a user got back with payload: fresh OK + stale."""
         return self.ok + self.stale_served
-
-    @property
-    def availability(self) -> float:
-        """Fresh in-deadline OK responses per arrival (strict)."""
-        if self.total_arrivals == 0:
-            return 1.0
-        return self.ok / self.total_arrivals
 
     @property
     def answered_rate(self) -> float:
@@ -231,40 +208,10 @@ class ScaleScorecard:
         return self.answered / self.total_arrivals
 
     @property
-    def escape_rate(self) -> float:
-        """User-visible corruption: wrong bytes delivered as fresh OK."""
-        if self.ok == 0:
-            return 0.0
-        return self.corrupt_escapes / self.ok
-
-    @property
-    def valid_ok(self) -> int:
-        return self.ok - self.corrupt_escapes
-
-    @property
-    def goodput_per_tick(self) -> float:
-        if self.ticks == 0:
-            return 0.0
-        return self.valid_ok / self.ticks
-
-    @property
     def hedge_win_rate(self) -> float:
         if self.hedges == 0:
             return 0.0
         return self.hedges_won / self.hedges
-
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        return float(np.percentile(np.array(self.latencies_ms), q))
-
-    @property
-    def p50_latency_ms(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return self.latency_percentile(99.0)
 
     @property
     def p999_latency_ms(self) -> float:
@@ -321,9 +268,7 @@ class ScaleScorecard:
                 cohort: dict(sorted(stats.items()))
                 for cohort, stats in sorted(self.per_cohort.items())
             },
-            "quarantine_tick": dict(sorted(self.quarantine_tick.items())),
-            "first_corrupt_tick": dict(sorted(self.first_corrupt_tick.items())),
-            "detection_latency_ms": self.detection_latency_ms,
+            **self.detection_json(),
         }
 
 
@@ -331,8 +276,10 @@ class ScaleScorecard:
 # the campaign driver
 # ---------------------------------------------------------------------
 
-class ServeScaleCampaign:
+class ServeScaleCampaign(RequestCampaign):
     """One hardening arm against one multi-defect fleet, sharded."""
+
+    scorecard: ScaleScorecard
 
     def __init__(
         self,
@@ -344,96 +291,30 @@ class ServeScaleCampaign:
         cohorts: tuple[UserCohort, ...] = DEFAULT_COHORTS,
         seed: int = 0,
     ):
-        self.machines = machines
-        self.config = config or ScaleConfig()
-        self.hardening = hardening or ScaleHardening.full()
-        self.chaos = chaos or ChaosSchedule()
-        self.chaos.reset()
-        self.rng = np.random.default_rng(seed)
+        hardening = hardening or ScaleHardening.full()
+        super().__init__(
+            machines, config or ScaleConfig(), hardening,
+            ScaleScorecard(name=hardening.name), chaos, seed,
+        )
         cfg = self.config
-
-        self.events = EventLog()
-        self._core_by_id: dict[str, Core] = {}
-        self._machine_by_core: dict[str, str] = {}
-        for machine in machines:
-            for core in machine.cores:
-                self._core_by_id[core.core_id] = core
-                self._machine_by_core[core.core_id] = machine.machine_id
-
-        self.analyzer = SignalAnalyzer(tracker=SuspicionTracker())
-        self.policy = QuarantinePolicy(
-            cfg.policy, fleet_cores=len(self._core_by_id)
-        )
-
-        self.client_core = Core(
-            "client/c00", rng=np.random.default_rng(seed + 1)
-        )
-        self.validator = (
-            ResponseValidator(self.client_core)
-            if self.hardening.validate else None
-        )
-
         self.loadgen = LoadGenerator(
             profile or LoadProfile.ramp(cfg.base_rate, cfg.peak_rate,
                                         cfg.ticks),
             cohorts=cohorts,
             seed=seed + 11,
         )
-
-        self.scheduler = FleetScheduler(machines)
         self.cluster = self._build_cluster()
         self.autoscaler = (
             Autoscaler(self.hardening.autoscale)
             if self.hardening.autoscale else None
         )
 
-        self.scorecard = ScaleScorecard(name=self.hardening.name)
         for cohort in cohorts:
             self.scorecard.per_cohort[cohort.name] = {
                 "arrivals": 0, "ok": 0, "corrupt_escapes": 0,
             }
-        self._restore_at: dict[str, int] = {}
-        self._burst_multiplier = 1.0
-        self._burst_until = -1
-        self._events_seen = 0
         self._replica_seq = cfg.n_replicas
-
-        self._corruption_base = {
-            core_id: core.corruptions_induced
-            for core_id, core in self._core_by_id.items()
-        }
-        self._first_corrupt_tick: dict[str, int] = {}
-
-        self._now_ms = 0.0
-        self._obs_on = obs.enabled()
         if self._obs_on:
-            obs.tracer.set_clock(lambda: self._now_ms)
-            self._m_requests = obs.metrics.counter(
-                "serving_requests_total",
-                help="terminal request outcomes, by client-visible status",
-                unit="requests",
-            )
-            self._h_latency = obs.metrics.histogram(
-                "serving_latency_ms",
-                help="end-to-end latency of OK responses (simulated)",
-                unit="ms",
-            )
-            self._m_escapes = obs.metrics.counter(
-                "serving_corrupt_escapes_total",
-                help="corrupt responses delivered as OK (ground truth)",
-                unit="responses",
-            )
-            self._m_caught = obs.metrics.counter(
-                "serving_corrupt_caught_total",
-                help="responses rejected by the e2e validator",
-                unit="responses",
-            )
-            self._m_quarantines = obs.metrics.counter(
-                "serving_quarantines_total",
-                help="cores pulled from the replica pool by the campaign "
-                     "policy loop",
-                unit="cores",
-            )
             self._m_hedges = obs.metrics.counter(
                 "serving_hedges_total",
                 help="tail-latency hedges issued, by whether the hedge won",
@@ -467,16 +348,6 @@ class ServeScaleCampaign:
             )
 
     # -- placement -----------------------------------------------------
-
-    def _make_replica(self, core: Core, replica_id: str) -> ServerReplica:
-        cfg = self.config
-        return ServerReplica(
-            replica_id,
-            core,
-            base_latency_ms=cfg.base_latency_ms,
-            straggler_prob=cfg.straggler_prob,
-            straggler_factor=cfg.straggler_factor,
-        )
 
     def _build_cluster(self) -> ShardedCluster:
         cfg = self.config
@@ -515,100 +386,32 @@ class ServeScaleCampaign:
 
     def _spare_core(self) -> Core | None:
         """A scheduled spare core, or None when the fleet is drained."""
-        occupied = {r.core_id for r in self.cluster.replicas()}
-        quarantined = set(self.policy.quarantined) | set(
-            self.scorecard.quarantine_tick
-        )
-        placements, _ = self.scheduler.schedule(
-            [Task("spare", op_mix={Op.COPY: 1.0})],
-            exclude_core_ids=occupied | quarantined,
-        )
-        if not placements:
-            return None
-        return self._core_by_id[placements[0].core_id]
-
-    def _replace_replica(self, shard: Shard, replica: ServerReplica) -> None:
-        """Re-place one replica off its (now quarantined) core."""
-        core = self._spare_core()
-        if core is None:
-            return  # degraded: serve with fewer replicas
-        self._replica_seq += 1
-        shard.router.replace(
-            replica,
-            self._make_replica(core, f"{shard.shard_id}/r{self._replica_seq}"),
+        return self.spare_core(
+            Task("spare", op_mix={Op.COPY: 1.0}),
+            {r.core_id for r in self.cluster.replicas()},
         )
 
-    # -- event plumbing ------------------------------------------------
+    def hosted_on(self, core_id: str) -> list[ServerReplica]:
+        return [r for r in self.cluster.replicas() if r.core_id == core_id]
 
-    def _emit(
-        self, now_ms: float, core_id: str, kind: EventKind, detail: str
-    ) -> None:
-        self.events.append(
-            CeeEvent(
-                time_days=now_ms / MS_PER_DAY,
-                machine_id=self._machine_by_core.get(
-                    core_id, core_id.rsplit("/", 1)[0]
-                ),
-                core_id=core_id,
-                kind=kind,
-                reporter=Reporter.AUTOMATED,
-                application="serving",
-                detail=detail,
-            )
-        )
+    def replace_quarantined(self) -> None:
+        """Re-place each replica off its (now quarantined) core."""
+        for shard in self.cluster.shards:
+            for replica in list(shard.router.replicas):
+                if replica.core_id not in self.scorecard.quarantine_tick:
+                    continue
+                core = self._spare_core()
+                if core is None:
+                    continue  # degraded: serve with fewer replicas
+                self._replica_seq += 1
+                shard.router.replace(
+                    replica,
+                    self._make_replica(
+                        core, f"{shard.shard_id}/r{self._replica_seq}"
+                    ),
+                )
 
     # -- one request ---------------------------------------------------
-
-    def _attempt_once(
-        self,
-        shard: Shard,
-        replica: ServerReplica,
-        request: Request,
-        expected_checksum: int | None,
-        now_ms: float,
-        hedged: bool = False,
-    ) -> tuple[Attempt, bytes | None]:
-        cfg = self.config
-        core_id = replica.core_id
-        try:
-            payload, latency = replica.serve(request, self.rng)
-        except MachineCheckError:
-            self.scorecard.machine_checks += 1
-            self._emit(now_ms, core_id, EventKind.MACHINE_CHECK, "mce in RPC")
-            if shard.breakers:
-                shard.breakers.record_failure(core_id, now_ms, "machine check")
-            return (
-                Attempt(core_id, AttemptOutcome.MACHINE_CHECK,
-                        cfg.mce_penalty_ms, hedged),
-                None,
-            )
-        except CoreOfflineError:
-            return (
-                Attempt(core_id, AttemptOutcome.CORE_OFFLINE,
-                        cfg.offline_penalty_ms, hedged),
-                None,
-            )
-        if self.validator is not None and expected_checksum is not None:
-            if not self.validator.validate(expected_checksum, payload):
-                self.scorecard.corrupt_caught += 1
-                if self._obs_on:
-                    self._m_caught.inc()
-                self._emit(
-                    now_ms, core_id, EventKind.APP_REPORT,
-                    "e2e checksum mismatch",
-                )
-                if shard.breakers:
-                    shard.breakers.record_failure(
-                        core_id, now_ms, "checksum mismatch"
-                    )
-                return (
-                    Attempt(core_id, AttemptOutcome.CORRUPT_CAUGHT,
-                            latency, hedged),
-                    None,
-                )
-        if shard.breakers:
-            shard.breakers.record_success(core_id, now_ms)
-        return Attempt(core_id, AttemptOutcome.OK, latency, hedged), payload
 
     def _dispatch(self, shard: Shard, request: Request, now_ms: float,
                   queue_wait_ms: float) -> Response:
@@ -633,9 +436,8 @@ class ServeScaleCampaign:
                     card.retry_budget_exhausted += 1
                     if self._obs_on:
                         self._m_budget.inc()
-                    self._emit(
-                        now_ms, shard.shard_id,
-                        EventKind.RETRY_BUDGET_EXHAUSTED,
+                    self.emit(
+                        shard.shard_id, EventKind.RETRY_BUDGET_EXHAUSTED,
                         f"request {request.request_id}: token bucket dry",
                     )
                     break
@@ -654,7 +456,7 @@ class ServeScaleCampaign:
             if replica is None:
                 break
             attempt, payload = self._attempt_once(
-                shard, replica, request, expected, now_ms
+                shard.breakers, replica, request, expected
             )
             attempts.append(attempt)
             tried.add(replica.core_id)
@@ -676,12 +478,12 @@ class ServeScaleCampaign:
                 )
                 if hedge_replica is not None:
                     card.hedges += 1
-                    self._emit(
-                        now_ms, replica.core_id, EventKind.HEDGE_FIRED,
+                    self.emit(
+                        replica.core_id, EventKind.HEDGE_FIRED,
                         f"primary looked slow ({attempt.latency_ms:.1f}ms)",
                     )
                     h_attempt, h_payload = self._attempt_once(
-                        shard, hedge_replica, request, expected, now_ms,
+                        shard.breakers, hedge_replica, request, expected,
                         hedged=True,
                     )
                     attempts.append(h_attempt)
@@ -753,37 +555,6 @@ class ServeScaleCampaign:
             shard.stale_cache[request.route_key] = response.payload
         return response
 
-    # -- chaos ---------------------------------------------------------
-
-    def _apply_chaos(self, tick: int) -> None:
-        for action in self.chaos.due(tick):
-            if action.kind is ChaosKind.ACTIVATE_DEFECT:
-                core = self._core_by_id.get(action.core_id)
-                if core is not None:
-                    core.advance_age(action.magnitude)
-            elif action.kind is ChaosKind.CRASH_CORE:
-                core = self._core_by_id.get(action.core_id)
-                if core is not None:
-                    core.set_online(False)
-                    self._restore_at[action.core_id] = (
-                        tick + max(1, action.duration_ticks)
-                    )
-            elif action.kind is ChaosKind.MACHINE_CHECK_BURST:
-                for replica in self.cluster.replicas():
-                    if replica.core_id == action.core_id:
-                        replica.forced_mce_remaining += int(action.magnitude)
-            elif action.kind is ChaosKind.TRAFFIC_BURST:
-                self._burst_multiplier = action.magnitude
-                self._burst_until = tick + max(1, action.duration_ticks)
-
-        for core_id, restore_tick in list(self._restore_at.items()):
-            if tick >= restore_tick:
-                del self._restore_at[core_id]
-                if core_id not in self.scorecard.quarantine_tick:
-                    self._core_by_id[core_id].set_online(True)
-        if tick >= self._burst_until:
-            self._burst_multiplier = 1.0
-
     # -- degradation ---------------------------------------------------
 
     def _update_tiers(self, tick: int, now_ms: float) -> None:
@@ -796,8 +567,8 @@ class ServeScaleCampaign:
                 tier = policy.tier_for(self.cluster.distress(shard, now_ms))
             if TIER_ORDER[tier] > TIER_ORDER[shard.tier]:
                 # escalation is the alarm-worthy transition
-                self._emit(
-                    now_ms, shard.shard_id, EventKind.SHARD_DEGRADED,
+                self.emit(
+                    shard.shard_id, EventKind.SHARD_DEGRADED,
                     f"{shard.tier.value} -> {tier.value}",
                 )
                 if self._obs_on:
@@ -844,8 +615,8 @@ class ServeScaleCampaign:
                 shard.router.remove(live[-1])
                 card.autoscale_downs += 1
                 direction = "down"
-            self._emit(
-                now_ms, shard.shard_id, EventKind.AUTOSCALE_ACTION,
+            self.emit(
+                shard.shard_id, EventKind.AUTOSCALE_ACTION,
                 f"scale {direction} (util {shard.utilization:.2f})",
             )
             if self._obs_on:
@@ -856,49 +627,6 @@ class ServeScaleCampaign:
                 ):
                     pass
 
-    # -- detection loop ------------------------------------------------
-
-    def _run_policy(self, tick: int, now_ms: float) -> None:
-        new_events = self.events.tail(self._events_seen)
-        self._events_seen = len(self.events)
-        self.analyzer.ingest_all(new_events)
-
-        now_days = now_ms / MS_PER_DAY
-        for core_id, score in self.analyzer.suspects(
-            now_days, threshold=self.config.policy.retest_threshold
-        ):
-            core = self._core_by_id.get(core_id)
-            if core is None or core_id in self.scorecard.quarantine_tick:
-                continue
-            decision = self.policy.decide(core_id, score, confessed=False)
-            if decision.action in (
-                Action.QUARANTINE_CORE, Action.QUARANTINE_MACHINE
-            ):
-                self._quarantine(core_id, tick)
-                if decision.action is Action.QUARANTINE_MACHINE:
-                    machine_id = self._machine_by_core[core_id]
-                    for sibling_id, owner in self._machine_by_core.items():
-                        if owner == machine_id:
-                            self._quarantine(sibling_id, tick)
-
-        for shard in self.cluster.shards:
-            for replica in list(shard.router.replicas):
-                if replica.core_id in self.scorecard.quarantine_tick:
-                    self._replace_replica(shard, replica)
-
-    def _quarantine(self, core_id: str, tick: int) -> None:
-        if core_id in self.scorecard.quarantine_tick:
-            return
-        self._core_by_id[core_id].set_online(False)
-        self.scorecard.quarantine_tick[core_id] = tick
-        self._restore_at.pop(core_id, None)
-        if self._obs_on:
-            self._m_quarantines.inc()
-            with obs.tracer.span(
-                "serving.quarantine", core_id=core_id, tick=tick
-            ):
-                pass
-
     # -- the main loop -------------------------------------------------
 
     def run(self) -> ScaleScorecard:
@@ -906,12 +634,10 @@ class ServeScaleCampaign:
         card = self.scorecard
         obs_on = self._obs_on
         for tick in range(cfg.ticks):
-            now_ms = tick * cfg.tick_ms
-            self._now_ms = now_ms
-            self._apply_chaos(tick)
+            now_ms = self.begin_tick(tick)
             self._update_tiers(tick, now_ms)
 
-            arrivals = self.loadgen.arrivals(tick, self._burst_multiplier)
+            arrivals = self.loadgen.arrivals(tick, self.burst_multiplier)
             card.total_arrivals += len(arrivals)
             per_shard: dict[str, list[Request]] = {
                 shard.shard_id: [] for shard in self.cluster.shards
@@ -965,14 +691,12 @@ class ServeScaleCampaign:
                 demand = admitted + len(shard.queue)
                 shard.note_utilization(demand, max(capacity, 1))
 
-            self._note_corruptions(tick)
-            self._run_policy(tick, now_ms)
+            self.end_tick(tick)
             self._autoscale(tick, now_ms)
 
         for shard in self.cluster.shards:
             card.unavailable += len(shard.queue)
             shard.queue.clear()
-        card.ticks = cfg.ticks
         card.breaker_trips = sum(
             shard.breakers.total_trips
             for shard in self.cluster.shards if shard.breakers is not None
@@ -981,11 +705,7 @@ class ServeScaleCampaign:
             # cross-check the campaign's own counters against the scaler
             card.autoscale_ups = self.autoscaler.scale_ups
             card.autoscale_downs = self.autoscaler.scale_downs
-        card.first_corrupt_tick = dict(sorted(self._first_corrupt_tick.items()))
-        card.detection_latency_ms = detection_latency_summary(
-            self._first_corrupt_tick, card.quarantine_tick,
-            list(self.events), cfg.tick_ms,
-        )
+        self.finish(cfg.ticks)
         return card
 
     def _admit(self, shard: Shard, arrivals: list[Request],
@@ -1007,16 +727,6 @@ class ServeScaleCampaign:
         card.shed += len(arrivals) - len(admitted)
         shard.queue.extend(admitted)
         return len(admitted)
-
-    def _note_corruptions(self, tick: int) -> None:
-        """Ground-truth bookkeeping (unconditional: no REPRO_OBS skew)."""
-        base = self._corruption_base
-        for core_id, core in self._core_by_id.items():
-            induced = core.corruptions_induced
-            if induced != base[core_id]:
-                base[core_id] = induced
-                if core_id not in self._first_corrupt_tick:
-                    self._first_corrupt_tick[core_id] = tick
 
     def _score(self, request: Request, response: Response) -> None:
         card = self.scorecard
@@ -1066,50 +776,27 @@ def build_scale_fleet(
     (minimum 1) and the cores are chosen by a seed-stable permutation,
     so raising the prevalence strictly *grows* the bad-core set — the
     E17 grid compares prevalence levels against nested fleets rather
-    than re-rolled ones.  Defects are dormant stuck-bits on the
-    load/store unit (``onset_days`` in the future); the E17 chaos
+    than re-rolled ones.  Defects are dormant
+    :func:`~repro.serving.campaign.copy_path_defect` stuck-bits
+    (``onset_days`` in the future); the E17 chaos
     script ages the bad cores past onset mid-campaign, so the cluster
     starts clean and rots while under load.  Returns
     (machines, bad core ids).
     """
-    product = CpuProduct(
-        vendor="sim", sku=f"scale-{cores_per_machine}c",
-        cores_per_machine=cores_per_machine, core_prevalence=prevalence,
-    )
     root = np.random.default_rng(seed)
     n_cores = n_machines * cores_per_machine
     n_bad = max(1, int(round(prevalence * n_cores)))
     bad_slots = {int(i) for i in root.permutation(n_cores)[:n_bad]}
-    machines: list[Machine] = []
-    bad_core_ids: list[str] = []
-    for m in range(n_machines):
-        machine_id = f"m{m:05d}"
-        cores = []
-        for c in range(cores_per_machine):
-            core_id = f"{machine_id}/c{c:02d}"
-            defects = ()
-            if m * cores_per_machine + c in bad_slots:
-                bad_core_ids.append(core_id)
-                defects = (
-                    StuckBitDefect(
-                        f"defect/{core_id}",
-                        bit=17,
-                        base_rate=base_rate,
-                        unit=FunctionalUnit.LOAD_STORE,
-                        aging=AgingProfile(onset_days=onset_days),
-                    ),
-                )
-            cores.append(
-                Core(
-                    core_id,
-                    defects=defects,
-                    rng=np.random.default_rng(root.integers(2**63)),
-                )
-            )
-        machines.append(
-            Machine(machine_id=machine_id, product=product, chip=Chip(cores))
-        )
-    return machines, bad_core_ids
+
+    def defects_for(core_id: str, index: int) -> tuple[DefectModel, ...]:
+        if index not in bad_slots:
+            return ()
+        return copy_path_defect(core_id, base_rate, onset_days)
+
+    return build_small_fleet(
+        n_machines, cores_per_machine, "scale", root, defects_for,
+        core_prevalence=prevalence,
+    )
 
 
 __all__ = [

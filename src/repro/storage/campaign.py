@@ -23,8 +23,9 @@ owner has SLOs for:
   anti-entropy defence stack).
 
 Storage integrity signals feed the same detection → quarantine loop as
-serving: ``WAL_CORRUPTION``, ``SCRUB_MISMATCH``, ``QUORUM_MISMATCH``
-and ``ENCRYPT_VERIFY_FAIL`` events raise per-core suspicion with the
+serving (the :class:`~repro.campaign.Campaign` kernel):
+``WAL_CORRUPTION``, ``SCRUB_MISMATCH``, ``QUORUM_MISMATCH`` and
+``ENCRYPT_VERIFY_FAIL`` events raise per-core suspicion with the
 weights from :mod:`repro.detection.weights`, and the policy pulls the
 defective core out of the replica set mid-campaign.  The baseline shows
 the dual failure: with no integrity signals, the only evidence is the
@@ -40,19 +41,21 @@ import dataclasses
 import numpy as np
 
 from repro import obs
-from repro.chaos import ChaosKind, ChaosSchedule
-from repro.obs.forensics import detection_latency_summary
-from repro.core.confidence import SuspicionTracker
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
-from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
-from repro.detection.signals import SignalAnalyzer, SignalAnalyzerConfig
+from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
+from repro.chaos import ChaosSchedule
+from repro.core.events import EventKind
+from repro.core.policy import PolicyConfig
 from repro.detection.weights import default_weights
 from repro.fleet.machine import Machine
-from repro.fleet.product import CpuProduct
-from repro.fleet.scheduler import FleetScheduler, Task
+from repro.fleet.scheduler import Task
+from repro.obs import names
 from repro.silicon.aging import AgingProfile
-from repro.silicon.core import Chip, Core
-from repro.silicon.defects import SboxPermutationDefect, StuckBitDefect
+from repro.silicon.core import Core
+from repro.silicon.defects import (
+    DefectModel,
+    SboxPermutationDefect,
+    StuckBitDefect,
+)
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
 from repro.silicon.units import FunctionalUnit, Op
 from repro.storage.antientropy import AntiEntropy
@@ -60,8 +63,6 @@ from repro.storage.replica import StorageReplica
 from repro.storage.scrub import Scrubber
 from repro.storage.store import ReplicatedKVStore, StoreConfig
 from repro.workloads.crypto import BLOCK_BYTES
-
-MS_PER_DAY = 86_400_000.0
 
 #: the storage-originated suspicion signals (satellite of the E16 loop)
 STORAGE_EVENT_KINDS = (
@@ -151,11 +152,9 @@ class StorageCampaignConfig:
 
 
 @dataclasses.dataclass
-class StorageScorecard:
+class StorageScorecard(CampaignScorecard):
     """What one storage configuration achieved under chaos."""
 
-    name: str
-    ticks: int = 0
     writes_attempted: int = 0
     keys_written: int = 0
     write_failures: int = 0
@@ -179,11 +178,6 @@ class StorageScorecard:
     machine_checks: int = 0
     logical_bytes: int = 0
     physical_bytes: int = 0
-    quarantine_tick: dict[str, int] = dataclasses.field(default_factory=dict)
-    #: ground truth: first tick each core demonstrably corrupted
-    first_corrupt_tick: dict[str, int] = dataclasses.field(default_factory=dict)
-    #: per-incident stage latencies (see repro.obs.forensics)
-    detection_latency_ms: dict = dataclasses.field(default_factory=dict)
 
     @property
     def escape_rate(self) -> float:
@@ -220,9 +214,7 @@ class StorageScorecard:
 
     @property
     def p99_repair_latency_ms(self) -> float:
-        if not self.repair_latency_ms:
-            return 0.0
-        return float(np.percentile(np.array(self.repair_latency_ms), 99.0))
+        return self.percentile(self.repair_latency_ms, 99.0)
 
     def summary_row(self) -> list[str]:
         return [
@@ -270,14 +262,14 @@ class StorageScorecard:
             "machine_checks": self.machine_checks,
             "logical_bytes": self.logical_bytes,
             "physical_bytes": self.physical_bytes,
-            "quarantine_tick": dict(sorted(self.quarantine_tick.items())),
-            "first_corrupt_tick": dict(sorted(self.first_corrupt_tick.items())),
-            "detection_latency_ms": self.detection_latency_ms,
+            **self.detection_json(),
         }
 
 
-class StorageCampaign:
+class StorageCampaign(Campaign):
     """One protection stack, one fleet, one chaos script, one scorecard."""
+
+    scorecard: StorageScorecard
 
     def __init__(
         self,
@@ -287,41 +279,23 @@ class StorageCampaign:
         chaos: ChaosSchedule | None = None,
         seed: int = 0,
     ):
-        self.machines = machines
         self.protections = protections or StorageProtections.protected()
         self.config = config or StorageCampaignConfig()
-        self.chaos = chaos or ChaosSchedule()
-        self.chaos.reset()
-        self.rng = np.random.default_rng(seed)
-
-        self.events = EventLog()
-        self._core_by_id: dict[str, Core] = {}
-        self._machine_by_core: dict[str, str] = {}
-        for machine in machines:
-            for core in machine.cores:
-                self._core_by_id[core.core_id] = core
-                self._machine_by_core[core.core_id] = machine.machine_id
-
         weights = default_weights()
         if not self.protections.dedicated_weights:
             for kind in STORAGE_EVENT_KINDS:
                 weights[kind] = 1.0
-        self.analyzer = SignalAnalyzer(
-            tracker=SuspicionTracker(),
-            config=SignalAnalyzerConfig(weights=weights),
+        # The kernel's trusted client core is the honest endpoint here
+        # too: protected reads decrypt on it, and so does the final
+        # recoverability audit.
+        super().__init__(
+            machines, StorageScorecard(name=self.protections.name),
+            self.config.policy, label="storage",
+            tick_ms=self.config.tick_ms, seed=seed, chaos=chaos,
+            weights=weights,
         )
-        self.policy = QuarantinePolicy(
-            self.config.policy, fleet_cores=len(self._core_by_id)
-        )
+        self.rng = np.random.default_rng(seed)
 
-        # The client's own core is the honest endpoint of the
-        # end-to-end argument: protected reads decrypt here, and the
-        # final recoverability audit decrypts here.
-        self.client_core = Core(
-            "client/c00", rng=np.random.default_rng(seed + 1)
-        )
-
-        self.scheduler = FleetScheduler(machines)
         self._replica_counter = 0
         replicas = self._place_initial_replicas()
         # Key-wrap duty is colocated with storage: the replica cores
@@ -334,7 +308,7 @@ class StorageCampaign:
             coordinators,
             self.client_core,
             config=self.protections.store,
-            emit=self._emit,
+            emit=self.emit,
             on_repair=self._on_repair,
         )
         self.scrubber = (
@@ -345,30 +319,15 @@ class StorageCampaign:
             AntiEntropy(self.store) if self.protections.antientropy else None
         )
 
-        self.scorecard = StorageScorecard(name=self.protections.name)
         self.truth: dict[str, bytes] = {}
         self._truth_payload: dict[str, bytes] = {}
         self._keys: list[str] = []
         self._key_seq = 0
         self._tick = 0
         self._divergent_since: dict[tuple[str, str], int] = {}
-        self._restore_at: dict[str, int] = {}
-        self._burst_multiplier = 1.0
-        self._burst_until = -1
-        self._events_seen = 0
         self._retired_physical_bytes = 0
 
-        # Ground-truth corruption watcher — unconditional, so the
-        # scorecard is byte-identical with obs on or off.
-        self._corruption_base = {
-            core_id: core.corruptions_induced
-            for core_id, core in self._core_by_id.items()
-        }
-        self._first_corrupt_tick: dict[str, int] = {}
-
-        self._obs_on = obs.enabled()
         if self._obs_on:
-            obs.tracer.set_clock(lambda: self._tick * self.config.tick_ms)
             self._m_writes = obs.metrics.counter(
                 "storage_writes_total",
                 help="client writes, by quorum outcome", unit="writes",
@@ -393,12 +352,13 @@ class StorageCampaign:
                 unit="ms",
                 buckets=(10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0),
             )
-            self._m_quarantines = obs.metrics.counter(
+            self.quarantine_counter = obs.metrics.counter(
                 "storage_quarantines_total",
                 help="cores pulled from the replica set by the campaign "
                      "policy loop",
                 unit="cores",
             )
+            self.quarantine_span = names.SPAN_STORAGE_QUARANTINE
 
     # -- placement -----------------------------------------------------
 
@@ -423,45 +383,29 @@ class StorageCampaign:
             for p in placements
         ]
 
-    def _replace_replica(self, index: int) -> None:
-        """Re-place one replica off its (now quarantined) core.
+    def replace_quarantined(self) -> None:
+        """Re-place each replica off its (now quarantined) core.
 
         The replacement starts empty on a spare core; anti-entropy
         backfills it from the healthy quorum on its next sync round —
         quarantine costs capacity, not data.
         """
-        old = self.store.replicas[index]
-        occupied = {r.core_id for r in self.store.replicas}
-        quarantined = set(self.scorecard.quarantine_tick)
-        placements, _ = self.scheduler.schedule(
-            [Task(old.replica_id, op_mix={Op.COPY: 1.0})],
-            exclude_core_ids=occupied | quarantined,
-        )
-        if not placements:
-            return  # degraded: run with fewer replicas
-        self._retired_physical_bytes += old.stats.physical_bytes
-        for (replica_id, key) in list(self._divergent_since):
-            if replica_id == old.replica_id:
-                del self._divergent_since[(replica_id, key)]
-        new_core = self._core_by_id[placements[0].core_id]
-        self.store.replicas[index] = self._make_replica(new_core)
+        for index, old in enumerate(self.store.replicas):
+            if old.core_id not in self.scorecard.quarantine_tick:
+                continue
+            new_core = self.spare_core(
+                Task(old.replica_id, op_mix={Op.COPY: 1.0}),
+                {r.core_id for r in self.store.replicas},
+            )
+            if new_core is None:
+                continue  # degraded: run with fewer replicas
+            self._retired_physical_bytes += old.stats.physical_bytes
+            for (replica_id, key) in list(self._divergent_since):
+                if replica_id == old.replica_id:
+                    del self._divergent_since[(replica_id, key)]
+            self.store.replicas[index] = self._make_replica(new_core)
 
     # -- event plumbing ------------------------------------------------
-
-    def _emit(self, core_id: str, kind: EventKind, detail: str) -> None:
-        self.events.append(
-            CeeEvent(
-                time_days=(self._tick * self.config.tick_ms) / MS_PER_DAY,
-                machine_id=self._machine_by_core.get(
-                    core_id, core_id.rsplit("/", 1)[0]
-                ),
-                core_id=core_id,
-                kind=kind,
-                reporter=Reporter.AUTOMATED,
-                application="storage",
-                detail=detail,
-            )
-        )
 
     def _on_repair(self, replica_id: str, key: str) -> None:
         self.scorecard.repairs_total += 1
@@ -476,50 +420,18 @@ class StorageCampaign:
 
     # -- chaos ---------------------------------------------------------
 
-    def _replica_on(self, core_id: str) -> StorageReplica | None:
-        for replica in self.store.replicas:
-            if replica.core_id == core_id:
-                return replica
-        return None
+    def hosted_on(self, core_id: str) -> list[StorageReplica]:
+        return [r for r in self.store.replicas if r.core_id == core_id]
 
-    def _apply_chaos(self, tick: int) -> None:
-        for action in self.chaos.due(tick):
-            if action.kind is ChaosKind.ACTIVATE_DEFECT:
-                core = self._core_by_id.get(action.core_id)
-                if core is not None:
-                    core.advance_age(action.magnitude)
-            elif action.kind is ChaosKind.CRASH_CORE:
-                core = self._core_by_id.get(action.core_id)
-                if core is None:
-                    continue
-                replica = self._replica_on(action.core_id)
-                if replica is not None and replica.wal is not None:
-                    # A crash interrupts the in-flight append.
-                    if replica.wal.tear_tail():
-                        self.scorecard.wal_torn_tails += 1
-                core.set_online(False)
-                self._restore_at[action.core_id] = (
-                    tick + max(1, action.duration_ticks)
-                )
-            elif action.kind is ChaosKind.MACHINE_CHECK_BURST:
-                replica = self._replica_on(action.core_id)
-                if replica is not None:
-                    replica.forced_mce_remaining += int(action.magnitude)
-            elif action.kind is ChaosKind.TRAFFIC_BURST:
-                self._burst_multiplier = action.magnitude
-                self._burst_until = tick + max(1, action.duration_ticks)
+    def on_crash(self, core_id: str) -> None:
+        for replica in self.hosted_on(core_id):
+            # A crash interrupts the in-flight append.
+            if replica.wal is not None and replica.wal.tear_tail():
+                self.scorecard.wal_torn_tails += 1
 
-        for core_id, restore_tick in list(self._restore_at.items()):
-            if tick >= restore_tick:
-                del self._restore_at[core_id]
-                if core_id in self.scorecard.quarantine_tick:
-                    continue
-                self._core_by_id[core_id].set_online(True)
-                replica = self._replica_on(core_id)
-                if replica is not None:
-                    self._recover_replica(replica)
-        if tick >= self._burst_until:
-            self._burst_multiplier = 1.0
+    def on_restore(self, core_id: str) -> None:
+        for replica in self.hosted_on(core_id):
+            self._recover_replica(replica)
 
     def _recover_replica(self, replica: StorageReplica) -> None:
         """Crash recovery: replay the WAL, surface what it caught."""
@@ -537,7 +449,7 @@ class StorageCampaign:
             # earlier was corrupted in flight on the write path.
             if index == wal_len - 1:
                 continue
-            self._emit(
+            self.emit(
                 replica.core_id, EventKind.WAL_CORRUPTION,
                 "WAL record failed frame CRC at recovery replay",
             )
@@ -547,7 +459,7 @@ class StorageCampaign:
     def _do_writes(self) -> None:
         card = self.scorecard
         arrivals = int(self.rng.poisson(
-            self.config.writes_per_tick * self._burst_multiplier
+            self.config.writes_per_tick * self.burst_multiplier
         ))
         for _ in range(arrivals):
             key = f"k{self._key_seq:06d}"
@@ -574,7 +486,7 @@ class StorageCampaign:
         if not self._keys:
             return
         arrivals = int(self.rng.poisson(
-            self.config.reads_per_tick * self._burst_multiplier
+            self.config.reads_per_tick * self.burst_multiplier
         ))
         for _ in range(arrivals):
             key = self._keys[int(self.rng.integers(len(self._keys)))]
@@ -650,92 +562,27 @@ class StorageCampaign:
                     (replica.replica_id, key), tick
                 )
 
-    # -- detection loop ------------------------------------------------
-
-    def _run_policy(self, tick: int) -> None:
-        new_events = self.events.tail(self._events_seen)
-        self._events_seen = len(self.events)
-        self.analyzer.ingest_all(new_events)
-
-        now_days = (tick * self.config.tick_ms) / MS_PER_DAY
-        for core_id, score in self.analyzer.suspects(
-            now_days, threshold=self.config.policy.retest_threshold
-        ):
-            if (
-                core_id not in self._core_by_id
-                or core_id in self.scorecard.quarantine_tick
-            ):
-                continue
-            decision = self.policy.decide(core_id, score, confessed=False)
-            if decision.action in (
-                Action.QUARANTINE_CORE, Action.QUARANTINE_MACHINE
-            ):
-                self._quarantine(core_id, tick)
-                if decision.action is Action.QUARANTINE_MACHINE:
-                    machine_id = self._machine_by_core[core_id]
-                    for sibling_id, owner in self._machine_by_core.items():
-                        if owner == machine_id:
-                            self._quarantine(sibling_id, tick)
-
-        for index, replica in enumerate(self.store.replicas):
-            if replica.core_id in self.scorecard.quarantine_tick:
-                self._replace_replica(index)
-
-    def _quarantine(self, core_id: str, tick: int) -> None:
-        if core_id in self.scorecard.quarantine_tick:
-            return
-        self._core_by_id[core_id].set_online(False)
-        self.scorecard.quarantine_tick[core_id] = tick
-        self._restore_at.pop(core_id, None)
-        if self._obs_on:
-            self._m_quarantines.inc()
-            with obs.tracer.span(
-                "storage.quarantine", core_id=core_id, tick=tick
-            ):
-                pass
-
     # -- the main loop -------------------------------------------------
 
     def run(self) -> StorageScorecard:
         for tick in range(self.config.ticks):
             self._tick = tick
-            self._apply_chaos(tick)
+            self.begin_tick(tick)
             self._do_writes()
             self._do_reads()
             self._maintenance(tick)
             self._monitor(tick)
-            self._note_corruptions(tick)
-            self._run_policy(tick)
+            self.end_tick(tick)
         self._finalize()
         return self.scorecard
 
-    def _note_corruptions(self, tick: int) -> None:
-        """Record the first tick each core's corruption counter moved.
-
-        Unconditional ground-truth bookkeeping (see the serving
-        campaign's twin): feeds the forensics timeline and the
-        scorecard's detection-latency fields.
-        """
-        base = self._corruption_base
-        for core_id, core in self._core_by_id.items():
-            induced = core.corruptions_induced
-            if induced != base[core_id]:
-                base[core_id] = induced
-                if core_id not in self._first_corrupt_tick:
-                    self._first_corrupt_tick[core_id] = tick
-
     def _finalize(self) -> None:
         card = self.scorecard
-        card.ticks = self.config.ticks
         card.lasting_divergence = len(self._divergent_since)
         card.physical_bytes = self._retired_physical_bytes + sum(
             replica.stats.physical_bytes for replica in self.store.replicas
         )
-        card.first_corrupt_tick = dict(sorted(self._first_corrupt_tick.items()))
-        card.detection_latency_ms = detection_latency_summary(
-            self._first_corrupt_tick, card.quarantine_tick,
-            list(self.events), self.config.tick_ms,
-        )
+        self.finish(self.config.ticks)
         self._audit_recoverability()
 
     def _audit_recoverability(self) -> None:
@@ -794,46 +641,26 @@ def build_storage_fleet(
     perfectly — the §5.2 trap that defeats same-core verification).
     Returns (machines, bad core id).
     """
-    product = CpuProduct(
-        vendor="sim", sku=f"storage-{cores_per_machine}c",
-        cores_per_machine=cores_per_machine, core_prevalence=0.0,
-    )
-    root = np.random.default_rng(seed)
-    machines: list[Machine] = []
-    bad_core_id = ""
-    for m in range(n_machines):
-        machine_id = f"m{m:05d}"
-        cores = []
-        for c in range(cores_per_machine):
-            core_id = f"{machine_id}/c{c:02d}"
-            defects = ()
-            if m == bad_machine and c == bad_core:
-                bad_core_id = core_id
-                aging = AgingProfile(onset_days=onset_days)
-                defects = (
-                    StuckBitDefect(
-                        f"defect/{core_id}/stuck",
-                        bit=21,
-                        base_rate=base_rate,
-                        unit=FunctionalUnit.LOAD_STORE,
-                        aging=aging,
-                    ),
-                    SboxPermutationDefect(
-                        f"defect/{core_id}/sbox",
-                        aging=aging,
-                    ),
-                )
-            cores.append(
-                Core(
-                    core_id,
-                    defects=defects,
-                    rng=np.random.default_rng(root.integers(2**63)),
-                )
-            )
-        machines.append(
-            Machine(machine_id=machine_id, product=product, chip=Chip(cores))
+    aging = AgingProfile(onset_days=onset_days)
+
+    def defects_for(core_id: str, index: int) -> tuple[DefectModel, ...]:
+        if divmod(index, cores_per_machine) != (bad_machine, bad_core):
+            return ()
+        return (
+            StuckBitDefect(
+                f"defect/{core_id}/stuck",
+                bit=21,
+                base_rate=base_rate,
+                unit=FunctionalUnit.LOAD_STORE,
+                aging=aging,
+            ),
+            SboxPermutationDefect(f"defect/{core_id}/sbox", aging=aging),
         )
-    return machines, bad_core_id
+
+    machines, bad = build_small_fleet(
+        n_machines, cores_per_machine, "storage", seed, defects_for
+    )
+    return machines, bad[0] if bad else ""
 
 
 __all__ = [

@@ -1,0 +1,561 @@
+"""The campaign kernel: refactor oracle, shared-loop contract, fleet fixture.
+
+Three nets under :mod:`repro.campaign`:
+
+- **oracle** — sha256 of ``scorecard.to_json()`` plus the
+  ``(time, core, kind)`` event triples for every runner × named arm at
+  CI scale, seeds 0 and 1, captured on the tree *before* the four
+  runners were moved onto the kernel (commit 2df6955).  Equal seeds must
+  keep producing these bytes.
+- **contract** — the behaviours every runner inherits from the one
+  detect → quarantine → replace loop, asserted once over all of them.
+- **fixture** — ``build_small_fleet`` through each public builder:
+  core ids, per-core RNG states and defect tuples pinned the same way.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro import obs
+from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
+from repro.chaos import ChaosAction, ChaosKind, ChaosSchedule
+from repro.core.events import CeeEvent, EventKind, Reporter
+from repro.core.policy import PolicyConfig
+from repro.mitigation.instrcheck import (
+    InstrCheckCampaign,
+    InstrCheckConfig,
+    build_instrcheck_fleet,
+)
+from repro.serving import (
+    CampaignConfig,
+    HardeningConfig,
+    ScaleConfig,
+    ScaleHardening,
+    ServeScaleCampaign,
+    ServingCampaign,
+    build_scale_fleet,
+    build_serving_fleet,
+)
+from repro.storage import (
+    StorageCampaign,
+    StorageCampaignConfig,
+    StorageProtections,
+    build_storage_fleet,
+)
+
+ONSET_AGE_DAYS = 400.0
+
+
+def _serving(arm, seed, ticks=250, **config):
+    machines, bad = build_serving_fleet(
+        onset_days=ONSET_AGE_DAYS, seed=seed + 7
+    )
+    campaign = ServingCampaign(
+        machines, CampaignConfig(ticks=ticks, **config),
+        getattr(HardeningConfig, arm)(), seed=seed + 3,
+    )
+    victim = next(
+        r.core_id for r in campaign.router.replicas if r.core_id != bad
+    )
+    campaign.chaos = ChaosSchedule.standard(
+        bad, victim, ticks, onset_age_days=ONSET_AGE_DAYS
+    )
+    return campaign
+
+
+def _scale(arm, seed, ticks=200, **config):
+    machines, bad = build_scale_fleet(prevalence=0.4, seed=seed + 7)
+    campaign = ServeScaleCampaign(
+        machines, ScaleConfig(ticks=ticks, **config),
+        getattr(ScaleHardening, arm)(), seed=seed + 3,
+    )
+    shards = campaign.cluster.shards
+    shard_loss = [r.core_id for r in shards[0].router.replicas]
+    storm = [
+        r.core_id for r in shards[1].router.replicas if r.core_id not in bad
+    ][:2]
+    campaign.chaos = ChaosSchedule.serve_scale(bad, shard_loss, storm, ticks)
+    return campaign
+
+
+def _storage(arm, seed, ticks=200, **config):
+    machines, bad = build_storage_fleet(
+        onset_days=ONSET_AGE_DAYS, seed=seed + 7
+    )
+    campaign = StorageCampaign(
+        machines, getattr(StorageProtections, arm)(),
+        StorageCampaignConfig(ticks=ticks, **config), seed=seed + 3,
+    )
+    victim = next(
+        r.core_id for r in campaign.store.replicas if r.core_id != bad
+    )
+    campaign.chaos = ChaosSchedule.storage_standard(
+        bad, victim, ticks, onset_age_days=ONSET_AGE_DAYS
+    )
+    return campaign
+
+
+def _instrcheck(arm, seed, units=160, **config):
+    machines, _bad = build_instrcheck_fleet(prevalence=0.25, seed=seed + 7)
+    return InstrCheckCampaign(
+        machines, arm, InstrCheckConfig(units=units, **config), seed=seed + 3
+    )
+
+
+#: runner name -> (factory(arm, seed, scale), named arms, a short scale)
+RUNNERS = {
+    "serving": (
+        _serving, ("unhardened", "hardened", "validator_only"), 120,
+    ),
+    "scale": (_scale, ("baseline", "retries_breakers", "full"), 100),
+    "storage": (
+        _storage,
+        ("unprotected", "quorum_only", "no_encrypt_verify",
+         "generic_weights", "protected"),
+        100,
+    ),
+    "instrcheck": (
+        _instrcheck, ("screen", "ithica", "reptfd", "meek", "e2e"), 64,
+    ),
+}
+
+#: the arm of each runner with the richest signal mix (contract suite)
+FULL_ARM = {
+    "serving": "hardened", "scale": "full",
+    "storage": "protected", "instrcheck": "meek",
+}
+
+
+def _accuse_machine(campaign, machine_id="m00001", n_cores=3):
+    """Plant enough screen failures on ``n_cores`` cores of one machine
+    that the policy condemns each — the last one at machine level."""
+    accused = [f"{machine_id}/c{c:02d}" for c in range(n_cores)]
+    for core_id in accused:
+        for _ in range(3):
+            campaign.events.append(CeeEvent(
+                time_days=0.0, machine_id=machine_id, core_id=core_id,
+                kind=EventKind.SCREEN_FAIL, reporter=Reporter.AUTOMATED,
+                application="test", detail="planted",
+            ))
+    return accused
+
+
+#: room for a whole machine inside the capacity guard
+ROOMY = PolicyConfig(max_quarantined_fraction=0.5)
+
+
+def _run_digest(campaign) -> str:
+    card = campaign.run()
+    payload = {
+        "card": card.to_json(),
+        "events": [
+            [event.time_days, event.core_id, event.kind.name]
+            for event in campaign.events
+        ],
+    }
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _fleet_digest(machines) -> str:
+    rows = []
+    for machine in machines:
+        product = machine.product
+        rows.append([
+            machine.machine_id, product.vendor, product.sku,
+            product.cores_per_machine, product.core_prevalence,
+        ])
+        for core in machine.cores:
+            rows.append([
+                core.core_id,
+                core.rng.bit_generator.state["state"],
+                [
+                    [type(defect).__name__] + sorted(
+                        [name, sorted(value) if isinstance(value, frozenset)
+                         else repr(value)]
+                        for name, value in vars(defect).items()
+                    )
+                    for defect in core.defects
+                ],
+            ])
+    return hashlib.sha256(
+        json.dumps(rows, sort_keys=True).encode()
+    ).hexdigest()
+RUN_DIGESTS = {
+    "serving/unhardened/0":
+        "2bb8194ddd0f9ba3586142c1370f258baf601846a66274399b8a550ba1f7b7bd",
+    "serving/unhardened/1":
+        "68a05e04b23d84f67c8dfe722e3259cff3ce05f15be35206dc866308a058c938",
+    "serving/hardened/0":
+        "fd0ad883ec854eb72cb03b538652202ee50f61d4b95739fdd2fb336dd729402f",
+    "serving/hardened/1":
+        "0dac5336fcd37da68aea6c4520b773341459b8c7641ac49fccfd0b9fec4b4034",
+    "serving/validator_only/0":
+        "690c20e02aaf3a104916dbcefa1b5c72972195e37882b2aeed31b121fc53127f",
+    "serving/validator_only/1":
+        "d893fbff1f74fb96abe46a51316cf6ecd1eb367060696c3084bb5429f00748f5",
+    "scale/baseline/0":
+        "fee068e29ca3f035001425142a94ce5c96427236b70ac438f83e3f33ce807946",
+    "scale/baseline/1":
+        "3677b9f4a609958088201d704fd5e6daadb2dfbff1f9712f9da356e0e8db2585",
+    "scale/retries_breakers/0":
+        "5473d7a277edc6ce5fe85564dbdc24ead29cf5588871f443ff501f6155f7a328",
+    "scale/retries_breakers/1":
+        "a5514c60351744b5f01065cfebb9f50930dda1026919a19f98513f527964f894",
+    "scale/full/0":
+        "19f7c7c447d5aa1aca468408ad706dde604d23913c1fa538052844ed592213ae",
+    "scale/full/1":
+        "9b1d96ee9d547eed7e2b19e449350881c5697748c70802c4d6cfc2eb5e65f2b0",
+    "storage/unprotected/0":
+        "dd4c91a14191ec7aabb412d7baa649306cea59d4e496e86e1f096efddec85787",
+    "storage/unprotected/1":
+        "cf12b6afd32c74597861376209264f927bafca3939619658437f8cebc08e93ee",
+    "storage/quorum_only/0":
+        "5f146315b5edfbf14dc9244c848ca2d214527dd988be77394c27ae3a90919369",
+    "storage/quorum_only/1":
+        "e821688eba3720471a92f0e51168efd7bff676f47142005cee45b94dd7ac4e6f",
+    "storage/no_encrypt_verify/0":
+        "f25f8e5cff87f12804e9f8dbe839cb4bc596f38047ef20e079b3737ed10631d0",
+    "storage/no_encrypt_verify/1":
+        "ee35b6892ff8fd0293c0277c2f3a8a73ead5a96b730680f93b42cfbc665759c7",
+    "storage/generic_weights/0":
+        "b23016643a432230e4d24e7c171ee11797d49f17ee9991885174409ea57a933b",
+    "storage/generic_weights/1":
+        "e75222555710fee9d0ffabaaed2fb7a383fb0d3b1a12870f8ce517e6bc501613",
+    "storage/protected/0":
+        "c808f29972f7743769f633dad5efc3a5f0f6a7fd35ca5a0210db2b23332d2fa1",
+    "storage/protected/1":
+        "d318092078e2a3e2695629e4e67c5ea7d9b21b79af9d5b81ab33a2ed2825b491",
+    "instrcheck/screen/0":
+        "f3d14bc71dd86ffb9fd661b8ca06ffffb0cf3f6bd5be30c1bc214b7647c46920",
+    "instrcheck/screen/1":
+        "a4f82868b7ad31c54019e4734a6c90e1ecd764aa28b445b35a66a8863d359291",
+    "instrcheck/ithica/0":
+        "dd4d878aa345b8c9aac826f938e51d3bfee31232e3d03e97f7b11b1980b69d80",
+    "instrcheck/ithica/1":
+        "ec03b269e623f5989cc2d59ede11b718573b4b3578f07c82598117bdabe66765",
+    "instrcheck/reptfd/0":
+        "8711b8c24177b1e412451177821c93af33ecfe1ed4309efaf16fa154a39931ad",
+    "instrcheck/reptfd/1":
+        "c80276d5dcc8ec98b61cc3b2adde1525eb5d717be53f820ebeb1df05388b4dda",
+    "instrcheck/meek/0":
+        "439d96794f7b574cb45d812dab225c16d0b7e29da7c8121c62e16babe669b9bc",
+    "instrcheck/meek/1":
+        "1e9094909aa47e411ae04837d5eef254e5794f82a7fe2048205ec65a46c26fcd",
+    "instrcheck/e2e/0":
+        "eb5c76353988851e71a079513adc1596df17da30244163d3aa143ee8718382dd",
+    "instrcheck/e2e/1":
+        "cfa5b845c892dc931806b2db0c82f32b1f5d552289ae3c5148c6626ce4a9e80e",
+    "serving/machine-quarantine/0":
+        "127612fda8cb584f9c214b68399f8b047e8d78fe453d5520794f7097efbca978",
+    "scale/machine-quarantine/0":
+        "1d995abfeaf19425ad97ec60ded28bf821a98ba279f5cd3f266e77597837d04c",
+    "storage/machine-quarantine/0":
+        "c11960f142e213bde205f4c9c32f8e371e528c8fe43f7fd5b70ecd4fbab6f326",
+}
+
+FLEET_DIGESTS = {
+    "serving/0": (
+        "c3d998340e4152672c6702951390be9e1f70b3f3ebfc7af0a425083195a75d3e",
+        "m00000/c01",
+    ),
+    "serving/1": (
+        "8fb0593d171ed5100c5392bcaf2b506bab13606b64d78440536cf2e8277e0cd3",
+        "m00002/c05",
+    ),
+    "serving/2": (
+        "e32ff29d9510ad6f2c5d8200cd863f7f884187f67c974deb798fec4d9d285200",
+        "m00000/c00",
+    ),
+    "scale/0": (
+        "e2f6941eaaee0a94397aacc1d4fc1519517f8f95edee9fbf803298c6043bf0e2",
+        ["m00000/c03", "m00002/c02"],
+    ),
+    "scale/1": (
+        "a62046c26610f90a964b575d8a907f2cd69aa15c3dfd3dc508691fb3d701434b",
+        ["m00000/c01", "m00000/c02", "m00001/c00", "m00001/c02", "m00001/c03", "m00001/c05", "m00002/c05"],
+    ),
+    "scale/2": (
+        "bed383a31d8e073e3f1931595acddeaba6a5722e4a29f615512615c90146b75d",
+        ["m00000/c02"],
+    ),
+    "storage/0": (
+        "b07c3aef75e3eaf7cd3095611aff0e8d1875bd6815f3dcee22927540b9800c42",
+        "m00000/c01",
+    ),
+    "storage/1": (
+        "5e3a03960c11f313cab1a738e64184a9024c9c4942773513b935532381776dfe",
+        "m00002/c05",
+    ),
+    "storage/2": (
+        "1f369b545c99b604f171a83ce82ca4a1313833468301cf9cadcef585b879ce78",
+        "m00000/c00",
+    ),
+    "instrcheck/0": (
+        "40c45b03191e53a61df7507d2e25b00149adfc2da98d3ffa828fb86cd6ea896c",
+        ["m00000/c01"],
+    ),
+    "instrcheck/1": (
+        "8004c4a30d73c104a7032940e6d988a39e93c677fc6a60a946817233a2b1ac3c",
+        ["m00000/c01", "m00000/c02", "m00000/c03", "m00000/c04", "m00000/c05"],
+    ),
+    "instrcheck/2": (
+        "60bac3fb77c8f27a66330a1413ad6f6fa00d20312a597771a45f2a950725d512",
+        [],
+    ),
+}
+
+#: builder -> (default arguments, two non-default argument sets)
+FLEET_VARIANTS = {
+    "serving": (build_serving_fleet, (
+        {},
+        dict(n_machines=3, cores_per_machine=6, bad_machine=2, bad_core=5,
+             base_rate=0.2, onset_days=90.0, seed=11),
+        dict(cores_per_machine=2, bad_core=0, seed=0),
+    )),
+    "scale": (build_scale_fleet, (
+        {},
+        dict(n_machines=3, cores_per_machine=6, prevalence=0.4,
+             base_rate=0.2, onset_days=90.0, seed=11),
+        dict(prevalence=0.01, seed=0),
+    )),
+    "storage": (build_storage_fleet, (
+        {},
+        dict(n_machines=3, cores_per_machine=6, bad_machine=2, bad_core=5,
+             base_rate=0.2, onset_days=90.0, seed=11),
+        dict(cores_per_machine=2, bad_core=0, seed=0),
+    )),
+    "instrcheck": (build_instrcheck_fleet, (
+        {},
+        dict(n_machines=3, cores_per_machine=6, prevalence=0.375,
+             base_rate=0.2, seed=11),
+        dict(prevalence=0.0, seed=0),
+    )),
+}
+
+
+@pytest.fixture
+def obs_state():
+    """Save/restore the obs on/off switch around a test."""
+    prior = obs.enabled()
+    yield
+    obs.set_enabled(prior)
+    obs.metrics.reset()
+    obs.tracer.reset()
+
+
+def _short(name, **config):
+    """One runner's richest arm at a short scale, seed 0."""
+    factory, _arms, scale = RUNNERS[name]
+    return factory(FULL_ARM[name], 0, scale, **config)
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "key", [k for k in RUN_DIGESTS if "machine-quarantine" not in k]
+    )
+    def test_pinned_bytes(self, key):
+        name, arm, seed = key.split("/")
+        campaign = RUNNERS[name][0](arm, int(seed))
+        assert _run_digest(campaign) == RUN_DIGESTS[key]
+
+    @pytest.mark.parametrize("name", ("serving", "scale", "storage"))
+    def test_machine_quarantine_pinned_bytes(self, name):
+        campaign = _short(name, policy=ROOMY)
+        _accuse_machine(campaign)
+        assert (
+            _run_digest(campaign)
+            == RUN_DIGESTS[f"{name}/machine-quarantine/0"]
+        )
+
+
+@pytest.mark.parametrize("name", list(RUNNERS))
+class TestContract:
+    """What every runner inherits from the one loop."""
+
+    def test_kernel_campaign_with_its_own_run(self, name):
+        campaign = _short(name)
+        assert isinstance(campaign, Campaign)
+        assert isinstance(campaign.scorecard, CampaignScorecard)
+        # benchmarks/perf patches ``run`` on the runner class itself
+        assert "run" in vars(type(campaign))
+
+    def test_obs_on_vs_off_identical(
+        self, name, obs_state
+    ):
+        obs.set_enabled(False)
+        off = _run_digest(_short(name))
+        obs.set_enabled(True)
+        obs.metrics.reset()
+        obs.tracer.reset()
+        on = _run_digest(_short(name))
+        assert off == on
+
+    def test_chaos_assigned_late_is_honoured(self, name):
+        campaign = _short(name)
+        spare = campaign.machines[-1].cores[-1]
+        campaign.chaos = ChaosSchedule([
+            ChaosAction(2, ChaosKind.ACTIVATE_DEFECT, spare.core_id, 123.0),
+            # an unknown core id is skipped, not an error
+            ChaosAction(2, ChaosKind.ACTIVATE_DEFECT, "m99999/c00", 5.0),
+            ChaosAction(3, ChaosKind.CRASH_CORE, "m99999/c00",
+                        duration_ticks=2),
+            ChaosAction(3, ChaosKind.MACHINE_CHECK_BURST, "m99999/c00", 4.0),
+        ])
+        campaign.run()
+        assert spare.age_days == 123.0
+        assert campaign.chaos.due(10**9) == []
+
+    def test_crashed_core_returns_unless_quarantined(self, name):
+        campaign = _short(name)
+        crashed, condemned = campaign.machines[-1].cores[-2:]
+        campaign.chaos = ChaosSchedule([
+            ChaosAction(0, ChaosKind.CRASH_CORE, core.core_id,
+                        duration_ticks=3)
+            for core in (crashed, condemned)
+        ])
+        for _ in range(3):
+            campaign.events.append(CeeEvent(
+                time_days=0.0, machine_id=campaign.machines[-1].machine_id,
+                core_id=condemned.core_id, kind=EventKind.SCREEN_FAIL,
+                reporter=Reporter.AUTOMATED, application="test",
+                detail="planted",
+            ))
+        card = campaign.run()
+        assert crashed.online
+        assert crashed.core_id not in card.quarantine_tick
+        # quarantined at tick 0 while down: the restore due at tick 3
+        # must not bring it back
+        assert card.quarantine_tick[condemned.core_id] == 0
+        assert not condemned.online
+
+    def test_machine_quarantine_pulls_siblings(self, name):
+        campaign = _short(name, policy=ROOMY)
+        accused = _accuse_machine(campaign)
+        card = campaign.run()
+        assert campaign.policy.quarantined_machines == {"m00001"}
+        machine = campaign.machines[1]
+        siblings = [core.core_id for core in machine.cores]
+        assert set(accused) < set(siblings)
+        for core in machine.cores:
+            assert not core.online
+            assert card.quarantine_tick[core.core_id] == 0
+        assert not set(siblings) & _hosting_cores(campaign)
+
+    def test_only_first_corrupt_tick_recorded(self, name):
+        campaign = _short(name)
+        core = campaign.machines[-1].cores[-1]
+        for tick in (3, 7):
+            campaign.begin_tick(tick)
+            core.corruptions_induced += 1
+            campaign.end_tick(tick)
+        assert campaign.scorecard.first_corrupt_tick == {core.core_id: 3}
+
+
+def _hosting_cores(campaign) -> set[str]:
+    """Core ids a runner currently has work placed on."""
+    if isinstance(campaign, ServingCampaign):
+        return {r.core_id for r in campaign.router.replicas}
+    if isinstance(campaign, ServeScaleCampaign):
+        return {r.core_id for r in campaign.cluster.replicas()}
+    if isinstance(campaign, StorageCampaign):
+        return {r.core_id for r in campaign.store.replicas}
+    return {lane.core.core_id for lane in campaign.lanes}
+
+
+class TestInstrcheckMachine:
+    """Regression: the instrcheck runner used to downgrade a
+    machine-level quarantine to a core-level one."""
+
+    @pytest.mark.parametrize("arm", ("meek", "e2e", "screen"))
+    def test_third_bad_core_takes_the_machine(self, arm):
+        machines, bad = build_instrcheck_fleet(prevalence=0.375)
+        assert [core_id.rsplit("/", 1)[0] for core_id in bad] == ["m00000"] * 3
+        campaign = InstrCheckCampaign(
+            machines, arm, InstrCheckConfig(sample_rate=1.0), seed=3
+        )
+        card = campaign.run()
+        assert campaign.policy.quarantined_machines == {"m00000"}
+        for core in machines[0].cores:
+            assert not core.online
+            assert core.core_id in card.quarantine_tick
+        # every lane moved to the healthy machine; MEEK keeps one of its
+        # four cores for the checker, so one lane stays dark there
+        moved = [
+            lane for lane in campaign.lanes
+            if lane.core.core_id.startswith("m00001/")
+        ]
+        assert len(moved) == (3 if arm == "meek" else 4)
+        assert card.units_delivered + card.units_crashed == card.units_total
+
+    def test_checker_on_condemned_machine_is_replaced(self):
+        machines, bad = build_instrcheck_fleet(
+            cores_per_machine=8, prevalence=0.19
+        )
+        assert len(bad) == 3
+        campaign = InstrCheckCampaign(
+            machines, "meek", InstrCheckConfig(sample_rate=1.0), seed=3
+        )
+        assert campaign.checker_core.core_id == "m00000/c04"
+        card = campaign.run()
+        assert campaign.policy.quarantined_machines == {"m00000"}
+        assert campaign.checker_core.core_id.startswith("m00001/")
+        assert all(
+            lane.core.core_id.startswith("m00001/") for lane in campaign.lanes
+        )
+        assert card.units_delivered + card.units_crashed == card.units_total
+
+    def test_no_spares_left_ends_the_run(self):
+        machines, _bad = build_instrcheck_fleet(n_machines=1, prevalence=0.75)
+        config = InstrCheckConfig(
+            units=240, sample_rate=1.0,
+            policy=PolicyConfig(max_quarantined_fraction=1.0),
+        )
+        card = InstrCheckCampaign(machines, "e2e", config, seed=3).run()
+        assert len(card.quarantine_tick) == 4
+        assert card.units_crashed > 0
+        assert card.units_delivered + card.units_crashed == card.units_total
+
+
+class TestFleet:
+    @pytest.mark.parametrize(
+        "name,variant",
+        [(name, i) for name in FLEET_VARIANTS for i in range(3)],
+    )
+    def test_builder_reproduces_pinned_fleet(self, name, variant):
+        builder, variants = FLEET_VARIANTS[name]
+        machines, bad = builder(**variants[variant])
+        digest, pinned_bad = FLEET_DIGESTS[f"{name}/{variant}"]
+        assert bad == pinned_bad
+        assert _fleet_digest(machines) == digest
+
+    def test_defects_for_sees_fleet_order(self):
+        seen = []
+
+        def defects_for(core_id, index):
+            seen.append((core_id, index))
+            return ()
+
+        machines, bad = build_small_fleet(2, 3, "t", 5, defects_for)
+        assert bad == []
+        assert seen == [
+            (f"m{m:05d}/c{c:02d}", m * 3 + c)
+            for m in range(2) for c in range(3)
+        ]
+        assert machines[0].product.sku == "t-3c"
+
+    def test_generator_seed_continues_callers_stream(self):
+        import numpy as np
+
+        root = np.random.default_rng(9)
+        root.permutation(8)
+        resumed, _ = build_small_fleet(2, 4, "t", root, lambda *_: ())
+        fresh, _ = build_small_fleet(2, 4, "t", 9, lambda *_: ())
+        assert _fleet_digest(resumed) != _fleet_digest(fresh)
+        again = np.random.default_rng(9)
+        again.permutation(8)
+        replay, _ = build_small_fleet(2, 4, "t", again, lambda *_: ())
+        assert _fleet_digest(resumed) == _fleet_digest(replay)

@@ -180,6 +180,15 @@ class TestTraceCommand:
         assert "corruption forensics" in out
         assert "storage.put" in out
 
+    def test_trace_e17_comes_from_the_campaign_table(self, capsys):
+        assert main(["trace", "e17"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("== corruption forensics: E17 full, seed 0")
+        # a non-empty timeline: at least one incident reached quarantine
+        assert "incident core" in out
+        assert "quarantine decision  tick" in out
+        assert "serving.scale_request" in out
+
     def test_trace_seed_is_reproducible(self, capsys):
         assert main(["trace", "e15", "--seed", "2"]) == 0
         first = capsys.readouterr().out

@@ -123,7 +123,7 @@ class TestEndToEndE15:
     @pytest.fixture(scope="class")
     def incident(self):
         from repro import obs
-        from repro.analysis.experiments import _serving_campaign
+        from repro.analysis.experiments import campaign_arm
         from repro.serving.campaign import CampaignConfig
 
         prior = obs.enabled()
@@ -131,9 +131,8 @@ class TestEndToEndE15:
         obs.metrics.reset()
         obs.tracer.reset()
         try:
-            card, events, bad_core_id = _serving_campaign(
-                "hardened", ticks=250, n_machines=4, cores_per_machine=4,
-                defect_rate=0.05, seed=0, onset_age=400.0,
+            card, events, bad_core_id = campaign_arm(
+                "hardened", experiment_id="E15", seed=0, ticks=250,
             )
             spans = obs.tracer.drain()
         finally:

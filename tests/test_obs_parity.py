@@ -32,21 +32,19 @@ def obs_state():
 
 
 def _serving_card(seed: int):
-    from repro.analysis.experiments import _serving_campaign
+    from repro.analysis.experiments import campaign_arm
 
-    card, _events, _bad = _serving_campaign(
-        "hardened", ticks=150, n_machines=4, cores_per_machine=4,
-        defect_rate=0.05, seed=seed, onset_age=400.0,
+    card, _events, _bad = campaign_arm(
+        "hardened", experiment_id="E15", seed=seed, ticks=150
     )
     return json.dumps(card.to_json(), sort_keys=True)
 
 
 def _storage_card(seed: int):
-    from repro.analysis.experiments import _storage_campaign
+    from repro.analysis.experiments import campaign_arm
 
-    card, _events, _bad = _storage_campaign(
-        "protected", ticks=120, n_machines=4, cores_per_machine=4,
-        defect_rate=0.05, seed=seed, onset_age=400.0,
+    card, _events, _bad = campaign_arm(
+        "protected", experiment_id="E16", seed=seed, ticks=120
     )
     return json.dumps(card.to_json(), sort_keys=True)
 

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro import obs
-from repro.analysis.experiments import run_serve_at_scale
+from repro.analysis.experiments import grid_fingerprint, run_serve_at_scale
 from repro.chaos import ChaosKind, ChaosSchedule
 from repro.serving import (
     DegradationTier,
@@ -115,23 +114,6 @@ class TestServeScaleCampaign:
         b = json.dumps(second.run().to_json(), sort_keys=True)
         assert a == b
 
-    def test_obs_on_and_off_produce_identical_scorecards(self):
-        prior = obs.enabled()
-        try:
-            obs.set_enabled(False)
-            off, _ = _campaign(ScaleHardening.full(), ticks=100)
-            off_json = json.dumps(off.run().to_json(), sort_keys=True)
-            obs.set_enabled(True)
-            obs.metrics.reset()
-            obs.tracer.reset()
-            on, _ = _campaign(ScaleHardening.full(), ticks=100)
-            on_json = json.dumps(on.run().to_json(), sort_keys=True)
-        finally:
-            obs.set_enabled(prior)
-            obs.metrics.reset()
-            obs.tracer.reset()
-        assert off_json == on_json
-
     def test_serve_stale_tier_answers_from_cache_without_a_core(self):
         campaign, _ = _campaign(ScaleHardening.full())
         shard = campaign.cluster.shards[0]
@@ -207,21 +189,10 @@ class TestServeAtScaleGrid:
 
     def test_scorecard_is_invariant_to_the_worker_count(self):
         # the satellite-3 pin: fan-out must not perturb a single byte
-        def fingerprint(result):
-            return json.dumps(
-                {
-                    prev: {
-                        arm: card.to_json() for arm, card in arms.items()
-                    }
-                    for prev, arms in result["grid"].items()
-                },
-                sort_keys=True,
-            )
-
         serial = run_serve_at_scale(
             ticks=120, prevalences=(0.1, 0.2), seed=5, workers=1
         )
         fanned = run_serve_at_scale(
             ticks=120, prevalences=(0.1, 0.2), seed=5, workers=2
         )
-        assert fingerprint(serial) == fingerprint(fanned)
+        assert grid_fingerprint(serial) == grid_fingerprint(fanned)

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.chaos import ChaosKind, ChaosSchedule
 from repro.core.events import EventKind
 from repro.storage import (
@@ -46,12 +44,6 @@ class TestStorageChaosSchedule:
         ticks = [action.at_tick for action in schedule.actions]
         assert ticks == sorted(ticks)
         assert all(action.at_tick < 600 for action in schedule.actions)
-
-    def test_serving_shim_warns_but_still_exports_the_shared_chaos(self):
-        with pytest.warns(DeprecationWarning, match="repro.chaos"):
-            from repro.serving.chaos import ChaosSchedule as ShimSchedule
-
-        assert ShimSchedule is ChaosSchedule
 
 
 class TestStorageCampaign:
