@@ -27,8 +27,7 @@ Subpackages:
   CEE-hardening (validation, retries, hedging, breakers) campaigns.
 - :mod:`repro.storage` — quorum-replicated KV store whose bytes cross
   fleet silicon, with scrub/repair and chaos campaigns.
-- :mod:`repro.engine` — deterministic parallel trial execution and the
-  benchmark harness with committed scorecards.
+- :mod:`repro.engine` — deterministic parallel trial execution.
 - :mod:`repro.obs` — unified observability: metrics registry, trace
   spans, exporters, and corruption-forensics timelines (see
   OBSERVABILITY.md).

@@ -52,7 +52,7 @@ from repro.detection.offline import OfflineScreener, OfflineScreenerConfig
 from repro.detection.online import OnlineScreener
 from repro.detection.quarantine import CoreQuarantine, MachineQuarantine
 from repro.engine import Trial, run_tasks, run_trials
-from repro.fleet.population import FleetBuilder, ground_truth_map
+from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
 from repro.fleet.scheduler import FleetScheduler, Task
 from repro.fleet.simulator import FleetSimulator, SimulatorConfig
@@ -162,13 +162,14 @@ def run_fig1(
         deployment_window=(-800.0, horizon_days),
         technology_refresh=True,
     )
-    machines, truth = builder.build(n_machines)
     simulator = FleetSimulator(
-        machines,
-        truth,
-        SimulatorConfig(horizon_days=horizon_days, warmup_days=warmup_days),
+        builder.build_columns(n_machines),
+        config=SimulatorConfig(
+            horizon_days=horizon_days, warmup_days=warmup_days
+        ),
         seed=seed + 1,
     )
+    truth = simulator.truth
     result = simulator.run()
     auto = result.cee_report_series(Reporter.AUTOMATED, bucket_days)
     human = result.cee_report_series(Reporter.HUMAN, bucket_days)
@@ -189,39 +190,21 @@ def run_fig1(
 
 def _incidence_trial(
     trial: Trial, *, n_machines: int, horizon_days: float,
-    legacy: bool = False,
 ) -> dict:
     """One seeded E1 campaign; module-level so the pool can pickle it.
 
-    ``legacy=True`` runs the identical trial on the preserved serial
-    paths (loop builder, scalar tick) — the bench harness's baseline.
-    The optimized path runs entirely on the columnar substrate (no
-    ``Core`` objects at all); it is bit-identical to the object
-    vectorized path it replaced, so E1 results are unchanged.
+    Runs entirely on the columnar substrate (no ``Core`` objects).
     """
-    builder = FleetBuilder(seed=trial.seed, deployment_window=(-900.0, 0.0))
-    if legacy:
-        machines, truth = builder.build_legacy(n_machines)
-        simulator = FleetSimulator(
-            machines, truth,
-            SimulatorConfig(
-                horizon_days=horizon_days, warmup_days=0.0,
-                vectorized=False,
-            ),
-            seed=trial.seed + 1,
-        )
-        truth_map = ground_truth_map(machines)
-    else:
-        columns = builder.build_columns(n_machines)
-        simulator = FleetSimulator(
-            columns,
-            config=SimulatorConfig(
-                horizon_days=horizon_days, warmup_days=0.0,
-            ),
-            seed=trial.seed + 1,
-        )
-        truth = simulator.truth
-        truth_map = columns.ground_truth_map()
+    columns = FleetBuilder(
+        seed=trial.seed, deployment_window=(-900.0, 0.0)
+    ).build_columns(n_machines)
+    simulator = FleetSimulator(
+        columns,
+        config=SimulatorConfig(horizon_days=horizon_days, warmup_days=0.0),
+        seed=trial.seed + 1,
+    )
+    truth = simulator.truth
+    truth_map = columns.ground_truth_map()
     result = simulator.run()
     detection = confusion(truth_map, result.flagged())
     publish_confusion(detection, detector="fleet")

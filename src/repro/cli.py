@@ -13,10 +13,6 @@ Usage::
     python -m repro store                 # the E16 storage campaign, CI scale
     python -m repro store --json          # machine-readable durability scorecards
     python -m repro cases                 # the §2 named defect case studies
-    python -m repro bench --scale ci      # perf scorecards -> BENCH_<ID>.json
-    python -m repro bench serve-scale     # the E17 grid -> BENCH_E17.json
-    python -m repro bench instrcheck      # the E18 grid -> BENCH_E18.json
-    python -m repro bench fleetscreen     # the E19 grid -> BENCH_E19.json
     python -m repro run E19 --scale ci    # fleet-screening grid, smoke scale
     python -m repro trace e18             # instrcheck catch-attribution timeline
     python -m repro trace e17             # serve-at-scale (full arm) forensics
@@ -156,31 +152,6 @@ def _run_campaign_json(experiment_id: str, seed: int | None,
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Run registered benchmarks and write BENCH_<ID>.json scorecards."""
-    from repro.engine.bench import BENCHMARKS, run_benchmark, write_scorecard
-
-    bench_ids = [b.lower() for b in args.benchmarks] or list(BENCHMARKS)
-    unknown = [b for b in bench_ids if b not in BENCHMARKS]
-    if unknown:
-        known = ", ".join(sorted(BENCHMARKS))
-        print(f"unknown benchmark(s): {', '.join(unknown)} (known: {known})",
-              file=sys.stderr)
-        return 2
-    payloads = []
-    for bench_id in bench_ids:
-        card = run_benchmark(
-            bench_id, scale=args.scale, workers=args.workers
-        )
-        path = write_scorecard(card, args.out_dir)
-        print(f"{card.summary()}  -> {path}", file=sys.stderr)
-        payloads.append(card.to_json())
-    if args.json:
-        json.dump(payloads, sys.stdout, indent=2, sort_keys=True)
-        print()
-    return 0
-
-
 def _obs_campaign(source: str, seed: int) -> tuple:
     """Run one observability-instrumented campaign arm at CI scale.
 
@@ -305,29 +276,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--trials", type=int, default=None,
         help="Monte-Carlo trial count for runners that support it",
     )
-    bench_parser = subparsers.add_parser(
-        "bench", help="run perf benchmarks; write BENCH_<ID>.json scorecards"
-    )
-    bench_parser.add_argument(
-        "benchmarks", nargs="*", metavar="BENCH",
-        help="bench ids (default: all registered)",
-    )
-    bench_parser.add_argument(
-        "--scale", choices=("default", "ci"), default="default",
-        help="ci = smoke-test sizes",
-    )
-    bench_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size for the optimized side of the A/B",
-    )
-    bench_parser.add_argument(
-        "--out-dir", default=".",
-        help="directory for BENCH_<ID>.json files (default: cwd)",
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true",
-        help="print the scorecards as JSON to stdout as well",
-    )
     for name, experiment_id, help_text in (
         ("serve", "E15",
          "run the E15 serving-under-CEE chaos campaign at CI scale"),
@@ -390,8 +338,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_list()
     if args.command == "cases":
         return _cmd_cases()
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
     if args.command == "trace":

@@ -1,9 +1,4 @@
-"""Parallel trial engine and benchmark scorecard harness.
-
-:mod:`repro.engine.runner` is imported eagerly (the experiments layer
-depends on it); :mod:`repro.engine.bench` is left as an explicit import
-because it depends back on :mod:`repro.analysis.experiments`.
-"""
+"""Deterministic parallel trial engine (:mod:`repro.engine.runner`)."""
 
 from repro.engine.runner import (
     Trial,

@@ -78,8 +78,7 @@ def effective_workers(
 
     A pool wider than ``os.cpu_count()`` is pure overhead: the extra
     processes time-slice one CPU while every chunk still pays pickling
-    and IPC (the root cause of BENCH_E15's historical < 1.0 "speedup"
-    on single-CPU hosts).  Benchmarks and campaign entry points use
+    and IPC.  Benchmarks and campaign entry points use
     this; :func:`run_tasks` itself deliberately does not, so explicit
     worker counts in tests still exercise the real pool.
     """

@@ -12,10 +12,10 @@ pool worker costs a full pickle round-trip.
 arrays — machine columns, per-core columns, and dense per-mercurial
 columns (the mercurial population is tiny, so everything a defect model
 needs lives in arrays sized by *defective* cores, not total cores).
-The contract with the object world is lossless: ``to_machines()``
-materializes the exact fleet :meth:`repro.fleet.population.FleetBuilder.build`
-would have produced (bit-identical ids, defects, seeds and ages — pinned
-by tests), and :meth:`from_machines` goes the other way.
+``to_machines()`` materializes the fleet as ``Machine``/``Core``
+objects for the consumers that execute real operations on it (it is
+what :meth:`repro.fleet.population.FleetBuilder.build` returns), and
+:meth:`from_machines` goes the other way.
 
 Memory layout (1M cores ≈ 7 MB, vs ≈ 1 GB of ``Core`` objects):
 
@@ -180,6 +180,8 @@ class FleetColumns:
 
     def core_index(self, core_id: str) -> int | None:
         """Flat index for a core id; ``None`` if the id is unknown."""
+        if self._core_ids is not None:
+            return self._explicit_core_index_map().get(core_id)
         machine_part, _, core_part = core_id.rpartition("/c")
         if not machine_part:
             return None
@@ -205,6 +207,16 @@ class FleetColumns:
             object.__setattr__(self, "_machine_map", cached)
         return cached
 
+    def _explicit_core_index_map(self) -> dict[str, int]:
+        cached = getattr(self, "_core_map", None)
+        if cached is None:
+            assert self._core_ids is not None
+            cached = {
+                core_id: flat for flat, core_id in enumerate(self._core_ids)
+            }
+            object.__setattr__(self, "_core_map", cached)
+        return cached
+
     def machine_core_range(self, machine_index: int) -> tuple[int, int]:
         """Flat index range ``[start, stop)`` of one machine's cores."""
         return (
@@ -215,12 +227,8 @@ class FleetColumns:
     # -- mercurial population -------------------------------------------
 
     def merc_defects(self, merc_index: int) -> tuple:
-        """Defect models of one mercurial core, regenerated on demand.
-
-        Builder fleets resample from ``merc_sample_seed`` — identical
-        calls to what :meth:`FleetBuilder.build` made, so the defect
-        parameters are bit-identical to the object fleet's.
-        """
+        """Defect models of one mercurial core, regenerated on demand
+        (builder fleets resample from ``merc_sample_seed``)."""
         if self._merc_defects is None:
             self._merc_defects = [None] * self.n_mercurial
         cached = self._merc_defects[merc_index]
@@ -356,11 +364,10 @@ class FleetColumns:
         return columns
 
     def to_machines(self) -> tuple[list["Machine"], "FleetGroundTruth"]:
-        """Materialize the object fleet these columns describe.
-
-        Bit-identical to what :meth:`FleetBuilder.build` produces for
-        the same seed (pinned by tests): same ids, same defect
-        parameters, same per-core RNG seeding, same deploy days.
+        """Materialize the object fleet these columns describe: ids,
+        defect parameters, per-core RNG seeding (``merc_core_seed``),
+        ages, online flags and deploy days all come from the columns.
+        Healthy cores get no Generator of their own (they never draw).
         """
         from repro.fleet.machine import Machine
 

@@ -16,8 +16,6 @@ from repro.fleet.columns import FleetColumns, defect_mode_code
 from repro.fleet.machine import Machine
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.silicon.catalog import sample_core_defects
-from repro.silicon.core import Chip, Core
-from repro.silicon.environment import NOMINAL
 
 
 @dataclasses.dataclass
@@ -82,10 +80,7 @@ class FleetBuilder:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Draw every random decision for a fleet as numpy batches.
 
-        The single source of the builder's RNG-consumption order — both
-        :meth:`build` and :meth:`build_columns` run exactly this draw
-        sequence, which is what makes their outputs bit-identical for
-        equal seeds (pinned by the columnar parity tests).
+        The single source of the builder's RNG-consumption order.
 
         Returns ``(product_indices, deploy_days, cores_per_machine,
         mercurial_flags, mercurial_seeds)``; seeds come two per
@@ -134,74 +129,16 @@ class FleetBuilder:
         )
 
     def build(self, n_machines: int) -> tuple[list[Machine], FleetGroundTruth]:
-        """Create the fleet and its ground truth (vectorized).
-
-        All random decisions — SKU choice, deploy day, per-core
-        prevalence draws, defect-sampler seeds — are drawn as numpy
-        batches up front, then a single Python pass materializes the
-        ``Machine``/``Core`` objects.  Healthy cores get no Generator of
-        their own (they never draw), which is what makes 10^5-core
-        fleets build in about a second instead of tens of seconds.
-        """
-        (
-            product_indices,
-            deploy_days,
-            _cores_per_machine,
-            mercurial_flag_array,
-            mercurial_seed_array,
-        ) = self._population_plan(n_machines)
-        mercurial_flags = mercurial_flag_array.tolist()
-        mercurial_seeds = mercurial_seed_array.tolist()
-
-        machines: list[Machine] = []
-        mercurial: set[str] = set()
-        onsets: dict[str, float] = {}
-        product_index_list = product_indices.tolist()
-        deploy_day_list = deploy_days.tolist()
-        flat = 0
-        drawn = 0
-        for index in range(n_machines):
-            machine_id = f"m{index:05d}"
-            product = self.products[product_index_list[index]]
-            cores = []
-            for core_index in range(product.cores_per_machine):
-                core_id = f"{machine_id}/c{core_index:02d}"
-                if mercurial_flags[flat]:
-                    sample_seed, core_seed = mercurial_seeds[drawn]
-                    drawn += 1
-                    defects = sample_core_defects(
-                        np.random.default_rng(sample_seed),
-                        core_id, onset=product.onset,
-                    )
-                    mercurial.add(core_id)
-                    onsets[core_id] = min(d.aging.onset_days for d in defects)
-                    core = Core(
-                        core_id, defects=defects, env=NOMINAL,
-                        rng=np.random.default_rng(core_seed),
-                    )
-                else:
-                    core = Core(core_id, env=NOMINAL)
-                cores.append(core)
-                flat += 1
-            machines.append(
-                Machine(
-                    machine_id=machine_id,
-                    product=product,
-                    chip=Chip(cores),
-                    deploy_day=float(deploy_day_list[index]),
-                )
-            )
-        return machines, FleetGroundTruth(mercurial, onsets)
+        """The fleet as ``Machine``/``Core`` objects, plus its ground
+        truth: :meth:`build_columns` materialized through
+        :meth:`FleetColumns.to_machines`."""
+        return self.build_columns(n_machines).to_machines()
 
     def build_columns(self, n_machines: int) -> FleetColumns:
         """Create the fleet directly as columns, skipping objects entirely.
 
-        Runs the same :meth:`_population_plan` draw sequence as
-        :meth:`build`, so ``build_columns(n).to_machines()`` is
-        bit-identical to ``build(n)`` at equal seeds (same ids, defect
-        parameters, RNG seeding, deploy days — pinned by tests).  The
-        only remaining Python loop is over the *mercurial* population —
-        a handful of cores per hundred thousand at paper prevalence —
+        The only Python loop is over the *mercurial* population — a
+        handful of cores per hundred thousand at paper prevalence —
         which is what pushes fleet synthesis to O(1M) cores/s.
         """
         (
@@ -262,67 +199,6 @@ class FleetBuilder:
             merc_core_seed=merc_core_seed,
             _merc_defects=merc_defects,
         )
-
-    def build_legacy(
-        self, n_machines: int
-    ) -> tuple[list[Machine], FleetGroundTruth]:
-        """The original per-draw builder, kept as the measured serial
-        baseline for the ``repro bench`` scorecards (`BENCH_*.json`).
-
-        Statistically equivalent to :meth:`build` but draws from the
-        root generator once per decision and allocates a Generator per
-        core, so it is O(20x) slower at fleet scale.  Same seed does
-        *not* reproduce the same fleet across the two builders — each
-        is only self-deterministic.
-        """
-        if n_machines < 1:
-            raise ValueError("need at least one machine")
-        root = np.random.default_rng(self.seed)
-        machines: list[Machine] = []
-        mercurial: set[str] = set()
-        onsets: dict[str, float] = {}
-        for index in range(n_machines):
-            machine_id = f"m{index:05d}"
-            product_index = int(
-                root.choice(len(self.products), p=self._probabilities)
-            )
-            product = self.products[product_index]
-            earliest, latest = self.deployment_window
-            if latest <= earliest:
-                deploy_day = earliest
-            elif self.technology_refresh and len(self.products) > 1:
-                span = latest - earliest
-                k = product_index
-                n = len(self.products)
-                segment_start = earliest + span * k / (n + 1)
-                segment_end = earliest + span * (k + 2) / (n + 1)
-                deploy_day = float(root.uniform(segment_start, segment_end))
-            else:
-                deploy_day = float(root.uniform(earliest, latest))
-            cores = []
-            for core_index in range(product.cores_per_machine):
-                core_id = f"{machine_id}/c{core_index:02d}"
-                defects = ()
-                if root.random() < product.core_prevalence:
-                    defect_rng = np.random.default_rng(root.integers(2**63))
-                    defects = sample_core_defects(
-                        defect_rng, core_id, onset=product.onset
-                    )
-                    mercurial.add(core_id)
-                    onsets[core_id] = min(d.aging.onset_days for d in defects)
-                core_rng = np.random.default_rng(root.integers(2**63))
-                cores.append(
-                    Core(core_id, defects=defects, env=NOMINAL, rng=core_rng)
-                )
-            machines.append(
-                Machine(
-                    machine_id=machine_id,
-                    product=product,
-                    chip=Chip(cores),
-                    deploy_day=deploy_day,
-                )
-            )
-        return machines, FleetGroundTruth(mercurial, onsets)
 
 
 def ground_truth_map(machines: list[Machine]) -> dict[str, bool]:

@@ -36,7 +36,6 @@ from repro.detection.signals import SignalAnalyzer  # repro: noqa-ARCH001 -- the
 from repro.fleet.columns import FleetColumns
 from repro.fleet.machine import Machine
 from repro.fleet.population import FleetGroundTruth
-from repro.silicon.core import Core
 from repro.silicon.defects import MachineCheckDefect
 from repro.workloads.generator import blended_op_mix  # repro: noqa-ARCH001 -- fleet days replay the production workload blend so corruption rates match the serving mix
 
@@ -85,16 +84,30 @@ class SimulatorConfig:
     confession_attempts: int = 3
     policy: PolicyConfig = dataclasses.field(default_factory=PolicyConfig)
     suspicion_retest_threshold: float = 2.0
-    #: batch all per-tick Poisson/binomial/attribution draws across the
-    #: active mercurial population instead of drawing per core.  Both
-    #: paths are self-deterministic and statistically identical, but
-    #: they consume the RNG stream in different orders, so flipping this
-    #: changes individual event realizations (not the calibrated bands).
-    vectorized: bool = True
     #: how stale a cached (silent, mce) rate split may get before the
-    #: vectorized path recomputes it from the defect models.  Defect
-    #: aging curves move on week scales, so 7 days loses nothing.
+    #: tick recomputes it from the defect models.  Defect aging curves
+    #: move on week scales, so 7 days loses nothing.
     rate_refresh_days: float = 7.0
+
+    def __post_init__(self) -> None:
+        # A zero tick never advances the clock (run() would spin
+        # forever) and a NaN horizon ends the loop before it starts,
+        # returning an empty but plausible-looking result.
+        if not (math.isfinite(self.tick_days) and self.tick_days > 0):
+            raise ValueError(
+                f"tick_days must be finite and > 0, got {self.tick_days}"
+            )
+        for name in ("horizon_days", "warmup_days"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
+        if not self.rate_refresh_days >= 0:
+            raise ValueError(
+                "rate_refresh_days must be >= 0, "
+                f"got {self.rate_refresh_days}"
+            )
 
 
 @dataclasses.dataclass
@@ -163,17 +176,22 @@ class SimulationResult:
 class FleetSimulator:
     """Drives a fleet through a detection campaign.
 
-    The fleet comes in one of two substrates:
+    The simulator runs on :class:`~repro.fleet.columns.FleetColumns`
+    only.  An object fleet (``list[Machine]``) is adapted once, here,
+    through :meth:`FleetColumns.from_machines`; the event stream is
+    bit-identical either way (pinned by the parity tests).  The
+    adaptation is one-way: quarantines and aging land in the
+    simulator's own columns and in the :class:`SimulationResult`, never
+    back in ``Core`` objects it was handed.  Read-only columns
+    (shared-memory snapshots) are thawed automatically; writable
+    columns are mutated in place (``online``, ``merc_age``).
 
-    - ``list[Machine]`` — the object fleet (plus an explicit ground
-      truth).  Both tick paths work; this is the compatibility anchor.
-    - :class:`~repro.fleet.columns.FleetColumns` — the columnar
-      substrate, including zero-copy shared-memory snapshots (read-only
-      columns are thawed automatically).  Only the vectorized tick runs
-      on columns, and it is bit-identical to the object vectorized tick
-      at equal seeds (pinned by parity tests): both consume the same
-      RNG stream in the same order, because the per-mercurial rate
-      caches and event-emission order are substrate-independent.
+    :meth:`_tick` batches every per-tick stochastic draw across the
+    active mercurial population.  The per-core form of the same tick —
+    one draw at a time, readable top to bottom — is
+    :class:`repro.fleet.reference.ScalarReferenceSimulator`, which
+    overrides only :meth:`_tick` and which the tests hold this one
+    against.
     """
 
     def __init__(
@@ -184,25 +202,13 @@ class FleetSimulator:
         seed: int = 0,
     ):
         self.config = config or SimulatorConfig()
-        self.columns: FleetColumns | None = None
-        if isinstance(fleet, FleetColumns):
-            if not self.config.vectorized:
-                raise ValueError(
-                    "the scalar tick needs Core objects; materialize the "
-                    "columns with to_machines() to run vectorized=False"
-                )
-            self.columns = fleet.thaw() if fleet.read_only else fleet
-            self.machines: list[Machine] = []
-            self.truth = truth if truth is not None else self.columns.ground_truth()
-            self.n_machines = self.columns.n_machines
-            self.n_cores = self.columns.n_cores
-        else:
-            self.machines = fleet
-            if truth is None:
-                raise TypeError("an object fleet needs an explicit ground truth")
-            self.truth = truth
-            self.n_machines = len(fleet)
-            self.n_cores = sum(len(m.cores) for m in fleet)
+        if not isinstance(fleet, FleetColumns):
+            fleet = FleetColumns.from_machines(fleet)
+        columns = fleet.thaw() if fleet.read_only else fleet
+        self.columns = columns
+        self.truth = truth if truth is not None else columns.ground_truth()
+        self.n_machines = columns.n_machines
+        self.n_cores = columns.n_cores
         self.rng = np.random.default_rng(seed)
         self.events = EventLog()
         self.production_mix = blended_op_mix()
@@ -218,26 +224,14 @@ class FleetSimulator:
         self.policy = QuarantinePolicy(self.config.policy, fleet_cores=n_cores)
         self.triage = HumanTriageModel(np.random.default_rng(seed + 1))
 
-        self._core_by_id: dict[str, Core] = {}
-        self._machine_by_core: dict[str, Machine] = {}
-        self._mercurial: list[tuple[Machine, Core]] = []
-        if self.columns is None:
-            for machine in self.machines:
-                for core in machine.cores:  # repro: noqa-PERF002 -- object-substrate index build (compat path)
-                    self._core_by_id[core.core_id] = core
-                    self._machine_by_core[core.core_id] = machine
-                    if core.is_mercurial:
-                        self._mercurial.append((machine, core))
-
         self.total_corruptions = 0
         self.app_visible = 0
         self.screening_ops = 0.0
         self.quarantine_day: dict[str, float] = {}
         self.detection_latency: dict[str, float] = {}
-        self._screen_cursor = 0
 
         # Observability: the enabled flag is cached so the per-tick hot
-        # loop pays one attribute test when off (BENCH_OBS contract).
+        # loop pays one attribute test when off.
         self._obs_on = obs.enabled()
         if self._obs_on:
             self._m_ticks = obs.metrics.counter(
@@ -260,99 +254,46 @@ class FleetSimulator:
                 buckets=(1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 240.0, 480.0),
             )
 
-        # Vectorized-path caches: per-mercurial-core (silent, mce) rate
-        # splits, refreshed on defect onset and then at most every
-        # ``rate_refresh_days`` of core age.  Whole-population arrays
-        # drive the active-core scan: onset is a pure age threshold
-        # (min across the core's defects), so activity and aging never
-        # need a per-core Python trip.  Both substrates fill the same
-        # arrays — the tick itself is substrate-independent.
-        if self.columns is None:
-            n_mercurial = len(self._mercurial)
-            self._machine_ids = [m.machine_id for m in self.machines]
-            self._merc_onset = np.array([
-                min((d.aging.onset_days for d in core.defects), default=np.inf)
-                for _, core in self._mercurial
-            ])
-            self._merc_deploy = np.array(
-                [machine.deploy_day for machine, _ in self._mercurial]
-            )
-            # The age array mirrors core.age_days; the Core objects are
-            # synced on rate refresh (the only in-loop reader) and at
-            # end of run.
-            self._merc_age = np.array(
-                [core.age_days for _, core in self._mercurial]
-            )
-            self._merc_machine_id = [m.machine_id for m, _ in self._mercurial]
-            self._merc_core_id = [c.core_id for _, c in self._mercurial]
-            self._merc_flat: np.ndarray | None = None
-            self._merc_machine_index: np.ndarray | None = None
-            self._merc_synced_age: np.ndarray | None = None
-            self._merc_defect_models: list[tuple] | None = None
-            self._merc_envs: list | None = None
-            self._merc_index_by_flat: dict[int, int] | None = None
-        else:
-            columns = self.columns
-            n_mercurial = columns.n_mercurial
-            self._machine_ids = [str(m) for m in columns.machine_ids.tolist()]
-            merc_flat = np.asarray(columns.merc_core, dtype=np.int64)
-            self._merc_flat = merc_flat
-            self._merc_machine_index = columns.core_machine[merc_flat].astype(
-                np.int64
-            )
-            self._merc_onset = columns.merc_onset.astype(np.float64, copy=True)
-            self._merc_deploy = columns.machine_deploy_day[
-                self._merc_machine_index
-            ].astype(np.float64)
-            self._merc_age = columns.merc_age.astype(np.float64, copy=True)
-            # Mirrors what core.age_days would be on the object
-            # substrate: advanced only at rate refresh, so stale reads
-            # (triage activity checks, confession rates) see the same
-            # age either way.
-            self._merc_synced_age = self._merc_age.copy()
-            self._merc_defect_models = [
-                columns.merc_defects(i) for i in range(n_mercurial)
-            ]
-            self._merc_envs = [columns.merc_env(i) for i in range(n_mercurial)]
-            self._merc_machine_id = [
-                self._machine_ids[int(m)] for m in self._merc_machine_index
-            ]
-            self._merc_core_id = [
-                columns.core_id(int(flat)) for flat in merc_flat.tolist()
-            ]
-            self._merc_index_by_flat = {
-                int(flat): index for index, flat in enumerate(merc_flat.tolist())
-            }
+        # Per-mercurial-core state, dense over the (tiny) mercurial
+        # population.  Onset is a pure age threshold (min across the
+        # core's defects), so activity and aging never need a per-core
+        # Python trip; the (silent, mce) rate splits are cached,
+        # refreshed on defect onset and then at most every
+        # ``rate_refresh_days`` of core age.
+        n_mercurial = columns.n_mercurial
+        self._machine_ids = [str(m) for m in columns.machine_ids.tolist()]
+        merc_flat = np.asarray(columns.merc_core, dtype=np.int64)
+        self._merc_flat = merc_flat
+        self._merc_machine_index = columns.core_machine[merc_flat].astype(
+            np.int64
+        )
+        self._merc_onset = columns.merc_onset.astype(np.float64, copy=True)
+        self._merc_deploy = columns.machine_deploy_day[
+            self._merc_machine_index
+        ].astype(np.float64)
+        self._merc_age = columns.merc_age.astype(np.float64, copy=True)
+        # The age each core's cached rates were last computed at.
+        # Triage activity checks and confession rates read this one, not
+        # the per-tick ``_merc_age``: what the fleet service knows about
+        # a core is as old as its last rate refresh.
+        self._merc_synced_age = self._merc_age.copy()
+        self._merc_defect_models = [
+            columns.merc_defects(i) for i in range(n_mercurial)
+        ]
+        self._merc_envs = [columns.merc_env(i) for i in range(n_mercurial)]
+        self._merc_machine_id = [
+            self._machine_ids[int(m)] for m in self._merc_machine_index
+        ]
+        self._merc_core_id = [
+            columns.core_id(int(flat)) for flat in merc_flat.tolist()
+        ]
+        self._merc_index_by_flat = {
+            int(flat): index for index, flat in enumerate(merc_flat.tolist())
+        }
         self._n_mercurial = n_mercurial
         self._merc_silent = np.zeros(n_mercurial)
         self._merc_mce = np.zeros(n_mercurial)
         self._merc_rate_age = np.full(n_mercurial, -np.inf)
-
-    # -- rate helpers ---------------------------------------------------
-
-    @staticmethod
-    def _split_rate_parts(
-        defects, env, age_days: float, op_mix: dict[str, float]
-    ) -> tuple[float, float]:
-        """(silent corruption rate, machine-check rate) per op."""
-        silent = 0.0
-        noisy = 0.0
-        for defect in defects:
-            rate = defect.mean_rate(op_mix, env, age_days)
-            if isinstance(defect, MachineCheckDefect):
-                noisy += rate
-            else:
-                silent += rate
-        return silent, noisy
-
-    @classmethod
-    def _split_rates(
-        cls, core: Core, op_mix: dict[str, float]
-    ) -> tuple[float, float]:
-        """(silent corruption rate, machine-check rate) per op."""
-        return cls._split_rate_parts(
-            core.defects, core.env, core.age_days, op_mix
-        )
 
     def _coverage(self, now_days: float) -> float:
         """Automated corpus coverage: stepwise expansion (§6)."""
@@ -369,172 +310,14 @@ class FleetSimulator:
     def _emit(self, **kwargs) -> None:
         self.events.append(CeeEvent(**kwargs))
 
-    def _emit_incidents(
-        self, machine: Machine, core: Core, now: float, tick: float
-    ) -> None:
-        cfg = self.config
-        silent_rate, mce_rate = self._split_rates(core, self.production_mix)
-        exposed = cfg.exposed_ops_per_day * tick
-        n_corruptions = int(self.rng.poisson(silent_rate * exposed))
-        n_mce = int(self.rng.poisson(mce_rate * exposed))
-        self.total_corruptions += n_corruptions
-        cap = max(1, int(cfg.max_surfaced_per_channel_per_day * tick))
-        n_mce = min(n_mce, cap)
-
-        for _ in range(n_mce):
-            attributed = self.rng.random() < cfg.p_attribute_mce
-            self._emit(
-                time_days=now, machine_id=machine.machine_id,
-                core_id=core.core_id if attributed else None,
-                kind=EventKind.MACHINE_CHECK, reporter=Reporter.AUTOMATED,
-                detail="mce",
-            )
-
-        if n_corruptions == 0:
-            return
-        surfaced_selfcheck = min(
-            int(self.rng.binomial(n_corruptions, cfg.p_selfcheck_surface)), cap
-        )
-        surfaced_crash = min(
-            int(self.rng.binomial(n_corruptions, cfg.p_crash_surface)), cap
-        )
-        surfaced_user = min(
-            int(self.rng.binomial(n_corruptions, cfg.p_user_surface)), cap
-        )
-        self.app_visible += surfaced_selfcheck
-
-        for _ in range(surfaced_selfcheck):
-            attributed = self.rng.random() < cfg.p_attribute_selfcheck
-            if attributed:
-                self.complaints.report(
-                    Complaint(
-                        time_days=now,
-                        application=f"app{int(self.rng.integers(8))}",
-                        machine_id=machine.machine_id,
-                        core_id=core.core_id,
-                        detail="self-check failure",
-                    )
-                )
-            else:
-                self._emit(
-                    time_days=now, machine_id=machine.machine_id, core_id=None,
-                    kind=EventKind.SELF_CHECK_FAILURE,
-                    reporter=Reporter.AUTOMATED, detail="self-check failure",
-                )
-        for _ in range(surfaced_crash):
-            attributed = self.rng.random() < cfg.p_attribute_crash
-            self._emit(
-                time_days=now, machine_id=machine.machine_id,
-                core_id=core.core_id if attributed else None,
-                kind=EventKind.CRASH, reporter=Reporter.AUTOMATED,
-                detail="process crash",
-            )
-        for _ in range(surfaced_user):
-            attributed = self.rng.random() < cfg.p_attribute_user
-            self._emit(
-                time_days=now, machine_id=machine.machine_id,
-                core_id=core.core_id if attributed else None,
-                kind=EventKind.USER_REPORT, reporter=Reporter.HUMAN,
-                detail="production incident",
-            )
-
-    def _emit_background(self, now: float, tick: float) -> None:
-        cfg = self.config
-        n_machines = len(self.machines)
-        n_crash = int(self.rng.poisson(cfg.bg_crash_rate * n_machines * tick))
-        for _ in range(n_crash):
-            machine = self.machines[int(self.rng.integers(n_machines))]
-            self._emit(
-                time_days=now, machine_id=machine.machine_id, core_id=None,
-                kind=EventKind.CRASH, reporter=Reporter.AUTOMATED,
-                detail="software bug",
-            )
-        n_user = int(self.rng.poisson(cfg.bg_user_rate * n_machines * tick))
-        for _ in range(n_user):
-            machine = self.machines[int(self.rng.integers(n_machines))]
-            # Humans sometimes (wrongly) finger a specific healthy core.
-            core = machine.cores[int(self.rng.integers(len(machine.cores)))]
-            attributed = self.rng.random() < cfg.p_attribute_user
-            self._emit(
-                time_days=now, machine_id=machine.machine_id,
-                core_id=core.core_id if attributed else None,
-                kind=EventKind.USER_REPORT, reporter=Reporter.HUMAN,
-                detail="suspected bad machine",
-            )
-
-    # -- screening (analytic) ----------------------------------------------
-
-    def _screen_detection_probability(
-        self, core: Core, corpus_ops: float, env_boost: float, coverage: float
-    ) -> float:
-        silent_rate, mce_rate = self._split_rates(core, self.production_mix)
-        rate = (silent_rate + mce_rate) * env_boost * coverage
-        return 1.0 - math.exp(-rate * corpus_ops)
-
-    def _run_screening(self, now: float, tick: float) -> None:
-        """Statistical screening pass.
-
-        Healthy cores always pass, so their screening contributes only
-        cost — accounted in bulk.  Each mercurial core is "due" with
-        probability tick/period per tick (the round-robin cadence in
-        expectation), and confesses with the analytic detection
-        probability for the corpus effort at the relevant conditions.
-        """
-        cfg = self.config
-        n_cores = self.n_cores
-        coverage = self._coverage(now)
-        self.screening_ops += (
-            n_cores * tick / cfg.online_screen_period_days * cfg.online_corpus_ops
-        )
-        self.screening_ops += (
-            n_cores * tick / cfg.offline_screen_period_days * cfg.offline_corpus_ops
-        )
-        schedules = (
-            (cfg.online_screen_period_days, cfg.online_corpus_ops, 1.0, "online screen"),
-            (
-                cfg.offline_screen_period_days,
-                cfg.offline_corpus_ops,
-                cfg.offline_env_boost,
-                "offline screen",
-            ),
-        )
-        for machine, core in self._mercurial:
-            if not core.online or not core.is_defective_now():
-                continue
-            for period, corpus_ops, env_boost, label in schedules:
-                if self.rng.random() >= tick / period:
-                    continue
-                p = self._screen_detection_probability(
-                    core, corpus_ops, env_boost=env_boost, coverage=coverage
-                )
-                if self.rng.random() < p:
-                    self._emit(
-                        time_days=now,
-                        machine_id=machine.machine_id,
-                        core_id=core.core_id, kind=EventKind.SCREEN_FAIL,
-                        reporter=Reporter.AUTOMATED, detail=label,
-                    )
-
     # -- policy + triage ----------------------------------------------------
-
-    def _confession_probability(self, core: Core, now: float) -> float:
-        return self._screen_detection_probability(
-            core,
-            self.config.confession_corpus_ops,
-            env_boost=self.config.offline_env_boost,
-            coverage=self._coverage(now),
-        )
 
     def _confession_probability_cached(
         self, merc_index: int, now: float
     ) -> float:
-        """Columnar twin of :meth:`_confession_probability`.
-
-        The cached (silent, mce) split was computed at exactly the age
-        the object substrate would read back (ages only advance at rate
-        refresh), so this is bit-identical to recomputing from the
-        defect models — same sums, same expression order.
-        """
+        """Chance one offline confession run catches this core, from
+        its cached (silent, mce) split — i.e. at its last-refreshed
+        age, see ``_merc_synced_age``."""
         cfg = self.config
         silent_rate = float(self._merc_silent[merc_index])
         mce_rate = float(self._merc_mce[merc_index])
@@ -545,34 +328,14 @@ class FleetSimulator:
         )
         return 1.0 - math.exp(-rate * cfg.confession_corpus_ops)
 
-    def _merc_defective_by_flat(self, flat: int) -> bool:
-        """Columnar twin of ``core.is_defective_now()`` (stale-age
-        semantics included: activity is judged at the last-synced age,
-        like the object substrate's ``core.age_days``)."""
-        assert self._merc_index_by_flat is not None
-        assert self._merc_synced_age is not None
-        merc_index = self._merc_index_by_flat.get(flat)
-        if merc_index is None:
-            return False
-        return bool(
-            self._merc_synced_age[merc_index] >= self._merc_onset[merc_index]
-        )
-
     def _quarantine(self, core_id: str, now: float) -> None:
         if core_id in self.quarantine_day:
             return
-        if self.columns is None:
-            core = self._core_by_id.get(core_id)
-            if core is None:
-                return
-            core.set_online(False)
-            is_mercurial = core.is_mercurial
-        else:
-            flat = self.columns.core_index(core_id)
-            if flat is None:
-                return
-            self.columns.online[flat] = False
-            is_mercurial = bool(self.columns.mercurial[flat])
+        flat = self.columns.core_index(core_id)
+        if flat is None:
+            return
+        self.columns.online[flat] = False
+        is_mercurial = bool(self.columns.mercurial[flat])
         self.quarantine_day[core_id] = now
         if is_mercurial:
             onset = self.truth.onset_days_by_core.get(core_id, 0.0)
@@ -589,30 +352,18 @@ class FleetSimulator:
             now, threshold=self.config.suspicion_retest_threshold
         )
         for core_id, score in suspects:
-            if columns is None:
-                core = self._core_by_id.get(core_id)
-                if core is None or not core.online:
-                    continue
-                is_mercurial = core.is_mercurial
-                machine_id = self._machine_by_core[core_id].machine_id
-                flat = -1
-            else:
-                maybe_flat = columns.core_index(core_id)
-                if maybe_flat is None or not columns.online[maybe_flat]:
-                    continue
-                flat = maybe_flat
-                is_mercurial = bool(columns.mercurial[flat])
-                machine_id = self._machine_ids[int(columns.core_machine[flat])]
+            flat = columns.core_index(core_id)
+            if flat is None or not columns.online[flat]:
+                continue
+            is_mercurial = bool(columns.mercurial[flat])
+            machine_id = self._machine_ids[int(columns.core_machine[flat])]
             confessed = False
             decision = self.policy.decide(core_id, score, confessed=False)
             if decision.action is Action.RETEST:
                 # Run confession testing (offline, stress conditions).
                 if not is_mercurial:
                     p = 0.0
-                elif columns is None:
-                    p = self._confession_probability(core, now)
                 else:
-                    assert self._merc_index_by_flat is not None
                     p = self._confession_probability_cached(
                         self._merc_index_by_flat[flat], now
                     )
@@ -632,30 +383,23 @@ class FleetSimulator:
             if decision.action in (Action.QUARANTINE_CORE, Action.QUARANTINE_MACHINE):
                 self._quarantine(core_id, now)
                 if decision.action is Action.QUARANTINE_MACHINE:
-                    if columns is None:
-                        machine = self._machine_by_core[core_id]
-                        for sibling in machine.cores:  # repro: noqa-PERF002 -- one machine's cores, object substrate
-                            self._quarantine(sibling.core_id, now)
-                    else:
-                        start, stop = columns.machine_core_range(
-                            int(columns.core_machine[flat])
-                        )
-                        for sibling_flat in range(start, stop):
-                            self._quarantine(
-                                columns.core_id(sibling_flat), now
-                            )
+                    start, stop = columns.machine_core_range(
+                        int(columns.core_machine[flat])
+                    )
+                    for sibling_flat in range(start, stop):
+                        self._quarantine(columns.core_id(sibling_flat), now)
 
     def _is_cee_core(self, core_id: str) -> bool:
-        """Is this core mercurial *and* currently defective?  Substrate-
-        independent (stale-age semantics match, see
-        :meth:`_merc_defective_by_flat`)."""
-        if self.columns is None:
-            core = self._core_by_id[core_id]
-            return core.is_mercurial and core.is_defective_now()
+        """Is this core mercurial *and* past a defect's onset?  Judged
+        at the last-refreshed age (``_merc_synced_age``), not the
+        tick's."""
         flat = self.columns.core_index(core_id)
-        if flat is None or not self.columns.mercurial[flat]:
+        if flat is None or flat not in self._merc_index_by_flat:
             return False
-        return self._merc_defective_by_flat(flat)
+        merc_index = self._merc_index_by_flat[flat]
+        return bool(
+            self._merc_synced_age[merc_index] >= self._merc_onset[merc_index]
+        )
 
     def _run_triage(self, now: float, tick: float, new_events: list[CeeEvent]) -> None:
         """Human side: user reports spawn investigations (§6)."""
@@ -671,24 +415,16 @@ class FleetSimulator:
             suspect_id = event.core_id
             if is_cee and not self.triage.attributed_core_is_right():
                 # The human fingered a sibling core on the same machine.
-                if columns is None:
-                    machine = self._machine_by_core[event.core_id]
-                    healthy = [
-                        c.core_id
-                        for c in machine.cores  # repro: noqa-PERF002 -- one machine's cores, object substrate
-                        if not c.is_mercurial
-                    ]
-                else:
-                    flat = columns.core_index(event.core_id)
-                    assert flat is not None
-                    start, stop = columns.machine_core_range(
-                        int(columns.core_machine[flat])
-                    )
-                    healthy = [
-                        columns.core_id(sibling_flat)
-                        for sibling_flat in range(start, stop)
-                        if not columns.mercurial[sibling_flat]
-                    ]
+                flat = columns.core_index(event.core_id)
+                assert flat is not None
+                start, stop = columns.machine_core_range(
+                    int(columns.core_machine[flat])
+                )
+                healthy = [
+                    columns.core_id(sibling_flat)
+                    for sibling_flat in range(start, stop)
+                    if not columns.mercurial[sibling_flat]
+                ]
                 if healthy:
                     suspect_id = healthy[
                         int(self.triage.rng.integers(len(healthy)))
@@ -707,50 +443,32 @@ class FleetSimulator:
 
     # -- main loop --------------------------------------------------------------
 
-    def _tick_scalar(self, now: float, tick: float) -> None:
-        """The original per-core tick; kept as the measured baseline."""
-        for machine, core in self._mercurial:
-            if not core.online:
-                continue
-            if core.age_days < machine.age_days(now):
-                core.advance_age(machine.age_days(now) - core.age_days)
-            if not core.is_defective_now():
-                continue
-            self._emit_incidents(machine, core, now, tick)
-        self._emit_background(now, tick)
-        self._run_screening(now, tick)
-
     def _refresh_rate(self, index: int, age_days: float) -> None:
-        """Recompute one mercurial core's cached (silent, mce) split at
-        ``age_days`` — the only moment the simulated core age advances
-        on either substrate."""
-        if self.columns is None:
-            _machine, core = self._mercurial[index]
-            core.age_days = age_days
-            silent, mce = self._split_rates(core, self.production_mix)
-        else:
-            assert self._merc_synced_age is not None
-            assert self._merc_defect_models is not None
-            assert self._merc_envs is not None
-            self._merc_synced_age[index] = age_days
-            silent, mce = self._split_rate_parts(
-                self._merc_defect_models[index],
-                self._merc_envs[index],
-                age_days,
-                self.production_mix,
-            )
+        """Recompute one mercurial core's cached per-op rates — silent
+        corruption and machine check — at ``age_days``."""
+        self._merc_synced_age[index] = age_days
+        env = self._merc_envs[index]
+        silent = 0.0
+        mce = 0.0
+        for defect in self._merc_defect_models[index]:
+            rate = defect.mean_rate(self.production_mix, env, age_days)
+            if isinstance(defect, MachineCheckDefect):
+                mce += rate
+            else:
+                silent += rate
         self._merc_silent[index] = silent
         self._merc_mce[index] = mce
         self._merc_rate_age[index] = age_days
 
-    def _tick_vectorized(self, now: float, tick: float) -> None:
+    def _tick(self, now: float, tick: float) -> None:
         """One tick with all stochastic draws batched across the fleet.
 
-        Semantically the same campaign as :meth:`_tick_scalar` — same
-        channels, same caps, same attribution probabilities — but the
-        Poisson/binomial/attribution sampling happens as numpy array
-        draws over the currently-active mercurial cores, and events are
-        built positionally and appended in one ``extend``.
+        The Poisson/binomial/attribution sampling happens as numpy
+        array draws over the currently-active mercurial cores, and
+        events are built positionally and appended in one ``extend``.
+        Same channels, caps and attribution probabilities as the
+        per-core form in :mod:`repro.fleet.reference`, drawn in a
+        different order.
         """
         cfg = self.config
         rng = self.rng
@@ -760,13 +478,7 @@ class FleetSimulator:
 
         active: list[int] = []
         if self._n_mercurial:
-            if columns is None:
-                online = np.fromiter(
-                    (core.online for _, core in self._mercurial),
-                    bool, self._n_mercurial,
-                )
-            else:
-                online = columns.online[self._merc_flat]
+            online = columns.online[self._merc_flat]
             target = np.maximum(now - self._merc_deploy, 0.0)
             self._merc_age = np.where(
                 online, np.maximum(self._merc_age, target), self._merc_age
@@ -900,17 +612,10 @@ class FleetSimulator:
             core_picks = rng.random(n_bg_user).tolist()
             user_attr = (rng.random(n_bg_user) < cfg.p_attribute_user).tolist()
             for k, machine_index in enumerate(machine_indices):
-                if columns is None:
-                    machine = self.machines[machine_index]
-                    cores = machine.cores
-                    bad_core_id = cores[
-                        int(core_picks[k] * len(cores))
-                    ].core_id
-                else:
-                    start, stop = columns.machine_core_range(machine_index)
-                    bad_core_id = columns.core_id(
-                        start + int(core_picks[k] * (stop - start))
-                    )
+                start, stop = columns.machine_core_range(machine_index)
+                bad_core_id = columns.core_id(
+                    start + int(core_picks[k] * (stop - start))
+                )
                 append(CeeEvent(
                     now, self._machine_ids[machine_index],
                     bad_core_id if user_attr[k] else None,
@@ -960,13 +665,12 @@ class FleetSimulator:
     def run(self) -> SimulationResult:
         """Run the whole campaign and return the results bundle."""
         cfg = self.config
-        tick_fn = self._tick_vectorized if cfg.vectorized else self._tick_scalar
         now = -cfg.warmup_days
         while now < cfg.horizon_days:
             tick = min(cfg.tick_days, cfg.horizon_days - now)
             now += tick
             events_before = len(self.events)
-            tick_fn(now, tick)
+            self._tick(now, tick)
             new_events = self.events.tail(events_before)
             if self._obs_on:
                 self._m_ticks.inc()
@@ -980,19 +684,13 @@ class FleetSimulator:
             self._apply_policy(now)
             self._run_triage(now, tick, new_events)
 
-        if cfg.vectorized:
-            # The vectorized scan ages cores in the mirror array; sync
-            # the substrate so post-run readers see the same ages the
-            # scalar path would have left behind.
-            if self.columns is None:
-                for index, (_machine, core) in enumerate(self._mercurial):
-                    if core.age_days < self._merc_age[index]:
-                        core.age_days = float(self._merc_age[index])
-            elif self._n_mercurial:
-                np.maximum(
-                    self.columns.merc_age, self._merc_age,
-                    out=self.columns.merc_age,
-                )
+        # The tick ages cores in a private array; leave the columns
+        # holding the ages the campaign ended at.
+        if self._n_mercurial:
+            np.maximum(
+                self.columns.merc_age, self._merc_age,
+                out=self.columns.merc_age,
+            )
 
         return SimulationResult(
             config=cfg,

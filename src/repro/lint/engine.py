@@ -93,10 +93,7 @@ class LintConfig:
     """
 
     select: frozenset[str] | None = None
-    wallclock_allowed: tuple[str, ...] = (
-        "src/repro/engine/bench.py",
-        "benchmarks/",
-    )
+    wallclock_allowed: tuple[str, ...] = ("benchmarks/",)
     slots_modules: tuple[str, ...] = (
         "src/repro/campaign.py",
         "src/repro/core/events.py",

@@ -131,7 +131,7 @@ class WallClockRule(FileRule):
     hint = (
         "simulated components must take time from the campaign tick "
         "counter (ticks x tick_ms) or an injected clock; wall-clock "
-        "timing belongs in repro.engine.bench / benchmarks/ only"
+        "timing belongs under benchmarks/ only"
     )
 
     def _allowed(self, ctx: FileContext) -> bool:

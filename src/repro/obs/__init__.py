@@ -28,7 +28,8 @@ The no-op mode
 ``REPRO_OBS=off`` (or ``0``/``false``/``no``) disables everything.
 Instrumented call sites cache :func:`enabled` in a local or instance
 boolean, so the off mode costs one attribute test per call site —
-measured against the on mode in ``BENCH_OBS.json``.  Observability
+measured against the on mode as the benchmark's
+``obs.on_overhead_pct`` (``benchmarks/perf``).  Observability
 never touches an RNG or a control-flow decision: campaign scorecards
 are byte-identical with obs on or off (pinned by
 ``tests/test_obs_parity.py``).

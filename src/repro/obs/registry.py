@@ -6,7 +6,7 @@ every metric the framework emits.  Design constraints, in order:
 1. **Zero-cost when disabled.**  Every mutator checks one boolean on
    the owning registry and returns; hot paths additionally cache that
    boolean at construction time so the off mode reduces to a plain
-   attribute test (benchmarked in ``BENCH_OBS.json``).
+   attribute test (the benchmark's ``obs.on_overhead_pct`` row).
 2. **Deterministic.**  Metrics never read clocks or RNGs; a snapshot
    of a seeded campaign is a pure function of the seed.
 3. **Pool-mergeable.**  :meth:`MetricsRegistry.snapshot` /

@@ -27,8 +27,8 @@ from repro.silicon.golden import (
 )
 
 # Observability is touched only on the rare corruption / machine-check
-# branches — never on the per-op fast path, which stays exactly as the
-# BENCH_E1 baseline measured it.  Handles are module-level because Core
+# branches — never on the per-op fast path (the benchmark's
+# ``silicon.execute_*_ns`` rows).  Handles are module-level because Core
 # uses __slots__ and fleets hold hundreds of thousands of instances.
 _OBS_CORRUPTIONS: obs.Counter | None = None
 _OBS_MCES: obs.Counter | None = None

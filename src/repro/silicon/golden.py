@@ -232,7 +232,7 @@ _dispatch: dict[str, Callable] = (
 
 
 def set_golden_cache(enabled: bool) -> None:
-    """Enable/disable golden memoization (the bench harness A/Bs this).
+    """Enable/disable golden memoization.
 
     Off also forces every library primitive onto the per-op path (see
     :meth:`repro.silicon.core.Core.credit_untargeted`): it is the

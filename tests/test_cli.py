@@ -195,24 +195,3 @@ class TestTraceCommand:
         assert main(["trace", "e15", "--seed", "2"]) == 0
         second = capsys.readouterr().out
         assert first == second
-
-
-class TestBenchCommand:
-    def test_bench_writes_scorecards(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert main([
-            "bench", "build", "--scale", "ci",
-            "--out-dir", str(tmp_path), "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 1
-        card = payload[0]
-        assert card["bench_id"] == "build"
-        assert card["scale"] == "ci"
-        assert card["wall_s"] > 0
-        assert card["speedup"] > 0
-        on_disk = json.loads((tmp_path / "BENCH_BUILD.json").read_text())
-        assert on_disk == card
-
-    def test_bench_rejects_unknown_id(self, capsys):
-        assert main(["bench", "nope"]) == 2

@@ -15,9 +15,8 @@ from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 
 
 def _run(build_seed=11, sim_seed=3):
-    # The fleet must be rebuilt per run: the simulator mutates cores
-    # (aging, quarantine set_online), so reusing machines would leak
-    # state between runs and mask nondeterminism.
+    # Rebuilt per run so the builder's determinism is under test too
+    # (the simulator itself never writes into the objects it is handed).
     products = tuple(
         dataclasses.replace(p, core_prevalence=p.core_prevalence * 40.0)
         for p in DEFAULT_PRODUCTS

@@ -1,14 +1,15 @@
 """Columnar fleet substrate: build parity, adapters, simulator parity.
 
-The correctness anchor for the struct-of-arrays refactor: everything
-the columnar substrate produces must be *bit-identical* to the object
-substrate at equal seeds — fleet content, ground truth, and full
-simulated event streams.  ``build_legacy`` / the scalar tick remain
-the statistical baselines they always were; the bit-exact anchor is
-columnar vs the object vectorized path it replaced.
+The simulator runs on columns only; an object fleet enters through
+``FleetColumns.from_machines`` and leaves through ``to_machines()``.
+Neither hop may change a single draw: the event-stream digests below
+were captured at the commit that still had the object tick tiers
+(PR 15's tree), for the production tick and for the scalar reference.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro.fleet.columns import DEFECT_MODE_CODES, FleetColumns, defect_mode_code
 from repro.fleet.population import FleetBuilder, ground_truth_map
 from repro.fleet.product import DEFAULT_PRODUCTS
+from repro.fleet.reference import ScalarReferenceSimulator
 from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 
 N_MACHINES = 120
@@ -114,6 +116,19 @@ class TestAdapters:
         assert columns.n_cores == sum(len(m.cores) for m in machines)
         assert columns.ground_truth_map() == ground_truth_map(machines)
 
+    def test_from_machines_indexes_off_pattern_core_ids(self):
+        # The simulator finds cores through core_index(); an adapted
+        # fleet whose ids are not ``<machine>/cNN`` must still resolve.
+        machines, _ = _builder().build(3)
+        for machine in machines:
+            for within, core in enumerate(machine.cores):
+                core.core_id = f"socket-{machine.machine_id}-{within}"
+        columns = FleetColumns.from_machines(machines)
+        for flat in (0, 7, columns.n_cores - 1):
+            assert columns.core_index(columns.core_id(flat)) == flat
+        assert columns.core_id(7) == machines[0].cores[7].core_id
+        assert columns.core_index("m00000/c07") is None
+
     def test_adapted_columns_refuse_to_materialize(self):
         machines, _ = _builder().build(5)
         columns = FleetColumns.from_machines(machines)
@@ -135,15 +150,39 @@ class TestAdapters:
         assert thawed.core_machine is columns.core_machine
 
 
+def _event_sha(result):
+    payload = {
+        "events": [list(row) for row in _event_stream(result)],
+        "quarantined": sorted(result.quarantined_cores),
+        "total_corruptions": result.total_corruptions,
+    }
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, default=str).encode()
+    ).hexdigest()
+
+
 class TestSimulatorParity:
     CONFIG = SimulatorConfig(horizon_days=60.0, warmup_days=0.0)
+    #: the production tick on the parity fleet (150 machines, x40
+    #: prevalence, build seed 11, sim seed 3)
+    PRODUCTION_SHA = (
+        "cd01d4e99202ddddc57abdea19735cabef8c6eebe1b201a9d5550305bb847e48"
+    )
+    #: the scalar per-core tick on the same fleet
+    REFERENCE_SHA = (
+        "ec600510c372a79d57e4cb86191c8e0fd6e8d3cdc1912bacc5d9341301c31e9a"
+    )
+
+    @staticmethod
+    def _parity_builder():
+        return _builder(products=_boosted_products())
 
     def _object_result(self):
-        machines, truth = _builder(products=_boosted_products()).build(150)
+        machines, truth = self._parity_builder().build(150)
         return FleetSimulator(machines, truth, self.CONFIG, seed=3).run()
 
     def _columnar_result(self):
-        columns = _builder(products=_boosted_products()).build_columns(150)
+        columns = self._parity_builder().build_columns(150)
         return FleetSimulator(columns, config=self.CONFIG, seed=3).run()
 
     def test_event_streams_bit_identical(self):
@@ -157,13 +196,34 @@ class TestSimulatorParity:
         assert obj.app_visible_corruptions == col.app_visible_corruptions
         assert obj.screening_ops_spent == col.screening_ops_spent
 
-    def test_columnar_requires_vectorized_tick(self):
-        columns = _builder().build_columns(5)
-        config = SimulatorConfig(
-            horizon_days=5.0, warmup_days=0.0, vectorized=False
+    def test_production_tick_digest_pinned(self):
+        assert _event_sha(self._columnar_result()) == self.PRODUCTION_SHA
+        # an object fleet handed in (truth derived, not passed)...
+        machines, _ = self._parity_builder().build(150)
+        assert _event_sha(
+            FleetSimulator(machines, config=self.CONFIG, seed=3).run()
+        ) == self.PRODUCTION_SHA
+        # ...and the explicit to_machines() round trip
+        machines, truth = (
+            self._parity_builder().build_columns(150).to_machines()
         )
-        with pytest.raises(ValueError, match="to_machines"):
-            FleetSimulator(columns, config=config, seed=1)
+        assert _event_sha(
+            FleetSimulator(machines, truth, self.CONFIG, seed=3).run()
+        ) == self.PRODUCTION_SHA
+
+    def test_scalar_reference_digest_pinned(self):
+        columns = self._parity_builder().build_columns(150)
+        result = ScalarReferenceSimulator(
+            columns, config=self.CONFIG, seed=3
+        ).run()
+        assert _event_sha(result) == self.REFERENCE_SHA
+
+    def test_simulator_does_not_write_back_into_objects(self):
+        machines, truth = self._parity_builder().build(150)
+        result = FleetSimulator(machines, truth, self.CONFIG, seed=3).run()
+        assert result.quarantined_cores
+        assert all(core.online for m in machines for core in m.cores)
+        assert all(core.age_days == 0.0 for m in machines for core in m.cores)
 
     def test_truth_derived_from_columns(self):
         columns = _builder().build_columns(40)
@@ -177,10 +237,10 @@ class TestSimulatorParity:
             columns.core_id(int(flat)) for flat in columns.merc_core
         )
 
-    def test_object_path_still_requires_explicit_truth(self):
-        machines, _ = _builder().build(5)
-        with pytest.raises(TypeError):
-            FleetSimulator(machines, None, self.CONFIG, seed=1)
+    def test_explicit_truth_wins(self):
+        machines, truth = _builder().build(5)
+        sim = FleetSimulator(machines, truth, self.CONFIG, seed=1)
+        assert sim.truth is truth
 
 
 class TestMercurialViews:

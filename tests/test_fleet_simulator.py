@@ -88,6 +88,29 @@ class TestCampaign:
 
 
 class TestConfigKnobs:
+    @pytest.mark.parametrize("field, value", [
+        # tick_days <= 0 never advances run()'s clock (a hang)
+        ("tick_days", 0.0),
+        ("tick_days", -1.0),
+        ("tick_days", float("nan")),
+        ("tick_days", float("inf")),
+        # a NaN horizon skips the loop and returns an empty result
+        ("horizon_days", float("nan")),
+        ("horizon_days", float("inf")),
+        ("horizon_days", -1.0),
+        ("warmup_days", float("nan")),
+        ("warmup_days", -1.0),
+        ("rate_refresh_days", -1.0),
+        ("rate_refresh_days", float("nan")),
+    ])
+    def test_clock_fields_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulatorConfig(**{field: value})
+
+    def test_zero_horizon_and_refresh_are_legal(self):
+        SimulatorConfig(horizon_days=0.0, warmup_days=0.0,
+                        rate_refresh_days=0.0)
+
     def test_zero_background_noise_yields_no_bg_crashes(self):
         builder = FleetBuilder(products=_dense_products(), seed=13)
         machines, truth = builder.build(100)

@@ -115,10 +115,11 @@ class TestDet002WallClock:
         """)
         assert rule_ids(findings) == ["DET002"]
 
-    def test_bench_module_allowed(self):
+    def test_allowlisted_file_allowed(self):
         findings = lint_snippet(
             "import time\nt = time.perf_counter()\n",
-            rel_path="src/repro/engine/bench.py",
+            rel_path="src/repro/engine/stopwatch.py",
+            wallclock_allowed=("src/repro/engine/stopwatch.py",),
         )
         assert findings == []
 
