@@ -130,28 +130,34 @@ def generate() -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def write_or_check(out: Path, text: str, argv: list[str] | None,
+                   description: str) -> int:
+    """Shared CLI of the doc generators: write ``text`` to ``out``, or
+    with ``--check`` exit 1 if ``out`` does not already hold it."""
+    name = out.relative_to(REPO)
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
         "--check", action="store_true",
-        help="fail (exit 1) if docs/api.md is out of date",
+        help=f"fail (exit 1) if {name} is out of date",
     )
-    args = parser.parse_args(argv)
-    text = generate()
-    if args.check:
-        if not OUT.exists() or OUT.read_text() != text:
+    if parser.parse_args(argv).check:
+        if not out.exists() or out.read_text() != text:
             print(
-                "docs/api.md is stale; regenerate with "
-                "`python scripts/gen_api_docs.py`",
+                f"{name} is stale; regenerate with "
+                f"`python scripts/{Path(sys.argv[0]).name}`",
                 file=sys.stderr,
             )
             return 1
-        print("docs/api.md is up to date")
+        print(f"{name} is up to date")
         return 0
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(text)
-    print(f"wrote {OUT.relative_to(REPO)} ({len(text.splitlines())} lines)")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    print(f"wrote {name} ({len(text.splitlines())} lines)")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return write_or_check(OUT, generate(), argv, __doc__.splitlines()[0])
 
 
 if __name__ == "__main__":

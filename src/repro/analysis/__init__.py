@@ -1,4 +1,4 @@
-"""Analysis: statistics, economics, figures, experiment runners."""
+"""Analysis: statistics, economics, figures, the experiment registry."""
 
 from repro.analysis.economics import (
     ExposureEstimate,

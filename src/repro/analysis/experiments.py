@@ -1,13 +1,15 @@
-"""Experiment runners: one function per DESIGN.md experiment ID.
+"""The experiment registry: one row per DESIGN.md experiment ID.
 
 Each runner reproduces one figure or claim from the paper and returns a
 dict of measured quantities plus a ``rendered`` text block (the "same
-rows/series the paper reports").  Benchmarks wrap these functions;
-integration tests assert on their returned shapes (who wins, by what
-factor, which direction a series moves).
+rows/series the paper reports").  ``EXPERIMENTS`` (end of file) pairs
+every runner with the paper sentence it reproduces, its smoke-scale
+kwargs and its named :class:`Claim` predicates — the reproduction
+contract (who wins, by what factor, which direction a series moves)
+that ``repro run`` and the tier-1 suite both gate on.
 
-Scale: runners take explicit size parameters with defaults small enough
-for CI; benchmarks pass larger values.
+Scale: a runner's defaults *are* the full scale EXPERIMENTS.md quotes;
+the row's ``ci`` kwargs are the only other scale.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -87,7 +90,12 @@ from repro.mitigation.redundancy import (
     RedundancyExhaustedError,
     TmrExecutor,
 )
-from repro.mitigation.resilient.matfact import abft_matmul, checksummed_lu, matmul
+from repro.mitigation.resilient.matfact import (
+    AbftError,
+    abft_matmul,
+    checksummed_lu,
+    matmul,
+)
 from repro.mitigation.resilient.sorting import resilient_sort
 from repro.mitigation.selfcheck import CheckedCipher, SelfCheckError
 from repro.silicon.aging import AgingProfile, WeibullOnset
@@ -107,7 +115,49 @@ from repro.workloads.crypto import decrypt_ecb, encrypt_ecb
 from repro.workloads.database import Replica, probe_replica
 from repro.workloads.filesystem import FsError, MiniFs
 from repro.workloads.generator import STANDARD_MIX, blended_op_mix
+from repro.workloads.sorting import merge_sort
 from repro.workloads.vectorops import xor_fold
+
+
+@dataclasses.dataclass(frozen=True)
+class Claim:
+    """One named paper claim, checked on a runner's result dict.
+
+    Attributes:
+        name: unique within its row; what ``repro run`` prints.
+        paper: the quote or section the claim reproduces.
+        check: the predicate, tolerance written out in its body.
+    """
+
+    name: str
+    paper: str
+    check: Callable[[dict], bool]
+
+
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One row of the registry: a runner, its two scales, its claims.
+
+    Attributes:
+        title: the ``repro list`` line.
+        paper: the sentence / section of the paper reproduced.
+        run: the runner; its defaults are the full scale.
+        ci: smoke-scale kwargs (tier-1 and ``--scale ci``).
+        claims: the reproduction contract, gated at both scales.
+    """
+
+    title: str
+    paper: str
+    run: Callable[..., dict]
+    ci: dict[str, Any]
+    claims: tuple[Claim, ...]
+
+
+def evaluate(experiment: Experiment, result: dict) -> list[tuple[Claim, bool]]:
+    """Every claim of ``experiment`` with its verdict on ``result``."""
+    return [
+        (claim, bool(claim.check(result))) for claim in experiment.claims
+    ]
 
 
 def _healthy(core_id: str, seed: int = 0) -> Core:
@@ -137,7 +187,7 @@ def _pool(n: int, seed: int = 100) -> list[Core]:
 # ---------------------------------------------------------------------
 
 def run_fig1(
-    n_machines: int = 8000,
+    n_machines: int = 12000,
     horizon_days: float = 540.0,
     warmup_days: float = 240.0,
     prevalence_scale: float = 8.0,
@@ -297,7 +347,7 @@ def run_incidence(
 # E2 — symptom classes in increasing order of risk
 # ---------------------------------------------------------------------
 
-def run_symptoms(n_cores: int = 30, seed: int = 3) -> dict:
+def run_symptoms(n_cores: int = 40, seed: int = 3) -> dict:
     """E2: classify what sampled defective cores do to real workloads.
 
     Each sampled mercurial core runs the standard workload mix; every
@@ -531,7 +581,7 @@ def run_redundancy_cost(seed: int = 13, n_units: int = 6) -> dict:
 # E6 — rates vary by many orders of magnitude
 # ---------------------------------------------------------------------
 
-def run_rate_spread(n_defects: int = 200, seed: int = 17) -> dict:
+def run_rate_spread(n_defects: int = 400, seed: int = 17) -> dict:
     """E6: observable per-op corruption rates across sampled defects."""
     rng = np.random.default_rng(seed)
     mix = blended_op_mix()
@@ -945,11 +995,9 @@ def run_abft(seed: int = 41, n_trials: int = 8, size: int = 6) -> dict:
             abft_corrected += corrections
             if result != expected:
                 abft_wrong += 1
-        except Exception:
+        except AbftError:
             abft_flagged += 1
     # Resilient sort vs plain sort on a comparator-defective core.
-    from repro.workloads.sorting import merge_sort
-
     cmp_bad = Core(
         "e12/cmp", defects=named_case("comparator_flip"),
         rng=np.random.default_rng(seed + 1),
@@ -967,7 +1015,7 @@ def run_abft(seed: int = 41, n_trials: int = 8, size: int = 6) -> dict:
             m[i][i] += 2**50
         try:
             checksummed_lu(bad, m)
-        except Exception:
+        except AbftError:
             lu_detections += 1
     rendered = render_table(
         ["algorithm", "outcome"],
@@ -1447,6 +1495,28 @@ def run_storage_under_cee(
     }
 
 
+def run_grid(
+    cell_fn: Callable[[tuple], Any],
+    axes: tuple[tuple, ...],
+    workers: int | None = None,
+) -> dict:
+    """Run ``cell_fn`` over the product of ``axes`` (fanned out over
+    ``workers``) and nest the results as ``grid[a][b]…`` in axis order,
+    float coordinates keyed ``f"{value:g}"``.  ``cell_fn`` must be
+    picklable; insertion order is the product order, so walking the
+    grid walks the axes."""
+    cells = list(itertools.product(*axes))
+    leaves = run_tasks(cell_fn, cells, workers=workers)
+    grid: dict = {}
+    for cell, leaf in zip(cells, leaves):
+        *path, last = (c if isinstance(c, str) else f"{c:g}" for c in cell)
+        node = grid
+        for key in path:
+            node = node.setdefault(key, {})
+        node[last] = leaf
+    return grid
+
+
 def grid_fingerprint(result: dict) -> str:
     """sha256 of a grid runner's ``result["grid"]`` (scorecards as their
     ``to_json()``, keys sorted): the worker-invariance gate the E17/E18/
@@ -1471,14 +1541,14 @@ SCALE_ARMS: tuple[str, ...] = ("baseline", "retries_breakers", "full")
 
 def _scale_cell(
     cell: tuple[float, str], *, seed: int, fleet: dict, ticks: int
-) -> tuple[float, str, "ScaleScorecard", int]:
+) -> "ScaleScorecard":
     """One (prevalence, hardening) E17 cell of :func:`campaign_arm`."""
     prevalence, arm_name = cell
-    card, _events, bad_core_ids = campaign_arm(
+    card, _events, _bad = campaign_arm(
         arm_name, experiment_id="E17", seed=seed,
         fleet=dict(fleet, prevalence=prevalence), ticks=ticks,
     )
-    return prevalence, arm_name, card, len(bad_core_ids)
+    return card
 
 
 def run_serve_at_scale(
@@ -1509,37 +1579,26 @@ def run_serve_at_scale(
     user-visible corruption (escape rate) versus baseline, with the
     latency bill quantified at p99/p99.9.
     """
-    cells = [
-        (prevalence, arm) for prevalence in prevalences for arm in SCALE_ARMS
-    ]
-    cell_fn = functools.partial(
-        _scale_cell,
-        seed=seed,
-        fleet=dict(
-            n_machines=n_machines, cores_per_machine=cores_per_machine,
-            base_rate=defect_rate,
-        ),
-        ticks=ticks,
+    fleet = dict(
+        n_machines=n_machines, cores_per_machine=cores_per_machine,
+        base_rate=defect_rate,
     )
-    results = run_tasks(cell_fn, cells, workers=workers)
-
-    grid: dict[str, dict] = {}
-    n_bad_by_prevalence: dict[str, int] = {}
-    for prevalence, arm_name, card, n_bad in results:
-        key = f"{prevalence:g}"
-        grid.setdefault(key, {})[arm_name] = card
-        n_bad_by_prevalence[key] = n_bad
+    grid = run_grid(
+        functools.partial(_scale_cell, seed=seed, fleet=fleet, ticks=ticks),
+        (prevalences, SCALE_ARMS),
+        workers,
+    )
 
     rows = []
     comparisons: dict[str, dict] = {}
-    for prevalence in prevalences:
-        key = f"{prevalence:g}"
-        cards = grid[key]
-        for arm_name in SCALE_ARMS:
-            rows.append([key] + cards[arm_name].summary_row())
+    for prevalence, (key, cards) in zip(prevalences, grid.items()):
+        rows += [[key] + card.summary_row() for card in cards.values()]
         base, full = cards["baseline"], cards["full"]
         comparisons[key] = {
-            "n_bad_cores": n_bad_by_prevalence[key],
+            # the bad-core count is a function of the fleet shape alone
+            "n_bad_cores": len(
+                build_scale_fleet(prevalence=prevalence, **fleet)[1]
+            ),
             "escape_rate_baseline": base.escape_rate,
             "escape_rate_retries_breakers":
                 cards["retries_breakers"].escape_rate,
@@ -1555,10 +1614,6 @@ def run_serve_at_scale(
             "availability_full": full.availability,
         }
 
-    hardening_wins = all(
-        comp["escape_rate_full"] <= comp["escape_rate_baseline"]
-        for comp in comparisons.values()
-    )
     rendered = render_table(
         ["prev", "config", "escape", "avail", "p50", "p99 ms", "p99.9 ms",
          "stale", "failclosed", "hedges", "budget-exh", "quarantined"],
@@ -1578,7 +1633,6 @@ def run_serve_at_scale(
         "comparisons": comparisons,
         "prevalences": [f"{p:g}" for p in prevalences],
         "arms": list(SCALE_ARMS),
-        "hardening_wins": hardening_wins,
         "rendered": rendered,
     }
 
@@ -1589,18 +1643,18 @@ def run_serve_at_scale(
 
 def _instrcheck_cell(
     cell: tuple[float, str, float], *, units: int, seed: int
-) -> tuple[float, str, float, "InstrCheckScorecard", int]:
+) -> InstrCheckScorecard:
     """One (prevalence, arm, sampling rate) E18 cell of
     :func:`campaign_arm`."""
     prevalence, arm, rate = cell
-    card, _events, bad_core_ids = campaign_arm(
+    card, _events, _bad = campaign_arm(
         arm, experiment_id="E18", seed=seed,
         fleet=dict(prevalence=prevalence), units=units, sample_rate=rate,
         # The screening arm spends its budget as battery frequency, not
         # per-op duplication: a higher "rate" screens more often.
         screen_interval_ticks=max(1, round(1.0 / max(rate, 1e-9))),
     )
-    return prevalence, arm, rate, card, len(bad_core_ids)
+    return card
 
 
 def run_instrcheck_grid(
@@ -1629,33 +1683,25 @@ def run_instrcheck_grid(
     catches (rollback re-run).  Screening catches cores, never
     in-flight results — its pre-propagation coverage is honestly ~0.
     """
-    cells = [
-        (prevalence, arm, rate)
-        for prevalence in prevalences
-        for arm in INSTRCHECK_ARMS
-        for rate in rates
-    ]
-    cell_fn = functools.partial(_instrcheck_cell, units=units, seed=seed)
-    results = run_tasks(cell_fn, cells, workers=workers)
-
-    grid: dict[str, dict[str, dict[str, InstrCheckScorecard]]] = {}
-    n_bad_by_prevalence: dict[str, int] = {}
-    for prevalence, arm, rate, card, n_bad in results:
-        key = f"{prevalence:g}"
-        grid.setdefault(key, {}).setdefault(arm, {})[f"{rate:g}"] = card
-        n_bad_by_prevalence[key] = n_bad
+    grid = run_grid(
+        functools.partial(_instrcheck_cell, units=units, seed=seed),
+        (prevalences, INSTRCHECK_ARMS, rates),
+        workers,
+    )
 
     rows = []
     comparisons: dict[str, dict] = {}
-    for prevalence in prevalences:
-        key = f"{prevalence:g}"
-        for arm in INSTRCHECK_ARMS:
-            for rate in rates:
-                rows.append([key] + grid[key][arm][f"{rate:g}"].summary_row())
-        full = {arm: grid[key][arm][f"{rates[-1]:g}"]
-                for arm in INSTRCHECK_ARMS}
+    for prevalence, (key, arms) in zip(prevalences, grid.items()):
+        rows += [
+            [key] + card.summary_row()
+            for cards in arms.values() for card in cards.values()
+        ]
+        full = {arm: cards[f"{rates[-1]:g}"] for arm, cards in arms.items()}
         comparisons[key] = {
-            "n_bad_cores": n_bad_by_prevalence[key],
+            # the bad-core count is a function of the fleet shape alone
+            "n_bad_cores": len(
+                build_instrcheck_fleet(prevalence=prevalence)[1]
+            ),
             "coverage_at_full_rate": {
                 arm: card.coverage for arm, card in full.items()
             },
@@ -1665,25 +1711,6 @@ def run_instrcheck_grid(
             "meek_lag_drops_at_full_rate": full["meek"].lag_drops,
             "reptfd_corrected": full["reptfd"].flagged_clean_units,
         }
-
-    # The headline claims, checked over the measured grid:
-    # cross-core arms dominate same-core duplication once a
-    # deterministic defect is in the fleet...
-    high = f"{prevalences[-1]:g}"
-    full_rate = f"{rates[-1]:g}"
-    cross_core_wins = all(
-        grid[high][arm][full_rate].coverage
-        > grid[high]["ithica"][full_rate].coverage
-        for arm in ("meek", "reptfd")
-    )
-    # ...and every checking arm beats screening at catching CEEs
-    # *before* they propagate (screening only catches cores).
-    precatch_beats_screening = all(
-        grid[key][arm][full_rate].coverage
-        >= grid[key]["screen"][full_rate].coverage
-        for key in (f"{p:g}" for p in prevalences)
-        for arm in ("ithica", "meek", "reptfd", "e2e")
-    )
 
     rendered = render_table(
         ["prev", "arm", "rate", "slowdown", "coverage", "caught",
@@ -1705,8 +1732,6 @@ def run_instrcheck_grid(
         "prevalences": [f"{p:g}" for p in prevalences],
         "arms": list(INSTRCHECK_ARMS),
         "rates": [f"{r:g}" for r in rates],
-        "cross_core_wins": cross_core_wins,
-        "precatch_beats_screening": precatch_beats_screening,
         "rendered": rendered,
     }
 
@@ -1736,7 +1761,7 @@ def _fleetscreen_cell(
     n_machines: int,
     horizon_days: float,
     seed: int,
-) -> tuple[float, float, str, dict]:
+) -> dict:
     """Run one (budget, prevalence scale, corpus) E19 cell; module-level
     so the pool can pickle it.
 
@@ -1764,7 +1789,7 @@ def _fleetscreen_cell(
     )
     campaign = RideAlongCampaign(columns, screener, seed=seed + 3)
     report = campaign.run(horizon_days)
-    summary = {
+    return {
         "n_cores": columns.n_cores,
         "n_mercurial": columns.n_mercurial,
         "n_active": report.n_active,
@@ -1780,7 +1805,6 @@ def _fleetscreen_cell(
         "battery_coverage": battery.coverage_fraction,
         "battery_tests": len(battery.tests),
     }
-    return budget, prevalence_scale, corpus_kind, summary
 
 
 def run_fleetscreen_grid(
@@ -1812,25 +1836,14 @@ def run_fleetscreen_grid(
     budget buys detection; the E9 frontier rows anchor what
     drain-based periodic policies pay for comparable latency.
     """
-    cells = [
-        (budget, scale, corpus_kind)
-        for budget in budgets
-        for scale in prevalence_scales
-        for corpus_kind in FLEETSCREEN_CORPORA
-    ]
-    cell_fn = functools.partial(
-        _fleetscreen_cell,
-        n_machines=n_machines,
-        horizon_days=horizon_days,
-        seed=seed,
+    grid = run_grid(
+        functools.partial(
+            _fleetscreen_cell,
+            n_machines=n_machines, horizon_days=horizon_days, seed=seed,
+        ),
+        (budgets, prevalence_scales, FLEETSCREEN_CORPORA),
+        workers,
     )
-    results = run_tasks(cell_fn, cells, workers=workers)
-
-    grid: dict[str, dict[str, dict[str, dict]]] = {}
-    for budget, scale, corpus_kind, summary in results:
-        grid.setdefault(f"{budget:g}", {}).setdefault(
-            f"{scale:g}", {}
-        )[corpus_kind] = summary
 
     # E9 anchor: the periodic online/offline policy frontier over the
     # same defect-rate ensemble E9 samples.
@@ -1844,44 +1857,20 @@ def run_fleetscreen_grid(
     baseline_labels = ["online weekly (E9)", "offline quarterly (E9)"]
     baseline = policy_frontier(baseline_policies, rates)
 
-    rows = []
-    for budget in budgets:
-        for scale in prevalence_scales:
-            for corpus_kind in FLEETSCREEN_CORPORA:
-                cell = grid[f"{budget:g}"][f"{scale:g}"][corpus_kind]
-                rows.append([
-                    f"{budget:g}", f"{scale:g}", corpus_kind,
-                    f"{cell['detected']}/{cell['n_active']}",
-                    f"{cell['median_latency_days']:.1f}",
-                    f"{cell['escaped_corruptions']:.1f}",
-                    f"{cell['machine_seconds']:.0f}",
-                    f"{cell['skipped_slots']}",
-                ])
-
-    # Headline 1: distillation keeps ≥90% unit coverage at measurably
-    # lower run cost (the SiliFuzz claim, checked on the built corpus).
+    rows = [
+        [
+            budget, scale, corpus_kind,
+            f"{cell['detected']}/{cell['n_active']}",
+            f"{cell['median_latency_days']:.1f}",
+            f"{cell['escaped_corruptions']:.1f}",
+            f"{cell['machine_seconds']:.0f}",
+            f"{cell['skipped_slots']}",
+        ]
+        for budget, scales in grid.items()
+        for scale, corpora in scales.items()
+        for corpus_kind, cell in corpora.items()
+    ]
     sample = grid[f"{budgets[0]:g}"][f"{prevalence_scales[0]:g}"]
-    distilled_cheaper_at_equal_coverage = (
-        sample["distilled"]["battery_coverage"] >= 0.9
-        and sample["distilled"]["battery_ops"] < sample["full"]["battery_ops"]
-    )
-    # Headline 2: at the tightest (binding) budget the cheaper battery
-    # screens more cores per day, so the distilled arm never detects
-    # less than the full corpus does.
-    tight = grid[f"{budgets[0]:g}"]
-    distilled_detects_no_less = all(
-        tight[f"{scale:g}"]["distilled"]["detected"]
-        >= tight[f"{scale:g}"]["full"]["detected"]
-        for scale in prevalence_scales
-    )
-    # Headline 3: budget buys latency — the largest budget's distilled
-    # arm detects at least as much as the smallest's, everywhere.
-    wide = grid[f"{budgets[-1]:g}"]
-    budget_buys_detection = all(
-        wide[f"{scale:g}"]["distilled"]["detected"]
-        >= tight[f"{scale:g}"]["distilled"]["detected"]
-        for scale in prevalence_scales
-    )
 
     rendered = render_table(
         ["budget", "prev×", "corpus", "detected", "median days",
@@ -1905,37 +1894,508 @@ def run_fleetscreen_grid(
         "corpora": list(FLEETSCREEN_CORPORA),
         "baseline": baseline,
         "baseline_labels": baseline_labels,
-        "distilled_cheaper_at_equal_coverage":
-            distilled_cheaper_at_equal_coverage,
-        "distilled_detects_no_less": distilled_detects_no_less,
-        "budget_buys_detection": budget_buys_detection,
         "rendered": rendered,
     }
 
 
-#: registry mapping experiment id → (title, runner)
-EXPERIMENTS: dict[str, tuple[str, Callable[..., dict]]] = {
-    "F1": ("Fig. 1: reported CEE rates (normalized)", run_fig1),
-    "E1": ("Incidence per 1000 machines", run_incidence),
-    "E2": ("Symptom classes in risk order", run_symptoms),
-    "E3": ("Self-inverting AES case study", run_aes_case),
-    "E4": ("Corruption propagation case studies", run_propagation),
-    "E5": ("DMR/TMR cost factors", run_redundancy_cost),
-    "E6": ("Rate heterogeneity (orders of magnitude)", run_rate_spread),
-    "E7": ("f/V/T sensitivity and shared logic", run_fvt),
-    "E8": ("Human-triage confirmation rate", run_triage),
-    "E9": ("Online vs offline screening tradeoff", run_screening_tradeoff),
-    "E10": ("Core vs machine isolation", run_isolation),
-    "E11": ("Mitigation ladder effectiveness", run_mitigation_ladder),
-    "E12": ("ABFT / resilient algorithms", run_abft),
-    "E13": ("Report concentration analysis", run_report_concentration),
-    "E14": ("Aging: onset and escalation", run_aging),
-    "E15": ("Serving under CEE: chaos campaign", run_serving_under_cee),
-    "E16": ("Storage under CEE: durable-path chaos", run_storage_under_cee),
-    "E17": ("Serve at scale: prevalence × mitigation-spend grid",
-            run_serve_at_scale),
-    "E18": ("Instruction-level checking: cost vs coverage grid",
-            run_instrcheck_grid),
-    "E19": ("Fleet proxy screening: budget × prevalence × corpus grid",
-            run_fleetscreen_grid),
+# ---------------------------------------------------------------------
+# The registry: every experiment is one row, every paper claim one
+# named predicate with its tolerance written out
+# ---------------------------------------------------------------------
+
+def _rises(series: list[tuple[float, float]]) -> bool:
+    """Mean of the last third ≥ mean of the first (robust to bucket noise)."""
+    values = [value for _, value in series]
+    third = max(1, len(values) // 3)
+    return sum(values[-third:]) / third >= sum(values[:third]) / third
+
+
+def _frontier(r: dict, label: str, key: str) -> float:
+    return dict(zip(r["labels"], r["frontier"]))[label][key]
+
+
+def _baseline_escapes_grow(r: dict) -> bool:
+    escapes = [
+        cards["baseline"].corrupt_escapes for cards in r["grid"].values()
+    ]
+    return min(escapes) > 0 and escapes == sorted(escapes)
+
+
+def _defenses_engaged(r: dict) -> bool:
+    full = [cards["full"] for cards in r["grid"].values()]
+    return (
+        any(card.hedges > 0 for card in full)
+        and any(card.degraded_ticks for card in full)
+        and all(card.quarantine_tick for card in full)
+    )
+
+
+def _at_full_rate(r: dict, prevalence: int, arm: str) -> InstrCheckScorecard:
+    """E18's ``arm`` cell at the highest sampling rate; ``prevalence``
+    indexes the axis (0 = probabilistic defects only, -1 = highest)."""
+    return r["grid"][r["prevalences"][prevalence]][arm][r["rates"][-1]]
+
+
+def _replay_corrects(r: dict) -> bool:
+    card = _at_full_rate(r, -1, "reptfd")
+    return (
+        card.cees_escaped == 0
+        and card.flagged_clean_units > 0
+        and card.replays > 0
+    )
+
+
+def _slowdowns(r: dict) -> list[list[float]]:
+    """Per (prevalence, arm) of E18: slowdown factors by rising rate."""
+    return [
+        [card.slowdown_factor for card in cards.values()]
+        for arms in r["grid"].values() for cards in arms.values()
+    ]
+
+
+def _at_budget(r: dict, budget: int) -> list[dict]:
+    """E19's per-prevalence ``{corpus: cell}`` dicts at one end of the
+    budget axis (0 = tightest, -1 = widest)."""
+    return list(r["grid"][r["budgets"][budget]].values())
+
+
+def _distilled_cheaper(r: dict) -> bool:
+    cell = _at_budget(r, 0)[0]
+    return (
+        cell["distilled"]["battery_coverage"] >= 0.9
+        and cell["distilled"]["battery_ops"] < cell["full"]["battery_ops"]
+    )
+
+
+_FIG1 = "Fig. 1: automatically-reported rate gradually increasing"
+_INCIDENCE = '§1 "a few mercurial cores per several thousand machines"'
+_HALF = (
+    '§6 "roughly half of these human-identified suspects are actually proven"'
+)
+
+#: the paper experiments; ``EXPERIMENTS`` adds the ablation rows
+_ROWS: dict[str, Experiment] = {
+    "F1": Experiment(
+        "Fig. 1: reported CEE rates (normalized)",
+        "Fig. 1: user-reported rate roughly flat, automatically-reported "
+        "rate gradually increasing",
+        run_fig1,
+        dict(n_machines=2000, horizon_days=360.0, warmup_days=120.0,
+             prevalence_scale=16.0),
+        (
+            Claim("automated_reports_exist", _FIG1,
+                  lambda r: any(v > 0 for _, v in r["auto_series"])),
+            Claim("automated_series_rises", _FIG1,
+                  lambda r: _rises(r["auto_series"])),
+            Claim("automated_slope_nonnegative", _FIG1,
+                  lambda r: r["auto_slope"] >= 0.0),
+        ),
+    ),
+    "E1": Experiment(
+        "Incidence per 1000 machines", _INCIDENCE,
+        run_incidence, dict(n_machines=3000, horizon_days=120.0),
+        (
+            Claim("a_few_per_several_thousand", _INCIDENCE,
+                  lambda r: 0.1 <= r["truth_per_kmachine"] <= 5.0),
+            Claim("detection_never_exceeds_truth", "§4 incidence metrics",
+                  lambda r: r["detected_per_kmachine"]
+                  <= r["truth_per_kmachine"]),
+            Claim("flagged_cores_are_precise", "§6 detection precision",
+                  lambda r: r["detected_per_kmachine"] == 0
+                  or r["precision"] >= 0.8),
+        ),
+    ),
+    "E2": Experiment(
+        "Symptom classes in risk order",
+        '§2 symptom classes, "in increasing order of risk"',
+        run_symptoms, dict(n_cores=12),
+        (
+            Claim("silent_wrong_answers_occur",
+                  '§2 "wrong answers that are never detected"',
+                  lambda r: r["counts"][Symptom.WRONG_ANSWER_UNDETECTED] > 0),
+            # 12 smoke-scale cores only ever show the silent class
+            Claim("several_symptom_classes_from_20_cores_up",
+                  "§2 symptom classes",
+                  lambda r: len(r["per_core_rates"]) < 20
+                  or sum(n > 0 for n in r["counts"].values()) >= 2),
+            Claim("risk_ranks_listed", '§2 "in increasing order of risk"',
+                  lambda r: "(1)" in r["rendered"] and "(4)" in r["rendered"]),
+        ),
+    ),
+    "E3": Experiment(
+        "Self-inverting AES case study",
+        '§2 deterministic AES mis-computation, "self-inverting"',
+        run_aes_case, {},
+        (
+            Claim("ciphertext_differs", "§2 AES mis-computation",
+                  lambda r: r["ciphertext_differs"]),
+            Claim("same_core_roundtrip_is_identity",
+                  '§2 "encrypting and decrypting on the same core yielded '
+                  'the identity function"',
+                  lambda r: r["same_core_roundtrip_identity"]),
+            Claim("decrypt_elsewhere_is_gibberish",
+                  '§2 "decryption elsewhere yielded gibberish"',
+                  lambda r: r["cross_core_garbage"]),
+            Claim("corpus_cross_check_catches", "§6 screening corpus",
+                  lambda r: r["corpus_catches"]),
+            Claim("cross_core_selfcheck_catches", "§7 self-checking libraries",
+                  lambda r: r["checked_cipher_catches"]),
+        ),
+    ),
+    "E4": Experiment(
+        "Corruption propagation case studies",
+        "§2 bit-flips at a particular position; corrupted database "
+        "index; garbage collection losing live data",
+        run_propagation, {},
+        (
+            Claim("flips_at_one_bit_position",
+                  '§2 "repeated bit-flips in strings, at a particular bit '
+                  'position"',
+                  lambda r: r["n_flips"] > 0
+                  and len(r["flip_positions"]) == 1),
+            Claim("only_defective_replica_errs",
+                  '§2 database index corruption, "depending on which '
+                  'replica (core) serves them"',
+                  lambda r: r["replica_errors"][1] > 0.0
+                  and r["replica_errors"][0] == r["replica_errors"][2] == 0.0),
+            Claim("gc_loses_live_data",
+                  '§2 garbage collection "causing live data to be lost"',
+                  lambda r: r["gc_lost_blocks"] > 0
+                  and r["late_detected_losses"] > 0),
+        ),
+    ),
+    "E5": Experiment(
+        "DMR/TMR cost factors",
+        '§3 "a factor of two of extra work" to detect, "triple work" to '
+        "correct",
+        run_redundancy_cost, {},
+        (
+            Claim("detection_costs_two", '§3 "factor of two"',
+                  lambda r: 1.9 <= r["dmr_factor"] <= 2.1),
+            Claim("correction_costs_three", '§3 "triple work"',
+                  lambda r: 2.9 <= r["tmr_factor"] <= 3.1),
+        ),
+    ),
+    "E6": Experiment(
+        "Rate heterogeneity (orders of magnitude)",
+        '§2 "corruption rates vary by many orders of magnitude"',
+        run_rate_spread, dict(n_defects=80),
+        (
+            Claim("many_orders_of_magnitude", '§2 "many orders of magnitude"',
+                  lambda r: r["spread_orders"] >= 3.0),
+        ),
+    ),
+    "E7": Experiment(
+        "f/V/T sensitivity and shared logic",
+        "§5 frequency / voltage / temperature sensitivity, the "
+        "lower-frequency-worse anomaly, shared copy/vector logic",
+        run_fvt, {},
+        (
+            Claim("faster_clock_more_errors", "§5 frequency sensitivity",
+                  lambda r: r["freq_rates"] == sorted(r["freq_rates"])),
+            Claim("lower_frequency_worse_anomaly",
+                  '§5 "lower frequency sometimes (surprisingly) increases '
+                  'the failure rate"',
+                  lambda r: r["volt_rates"]
+                  == sorted(r["volt_rates"], reverse=True)),
+            Claim("shared_logic_hits_copy_and_vector",
+                  "§5 data-copy and vector operations share logic",
+                  lambda r: r["copy_corruptions"] > 0
+                  and r["vector_corruptions"] > 0),
+        ),
+    ),
+    "E8": Experiment(
+        "Human-triage confirmation rate", _HALF,
+        run_triage, dict(n_incidents=80),
+        (
+            Claim("roughly_half_confirmed", _HALF,
+                  lambda r: 0.3 <= r["confirmed_fraction"] <= 0.7),
+            Claim("the_rest_is_a_mix",
+                  '§6 "the other half is a mix of false accusations and '
+                  'limited reproducibility"',
+                  lambda r: r["fractions"]["false_accusation"] > 0
+                  and r["fractions"]["unreproducible"] > 0),
+        ),
+    ),
+    "E9": Experiment(
+        "Online vs offline screening tradeoff",
+        "§6 offline vs online screening: coverage, time to detect, cost",
+        run_screening_tradeoff, dict(n_rates=40),
+        (
+            Claim("offline_catches_what_online_misses",
+                  "§6 offline screening can vary f/V/T; online cannot",
+                  lambda r: r["offline_caught_gated"]
+                  and not r["online_caught_gated"]),
+            Claim("faster_cadence_detects_sooner", "§6 screening frequency",
+                  lambda r: _frontier(
+                      r, "online daily", "median_days_to_detect")
+                  < _frontier(r, "online weekly", "median_days_to_detect")),
+            Claim("faster_cadence_costs_more", "§6 cost of screening",
+                  lambda r: _frontier(
+                      r, "online daily", "compute_cost_fraction")
+                  > _frontier(r, "online weekly", "compute_cost_fraction")),
+        ),
+    ),
+    "E10": Experiment(
+        "Core vs machine isolation",
+        "§6.1 isolate the core, not the machine; safe tasks on "
+        "quarantined cores",
+        run_isolation, dict(n_machines=20),
+        (
+            Claim("core_quarantine_strands_far_less", "§6.1 core isolation",
+                  lambda r: r["core_stranded"] < r["machine_stranded"] / 5),
+            Claim("machine_quarantine_strands_healthy_cores",
+                  "§6.1 cost of removing the whole machine",
+                  lambda r: r["machine_healthy_stranded"] > 0),
+            Claim("safe_tasks_reclaim_capacity",
+                  "§6.1 run tasks that avoid the defective unit",
+                  lambda r: r["safe_task_placements"] > 0),
+        ),
+    ),
+    "E11": Experiment(
+        "Mitigation ladder effectiveness",
+        "§7 tolerating mercurial cores: redundant execution",
+        run_mitigation_ladder, dict(n_units=15),
+        (
+            Claim("unprotected_work_corrupts", "§2 silent wrong answers",
+                  lambda r: r["escaped_unprotected"] > 0),
+            Claim("redundancy_eliminates_escapes", "§7 DMR / TMR",
+                  lambda r: r["escaped_dmr"] == 0 and r["escaped_tmr"] == 0),
+        ),
+    ),
+    "E12": Experiment(
+        "ABFT / resilient algorithms",
+        "§7 algorithm-based fault tolerance; SDC-resilient sorting and "
+        "factorization [11, 27]",
+        run_abft, {},
+        (
+            Claim("vanilla_matmul_goes_wrong", "§7 unprotected algorithms",
+                  lambda r: r["vanilla_wrong"] > 0),
+            Claim("abft_never_silently_wrong", "§7 ABFT",
+                  lambda r: r["abft_silent_wrong"] == 0),
+            Claim("resilient_sort_survives_a_bad_comparator",
+                  "§7 resilient sorting [11]",
+                  lambda r: r["plain_sort_wrong"] and r["resilient_sort_ok"]),
+            Claim("checksummed_lu_detects", "§7 checksummed factorization [27]",
+                  lambda r: r["lu_detections"] > 0),
+        ),
+    ),
+    "E13": Experiment(
+        "Report concentration analysis",
+        "§6 suspect reports concentrated on one core are grounds for "
+        "quarantine; evenly spread reports are not",
+        run_report_concentration, {},
+        (
+            Claim("concentrated_core_is_top_suspect", "§6 report concentration",
+                  lambda r: r["top_suspect"] == "m0042/c07"),
+            Claim("and_is_a_quarantine_candidate", "§6 grounds for quarantine",
+                  lambda r: "m0042/c07" in r["candidates"]),
+        ),
+    ),
+    "E14": Experiment(
+        "Aging: onset and escalation",
+        '§2 "often get worse with time"; §4 age until onset',
+        run_aging, {},
+        (
+            Claim("half_of_onsets_within_a_year", "§4 age until onset",
+                  lambda r: 0.4 <= r["model_cdf_365"] <= 0.6),
+            Claim("rates_escalate_after_onset", '§2 "often get worse with time"',
+                  lambda r: r["escalation"] == sorted(r["escalation"])),
+            Claim("some_onsets_are_later_than_two_years", "§4 latent defects",
+                  lambda r: 0.0 < r["censored_fraction_730"] < 0.6),
+        ),
+    ),
+    "E15": Experiment(
+        "Serving under CEE: chaos campaign",
+        "§7 tolerating mercurial cores in a serving path; §2 silent "
+        "wrong answers",
+        run_serving_under_cee, dict(ticks=250),
+        (
+            Claim("corrupt_responses_escape_the_naive_service",
+                  "§2 silent wrong answers",
+                  lambda r: r["escape_rate_unhardened"] > 0.0),
+            Claim("hardening_cuts_escapes_tenfold", "§7 end-to-end checks",
+                  lambda r: r["escape_rate_hardened"]
+                  <= r["escape_rate_unhardened"] / 10.0),
+            Claim("robustness_tax_under_3x", "§3 the redundancy bill",
+                  lambda r: r["p99_cost"] < 3.0 and r["goodput_cost"] < 3.0),
+            Claim("breakers_trip_on_the_bad_core", "§6 automated signals",
+                  lambda r: any(
+                      e.kind is EventKind.BREAKER_TRIP
+                      and e.core_id == r["bad_core_id"]
+                      for e in r["hardened_events"])),
+            Claim("breakers_accelerate_quarantine", "§6 time to quarantine",
+                  lambda r: None not in (
+                      r["quarantine_tick_breaker"],
+                      r["quarantine_tick_validator_only"])
+                  and r["quarantine_tick_breaker"]
+                  < r["quarantine_tick_validator_only"]),
+        ),
+    ),
+    "E16": Experiment(
+        "Storage under CEE: durable-path chaos",
+        "§5.2 unrecoverable mis-encryption; §2 corrupted database "
+        "index; §7 durable-path defenses",
+        run_storage_under_cee, dict(ticks=200),
+        (
+            Claim("corruption_reaches_clients_of_the_trusting_store",
+                  "§2 silent wrong answers",
+                  lambda r: r["escape_rate_unprotected"] > 0.0),
+            Claim("full_stack_cuts_escapes_tenfold", "§7 durable-path defenses",
+                  lambda r: r["escape_rate_protected"]
+                  <= r["escape_rate_unprotected"] / 10.0),
+            Claim("acked_keys_lost_without_defenses_none_with",
+                  "§5.2 unrecoverable mis-encryption",
+                  lambda r: r["unrecoverable_unprotected"] > 0
+                  and r["unrecoverable_protected"] == 0),
+            Claim("write_amplification_under_3x", "§3 the redundancy bill",
+                  lambda r: r["write_amp_cost"] < 3.0),
+            Claim("encrypt_verify_fingers_the_bad_core",
+                  "§5.2 verify after encrypt",
+                  lambda r: any(
+                      e.kind is EventKind.ENCRYPT_VERIFY_FAIL
+                      and e.core_id == r["bad_core_id"]
+                      for e in r["protected_events"])),
+            Claim("dedicated_weights_quarantine_no_later",
+                  "§6 time to quarantine",
+                  lambda r: None not in (
+                      r["quarantine_tick_dedicated"],
+                      r["quarantine_tick_generic"])
+                  and r["quarantine_tick_dedicated"]
+                  <= r["quarantine_tick_generic"]),
+            Claim("trusting_baseline_never_fingers_the_bad_core",
+                  "§2 silent corruption gives no signal",
+                  lambda r: r["bad_core_id"]
+                  not in r["unprotected"].quarantine_tick),
+        ),
+    ),
+    "E17": Experiment(
+        "Serve at scale: prevalence × mitigation-spend grid",
+        "§1/§4 fleet-scale prevalence; §6/§7 mitigation spend as a dial",
+        run_serve_at_scale, dict(ticks=200),
+        (
+            Claim("baseline_corruption_grows_with_prevalence",
+                  "§1 prevalence drives user-visible corruption",
+                  _baseline_escapes_grow),
+            Claim("hardening_never_loses_to_baseline", "§7 mitigation spend",
+                  lambda r: all(
+                      c["escape_rate_full"] <= c["escape_rate_baseline"]
+                      for c in r["comparisons"].values())),
+            Claim("hardened_arms_hold_escapes_at_zero",
+                  "§7 end-to-end checks, retries, hedging",
+                  lambda r: all(
+                      c["escape_rate_full"] == 0.0
+                      and c["escape_rate_retries_breakers"] == 0.0
+                      and c["escape_rate_baseline"] > 0.0
+                      for c in r["comparisons"].values())),
+            Claim("tail_latency_bill_under_3x", "§3 the redundancy bill",
+                  lambda r: all(
+                      c["p99_cost"] < 3.0 and c["p999_cost"] < 3.0
+                      for c in r["comparisons"].values())),
+            # the baseline's own "availability" counts the corrupt bytes
+            # it served, so compare on ground truth
+            Claim("full_stack_serves_more_correct_answers",
+                  "§7 availability on ground truth, not on served bytes",
+                  lambda r: all(
+                      cards["full"].valid_ok / cards["full"].total_arrivals
+                      > cards["baseline"].valid_ok
+                      / cards["baseline"].total_arrivals
+                      and cards["full"].answered_rate
+                      > cards["baseline"].answered_rate
+                      for cards in r["grid"].values())),
+            Claim("hedging_degradation_and_quarantine_engaged",
+                  "§7 the defenses actually fire under chaos",
+                  _defenses_engaged),
+        ),
+    ),
+    "E18": Experiment(
+        "Instruction-level checking: cost vs coverage grid",
+        "§6/§7 continuous instruction-level checking; §7 reliable-voter "
+        "caveat; §2 deterministic defects",
+        run_instrcheck_grid, dict(units=160),
+        (
+            Claim("cross_core_beats_same_core_duplication",
+                  "§2 deterministic defects corrupt both executions alike",
+                  lambda r: all(
+                      _at_full_rate(r, -1, arm).coverage
+                      > _at_full_rate(r, -1, "ithica").coverage
+                      for arm in ("meek", "reptfd"))),
+            Claim("checking_beats_screening_before_propagation",
+                  "§6 screening catches cores, not in-flight results",
+                  lambda r: all(
+                      _at_full_rate(r, p, arm).coverage
+                      >= _at_full_rate(r, p, "screen").coverage
+                      for p in range(len(r["prevalences"]))
+                      for arm in ("ithica", "meek", "reptfd", "e2e"))),
+            Claim("same_core_duplication_collapses_on_deterministic_core",
+                  "§2 the self-inverting AES story",
+                  lambda r: _at_full_rate(r, 0, "ithica").coverage == 1.0
+                  and _at_full_rate(r, -1, "ithica").coverage < 0.5
+                  and _at_full_rate(r, -1, "ithica").cees_escaped > 0),
+            Claim("replay_corrects_what_it_catches", "§7 checkpoint and retry",
+                  _replay_corrects),
+            Claim("checker_lag_queue_overruns_are_accounted",
+                  "§7 coverage lost honestly, never silently",
+                  lambda r: _at_full_rate(r, -1, "meek").lag_drops > 0),
+            Claim("screening_quarantines_cores_but_catches_no_results",
+                  "§6 screening",
+                  lambda r: all(
+                      _at_full_rate(r, p, "screen").cees_caught == 0
+                      and _at_full_rate(r, p, "screen").quarantine_tick
+                      for p in range(len(r["prevalences"])))),
+            Claim("cost_rises_with_sampling_and_stays_under_tmr",
+                  '§3 "triple work"',
+                  lambda r: all(
+                      s == sorted(s) and all(1.0 <= x < 3.0 for x in s)
+                      for s in _slowdowns(r))),
+        ),
+    ),
+    "E19": Experiment(
+        "Fleet proxy screening: budget × prevalence × corpus grid",
+        "§6 screening at scale; SiliFuzz distillation; ride-along SDC "
+        "screening",
+        run_fleetscreen_grid, dict(n_machines=60, horizon_days=60.0),
+        (
+            Claim("distilled_cheaper_at_equal_coverage",
+                  "SiliFuzz: distillation keeps coverage at a fraction of "
+                  "the cost",
+                  _distilled_cheaper),
+            Claim("distilled_detects_no_less",
+                  "§6 a binding budget favours the cheaper battery",
+                  lambda r: all(
+                      cell["distilled"]["detected"] >= cell["full"]["detected"]
+                      for cell in _at_budget(r, 0))),
+            Claim("budget_buys_detection", "§6 cycles devoted to testing",
+                  lambda r: all(
+                      wide["distilled"]["detected"]
+                      >= tight["distilled"]["detected"]
+                      for tight, wide in zip(
+                          _at_budget(r, 0), _at_budget(r, -1)))),
+            Claim("budget_never_overspent", "§6 screening budget",
+                  lambda r: all(
+                      cell["machine_seconds"] <= cell["budget_machine_seconds"]
+                      for corpora in _at_budget(r, 0)
+                      for cell in corpora.values())),
+            Claim("same_battery_at_every_budget", "§6 screening corpus",
+                  lambda r: all(
+                      tight[kind]["battery_ops"] == wide[kind]["battery_ops"]
+                      for tight, wide in zip(
+                          _at_budget(r, 0), _at_budget(r, -1))
+                      for kind in tight)),
+            Claim("tight_budget_is_binding", "§6 spare cycles are finite",
+                  lambda r: all(
+                      cell["full"]["skipped_slots"] > 0
+                      for cell in _at_budget(r, 0))),
+            Claim("priced_against_e9_periodic_policies", "§6 / E9 anchor",
+                  lambda r: len(r["baseline"])
+                  == len(r["baseline_labels"]) == 2),
+        ),
+    ),
 }
+
+# Imported last: the ablation runners build on ``Claim`` / ``Experiment``
+# / ``_healthy`` above, and their rows complete the one registry.
+from repro.analysis.ablations import ABLATIONS  # noqa: E402
+
+#: registry mapping experiment id → row
+EXPERIMENTS: dict[str, Experiment] = {**_ROWS, **ABLATIONS}

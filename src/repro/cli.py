@@ -7,7 +7,8 @@ Usage::
     python -m repro run F1 --scale ci     # the figure, at smoke scale
     python -m repro run E15 --seed 7      # reproducible from the shell
     python -m repro run E17 --scale ci    # serve-at-scale grid, smoke scale
-    python -m repro run all --scale ci    # everything (slow at full scale)
+    python -m repro run A3                # an ablation row
+    python -m repro run all               # every row; exit 1 if a claim fails
     python -m repro serve                 # the E15 chaos campaign, CI scale
     python -m repro serve --json          # machine-readable SLO scorecards
     python -m repro store                 # the E16 storage campaign, CI scale
@@ -32,30 +33,18 @@ import json
 import math
 import sys
 import time
+import traceback
 from typing import Sequence
 
-from repro.analysis.experiments import CAMPAIGNS, EXPERIMENTS, campaign_arm
+from repro.analysis.experiments import (
+    CAMPAIGNS,
+    EXPERIMENTS,
+    campaign_arm,
+    evaluate,
+)
 
 #: the campaigns ``repro trace|metrics`` can instrument (table rows)
 _OBS_CAMPAIGNS = tuple(experiment_id.lower() for experiment_id in CAMPAIGNS)
-
-#: experiment kwargs at smoke scale (subset; others are already fast)
-_CI_KWARGS: dict[str, dict] = {
-    "F1": dict(n_machines=2000, horizon_days=360.0, warmup_days=120.0,
-               prevalence_scale=16.0),
-    "E1": dict(n_machines=3000, horizon_days=120.0),
-    "E2": dict(n_cores=12),
-    "E6": dict(n_defects=80),
-    "E8": dict(n_incidents=80),
-    "E9": dict(n_rates=40),
-    "E10": dict(n_machines=20),
-    "E11": dict(n_units=15),
-    "E15": dict(ticks=250),
-    "E16": dict(ticks=200),
-    "E17": dict(ticks=200),
-    "E18": dict(units=160),
-    "E19": dict(n_machines=60, horizon_days=60.0),
-}
 
 #: campaign experiments with ``--json`` scorecard output: experiment id
 #: → (scorecard result keys, headline metric result keys)
@@ -78,10 +67,11 @@ _CAMPAIGN_JSON_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 
 def _runner_kwargs(experiment_id: str, scale: str, seed: int | None,
-                   runner, workers: int | None = None,
+                   workers: int | None = None,
                    trials: int | None = None) -> dict:
-    kwargs = dict(_CI_KWARGS.get(experiment_id, {})) if scale == "ci" else {}
-    parameters = inspect.signature(runner).parameters
+    experiment = EXPERIMENTS[experiment_id]
+    kwargs = dict(experiment.ci) if scale == "ci" else {}
+    parameters = inspect.signature(experiment.run).parameters
     if seed is not None:
         if "seed" in parameters:
             kwargs["seed"] = seed
@@ -102,24 +92,37 @@ def _runner_kwargs(experiment_id: str, scale: str, seed: int | None,
 
 
 def _run_one(experiment_id: str, scale: str, seed: int | None = None,
-             workers: int | None = None, trials: int | None = None) -> int:
+             workers: int | None = None, trials: int | None = None,
+             gate: bool = True) -> int:
+    """Run one row and print its table; with ``gate``, also print one
+    verdict line per claim and return 1 unless every claim held."""
     try:
-        title, runner = EXPERIMENTS[experiment_id]
+        experiment = EXPERIMENTS[experiment_id]
     except KeyError:
         print(f"unknown experiment {experiment_id!r}; try `list`",
               file=sys.stderr)
         return 2
     kwargs = _runner_kwargs(
-        experiment_id, scale, seed, runner, workers=workers, trials=trials
+        experiment_id, scale, seed, workers=workers, trials=trials
     )
-    print(f"== {experiment_id}: {title} ==")
+    print(f"== {experiment_id}: {experiment.title} ==")
     # operator-facing elapsed display, not simulated time
     started = time.time()    # repro: noqa-DET002 -- wall-clock UX only
-    result = runner(**kwargs)
-    elapsed = time.time() - started    # repro: noqa-DET002 -- wall-clock UX only
-    print(result["rendered"])
+    try:
+        result = experiment.run(**kwargs)
+        elapsed = time.time() - started    # repro: noqa-DET002 -- wall-clock UX only
+        print(result["rendered"])
+        verdicts = evaluate(experiment, result) if gate else []
+    except Exception:
+        # a row that raises is a failed row: report it and let
+        # ``run all`` reach the rows after it
+        traceback.print_exc()
+        print(f"✘ {experiment_id} raised before its claims could be checked")
+        return 1
+    for claim, held in verdicts:
+        print(f"{'✔' if held else '✘'} {claim.name} — {claim.paper}")
     print(f"[{elapsed:.1f}s]")
-    return 0
+    return 0 if all(held for _, held in verdicts) else 1
 
 
 def _jsonable(value):
@@ -132,14 +135,13 @@ def _jsonable(value):
 def _run_campaign_json(experiment_id: str, seed: int | None,
                        workers: int | None = None) -> int:
     """Run a chaos campaign and print its scorecards as strict JSON."""
-    title, runner = EXPERIMENTS[experiment_id]
+    experiment = EXPERIMENTS[experiment_id]
     card_keys, metric_keys = _CAMPAIGN_JSON_KEYS[experiment_id]
-    kwargs = _runner_kwargs(experiment_id, "ci", seed, runner,
-                            workers=workers)
-    result = runner(**kwargs)
+    kwargs = _runner_kwargs(experiment_id, "ci", seed, workers=workers)
+    result = experiment.run(**kwargs)
     payload = {
         "experiment": experiment_id,
-        "title": title,
+        "title": experiment.title,
         "scorecards": {
             key: result[key].to_json() for key in card_keys
         },
@@ -166,7 +168,7 @@ def _obs_campaign(source: str, seed: int) -> tuple:
     obs.tracer.reset()
     experiment_id = source.upper()
     spec = CAMPAIGNS[experiment_id]
-    scale = _CI_KWARGS[experiment_id]
+    scale = EXPERIMENTS[experiment_id].ci
     card, events, bad = campaign_arm(
         spec.trace_arm, experiment_id=experiment_id, seed=seed,
         fleet=spec.trace_fleet, **scale,
@@ -217,8 +219,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_list() -> int:
     width = max(len(eid) for eid in EXPERIMENTS)
-    for eid, (title, _) in EXPERIMENTS.items():
-        print(f"{eid:<{width}}  {title}")
+    for eid, experiment in EXPERIMENTS.items():
+        print(f"{eid:<{width}}  {experiment.title}")
     return 0
 
 
@@ -256,7 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     subparsers.add_parser("cases", help="screen the §2 named defect cases")
     run_parser = subparsers.add_parser("run", help="run experiment(s)")
     run_parser.add_argument(
-        "experiment", help="experiment ID (F1, E1..E19) or 'all'"
+        "experiment", help="experiment ID (F1, E1..E19, A1..A10) or 'all'"
     )
     run_parser.add_argument(
         "--scale", choices=("full", "ci"), default="full",
@@ -347,8 +349,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _run_campaign_json(
                 args.experiment_id, seed=args.seed, workers=args.workers
             )
+        # an operator demo at any seed: the table, not the gate
         return _run_one(
-            args.experiment_id, "ci", seed=args.seed, workers=args.workers
+            args.experiment_id, "ci", seed=args.seed, workers=args.workers,
+            gate=False,
         )
     if args.experiment == "all":
         status = 0

@@ -5,13 +5,19 @@ import json
 import pytest
 
 import repro.cli
+from repro.analysis.experiments import EXPERIMENTS, Claim, Experiment
 from repro.cli import main
 
 
 @pytest.fixture
 def quick_store(monkeypatch):
     """Shrink the E16 campaign so CLI plumbing tests stay fast."""
-    monkeypatch.setitem(repro.cli._CI_KWARGS, "E16", dict(ticks=120))
+    monkeypatch.setitem(EXPERIMENTS["E16"].ci, "ticks", 120)
+
+
+def _stub(run, held=True) -> Experiment:
+    claim = Claim("stub_claim", "§0 stub", lambda result: held)
+    return Experiment("stub", "§0 stub", run, {}, (claim,))
 
 
 class TestCli:
@@ -62,16 +68,60 @@ class TestSeedFlag:
     def test_seed_on_seedless_runner_warns_but_runs(
         self, capsys, monkeypatch
     ):
-        from repro.analysis.experiments import EXPERIMENTS
-
         def seedless():
             return {"rendered": "seedless ok"}
 
-        monkeypatch.setitem(EXPERIMENTS, "EX", ("seedless stub", seedless))
+        monkeypatch.setitem(EXPERIMENTS, "EX", _stub(seedless))
         assert main(["run", "EX", "--seed", "9"]) == 0
         captured = capsys.readouterr()
         assert "does not take a seed" in captured.err
         assert "seedless ok" in captured.out
+
+
+class TestClaimGate:
+    """``run`` is a gate: its exit status says whether the paper's
+    claims held, not merely that a table was printed."""
+
+    def test_run_prints_one_verdict_line_per_claim(self, capsys):
+        assert main(["run", "E13"]) == 0
+        out = capsys.readouterr().out
+        for claim in EXPERIMENTS["E13"].claims:
+            assert f"✔ {claim.name} — {claim.paper}" in out
+
+    def test_ablations_run_by_id(self, capsys):
+        assert main(["run", "A3", "--scale", "ci"]) == 0
+        assert "A3: voter-reliability ablation" in capsys.readouterr().out
+
+    def test_failed_claim_exits_one(self, capsys, monkeypatch):
+        def run():
+            return {"rendered": "plausible table"}
+
+        monkeypatch.setitem(EXPERIMENTS, "EX", _stub(run, held=False))
+        assert main(["run", "EX"]) == 1
+        out = capsys.readouterr().out
+        assert "plausible table" in out
+        assert "✘ stub_claim — §0 stub" in out
+
+    def test_run_all_outlives_a_failed_and_a_raising_row(
+        self, capsys, monkeypatch
+    ):
+        def run(label):
+            if label == "raises":
+                raise TypeError("harness bug")
+            return {"rendered": f"table of {label}"}
+
+        monkeypatch.setattr(repro.cli, "EXPERIMENTS", {
+            "X1": _stub(lambda: run("fails"), held=False),
+            "X2": _stub(lambda: run("raises")),
+            "X3": _stub(lambda: run("holds")),
+        })
+        assert main(["run", "all"]) == 1
+        captured = capsys.readouterr()
+        assert "✘ stub_claim" in captured.out          # X1 failed its claim
+        assert "✘ X2 raised" in captured.out           # X2 is a failed row
+        assert "TypeError: harness bug" in captured.err
+        assert "table of holds" in captured.out        # X3 still ran
+        assert captured.out.count("✔ stub_claim") == 1
 
 
 class TestServeCommand:
@@ -80,6 +130,7 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "E15" in out
         assert "hardened" in out
+        assert "✔" not in out      # an operator demo, not the claim gate
 
     def test_serve_accepts_a_seed(self, capsys):
         assert main(["serve", "--seed", "4"]) == 0

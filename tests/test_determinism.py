@@ -66,35 +66,3 @@ class TestDifferentSeed:
         second = _run(build_seed=12)
         assert _event_stream(first) != _event_stream(second)
 
-
-class TestWorkerInvariance:
-    """Scorecards are a function of the seed, not the worker layout.
-
-    The parallel engine derives every trial seed from the root seed up
-    front (SeedSequence.spawn) and gathers results in submission order,
-    so fanning the same campaign across 1 or N processes must produce
-    bit-identical aggregates.
-    """
-
-    def test_e1_trials_identical_across_worker_counts(self):
-        from repro.analysis.experiments import run_incidence
-
-        kwargs = dict(n_machines=150, seed=7, horizon_days=30.0, n_trials=3)
-        serial = run_incidence(workers=1, **kwargs)
-        pooled = run_incidence(workers=3, **kwargs)
-        assert serial["per_trial"] == pooled["per_trial"]
-        assert serial["rendered"] == pooled["rendered"]
-        assert serial == pooled
-
-    def test_e16_scorecards_identical_across_worker_counts(self):
-        from repro.analysis.experiments import run_storage_under_cee
-
-        serial = run_storage_under_cee(ticks=60, workers=1)
-        pooled = run_storage_under_cee(ticks=60, workers=2)
-        assert serial["rendered"] == pooled["rendered"]
-        arms = (
-            "unprotected", "quorum_only", "no_encrypt_verify",
-            "generic_weights", "protected",
-        )
-        for arm in arms:
-            assert serial[arm].to_json() == pooled[arm].to_json(), arm

@@ -264,12 +264,13 @@ def obs_state():
     obs.tracer.reset()
 
 
-def _e19_fingerprint(workers: int | None = None) -> str:
-    from repro.analysis.experiments import run_fleetscreen_grid
+def _e19_fingerprint() -> str:
+    from repro.analysis.experiments import EXPERIMENTS, evaluate
 
-    result = run_fleetscreen_grid(
+    experiment = EXPERIMENTS["E19"]
+    result = experiment.run(
         n_machines=30, horizon_days=30.0, budgets=(2.5e-7, 2e-5),
-        prevalence_scales=(800.0,), workers=workers,
+        prevalence_scales=(800.0,),
     )
     payload = {
         "grid": result["grid"],
@@ -278,21 +279,13 @@ def _e19_fingerprint(workers: int | None = None) -> str:
              if isinstance(v, (int, float, str, bool))}
             for row in result["baseline"]
         ],
-        "headlines": [
-            result["distilled_cheaper_at_equal_coverage"],
-            result["distilled_detects_no_less"],
-            result["budget_buys_detection"],
+        "claims": [
+            (claim.name, held)
+            for claim, held in evaluate(experiment, result)
         ],
         "rendered": result["rendered"],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-class TestWorkerInvariance:
-    def test_e19_scorecard_identical_for_any_worker_count(self):
-        # A same-seed E19 grid is bit-identical no matter how many pool
-        # workers ran its cells.
-        assert _e19_fingerprint(workers=1) == _e19_fingerprint(workers=2)
 
 
 class TestObsParity:

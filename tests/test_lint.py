@@ -126,7 +126,7 @@ class TestDet002WallClock:
     def test_benchmarks_dir_allowed(self):
         findings = lint_snippet(
             "import time\nt = time.time()\n",
-            rel_path="benchmarks/bench_x.py",
+            rel_path="benchmarks/perf/drives.py",
         )
         assert findings == []
 

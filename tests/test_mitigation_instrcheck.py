@@ -386,20 +386,3 @@ class TestVmHook:
         wrapper.flush()
         assert wrapper.stats.mismatches > 0
 
-
-class TestE18Grid:
-    def test_registered_and_worker_invariant(self):
-        from repro.analysis.experiments import (
-            EXPERIMENTS,
-            grid_fingerprint,
-            run_instrcheck_grid,
-        )
-
-        assert "E18" in EXPERIMENTS
-
-        kwargs = dict(units=64, prevalences=(0.25,), rates=(0.33, 1.0))
-        serial = run_instrcheck_grid(workers=1, **kwargs)
-        fanned = run_instrcheck_grid(workers=2, **kwargs)
-        assert grid_fingerprint(serial) == grid_fingerprint(fanned)
-        assert serial["rendered"]
-        assert serial["arms"] == list(ARMS)

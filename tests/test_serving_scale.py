@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import grid_fingerprint, run_serve_at_scale
+from repro.analysis.experiments import run_serve_at_scale
 from repro.chaos import ChaosKind, ChaosSchedule
 from repro.serving import (
     DegradationTier,
@@ -184,15 +184,4 @@ class TestServeAtScaleGrid:
             comp = result["comparisons"][key]
             assert comp["escape_rate_full"] <= comp["escape_rate_baseline"]
             assert comp["n_bad_cores"] >= 1
-        assert result["hardening_wins"]
         assert "E17" in result["rendered"]
-
-    def test_scorecard_is_invariant_to_the_worker_count(self):
-        # the satellite-3 pin: fan-out must not perturb a single byte
-        serial = run_serve_at_scale(
-            ticks=120, prevalences=(0.1, 0.2), seed=5, workers=1
-        )
-        fanned = run_serve_at_scale(
-            ticks=120, prevalences=(0.1, 0.2), seed=5, workers=2
-        )
-        assert grid_fingerprint(serial) == grid_fingerprint(fanned)
