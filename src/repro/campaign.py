@@ -21,7 +21,15 @@ captured: callers assign the script after they have seen placement.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 import numpy as np
 
@@ -67,8 +75,27 @@ class CampaignScorecard:
         }
 
 
+class Published(NamedTuple):
+    """One campaign metric, read off the scorecard at ``finish()``."""
+
+    name: str
+    kind: str  # "counter" | "histogram"
+    unit: str
+    help: str
+    #: scorecard -> a number, a ``{label value: number}`` mapping (then
+    #: ``label`` names the key) or, for a histogram, the list to observe
+    view: Callable[[Any], Any]
+    label: str = ""
+    buckets: tuple[float, ...] | None = None
+
+
 class Campaign:
     """One fleet, one chaos script, one scorecard, one policy loop."""
+
+    #: the runner's metrics whose value *is* a scorecard field
+    published: tuple[Published, ...] = ()
+    #: declared span name stamped on each quarantine, if the runner has one
+    quarantine_span: str | None = None
 
     def __init__(
         self,
@@ -117,12 +144,7 @@ class Campaign:
             core_id: core.corruptions_induced
             for core_id, core in self._core_by_id.items()
         }
-        #: set by runners (from literal declared names) when obs is on
-        self.quarantine_counter: obs.Counter | None = None
-        self.quarantine_span: str | None = None
-        self._obs_on = obs.enabled()
-        if self._obs_on:
-            obs.tracer.set_clock(lambda: self.now_ms)
+        obs.tracer.set_clock(lambda: self.now_ms)
 
     # -- hooks ---------------------------------------------------------
 
@@ -231,13 +253,11 @@ class Campaign:
         self._core_by_id[core_id].set_online(False)
         self.scorecard.quarantine_tick[core_id] = tick
         self._restore_at.pop(core_id, None)
-        if self.quarantine_counter is not None:
-            self.quarantine_counter.inc()
-            if self.quarantine_span is not None:
-                with obs.tracer.span(
-                    self.quarantine_span, core_id=core_id, tick=tick
-                ):
-                    pass
+        if self.quarantine_span is not None:
+            with obs.tracer.span(
+                self.quarantine_span, core_id=core_id, tick=tick
+            ):
+                pass
 
     def spare_core(self, task: Task, occupied: set[str]) -> Core | None:
         """A scheduled core neither ``occupied`` nor quarantined, or
@@ -249,7 +269,9 @@ class Campaign:
         return self._core_by_id[placements[0].core_id]
 
     def finish(self, ticks: int) -> None:
-        """End-of-run bookkeeping every scorecard shares."""
+        """End-of-run bookkeeping every scorecard shares, then the one
+        place campaign metrics are written: every ``published`` family
+        is registered and takes its non-zero values off the scorecard."""
         card = self.scorecard
         card.ticks = ticks
         card.first_corrupt_tick = dict(sorted(card.first_corrupt_tick.items()))
@@ -257,6 +279,26 @@ class Campaign:
             card.first_corrupt_tick, card.quarantine_tick,
             list(self.events), self.tick_ms,
         )
+        for row in self.published:
+            value = row.view(card)
+            if row.kind == "histogram":
+                histogram = obs.metrics.histogram(
+                    row.name, help=row.help, unit=row.unit,
+                    buckets=row.buckets,
+                )
+                for sample in value:
+                    histogram.observe(sample)
+                continue
+            counter = obs.metrics.counter(
+                row.name, help=row.help, unit=row.unit
+            )
+            if not row.label:
+                if value:
+                    counter.inc(value)
+                continue
+            for label_value, amount in value.items():
+                if amount:
+                    counter.inc(amount, **{row.label: label_value})
 
 
 def build_small_fleet(
@@ -297,4 +339,4 @@ def build_small_fleet(
     return machines, bad_core_ids
 
 
-__all__ = ["Campaign", "CampaignScorecard", "build_small_fleet"]
+__all__ = ["Campaign", "CampaignScorecard", "Published", "build_small_fleet"]

@@ -80,8 +80,6 @@ def publish_confusion(confusion: Confusion, detector: str = "fleet") -> None:
     tally dicts: gauges (last write wins) because a confusion matrix is
     a *state* of the trial, not an accumulating flow.
     """
-    if not obs.metrics.enabled:
-        return
     gauge = obs.metrics.gauge(
         "detection_confusion",
         help="detector confusion-matrix counts vs ground truth",

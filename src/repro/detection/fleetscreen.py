@@ -239,7 +239,6 @@ class FleetScreener:
         self.env_boost = env_boost
         self.ops_per_coresecond = ops_per_coresecond
         self._unit_ops = battery.ops_by_unit()
-        self._obs_on = obs.enabled()
         # (mercurial × unit) per-op rate cache, keyed by rounded age so
         # week-scale aging refreshes it (the simulator's refresh cadence)
         self._rate_cache: dict[int, np.ndarray] = {}
@@ -322,8 +321,7 @@ class FleetScreener:
                         reporter=Reporter.AUTOMATED,
                         detail="fleet screen",
                     ))
-        if self._obs_on:
-            self._record(n_screened, len(confessed), machine_seconds)
+        self._record(n_screened, len(confessed), machine_seconds)
         return FleetScreenResult(
             events=tuple(events),
             n_screened=n_screened,
@@ -431,7 +429,6 @@ class RideAlongScreener:
             ops_per_coresecond=self.config.ops_per_coresecond,
         )
         self._cursor = 0
-        self._obs_on = obs.enabled()
 
     @property
     def battery(self) -> DistilledBattery:
@@ -514,13 +511,12 @@ class RideAlongScreener:
                 reporter=Reporter.AUTOMATED,
                 detail=f"budget exhausted: {n_skipped} slots unscreened",
             ))
-            if self._obs_on:
-                obs.metrics.counter(
-                    "fleetscreen_budget_skips_total",
-                    help="spare slots ride-along screening could not "
-                         "afford (lost coverage)",
-                    unit="slots",
-                ).inc(n_skipped)
+            obs.metrics.counter(
+                "fleetscreen_budget_skips_total",
+                help="spare slots ride-along screening could not "
+                     "afford (lost coverage)",
+                unit="slots",
+            ).inc(n_skipped)
         return RideAlongResult(
             screen=screen,
             budget_machine_seconds=budget,

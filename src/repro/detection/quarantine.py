@@ -33,7 +33,7 @@ from repro.silicon.units import unit_of
 def _record_isolation(
     scope: str, target_id: str, mercurial: bool, running_tasks: int
 ) -> None:
-    """Obs hook for isolation actions (rare; checked at call time)."""
+    """Obs hook for isolation actions (rare)."""
     obs.metrics.counter(
         "detection_isolations_total",
         help="isolation actions, by scope (core = CSR-style, machine = "
@@ -76,10 +76,9 @@ class CoreQuarantine:
             self.cost.healthy_cores_stranded += 1
         self.cost.migrations += running_tasks
         self.cost.migration_coreseconds += running_tasks * self.migration_cost
-        if obs.metrics.enabled:
-            _record_isolation(
-                "core", core.core_id, core.is_mercurial, running_tasks
-            )
+        _record_isolation(
+            "core", core.core_id, core.is_mercurial, running_tasks
+        )
 
     def restore(self, core: Core) -> None:
         if core.core_id not in self.removed:
@@ -110,11 +109,10 @@ class MachineQuarantine:
                 self.cost.healthy_cores_stranded += 1
         self.cost.migrations += running_tasks
         self.cost.migration_coreseconds += running_tasks * self.migration_cost
-        if obs.metrics.enabled:
-            _record_isolation(
-                "machine", machine_id,
-                any(core.is_mercurial for core in cores), running_tasks,
-            )
+        _record_isolation(
+            "machine", machine_id,
+            any(core.is_mercurial for core in cores), running_tasks,
+        )
 
 
 def safe_op_mix(core: Core, op_mix: dict[str, float], threshold: float = 1e-9) -> bool:

@@ -16,7 +16,8 @@ op mix avoids a quarantined core's implicated units back onto that core
 from __future__ import annotations
 
 import dataclasses
-from typing import Collection, Sequence
+import operator
+from typing import Any, Callable, Collection, Sequence
 
 import numpy as np
 
@@ -127,52 +128,50 @@ class FleetScheduler:
                 mask[flat] = True
         return mask
 
-    def _schedule_columnar(
+    def _scan_slots(
         self,
-        tasks: Sequence[Task],
         exclude_core_ids: Collection[str] | np.ndarray | None,
-    ) -> tuple[list[Placement], ScheduleStats]:
-        columns = self.columns
-        assert columns is not None
-        excluded = self._exclude_mask(exclude_core_ids)
+    ) -> tuple[Any, list[Any], Callable[[Any], str], ScheduleStats]:
+        """One pass over the substrate: free online slots and
+        quarantine-stranded slots (each in flat core order), how to name
+        a slot, and the capacity tallies.  A slot is a ``Core`` on an
+        object fleet and a flat index on columns, whose id string is
+        only built for a slot that takes a task."""
         stats = ScheduleStats()
-        stats.slots_total = columns.n_cores
-        stats.slots_excluded = int(excluded.sum())
-        online = columns.online & ~excluded
-        stranded = ~columns.online & ~excluded
-        stats.slots_stranded = int(stranded.sum())
-        free_online = np.nonzero(online)[0]
-        free_quarantined = np.nonzero(stranded)[0].tolist()
-
-        placements: list[Placement] = []
-        cursor = 0
-        for task in tasks:
-            if cursor < free_online.shape[0]:
-                placements.append(
-                    Placement(task, columns.core_id(int(free_online[cursor])))
-                )
-                cursor += 1
-                stats.placed += 1
-                continue
-            placed = False
-            if self.allow_safe_tasks:
-                for index, flat in enumerate(free_quarantined):
-                    core_id = columns.core_id(flat)
-                    implicated = self.implicated_units_by_core.get(
-                        core_id, frozenset()
-                    )
-                    if heuristic_safe_op_mix(implicated, task.op_mix):
-                        free_quarantined.pop(index)
-                        placements.append(
-                            Placement(task, core_id, on_quarantined_core=True)
-                        )
-                        stats.placed += 1
-                        stats.placed_on_quarantined += 1
-                        placed = True
-                        break
-            if not placed:
-                stats.unplaceable += 1
-        return placements, stats
+        columns = self.columns
+        if columns is not None:
+            excluded = self._exclude_mask(exclude_core_ids)
+            stranded = ~columns.online & ~excluded
+            stats.slots_total = columns.n_cores
+            stats.slots_excluded = int(excluded.sum())
+            stats.slots_stranded = int(stranded.sum())
+            return (
+                np.nonzero(columns.online & ~excluded)[0],
+                np.nonzero(stranded)[0].tolist(),
+                lambda flat: columns.core_id(int(flat)),
+                stats,
+            )
+        if isinstance(exclude_core_ids, np.ndarray):
+            raise TypeError(
+                "index-array exclusion needs a FleetColumns scheduler; "
+                "object fleets take core-id collections"
+            )
+        exclude = frozenset(exclude_core_ids or ())
+        free_online: list[Core] = []
+        free_quarantined: list[Core] = []
+        for core in self._all_cores():
+            stats.slots_total += 1
+            if core.core_id in exclude:
+                stats.slots_excluded += 1
+            elif core.online:
+                free_online.append(core)
+            else:
+                stats.slots_stranded += 1
+                free_quarantined.append(core)
+        return (
+            free_online, free_quarantined,
+            operator.attrgetter("core_id"), stats,
+        )
 
     def schedule(
         self,
@@ -194,45 +193,30 @@ class FleetScheduler:
                 index array (flat core indices) or a per-core boolean
                 mask — no ``Core`` objects are materialized either way.
         """
-        if self.columns is not None:
-            return self._schedule_columnar(tasks, exclude_core_ids)
-        if isinstance(exclude_core_ids, np.ndarray):
-            raise TypeError(
-                "index-array exclusion needs a FleetColumns scheduler; "
-                "object fleets take core-id collections"
-            )
-        exclude = frozenset(exclude_core_ids or ())
-        stats = ScheduleStats()
+        free_online, free_quarantined, core_id_of, stats = self._scan_slots(
+            exclude_core_ids
+        )
         placements: list[Placement] = []
-        free_online: list[Core] = []
-        free_quarantined: list[Core] = []
-        for core in self._all_cores():
-            stats.slots_total += 1
-            if core.core_id in exclude:
-                stats.slots_excluded += 1
-                continue
-            if core.online:
-                free_online.append(core)
-            else:
-                stats.slots_stranded += 1
-                free_quarantined.append(core)
-
-        for task in tasks:
-            if free_online:
-                core = free_online.pop(0)
-                placements.append(Placement(task, core.core_id))
+        for index, task in enumerate(tasks):
+            # free slots go first, one per task, so the i-th task takes
+            # the i-th free slot for as long as they last
+            if index < len(free_online):
+                placements.append(
+                    Placement(task, core_id_of(free_online[index]))
+                )
                 stats.placed += 1
                 continue
             placed = False
             if self.allow_safe_tasks:
-                for index, core in enumerate(free_quarantined):
+                for position, slot in enumerate(free_quarantined):
+                    core_id = core_id_of(slot)
                     implicated = self.implicated_units_by_core.get(
-                        core.core_id, frozenset()
+                        core_id, frozenset()
                     )
                     if heuristic_safe_op_mix(implicated, task.op_mix):
-                        free_quarantined.pop(index)
+                        free_quarantined.pop(position)
                         placements.append(
-                            Placement(task, core.core_id, on_quarantined_core=True)
+                            Placement(task, core_id, on_quarantined_core=True)
                         )
                         stats.placed += 1
                         stats.placed_on_quarantined += 1
@@ -244,14 +228,5 @@ class FleetScheduler:
 
     def capacity(self) -> tuple[int, int]:
         """(online slots, total slots)."""
-        if self.columns is not None:
-            return (
-                int(self.columns.online.sum()),
-                int(self.columns.n_cores),
-            )
-        total = 0
-        online = 0
-        for core in self._all_cores():
-            total += 1
-            online += core.online
-        return online, total
+        free_online, _stranded, _core_id_of, stats = self._scan_slots(None)
+        return len(free_online), stats.slots_total

@@ -23,10 +23,13 @@ Hand-off protocol:
    because the parent's ``finally`` still runs after
    :class:`~repro.engine.runner.WorkerCrashError`.
 
-Attachment never registers with the ``resource_tracker`` (Python 3.13's
-``track=False``, emulated by unregistering on older interpreters):
-otherwise the first pool worker to exit would unlink the segment out
-from under everyone else (bpo-38119).
+Attachment never talks to the ``resource_tracker`` (Python 3.13's
+``track=False``; on older interpreters the constructor's ``register``
+is suppressed): otherwise the first pool worker to exit would unlink
+the segment out from under everyone else (bpo-38119).  Registering and
+then unregistering is not equivalent — the tracker is one process
+shared by the whole pool and keeps names in a set, so two workers'
+register/register/unregister/unregister ends in a ``KeyError`` there.
 """
 
 from __future__ import annotations
@@ -121,14 +124,6 @@ class FleetSnapshot:
             return
         self._shm = None
         shm.close()
-        # An attach() in this same process may have unregistered the
-        # segment (the pre-3.13 tracker workaround); re-register so the
-        # unlink's own unregister stays balanced.  The tracker cache is
-        # a set, so this is idempotent when no attach happened.
-        try:
-            resource_tracker.register(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
         try:
             shm.unlink()
         except FileNotFoundError:
@@ -211,12 +206,15 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track= parameter
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
-        return shm
+        pass
+    # The constructor registers unconditionally; keep the message from
+    # being sent rather than undoing it afterwards.
+    register = resource_tracker.register
+    resource_tracker.register = lambda *_args: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 class AttachedFleet:

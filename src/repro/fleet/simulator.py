@@ -230,29 +230,25 @@ class FleetSimulator:
         self.quarantine_day: dict[str, float] = {}
         self.detection_latency: dict[str, float] = {}
 
-        # Observability: the enabled flag is cached so the per-tick hot
-        # loop pays one attribute test when off.
-        self._obs_on = obs.enabled()
-        if self._obs_on:
-            self._m_ticks = obs.metrics.counter(
-                "fleet_ticks_total", help="simulator ticks run", unit="ticks",
-            )
-            self._m_events = obs.metrics.counter(
-                "fleet_events_total",
-                help="CeeEvents appended by the simulator", unit="events",
-            )
-            self._m_quarantines = obs.metrics.counter(
-                "fleet_quarantines_total",
-                help="cores taken offline by the fleet policy, by ground "
-                     "truth of the victim",
-                unit="cores",
-            )
-            self._h_latency = obs.metrics.histogram(
-                "fleet_detection_latency_days",
-                help="defect onset to quarantine, truly mercurial cores",
-                unit="days",
-                buckets=(1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 240.0, 480.0),
-            )
+        self._m_ticks = obs.metrics.counter(
+            "fleet_ticks_total", help="simulator ticks run", unit="ticks",
+        )
+        self._m_events = obs.metrics.counter(
+            "fleet_events_total",
+            help="CeeEvents appended by the simulator", unit="events",
+        )
+        self._m_quarantines = obs.metrics.counter(
+            "fleet_quarantines_total",
+            help="cores taken offline by the fleet policy, by ground "
+                 "truth of the victim",
+            unit="cores",
+        )
+        self._h_latency = obs.metrics.histogram(
+            "fleet_detection_latency_days",
+            help="defect onset to quarantine, truly mercurial cores",
+            unit="days",
+            buckets=(1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 240.0, 480.0),
+        )
 
         # Per-mercurial-core state, dense over the (tiny) mercurial
         # population.  Onset is a pure age threshold (min across the
@@ -337,14 +333,11 @@ class FleetSimulator:
         self.columns.online[flat] = False
         is_mercurial = bool(self.columns.mercurial[flat])
         self.quarantine_day[core_id] = now
+        self._m_quarantines.inc(mercurial="yes" if is_mercurial else "no")
         if is_mercurial:
             onset = self.truth.onset_days_by_core.get(core_id, 0.0)
             self.detection_latency[core_id] = max(0.0, now - onset)
-        if self._obs_on:
-            mercurial = "yes" if is_mercurial else "no"
-            self._m_quarantines.inc(mercurial=mercurial)
-            if is_mercurial:
-                self._h_latency.observe(self.detection_latency[core_id])
+            self._h_latency.observe(self.detection_latency[core_id])
 
     def _apply_policy(self, now: float) -> None:
         columns = self.columns
@@ -672,10 +665,9 @@ class FleetSimulator:
             events_before = len(self.events)
             self._tick(now, tick)
             new_events = self.events.tail(events_before)
-            if self._obs_on:
-                self._m_ticks.inc()
-                if new_events:
-                    self._m_events.inc(len(new_events))
+            self._m_ticks.inc()
+            if new_events:
+                self._m_events.inc(len(new_events))
             self.analyzer.ingest_all(new_events)
             for suspect in self.complaints.quarantine_candidates():
                 self.analyzer.tracker.record(

@@ -59,18 +59,16 @@ class MceLogAnalyzer:
         self.corrected_excess_threshold = corrected_excess_threshold
         self._corrected_counts: collections.Counter = collections.Counter()
         self.records_seen = 0
-        self._obs_on = obs.enabled()
-        if self._obs_on:
-            self._m_records = obs.metrics.counter(
-                "telemetry_mce_records_total",
-                help="raw machine-check log records analyzed",
-                unit="records",
-            )
-            self._m_events = obs.metrics.counter(
-                "telemetry_mce_events_total",
-                help="signal-worthy MCE events appended to the log",
-                unit="events",
-            )
+        self._m_records = obs.metrics.counter(
+            "telemetry_mce_records_total",
+            help="raw machine-check log records analyzed",
+            unit="records",
+        )
+        self._m_events = obs.metrics.counter(
+            "telemetry_mce_events_total",
+            help="signal-worthy MCE events appended to the log",
+            unit="events",
+        )
 
     def analyze(self, records: list[MceRecord], log: EventLog) -> int:
         """Append signal-worthy events to ``log``; returns events added."""
@@ -98,9 +96,8 @@ class MceLogAnalyzer:
                 )
             )
             added += 1
-        if self._obs_on:
-            self._m_records.inc(len(records))
-            self._m_events.inc(added)
+        self._m_records.inc(len(records))
+        self._m_events.inc(added)
         return added
 
     def corrected_recidivists(self) -> list[tuple[str, int]]:
@@ -124,14 +121,12 @@ class CrashDumpAnalyzer:
             raise ValueError("pinned_fraction must be a probability")
         self.rng = rng
         self.pinned_fraction = pinned_fraction
-        self._obs_on = obs.enabled()
-        if self._obs_on:
-            self._m_dumps = obs.metrics.counter(
-                "telemetry_crash_dumps_total",
-                help="crash dumps converted to CRASH events, by whether "
-                     "the dying thread was pinned (core-attributable)",
-                unit="dumps",
-            )
+        self._m_dumps = obs.metrics.counter(
+            "telemetry_crash_dumps_total",
+            help="crash dumps converted to CRASH events, by whether "
+                 "the dying thread was pinned (core-attributable)",
+            unit="dumps",
+        )
 
     def synthesize_dump(
         self,
@@ -154,12 +149,9 @@ class CrashDumpAnalyzer:
 
     def analyze(self, dumps: list[CrashDump], log: EventLog) -> int:
         """Convert dumps to CRASH events; returns events added."""
-        if self._obs_on:
-            attributed = sum(
-                1 for d in dumps if d.pinned_core_id is not None
-            )
-            self._m_dumps.inc(attributed, attributed="yes")
-            self._m_dumps.inc(len(dumps) - attributed, attributed="no")
+        attributed = sum(1 for d in dumps if d.pinned_core_id is not None)
+        self._m_dumps.inc(attributed, attributed="yes")
+        self._m_dumps.inc(len(dumps) - attributed, attributed="no")
         for dump in dumps:
             log.append(
                 CeeEvent(

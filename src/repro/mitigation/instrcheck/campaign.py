@@ -55,7 +55,12 @@ import dataclasses
 import numpy as np
 
 from repro import obs
-from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
+from repro.campaign import (
+    Campaign,
+    CampaignScorecard,
+    Published,
+    build_small_fleet,
+)
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
@@ -70,6 +75,7 @@ from repro.mitigation.instrcheck.policies import (
     _hash01,
     result_digest,
 )
+from repro.obs import names
 from repro.silicon.core import Core
 from repro.silicon.defects import (
     DefectModel,
@@ -213,6 +219,38 @@ class InstrCheckCampaign(Campaign):
     """One arm, one fleet, one deterministic op stream, one scorecard."""
 
     scorecard: InstrCheckScorecard
+    published = (
+        Published(
+            names.INSTRCHECK_OPS_CHECKED_TOTAL, "counter", "ops",
+            "ops re-executed by a checking arm (duplicates, "
+            "checker stream, replays)",
+            lambda card: {card.name: card.ops_sampled},
+            label="arm",
+        ),
+        Published(
+            names.INSTRCHECK_MISMATCHES_TOTAL, "counter", "events",
+            "duplicate/checker digest disagreements",
+            lambda card: {card.name: card.mismatches},
+            label="arm",
+        ),
+        Published(
+            names.INSTRCHECK_LAG_DROPS_TOTAL, "counter", "entries",
+            "check-stream entries dropped on lag-queue overflow "
+            "(coverage lost)",
+            lambda card: card.lag_drops,
+        ),
+        Published(
+            names.INSTRCHECK_REPLAYS_TOTAL, "counter", "granules",
+            "granules replayed on the checker core (RepTFD)",
+            lambda card: card.replays,
+        ),
+        Published(
+            names.INSTRCHECK_QUARANTINES_TOTAL, "counter", "cores",
+            "cores pulled from the lane pool by the campaign "
+            "policy loop",
+            lambda card: len(card.quarantine_tick),
+        ),
+    )
 
     def __init__(
         self,
@@ -278,36 +316,6 @@ class InstrCheckCampaign(Campaign):
         self._current_tick = 0
         self._overflow_tick: dict[str, int] = {}
 
-        self._ops_checked_seen = 0
-        if self._obs_on:
-            self._m_ops_checked = obs.metrics.counter(
-                "instrcheck_ops_checked_total",
-                help="ops re-executed by a checking arm (duplicates, "
-                     "checker stream, replays)",
-                unit="ops",
-            )
-            self._m_mismatches = obs.metrics.counter(
-                "instrcheck_mismatches_total",
-                help="duplicate/checker digest disagreements",
-                unit="events",
-            )
-            self._m_lag_drops = obs.metrics.counter(
-                "instrcheck_lag_drops_total",
-                help="check-stream entries dropped on lag-queue overflow "
-                     "(coverage lost)",
-                unit="entries",
-            )
-            self._m_replays = obs.metrics.counter(
-                "instrcheck_replays_total",
-                help="granules replayed on the checker core (RepTFD)",
-                unit="granules",
-            )
-            self.quarantine_counter = obs.metrics.counter(
-                "instrcheck_quarantines_total",
-                help="cores pulled from the lane pool by the campaign "
-                     "policy loop",
-                unit="cores",
-            )
         for lane in self.lanes:
             self._equip_lane(lane)
 
@@ -366,14 +374,10 @@ class InstrCheckCampaign(Campaign):
     def _on_mismatch(self, core_id: str, op: str, tag: int) -> None:
         self._caught.add(tag)
         self.emit(core_id, EventKind.INSTRCHECK_MISMATCH, f"op {op}")
-        if self._obs_on:
-            self._m_mismatches.inc(arm=self.arm)
 
     def _on_divergence(self, core_id: str, op: str, tag: int) -> None:
         self._caught.add(tag)
         self.emit(core_id, EventKind.REPLAY_DIVERGENCE, f"granule op {op}")
-        if self._obs_on:
-            self._m_mismatches.inc(arm=self.arm)
 
     def _on_overflow(self, core_id: str, tag: int) -> None:
         # Deliberately *unattributed* (core_id=None): an overflowing
@@ -381,9 +385,7 @@ class InstrCheckCampaign(Campaign):
         # not evidence against the primary.  An attributed weight here
         # would condemn healthy lanes at full sampling rate.  Also
         # throttled to one event per lane per tick; the exact drop
-        # count lives in stats.lag_drops and the metric.
-        if self._obs_on:
-            self._m_lag_drops.inc()
+        # count lives in stats.lag_drops (and so in the metric).
         if self._overflow_tick.get(core_id) == self._current_tick:
             return
         self._overflow_tick[core_id] = self._current_tick
@@ -395,12 +397,8 @@ class InstrCheckCampaign(Campaign):
 
     def _on_replay(self, tag: int, n_units: int) -> None:
         self.scorecard.replays += 1
-        if self._obs_on:
-            self._m_replays.inc()
-            with obs.tracer.span(
-                "instrcheck.replay", tag=tag, units=n_units
-            ):
-                pass
+        with obs.tracer.span("instrcheck.replay", tag=tag, units=n_units):
+            pass
 
     # -- unit execution ------------------------------------------------
 
@@ -457,8 +455,6 @@ class InstrCheckCampaign(Campaign):
                 self._caught.add(tag)
                 self.emit(core.core_id, EventKind.APP_REPORT,
                            "e2e digest mismatch")
-                if self._obs_on:
-                    self._m_mismatches.inc(arm=self.arm)
         self._delivered[tag] = delivered
 
     def _flush_reptfd(self, lane: _Lane) -> None:
@@ -586,7 +582,6 @@ class InstrCheckCampaign(Campaign):
     def run(self) -> InstrCheckScorecard:
         cfg = self.config
         card = self.scorecard
-        obs_on = self._obs_on
         next_unit = 0
         tick = 0
         while next_unit < len(self.units) or any(
@@ -609,13 +604,9 @@ class InstrCheckCampaign(Campaign):
                     continue
                 tag = next_unit
                 next_unit += 1
-                if obs_on:
-                    with obs.tracer.span(
-                        "instrcheck.unit", unit=tag,
-                        core_id=lane.core.core_id,
-                    ):
-                        self._run_unit(lane, tag)
-                else:
+                with obs.tracer.span(
+                    "instrcheck.unit", unit=tag, core_id=lane.core.core_id
+                ):
                     self._run_unit(lane, tag)
             for lane in self.lanes:
                 self._drain(lane, cfg.drain_per_tick)
@@ -625,11 +616,6 @@ class InstrCheckCampaign(Campaign):
             ):
                 self._run_screen(tick)
             self.end_tick(tick, confessed=self._confessed)
-            if obs_on:
-                delta = self.stats.ops_sampled - self._ops_checked_seen
-                if delta:
-                    self._m_ops_checked.inc(delta, arm=self.arm)
-                    self._ops_checked_seen = self.stats.ops_sampled
             tick += 1
 
         # End-of-run barrier: the MEEK checker drains every backlog.

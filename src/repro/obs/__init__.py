@@ -25,13 +25,18 @@ Components
 
 The no-op mode
 --------------
-``REPRO_OBS=off`` (or ``0``/``false``/``no``) disables everything.
-Instrumented call sites cache :func:`enabled` in a local or instance
-boolean, so the off mode costs one attribute test per call site —
+``REPRO_OBS=off`` (or ``0``/``false``/``no``) disables everything, and
+the switch lives in exactly one place: every mutator
+(``Counter.inc``, ``Gauge.set``, ``Histogram.observe``) returns on the
+registry's flag and :meth:`Tracer.span` hands out a shared null span.
+Call sites therefore emit unconditionally — no cached flags, no
+``if enabled`` forks — and the off mode costs one no-op call per site,
 measured against the on mode as the benchmark's
-``obs.on_overhead_pct`` (``benchmarks/perf``).  Observability
-never touches an RNG or a control-flow decision: campaign scorecards
-are byte-identical with obs on or off (pinned by
+``obs.on_overhead_pct`` (``benchmarks/perf``).  The only outside reader
+of the flag is ``engine.runner.run_trials``, where it decides whether
+snapshots cross the process pool at all.  Observability never touches
+an RNG or a control-flow decision: campaign scorecards are
+byte-identical with obs on or off (pinned by
 ``tests/test_obs_parity.py``).
 """
 
@@ -68,21 +73,17 @@ tracer = Tracer(enabled=metrics.enabled)
 
 
 def enabled() -> bool:
-    """Is observability on for this process?
-
-    Instrumented constructors cache this into ``self._obs_on`` so their
-    hot paths pay a single attribute test when off.  Flipping the
-    switch mid-object-lifetime therefore only affects objects built
-    afterwards — by design, so a campaign is all-on or all-off.
-    """
+    """Is observability on for this process?"""
     return metrics.enabled
 
 
 def set_enabled(flag: bool) -> None:
     """Flip observability for this process (and future pool workers).
 
-    Also writes :data:`ENV_VAR` so spawned worker processes inherit the
-    setting even under start methods that re-import instead of forking.
+    Takes effect at once for every existing object: emission sites hold
+    no copy of the flag.  Also writes :data:`ENV_VAR` so spawned worker
+    processes inherit the setting even under start methods that
+    re-import instead of forking.
     """
     metrics.enabled = bool(flag)
     tracer.enabled = bool(flag)

@@ -12,8 +12,11 @@ other half of the loop: every name here that is actually emitted must
 appear in OBSERVABILITY.md.
 
 Adding a metric or span is therefore three edits, each machine-checked:
-declare the constant here, emit it at the call site, document it in
-OBSERVABILITY.md.
+declare the constant here (a ``SPAN_`` prefix makes it a span;
+:data:`METRIC_NAMES` / :data:`SPAN_NAMES` are derived from the
+constants, never listed by hand), emit it — as a
+:class:`repro.campaign.Published` row when the value is a scorecard
+field, at the call site otherwise — and document it in OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -83,65 +86,22 @@ SPAN_STORAGE_PUT = "storage.put"
 SPAN_STORAGE_GET = "storage.get"
 SPAN_STORAGE_QUARANTINE = "storage.quarantine"
 
+_declared = {
+    constant: value for constant, value in dict(vars()).items()
+    if constant.isupper() and isinstance(value, str)
+}
+
 #: every declared metric family name
-METRIC_NAMES: frozenset[str] = frozenset({
-    SILICON_CORRUPTIONS_TOTAL,
-    SILICON_MACHINE_CHECKS_TOTAL,
-    FLEET_TICKS_TOTAL,
-    FLEET_EVENTS_TOTAL,
-    FLEET_QUARANTINES_TOTAL,
-    FLEET_DETECTION_LATENCY_DAYS,
-    TELEMETRY_MCE_RECORDS_TOTAL,
-    TELEMETRY_MCE_EVENTS_TOTAL,
-    TELEMETRY_CRASH_DUMPS_TOTAL,
-    DETECTION_CONFUSION,
-    DETECTION_ISOLATIONS_TOTAL,
-    SERVING_REQUESTS_TOTAL,
-    SERVING_LATENCY_MS,
-    SERVING_CORRUPT_ESCAPES_TOTAL,
-    SERVING_CORRUPT_CAUGHT_TOTAL,
-    SERVING_QUARANTINES_TOTAL,
-    SERVING_HEDGES_TOTAL,
-    SERVING_RETRIES_TOTAL,
-    SERVING_RETRY_BUDGET_EXHAUSTED_TOTAL,
-    SERVING_STALE_SERVED_TOTAL,
-    SERVING_SHARD_DEGRADED_TOTAL,
-    SERVING_AUTOSCALE_ACTIONS_TOTAL,
-    INSTRCHECK_OPS_CHECKED_TOTAL,
-    INSTRCHECK_MISMATCHES_TOTAL,
-    INSTRCHECK_LAG_DROPS_TOTAL,
-    INSTRCHECK_REPLAYS_TOTAL,
-    INSTRCHECK_QUARANTINES_TOTAL,
-    FLEETSCREEN_SCREENS_TOTAL,
-    FLEETSCREEN_CONFESSIONS_TOTAL,
-    FLEETSCREEN_BUDGET_SKIPS_TOTAL,
-    FLEETSCREEN_MACHINE_SECONDS,
-    STORAGE_WRITES_TOTAL,
-    STORAGE_READS_TOTAL,
-    STORAGE_DURABLE_ESCAPES_TOTAL,
-    STORAGE_REPAIRS_TOTAL,
-    STORAGE_REPAIR_LATENCY_MS,
-    STORAGE_QUARANTINES_TOTAL,
-})
+METRIC_NAMES: frozenset[str] = frozenset(
+    value for constant, value in _declared.items()
+    if not constant.startswith("SPAN_")
+)
 
 #: every declared span name
-SPAN_NAMES: frozenset[str] = frozenset({
-    SPAN_ENGINE_TRIAL,
-    SPAN_DETECTION_QUARANTINE,
-    SPAN_SERVING_SERVE,
-    SPAN_SERVING_REQUEST,
-    SPAN_SERVING_QUARANTINE,
-    SPAN_SERVING_SCALE_REQUEST,
-    SPAN_SERVING_AUTOSCALE,
-    SPAN_SERVING_DEGRADE,
-    SPAN_INSTRCHECK_UNIT,
-    SPAN_INSTRCHECK_REPLAY,
-    SPAN_FLEETSCREEN_PASS,
-    SPAN_FLEETSCREEN_DISTILL,
-    SPAN_STORAGE_PUT,
-    SPAN_STORAGE_GET,
-    SPAN_STORAGE_QUARANTINE,
-})
+SPAN_NAMES: frozenset[str] = frozenset(
+    value for constant, value in _declared.items()
+    if constant.startswith("SPAN_")
+)
 
 #: the full declared-name contract SAFE002 checks against
 DECLARED_NAMES: frozenset[str] = METRIC_NAMES | SPAN_NAMES

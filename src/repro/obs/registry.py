@@ -3,10 +3,10 @@
 One registry instance (the module singleton in :mod:`repro.obs`) holds
 every metric the framework emits.  Design constraints, in order:
 
-1. **Zero-cost when disabled.**  Every mutator checks one boolean on
-   the owning registry and returns; hot paths additionally cache that
-   boolean at construction time so the off mode reduces to a plain
-   attribute test (the benchmark's ``obs.on_overhead_pct`` row).
+1. **One switch, cheap when off.**  Every mutator checks one boolean
+   on the owning registry and returns; nothing else reads it, so call
+   sites emit unconditionally and the off mode is one no-op call per
+   site (the benchmark's ``obs.on_overhead_pct`` row).
 2. **Deterministic.**  Metrics never read clocks or RNGs; a snapshot
    of a seeded campaign is a pure function of the seed.
 3. **Pool-mergeable.**  :meth:`MetricsRegistry.snapshot` /

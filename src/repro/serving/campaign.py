@@ -31,7 +31,12 @@ import dataclasses
 import numpy as np
 
 from repro import obs
-from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
+from repro.campaign import (
+    Campaign,
+    CampaignScorecard,
+    Published,
+    build_small_fleet,
+)
 from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
@@ -117,6 +122,11 @@ class SloScorecard(CampaignScorecard):
         return self.corrupt_escapes / self.ok
 
     @property
+    def answered(self) -> int:
+        """Responses a user got back with payload."""
+        return self.ok
+
+    @property
     def valid_ok(self) -> int:
         return self.ok - self.corrupt_escapes
 
@@ -185,6 +195,42 @@ class RequestCampaign(Campaign):
     """The request path both serving runners put on the kernel."""
 
     scorecard: SloScorecard
+    quarantine_span = names.SPAN_SERVING_QUARANTINE
+    published = (
+        Published(
+            names.SERVING_REQUESTS_TOTAL, "counter", "requests",
+            "terminal request outcomes, by client-visible status",
+            lambda card: {
+                ResponseStatus.OK.value: card.answered,
+                ResponseStatus.TIMEOUT.value: card.timeouts,
+                ResponseStatus.SHED.value: card.shed,
+                ResponseStatus.UNAVAILABLE.value: card.unavailable,
+                ResponseStatus.FAILED.value: card.failed,
+            },
+            label="status",
+        ),
+        Published(
+            names.SERVING_LATENCY_MS, "histogram", "ms",
+            "end-to-end latency of OK responses (simulated)",
+            lambda card: card.latencies_ms,
+        ),
+        Published(
+            names.SERVING_CORRUPT_ESCAPES_TOTAL, "counter", "responses",
+            "corrupt responses delivered as OK (ground truth)",
+            lambda card: card.corrupt_escapes,
+        ),
+        Published(
+            names.SERVING_CORRUPT_CAUGHT_TOTAL, "counter", "responses",
+            "responses rejected by the e2e validator",
+            lambda card: card.corrupt_caught,
+        ),
+        Published(
+            names.SERVING_QUARANTINES_TOTAL, "counter", "cores",
+            "cores pulled from the replica pool by the campaign "
+            "policy loop",
+            lambda card: len(card.quarantine_tick),
+        ),
+    )
 
     def __init__(
         self,
@@ -205,34 +251,6 @@ class RequestCampaign(Campaign):
         self.validator = (
             ResponseValidator(self.client_core) if hardening.validate else None
         )
-        if self._obs_on:
-            self._m_requests = obs.metrics.counter(
-                "serving_requests_total",
-                help="terminal request outcomes, by client-visible status",
-                unit="requests",
-            )
-            self._h_latency = obs.metrics.histogram(
-                "serving_latency_ms",
-                help="end-to-end latency of OK responses (simulated)",
-                unit="ms",
-            )
-            self._m_escapes = obs.metrics.counter(
-                "serving_corrupt_escapes_total",
-                help="corrupt responses delivered as OK (ground truth)",
-                unit="responses",
-            )
-            self._m_caught = obs.metrics.counter(
-                "serving_corrupt_caught_total",
-                help="responses rejected by the e2e validator",
-                unit="responses",
-            )
-            self.quarantine_counter = obs.metrics.counter(
-                "serving_quarantines_total",
-                help="cores pulled from the replica pool by the campaign "
-                     "policy loop",
-                unit="cores",
-            )
-            self.quarantine_span = names.SPAN_SERVING_QUARANTINE
 
     def _make_replica(self, core: Core, replica_id: str) -> ServerReplica:
         cfg = self.config
@@ -276,8 +294,6 @@ class RequestCampaign(Campaign):
         if self.validator is not None and expected_checksum is not None:
             if not self.validator.validate(expected_checksum, payload):
                 self.scorecard.corrupt_caught += 1
-                if self._obs_on:
-                    self._m_caught.inc()
                 self.emit(
                     core_id, EventKind.APP_REPORT, "e2e checksum mismatch"
                 )
@@ -451,7 +467,6 @@ class ServingCampaign(RequestCampaign):
     def run(self) -> SloScorecard:
         cfg = self.config
         card = self.scorecard
-        obs_on = self._obs_on
         for tick in range(cfg.ticks):
             now_ms = self.begin_tick(tick)
 
@@ -485,15 +500,12 @@ class ServingCampaign(RequestCampaign):
             )
             for request in batch:
                 queue_wait = (tick - request.arrival_tick) * cfg.tick_ms
-                if obs_on:
-                    with obs.tracer.span(
-                        "serving.request", request_id=request.request_id
-                    ) as sp:
-                        response = self._dispatch(request, now_ms, queue_wait)
-                        sp.attrs["status"] = response.status.value
-                        sp.attrs["attempts"] = response.n_attempts
-                else:
+                with obs.tracer.span(
+                    "serving.request", request_id=request.request_id
+                ) as sp:
                     response = self._dispatch(request, now_ms, queue_wait)
+                    sp.attrs["status"] = response.status.value
+                    sp.attrs["attempts"] = response.n_attempts
                 self.responses.append(response)
                 self._score(request, response)
 
@@ -510,19 +522,13 @@ class ServingCampaign(RequestCampaign):
 
     def _score(self, request: Request, response: Response) -> None:
         card = self.scorecard
-        if self._obs_on:
-            self._m_requests.inc(status=response.status.value)
         if response.status is ResponseStatus.OK:
             card.ok += 1
             card.latencies_ms.append(response.latency_ms)
-            if self._obs_on:
-                self._h_latency.observe(response.latency_ms)
             # Ground truth (the experimenter's oracle, never the
             # service's): an echo service must return what it was sent.
             if response.payload != request.payload:
                 card.corrupt_escapes += 1
-                if self._obs_on:
-                    self._m_escapes.inc()
         elif response.status is ResponseStatus.TIMEOUT:
             card.timeouts += 1
         elif response.status is ResponseStatus.UNAVAILABLE:

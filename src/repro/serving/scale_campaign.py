@@ -41,12 +41,13 @@ import dataclasses
 import numpy as np
 
 from repro import obs
-from repro.campaign import build_small_fleet
+from repro.campaign import Published, build_small_fleet
 from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
 from repro.fleet.scheduler import Task
+from repro.obs import names
 from repro.serving.campaign import (
     RequestCampaign,
     SloScorecard,
@@ -280,6 +281,33 @@ class ServeScaleCampaign(RequestCampaign):
     """One hardening arm against one multi-defect fleet, sharded."""
 
     scorecard: ScaleScorecard
+    published = RequestCampaign.published + (
+        Published(
+            names.SERVING_HEDGES_TOTAL, "counter", "hedges",
+            "tail-latency hedges issued, by whether the hedge won",
+            lambda card: {
+                "won": card.hedges_won,
+                "lost": card.hedges - card.hedges_won,
+            },
+            label="outcome",
+        ),
+        Published(
+            names.SERVING_RETRIES_TOTAL, "counter", "retries",
+            "retry attempts issued after a failed first attempt",
+            lambda card: card.retries,
+        ),
+        Published(
+            names.SERVING_RETRY_BUDGET_EXHAUSTED_TOTAL, "counter",
+            "refusals",
+            "retries refused because the shard's token bucket was dry",
+            lambda card: card.retry_budget_exhausted,
+        ),
+        Published(
+            names.SERVING_STALE_SERVED_TOTAL, "counter", "responses",
+            "responses served from the degradation stale cache",
+            lambda card: card.stale_served,
+        ),
+    )
 
     def __init__(
         self,
@@ -314,38 +342,19 @@ class ServeScaleCampaign(RequestCampaign):
                 "arrivals": 0, "ok": 0, "corrupt_escapes": 0,
             }
         self._replica_seq = cfg.n_replicas
-        if self._obs_on:
-            self._m_hedges = obs.metrics.counter(
-                "serving_hedges_total",
-                help="tail-latency hedges issued, by whether the hedge won",
-                unit="hedges",
-            )
-            self._m_retries = obs.metrics.counter(
-                "serving_retries_total",
-                help="retry attempts issued after a failed first attempt",
-                unit="retries",
-            )
-            self._m_budget = obs.metrics.counter(
-                "serving_retry_budget_exhausted_total",
-                help="retries refused because the shard's token bucket "
-                     "was dry",
-                unit="refusals",
-            )
-            self._m_stale = obs.metrics.counter(
-                "serving_stale_served_total",
-                help="responses served from the degradation stale cache",
-                unit="responses",
-            )
-            self._m_degraded = obs.metrics.counter(
-                "serving_shard_degraded_total",
-                help="shard degradation-tier escalations, by tier entered",
-                unit="transitions",
-            )
-            self._m_autoscale = obs.metrics.counter(
-                "serving_autoscale_actions_total",
-                help="autoscaler replica additions and drains",
-                unit="actions",
-            )
+        # The two families no scorecard field carries, counted inline:
+        # tier *transitions* (the card has ticks-in-tier) and autoscale
+        # actions actually *performed*.
+        self._m_degraded = obs.metrics.counter(
+            "serving_shard_degraded_total",
+            help="shard degradation-tier escalations, by tier entered",
+            unit="transitions",
+        )
+        self._m_autoscale = obs.metrics.counter(
+            "serving_autoscale_actions_total",
+            help="autoscaler replica additions and drains",
+            unit="actions",
+        )
 
     # -- placement -----------------------------------------------------
 
@@ -434,16 +443,12 @@ class ServeScaleCampaign(RequestCampaign):
                     break
                 if shard.budget is not None and not shard.budget.try_spend():
                     card.retry_budget_exhausted += 1
-                    if self._obs_on:
-                        self._m_budget.inc()
                     self.emit(
                         shard.shard_id, EventKind.RETRY_BUDGET_EXHAUSTED,
                         f"request {request.request_id}: token bucket dry",
                     )
                     break
                 card.retries += 1
-                if self._obs_on:
-                    self._m_retries.inc()
                 total_latency += hardening.retry.backoff_ms(
                     attempt_index - 1, self.rng
                 )
@@ -488,7 +493,6 @@ class ServeScaleCampaign(RequestCampaign):
                     )
                     attempts.append(h_attempt)
                     tried.add(hedge_replica.core_id)
-                    won = False
                     if h_attempt.outcome is AttemptOutcome.OK:
                         h_effective = (
                             hardening.hedge.hedge_delay_ms
@@ -498,13 +502,7 @@ class ServeScaleCampaign(RequestCampaign):
                             effective = h_effective
                             payload = h_payload
                             winner = hedge_replica.core_id
-                            won = True
-                    if won:
-                        card.hedges_won += 1
-                    if self._obs_on:
-                        self._m_hedges.inc(
-                            outcome="won" if won else "lost"
-                        )
+                            card.hedges_won += 1
 
             total_latency += effective
             if attempt.outcome is AttemptOutcome.OK:
@@ -537,8 +535,6 @@ class ServeScaleCampaign(RequestCampaign):
             cached = shard.stale_cache.get(request.route_key)
             if cached is not None:
                 card.stale_served += 1
-                if self._obs_on:
-                    self._m_stale.inc()
                 return Response(
                     request.request_id, ResponseStatus.OK, cached, None,
                     queue_wait + cfg.stale_latency_ms, [], stale=True,
@@ -571,13 +567,12 @@ class ServeScaleCampaign(RequestCampaign):
                     shard.shard_id, EventKind.SHARD_DEGRADED,
                     f"{shard.tier.value} -> {tier.value}",
                 )
-                if self._obs_on:
-                    self._m_degraded.inc(tier=tier.value)
-                    with obs.tracer.span(
-                        "serving.degrade", shard=shard.shard_id,
-                        tier=tier.value, tick=tick,
-                    ):
-                        pass
+                self._m_degraded.inc(tier=tier.value)
+                with obs.tracer.span(
+                    "serving.degrade", shard=shard.shard_id,
+                    tier=tier.value, tick=tick,
+                ):
+                    pass
             shard.tier = tier
             if tier is not DegradationTier.NORMAL:
                 card.degraded_ticks[tier.value] = (
@@ -619,20 +614,18 @@ class ServeScaleCampaign(RequestCampaign):
                 shard.shard_id, EventKind.AUTOSCALE_ACTION,
                 f"scale {direction} (util {shard.utilization:.2f})",
             )
-            if self._obs_on:
-                self._m_autoscale.inc(direction=direction)
-                with obs.tracer.span(
-                    "serving.autoscale", shard=shard.shard_id,
-                    direction=direction, tick=tick,
-                ):
-                    pass
+            self._m_autoscale.inc(direction=direction)
+            with obs.tracer.span(
+                "serving.autoscale", shard=shard.shard_id,
+                direction=direction, tick=tick,
+            ):
+                pass
 
     # -- the main loop -------------------------------------------------
 
     def run(self) -> ScaleScorecard:
         cfg = self.config
         card = self.scorecard
-        obs_on = self._obs_on
         for tick in range(cfg.ticks):
             now_ms = self.begin_tick(tick)
             self._update_tiers(tick, now_ms)
@@ -673,19 +666,16 @@ class ServeScaleCampaign(RequestCampaign):
                 batch = shard.queue[:capacity]
                 shard.queue = shard.queue[capacity:]
                 for request in batch:
-                    if obs_on:
-                        with obs.tracer.span(
-                            "serving.scale_request",
-                            request_id=request.request_id,
-                            shard=shard.shard_id,
-                        ) as sp:
-                            response = self._serve_one(
-                                shard, request, tick, now_ms
-                            )
-                            sp.attrs["status"] = response.status.value
-                            sp.attrs["stale"] = response.stale
-                    else:
-                        response = self._serve_one(shard, request, tick, now_ms)
+                    with obs.tracer.span(
+                        "serving.scale_request",
+                        request_id=request.request_id,
+                        shard=shard.shard_id,
+                    ) as sp:
+                        response = self._serve_one(
+                            shard, request, tick, now_ms
+                        )
+                        sp.attrs["status"] = response.status.value
+                        sp.attrs["stale"] = response.stale
                     self._score(request, response)
 
                 demand = admitted + len(shard.queue)
@@ -730,26 +720,18 @@ class ServeScaleCampaign(RequestCampaign):
 
     def _score(self, request: Request, response: Response) -> None:
         card = self.scorecard
-        if self._obs_on:
-            self._m_requests.inc(status=response.status.value)
         if response.stale:
             # degraded-but-honest: delivered, labelled stale, never
             # counted as fresh OK nor eligible as a silent corruption
             card.latencies_ms.append(response.latency_ms)
-            if self._obs_on:
-                self._h_latency.observe(response.latency_ms)
             return
         if response.status is ResponseStatus.OK:
             card.ok += 1
             card.per_cohort[request.cohort]["ok"] += 1
             card.latencies_ms.append(response.latency_ms)
-            if self._obs_on:
-                self._h_latency.observe(response.latency_ms)
             if response.payload != request.payload:
                 card.corrupt_escapes += 1
                 card.per_cohort[request.cohort]["corrupt_escapes"] += 1
-                if self._obs_on:
-                    self._m_escapes.inc()
         elif response.status is ResponseStatus.TIMEOUT:
             card.timeouts += 1
         elif response.status is ResponseStatus.UNAVAILABLE:

@@ -134,8 +134,6 @@ class ServerReplica:
         #: attempts routed here (the least-loaded router's load proxy;
         #: counts picks, not completions, so it is monotone per tick)
         self.assigned = 0
-        # cached so the per-request path pays one attribute test when off
-        self._obs_on = obs.enabled()
 
     @property
     def core_id(self) -> str:
@@ -159,27 +157,19 @@ class ServerReplica:
             MachineCheckError: a fail-noisy defect (or chaos) fired.
             CoreOfflineError: the core crashed or was quarantined.
         """
-        if not self._obs_on:
-            return self._serve_inner(request, rng)
         with obs.tracer.span(
             "serving.serve", replica=self.replica_id, core_id=self.core_id
         ) as sp:
-            payload, latency = self._serve_inner(request, rng)
+            latency = self.sample_latency_ms(rng)
+            if self.forced_mce_remaining > 0:
+                self.forced_mce_remaining -= 1
+                raise MachineCheckError(
+                    self.core_id, "copy", "chaos-injected machine check"
+                )
+            echoed = copy_bytes(self.core, request.payload)
+            self.requests_served += 1
             sp.attrs["latency_ms"] = latency
-            return payload, latency
-
-    def _serve_inner(
-        self, request: Request, rng: np.random.Generator
-    ) -> tuple[bytes, float]:
-        latency = self.sample_latency_ms(rng)
-        if self.forced_mce_remaining > 0:
-            self.forced_mce_remaining -= 1
-            raise MachineCheckError(
-                self.core_id, "copy", "chaos-injected machine check"
-            )
-        echoed = copy_bytes(self.core, request.payload)
-        self.requests_served += 1
-        return echoed, latency
+            return echoed, latency
 
 
 class RoundRobinRouter:

@@ -30,23 +30,15 @@ from repro.silicon.golden import (
 # branches — never on the per-op fast path (the benchmark's
 # ``silicon.execute_*_ns`` rows).  Handles are module-level because Core
 # uses __slots__ and fleets hold hundreds of thousands of instances.
-_OBS_CORRUPTIONS: obs.Counter | None = None
-_OBS_MCES: obs.Counter | None = None
-
-
-def _obs_counters() -> tuple[obs.Counter, obs.Counter]:
-    global _OBS_CORRUPTIONS, _OBS_MCES
-    if _OBS_CORRUPTIONS is None:
-        _OBS_CORRUPTIONS = obs.metrics.counter(
-            "silicon_corruptions_total",
-            help="defect-induced wrong results (ground truth)", unit="ops",
-        )
-        _OBS_MCES = obs.metrics.counter(
-            "silicon_machine_checks_total",
-            help="fail-noisy defects that raised an MCE (ground truth)",
-            unit="events",
-        )
-    return _OBS_CORRUPTIONS, _OBS_MCES
+_OBS_CORRUPTIONS = obs.metrics.counter(
+    "silicon_corruptions_total",
+    help="defect-induced wrong results (ground truth)", unit="ops",
+)
+_OBS_MCES = obs.metrics.counter(
+    "silicon_machine_checks_total",
+    help="fail-noisy defects that raised an MCE (ground truth)",
+    unit="events",
+)
 
 
 #: a healthy core's target set; shared so a fleet of healthy cores
@@ -174,13 +166,11 @@ class Core:
                 )
             except MachineCheckError:
                 self.machine_checks_raised += 1
-                if obs.metrics.enabled:
-                    _obs_counters()[1].inc()
+                _OBS_MCES.inc()
                 raise
         if result != golden:
             self.corruptions_induced += 1
-            if obs.metrics.enabled:
-                _obs_counters()[0].inc()
+            _OBS_CORRUPTIONS.inc()
         return result
 
     def credit_untargeted(self, ops: AbstractSet[str], n_ops: int) -> bool:

@@ -40,8 +40,12 @@ import dataclasses
 
 import numpy as np
 
-from repro import obs
-from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
+from repro.campaign import (
+    Campaign,
+    CampaignScorecard,
+    Published,
+    build_small_fleet,
+)
 from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
@@ -270,6 +274,46 @@ class StorageCampaign(Campaign):
     """One protection stack, one fleet, one chaos script, one scorecard."""
 
     scorecard: StorageScorecard
+    quarantine_span = names.SPAN_STORAGE_QUARANTINE
+    published = (
+        Published(
+            names.STORAGE_WRITES_TOTAL, "counter", "writes",
+            "client writes, by quorum outcome",
+            lambda card: {
+                "ok": card.keys_written, "fail": card.write_failures,
+            },
+            label="status",
+        ),
+        Published(
+            names.STORAGE_READS_TOTAL, "counter", "reads",
+            "client reads, by quorum outcome",
+            lambda card: {"ok": card.reads_ok, "fail": card.read_failures},
+            label="status",
+        ),
+        Published(
+            names.STORAGE_DURABLE_ESCAPES_TOTAL, "counter", "reads",
+            "OK reads returning bytes differing from what the "
+            "client wrote (ground truth)",
+            lambda card: card.durable_escapes,
+        ),
+        Published(
+            names.STORAGE_REPAIRS_TOTAL, "counter", "repairs",
+            "verified read-repair / backfill writes",
+            lambda card: card.repairs_total,
+        ),
+        Published(
+            names.STORAGE_REPAIR_LATENCY_MS, "histogram", "ms",
+            "replica divergence to verified repair (simulated)",
+            lambda card: card.repair_latency_ms,
+            buckets=(10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0),
+        ),
+        Published(
+            names.STORAGE_QUARANTINES_TOTAL, "counter", "cores",
+            "cores pulled from the replica set by the campaign "
+            "policy loop",
+            lambda card: len(card.quarantine_tick),
+        ),
+    )
 
     def __init__(
         self,
@@ -327,39 +371,6 @@ class StorageCampaign(Campaign):
         self._divergent_since: dict[tuple[str, str], int] = {}
         self._retired_physical_bytes = 0
 
-        if self._obs_on:
-            self._m_writes = obs.metrics.counter(
-                "storage_writes_total",
-                help="client writes, by quorum outcome", unit="writes",
-            )
-            self._m_reads = obs.metrics.counter(
-                "storage_reads_total",
-                help="client reads, by quorum outcome", unit="reads",
-            )
-            self._m_escapes = obs.metrics.counter(
-                "storage_durable_escapes_total",
-                help="OK reads returning bytes differing from what the "
-                     "client wrote (ground truth)",
-                unit="reads",
-            )
-            self._m_repairs = obs.metrics.counter(
-                "storage_repairs_total",
-                help="verified read-repair / backfill writes", unit="repairs",
-            )
-            self._h_repair_latency = obs.metrics.histogram(
-                "storage_repair_latency_ms",
-                help="replica divergence to verified repair (simulated)",
-                unit="ms",
-                buckets=(10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0),
-            )
-            self.quarantine_counter = obs.metrics.counter(
-                "storage_quarantines_total",
-                help="cores pulled from the replica set by the campaign "
-                     "policy loop",
-                unit="cores",
-            )
-            self.quarantine_span = names.SPAN_STORAGE_QUARANTINE
-
     # -- placement -----------------------------------------------------
 
     def _make_replica(self, core: Core) -> StorageReplica:
@@ -409,14 +420,10 @@ class StorageCampaign(Campaign):
 
     def _on_repair(self, replica_id: str, key: str) -> None:
         self.scorecard.repairs_total += 1
-        if self._obs_on:
-            self._m_repairs.inc()
         since = self._divergent_since.pop((replica_id, key), None)
         if since is not None:
             latency_ms = (self._tick - since) * self.config.tick_ms
             self.scorecard.repair_latency_ms.append(latency_ms)
-            if self._obs_on:
-                self._h_repair_latency.observe(latency_ms)
 
     # -- chaos ---------------------------------------------------------
 
@@ -470,8 +477,6 @@ class StorageCampaign(Campaign):
             card.encrypt_attempts += result.encrypt_attempts
             card.encrypt_verify_failures += result.encrypt_verify_failures
             card.machine_checks += result.machine_checks
-            if self._obs_on:
-                self._m_writes.inc(status="ok" if result.ok else "fail")
             if result.ok:
                 card.keys_written += 1
                 card.logical_bytes += len(value)
@@ -497,16 +502,12 @@ class StorageCampaign(Campaign):
             )
             card.quorum_mismatches += result.quorum_mismatches
             card.machine_checks += result.machine_checks
-            if self._obs_on:
-                self._m_reads.inc(status="ok" if result.ok else "fail")
             if result.ok:
                 card.reads_ok += 1
                 # Ground truth the store never sees: did the client get
                 # back the bytes it wrote?
                 if result.value != self.truth[key]:
                     card.durable_escapes += 1
-                    if self._obs_on:
-                        self._m_escapes.inc()
             else:
                 card.read_failures += 1
 

@@ -146,8 +146,6 @@ class ReplicatedKVStore:
         self.seqno = 0
         self._coord_cursor = 0
         self._read_cursor = 0
-        # cached so the per-op quorum paths pay one attribute test when off
-        self._obs_on = obs.enabled()
 
     # -- coordinator-side crypto ---------------------------------------
 
@@ -241,37 +239,30 @@ class ReplicatedKVStore:
 
     def put(self, key: str, value: bytes) -> WriteResult:
         """Quorum write of one (optionally encrypted) framed record."""
-        if not self._obs_on:
-            return self._put_inner(key, value)
         with obs.tracer.span("storage.put", key=key) as sp:
-            result = self._put_inner(key, value)
+            result = WriteResult(ok=False)
+            payload = (
+                self._encrypt_verified(value, result)
+                if self.config.encrypt else value
+            )
+            if payload is not None:
+                result.ciphertext = payload
+                crc = host_crc64(payload)
+                self.seqno += 1
+                for replica in self.replicas:
+                    try:
+                        replica.put(self.seqno, key, payload, crc)
+                        result.acks += 1
+                    except CoreOfflineError:
+                        continue
+                    except MachineCheckError:
+                        result.machine_checks += 1
+                        self.emit(replica.core_id, EventKind.MACHINE_CHECK,
+                                  "mce during replica store")
+                result.ok = result.acks >= self.config.write_quorum
             sp.attrs["ok"] = result.ok
             sp.attrs["acks"] = result.acks
             return result
-
-    def _put_inner(self, key: str, value: bytes) -> WriteResult:
-        result = WriteResult(ok=False)
-        if self.config.encrypt:
-            payload = self._encrypt_verified(value, result)
-            if payload is None:
-                return result
-        else:
-            payload = value
-        result.ciphertext = payload
-        crc = host_crc64(payload)
-        self.seqno += 1
-        for replica in self.replicas:
-            try:
-                replica.put(self.seqno, key, payload, crc)
-                result.acks += 1
-            except CoreOfflineError:
-                continue
-            except MachineCheckError:
-                result.machine_checks += 1
-                self.emit(replica.core_id, EventKind.MACHINE_CHECK,
-                          "mce during replica store")
-        result.ok = result.acks >= self.config.write_quorum
-        return result
 
     # -- reads ---------------------------------------------------------
 
@@ -283,18 +274,14 @@ class ReplicatedKVStore:
 
     def get(self, key: str) -> ReadResult:
         """Voted quorum read (protected) or read-one (baseline)."""
-        if not self._obs_on:
-            return self._get_inner(key)
         with obs.tracer.span("storage.get", key=key) as sp:
-            result = self._get_inner(key)
+            result = (
+                self._get_voted(key) if self.config.vote_reads
+                else self._get_unchecked(key)
+            )
             sp.attrs["ok"] = result.ok
             sp.attrs["mismatches"] = result.quorum_mismatches
             return result
-
-    def _get_inner(self, key: str) -> ReadResult:
-        if self.config.vote_reads:
-            return self._get_voted(key)
-        return self._get_unchecked(key)
 
     def _get_unchecked(self, key: str) -> ReadResult:
         """Baseline: one replica, no checksum, decrypt on *its* core."""

@@ -11,14 +11,19 @@ Three nets under :mod:`repro.campaign`:
   detect → quarantine → replace loop, asserted once over all of them.
 - **fixture** — ``build_small_fleet`` through each public builder:
   core ids, per-core RNG states and defect tuples pinned the same way.
+- **ledger** — campaign metrics are the scorecard, published once at
+  ``finish()``: every ``published`` row equals its view of the card,
+  and request outcomes add up to the arrivals.
 """
 
+import bisect
 import hashlib
 import json
 
 import pytest
 
 from repro import obs
+from repro.analysis.experiments import CAMPAIGNS, EXPERIMENTS
 from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
 from repro.chaos import ChaosAction, ChaosKind, ChaosSchedule
 from repro.core.events import CeeEvent, EventKind, Reporter
@@ -393,6 +398,25 @@ class TestContract:
         obs.tracer.reset()
         on = _run_digest(_short(name))
         assert off == on
+        on_metrics = obs.metrics.snapshot()
+        on_spans = [span.to_json() for span in obs.tracer.spans()]
+        assert on_spans and any(e["series"] for e in on_metrics.values())
+
+        # One switch, read at emission time: a campaign built with obs
+        # on obeys a later off ...
+        obs.metrics.reset()
+        obs.tracer.reset()
+        campaign = _short(name)
+        obs.set_enabled(False)
+        assert _run_digest(campaign) == on
+        assert not any(e["series"] for e in obs.metrics.snapshot().values())
+        assert obs.tracer.spans() == []
+        # ... and one built with obs off emits everything once it is on.
+        campaign = _short(name)
+        obs.set_enabled(True)
+        assert _run_digest(campaign) == on
+        assert obs.metrics.snapshot() == on_metrics
+        assert [span.to_json() for span in obs.tracer.spans()] == on_spans
 
     def test_chaos_assigned_late_is_honoured(self, name):
         campaign = _short(name)
@@ -453,6 +477,94 @@ class TestContract:
             core.corruptions_induced += 1
             campaign.end_tick(tick)
         assert campaign.scorecard.first_corrupt_tick == {core.core_id: 3}
+
+
+def _traced(experiment_id, seed):
+    """The arm ``repro trace|metrics`` runs, at ``ci`` scale, not yet run
+    (``campaign_arm`` keeps the campaign object to itself)."""
+    spec = CAMPAIGNS[experiment_id]
+    machines, bad = spec.build_fleet(seed=seed + 7, **spec.trace_fleet)
+    config = spec.config(**EXPERIMENTS[experiment_id].ci)
+    campaign = spec.campaign(machines, spec.trace_arm, config, seed + 3)
+    if spec.script is not None:
+        campaign.chaos = spec.script(campaign, bad, config)
+    return campaign
+
+
+def _series(entry) -> dict:
+    return {
+        tuple(sorted(row["labels"].items())): row for row in entry["series"]
+    }
+
+
+class TestLedger:
+    """The obs registry is a view of the scorecard, not a second count."""
+
+    #: counted inline: no scorecard field carries them
+    INLINE = {
+        "serving_shard_degraded_total", "serving_autoscale_actions_total",
+    }
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("experiment_id", ("E15", "E17"))
+    def test_request_outcomes_conserve_arrivals(
+        self, experiment_id, seed, obs_state
+    ):
+        obs.set_enabled(True)
+        obs.metrics.reset()
+        card = _traced(experiment_id, seed).run()
+        outcomes = obs.metrics.get("serving_requests_total")
+        by_status = {
+            dict(key)["status"]: value for key, value in outcomes.series()
+        }
+        assert by_status.get("shed", 0) == card.shed
+        assert sum(by_status.values()) == card.total_arrivals
+
+    @pytest.mark.parametrize("experiment_id", list(CAMPAIGNS))
+    def test_every_published_row_is_its_scorecard_view(
+        self, experiment_id, obs_state
+    ):
+        obs.set_enabled(True)
+        obs.metrics.reset()
+        campaign = _traced(experiment_id, 0)
+        card = campaign.run()
+        snapshot = obs.metrics.snapshot()
+        for row in campaign.published:
+            entry = snapshot[row.name]
+            assert (entry["kind"], entry["help"], entry["unit"]) == (
+                row.kind, row.help, row.unit,
+            )
+            value = row.view(card)
+            got = _series(entry)
+            if row.kind == "histogram":
+                if not value:
+                    assert got == {}
+                    continue
+                counts = [0] * (len(entry["buckets"]) + 1)
+                total = 0.0
+                for sample in value:
+                    counts[bisect.bisect_left(entry["buckets"], sample)] += 1
+                    total += sample
+                assert got == {(): {
+                    "labels": {}, "counts": counts, "sum": total,
+                    "count": len(value),
+                }}
+                continue
+            expected = (
+                {((row.label, status),): amount
+                 for status, amount in value.items()}
+                if row.label else {(): value}
+            )
+            assert {key: r["value"] for key, r in got.items()} == {
+                key: float(amount)
+                for key, amount in expected.items() if amount
+            }
+        unaccounted = {
+            name for name, entry in snapshot.items()
+            if name.startswith(("serving_", "storage_", "instrcheck_"))
+            and entry["series"]
+        } - {row.name for row in campaign.published}
+        assert unaccounted == (self.INLINE if experiment_id == "E17" else set())
 
 
 def _hosting_cores(campaign) -> set[str]:

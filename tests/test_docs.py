@@ -2,7 +2,8 @@
 
 Three contracts keep the operator docs honest:
 
-- every metric series and span name the source tree emits is
+- every metric family and span name declared in ``repro.obs.names``
+  (which ``repro lint`` holds equal to what the source tree emits) is
   documented in OBSERVABILITY.md (the catalog is the interface);
 - docs/api.md and docs/experiments.md match what their generators
   (scripts/gen_api_docs.py, scripts/gen_experiment_docs.py) emit today;
@@ -16,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.obs import names
+
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
@@ -28,47 +31,35 @@ _METRIC_CALL = re.compile(
 _SPAN_CALL = re.compile(r"\.span\(\s*\n?\s*\"([a-z0-9_.]+)\"")
 
 
-def _emitted_metric_names() -> set[str]:
-    names: set[str] = set()
-    for path in SRC.rglob("*.py"):
-        names.update(_METRIC_CALL.findall(path.read_text()))
-    return names
-
-
-def _emitted_span_names() -> set[str]:
-    names: set[str] = set()
-    for path in SRC.rglob("*.py"):
-        names.update(_SPAN_CALL.findall(path.read_text()))
-    return names
-
-
 class TestObservabilityCatalog:
+    """OBSERVABILITY.md covers the declared names; ``repro lint`` proves
+    those equal the emitted ones (SAFE002 one way, OBS003 the other)."""
+
     def test_source_actually_emits_metrics(self):
-        # Guard the regex itself: if the instrumentation idiom changes
-        # shape, this fails loudly instead of vacuously passing below.
-        names = _emitted_metric_names()
-        assert len(names) >= 15
-        assert "serving_requests_total" in names
-        assert "fleet_ticks_total" in names
+        # Guard the derivation itself: an empty declared set would make
+        # the two tests below pass vacuously.
+        assert len(names.METRIC_NAMES) >= 15
+        assert "serving_requests_total" in names.METRIC_NAMES
+        assert "fleet_ticks_total" in names.METRIC_NAMES
 
     def test_every_emitted_metric_is_documented(self):
         doc = (REPO / "OBSERVABILITY.md").read_text()
         missing = sorted(
-            name for name in _emitted_metric_names() if f"`{name}`" not in doc
+            name for name in names.METRIC_NAMES if f"`{name}`" not in doc
         )
         assert not missing, (
-            f"metrics emitted but missing from OBSERVABILITY.md: {missing}"
+            f"metrics declared but missing from OBSERVABILITY.md: {missing}"
         )
 
     def test_every_emitted_span_is_documented(self):
         doc = (REPO / "OBSERVABILITY.md").read_text()
-        spans = _emitted_span_names()
+        spans = names.SPAN_NAMES
         assert "engine.trial" in spans and "storage.put" in spans
         missing = sorted(
             name for name in spans if f"`{name}`" not in doc
         )
         assert not missing, (
-            f"spans emitted but missing from OBSERVABILITY.md: {missing}"
+            f"spans declared but missing from OBSERVABILITY.md: {missing}"
         )
 
 

@@ -119,6 +119,35 @@ class TestLifecycle:
             assert name in shm.leaked_segments()
         assert name not in shm.leaked_segments()
 
+    def test_attach_never_talks_to_the_resource_tracker(self, monkeypatch):
+        # The tracker is one process shared by the whole pool: an
+        # attach that registers and then unregisters interleaves with
+        # another worker's pair into a KeyError there.  Only the owner
+        # may message it: one register at publish, one unregister at
+        # the unlink.
+        from multiprocessing import resource_tracker
+
+        sent: list[tuple[str, str]] = []
+        for verb in ("register", "unregister"):
+            real = getattr(resource_tracker, verb)
+
+            def recorder(name, rtype, verb=verb, real=real):
+                sent.append((verb, name.lstrip("/")))
+                real(name, rtype)
+
+            monkeypatch.setattr(resource_tracker, verb, recorder)
+
+        snapshot = shm.publish(_columns())
+        name = snapshot.handle.segment_name
+        assert sent == [("register", name)]
+        sent.clear()
+        attached = shm.attach(snapshot.handle)
+        attached.close()
+        assert sent == []
+        snapshot.close()
+        assert sent == [("unregister", name)]
+        assert name not in shm.leaked_segments()
+
 
 # Trial functions must live at module level for the pool to pickle.
 def _count_online(trial, columns):

@@ -5,10 +5,12 @@ Prometheus-compatible histogram bucket semantics, a hard cardinality
 ceiling, and snapshot/merge round-trips that make pool gather exact.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.obs import names
 from repro.obs.export import to_json, to_prometheus
 from repro.obs.registry import (
     CardinalityError,
@@ -217,3 +219,47 @@ class TestExporters:
         payload = json.loads(to_json(registry))
         assert list(payload) == sorted(payload)
         assert payload["a_total"]["kind"] == "counter"
+
+
+class TestDeclaredNames:
+    """``METRIC_NAMES`` / ``SPAN_NAMES`` are derived from the constants."""
+
+    @staticmethod
+    def _constants() -> dict[str, str]:
+        return {
+            constant: value for constant, value in vars(names).items()
+            if constant.isupper() and isinstance(value, str)
+        }
+
+    def test_derived_sets_are_the_hand_listed_ones(self):
+        # (count, sha256 of the sorted names) of the two frozensets as
+        # they were written out by hand at fa8b416; re-pin on purpose
+        # when a name is added or retired.
+        pinned = {
+            "METRIC_NAMES": (37, "68cd3ad029476e4be613c5237b3e76f0"
+                                 "fd8d281532a2b61643b99c6aad2609a3"),
+            "SPAN_NAMES": (15, "37d3a7456d208b22a905bdff08eb30b5"
+                               "f67920326ed780f14c64d4028364e32f"),
+        }
+        for attr, (count, digest) in pinned.items():
+            declared = sorted(getattr(names, attr))
+            assert len(declared) == count, declared
+            assert hashlib.sha256(
+                "\n".join(declared).encode()
+            ).hexdigest() == digest, declared
+        assert names.DECLARED_NAMES == names.METRIC_NAMES | names.SPAN_NAMES
+
+    def test_every_constant_lands_in_exactly_one_set(self):
+        constants = self._constants()
+        assert len(constants) == len(names.DECLARED_NAMES)  # no aliases
+        for constant, value in constants.items():
+            assert (value in names.METRIC_NAMES) != (
+                value in names.SPAN_NAMES
+            ), constant
+
+    def test_a_misprefixed_constant_cannot_slip_through(self):
+        # spans are dotted (layer.operation), metric families never are
+        assert all("." in value for value in names.SPAN_NAMES)
+        assert not any("." in value for value in names.METRIC_NAMES)
+        for constant, value in self._constants().items():
+            assert constant.startswith("SPAN_") == ("." in value), constant
