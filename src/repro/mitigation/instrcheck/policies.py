@@ -39,6 +39,8 @@ import collections
 import dataclasses
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.mitigation.checkpoint import CheckpointRuntime
 from repro.workloads.base import CoreLike, digest_ints
 
@@ -69,10 +71,16 @@ def _hash01(seed: int, counter: int) -> float:
     return digest_ints((seed, counter)) / 2.0**64
 
 
+#: counters decided per numpy pass of :meth:`OpSampler.take`
+_SAMPLER_BLOCK = 1024
+
+
 class OpSampler:
     """Deterministic op sampler: rate plus optional op-class filter."""
 
-    __slots__ = ("rate", "ops", "seed", "_seed_state", "_counter")
+    __slots__ = (
+        "rate", "ops", "seed", "_seed_state", "_counter", "_block", "_block_end",
+    )
 
     def __init__(
         self,
@@ -85,9 +93,12 @@ class OpSampler:
         self.rate = rate
         self.ops = frozenset(ops) if ops is not None else None
         self.seed = seed
-        #: FNV state after the seed word; ``take`` continues from it
+        #: FNV state after the seed word; ``_decide_block`` continues from it
         self._seed_state = digest_ints((seed,))
         self._counter = 0
+        #: decisions for counters ``_block_end - len(_block) + 1 .. _block_end``
+        self._block: list[bool] = []
+        self._block_end = 0
 
     def take(self, op: str) -> bool:
         """Whether this op occurrence is selected for checking."""
@@ -97,9 +108,28 @@ class OpSampler:
             return True
         if self.rate <= 0.0:
             return False
-        self._counter += 1
-        # == _hash01(self.seed, self._counter), seed word hashed once
-        return digest_ints((self._counter,), self._seed_state) / 2.0**64 < self.rate
+        self._counter = counter = self._counter + 1
+        if counter > self._block_end:
+            self._decide_block()
+        return self._block[counter - self._block_end - 1]
+
+    def _decide_block(self) -> None:
+        """``_hash01(seed, counter) < rate`` for the next block of counters.
+
+        The scalar FNV-1a over the counter's eight little-endian bytes,
+        continued from the seed word's state, on a ``uint64`` column:
+        the multiply wraps mod 2**64 as ``& MASK64`` does, and
+        ``uint64 -> float64`` rounds as ``int / 2.0**64`` does.
+        """
+        start = self._block_end
+        counters = np.arange(
+            start + 1, start + 1 + _SAMPLER_BLOCK, dtype=np.uint64)
+        h = np.full(_SAMPLER_BLOCK, self._seed_state, dtype=np.uint64)
+        for shift in range(0, 64, 8):
+            h ^= (counters >> np.uint64(shift)) & np.uint64(0xFF)
+            h *= np.uint64(0x100000001B3)
+        self._block = (h.astype(np.float64) / 2.0**64 < self.rate).tolist()
+        self._block_end = start + _SAMPLER_BLOCK
 
 
 @dataclasses.dataclass(slots=True)
@@ -163,7 +193,10 @@ class IthicaCheckedCore:
             stats.ops_sampled += 1
             stats.check_ops += 1
             duplicate = self.inner.execute(op, *operands)
-            if result_digest(duplicate) != result_digest(result):
+            # equal values have equal digests: hash only on disagreement
+            if duplicate != result and (
+                result_digest(duplicate) != result_digest(result)
+            ):
                 stats.mismatches += 1
                 if self.on_mismatch is not None:
                     self.on_mismatch(self.core_id, op, self.tag)

@@ -176,11 +176,13 @@ class Core:
     def credit_untargeted(self, ops: AbstractSet[str], n_ops: int) -> bool:
         """Charge ``n_ops`` executions of ``ops`` in one step, if no defect can act.
 
-        The library primitives (``workloads.hashing``/``crypto``) ask
-        this before a sequential stream: on True they have been charged
-        ``n_ops`` on ``ops_executed`` and compute the stream with a
-        host-speed golden kernel; on False they must issue every op
-        through :meth:`execute`.  True only for a plain ``Core`` (a
+        The library primitives (``workloads.hashing``/``crypto``/
+        ``compression``/``copying``) ask this before a sequential
+        stream, or before each segment of one when only some of its ops
+        are free: on True they have been charged ``n_ops`` on
+        ``ops_executed`` and compute the segment with a host-speed
+        golden kernel; on False they must issue every op through
+        :meth:`execute`.  True only for a plain ``Core`` (a
         subclass may override ``execute``), online, with the golden
         memo switch on (off forces the per-op reference path) and
         ``ops`` disjoint from every defect's ``target_ops``.  Such ops

@@ -92,8 +92,8 @@ def digest_ints(values, h: int = 0xCBF29CE484222325) -> int:
     ``digest_ints(a + b) == digest_ints(b, digest_ints(a))``.
     """
     for value in values:
-        for shift in range(0, 64, 8):
-            h ^= (value >> shift) & 0xFF
+        for byte in (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"):
+            h ^= byte
             h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 

@@ -18,13 +18,20 @@ Offsets fit one byte (window 255), lengths one byte.
 from __future__ import annotations
 
 from repro.silicon.units import Op
-from repro.workloads.base import CoreLike, WorkloadResult, digest_bytes
+from repro.workloads.base import (
+    CoreLike,
+    WorkloadResult,
+    credit_untargeted,
+    digest_bytes,
+)
 
 MIN_MATCH = 3
 MAX_MATCH = MIN_MATCH + 255
 WINDOW = 255
 LITERAL = 0x00
 MATCH = 0x01
+
+_COMPRESS_OPS = frozenset({Op.BEQ, Op.ADD, Op.SUB})
 
 
 class CorruptStreamError(ValueError):
@@ -73,10 +80,66 @@ def _find_match(
     return (best_offset, best_length)
 
 
+def _golden_compress(data: bytes, window: int) -> tuple[bytes, int]:
+    """``compress`` on a defect-free core: the blob and its exact op count.
+
+    Host-speed twin of ``_find_match``/``compress`` for a core no defect
+    of which targets BEQ, ADD or SUB.  The count is data-dependent: one
+    BEQ per candidate scanned, BEQ+ADD per extended byte plus the BEQ
+    that ends an extension on a mismatch, one SUB per improved match,
+    one ADD per token.  Pinned to the per-op path, bytes and count, by
+    tests/test_workloads_compression.py and
+    tests/test_properties_extended.py.
+    """
+    data = bytes(data)
+    out = bytearray()
+    n_ops = 0
+    limit = len(data)
+    position = 0
+    while position < limit:
+        start = max(0, position - window)
+        reach = min(limit - position, MAX_MATCH)
+        wanted = int.from_bytes(data[position:position + reach], "big")
+        best_offset = best_length = 0
+        candidate = position
+        while True:
+            candidate = data.rfind(data[position], start, candidate)
+            if candidate < 0:
+                candidate = start
+                break
+            # common prefix of the two reach-byte strings, read off the
+            # highest set bit of their big-endian difference
+            differ = wanted ^ int.from_bytes(
+                data[candidate:candidate + reach], "big")
+            length = reach - (differ.bit_length() + 7) // 8
+            n_ops += 2 * length + (length < reach)
+            if length > best_length:
+                best_length = length
+                best_offset = position - candidate
+                n_ops += 1
+                if length >= MAX_MATCH:
+                    break
+        # the scan's BEQs, down to where it stopped, and the cursor ADD
+        n_ops += position - candidate + 1
+        if best_length >= MIN_MATCH:
+            out.extend((MATCH, best_offset - 1, best_length - MIN_MATCH))
+            position += best_length
+        else:
+            out.extend((LITERAL, data[position]))
+            position += 1
+    return bytes(out), n_ops
+
+
 def compress(core: CoreLike, data: bytes, window: int = WINDOW) -> bytes:
     """Compress ``data``; output always round-trips on a healthy core."""
     if not 1 <= window <= WINDOW:
         raise ValueError(f"window must be in [1, {WINDOW}]")
+    # The op count is known only once the blob is: ask permission with a
+    # zero-op credit (never raises, False offline), then pay the count.
+    if credit_untargeted(core, _COMPRESS_OPS, 0):
+        blob, n_ops = _golden_compress(data, window)
+        credit_untargeted(core, _COMPRESS_OPS, n_ops)
+        return blob
     out = bytearray()
     position = 0
     while position < len(data):
@@ -137,6 +200,13 @@ def decompress(core: CoreLike, blob: bytes) -> bytes:
             copied = 0
             while copied < length:
                 span = min(length - copied, len(out) - (start + copied))
+                if span <= 0:
+                    # A corrupted match start at or past the end of the
+                    # output leaves nothing to copy, now or ever: the
+                    # compressor's forward-progress guard, decode side.
+                    raise CorruptStreamError(
+                        f"match start {start} outside output of {len(out)}"
+                    )
                 chunk = tuple(out[start + copied:start + copied + span])
                 moved = core.execute(Op.COPY, chunk)
                 out.extend(byte & 0xFF for byte in moved)
@@ -151,13 +221,15 @@ def compression_workload(core: CoreLike, data: bytes) -> WorkloadResult:
     """Compress+decompress with a round-trip self-check.
 
     The round-trip check is the natural application-level SDC check
-    (§6); crashes during decompression are reported as crashes, which
-    become CRASH signals for the detection layer.
+    (§6); crashes of the codec are reported as crashes, which become
+    CRASH signals for the detection layer.  Besides the codec's own
+    :class:`CorruptStreamError` (a ``ValueError``) that is the plain
+    ``ValueError`` of a corrupted offset that no longer fits its byte.
     """
     try:
         blob = compress(core, data)
         restored = decompress(core, blob)
-    except (CorruptStreamError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         return WorkloadResult(
             name="compression",
             output_digest=0,

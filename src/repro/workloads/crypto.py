@@ -49,14 +49,25 @@ _INV_SHIFT_ROWS = tuple(_SHIFT_ROWS.index(i) for i in range(16))
 # below declare their op set and exact op count to the core
 # (``credit_untargeted``); when it accepts, the kernels here compute the
 # whole block from the same golden tables.  A core whose defect targets
-# any of the ops — even before onset — stays per-op, so defect behaviour
-# and rng streams are untouched.  Exact op counts and results are pinned
-# to the per-op path by tests/test_workloads_crypto.py and the
-# differential test in tests/test_properties_extended.py.
+# some of the ops falls back to one question per stage, asked in program
+# order: each stage (the XORs of AddRoundKey and the key schedule, a
+# SubBytes, a MixColumns) declares its own op set and count, so an
+# S-box-swap core pays per op for its 160 lookups per block and runs the
+# other 1 328 ops from the golden tables, and a machine check that
+# leaves a block mid-stream finds every earlier stage already credited.
+# A targeted op stays per-op even before onset, so defect behaviour and
+# rng streams are untouched.  Exact op counts and results are pinned to
+# the per-op path by tests/test_workloads_crypto.py and the differential
+# test in tests/test_properties_extended.py.
 
 _EXPAND_OPS = frozenset({Op.XOR, Op.SBOX})
 _ENCRYPT_OPS = frozenset({Op.XOR, Op.SBOX, Op.GFMUL})
 _DECRYPT_OPS = frozenset({Op.XOR, Op.INV_SBOX, Op.GFMUL})
+_XOR_OPS = frozenset({Op.XOR})
+_SBOX_OPS = frozenset({Op.SBOX})
+_INV_SBOX_OPS = frozenset({Op.INV_SBOX})
+#: GFMUL and XOR alternate one for one, so MixColumns is free only whole
+_MIX_OPS = frozenset({Op.GFMUL, Op.XOR})
 #: ops per expand_key: 40 words x 4 XOR + 10 RotWord steps x (4 SBOX + 1 XOR)
 _EXPAND_N_OPS = 210
 #: ops per block: AddRoundKey 16, SubBytes 16, MixColumns 128 per round
@@ -155,26 +166,30 @@ def expand_key(core: CoreLike, key: bytes) -> tuple[bytes, ...]:
         temp = list(words[i - 1])
         if i % 4 == 0:
             temp = temp[1:] + temp[:1]  # RotWord (wiring)
-            temp = [core.execute(Op.SBOX, b) & 0xFF for b in temp]  # SubWord
-            temp[0] = core.execute(Op.XOR, temp[0], _RCON[i // 4 - 1]) & 0xFF
-        words.append(
-            [core.execute(Op.XOR, a, b) & 0xFF
-             for a, b in zip(words[i - 4], temp)]
-        )
+            temp = _sub_bytes(core, temp)  # SubWord
+            temp[:1] = _add_round_key(core, temp[:1], (_RCON[i // 4 - 1],))
+        words.append(_add_round_key(core, words[i - 4], temp))
     return _pack_round_keys(words)
 
 
 def _add_round_key(core: CoreLike, state: list[int], round_key: bytes) -> list[int]:
+    # also the key schedule's byte-wise XORs (a word, the Rcon byte)
+    if credit_untargeted(core, _XOR_OPS, len(state)):
+        return [s ^ k for s, k in zip(state, round_key)]
     # The AES datapath is byte-wide: results are truncated to 8 bits
     # even when a defect flips a higher bit of the 64-bit ALU result.
     return [core.execute(Op.XOR, s, k) & 0xFF for s, k in zip(state, round_key)]
 
 
 def _sub_bytes(core: CoreLike, state: list[int]) -> list[int]:
+    if credit_untargeted(core, _SBOX_OPS, len(state)):
+        return [AES_SBOX[b] for b in state]
     return [core.execute(Op.SBOX, b) & 0xFF for b in state]
 
 
 def _inv_sub_bytes(core: CoreLike, state: list[int]) -> list[int]:
+    if credit_untargeted(core, _INV_SBOX_OPS, len(state)):
+        return [AES_INV_SBOX[b] for b in state]
     return [core.execute(Op.INV_SBOX, b) & 0xFF for b in state]
 
 
@@ -202,6 +217,8 @@ _INV_MIX = ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11), (11, 13, 9, 14))
 
 
 def _mix_columns(core: CoreLike, state: list[int], matrix: tuple) -> list[int]:
+    if credit_untargeted(core, _MIX_OPS, 128):
+        return _golden_mix(state, _mix_rows(matrix))
     out = [0] * 16
     for c in range(4):
         column = state[4 * c:4 * c + 4]

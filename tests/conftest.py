@@ -37,3 +37,20 @@ def healthy_pool() -> list[Core]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """Counts per-op trips: every ``Core.execute`` reaches ``golden_call``
+    through the module global, a kernel never does."""
+    from repro.silicon import core as core_module
+
+    calls = []
+    golden_call = core_module.golden_call
+
+    def counting(op, operands):
+        calls.append(op)
+        return golden_call(op, operands)
+
+    monkeypatch.setattr(core_module, "golden_call", counting)
+    return calls

@@ -20,6 +20,7 @@ import pytest
 from repro import obs
 from repro.core.events import EventKind
 from repro.mitigation.checkpoint import GranuleFailedError
+from repro.mitigation.instrcheck import policies
 from repro.mitigation.instrcheck import (
     ARMS,
     InstrCheckCampaign,
@@ -99,6 +100,40 @@ class TestOpSampler:
         with pytest.raises(ValueError):
             OpSampler(1.5)
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5, 2**64 + 7])
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 0.33, 1.0])
+    def test_block_decisions_equal_the_scalar_hash(self, seed, rate):
+        """Decisions are made a block of counters at a time; each must
+        be the scalar ``_hash01(seed, counter) < rate``, across blocks."""
+        sampler = OpSampler(rate, seed=seed)
+        n = 2 * policies._SAMPLER_BLOCK + 10
+        taken = [sampler.take(Op.ADD) for _ in range(n)]
+        assert taken == [
+            policies._hash01(seed, counter) < rate for counter in range(1, n + 1)
+        ]
+
+    def test_filtered_op_does_not_advance_the_counter(self):
+        plain = OpSampler(0.33, seed=4)
+        filtered = OpSampler(0.33, ops=(Op.MUL,), seed=4)
+        want = [plain.take(Op.MUL) for _ in range(300)]
+        got = []
+        for _ in range(300):
+            assert not filtered.take(Op.ADD)
+            got.append(filtered.take(Op.MUL))
+        assert got == want
+
+    def test_interleaved_samplers_with_one_seed_stay_independent(self):
+        alone = OpSampler(0.33, seed=9)
+        want = [alone.take(Op.ADD) for _ in range(2500)]
+        first, second = OpSampler(0.33, seed=9), OpSampler(0.33, seed=9)
+        got_first, got_second = [], []
+        for index in range(2500):
+            got_first.append(first.take(Op.ADD))
+            if index % 3 == 0:
+                got_second.append(second.take(Op.ADD))
+        assert got_first == want
+        assert got_second == want[:len(got_second)]
+
 
 class TestResultDigest:
     def test_scalar_and_tuple(self):
@@ -128,6 +163,32 @@ class TestIthica:
             wrapper.execute(op, *operands)
         assert wrapper.stats.mismatches > 0
         assert caught and caught[0][0] == "ic/prob" and caught[0][2] == 17
+
+    def test_hashes_only_where_the_two_answers_differ(self, monkeypatch):
+        """Equal values have equal digests, so an untargeted op costs a
+        compare and no digest; the stats are what hashing both gave."""
+        digests = []
+
+        def counting(result, digest=policies.result_digest):
+            digests.append(result)
+            return digest(result)
+
+        monkeypatch.setattr(policies, "result_digest", counting)
+        wrapper = IthicaCheckedCore(_healthy(), sample_rate=0.33, seed=7)
+        for op, operands in _unit(500):
+            wrapper.execute(op, *operands)
+        assert digests == []
+        assert wrapper.stats == InstrCheckStats(
+            payload_ops=500, check_ops=166, ops_sampled=166)
+
+        core = _probabilistic_bad(rate=0.5)
+        wrapper = IthicaCheckedCore(core, sample_rate=1.0)
+        for op, operands in _unit(200):
+            wrapper.execute(op, *operands)
+        assert wrapper.stats == InstrCheckStats(
+            payload_ops=200, check_ops=200, ops_sampled=200, mismatches=104)
+        assert len(digests) == 2 * 104
+        assert core.corruptions_induced == 210
 
     def test_blind_to_deterministic_defect(self):
         """The §2 self-inverting story: both executions flow through

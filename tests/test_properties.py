@@ -135,6 +135,21 @@ class TestDigestProperties:
         tampered[position] ^= 1
         assert digest_ints(values) != digest_ints(tampered)
 
+    @given(
+        values=st.lists(
+            st.integers(min_value=-(2**70), max_value=2**70), max_size=30),
+        start=u64,
+    )
+    def test_digest_is_fnv1a_over_each_values_low_eight_bytes(self, values, start):
+        """The reference loop: shift and mask byte by byte, which takes
+        negatives (two's complement) and values past 2**64 alike."""
+        h = start
+        for value in values:
+            for shift in range(0, 64, 8):
+                h ^= (value >> shift) & 0xFF
+                h = (h * 0x100000001B3) & MASK64
+        assert digest_ints(values, start) == h
+
 
 class TestAbftProperties:
     @settings(max_examples=15, deadline=None)

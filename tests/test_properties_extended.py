@@ -1,7 +1,7 @@
 """Second property-test battery: invariants of the defense stack."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.confidence import SuspicionTracker
 from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
@@ -11,9 +11,9 @@ from repro.silicon.aging import AgingProfile
 from repro.silicon.assembler import assemble
 from repro.silicon.catalog import NAMED_CASES, named_case
 from repro.silicon.core import Core
-from repro.silicon.defects import StuckBitDefect
+from repro.silicon.defects import MachineCheckDefect, StuckBitDefect
 from repro.silicon.environment import DvfsTable
-from repro.silicon.errors import MachineCheckError
+from repro.silicon.errors import CoreOfflineError, MachineCheckError
 from repro.silicon.golden import set_golden_cache
 from repro.silicon.sensitivity import (
     ComposedSensitivity,
@@ -24,6 +24,13 @@ from repro.silicon.sensitivity import (
 from repro.silicon.units import FunctionalUnit, Op
 from repro.silicon.vm import Vm
 from repro.workloads.base import OpCountingCore
+from repro.workloads.compression import (
+    MAX_MATCH,
+    compress,
+    compression_workload,
+    decompress,
+)
+from repro.workloads.copying import copy_bytes
 from repro.workloads.crypto import decrypt_block, encrypt_block, expand_key
 from repro.workloads.hashing import crc64, fnv1a, hash_stream, mix64
 
@@ -190,26 +197,49 @@ STUCK_UNITS = {
     "stuck_mul": FunctionalUnit.MUL_DIV,
     "stuck_crypto": FunctionalUnit.CRYPTO,
 }
-KERNEL_CASES = (None, *NAMED_CASES, *STUCK_UNITS)
+#: fail-noisy cores that raise often enough to leave a primitive
+#: mid-stream (the named machine_checker, rate 1e-4, hardly ever does):
+#: inside an AES block, and inside copy_bytes / decompress
+MACHINE_CHECK_UNITS = {
+    "mce_crypto": FunctionalUnit.CRYPTO,
+    "mce_load_store": FunctionalUnit.LOAD_STORE,
+}
+KERNEL_CASES = (None, *NAMED_CASES, *STUCK_UNITS, *MACHINE_CHECK_UNITS)
 
 word = st.integers(min_value=0, max_value=2**64 - 1)
 aes_block = st.binary(min_size=16, max_size=16)
+#: codec input: runs and noise over a small alphabet, so matches repeat,
+#: overlap themselves and cross MAX_MATCH
+codec_bytes = st.one_of(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, MAX_MATCH + 30)),
+        max_size=5,
+    ).map(lambda runs: b"".join(bytes([97 + b]) * n for b, n in runs)),
+    st.sampled_from((2, 4, 16)).flatmap(
+        lambda alphabet: st.lists(
+            st.integers(0, alphabet - 1), max_size=120).map(bytes)),
+).map(lambda data: data[:400])
 
 
-def _kernel_core(case, age_days, seed):
+def _kernel_core(case, age_days, seed, online=True):
     if case is None:
         defects = ()
     elif case in STUCK_UNITS:
         defects = [StuckBitDefect(
             f"propx:{case}", bit=7, base_rate=0.05, unit=STUCK_UNITS[case])]
+    elif case in MACHINE_CHECK_UNITS:
+        defects = [MachineCheckDefect(
+            f"propx:{case}", base_rate=0.05, unit=MACHINE_CHECK_UNITS[case])]
     else:
         defects = named_case(case)
     for defect in defects:
         defect.aging = AgingProfile(onset_days=KERNEL_ONSET_DAYS)
-    return Core(
+    core = Core(
         f"propx/{case}", defects=defects, rng=np.random.default_rng(seed),
         age_days=age_days,
     )
+    core.set_online(online)
+    return core
 
 
 def _per_op(run):
@@ -224,8 +254,10 @@ def _per_op(run):
 def _observe(core, work):
     try:
         result = work(core)
-    except MachineCheckError as error:
-        result = ("machine-check", str(error))
+    except (MachineCheckError, CoreOfflineError, ValueError, IndexError) as error:
+        # a machine check, an offline core, a codec crashing on corrupted
+        # arithmetic: observations to compare, counters at the raise too
+        result = (type(error).__name__, str(error))
     return (
         result, core.ops_executed, core.corruptions_induced,
         core.machine_checks_raised, core.rng.bit_generator.state,
@@ -254,12 +286,17 @@ class TestKernelsMatchThePerOpPath:
         seed=st.integers(min_value=0, max_value=2**32),
     )
     def test_every_primitive_on_every_core(self, data, seeds, key, block, seed):
+        round_keys = expand_key(Core("propx/keys"), key)
         primitives = (
             lambda core: crc64(core, data),
             lambda core: fnv1a(core, data),
             lambda core: hash_stream(core, seeds),
             lambda core: [mix64(core, x) for x in seeds],
             _aes_round_trip(key, block),
+            # on their own: a crypto-unit machine check leaves the round
+            # trip inside expand_key, these it leaves mid-block
+            lambda core: encrypt_block(core, block, round_keys),
+            lambda core: decrypt_block(core, block, round_keys),
         )
         for case in KERNEL_CASES:
             for age_days in (0.0, 2 * KERNEL_ONSET_DAYS):
@@ -268,6 +305,63 @@ class TestKernelsMatchThePerOpPath:
                     per_op = _per_op(lambda: _observe(
                         _kernel_core(case, age_days, seed), work))
                     assert kernels == per_op, (case, age_days)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=codec_bytes, window=st.sampled_from((1, 7, 255)),
+        chunk=st.sampled_from((1, 3, 64)),
+        case=st.sampled_from(KERNEL_CASES),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(
+        data=b"a" * (MAX_MATCH + 40) + b"b" + b"a" * 30, window=255, chunk=3,
+        case=None, seed=0,
+    )
+    def test_codec_and_copy_on_every_core(self, data, window, chunk, case, seed):
+        blob = compress(Core("propx/ref"), data, window)
+        primitives = (
+            lambda core: compress(core, data, window),
+            lambda core: decompress(core, blob),
+            lambda core: compression_workload(core, data),
+            lambda core: copy_bytes(core, data, chunk),
+        )
+        for age_days in (0.0, 2 * KERNEL_ONSET_DAYS):
+            for work in primitives:
+                kernels = _observe(_kernel_core(case, age_days, seed), work)
+                per_op = _per_op(lambda: _observe(
+                    _kernel_core(case, age_days, seed), work))
+                assert kernels == per_op, (case, age_days)
+
+    def test_offline_core_raises_on_its_first_op_and_not_before(self):
+        key = block = bytes(range(16))
+        blob = compress(Core("propx/ref"), b"abcabcabcabc")
+        empty_then_not = (
+            (lambda core: crc64(core, b""), lambda core: crc64(core, b"x")),
+            (lambda core: fnv1a(core, b""), lambda core: fnv1a(core, b"x")),
+            (lambda core: hash_stream(core, []),
+             lambda core: hash_stream(core, [1])),
+            (lambda core: compress(core, b""), lambda core: compress(core, b"x")),
+            (lambda core: decompress(core, b""),
+             lambda core: decompress(core, blob)),
+            (lambda core: compression_workload(core, b""),
+             lambda core: compression_workload(core, b"x")),
+            (lambda core: copy_bytes(core, b""),
+             lambda core: copy_bytes(core, b"x")),
+            (lambda core: None, _aes_round_trip(key, block)),
+        )
+        for case in KERNEL_CASES:
+            for no_ops, first_op in empty_then_not:
+                for work, raises in ((no_ops, False), (first_op, True)):
+                    kernels = _observe(
+                        _kernel_core(case, 0.0, 1, online=False), work)
+                    per_op = _per_op(lambda: _observe(
+                        _kernel_core(case, 0.0, 1, online=False), work))
+                    assert kernels == per_op, case
+                    assert kernels[1] == 0
+                    offline = str(CoreOfflineError(f"propx/{case}"))
+                    assert (
+                        kernels[0] == ("CoreOfflineError", offline)
+                    ) == raises, (case, kernels[0])
 
     @settings(max_examples=10, deadline=None)
     @given(

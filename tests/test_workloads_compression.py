@@ -5,7 +5,11 @@ import pytest
 
 from repro.silicon.core import Core
 from repro.silicon.catalog import named_case
+from repro.silicon.defects import StuckBitDefect
+from repro.silicon.golden import set_golden_cache
+from repro.silicon.units import Op
 from repro.workloads.compression import (
+    MAX_MATCH,
     CorruptStreamError,
     compress,
     compression_workload,
@@ -93,3 +97,77 @@ class TestDefectiveCore:
         # The bit flipper hits copy/load paths: at least one run must be
         # caught by the round-trip check or crash outright.
         assert any(r.app_detected or r.crashed for r in results)
+
+    def test_corrupted_match_start_crashes_instead_of_hanging(
+        self, healthy_core
+    ):
+        """A match start pushed past the output leaves the copy loop
+        nothing to move, ever: it must crash (the detectable symptom),
+        not spin.  Bounded by the op count, not the clock."""
+        data = b"abcabcabcabc"
+        blob = compress(healthy_core, data)
+
+        def bad_sub():
+            return Core("t/sub", defects=[StuckBitDefect(
+                "d", bit=21, base_rate=1.0, ops=(Op.SUB,))])
+
+        core = bad_sub()
+        with pytest.raises(CorruptStreamError):
+            decompress(core, blob)
+        assert core.ops_executed < 1000
+        core = bad_sub()
+        assert compression_workload(core, data).crashed
+        assert core.ops_executed < 5000
+
+
+def _per_op_compress(core, data, window):
+    set_golden_cache(False)
+    try:
+        return compress(core, data, window), core.ops_executed
+    finally:
+        set_golden_cache(True)
+
+
+class TestCompressKernel:
+    """``compress`` declares {BEQ, ADD, SUB} and a data-dependent count:
+    where no defect targets them the twin computes blob and count at
+    host speed, and both equal the per-op path's."""
+
+    INPUTS = (
+        b"", b"a", b"ab", b"aaa", b"a" * 700, b"ab" * 400, b"abc" * 200,
+        bytes(range(256)) * 2, b"x" * (MAX_MATCH - 1) + b"y" + b"x" * 300,
+        b"the quick brown fox jumps over the lazy dog " * 10,
+    )
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 255])
+    @pytest.mark.parametrize("case", [None, "string_bit_flipper"])
+    def test_no_per_op_trip_where_untargeted(self, execute_calls, case, window):
+        for data in self.INPUTS:
+            want = _per_op_compress(Core("k/ref"), data, window)
+            execute_calls.clear()
+            rng = np.random.default_rng(2)
+            state = rng.bit_generator.state
+            core = Core("k/c", defects=named_case(case) if case else (), rng=rng)
+            assert (compress(core, data, window), core.ops_executed) == want
+            assert execute_calls == []
+            assert core.corruptions_induced == 0
+            assert rng.bit_generator.state == state
+
+    def test_comparator_defect_core_stays_per_op(self, execute_calls):
+        core = Core(
+            "k/cmp", defects=named_case("comparator_flip"),
+            rng=np.random.default_rng(3),
+        )
+        compress(core, b"compressible compressible data" * 4)
+        assert len(execute_calls) == core.ops_executed > 0
+        assert set(execute_calls) <= {Op.BEQ, Op.ADD, Op.SUB}
+
+    def test_offline_core_raises_on_its_first_op_only(self):
+        from repro.silicon.errors import CoreOfflineError
+
+        core = Core("k/off")
+        core.set_online(False)
+        assert compress(core, b"") == b""
+        with pytest.raises(CoreOfflineError):
+            compress(core, b"abc")
+        assert core.ops_executed == 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Core
+from repro.silicon.units import Op
 from repro.workloads.crypto import (
     crypto_workload,
     decrypt_block,
@@ -106,23 +107,6 @@ class TestCryptoWorkload:
         assert result.units == 5  # 64 bytes + padding = 5 blocks
 
 
-@pytest.fixture
-def execute_calls(monkeypatch):
-    """Counts per-op trips: every ``Core.execute`` reaches ``golden_call``
-    through the module global, a kernel never does."""
-    from repro.silicon import core as core_module
-
-    calls = []
-    golden_call = core_module.golden_call
-
-    def counting(op, operands):
-        calls.append(op)
-        return golden_call(op, operands)
-
-    monkeypatch.setattr(core_module, "golden_call", counting)
-    return calls
-
-
 class TestHealthyFastPath:
     """The block kernels must be invisible: same bytes, same counters.
 
@@ -170,15 +154,20 @@ class TestHealthyFastPath:
         assert core.ops_executed - before == want_ops
 
     def test_sbox_defect_core_stays_per_op_for_aes(self, execute_calls):
+        """Per op for the lookups its defect targets and for nothing else:
+        the XOR and MixColumns stages around them are credited whole."""
         defective = Core(
             "fast/bad", defects=named_case("self_inverting_aes"),
             rng=np.random.default_rng(1),
         )
         round_keys = expand_key(defective, FIPS_KEY)
-        assert len(execute_calls) == defective.ops_executed == 210
+        assert execute_calls == [Op.SBOX] * 40
+        assert defective.ops_executed == 210
         encrypt_block(defective, FIPS_PLAINTEXT, round_keys)
         decrypt_block(defective, FIPS_CIPHERTEXT, round_keys)
-        assert len(execute_calls) == defective.ops_executed == 210 + 2 * 1488
+        assert set(execute_calls) == {Op.SBOX, Op.INV_SBOX}
+        assert len(execute_calls) == 40 + 160 + 160
+        assert defective.ops_executed == 210 + 2 * 1488
 
     def test_lock_violator_core_takes_the_aes_and_crc_kernels(
         self, execute_calls

@@ -5,6 +5,7 @@ import pytest
 
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Core
+from repro.silicon.units import Op
 from repro.workloads.base import (
     OpCountingCore,
     digest_bytes,
@@ -34,6 +35,30 @@ class TestCopying:
     def test_chunk_validation(self, healthy_core):
         with pytest.raises(ValueError):
             copy_words(healthy_core, [1], chunk=0)
+        with pytest.raises(ValueError):
+            copy_bytes(healthy_core, b"payload", chunk=0)
+
+    @pytest.mark.parametrize("size", [0, 1, 8, 35, 512, 520])
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_copy_bytes_pays_per_op_only_where_copy_is_targeted(
+        self, execute_calls, size, chunk
+    ):
+        """One COPY per chunk of 8-byte words, credited in one step on a
+        core whose copy datapath no defect targets."""
+        data = bytes(range(256)) * 3
+        data = data[:size]
+        n_copies = -(-(-(-size // 8)) // chunk)
+        healthy = Core("cp/h")
+        assert copy_bytes(healthy, data, chunk) == data
+        assert execute_calls == []
+        assert healthy.ops_executed == n_copies
+        flipper = Core(
+            "cp/flip", defects=named_case("string_bit_flipper"),
+            rng=np.random.default_rng(0),
+        )
+        copy_bytes(flipper, data, chunk)
+        assert execute_calls == [Op.COPY] * n_copies
+        assert flipper.ops_executed == n_copies
 
     def test_shared_logic_defect_corrupts_copies(self):
         core = Core(
