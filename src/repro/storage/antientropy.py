@@ -129,18 +129,17 @@ class AntiEntropy:
         if len({tree.root for tree in trees}) == 1:
             report.root_match = True  # O(1) fast path: all identical
             return report
+        # Placement of every key any replica holds, hashed once per
+        # round; repairs and backfills never add a key outside it.
+        keys_in: dict[int, list[str]] = {}
+        for key in dict.fromkeys(k for r in replicas for k in r.table):
+            keys_in.setdefault(bucket_of(key, self.n_buckets), []).append(key)
         for bucket in range(self.n_buckets):
             digests = {tree.buckets[bucket] for tree in trees}
             if len(digests) == 1:
                 continue
             report.divergent_buckets += 1
-            bucket_keys = sorted({
-                key
-                for replica in replicas
-                for key in replica.table
-                if bucket_of(key, self.n_buckets) == bucket
-            })
-            for key in bucket_keys:
+            for key in sorted(keys_in[bucket]):  # digests differ: not empty
                 self._sync_key(key, replicas, report)
         return report
 

@@ -549,19 +549,15 @@ class StorageCampaign(Campaign):
         *or* when an online replica is missing the key entirely (lost
         WAL tail, post-crash amnesia, a freshly-placed replacement).
         """
+        divergent = self._divergent_since
         for replica in self.store.replicas:
             if not replica.available:
                 continue
             for key, expected in self._truth_payload.items():
-                payload = replica.table.get(key)
-                if payload == expected:
-                    self._divergent_since.pop(
-                        (replica.replica_id, key), None
-                    )
-                    continue
-                self._divergent_since.setdefault(
-                    (replica.replica_id, key), tick
-                )
+                if replica.table.get(key) != expected:
+                    divergent.setdefault((replica.replica_id, key), tick)
+                elif divergent:  # almost always empty: nothing to clear
+                    divergent.pop((replica.replica_id, key), None)
 
     # -- the main loop -------------------------------------------------
 

@@ -16,6 +16,7 @@ host-side; SubBytes, MixColumns and AddRoundKey execute on the core.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Sequence
 
 from repro.silicon.golden import AES_INV_SBOX, AES_SBOX, GOLDEN
@@ -47,18 +48,28 @@ _INV_SHIFT_ROWS = tuple(_SHIFT_ROWS.index(i) for i in range(16))
 # function of (block, round_keys) and the per-op trip through
 # Core.execute only maintains the ops_executed counter.  The primitives
 # below declare their op set and exact op count to the core
-# (``credit_untargeted``); when it accepts, the kernels here compute the
-# whole block from the same golden tables.  A core whose defect targets
-# some of the ops falls back to one question per stage, asked in program
-# order: each stage (the XORs of AddRoundKey and the key schedule, a
-# SubBytes, a MixColumns) declares its own op set and count, so an
-# S-box-swap core pays per op for its 160 lookups per block and runs the
-# other 1 328 ops from the golden tables, and a machine check that
-# leaves a block mid-stream finds every earlier stage already credited.
-# A targeted op stays per-op even before onset, so defect behaviour and
-# rng streams are untouched.  Exact op counts and results are pinned to
-# the per-op path by tests/test_workloads_crypto.py and the differential
-# test in tests/test_properties_extended.py.
+# (``credit_untargeted``); when it accepts, ``_golden_cipher`` runs the
+# block on one 128-bit word.  ``_block_tables`` folds SubBytes, ShiftRows
+# and MixColumns into a table per state position (built on first use
+# from the S-boxes and ``_gf_table`` the per-op path reads), so a middle
+# round is sixteen lookups XORed with the round key; the last round has
+# no MixColumns and is ``bytes.translate`` plus one permutation.
+# Decryption is the same loop over the inverse tables (FIPS-197 §5.3.5,
+# the equivalent inverse cipher), whose nine middle round keys need
+# InvMixColumns applied: ``_golden_key_words`` derives them from the
+# round keys it is handed, never from the AES key.
+#
+# A core whose defect targets some of the ops falls back to one question
+# per stage, asked in program order: each stage (the XORs of AddRoundKey
+# and the key schedule, a SubBytes, a MixColumns) declares its own op
+# set and count, so an S-box-swap core pays per op for its 160 lookups
+# per block and runs the other 1 328 ops from the golden tables
+# (``_golden_mix`` is MixColumns for that path alone), and a machine
+# check that leaves a block mid-stream finds every earlier stage already
+# credited.  A targeted op stays per-op even before onset, so defect
+# behaviour and rng streams are untouched.  Exact op counts and results
+# are pinned to the per-op path by tests/test_workloads_crypto.py and the
+# differential test in tests/test_properties_extended.py.
 
 _EXPAND_OPS = frozenset({Op.XOR, Op.SBOX})
 _ENCRYPT_OPS = frozenset({Op.XOR, Op.SBOX, Op.GFMUL})
@@ -74,27 +85,16 @@ _EXPAND_N_OPS = 210
 #: -> 16 + 9 * (16 + 128 + 16) + (16 + 16)
 _BLOCK_N_OPS = 1488
 
-_GF_TABLES: dict[int, list[int]] = {}
-_MIX_ROWS: dict[tuple, tuple] = {}
 
-
+@functools.cache
 def _gf_table(coefficient: int) -> list[int]:
-    table = _GF_TABLES.get(coefficient)
-    if table is None:
-        gfmul = GOLDEN[Op.GFMUL]
-        table = _GF_TABLES[coefficient] = [
-            gfmul(coefficient, b) for b in range(256)
-        ]
-    return table
+    gfmul = GOLDEN[Op.GFMUL]
+    return [gfmul(coefficient, b) for b in range(256)]
 
 
+@functools.cache
 def _mix_rows(matrix: tuple) -> tuple:
-    rows = _MIX_ROWS.get(matrix)
-    if rows is None:
-        rows = _MIX_ROWS[matrix] = tuple(
-            tuple(_gf_table(c) for c in row) for row in matrix
-        )
-    return rows
+    return tuple(tuple(_gf_table(c) for c in row) for row in matrix)
 
 
 def _golden_mix(state: list[int], rows: tuple) -> list[int]:
@@ -105,6 +105,27 @@ def _golden_mix(state: list[int], rows: tuple) -> list[int]:
         for r, (t0, t1, t2, t3) in enumerate(rows):
             out[base + r] = t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
     return out
+
+
+@functools.cache
+def _block_tables(inverse: bool) -> tuple[tuple, bytes, operator.itemgetter]:
+    """(position tables, S-box, ShiftRows) of one cipher direction:
+    ``tables[i][b]`` is what byte ``b`` at state position ``i`` adds to
+    the big-endian 128-bit state after substitute -> shift -> mix."""
+    sbox, shift, matrix = (
+        (AES_INV_SBOX, _INV_SHIFT_ROWS, _INV_MIX) if inverse
+        else (AES_SBOX, _SHIFT_ROWS, _MIX)
+    )
+    rows = _mix_rows(matrix)
+    tables = []
+    for position in range(16):
+        column, row_in = divmod(shift.index(position), 4)
+        low_bit = 8 * (15 - 4 * column)
+        tables.append([
+            sum(rows[r][row_in][s] << (low_bit - 8 * r) for r in range(4))
+            for s in sbox
+        ])
+    return tuple(tables), bytes(sbox), operator.itemgetter(*shift)
 
 
 def _pack_round_keys(words: list[list[int]]) -> tuple[bytes, ...]:
@@ -129,30 +150,48 @@ def _golden_round_keys(key: bytes) -> tuple[bytes, ...]:
     return _pack_round_keys(words)
 
 
+# Keyed on the schedule the caller holds: it may be one a defective
+# core's expand_key corrupted, which the AES key says nothing about.
+@functools.lru_cache(maxsize=64)
+def _golden_key_words(
+    round_keys: tuple[bytes, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Round keys as 128-bit words, for (the cipher, its inverse)."""
+    words = tuple(int.from_bytes(k, "big") for k in round_keys)
+    tables, _, _ = _block_tables(True)
+    _, sbox, shift = _block_tables(False)
+    # The inverse tables apply InvSubBytes and InvShiftRows before
+    # InvMixColumns: SubBytes o ShiftRows first, to mix the key itself.
+    mixed = [
+        functools.reduce(operator.xor, map(
+            operator.getitem, tables, bytes(shift(k)).translate(sbox)
+        ))
+        for k in round_keys[N_ROUNDS - 1:0:-1]
+    ]
+    return words, (words[N_ROUNDS], *mixed, words[0])
+
+
+def _golden_cipher(block: bytes, keys: tuple[int, ...], inverse: bool) -> bytes:
+    (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15), \
+        sbox, shift = _block_tables(inverse)
+    s = (int.from_bytes(block, "big") ^ keys[0]).to_bytes(16, "big")
+    for key in keys[1:N_ROUNDS]:
+        s = (
+            t0[s[0]] ^ t1[s[1]] ^ t2[s[2]] ^ t3[s[3]]
+            ^ t4[s[4]] ^ t5[s[5]] ^ t6[s[6]] ^ t7[s[7]]
+            ^ t8[s[8]] ^ t9[s[9]] ^ t10[s[10]] ^ t11[s[11]]
+            ^ t12[s[12]] ^ t13[s[13]] ^ t14[s[14]] ^ t15[s[15]] ^ key
+        ).to_bytes(16, "big")
+    last = int.from_bytes(bytes(shift(s.translate(sbox))), "big")
+    return (last ^ keys[N_ROUNDS]).to_bytes(16, "big")
+
+
 def _golden_encrypt_block(block: bytes, round_keys: Sequence[bytes]) -> bytes:
-    rows = _mix_rows(_MIX)
-    state = [b ^ k for b, k in zip(block, round_keys[0])]
-    for round_index in range(1, N_ROUNDS):
-        state = [AES_SBOX[b] for b in state]
-        state = [state[j] for j in _SHIFT_ROWS]
-        state = _golden_mix(state, rows)
-        state = [a ^ k for a, k in zip(state, round_keys[round_index])]
-    state = [AES_SBOX[b] for b in state]
-    state = [state[j] for j in _SHIFT_ROWS]
-    return bytes(a ^ k for a, k in zip(state, round_keys[N_ROUNDS]))
+    return _golden_cipher(block, _golden_key_words(tuple(round_keys))[0], False)
 
 
 def _golden_decrypt_block(block: bytes, round_keys: Sequence[bytes]) -> bytes:
-    rows = _mix_rows(_INV_MIX)
-    state = [b ^ k for b, k in zip(block, round_keys[N_ROUNDS])]
-    for round_index in range(N_ROUNDS - 1, 0, -1):
-        state = [state[j] for j in _INV_SHIFT_ROWS]
-        state = [AES_INV_SBOX[b] for b in state]
-        state = [a ^ k for a, k in zip(state, round_keys[round_index])]
-        state = _golden_mix(state, rows)
-    state = [state[j] for j in _INV_SHIFT_ROWS]
-    state = [AES_INV_SBOX[b] for b in state]
-    return bytes(a ^ k for a, k in zip(state, round_keys[0]))
+    return _golden_cipher(block, _golden_key_words(tuple(round_keys))[1], True)
 
 
 def expand_key(core: CoreLike, key: bytes) -> tuple[bytes, ...]:

@@ -317,6 +317,33 @@ class TestAntiEntropy:
         assert report.backfills == 1
         assert replicas[1].table["a"] == replicas[0].table["a"]
 
+    @pytest.mark.parametrize("divergent", [1, 6])
+    def test_sync_round_places_each_key_once_however_many_buckets_diverge(
+        self, divergent, monkeypatch
+    ):
+        from repro.storage import antientropy
+
+        store, replicas = make_store()
+        keys = [f"k{i:02d}" for i in range(24)]
+        for key in keys:
+            store.put(key, VALUE)
+        by_bucket = {}
+        for key in keys:
+            by_bucket.setdefault(antientropy.bucket_of(key, 16), key)
+        assert len(by_bucket) >= 6
+        for key in list(by_bucket.values())[:divergent]:
+            replicas[0].table[key] = b"\xff" * 16
+        calls = []
+        bucket_of = antientropy.bucket_of
+        monkeypatch.setattr(
+            antientropy, "bucket_of",
+            lambda key, n: calls.append(key) or bucket_of(key, n),
+        )
+        report = AntiEntropy(store).sync_round()
+        assert report.divergent_buckets == report.keys_repaired == divergent
+        # once per replica for its tree, once more for the round's grouping
+        assert len(calls) == (len(replicas) + 1) * len(keys)
+
     def test_merkle_tree_is_deterministic_and_value_sensitive(self):
         table = {"a": VALUE, "b": OTHER}
         tree = build_merkle_tree(table)

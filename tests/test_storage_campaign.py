@@ -2,8 +2,12 @@
 
 import json
 
+from repro.campaign import build_small_fleet
 from repro.chaos import ChaosKind, ChaosSchedule
 from repro.core.events import EventKind
+from repro.silicon.aging import AgingProfile
+from repro.silicon.defects import StuckBitDefect
+from repro.silicon.units import FunctionalUnit
 from repro.storage import (
     StorageCampaign,
     StorageCampaignConfig,
@@ -16,8 +20,8 @@ TICKS = 200
 ONSET_AGE_DAYS = 400.0
 
 
-def _campaign(protections, ticks=TICKS, seed=3):
-    machines, bad_core_id = build_storage_fleet(
+def _campaign(protections, ticks=TICKS, seed=3, fleet=None):
+    machines, bad_core_id = fleet or build_storage_fleet(
         onset_days=ONSET_AGE_DAYS, seed=7
     )
     campaign = StorageCampaign(
@@ -143,3 +147,55 @@ class TestStorageCampaign:
             e for e in naive.events if e.kind is EventKind.MACHINE_CHECK
         ]
         assert burst_mces
+
+
+class TestCallCounts:
+    """Counts repeat exactly where wall-clock does not: each pins one
+    piece of per-tick work that must stay off the campaign's pass."""
+
+    def test_golden_mix_is_reached_from_the_staged_path_only(self, monkeypatch):
+        """With no crypto-unit defect in the fleet every AES block is a
+        table kernel; ``_golden_mix`` serves the staged fallback alone."""
+        from repro.workloads import crypto
+
+        def load_store_defect_only(core_id, index):
+            if index != 1:
+                return ()
+            return (StuckBitDefect(
+                f"defect/{core_id}/stuck", bit=21, base_rate=0.05,
+                unit=FunctionalUnit.LOAD_STORE,
+                aging=AgingProfile(onset_days=ONSET_AGE_DAYS),
+            ),)
+
+        machines, bad = build_small_fleet(
+            4, 4, "storage", 7, load_store_defect_only
+        )
+        calls = []
+        golden_mix = crypto._golden_mix
+        monkeypatch.setattr(
+            crypto, "_golden_mix",
+            lambda state, rows: calls.append(1) or golden_mix(state, rows),
+        )
+        campaign, _ = _campaign(
+            StorageProtections.protected(), fleet=(machines, bad[0])
+        )
+        card = campaign.run()
+        assert card.keys_written > 0 and card.reads_ok > 0
+        assert calls == []
+
+    def test_monitor_on_a_converged_store_leaves_the_divergence_clock_alone(self):
+        class Untouchable(dict):
+            def _refuse(self, *args):
+                raise AssertionError("divergence clock mutated")
+
+            pop = setdefault = __setitem__ = __delitem__ = _refuse
+
+        machines, _ = build_storage_fleet(bad_machine=-1)  # all healthy
+        campaign = StorageCampaign(
+            machines, StorageProtections.protected(),
+            StorageCampaignConfig(ticks=20), seed=3,
+        )
+        card = campaign.run()
+        assert card.keys_written > 0 and card.lasting_divergence == 0
+        campaign._divergent_since = Untouchable()
+        campaign._monitor(20)

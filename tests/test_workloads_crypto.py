@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Core
+from repro.silicon.golden import golden_cache_enabled, set_golden_cache
 from repro.silicon.units import Op
 from repro.workloads.crypto import (
+    _golden_decrypt_block,
+    _golden_encrypt_block,
+    _golden_round_keys,
     crypto_workload,
     decrypt_block,
     decrypt_ecb,
@@ -19,6 +24,38 @@ KEY = bytes(range(16))
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_CIPHERTEXT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+#: (key, plaintext, ciphertext): FIPS-197 Appendix B, then Appendix C.1
+FIPS_VECTORS = [
+    tuple(map(bytes.fromhex, (
+        "2b7e151628aed2a6abf7158809cf4f3c",
+        "3243f6a8885a308d313198a2e0370734",
+        "3925841d02dc09fbdc118597196a0b32",
+    ))),
+    (FIPS_KEY, FIPS_PLAINTEXT, FIPS_CIPHERTEXT),
+]
+
+
+@pytest.fixture(scope="class")
+def kernels_on():
+    """The switch on whatever ``REPRO_GOLDEN_CACHE`` says, and back after:
+    CI also runs this file with the per-op path as the default."""
+    was = golden_cache_enabled()
+    set_golden_cache(True)
+    yield
+    set_golden_cache(was)
+
+
+def _per_op(fn, *args):
+    """``fn(core, *args)`` on the per-op reference path -> (result, ops);
+    for tests under ``kernels_on``."""
+    core = Core("fast/ref")
+    # Disabling the golden cache forces the per-op reference path.
+    set_golden_cache(False)
+    try:
+        result = fn(core, *args)
+    finally:
+        set_golden_cache(True)
+    return result, core.ops_executed
 
 
 class TestFips197:
@@ -107,6 +144,7 @@ class TestCryptoWorkload:
         assert result.units == 5  # 64 bytes + padding = 5 blocks
 
 
+@pytest.mark.usefixtures("kernels_on")
 class TestHealthyFastPath:
     """The block kernels must be invisible: same bytes, same counters.
 
@@ -117,20 +155,8 @@ class TestHealthyFastPath:
     path.
     """
 
-    def _per_op(self, fn, *args):
-        from repro.silicon.golden import set_golden_cache
-
-        core = Core("fast/ref")
-        # Disabling the golden cache forces the per-op reference path.
-        set_golden_cache(False)
-        try:
-            result = fn(core, *args)
-        finally:
-            set_golden_cache(True)
-        return result, core.ops_executed
-
     def test_expand_key_matches_per_op_path(self):
-        want, want_ops = self._per_op(expand_key, FIPS_KEY)
+        want, want_ops = _per_op(expand_key, FIPS_KEY)
         core = Core("fast/a")
         assert expand_key(core, FIPS_KEY) == want
         assert core.ops_executed == want_ops
@@ -138,7 +164,7 @@ class TestHealthyFastPath:
     def test_encrypt_matches_per_op_path(self):
         core = Core("fast/b")
         round_keys = expand_key(core, FIPS_KEY)
-        want, want_ops = self._per_op(encrypt_block, FIPS_PLAINTEXT, round_keys)
+        want, want_ops = _per_op(encrypt_block, FIPS_PLAINTEXT, round_keys)
         before = core.ops_executed
         assert encrypt_block(core, FIPS_PLAINTEXT, round_keys) == want == \
             FIPS_CIPHERTEXT
@@ -147,7 +173,7 @@ class TestHealthyFastPath:
     def test_decrypt_matches_per_op_path(self):
         core = Core("fast/c")
         round_keys = expand_key(core, FIPS_KEY)
-        want, want_ops = self._per_op(decrypt_block, FIPS_CIPHERTEXT, round_keys)
+        want, want_ops = _per_op(decrypt_block, FIPS_CIPHERTEXT, round_keys)
         before = core.ops_executed
         assert decrypt_block(core, FIPS_CIPHERTEXT, round_keys) == want == \
             FIPS_PLAINTEXT
@@ -199,3 +225,62 @@ class TestHealthyFastPath:
         core.set_online(False)
         with pytest.raises(CoreOfflineError):
             encrypt_block(core, FIPS_PLAINTEXT, round_keys)
+
+
+aes_block = st.binary(min_size=16, max_size=16)
+
+
+@pytest.mark.usefixtures("kernels_on")
+class TestBlockKernels:
+    """``_golden_encrypt_block`` / ``_golden_decrypt_block`` as pure
+    functions of (block, round keys) — whatever those round keys are."""
+
+    @pytest.mark.parametrize("key, plaintext, ciphertext", FIPS_VECTORS)
+    def test_fips197_vectors(self, key, plaintext, ciphertext):
+        round_keys = _golden_round_keys(key)
+        assert _golden_encrypt_block(plaintext, round_keys) == ciphertext
+        assert _golden_decrypt_block(ciphertext, round_keys) == plaintext
+        # and the per-op reference, pinned to the standard on its own
+        assert _per_op(expand_key, key)[0] == round_keys
+        assert _per_op(encrypt_block, plaintext, round_keys)[0] == ciphertext
+        assert _per_op(decrypt_block, ciphertext, round_keys)[0] == plaintext
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block=aes_block,
+        round_keys=st.lists(aes_block, min_size=11, max_size=11),
+    )
+    def test_match_the_per_op_path_on_arbitrary_round_keys(
+        self, block, round_keys
+    ):
+        """Not only real schedules: any 11 x 16 bytes, list or tuple."""
+        for primitive, kernel in (
+            (encrypt_block, _golden_encrypt_block),
+            (decrypt_block, _golden_decrypt_block),
+        ):
+            want, want_ops = _per_op(primitive, block, round_keys)
+            for schedule in (round_keys, tuple(round_keys)):
+                core = Core("fast/k")
+                assert primitive(core, block, schedule) == want
+                assert core.ops_executed == want_ops == 1488
+                assert kernel(block, schedule) == want
+
+    def test_decrypt_follows_the_schedule_it_is_given_not_the_key(self):
+        """A schedule a defective core's ``expand_key`` corrupted shares
+        its first round key (the AES key) with the true one; a healthy
+        core handed it must decrypt as the per-op path does with it."""
+        key = bytes(12) + bytes([0x3A, 0xC5, 0x11, 0x7E])  # swapped S-box inputs
+        defective = Core(
+            "fast/bad", defects=named_case("self_inverting_aes"),
+            rng=np.random.default_rng(2),
+        )
+        true_keys = expand_key(Core("fast/a"), key)
+        corrupted = expand_key(defective, key)
+        assert corrupted != true_keys and corrupted[0] == true_keys[0] == key
+        healthy = Core("fast/b")
+        with_true = decrypt_block(healthy, FIPS_CIPHERTEXT, true_keys)
+        with_corrupted = decrypt_block(healthy, FIPS_CIPHERTEXT, corrupted)
+        assert with_true == _per_op(decrypt_block, FIPS_CIPHERTEXT, true_keys)[0]
+        assert with_corrupted == \
+            _per_op(decrypt_block, FIPS_CIPHERTEXT, corrupted)[0]
+        assert with_corrupted != with_true
