@@ -11,10 +11,9 @@ consume only these events, never ground truth.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import enum
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class EventKind(enum.Enum):
@@ -51,9 +50,13 @@ class Reporter(enum.Enum):
     HUMAN = "human"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class CeeEvent:
+class CeeEvent(NamedTuple):
     """One observation that *might* indicate a mercurial core.
+
+    An immutable value record (hashable, equal by value, picklable).
+    The fleet simulator builds ~10^5 of these per trial, so the type is
+    a ``NamedTuple``: construction is one C-level tuple allocation
+    instead of a frozen dataclass's per-field ``object.__setattr__``.
 
     Attributes:
         time_days: fleet time of the observation.

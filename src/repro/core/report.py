@@ -59,12 +59,17 @@ def _binomial_tail(n: int, k: int, p: float) -> float:
         return 1.0
     if k > n:
         return 0.0
+    if p >= 1.0:
+        # every trial succeeds, so X == n >= k surely (and log1p(-1)
+        # has no value to sum with)
+        return 1.0
     tail = 0.0
     log_p = math.log(p)
     log_q = math.log1p(-p)
+    lgamma_n1 = math.lgamma(n + 1)
     for i in range(k, n + 1):
         log_term = (
-            math.lgamma(n + 1)
+            lgamma_n1
             - math.lgamma(i + 1)
             - math.lgamma(n - i + 1)
             + i * log_p
@@ -93,6 +98,10 @@ class CoreComplaintService:
         self.event_log = event_log
         self._complaints: list[Complaint] = []
         self._by_core: dict[str, list[Complaint]] = collections.defaultdict(list)
+        # analyze()'s last answer, keyed on (report total, min_reports):
+        # the log is append-only, so an unchanged total is an unchanged
+        # answer
+        self._analyzed: tuple[tuple[int, int], list[SuspectCore]] | None = None
 
     def report(self, complaint: Complaint) -> None:
         """File one complaint (the paper's RPC endpoint)."""
@@ -128,11 +137,16 @@ class CoreComplaintService:
         Under the null (reports are background noise uniformly spread
         over ``n_cores_visible`` cores), each core's count is
         Binomial(total, 1/n_cores_visible).  Low p-value = concentration.
-        Returns suspects sorted most-concentrated first.
+        Returns suspects sorted most-concentrated first (a fresh list;
+        the verdicts are recomputed only when a report has arrived
+        since the last call).
         """
         total = len(self._complaints)
         if total == 0:
             return []
+        key = (total, min_reports)
+        if self._analyzed is not None and self._analyzed[0] == key:
+            return list(self._analyzed[1])
         p_uniform = 1.0 / self.n_cores_visible
         suspects = []
         for core_id, complaints in self._by_core.items():
@@ -150,7 +164,8 @@ class CoreComplaintService:
                 )
             )
         suspects.sort(key=lambda s: s.p_value)
-        return suspects
+        self._analyzed = (key, suspects)
+        return list(suspects)
 
     def quarantine_candidates(self) -> list[SuspectCore]:
         """Suspects meeting the paper's quarantine grounds."""

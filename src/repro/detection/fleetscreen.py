@@ -239,6 +239,13 @@ class FleetScreener:
         self.env_boost = env_boost
         self.ops_per_coresecond = ops_per_coresecond
         self._unit_ops = battery.ops_by_unit()
+        # What _unit_rates remembers belongs to one fleet, recognised by
+        # its ``merc_core`` array: immutable, shared by ``thaw()``, and
+        # kept alive here so its identity cannot be recycled.  Per
+        # (mercurial core, unit): the age-free rate plans of the defects
+        # that touch the unit.
+        self._planned_for: np.ndarray | None = None
+        self._rate_plans: list[list[list[tuple]]] = []
         # (mercurial × unit) per-op rate cache, keyed by rounded age so
         # week-scale aging refreshes it (the simulator's refresh cadence)
         self._rate_cache: dict[int, np.ndarray] = {}
@@ -253,20 +260,35 @@ class FleetScreener:
         prevalence), never over the fleet.
         """
         n_merc = columns.n_mercurial
+        if self._planned_for is not columns.merc_core:
+            unit_mixes = [
+                {op: 1.0 / len(UNIT_OPS[unit]) for op in UNIT_OPS[unit]}
+                for unit in UNIT_ORDER
+            ]
+            self._rate_plans = [
+                [
+                    [
+                        (defect, plan)
+                        for defect in columns.merc_defects(i)
+                        if (plan := defect.rate_plan(mix, columns.merc_env(i)))
+                    ]
+                    for mix in unit_mixes
+                ]
+                for i in range(n_merc)
+            ]
+            self._planned_for = columns.merc_core
+            self._rate_cache = {}
         week = int(np.floor(float(age_days.mean()) / 7.0)) if n_merc else 0
         cached = self._rate_cache.get(week)
-        if cached is not None and cached.shape[0] == n_merc:
+        if cached is not None:
             return cached
         rates = np.zeros((n_merc, len(UNIT_ORDER)))
-        for i in range(n_merc):
-            defects = columns.merc_defects(i)
-            env = columns.merc_env(i)
+        for i, unit_plans in enumerate(self._rate_plans):
             age = float(age_days[i])
-            for u, unit in enumerate(UNIT_ORDER):
-                ops = UNIT_OPS[unit]
-                mix = {op: 1.0 / len(ops) for op in ops}
+            for u, plans in enumerate(unit_plans):
+                # a defect that misses the unit would add an exact 0.0
                 rates[i, u] = sum(
-                    defect.mean_rate(mix, env, age) for defect in defects
+                    defect.rate_at_age(plan, age) for defect, plan in plans
                 )
         self._rate_cache = {week: rates}
         return rates

@@ -89,6 +89,14 @@ class SignalAnalyzer:
             )
 
     def ingest_all(self, events) -> None:
+        """Process a batch of events into suspicion.
+
+        With no machine map there is nowhere to spread an unattributed
+        event, so only attributed ones reach :meth:`ingest` (which would
+        drop the rest one by one).
+        """
+        if not self.cores_by_machine:
+            events = [event for event in events if event.core_id is not None]
         for event in events:
             self.ingest(event)
 

@@ -132,6 +132,10 @@ class FleetColumns:
     #: explicit per-core id strings, only when the fleet does not follow
     #: the generated ``<machine>/cNN`` pattern
     _core_ids: list | None = dataclasses.field(default=None, repr=False)
+    #: lazily built id → index maps.  A field, so ``thaw()`` hands the
+    #: same dict to the copy: the ids the maps index are shared and
+    #: immutable, and whichever copy needs a map first builds it for all
+    _index_maps: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.machine_ids is None:
@@ -198,23 +202,21 @@ class FleetColumns:
         return start + within
 
     def _machine_index_map(self) -> dict[str, int]:
-        cached = getattr(self, "_machine_map", None)
+        cached = self._index_maps.get("machine")
         if cached is None:
-            cached = {
+            cached = self._index_maps["machine"] = {
                 str(machine_id): index
                 for index, machine_id in enumerate(self.machine_ids)
             }
-            object.__setattr__(self, "_machine_map", cached)
         return cached
 
     def _explicit_core_index_map(self) -> dict[str, int]:
-        cached = getattr(self, "_core_map", None)
+        cached = self._index_maps.get("core")
         if cached is None:
             assert self._core_ids is not None
-            cached = {
+            cached = self._index_maps["core"] = {
                 core_id: flat for flat, core_id in enumerate(self._core_ids)
             }
-            object.__setattr__(self, "_core_map", cached)
         return cached
 
     def machine_core_range(self, machine_index: int) -> tuple[int, int]:

@@ -273,10 +273,21 @@ class FleetSimulator:
         # the per-tick ``_merc_age``: what the fleet service knows about
         # a core is as old as its last rate refresh.
         self._merc_synced_age = self._merc_age.copy()
-        self._merc_defect_models = [
-            columns.merc_defects(i) for i in range(n_mercurial)
+        # Per core, per defect: (fails noisily?, defect, the age-free
+        # half of its mean_rate under the production mix).  Defects and
+        # operating points never change, so a refresh pays only the
+        # age step.
+        self._merc_rate_plans = [
+            [
+                (
+                    isinstance(defect, MachineCheckDefect),
+                    defect,
+                    defect.rate_plan(self.production_mix, columns.merc_env(i)),
+                )
+                for defect in columns.merc_defects(i)
+            ]
+            for i in range(n_mercurial)
         ]
-        self._merc_envs = [columns.merc_env(i) for i in range(n_mercurial)]
         self._merc_machine_id = [
             self._machine_ids[int(m)] for m in self._merc_machine_index
         ]
@@ -440,12 +451,11 @@ class FleetSimulator:
         """Recompute one mercurial core's cached per-op rates — silent
         corruption and machine check — at ``age_days``."""
         self._merc_synced_age[index] = age_days
-        env = self._merc_envs[index]
         silent = 0.0
         mce = 0.0
-        for defect in self._merc_defect_models[index]:
-            rate = defect.mean_rate(self.production_mix, env, age_days)
-            if isinstance(defect, MachineCheckDefect):
+        for noisy, defect, plan in self._merc_rate_plans[index]:
+            rate = defect.rate_at_age(plan, age_days)
+            if noisy:
                 mce += rate
             else:
                 silent += rate
@@ -591,14 +601,17 @@ class FleetSimulator:
         n_machines = self.n_machines
         n_bg_crash = int(rng.poisson(cfg.bg_crash_rate * n_machines * tick))
         if n_bg_crash:
-            for machine_index in rng.integers(
-                n_machines, size=n_bg_crash
-            ).tolist():
-                append(CeeEvent(
-                    now, self._machine_ids[machine_index], None,
+            machine_ids = self._machine_ids
+            events.extend([
+                CeeEvent(
+                    now, machine_ids[machine_index], None,
                     EventKind.CRASH, Reporter.AUTOMATED,
                     None, "software bug",
-                ))
+                )
+                for machine_index in rng.integers(
+                    n_machines, size=n_bg_crash
+                ).tolist()
+            ])
         n_bg_user = int(rng.poisson(cfg.bg_user_rate * n_machines * tick))
         if n_bg_user:
             machine_indices = rng.integers(n_machines, size=n_bg_user).tolist()

@@ -145,6 +145,42 @@ class DefectModel(abc.ABC):
         )
         return min(rate, 1.0)
 
+    def rate_plan(
+        self, op_mix: dict[str, float], env: OperatingPoint
+    ) -> tuple[tuple[float, float], ...]:
+        """The age-independent part of :meth:`mean_rate`.
+
+        One ``(mix fraction, per-execution rate before aging)`` pair per
+        op of the mix this defect targets, in mix order.  Nothing in it
+        moves while the defect, the mix and ``env`` stay put, so a
+        caller that re-evaluates the same core as it ages builds the
+        plan once and pays only :meth:`rate_at_age` afterwards.
+        """
+        sensitivity = self.sensitivity.multiplier(env)
+        return tuple(
+            (fraction,
+             self.base_rate * self.trigger_fraction(op) * sensitivity)
+            for op, fraction in op_mix.items()
+            if self.targets(op)
+        )
+
+    def rate_at_age(
+        self, plan: tuple[tuple[float, float], ...], age_days: float
+    ) -> float:
+        """The per-age step of :meth:`mean_rate` over a :meth:`rate_plan`.
+
+        Term by term this is ``fraction * effective_rate(op, ...)``: the
+        same products in the same order, the same clamp, and the builtin
+        ``sum`` (compensated from Python 3.12 on, which a ``+=`` loop is
+        not).  The untargeted ops the plan left out contribute exact
+        ``0.0`` terms to the full sum, so dropping them changes no bit.
+        """
+        aging = self.aging.rate_multiplier(age_days)
+        return sum(
+            [fraction * min(rate * aging, 1.0) for fraction, rate in plan],
+            0.0,
+        )
+
     def mean_rate(
         self,
         op_mix: dict[str, float],
@@ -152,10 +188,7 @@ class DefectModel(abc.ABC):
         age_days: float,
     ) -> float:
         """Expected corruptions per operation under an operation mix."""
-        return sum(
-            fraction * self.effective_rate(op, env, age_days)
-            for op, fraction in op_mix.items()
-        )
+        return self.rate_at_age(self.rate_plan(op_mix, env), age_days)
 
     # -- sampled interface (used when actually executing work) ---------
 

@@ -1,6 +1,11 @@
-"""Event log analytics."""
+"""The event record and event log analytics."""
+
+import copy
+
+import pytest
 
 from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
+from repro.engine.runner import run_tasks
 
 
 def _event(t, machine="m0", core="m0/c0", kind=EventKind.CRASH,
@@ -9,6 +14,62 @@ def _event(t, machine="m0", core="m0/c0", kind=EventKind.CRASH,
         time_days=t, machine_id=machine, core_id=core, kind=kind,
         reporter=reporter, application=app,
     )
+
+
+class TestCeeEventRecord:
+    """What every emitter and consumer relies on, whatever the record is
+    built from: an immutable value with the seven named fields."""
+
+    FIELDS = ("time_days", "machine_id", "core_id", "kind", "reporter",
+              "application", "detail")
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = CeeEvent(
+            1.5, "m0", "m0/c1", EventKind.CRASH, Reporter.HUMAN, "app", "why"
+        )
+        keyword = CeeEvent(
+            detail="why", application="app", reporter=Reporter.HUMAN,
+            kind=EventKind.CRASH, core_id="m0/c1", machine_id="m0",
+            time_days=1.5,
+        )
+        assert positional == keyword
+        assert [getattr(positional, name) for name in self.FIELDS] == [
+            1.5, "m0", "m0/c1", EventKind.CRASH, Reporter.HUMAN, "app", "why"
+        ]
+
+    def test_defaults(self):
+        event = CeeEvent(0.0, "m0", None, EventKind.CRASH, Reporter.AUTOMATED)
+        assert event.application is None
+        assert event.detail == ""
+        with pytest.raises(TypeError):
+            CeeEvent(0.0, "m0", None, EventKind.CRASH)
+
+    def test_immutable(self):
+        event = _event(1.0)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(event, name, "changed")
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+    def test_equal_and_hashed_by_value(self):
+        assert _event(1.0) == _event(1.0)
+        assert _event(1.0) != _event(1.0, core="m0/c9")
+        assert len({_event(1.0), _event(1.0), _event(2.0)}) == 2
+
+    def test_pickles_through_the_process_pool(self):
+        events = [
+            _event(1.0, app="app3"),
+            _event(2.0, core=None, kind=EventKind.USER_REPORT,
+                   reporter=Reporter.HUMAN),
+        ]
+        returned = run_tasks(copy.copy, events, workers=2)
+        assert returned == events
+        assert all(type(event) is CeeEvent for event in returned)
+        # enum members survive as the same singletons, so the `is`
+        # comparisons EventLog.filter makes still hold
+        assert returned[1].kind is EventKind.USER_REPORT
+        assert returned[1].reporter is Reporter.HUMAN
 
 
 class TestEventLog:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core import report
 from repro.core.events import EventKind, EventLog
 from repro.core.report import Complaint, CoreComplaintService, _binomial_tail
 
@@ -19,12 +21,32 @@ class TestBinomialTail:
         assert _binomial_tail(10, 0, 0.5) == 1.0
         assert _binomial_tail(10, 11, 0.5) == 0.0
 
-    def test_matches_scipy(self):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=400),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    @example(n=50, k_frac=0.1, p=0.02)
+    @example(n=100, k_frac=0.03, p=0.001)
+    @example(n=20, k_frac=0.5, p=0.5)
+    @example(n=400, k_frac=1.0, p=1.0)
+    def test_matches_scipy(self, n, k_frac, p):
         from scipy import stats
 
-        for n, k, p in ((50, 5, 0.02), (100, 3, 0.001), (20, 10, 0.5)):
-            expected = stats.binom.sf(k - 1, n, p)
-            assert _binomial_tail(n, k, p) == pytest.approx(expected, rel=1e-9)
+        k = round(k_frac * n)
+        expected = stats.binom.sf(k - 1, n, p)
+        # exact summation of up to 400 terms, each an exp of a 5-term
+        # log: relative agreement, plus a floor where sf underflows
+        assert _binomial_tail(n, k, p) == pytest.approx(
+            expected, rel=1e-9, abs=1e-300
+        )
+
+    def test_certain_success_has_tail_one(self):
+        # p == 1 used to reach log1p(-1.0): "math domain error"
+        for n, k in ((1, 1), (2, 2), (7, 3)):
+            assert _binomial_tail(n, k, 1.0) == 1.0
+        assert _binomial_tail(3, 4, 1.0) == 0.0
 
 
 class TestComplaintService:
@@ -78,3 +100,69 @@ class TestComplaintService:
         service.report(_complaint("m0/c0"))
         service.report(_complaint("m0/c1"))
         assert len(service.complaints_against("m0/c0")) == 1
+
+    def test_lone_visible_core_analyzes(self):
+        """One visible core makes the uniform null p == 1: every report
+        lands on it with certainty, so nothing is concentrated."""
+        service = CoreComplaintService(n_cores_visible=1)
+        service.report(_complaint("m0/c0", app="a"))
+        service.report(_complaint("m0/c0", app="b"))
+        (suspect,) = service.analyze()
+        assert suspect.p_value == 1.0
+        assert not suspect.grounds_for_quarantine
+
+
+class TestAnalyzeRecomputesOnlyOnNewReports:
+    @pytest.fixture
+    def tail_calls(self, monkeypatch):
+        calls = []
+        real = report._binomial_tail
+
+        def counting(n, k, p):
+            calls.append((n, k))
+            return real(n, k, p)
+
+        monkeypatch.setattr(report, "_binomial_tail", counting)
+        return calls
+
+    @staticmethod
+    def _service():
+        service = CoreComplaintService(n_cores_visible=1000)
+        for index in range(4):
+            service.report(_complaint("m1/c3", app=f"app{index % 2}"))
+        for index in range(3):
+            service.report(_complaint("m2/c0", app=f"app{index % 2}"))
+        service.report(_complaint("m5/c5"))
+        return service
+
+    def test_unchanged_log_is_not_rescanned(self, tail_calls):
+        service = self._service()
+        first = service.analyze()
+        assert tail_calls == [(8, 4), (8, 3)]
+        second = service.analyze()
+        assert len(tail_calls) == 2
+        assert second == first and second is not first
+        # the caller owns the list it got
+        second.clear()
+        assert service.analyze() == first
+        assert [s.core_id for s in service.quarantine_candidates()] == [
+            "m1/c3", "m2/c0"
+        ]
+        assert len(tail_calls) == 2
+
+    def test_report_invalidates(self, tail_calls):
+        service = self._service()
+        before = service.analyze()
+        service.report(_complaint("m5/c5", app="app1"))
+        after = service.analyze()
+        assert tail_calls[2:] == [(9, 4), (9, 3), (9, 2)]
+        assert {s.core_id for s in after} == {"m1/c3", "m2/c0", "m5/c5"}
+        # one more report under the same null dilutes every p-value
+        assert after[0].p_value > before[0].p_value
+
+    def test_min_reports_is_part_of_the_key(self, tail_calls):
+        service = self._service()
+        assert len(service.analyze()) == 2
+        assert len(service.analyze(min_reports=4)) == 1
+        assert len(service.analyze(min_reports=1)) == 3
+        assert len(service.analyze()) == 2

@@ -72,6 +72,61 @@ class TestSignalAnalyzer:
         analyzer.ingest_all([_event("m0/c0"), _event("m0/c0")])
         assert analyzer.tracker.signals("m0/c0") == 2
 
+    @staticmethod
+    def _batch():
+        return [
+            _event("m0/c0", EventKind.MACHINE_CHECK, t=1.0),
+            _event(None, EventKind.CRASH, t=1.0, machine="m0"),
+            _event(None, EventKind.CRASH, t=1.0, machine="ghost"),
+            _event("m1/c2", EventKind.SELF_CHECK_FAILURE, t=2.0, machine="m1"),
+            _event(None, EventKind.USER_REPORT, t=2.0, machine="m1"),
+        ]
+
+    def test_ingest_all_without_machine_map_skips_unattributed(
+        self, monkeypatch
+    ):
+        """Nowhere to spread them: they never cost an ``ingest`` call."""
+        seen = []
+        real = SignalAnalyzer.ingest
+
+        def counting(self, event):
+            seen.append(event)
+            return real(self, event)
+
+        monkeypatch.setattr(SignalAnalyzer, "ingest", counting)
+        analyzer = SignalAnalyzer()
+        analyzer.ingest_all(self._batch())
+        assert [event.core_id for event in seen] == ["m0/c0", "m1/c2"]
+
+        one_by_one = SignalAnalyzer()
+        for event in self._batch():
+            real(one_by_one, event)
+        assert analyzer.tracker.suspects(2.0, 0.0) == \
+            one_by_one.tracker.suspects(2.0, 0.0)
+
+    def test_ingest_all_with_machine_map_still_dilutes(self, monkeypatch):
+        seen = []
+        real = SignalAnalyzer.ingest
+
+        def counting(self, event):
+            seen.append(event)
+            return real(self, event)
+
+        monkeypatch.setattr(SignalAnalyzer, "ingest", counting)
+        cores = {"m0": ["m0/c0", "m0/c1"], "m1": ["m1/c2"]}
+        analyzer = SignalAnalyzer(cores_by_machine=cores)
+        batch = self._batch()
+        analyzer.ingest_all(iter(batch))
+        assert seen == batch
+
+        one_by_one = SignalAnalyzer(cores_by_machine=cores)
+        for event in batch:
+            real(one_by_one, event)
+        assert analyzer.tracker.suspects(2.0, 0.0) == \
+            one_by_one.tracker.suspects(2.0, 0.0)
+        # m0/c1 is known only through m0's unattributed crash
+        assert analyzer.tracker.signals("m0/c1") == 1
+
 
 class TestSuspicionWeightTable:
     def test_every_event_kind_has_an_explicit_weight(self):

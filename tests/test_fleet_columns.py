@@ -149,6 +149,33 @@ class TestAdapters:
         # immutable columns are shared, not copied
         assert thawed.core_machine is columns.core_machine
 
+    def test_thaw_shares_the_id_index_maps(self):
+        """The ids never change across ``thaw()``, so neither copy
+        rebuilds the id → index dict the other already paid for."""
+        columns = _builder().build_columns(10)
+        assert columns.core_index("m00003/c01") is not None
+        built = columns._machine_index_map()
+        thawed = columns.thaw()
+        assert thawed.core_index("m00003/c01") == \
+            columns.core_index("m00003/c01")
+        assert thawed._machine_index_map() is built
+
+        # built by a copy first, visible to the source and to siblings
+        fresh = _builder().build_columns(10)
+        first = fresh.thaw()
+        first.core_index("m00000/c00")
+        assert fresh._machine_index_map() is first._machine_index_map()
+        assert fresh.thaw()._machine_index_map() is first._machine_index_map()
+
+        machines, _ = _builder().build(3)
+        for machine in machines:
+            for within, core in enumerate(machine.cores):
+                core.core_id = f"socket-{machine.machine_id}-{within}"
+        adapted = FleetColumns.from_machines(machines)
+        assert adapted.core_index(adapted.core_id(7)) == 7
+        assert adapted.thaw()._explicit_core_index_map() is \
+            adapted._explicit_core_index_map()
+
 
 def _event_sha(result):
     payload = {

@@ -311,3 +311,93 @@ class TestDetectionLatencyAccounting:
         assert latency == pytest.approx(
             result.quarantine_day["m00000/c00"]
         )
+
+
+class TestTickPaysForWhatChanged:
+    """Counts, not timings: each per-tick cost of the detection side is
+    proportional to what the tick changed.  A tick that goes back to
+    rescanning fails here however fast the host is."""
+
+    @pytest.fixture
+    def counted_run(self, monkeypatch):
+        from repro.core import report
+        from repro.detection.signals import SignalAnalyzer
+        from repro.silicon.defects import DefectModel
+
+        counts = {"tail": 0, "plan": 0, "effective_rate": 0, "age_step": 0}
+        ingested = []
+
+        def count(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(report, "_binomial_tail", "tail")
+        count(DefectModel, "effective_rate", "effective_rate")
+        count(DefectModel, "rate_at_age", "age_step")
+        real_ingest = SignalAnalyzer.ingest
+
+        def ingest(self, event):
+            ingested.append(event)
+            return real_ingest(self, event)
+
+        monkeypatch.setattr(SignalAnalyzer, "ingest", ingest)
+
+        columns = FleetBuilder(
+            products=_dense_products(), seed=11,
+            deployment_window=(-700.0, 0.0),
+        ).build_columns(400)
+        simulator = FleetSimulator(
+            columns,
+            config=SimulatorConfig(horizon_days=90.0, warmup_days=0.0),
+            seed=3,
+        )
+        # only now: the plans are built with the simulator, not per tick
+        count(DefectModel, "rate_plan", "plan")
+        result = simulator.run()
+        return simulator, result, counts, ingested
+
+    def test_concentration_test_runs_once_per_new_report_batch(
+        self, counted_run
+    ):
+        simulator, _, counts, _ = counted_run
+        complaints = simulator.complaints._complaints
+        assert len({c.time_days for c in complaints}) > 1
+        # one analyze() per tick; it has something new to decide only
+        # on a tick that brought a complaint, and then one exact tail
+        # per core holding at least two reports so far
+        expected = 0
+        reports: dict[str, int] = {}
+        position = 0
+        while position < len(complaints):
+            tick = complaints[position].time_days
+            while (position < len(complaints)
+                   and complaints[position].time_days == tick):
+                core_id = complaints[position].core_id
+                reports[core_id] = reports.get(core_id, 0) + 1
+                position += 1
+            expected += sum(1 for n in reports.values() if n >= 2)
+        assert expected > 0
+        assert counts["tail"] == expected
+
+    def test_only_attributed_events_reach_the_analyzer(self, counted_run):
+        _, result, _, ingested = counted_run
+        assert ingested and all(e.core_id is not None for e in ingested)
+        # confessions are emitted by the policy step, after the tick's
+        # ingest, and never ingested (the policy acts on them directly)
+        attributed = [
+            e for e in result.events
+            if e.core_id is not None and e.detail != "confession"
+        ]
+        assert ingested == attributed
+        assert len(attributed) < len(result.events)
+
+    def test_rate_refresh_is_the_age_step_alone(self, counted_run):
+        _, _, counts, _ = counted_run
+        assert counts["age_step"] > 0
+        assert counts["plan"] == 0
+        assert counts["effective_rate"] == 0

@@ -39,6 +39,7 @@ from repro.detection.fleetscreen import (
 from repro.detection.weights import default_weights
 from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
+from repro.silicon.units import UNIT_OPS
 
 
 def _boosted_columns(n_machines: int = 40, scale: float = 800.0, seed: int = 11):
@@ -165,6 +166,101 @@ class TestFleetScreener:
         assert sum(r.n_screened for r in results) == whole.n_screened
         with pytest.raises(ValueError):
             screen_shard(columns, battery, n_shards, n_shards, 30.0, seed=0)
+
+
+def _merc_ages(columns, day):
+    machine = columns.core_machine[np.asarray(columns.merc_core)]
+    return day - columns.machine_deploy_day[machine.astype(np.int64)]
+
+
+class TestUnitRateReuse:
+    """What ``_unit_rates`` may keep between screens, and for whom."""
+
+    def test_one_screener_two_fleets(self):
+        # Same mercurial count, same week of mean age: the week-keyed
+        # matrix of fleet A used to be handed back for fleet B.
+        battery = distill(TestCorpus.standard())
+        fleet_a = FleetBuilder(seed=1).build_columns(4000)
+        fleet_b = FleetBuilder(seed=6).build_columns(4000)
+        assert fleet_a.n_mercurial == fleet_b.n_mercurial == 10
+        ages_a, ages_b = _merc_ages(fleet_a, 100.0), _merc_ages(fleet_b, 100.0)
+        assert int(ages_a.mean() // 7) == int(ages_b.mean() // 7)
+
+        shared = FleetScreener(battery)
+        rates_a = shared._unit_rates(fleet_a, ages_a).copy()
+        rates_b = shared._unit_rates(fleet_b, ages_b).copy()
+        assert not np.array_equal(rates_b, rates_a)
+        assert np.array_equal(
+            rates_b, FleetScreener(battery)._unit_rates(fleet_b, ages_b)
+        )
+        # and back again: nothing of B's is left over for A
+        assert np.array_equal(shared._unit_rates(fleet_a, ages_a), rates_a)
+
+    def test_thawed_copy_is_the_same_fleet(self):
+        columns = FleetBuilder(seed=1).build_columns(4000)
+        screener = FleetScreener(distill(TestCorpus.standard()))
+        ages = _merc_ages(columns, 100.0)
+        rates = screener._unit_rates(columns, ages)
+        # the week-of-mean-age reuse is per fleet, not per copy
+        assert screener._unit_rates(columns.thaw(), ages + 1.0) is rates
+
+    def test_later_screens_pay_only_the_age_step(self, monkeypatch):
+        from repro.silicon import defects as defect_module
+        from repro.silicon import sensitivity as sensitivity_module
+
+        columns = FleetBuilder(seed=1).build_columns(4000)
+        screener = FleetScreener(
+            distill(TestCorpus.standard()), env_boost=6.0
+        )
+        rng = np.random.default_rng(0)
+        screener.screen(columns, 100.0, rng)
+
+        calls = []
+
+        def counted(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls.append(f"{cls.__name__}.{name}")
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls in (
+            defect_module.DefectModel,
+            defect_module.SboxPermutationDefect,
+            defect_module.OperandPatternDefect,
+        ):
+            counted(cls, "trigger_fraction")
+        for name in ("FlatSensitivity", "FrequencySensitivity",
+                     "VoltageMarginSensitivity", "ThermalSensitivity",
+                     "ComposedSensitivity"):
+            counted(getattr(sensitivity_module, name), "multiplier")
+        counted(defect_module.DefectModel, "rate_at_age")
+
+        before = screener._rate_cache
+        screener.screen(columns, 130.0, rng)  # a later week: new matrix
+        assert screener._rate_cache is not before
+        assert "DefectModel.rate_at_age" in calls
+        assert set(calls) == {"DefectModel.rate_at_age"}
+
+        # the plans changed no number: the per-op walk over every
+        # defect × unit × op agrees to the bit
+        ages = _merc_ages(columns, 130.0)
+        expected = np.zeros((columns.n_mercurial, len(UNIT_ORDER)))
+        for i in range(columns.n_mercurial):
+            env, age = columns.merc_env(i), float(ages[i])
+            for u, unit in enumerate(UNIT_ORDER):
+                ops = UNIT_OPS[unit]
+                expected[i, u] = sum(
+                    sum(
+                        1.0 / len(ops) * defect.effective_rate(op, env, age)
+                        for op in ops
+                    )
+                    for defect in columns.merc_defects(i)
+                )
+        assert expected.any()
+        assert np.array_equal(screener._unit_rates(columns, ages), expected)
 
 
 class TestRideAlongBudget:
