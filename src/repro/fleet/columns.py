@@ -206,7 +206,7 @@ class FleetColumns:
         if cached is None:
             cached = self._index_maps["machine"] = {
                 str(machine_id): index
-                for index, machine_id in enumerate(self.machine_ids)
+                for index, machine_id in enumerate(self.machine_ids.tolist())
             }
         return cached
 

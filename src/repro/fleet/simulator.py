@@ -229,6 +229,10 @@ class FleetSimulator:
         self.screening_ops = 0.0
         self.quarantine_day: dict[str, float] = {}
         self.detection_latency: dict[str, float] = {}
+        # The current tick's attributed USER_REPORT events, in append
+        # order (triage's draw order): collected where they are built,
+        # they are a handful among the tick's ~250 events.
+        self._user_reports: list[CeeEvent] = []
 
         self._m_ticks = obs.metrics.counter(
             "fleet_ticks_total", help="simulator ticks run", unit="ticks",
@@ -315,7 +319,13 @@ class FleetSimulator:
     # -- event emission ---------------------------------------------------
 
     def _emit(self, **kwargs) -> None:
-        self.events.append(CeeEvent(**kwargs))
+        """Append one event (the policy step's and the scalar
+        reference tick's path), queueing it for triage if it is an
+        attributed user report."""
+        event = CeeEvent(**kwargs)
+        self.events.append(event)
+        if event.kind is EventKind.USER_REPORT and event.core_id is not None:
+            self._user_reports.append(event)
 
     # -- policy + triage ----------------------------------------------------
 
@@ -405,14 +415,12 @@ class FleetSimulator:
             self._merc_synced_age[merc_index] >= self._merc_onset[merc_index]
         )
 
-    def _run_triage(self, now: float, tick: float, new_events: list[CeeEvent]) -> None:
-        """Human side: user reports spawn investigations (§6)."""
+    def _run_triage(self, now: float, reports: list[CeeEvent]) -> None:
+        """Human side: user reports that name a core spawn
+        investigations (§6).  ``reports`` is the tick's attributed
+        ``USER_REPORT`` events in append order."""
         columns = self.columns
-        for event in new_events:
-            if event.kind is not EventKind.USER_REPORT:
-                continue
-            if event.core_id is None:
-                continue
+        for event in reports:
             is_cee = self._is_cee_core(event.core_id)
             if not self.triage.files_suspect(incident_is_cee=is_cee):
                 continue
@@ -478,6 +486,14 @@ class FleetSimulator:
         columns = self.columns
         events: list[CeeEvent] = []
         append = events.append
+        user_reports = self._user_reports
+        # Enum members as locals: a class-attribute lookup per record
+        # is a third of a background-crash record's cost.
+        automated, human = Reporter.AUTOMATED, Reporter.HUMAN
+        machine_check = EventKind.MACHINE_CHECK
+        self_check_failure = EventKind.SELF_CHECK_FAILURE
+        crash, user_report = EventKind.CRASH, EventKind.USER_REPORT
+        screen_fail = EventKind.SCREEN_FAIL
 
         active: list[int] = []
         if self._n_mercurial:
@@ -531,7 +547,7 @@ class FleetSimulator:
                     append(CeeEvent(
                         now, machine_of[j],
                         core_of[j] if mce_attr[cursor] else None,
-                        EventKind.MACHINE_CHECK, Reporter.AUTOMATED,
+                        machine_check, automated,
                         None, "mce",
                     ))
                     cursor += 1
@@ -560,7 +576,7 @@ class FleetSimulator:
                     else:
                         append(CeeEvent(
                             now, machine_of[j], None,
-                            EventKind.SELF_CHECK_FAILURE, Reporter.AUTOMATED,
+                            self_check_failure, automated,
                             None, "self-check failure",
                         ))
                     cursor += 1
@@ -576,7 +592,7 @@ class FleetSimulator:
                     append(CeeEvent(
                         now, machine_of[j],
                         core_of[j] if crash_attr[cursor] else None,
-                        EventKind.CRASH, Reporter.AUTOMATED,
+                        crash, automated,
                         None, "process crash",
                     ))
                     cursor += 1
@@ -589,12 +605,15 @@ class FleetSimulator:
                 if not count:
                     continue
                 for _ in range(count):
-                    append(CeeEvent(
+                    event = CeeEvent(
                         now, machine_of[j],
                         core_of[j] if user_attr[cursor] else None,
-                        EventKind.USER_REPORT, Reporter.HUMAN,
+                        user_report, human,
                         None, "production incident",
-                    ))
+                    )
+                    append(event)
+                    if user_attr[cursor]:
+                        user_reports.append(event)
                     cursor += 1
 
         # Background noise (software bugs, misfiled user suspicion).
@@ -605,7 +624,7 @@ class FleetSimulator:
             events.extend([
                 CeeEvent(
                     now, machine_ids[machine_index], None,
-                    EventKind.CRASH, Reporter.AUTOMATED,
+                    crash, automated,
                     None, "software bug",
                 )
                 for machine_index in rng.integers(
@@ -622,12 +641,15 @@ class FleetSimulator:
                 bad_core_id = columns.core_id(
                     start + int(core_picks[k] * (stop - start))
                 )
-                append(CeeEvent(
+                event = CeeEvent(
                     now, self._machine_ids[machine_index],
                     bad_core_id if user_attr[k] else None,
-                    EventKind.USER_REPORT, Reporter.HUMAN,
+                    user_report, human,
                     None, "suspected bad machine",
-                ))
+                )
+                append(event)
+                if user_attr[k]:
+                    user_reports.append(event)
 
         # Screening: cost in bulk, confession draws only for due cores.
         n_cores = self.n_cores
@@ -662,7 +684,7 @@ class FleetSimulator:
                         continue
                     append(CeeEvent(
                         now, self._merc_machine_id[j], self._merc_core_id[j],
-                        EventKind.SCREEN_FAIL, Reporter.AUTOMATED,
+                        screen_fail, automated,
                         None, label,
                     ))
 
@@ -676,6 +698,7 @@ class FleetSimulator:
             tick = min(cfg.tick_days, cfg.horizon_days - now)
             now += tick
             events_before = len(self.events)
+            self._user_reports = []
             self._tick(now, tick)
             new_events = self.events.tail(events_before)
             self._m_ticks.inc()
@@ -687,7 +710,7 @@ class FleetSimulator:
                     suspect.core_id, now, weight=2.0, source="complaint-service"
                 )
             self._apply_policy(now)
-            self._run_triage(now, tick, new_events)
+            self._run_triage(now, self._user_reports)
 
         # The tick ages cores in a private array; leave the columns
         # holding the ages the campaign ended at.

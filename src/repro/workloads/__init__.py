@@ -13,7 +13,9 @@ from repro.workloads.base import (
     WorkloadResult,
     digest_bytes,
     digest_ints,
+    measure_op_counts,
     measure_op_mix,
+    op_fractions,
     run_with_oracle,
 )
 from repro.workloads.compression import (
@@ -47,12 +49,15 @@ from repro.workloads.database import (
 )
 from repro.workloads.filesystem import FsError, MiniFs, filesystem_workload
 from repro.workloads.generator import (
+    CALIBRATION_SEED,
+    PINNED_OP_COUNTS,
     STANDARD_MIX,
     WorkloadMixer,
     WorkloadSpec,
     blended_op_mix,
     measured_mix,
     spec_by_name,
+    spec_op_mix,
 )
 from repro.workloads.hashing import crc64, fnv1a, hashing_workload, mix64
 from repro.workloads.locking import (
@@ -75,7 +80,9 @@ __all__ = [
     "WorkloadResult",
     "digest_bytes",
     "digest_ints",
+    "measure_op_counts",
     "measure_op_mix",
+    "op_fractions",
     "run_with_oracle",
     "CorruptStreamError",
     "compress",
@@ -101,12 +108,15 @@ __all__ = [
     "FsError",
     "MiniFs",
     "filesystem_workload",
+    "CALIBRATION_SEED",
+    "PINNED_OP_COUNTS",
     "STANDARD_MIX",
     "WorkloadMixer",
     "WorkloadSpec",
     "blended_op_mix",
     "measured_mix",
     "spec_by_name",
+    "spec_op_mix",
     "crc64",
     "fnv1a",
     "hashing_workload",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Callable, Protocol
+from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
@@ -98,6 +98,20 @@ def digest_ints(values, h: int = 0xCBF29CE484222325) -> int:
     return h
 
 
+def op_fractions(counts: Mapping[str, int]) -> dict[str, float]:
+    """Normalized operation mix (fractions summing to 1) of an op tally.
+
+    The one ``count / total`` division: a measured tally
+    (:meth:`OpCountingCore.op_mix`) and a pinned one
+    (:data:`repro.workloads.generator.PINNED_OP_COUNTS`) with equal
+    integers give bit-identical fractions.
+    """
+    total = sum(counts.values())
+    if total == 0:
+        return {}
+    return {op: count / total for op, count in counts.items()}
+
+
 class OpCountingCore:
     """Wraps a core, tallying executed operations by mnemonic.
 
@@ -128,21 +142,25 @@ class OpCountingCore:
 
     def op_mix(self) -> dict[str, float]:
         """Normalized operation mix (fractions summing to 1)."""
-        total = self.total_ops
-        if total == 0:
-            return {}
-        return {op: count / total for op, count in self.counts.items()}
+        return op_fractions(self.counts)
+
+
+def measure_op_counts(
+    work: Callable[[CoreLike], object], seed: int = 0
+) -> collections.Counter:
+    """Run ``work`` once on a healthy instrumented core; return its tally."""
+    counting = OpCountingCore(
+        Core("oracle/mix", rng=np.random.default_rng(seed))
+    )
+    work(counting)
+    return counting.counts
 
 
 def measure_op_mix(
     work: Callable[[CoreLike], object], seed: int = 0
 ) -> dict[str, float]:
     """Run ``work`` once on a healthy instrumented core; return its mix."""
-    counting = OpCountingCore(
-        Core("oracle/mix", rng=np.random.default_rng(seed))
-    )
-    work(counting)
-    return counting.op_mix()
+    return op_fractions(measure_op_counts(work, seed))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

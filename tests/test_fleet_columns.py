@@ -176,6 +176,29 @@ class TestAdapters:
         assert adapted.thaw()._explicit_core_index_map() is \
             adapted._explicit_core_index_map()
 
+    def test_machine_index_map_is_the_str_keyed_enumeration(self):
+        """Built from ``machine_ids.tolist()``; the same dict the
+        per-numpy-scalar walk gave, for generated and adopted ids."""
+        machines, _ = _builder().build(4)
+        for index, machine in enumerate(machines):
+            machine.machine_id = f"rack{index % 2}.host-{index}"
+            for within, core in enumerate(machine.cores):
+                core.core_id = f"{machine.machine_id}/c{within:02d}"
+        adapted = FleetColumns.from_machines(machines)
+        assert adapted._core_ids is None  # still the <machine>/cNN pattern
+        for columns in (_builder().build_columns(40), adapted):
+            expected = {
+                str(machine_id): index
+                for index, machine_id in enumerate(columns.machine_ids)
+            }
+            built = columns._machine_index_map()
+            assert built == expected
+            assert list(built) == list(expected)
+            assert all(type(key) is str for key in built)
+        assert adapted.core_index("rack1.host-3/c02") == (
+            adapted.machine_core_range(3)[0] + 2
+        )
+
 
 def _event_sha(result):
     payload = {

@@ -8,13 +8,19 @@ every pool run, and results must be byte-identical for any worker
 count.
 """
 
+import functools
+import os
+
 import numpy as np
 import pytest
 
-from repro.engine.runner import WorkerCrashError, run_fleet_trials
+from repro.detection.corpus import TestCorpus
+from repro.detection.fleetscreen import distill
+from repro.engine.runner import WorkerCrashError, run_fleet_trials, run_tasks
 from repro.fleet import shm
 from repro.fleet.columns import SNAPSHOT_FIELDS, FleetColumns
 from repro.fleet.population import FleetBuilder
+from repro.workloads.generator import blended_op_mix
 
 
 def _columns(n_machines=40, seed=11):
@@ -155,14 +161,74 @@ def _count_online(trial, columns):
 
 
 def _simulate(trial, columns):
+    """Shaped like the benchmark's ``fleet_trial``: a simulated horizon
+    on the columns the engine handed over, plus periodic screens of a
+    copy thawed before the simulator started."""
+    from repro.detection.fleetscreen import FleetScreener
     from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 
-    result = FleetSimulator(
+    screened = columns.thaw()
+    simulator = FleetSimulator(
         columns,
-        config=SimulatorConfig(horizon_days=5.0, warmup_days=0.0),
+        config=SimulatorConfig(horizon_days=10.0, warmup_days=0.0),
         seed=trial.seed + 1,
-    ).run()
-    return (trial.index, len(result.events), sorted(result.flagged()))
+    )
+    result = simulator.run()
+    screener = FleetScreener(_battery(), env_boost=6.0)
+    rng = np.random.default_rng(trial.seed)
+    confessed = []
+    for day in range(0, 10, 4):
+        confessed.extend(
+            screener.screen(screened, float(day), rng).confessed_flat
+        )
+    flagged = sorted(result.flagged())
+    return {
+        "index": trial.index,
+        "events": len(result.events),
+        "corruptions": result.total_corruptions,
+        "flagged": flagged,
+        "true_flagged": len(
+            result.truth.mercurial_core_ids.intersection(flagged)
+        ),
+        "confessed": confessed,
+        "investigations": len(result.triage.investigations),
+        "mix": [(op, value.hex()) for op, value in simulator.production_mix.items()],
+    }
+
+
+@functools.cache
+def _battery():
+    """Not picklable (its tests close over local functions): built here,
+    before the pool forks, like the benchmark's ``screening_battery``."""
+    return distill(TestCorpus.standard())
+
+
+def _fresh_worker_mix_cost(_item):
+    """What building a ``FleetSimulator`` costs a process that inherited
+    nothing: (measure_op_mix calls, per-op Core.execute calls, pid)."""
+    from repro.fleet.simulator import FleetSimulator
+    from repro.silicon.core import Core
+    from repro.workloads import generator
+
+    calls = {"measure": 0, "execute": 0}
+    real_measure, real_execute = generator.measure_op_mix, Core.execute
+
+    def measure(work, seed=0):
+        calls["measure"] += 1
+        return real_measure(work, seed)
+
+    def execute(self, op, *operands):
+        calls["execute"] += 1
+        return real_execute(self, op, *operands)
+
+    # The pool forks from a test process that may hold the mix already.
+    generator.spec_op_mix.cache_clear()
+    generator.measure_op_mix, Core.execute = measure, execute
+    try:
+        FleetSimulator(_columns(n_machines=25), seed=1)
+    finally:
+        generator.measure_op_mix, Core.execute = real_measure, real_execute
+    return calls["measure"], calls["execute"], os.getpid()
 
 
 def _crash(trial, columns):
@@ -179,10 +245,23 @@ class TestRunFleetTrials:
         assert serial == pooled
 
     def test_simulation_worker_invariance(self):
-        columns = _columns(n_machines=25, seed=5)
+        columns = _columns(n_machines=300, seed=5)
+        _battery()
         serial = run_fleet_trials(_simulate, columns, 3, seed=2, workers=1)
         pooled = run_fleet_trials(_simulate, columns, 3, seed=2, workers=3)
         assert serial == pooled
+        assert [summary["index"] for summary in pooled] == [0, 1, 2]
+        assert all(summary["events"] for summary in pooled)
+        # every worker simulated under the calibrated production mix
+        expected = [(op, value.hex()) for op, value in blended_op_mix().items()]
+        assert all(summary["mix"] == expected for summary in pooled)
+
+    def test_fresh_worker_builds_a_simulator_without_measuring_the_mix(self):
+        costs = run_tasks(_fresh_worker_mix_cost, [0, 1], workers=2)
+        assert all(pid != os.getpid() for _, _, pid in costs)
+        assert [(measured, executed) for measured, executed, _ in costs] == [
+            (0, 0), (0, 0),
+        ]
 
     def test_no_segment_leak_after_pool_run(self):
         columns = _columns(n_machines=10)

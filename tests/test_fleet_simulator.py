@@ -15,6 +15,7 @@ from repro.fleet.population import (
     ground_truth_map,
 )
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
+from repro.fleet.reference import ScalarReferenceSimulator
 from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 from repro.silicon.aging import AgingProfile, WeibullOnset
 from repro.silicon.core import Chip, Core
@@ -395,6 +396,42 @@ class TestTickPaysForWhatChanged:
         ]
         assert ingested == attributed
         assert len(attributed) < len(result.events)
+
+    @pytest.mark.parametrize(
+        "simulator_cls", [FleetSimulator, ScalarReferenceSimulator]
+    )
+    def test_triage_is_handed_exactly_the_attributed_user_reports(
+        self, monkeypatch, simulator_cls
+    ):
+        triaged = []
+        real_triage = FleetSimulator._run_triage
+
+        def run_triage(self, now, reports):
+            triaged.extend(reports)
+            return real_triage(self, now, reports)
+
+        monkeypatch.setattr(FleetSimulator, "_run_triage", run_triage)
+        columns = FleetBuilder(
+            products=_dense_products(), seed=11,
+            deployment_window=(-700.0, 0.0),
+        ).build_columns(400)
+        result = simulator_cls(
+            columns,
+            config=SimulatorConfig(horizon_days=90.0, warmup_days=0.0),
+            seed=3,
+        ).run()
+        attributed = [
+            e for e in result.events
+            if e.kind is EventKind.USER_REPORT and e.core_id is not None
+        ]
+        # both sites: a mercurial core's incident, a misfiled suspicion
+        assert {e.detail for e in attributed} == {
+            "production incident", "suspected bad machine",
+        }
+        # the same objects, in append order (triage's draw order)
+        assert len(triaged) == len(attributed)
+        assert all(a is b for a, b in zip(triaged, attributed))
+        assert len(attributed) < len(result.events) // 10
 
     def test_rate_refresh_is_the_age_step_alone(self, counted_run):
         _, _, counts, _ = counted_run

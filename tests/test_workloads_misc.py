@@ -6,18 +6,25 @@ import pytest
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Core
 from repro.silicon.units import Op
+from repro.workloads import generator
 from repro.workloads.base import (
     OpCountingCore,
     digest_bytes,
+    measure_op_counts,
     measure_op_mix,
     run_with_oracle,
 )
 from repro.workloads.copying import copy_bytes, copy_words, copying_workload
 from repro.workloads.generator import (
+    CALIBRATION_SEED,
+    PINNED_OP_COUNTS,
     STANDARD_MIX,
     WorkloadMixer,
+    WorkloadSpec,
     blended_op_mix,
+    measured_mix,
     spec_by_name,
+    spec_op_mix,
 )
 from repro.workloads.sorting import is_sorted_on, merge_sort, quicksort
 from repro.workloads.vectorops import axpy, dot, vector_workload, vsum, xor_fold
@@ -207,3 +214,99 @@ class TestGenerator:
         mixer = WorkloadMixer(rng=np.random.default_rng(1))
         result = mixer.run_random(healthy_core)
         assert not result.crashed
+
+
+#: ``blended_op_mix()`` as ``float.hex``, in dict order, captured at the
+#: commit before the mix was pinned (PR 22's tree, measured per op)
+BLENDED_MIX_HEX = {
+    "mul": "0x1.92c5f92c5f92cp-4",
+    "shl": "0x1.70a3d70a3d70ap-6",
+    "shr": "0x1.70a3d70a3d70ap-6",
+    "xor": "0x1.20c862a9b7101p-3",
+    "add": "0x1.11fb81d9bd060p-4",
+    "beq": "0x1.4a54b8979bd5ap-3",
+    "copy": "0x1.5cc43edd9baf5p-3",
+    "load": "0x1.42174a253c8f7p-5",
+    "sub": "0x1.02cf2d148a88bp-11",
+    "gfmul": "0x1.3836beeed0190p-5",
+    "inv_sbox": "0x1.5ae77ed075711p-8",
+    "sbox": "0x1.6e2d3ebf98692p-8",
+    "cas": "0x1.0842108421084p-4",
+    "store": "0x1.38be6175a34f1p-6",
+    "xchg": "0x1.fb601fb601fb6p-9",
+    "vdot": "0x1.b4e81b4e81b4ep-8",
+    "blt": "0x1.12e86572ca9b7p-3",
+}
+
+
+def _two_adds(core):
+    core.execute("add", 1, 2)
+    core.execute("add", 3, 4)
+
+
+def _mul_and_three_xors(core):
+    core.execute("mul", 5, 6)
+    for operand in range(3):
+        core.execute("xor", operand, 1)
+
+
+class TestPinnedMix:
+    """The production mix is a written-down calibration constant; the
+    per-op measurement stays as the reference it is held against."""
+
+    @pytest.fixture
+    def measure_calls(self, monkeypatch):
+        calls = []
+
+        def counting(work, seed=0):
+            calls.append(work)
+            return measure_op_mix(work, seed)
+
+        monkeypatch.setattr(generator, "measure_op_mix", counting)
+        spec_op_mix.cache_clear()
+        yield calls
+        spec_op_mix.cache_clear()
+
+    def test_table_names_the_standard_mix(self):
+        assert list(PINNED_OP_COUNTS) == [spec.name for spec in STANDARD_MIX]
+
+    @pytest.mark.parametrize("spec", STANDARD_MIX, ids=lambda spec: spec.name)
+    def test_remeasured_counts_equal_the_table(self, spec):
+        counts = measure_op_counts(spec.build(CALIBRATION_SEED))
+        assert dict(counts) == PINNED_OP_COUNTS[spec.name]
+
+    def test_blended_mix_is_bit_identical_to_the_measured_one(
+        self, measure_calls
+    ):
+        mix = blended_op_mix()
+        assert {op: value.hex() for op, value in mix.items()} == BLENDED_MIX_HEX
+        assert list(mix) == list(BLENDED_MIX_HEX)
+        assert measure_calls == []
+
+    def test_another_seed_still_measures(self, measure_calls):
+        measured = dict(measured_mix("sorting", seed=7))
+        assert len(measure_calls) == 1
+        assert measured == measure_op_mix(spec_by_name("sorting").build(7))
+        # cached from here on, like the pinned rows
+        measured_mix("sorting", seed=7)
+        assert len(measure_calls) == 1
+
+    def test_blend_measures_the_specs_it_is_handed(self, measure_calls):
+        custom = (
+            WorkloadSpec("adds", 3.0, lambda seed: _two_adds),
+            WorkloadSpec("mulxor", 1.0, lambda seed: _mul_and_three_xors),
+        )
+        assert blended_op_mix(custom) == {
+            "add": 0.75, "mul": 0.0625, "xor": 0.1875,
+        }
+        assert len(measure_calls) == 2
+
+    def test_a_same_name_impostor_is_not_the_pinned_unit(self, measure_calls):
+        impostor = WorkloadSpec("hashing", 0.18, lambda seed: _two_adds)
+        assert blended_op_mix((impostor,)) == {"add": 1.0}
+        assert len(measure_calls) == 1
+        # ... and did not displace the real unit's row
+        assert dict(measured_mix("hashing")) == {
+            "mul": 0.25, "shl": 0.125, "shr": 0.125, "xor": 0.5,
+        }
+        assert len(measure_calls) == 1
