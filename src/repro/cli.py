@@ -36,15 +36,9 @@ import time
 import traceback
 from typing import Sequence
 
-from repro.analysis.experiments import (
-    CAMPAIGNS,
-    EXPERIMENTS,
-    campaign_arm,
-    evaluate,
-)
-
-#: the campaigns ``repro trace|metrics`` can instrument (table rows)
-_OBS_CAMPAIGNS = tuple(experiment_id.lower() for experiment_id in CAMPAIGNS)
+# The experiment registry (repro.analysis.experiments) pulls in scipy and
+# every simulator package, so it is imported inside the subcommands that
+# use it: ``repro lint`` never pays for it.
 
 #: campaign experiments with ``--json`` scorecard output: experiment id
 #: → (scorecard result keys, headline metric result keys)
@@ -69,6 +63,8 @@ _CAMPAIGN_JSON_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 def _runner_kwargs(experiment_id: str, scale: str, seed: int | None,
                    workers: int | None = None,
                    trials: int | None = None) -> dict:
+    from repro.analysis.experiments import EXPERIMENTS
+
     experiment = EXPERIMENTS[experiment_id]
     kwargs = dict(experiment.ci) if scale == "ci" else {}
     parameters = inspect.signature(experiment.run).parameters
@@ -96,6 +92,8 @@ def _run_one(experiment_id: str, scale: str, seed: int | None = None,
              gate: bool = True) -> int:
     """Run one row and print its table; with ``gate``, also print one
     verdict line per claim and return 1 unless every claim held."""
+    from repro.analysis.experiments import EXPERIMENTS, evaluate
+
     try:
         experiment = EXPERIMENTS[experiment_id]
     except KeyError:
@@ -135,6 +133,8 @@ def _jsonable(value):
 def _run_campaign_json(experiment_id: str, seed: int | None,
                        workers: int | None = None) -> int:
     """Run a chaos campaign and print its scorecards as strict JSON."""
+    from repro.analysis.experiments import EXPERIMENTS
+
     experiment = EXPERIMENTS[experiment_id]
     card_keys, metric_keys = _CAMPAIGN_JSON_KEYS[experiment_id]
     kwargs = _runner_kwargs(experiment_id, "ci", seed, workers=workers)
@@ -162,6 +162,7 @@ def _obs_campaign(source: str, seed: int) -> tuple:
     registry and tracer hold the run's metrics and spans afterwards.
     """
     from repro import obs
+    from repro.analysis.experiments import CAMPAIGNS, EXPERIMENTS, campaign_arm
 
     obs.set_enabled(True)
     obs.metrics.reset()
@@ -217,7 +218,24 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _check_campaign(parser: argparse.ArgumentParser, name: str, value: str,
+                    extra: tuple[str, ...] = ()) -> None:
+    """Reject a name outside the campaign table the way argparse
+    ``choices`` would (exit 2, valid names listed); checked after
+    parsing so the registry loads only for the commands that use it."""
+    from repro.analysis.experiments import CAMPAIGNS
+
+    valid = extra + tuple(eid.lower() for eid in CAMPAIGNS)
+    if value not in valid:
+        parser.error(
+            f"argument {name}: invalid choice: {value!r} "
+            f"(choose from {', '.join(valid)})"
+        )
+
+
 def _cmd_list() -> int:
+    from repro.analysis.experiments import EXPERIMENTS
+
     width = max(len(eid) for eid in EXPERIMENTS)
     for eid, experiment in EXPERIMENTS.items():
         print(f"{eid:<{width}}  {experiment.title}")
@@ -303,9 +321,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="run an instrumented campaign; dump the metric registry",
     )
     metrics_parser.add_argument(
-        "source", nargs="?", choices=("e1",) + _OBS_CAMPAIGNS,
-        default="e15",
-        help="which campaign to instrument (default: e15)",
+        "source", nargs="?", default="e15",
+        help="e1 or a campaign-table row to instrument (default: e15)",
     )
     metrics_parser.add_argument(
         "--format", choices=("prom", "json"), default="prom",
@@ -319,15 +336,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="run an instrumented campaign; print corruption forensics",
     )
     trace_parser.add_argument(
-        "campaign", nargs="?", choices=_OBS_CAMPAIGNS, default="e15",
-        help="which chaos campaign to trace (default: e15)",
+        "campaign", nargs="?", default="e15",
+        help="campaign-table row to trace (default: e15)",
     )
     trace_parser.add_argument(
         "--seed", type=int, default=None, help="campaign master seed",
     )
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the static invariant linter (AST rule pack + baseline)",
+        help="run the static invariant linter (AST rule pack)",
     )
     from repro.lint import cli as lint_cli
 
@@ -341,8 +358,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "cases":
         return _cmd_cases()
     if args.command == "metrics":
+        _check_campaign(metrics_parser, "source", args.source, ("e1",))
         return _cmd_metrics(args)
     if args.command == "trace":
+        _check_campaign(trace_parser, "campaign", args.campaign)
         return _cmd_trace(args)
     if args.command in ("serve", "store"):
         if args.json:
@@ -355,6 +374,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             gate=False,
         )
     if args.experiment == "all":
+        from repro.analysis.experiments import EXPERIMENTS
+
         status = 0
         for eid in EXPERIMENTS:
             status = max(status, _run_one(

@@ -21,9 +21,9 @@ Rule pack (see CONTRIBUTING.md "Static analysis & invariants"):
 - ``SAFE002`` — emitted metric/span names are declared constants.
 - ``OBS003`` — every declared obs name is emitted somewhere.
 - ``SHM001`` — no writes through snapshot-attached fleet views.
-- ``ARCH001`` — module-level imports respect the package layer DAG
-  (:mod:`repro.lint.importgraph`).
+- ``ARCH001`` — module-level imports respect the package layer DAG.
 - ``PERF001`` — hot-path dataclasses declare ``__slots__``.
+- ``PERF002`` — hot-path modules never loop over ``.cores`` in Python.
 - ``API001`` — no mutable default arguments.
 
 Importing this package registers the rule pack; add a rule by

@@ -26,12 +26,16 @@ from repro.lint.findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.lint.engine import LintConfig
-    from repro.lint.importgraph import ImportGraph
 
 
 @dataclasses.dataclass(slots=True)
 class FileContext:
-    """Everything a :class:`FileRule` may look at for one file."""
+    """Everything a :class:`FileRule` may look at for one file.
+
+    ``nodes`` is ``tuple(ast.walk(tree))``, built once: rules iterate it
+    instead of re-walking the tree, so a file costs one walk however
+    many rules look at it.
+    """
 
     path: Path
     rel_path: str            # posix, relative to the scan root
@@ -39,6 +43,10 @@ class FileContext:
     source: str
     config: "LintConfig"
     project: "ProjectContext"
+    nodes: tuple[ast.AST, ...] = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        self.nodes = self.project.remember(self.rel_path, self.tree)
 
     def in_src(self) -> bool:
         """Is this file part of the shipped package (``src/`` tree)?"""
@@ -48,36 +56,49 @@ class FileContext:
 class ProjectContext:
     """Cross-file state shared by one lint invocation.
 
-    Parses lazily and caches: project rules ask for well-known files
-    (``repro.core.events``, ``repro.obs.names``, ...) by the paths in
-    :class:`LintConfig`, which keeps the rules testable against fixture
-    trees.
+    Holds every tree the file pass parsed, so project rules read them
+    without parsing again; files the pass did not cover parse lazily.
+    Project rules ask for well-known files (``repro.core.events``,
+    ``repro.obs.names``, ...) by the paths in :class:`LintConfig`,
+    which keeps the rules testable against fixture trees.
     """
 
     def __init__(self, root: Path, config: "LintConfig") -> None:
         self.root = root
         self.config = config
         self._trees: dict[str, ast.Module | None] = {}
-        self._import_graph: "ImportGraph | None" = None
+        self._nodes: dict[str, tuple[ast.AST, ...]] = {}
 
-    def import_graph(self) -> "ImportGraph":
-        """The src/repro module-level import graph, built lazily once."""
-        if self._import_graph is None:
-            from repro.lint.importgraph import ImportGraph
-            self._import_graph = ImportGraph.build(self.root)
-        return self._import_graph
+    def remember(
+        self, rel_path: str, tree: ast.Module
+    ) -> tuple[ast.AST, ...]:
+        """Cache an already-parsed tree; returns its walked nodes."""
+        if self._trees.get(rel_path) is not tree:
+            self._trees[rel_path] = tree
+            self._nodes[rel_path] = tuple(ast.walk(tree))
+        return self._nodes[rel_path]
+
+    def parsed(self, rel_path: str) -> ast.Module | None:
+        """``rel_path``'s tree if this run already parsed it, else None."""
+        return self._trees.get(rel_path)
 
     def parse(self, rel_path: str) -> ast.Module | None:
         """Parsed AST for ``rel_path`` under the root, or None."""
         if rel_path not in self._trees:
             path = self.root / rel_path
             try:
-                self._trees[rel_path] = ast.parse(
-                    path.read_text(), filename=str(path)
+                self.remember(
+                    rel_path, ast.parse(path.read_text(), filename=str(path))
                 )
             except (OSError, SyntaxError):
                 self._trees[rel_path] = None
         return self._trees[rel_path]
+
+    def nodes(self, rel_path: str) -> tuple[ast.AST, ...]:
+        """Every node of ``rel_path``'s tree, walked once (empty if None)."""
+        if self.parse(rel_path) is None:
+            return ()
+        return self._nodes[rel_path]
 
     def declared_obs_names(self) -> frozenset[str] | None:
         """Metric/span names declared as constants in the names module.
@@ -89,18 +110,7 @@ class ProjectContext:
         tree = self.parse(self.config.obs_names_path)
         if tree is None:
             return None
-        names: set[str] = set()
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            if not isinstance(node.value, ast.Constant):
-                continue
-            if not isinstance(node.value.value, str):
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id.isupper():
-                    names.add(node.value.value)
-        return frozenset(names)
+        return frozenset(value for _, value, _ in declared_constants(tree))
 
 
 class Rule:
@@ -108,7 +118,7 @@ class Rule:
 
     Attributes:
         rule_id: stable identifier (``FAMILY###``), used by noqa
-            comments, baselines, ``--select``, and the docs gate.
+            comments, ``--select``, and the docs gate.
         title: one-line summary for ``--list-rules`` and docs.
         severity: default severity of this rule's findings.
         hint: actionable fix guidance attached to every finding.
@@ -172,6 +182,23 @@ def all_rules(select: frozenset[str] | None = None) -> Iterator[Rule]:
             yield RULES[rule_id]()
 
 
+def declared_constants(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(name, string value, line) of each module-level UPPER_CASE str
+    constant — the shape of the obs names module (SAFE002/OBS003)."""
+    declared: list[tuple[str, str, int]] = []
+    for node in tree.body:
+        if not (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        ):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                declared.append((target.id, node.value.value, node.lineno))
+    return declared
+
+
 def dotted_source(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None (shared helper)."""
     parts: list[str] = []
@@ -193,6 +220,7 @@ __all__ = [
     "RULES",
     "Rule",
     "all_rules",
+    "declared_constants",
     "dotted_source",
     "register",
 ]

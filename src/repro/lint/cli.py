@@ -5,19 +5,14 @@ Usage::
     repro lint                         # src tests benchmarks scripts
     repro lint src/repro/serving       # narrow to a subtree
     repro lint --json                  # machine-readable findings
-    repro lint --sarif out.sarif       # SARIF 2.1.0 (code scanning)
-    repro lint --write-baseline        # grandfather current findings
-    repro lint --prune-baseline        # drop stale baseline entries
-    repro lint --no-baseline           # pretend the baseline is empty
     repro lint --select DET001,API001  # one or a few rules
-    repro lint --workers 4             # parallel per-file pass
-    repro lint --statistics            # per-rule / per-phase accounting
+    repro lint --root DIR PATH         # PATHs resolve under DIR
     repro lint --list-rules            # the registered rule pack
 
-A warm run re-lints only files whose content changed (the cache lives
-at ``.repro-lint-cache.json`` under ``--root``; ``--no-cache`` forces
-a cold run).  Exit status: 0 clean (every finding baselined or
-suppressed), 1 new findings, 2 usage error.
+Every run is cold and single-process; ``# repro: noqa-RULE`` is the
+one way to accept a finding.  Exit status: 0 clean (every finding
+suppressed), 1 findings, 2 usage error — including a PATH that holds
+no ``*.py`` file, so a typo cannot pass the gate by scanning nothing.
 """
 
 from __future__ import annotations
@@ -27,17 +22,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint import baseline as baseline_mod
-from repro.lint import sarif as sarif_mod
 from repro.lint.base import RULES, all_rules
-from repro.lint.cache import CACHE_FILENAME
 from repro.lint.engine import LintConfig, run_lint
 
 #: what ``repro lint`` scans when no paths are given
 DEFAULT_PATHS: tuple[str, ...] = ("src", "tests", "benchmarks", "scripts")
-
-#: default baseline location (repo root, checked in)
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -51,48 +40,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print structured findings instead of human-readable lines",
     )
     parser.add_argument(
-        "--sarif", default=None, metavar="FILE",
-        help="also write findings as SARIF 2.1.0 ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline; report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline keeping only still-matching entries",
-    )
-    parser.add_argument(
         "--select", default=None, metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
         "--root", default=".", metavar="DIR",
-        help="directory findings are reported relative to (default: cwd)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="processes for the per-file pass (default: 1, inline)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help=f"skip the incremental cache ({CACHE_FILENAME})",
-    )
-    parser.add_argument(
-        "--statistics", action="store_true",
-        help="print per-rule and per-phase accounting to stderr",
-    )
-    parser.add_argument(
-        "--statistics-json", default=None, metavar="FILE",
-        help="write the statistics payload as JSON (CI artifact)",
+        help="directory PATHs resolve under and findings are reported "
+             "relative to (default: cwd)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -129,99 +83,33 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         return _print_rules()
     root = Path(args.root)
+    # defaults absent from the root are skipped; when none exist, all
+    # are passed on so discovery reports them rather than scan nothing
     paths = list(args.paths) or [
         p for p in DEFAULT_PATHS if (root / p).exists()
-    ]
-    missing = [p for p in paths if not (root / p).exists()
-               and not Path(p).exists()]
-    if missing:
-        print(f"repro lint: no such path(s): {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
-    if args.prune_baseline and args.no_baseline:
-        print("repro lint: --prune-baseline needs the baseline "
-              "(drop --no-baseline)", file=sys.stderr)
-        return 2
-
+    ] or list(DEFAULT_PATHS)
     config = LintConfig(select=_resolve_select(args.select))
-    baseline_path = root / args.baseline
-    baseline: dict[str, int] | None = None
-    if not args.no_baseline and not args.write_baseline:
-        if baseline_path.exists():
-            try:
-                baseline = baseline_mod.load(baseline_path)
-            except baseline_mod.BaselineError as exc:
-                print(f"repro lint: {exc}", file=sys.stderr)
-                return 2
-
-    result = run_lint(
-        paths, root=root, config=config, baseline=baseline,
-        workers=args.workers,
-        cache_path=None if args.no_cache else root / CACHE_FILENAME,
-    )
-
-    if args.write_baseline:
-        baseline_mod.save(baseline_path, result.new)
-        print(
-            f"wrote {baseline_path} ({len(result.new)} finding(s) "
-            "grandfathered)",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.prune_baseline:
-        # grandfathered == exactly the baseline entries that still
-        # match, so re-saving them IS the pruned baseline
-        baseline_mod.save(baseline_path, result.grandfathered)
-        print(
-            f"pruned {baseline_path}: {result.stale_baseline} stale "
-            f"entr{'y' if result.stale_baseline == 1 else 'ies'} "
-            f"removed, {len(result.grandfathered)} kept",
-            file=sys.stderr,
-        )
-
-    if args.sarif is not None:
-        payload = sarif_mod.to_sarif(result, config)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.sarif == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.sarif).write_text(text)
-
-    if args.statistics_json is not None and result.stats is not None:
-        Path(args.statistics_json).write_text(
-            json.dumps(result.stats.to_json(), indent=2, sort_keys=True)
-            + "\n"
-        )
+    try:
+        result = run_lint(paths, root=root, config=config)
+    except FileNotFoundError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
 
     if args.json:
         json.dump(result.to_json(), sys.stdout, indent=2, sort_keys=True)
         print()
-        if args.statistics and result.stats is not None:
-            print(result.stats.render(), file=sys.stderr)
         return result.exit_status
 
     for finding in result.new:
         print(finding.render())
         if finding.hint:
             print(f"    hint: {finding.hint}")
-    summary = (
+    print(
         f"{result.files_scanned} file(s) scanned: "
-        f"{len(result.new)} new, {len(result.grandfathered)} baselined, "
-        f"{result.suppressed} suppressed"
+        f"{len(result.new)} finding(s), {result.suppressed} suppressed",
+        file=sys.stderr,
     )
-    print(summary, file=sys.stderr)
-    if result.stale_baseline and not args.prune_baseline:
-        print(
-            f"note: {result.stale_baseline} baseline entr"
-            f"{'y' if result.stale_baseline == 1 else 'ies'} no longer "
-            "match(es) any finding; tighten the ratchet with "
-            "--prune-baseline",
-            file=sys.stderr,
-        )
-    if args.statistics and result.stats is not None:
-        print(result.stats.render(), file=sys.stderr)
     return result.exit_status
 
 
-__all__ = ["DEFAULT_BASELINE", "DEFAULT_PATHS", "add_arguments", "run"]
+__all__ = ["DEFAULT_PATHS", "add_arguments", "run"]

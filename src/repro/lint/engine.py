@@ -1,23 +1,15 @@
-"""Lint engine: discovery, suppression, baselines, cache, and the run loop.
+"""Lint engine: discovery, suppression, and the run loop.
 
 One :func:`run_lint` call walks the requested paths, parses each
 ``*.py`` once, runs every registered file rule on each tree and every
-project rule once, applies ``# repro: noqa-RULE`` suppressions and the
-baseline, and returns a :class:`LintResult` the CLI renders as text,
-JSON, or SARIF.
+project rule once, applies ``# repro: noqa-RULE`` suppressions, and
+returns a :class:`LintResult` the CLI renders as text or JSON.
 
-Three engine features keep the gate fast and honest at repo scale:
-
-- **Incremental cache** (:mod:`repro.lint.cache`): per-file findings
-  are reused when the file's content hash and the whole rule pack's
-  inputs fingerprint both match; a warm run re-lints only edited
-  files.
-- **Parallel fan-out**: file linting is a pure per-file map, so it
-  rides :func:`repro.engine.runner.run_tasks` — the same chunked pool
-  the simulations use — with results merged in deterministic file
-  order (``workers`` never changes the report).
-- **Statistics** (:mod:`repro.lint.stats`): per-rule finding and
-  suppression counts plus per-phase wall time, for ``--statistics``.
+Every run is cold and single-process, so there is no result cache or
+worker pool to keep correct.  Each file is parsed and walked once
+(:attr:`FileContext.nodes`); project rules read the trees the file
+pass already parsed; the dataflow rules run their walker only on files
+holding a call their policy can act on.
 
 Suppression syntax::
 
@@ -32,21 +24,17 @@ suppression inside a large node (a class body, for PERF001) suppresses
 that rule for the whole node, so keep noqa comments on the offending
 statement itself.  Everything after ``--`` in the comment is the
 tracking note; CONTRIBUTING.md asks for one sentence on why the site
-is safe.
+is safe.  It is the one suppression mechanism: there is no baseline.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import functools
 import re
 from pathlib import Path
 from typing import Iterable
 
-from repro.engine.runner import run_tasks
-from repro.lint import baseline as baseline_mod
-from repro.lint import cache as cache_mod
 from repro.lint.base import (
     FileContext,
     FileRule,
@@ -55,7 +43,6 @@ from repro.lint.base import (
     all_rules,
 )
 from repro.lint.findings import Finding, Severity, sort_findings
-from repro.lint.stats import LintStats
 
 #: rule id for files the parser itself rejects
 PARSE_RULE_ID = "LINT000"
@@ -135,21 +122,12 @@ class LintConfig:
 
 @dataclasses.dataclass
 class LintResult:
-    """Everything one invocation produced, pre-baseline-split."""
+    """Everything one invocation produced."""
 
+    #: unsuppressed findings, in report order; any one fails the gate
     new: list[Finding]
-    grandfathered: list[Finding]
     suppressed: int
     files_scanned: int
-    baseline_used: bool
-    #: baseline entries (by count) no current finding matched; a
-    #: nonzero value means the ratchet can tighten (--prune-baseline)
-    stale_baseline: int = 0
-    stats: LintStats | None = None
-
-    @property
-    def all_findings(self) -> list[Finding]:
-        return sort_findings(self.new + self.grandfathered)
 
     @property
     def exit_status(self) -> int:
@@ -157,22 +135,12 @@ class LintResult:
 
     def to_json(self) -> dict[str, object]:
         """The ``repro lint --json`` payload (schema pinned by tests)."""
-        def rows(findings: list[Finding], baselined: bool) -> list[dict]:
-            return [
-                dict(finding.to_json(), baselined=baselined)
-                for finding in findings
-            ]
-
         return {
-            "version": 2,
+            "version": 3,
             "files_scanned": self.files_scanned,
-            "baseline_used": self.baseline_used,
             "new_count": len(self.new),
-            "baselined_count": len(self.grandfathered),
             "suppressed_count": self.suppressed,
-            "stale_baseline_count": self.stale_baseline,
-            "findings": rows(sort_findings(self.new), False)
-            + rows(sort_findings(self.grandfathered), True),
+            "findings": [finding.to_json() for finding in self.new],
         }
 
 
@@ -224,16 +192,31 @@ def _apply_suppressions(
 
 
 def discover(paths: Iterable[Path], root: Path) -> list[Path]:
-    """Expand files/directories into a sorted list of ``*.py`` files."""
+    """Expand files/directories into a sorted list of ``*.py`` files.
+
+    Relative paths resolve under ``root``.  Raises FileNotFoundError
+    naming every path that yields no ``*.py`` file: a gate that scanned
+    nothing must not pass.
+    """
     files: set[Path] = set()
+    empty: list[str] = []
     for path in paths:
         resolved = path if path.is_absolute() else root / path
+        found: set[Path] = set()
         if resolved.is_file() and resolved.suffix == ".py":
-            files.add(resolved)
+            found.add(resolved)
         elif resolved.is_dir():
-            for candidate in resolved.rglob("*.py"):
-                if not _SKIP_DIRS.intersection(candidate.parts):
-                    files.add(candidate)
+            found.update(
+                candidate for candidate in resolved.rglob("*.py")
+                if not _SKIP_DIRS.intersection(candidate.parts)
+            )
+        if not found:
+            empty.append(str(path))
+        files |= found
+    if empty:
+        raise FileNotFoundError(
+            f"no *.py file at {', '.join(empty)} (under {root})"
+        )
     return sorted(files)
 
 
@@ -245,12 +228,14 @@ def _rel_path(path: Path, root: Path) -> str:
 
 
 def _lint_one_file(
-    path: Path, rel: str, source: str, config: LintConfig,
+    path: Path, rel: str, source: str,
     project: ProjectContext, file_rules: list[FileRule],
 ) -> tuple[list[Finding], list[Finding]]:
     """(kept, noqa-suppressed) file-rule findings for one source file."""
     try:
-        tree = ast.parse(source, filename=str(path))
+        # a project file may already be parsed (SAFE002 reads the obs
+        # names module while linting the files sorted before it)
+        tree = project.parsed(rel) or ast.parse(source, filename=str(path))
     except SyntaxError as exc:
         finding = Finding(
             rule_id=PARSE_RULE_ID, path=rel,
@@ -262,7 +247,7 @@ def _lint_one_file(
         return [finding], []
     ctx = FileContext(
         path=path, rel_path=rel, tree=tree, source=source,
-        config=config, project=project,
+        config=project.config, project=project,
     )
     findings: list[Finding] = []
     for rule in file_rules:
@@ -270,38 +255,6 @@ def _lint_one_file(
             continue
         findings.extend(rule.check_file(ctx))
     return _apply_suppressions(findings, source)
-
-
-#: per-worker-process state for the parallel fan-out, keyed by
-#: (root, config repr); pool workers are long-lived within one run
-_TASK_STATE: dict[tuple[str, str], tuple[ProjectContext, list[FileRule]]] = {}
-
-
-def _task_state(
-    root: str, config: LintConfig
-) -> tuple[ProjectContext, list[FileRule]]:
-    key = (root, repr(config))
-    state = _TASK_STATE.get(key)
-    if state is None:
-        project = ProjectContext(Path(root), config)
-        file_rules = [
-            r for r in all_rules(config.select) if isinstance(r, FileRule)
-        ]
-        state = (project, file_rules)
-        _TASK_STATE[key] = state
-    return state
-
-
-def _lint_file_task(
-    item: tuple[str, str, str], root: str, config: LintConfig
-) -> tuple[str, list[Finding], list[str]]:
-    """Pool task: lint one (path, rel, source); picklable round trip."""
-    path_str, rel, source = item
-    project, file_rules = _task_state(root, config)
-    kept, dropped = _lint_one_file(
-        Path(path_str), rel, source, config, project, file_rules
-    )
-    return rel, kept, [finding.rule_id for finding in dropped]
 
 
 def _suppress_project_findings(
@@ -333,111 +286,45 @@ def run_lint(
     paths: Iterable[str | Path],
     root: str | Path = ".",
     config: LintConfig | None = None,
-    baseline: dict[str, int] | None = None,
-    *,
-    workers: int | None = 1,
-    cache_path: str | Path | None = None,
-    stats: LintStats | None = None,
 ) -> LintResult:
     """Lint ``paths`` (files or directories) relative to ``root``.
 
-    ``workers`` fans the per-file pass over a process pool (1 =
-    inline); the report is identical for any worker count.
-    ``cache_path`` enables the incremental cache at that location
-    (None = cold run, nothing persisted).  ``stats`` receives per-rule
-    and per-phase accounting; one is created (and attached to the
-    result) when not supplied.
+    Raises FileNotFoundError (from :func:`discover`) when a path holds
+    no ``*.py`` file.
     """
     root = Path(root)
     config = config or LintConfig()
-    stats = stats if stats is not None else LintStats()
     project = ProjectContext(root, config)
     rules = list(all_rules(config.select))
     file_rules = [r for r in rules if isinstance(r, FileRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
 
-    with stats.phase("discover"):
-        files = discover([Path(p) for p in paths], root)
-
-    cache: cache_mod.LintCache | None = None
-    if cache_path is not None:
-        with stats.phase("cache"):
-            fingerprint = cache_mod.inputs_fingerprint(root, config)
-            cache = cache_mod.LintCache.load(Path(cache_path), fingerprint)
-
-    # Read every source once; serve cache hits; queue the misses.
-    per_file: dict[str, tuple[list[Finding], list[str]]] = {}
-    sources: dict[str, str] = {}
-    pending: list[tuple[str, str, str]] = []
-    with stats.phase("read"):
-        for path in files:
-            rel = _rel_path(path, root)
-            source = path.read_text()
-            sources[rel] = source
-            if cache is not None:
-                digest = cache_mod.source_digest(source)
-                entry = cache.get(rel, digest)
-                if entry is not None:
-                    per_file[rel] = (entry.findings, entry.suppressed)
-                    continue
-            pending.append((str(path), rel, source))
-
-    with stats.phase("files"):
-        if pending:
-            task = functools.partial(
-                _lint_file_task, root=str(root), config=config
-            )
-            for rel, kept, dropped_ids in run_tasks(
-                task, pending, workers=workers
-            ):
-                per_file[rel] = (kept, dropped_ids)
-                if cache is not None:
-                    cache.put(
-                        rel, cache_mod.source_digest(sources[rel]),
-                        kept, dropped_ids,
-                    )
-
+    files = discover([Path(p) for p in paths], root)
     findings: list[Finding] = []
     suppressed = 0
-    for path in files:               # deterministic file-order merge
+    sources: dict[str, str] = {}
+    for path in files:
         rel = _rel_path(path, root)
-        kept, dropped_ids = per_file[rel]
-        findings.extend(kept)
-        suppressed += len(dropped_ids)
-        stats.count_suppressions(dropped_ids)
-
-    with stats.phase("project"):
-        project_findings: list[Finding] = []
-        for rule in project_rules:
-            project_findings.extend(rule.check_project(project))
-        kept, dropped = _suppress_project_findings(
-            project_findings, sources, root
+        sources[rel] = path.read_text()
+        kept, dropped = _lint_one_file(
+            path, rel, sources[rel], project, file_rules
         )
         findings.extend(kept)
         suppressed += len(dropped)
-        stats.count_suppressions(f.rule_id for f in dropped)
 
-    findings = sort_findings(findings)
-    stats.count_findings(findings)
-    stats.files_scanned = len(files)
-    stats.files_from_cache = cache.hits if cache is not None else 0
-
-    with stats.phase("baseline"):
-        stale = 0
-        if baseline is not None:
-            new, grandfathered = baseline_mod.split_new(findings, baseline)
-            stale = sum(baseline.values()) - len(grandfathered)
-        else:
-            new, grandfathered = findings, []
-
-    if cache is not None:
-        with stats.phase("cache"):
-            cache.save(Path(cache_path))  # type: ignore[arg-type]
-
+    project_findings = [
+        finding
+        for rule in project_rules
+        for finding in rule.check_project(project)
+    ]
+    kept, dropped = _suppress_project_findings(
+        project_findings, sources, root
+    )
+    findings.extend(kept)
+    suppressed += len(dropped)
     return LintResult(
-        new=new, grandfathered=grandfathered, suppressed=suppressed,
-        files_scanned=len(files), baseline_used=baseline is not None,
-        stale_baseline=stale, stats=stats,
+        new=sort_findings(findings), suppressed=suppressed,
+        files_scanned=len(files),
     )
 
 
@@ -459,7 +346,7 @@ def lint_source(
         r for r in all_rules(config.select) if isinstance(r, FileRule)
     ]
     kept, _ = _lint_one_file(
-        Path(rel_path), rel_path, source, config, project, file_rules
+        Path(rel_path), rel_path, source, project, file_rules
     )
     return sort_findings(kept)
 

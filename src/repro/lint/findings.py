@@ -1,10 +1,7 @@
 """Finding model for the invariant linter: what a rule reports.
 
 A :class:`Finding` is one violation at one source location.  Findings
-are value objects: hashable, sortable, JSON-serializable, and stable
-under line drift via :attr:`Finding.fingerprint` (which deliberately
-excludes the line/column so a baseline entry survives unrelated edits
-above the finding).
+are value objects: hashable, sortable, and JSON-serializable.
 """
 
 from __future__ import annotations
@@ -50,11 +47,6 @@ class Finding:
         """End of the reported node's line range (never before line)."""
         return max(self.line, self.end_line)
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-drift-stable identity used by the baseline file."""
-        return f"{self.path}::{self.rule_id}::{self.message}"
-
     def render(self) -> str:
         """One-line human rendering (``path:line:col RULE message``)."""
         return (
@@ -74,20 +66,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_json(cls, payload: dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_json` (used by the incremental cache)."""
-        return cls(
-            rule_id=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),          # type: ignore[arg-type]
-            col=int(payload["col"]),            # type: ignore[arg-type]
-            message=str(payload["message"]),
-            hint=str(payload["hint"]),
-            severity=Severity(payload["severity"]),
-            end_line=int(payload.get("end_line", 0)),  # type: ignore[arg-type]
-        )
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

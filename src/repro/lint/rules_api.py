@@ -46,7 +46,7 @@ class MutableDefaultRule(FileRule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

@@ -20,16 +20,105 @@ for the real detection stack it drives.
 
 from __future__ import annotations
 
+import ast
 from typing import Iterable, Iterator
 
 from repro.lint.base import FileContext, FileRule, register
 from repro.lint.findings import Finding
-from repro.lint.importgraph import (
-    ImportEdge,
-    module_imports,
-    module_name,
-    top_package,
-)
+
+
+def module_name(rel_path: str) -> str | None:
+    """Dotted module for a repo-relative path, or None outside src/.
+
+    ``src/repro/fleet/shm.py`` -> ``repro.fleet.shm``;
+    ``src/repro/__init__.py`` -> ``repro``.
+    """
+    parts = rel_path.split("/")
+    if parts[:1] != ["src"] or not rel_path.endswith(".py"):
+        return None
+    dotted = parts[1:]
+    dotted[-1] = dotted[-1][: -len(".py")]
+    if dotted[-1] == "__init__":
+        dotted = dotted[:-1]
+    return ".".join(dotted) if dotted else None
+
+
+def top_package(module: str) -> str | None:
+    """The layer-granularity package of a ``repro`` module.
+
+    ``repro.fleet.shm`` -> ``fleet``; top-level modules map to
+    themselves (``repro.chaos`` -> ``chaos``, ``repro.cli`` ->
+    ``cli``); the bare root package returns None.
+    """
+    parts = module.split(".")
+    if parts[0] != "repro" or len(parts) < 2:
+        return None
+    return parts[1]
+
+
+def _is_type_checking_guard(node: ast.stmt) -> bool:
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    if isinstance(test, ast.Name):
+        return test.id == "TYPE_CHECKING"
+    return (
+        isinstance(test, ast.Attribute)
+        and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _module_level_stmts(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Top-level statements, descending into if/try wrappers.
+
+    ``if TYPE_CHECKING:`` bodies are skipped — those imports never run.
+    Function and class bodies are *not* descended into: imports there
+    are deferred by construction.
+    """
+    stack: list[ast.stmt] = list(tree.body)
+    while stack:
+        stmt = stack.pop(0)
+        if _is_type_checking_guard(stmt):
+            stack.extend(stmt.orelse)
+            continue
+        if isinstance(stmt, ast.If):
+            stack.extend(stmt.body)
+            stack.extend(stmt.orelse)
+            continue
+        if isinstance(stmt, ast.Try):
+            stack.extend(stmt.body)
+            for handler in stmt.handlers:
+                stack.extend(handler.body)
+            stack.extend(stmt.orelse)
+            stack.extend(stmt.finalbody)
+            continue
+        yield stmt
+
+
+def module_imports(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(imported module, import statement) for each module-level
+    ``repro`` import of one parsed file.
+
+    ``from repro import obs`` resolves per-alias to ``repro.obs``;
+    ``from repro.fleet import columns`` records ``repro.fleet`` (the
+    package boundary is what layering cares about).
+    """
+    edges: list[tuple[str, ast.stmt]] = []
+    for stmt in _module_level_stmts(tree):
+        if isinstance(stmt, ast.Import):
+            edges.extend(
+                (alias.name, stmt) for alias in stmt.names
+                if alias.name == "repro" or alias.name.startswith("repro.")
+            )
+        elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0:
+            module = stmt.module or ""
+            if module == "repro":
+                edges.extend(
+                    (f"repro.{alias.name}", stmt) for alias in stmt.names
+                )
+            elif module.startswith("repro."):
+                edges.append((module, stmt))
+    return edges
 
 
 @register
@@ -73,42 +162,21 @@ class LayerDagRule(FileRule):
                 ))
                 return
             own_layer = len(ctx.config.layers)
-        for edge in module_imports(ctx.tree):
-            yield from self._check_edge(ctx, own, own_layer, layers, edge)
-
-    def _check_edge(
-        self, ctx: FileContext, own: str, own_layer: int,
-        layers: dict[str, int], edge: ImportEdge,
-    ) -> Iterator[Finding]:
-        target = top_package(edge.module)
-        if target is None or target == own:
-            return
-        if target not in layers:
-            yield self._edge_finding(ctx, edge, (
-                f"imported package '{target}' is not in the "
-                "LintConfig.layers table"
-            ))
-            return
-        if layers[target] > own_layer:
-            yield self._edge_finding(ctx, edge, (
-                f"'{own}' (layer {own_layer}) imports "
-                f"'{edge.module}' from higher layer {layers[target]}; "
-                "the layer DAG has no back-edges"
-            ))
-
-    def _edge_finding(
-        self, ctx: FileContext, edge: ImportEdge, message: str
-    ) -> Finding:
-        return Finding(
-            rule_id=self.rule_id,
-            path=ctx.rel_path,
-            line=edge.line,
-            col=edge.col,
-            message=message,
-            hint=self.hint,
-            severity=self.severity,
-            end_line=edge.end_line,
-        )
+        for module, stmt in module_imports(ctx.tree):
+            target = top_package(module)
+            if target is None or target == own:
+                continue
+            if target not in layers:
+                yield self.make(ctx, stmt, (
+                    f"imported package '{target}' is not in the "
+                    "LintConfig.layers table"
+                ))
+            elif layers[target] > own_layer:
+                yield self.make(ctx, stmt, (
+                    f"'{own}' (layer {own_layer}) imports "
+                    f"'{module}' from higher layer {layers[target]}; "
+                    "the layer DAG has no back-edges"
+                ))
 
 
 __all__ = ["LayerDagRule"]

@@ -31,10 +31,10 @@ _NP_RANDOM_ALLOWED = frozenset({
 })
 
 
-def _module_aliases(tree: ast.Module, module: str) -> set[str]:
+def _module_aliases(nodes: tuple[ast.AST, ...], module: str) -> set[str]:
     """Names the file binds to ``module`` via plain imports."""
     aliases: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == module:
@@ -58,9 +58,9 @@ class UnseededRandomRule(FileRule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        random_aliases = _module_aliases(ctx.tree, "random")
-        numpy_aliases = _module_aliases(ctx.tree, "numpy")
-        for node in ast.walk(ctx.tree):
+        random_aliases = _module_aliases(ctx.nodes, "random")
+        numpy_aliases = _module_aliases(ctx.nodes, "numpy")
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.level == 0:
                 yield from self._check_import_from(ctx, node)
             elif isinstance(node, ast.Call):
@@ -146,9 +146,9 @@ class WallClockRule(FileRule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if self._allowed(ctx):
             return
-        time_aliases = _module_aliases(ctx.tree, "time")
+        time_aliases = _module_aliases(ctx.nodes, "time")
         from_time: set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.ImportFrom)
                 and node.level == 0
@@ -157,7 +157,7 @@ class WallClockRule(FileRule):
                 for alias in node.names:
                     if alias.name in _TIME_MODULE_FNS:
                         from_time.add(alias.asname or alias.name)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_source(node.func)
@@ -204,7 +204,7 @@ class UnorderedIterationRule(FileRule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.For) and _is_set_expr(node.iter):
                 yield self.make(ctx, node.iter, (
                     "for-loop iterates a set in hash order"

@@ -23,12 +23,25 @@ because they produce private mutable copies.
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.lint.base import FileContext, FileRule, dotted_source, register
 from repro.lint.dataflow import Dataflow, TaintEnv, TaintPolicy
 from repro.lint.findings import Finding
 from repro.lint.rules_det import _module_aliases
+
+
+def _has_call(ctx: FileContext, test: Callable[[ast.Call], bool]) -> bool:
+    """Does any call in the file pass ``test``?
+
+    The dataflow walk is the expensive part of DET004/SHM001, and it can
+    only report at a call its policy recognizes (an RNG constructor, a
+    shm attach) — so a file without one is skipped, with no finding lost.
+    """
+    return any(
+        isinstance(node, ast.Call) and test(node) for node in ctx.nodes
+    )
+
 
 #: numpy.random constructors DET004 audits, with their seed argument
 _CONSTRUCTORS: dict[str, str] = {
@@ -38,18 +51,20 @@ _CONSTRUCTORS: dict[str, str] = {
 }
 
 
-def _numpy_random_bases(tree: ast.Module) -> frozenset[str]:
+def _numpy_random_bases(nodes: tuple[ast.AST, ...]) -> frozenset[str]:
     """Dotted prefixes that mean ``numpy.random`` in this file."""
     bases = {"numpy.random", "np.random"}
-    for alias in _module_aliases(tree, "numpy"):
+    for alias in _module_aliases(nodes, "numpy"):
         bases.add(f"{alias}.random")
     return frozenset(bases)
 
 
-def _from_imported_constructors(tree: ast.Module) -> dict[str, str]:
+def _from_imported_constructors(
+    nodes: tuple[ast.AST, ...]
+) -> dict[str, str]:
     """Local name -> constructor for ``from numpy.random import ...``."""
     names: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if (
             isinstance(node, ast.ImportFrom)
             and node.level == 0
@@ -70,8 +85,8 @@ class _SeedPolicy(TaintPolicy):
         self.rule = rule
         self.ctx = ctx
         self.findings: list[Finding] = []
-        self.bases = _numpy_random_bases(ctx.tree)
-        self.imported = _from_imported_constructors(ctx.tree)
+        self.bases = _numpy_random_bases(ctx.nodes)
+        self.imported = _from_imported_constructors(ctx.nodes)
 
     def param_source(self, name: str) -> bool:
         return True
@@ -143,7 +158,8 @@ class SeedProvenanceRule(FileRule):
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         policy = _SeedPolicy(self, ctx)
-        Dataflow(policy).run(ctx.tree)
+        if _has_call(ctx, lambda call: policy._constructor(call) is not None):
+            Dataflow(policy).run(ctx.tree)
         return policy.findings
 
 
@@ -162,10 +178,10 @@ _COPY_TAILS = frozenset({
 })
 
 
-def _attach_names(tree: ast.Module) -> frozenset[str]:
+def _attach_names(nodes: tuple[ast.AST, ...]) -> frozenset[str]:
     """Local names bound to ``repro.fleet.shm.attach`` via from-import."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if (
             isinstance(node, ast.ImportFrom)
             and node.level == 0
@@ -184,7 +200,7 @@ class _ShmPolicy(TaintPolicy):
         self.rule = rule
         self.ctx = ctx
         self.findings: list[Finding] = []
-        self.attach_names = _attach_names(ctx.tree)
+        self.attach_names = _attach_names(ctx.nodes)
 
     def call_override(self, node: ast.Call) -> bool | None:
         dotted = dotted_source(node.func)
@@ -287,7 +303,8 @@ class ShmWriteSafetyRule(FileRule):
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         policy = _ShmPolicy(self, ctx)
-        Dataflow(policy).run(ctx.tree)
+        if _has_call(ctx, lambda call: policy.call_override(call) is True):
+            Dataflow(policy).run(ctx.tree)
         return policy.findings
 
 

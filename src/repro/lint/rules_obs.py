@@ -8,9 +8,8 @@ the system can emit", so an entry that survived a refactor keeps
 operators hunting for a signal that can no longer fire (the same
 stale-runbook hazard §6 pins on undocumented detection surfaces).
 
-A constant counts as *emitted* when some module in the project import
-graph (every ``src/repro`` module except the names module itself)
-either passes its string value as the name argument of an
+A constant counts as *emitted* when some ``src/repro/**/*.py`` module
+(other than the names module itself) either passes its string value as the name argument of an
 ``obs.metrics`` / ``obs.tracer`` emission call, or references the
 constant by name (``names.FOO`` or a ``from repro.obs.names import
 FOO`` use).
@@ -24,6 +23,7 @@ from typing import Iterable
 from repro.lint.base import (
     ProjectContext,
     ProjectRule,
+    declared_constants,
     dotted_source,
     register,
 )
@@ -34,32 +34,15 @@ from repro.lint.rules_safe import _is_metrics_base, _is_tracer_base
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
 
 
-def _declared_constants(tree: ast.Module) -> list[tuple[str, str, int]]:
-    """(constant name, string value, line) triples in the names module."""
-    declared: list[tuple[str, str, int]] = []
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        if not (
-            isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-        ):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id.isupper():
-                declared.append((target.id, node.value.value, node.lineno))
-    return declared
-
-
 def _used_in_module(
-    tree: ast.Module,
+    nodes: tuple[ast.AST, ...],
     constant_names: frozenset[str],
     values: frozenset[str],
 ) -> tuple[set[str], set[str]]:
     """(constants referenced, values emitted) by one module."""
     imported: set[str] = set()          # local alias -> counts as use
     alias_to_const: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if (
             isinstance(node, ast.ImportFrom)
             and node.level == 0
@@ -71,7 +54,7 @@ def _used_in_module(
 
     used_consts: set[str] = set()
     used_values: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Attribute) and node.attr in constant_names:
             base = dotted_source(node.value)
             if base is not None and base.rpartition(".")[2] == "names":
@@ -122,7 +105,7 @@ class DeadObsNameRule(ProjectRule):
         names_tree = project.parse(project.config.obs_names_path)
         if names_tree is None:
             return
-        declared = _declared_constants(names_tree)
+        declared = declared_constants(names_tree)
         if not declared:
             return
         constant_names = frozenset(name for name, _, _ in declared)
@@ -130,14 +113,14 @@ class DeadObsNameRule(ProjectRule):
 
         used_consts: set[str] = set()
         used_values: set[str] = set()
-        graph = project.import_graph()
-        for rel in graph.modules:
+        package = project.root / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            rel = path.relative_to(project.root).as_posix()
             if rel == project.config.obs_names_path:
                 continue
-            tree = project.parse(rel)
-            if tree is None:
-                continue
-            consts, vals = _used_in_module(tree, constant_names, values)
+            consts, vals = _used_in_module(
+                project.nodes(rel), constant_names, values
+            )
             used_consts |= consts
             used_values |= vals
 

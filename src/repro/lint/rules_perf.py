@@ -75,7 +75,7 @@ class PerCoreLoopRule(FileRule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.rel_path not in ctx.config.percore_loop_modules:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iterables = [node.iter]
             elif isinstance(
@@ -110,7 +110,7 @@ class HotPathSlotsRule(FileRule):
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.rel_path not in ctx.config.slots_modules:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             decorator = _dataclass_decorator(node)

@@ -148,7 +148,7 @@ class DeclaredObsNameRule(FileRule):
         declared = ctx.project.declared_obs_names()
         if declared is None:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node, declared)
 

@@ -1,12 +1,18 @@
 """CLI entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import repro.cli
+import repro.analysis.experiments
 from repro.analysis.experiments import EXPERIMENTS, Claim, Experiment
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -45,6 +51,23 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_lint_does_not_load_the_experiment_registry(self):
+        # the registry drags in scipy and every simulator package;
+        # a fresh interpreter proves `repro lint` never imports it
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['lint', '--list-rules']) == 0\n"
+            "heavy = ('repro.analysis', 'repro.engine', 'scipy', 'numpy')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "[]"
 
     def test_cases_screens_all(self, capsys):
         assert main(["cases"]) == 0
@@ -110,7 +133,7 @@ class TestClaimGate:
                 raise TypeError("harness bug")
             return {"rendered": f"table of {label}"}
 
-        monkeypatch.setattr(repro.cli, "EXPERIMENTS", {
+        monkeypatch.setattr(repro.analysis.experiments, "EXPERIMENTS", {
             "X1": _stub(lambda: run("fails"), held=False),
             "X2": _stub(lambda: run("raises")),
             "X3": _stub(lambda: run("holds")),
@@ -239,6 +262,13 @@ class TestTraceCommand:
         assert "incident core" in out
         assert "quarantine decision  tick" in out
         assert "serving.scale_request" in out
+
+    def test_unknown_campaign_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "e99"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'e99'" in err and "e15" in err
 
     def test_trace_seed_is_reproducible(self, capsys):
         assert main(["trace", "e15", "--seed", "2"]) == 0
