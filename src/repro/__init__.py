@@ -15,12 +15,12 @@ Subpackages:
   CEE taxonomy, events, metrics, suspicion scoring, report service,
   triage, quarantine policy.
 - :mod:`repro.detection` — screeners on the paper's four axes, signal
-  analysis, test corpus, lockstep baseline, quarantine mechanisms.
+  analysis, test corpus, quarantine mechanisms, fleet-scale screening.
 - :mod:`repro.mitigation` — redundant execution, checkpoint/restart,
-  self-checking libraries, end-to-end checks, ABFT-style resilient
-  algorithms.
+  a self-checking cipher, ABFT-style resilient algorithms and
+  instruction-level checking.
 - :mod:`repro.fleet` — machines, population synthesis, scheduler,
-  telemetry, and the discrete-event fleet simulator.
+  and the discrete-event fleet simulator.
 - :mod:`repro.analysis` — statistics, detection economics, experiment
   registry, and text renderers for the paper's figure and tables.
 - :mod:`repro.serving` — simulated RPC service over fleet cores with

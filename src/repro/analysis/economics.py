@@ -112,22 +112,3 @@ def policy_frontier(
             }
         )
     return rows
-
-
-def false_positive_cost(
-    false_positive_rate_per_screen: float,
-    policy: ScreeningPolicy,
-    n_cores: int,
-    horizon_days: float,
-) -> float:
-    """Healthy core-days stranded by false positives over a horizon.
-
-    Our screening tests are exact-comparison, so their intrinsic FP rate
-    is ~0; this models flaky-test or marginal-environment FPs, which §6
-    worries about ("wasted cores that are inappropriately isolated").
-    """
-    screens = n_cores * horizon_days / policy.period_days
-    expected_fps = screens * false_positive_rate_per_screen
-    # A falsely-quarantined core is stranded until exonerated; assume a
-    # retest cycle later (one period) it returns.
-    return expected_fps * policy.period_days

@@ -12,22 +12,6 @@ from typing import Sequence
 _BAR = "▏▎▍▌▋▊▉█"
 
 
-def normalize_series(
-    series: Sequence[tuple[float, float]], baseline: float | None = None
-) -> list[tuple[float, float]]:
-    """Normalize values to an arbitrary baseline, like Fig. 1's y-axis.
-
-    ``baseline`` defaults to the series' first nonzero value.
-    """
-    values = [v for _, v in series]
-    if baseline is None:
-        nonzero = [v for v in values if v > 0]
-        baseline = nonzero[0] if nonzero else 1.0
-    if baseline == 0:
-        baseline = 1.0
-    return [(t, v / baseline) for t, v in series]
-
-
 def render_series(
     series: Sequence[tuple[float, float]],
     title: str,

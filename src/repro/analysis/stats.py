@@ -5,9 +5,8 @@ expensive, because it requires running tests on many machines,
 potentially for a long time, before one can get high-confidence
 results — we don't even know yet how many or how long."
 
-These estimators answer that operational question: given an observed
-count, what is the rate's confidence interval; and given a target
-precision, how much test time is needed.
+These estimators answer the first half of that operational question:
+given an observed count, what is the rate's confidence interval.
 """
 
 from __future__ import annotations
@@ -65,46 +64,6 @@ def poisson_rate_ci(
         upper=upper / exposure,
         confidence=confidence,
     )
-
-
-def binomial_ci(
-    successes: int, trials: int, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Clopper–Pearson exact binomial interval."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    alpha = 1.0 - confidence
-    if successes == 0:
-        lower = 0.0
-    else:
-        lower = _scipy_stats.beta.ppf(alpha / 2, successes, trials - successes + 1)
-    if successes == trials:
-        upper = 1.0
-    else:
-        upper = _scipy_stats.beta.ppf(
-            1 - alpha / 2, successes + 1, trials - successes
-        )
-    return float(lower), float(upper)
-
-
-def exposure_needed(
-    target_rate: float,
-    relative_precision: float = 0.5,
-    confidence: float = 0.95,
-) -> float:
-    """How much exposure to bound a rate within ±relative_precision.
-
-    Uses the normal approximation N ≈ (z / precision)²; events needed
-    divided by the target rate gives the exposure.  This is the §4
-    "how many machines for how long" answer in closed form.
-    """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    if not 0 < relative_precision < 1:
-        raise ValueError("relative_precision must be in (0, 1)")
-    z = _scipy_stats.norm.ppf(0.5 + confidence / 2)
-    events_needed = (z / relative_precision) ** 2
-    return events_needed / target_rate
 
 
 def trend_slope(series: list[tuple[float, float]]) -> float:

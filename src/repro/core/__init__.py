@@ -9,40 +9,31 @@
 - :mod:`repro.core.metrics` — the §4 metrics, made computable.
 """
 
-from repro.core.confidence import SuspicionTracker, posterior_mercurial
+from repro.core.confidence import SuspicionTracker
 from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
 from repro.core.metrics import (
     Confusion,
-    FleetMetrics,
     OnsetStats,
     confusion,
-    core_incidence_fraction,
     incidence_per_kmachine,
     onset_stats,
-    stickiness,
-    visible_corruption_rate,
 )
 from repro.core.policy import Action, Decision, PolicyConfig, QuarantinePolicy
 from repro.core.report import Complaint, CoreComplaintService, SuspectCore
-from repro.core.taxonomy import Symptom, classify, risk_ordered
+from repro.core.taxonomy import Symptom
 from repro.core.triage import HumanTriageModel, Investigation, TriageOutcome
 
 __all__ = [
     "SuspicionTracker",
-    "posterior_mercurial",
     "CeeEvent",
     "EventKind",
     "EventLog",
     "Reporter",
     "Confusion",
-    "FleetMetrics",
     "OnsetStats",
     "confusion",
-    "core_incidence_fraction",
     "incidence_per_kmachine",
     "onset_stats",
-    "stickiness",
-    "visible_corruption_rate",
     "Action",
     "Decision",
     "PolicyConfig",
@@ -51,8 +42,6 @@ __all__ = [
     "CoreComplaintService",
     "SuspectCore",
     "Symptom",
-    "classify",
-    "risk_ordered",
     "HumanTriageModel",
     "Investigation",
     "TriageOutcome",

@@ -2,15 +2,12 @@
 
 "Recidivism — repeated signals from the same core — increases our
 confidence that a core is mercurial" (§6).  The tracker keeps a
-per-core exponentially-decayed suspicion score plus a simple Bayesian
-posterior that a core is mercurial given how its signal count compares
-to the fleet background rate.
+per-core exponentially-decayed suspicion score.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 
 @dataclasses.dataclass
@@ -94,40 +91,3 @@ class SuspicionTracker:
 
     def tracked_cores(self) -> list[str]:
         return list(self._cores)
-
-
-def posterior_mercurial(
-    signals: int,
-    observation_days: float,
-    background_rate_per_day: float,
-    mercurial_rate_per_day: float,
-    prior: float = 1e-3,
-) -> float:
-    """Posterior P(core is mercurial | signal count) via Poisson likelihoods.
-
-    Healthy cores emit signals (software bugs, cosmic rays, coincidental
-    crashes) at ``background_rate_per_day``; mercurial cores at the much
-    higher ``mercurial_rate_per_day``.  With a Poisson count model the
-    log-likelihood ratio is closed-form.
-
-    The ``prior`` default reflects the paper's "a few mercurial cores
-    per several thousand machines": order 1e-3 per machine, less per
-    core — callers should scale by cores per machine.
-    """
-    if observation_days <= 0:
-        return prior
-    if background_rate_per_day <= 0 or mercurial_rate_per_day <= 0:
-        raise ValueError("rates must be positive")
-    lam_h = background_rate_per_day * observation_days
-    lam_m = mercurial_rate_per_day * observation_days
-    log_lr = (
-        signals * (math.log(lam_m) - math.log(lam_h)) - (lam_m - lam_h)
-    )
-    log_odds_prior = math.log(prior) - math.log1p(-prior)
-    log_odds = log_odds_prior + log_lr
-    # Numerically safe logistic.
-    if log_odds > 50:
-        return 1.0
-    if log_odds < -50:
-        return 0.0
-    return 1.0 / (1.0 + math.exp(-log_odds))

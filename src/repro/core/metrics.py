@@ -1,17 +1,18 @@
 """The §4 metrics, made computable.
 
 The paper struggles to define useful CEE metrics and proposes three
-candidates, each with a challenge.  This module implements all three
-against simulated ground truth plus the standard detection-quality
+candidates, each with a challenge.  This module implements the first
+two against simulated ground truth plus the standard detection-quality
 numbers the tradeoff discussion (§6) needs:
 
 - incidence: "the fraction of cores (or machines) that exhibit CEEs"
   (challenge: depends on test coverage — so we report both ground-truth
   and *detected* incidence, and their gap is the coverage shortfall);
 - age until onset (challenge: depends on how long you can wait — so the
-  estimator takes an observation horizon and reports censoring);
-- rate and nature of application-visible corruptions, including
-  stickiness (one CEE propagating into multiple application errors).
+  estimator takes an observation horizon and reports censoring).
+
+The third, the rate and nature of application-visible corruptions, is
+what the propagation (E4) and campaign rows (E15–E18) measure directly.
 """
 
 from __future__ import annotations
@@ -102,13 +103,6 @@ def incidence_per_kmachine(n_mercurial_machines: int, n_machines: int) -> float:
     return 1000.0 * n_mercurial_machines / n_machines
 
 
-def core_incidence_fraction(n_mercurial_cores: int, n_cores: int) -> float:
-    """Fraction of all cores that are mercurial (ground truth)."""
-    if n_cores <= 0:
-        raise ValueError("need a positive core count")
-    return n_mercurial_cores / n_cores
-
-
 @dataclasses.dataclass(frozen=True)
 class OnsetStats:
     """Age-until-onset summary with explicit censoring.
@@ -146,83 +140,3 @@ def onset_stats(
         median_days=statistics.median(visible),
         p90_days=visible[p90_index],
     )
-
-
-def visible_corruption_rate(
-    corruptions_detected_by_app: int, workload_hours: float
-) -> float:
-    """Application-visible corruptions per workload-hour (§4 metric 3)."""
-    if workload_hours <= 0:
-        raise ValueError("need positive workload hours")
-    return corruptions_detected_by_app / workload_hours
-
-
-def stickiness(root_corruptions: int, downstream_errors: int) -> float:
-    """Amplification: application-level errors per root CEE (§4).
-
-    1.0 means each corruption caused exactly one visible error;
-    larger values mean corruption propagated ("are corruptions
-    'sticky'?").  Returns 0 when there were no root corruptions.
-    """
-    if root_corruptions <= 0:
-        return 0.0
-    return downstream_errors / root_corruptions
-
-
-@dataclasses.dataclass(frozen=True)
-class FleetMetrics:
-    """Bundle of §4 metrics for one simulated campaign."""
-
-    machines: int
-    cores: int
-    mercurial_cores_truth: int
-    mercurial_cores_detected: int
-    detection: Confusion
-    onset: OnsetStats
-    visible_rate_per_hour: float
-    stickiness: float
-
-    @property
-    def truth_per_kmachine(self) -> float:
-        return 1000.0 * self.mercurial_cores_truth / self.machines
-
-    @property
-    def detected_per_kmachine(self) -> float:
-        return 1000.0 * self.mercurial_cores_detected / self.machines
-
-    @property
-    def coverage_shortfall(self) -> float:
-        """Fraction of truly mercurial cores the campaign missed —
-        the paper's 'depends on test coverage' caveat quantified."""
-        if self.mercurial_cores_truth == 0:
-            return 0.0
-        missed = self.mercurial_cores_truth - self.detection.true_positives
-        return missed / self.mercurial_cores_truth
-
-    def render(self) -> str:
-        """Human-readable report block."""
-        lines = [
-            f"fleet: {self.machines} machines / {self.cores} cores",
-            (
-                f"incidence (truth):    {self.truth_per_kmachine:.2f} "
-                "mercurial cores per 1000 machines"
-            ),
-            (
-                f"incidence (detected): {self.detected_per_kmachine:.2f} "
-                "per 1000 machines"
-            ),
-            (
-                f"detector: precision={self.detection.precision:.2f} "
-                f"recall={self.detection.recall:.2f} "
-                f"fpr={self.detection.false_positive_rate:.4f}"
-            ),
-            f"coverage shortfall: {self.coverage_shortfall:.1%}",
-            (
-                f"onset: median={self.onset.median_days:.0f}d "
-                f"p90={self.onset.p90_days:.0f}d "
-                f"censored={self.onset.censored_fraction:.0%}"
-            ),
-            f"app-visible corruption rate: {self.visible_rate_per_hour:.3g}/hour",
-            f"stickiness (errors per root CEE): {self.stickiness:.2f}",
-        ]
-        return "\n".join(lines)

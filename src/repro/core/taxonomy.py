@@ -9,8 +9,8 @@ The paper classifies the observable consequences of a mercurial core:
 4. wrong answers never detected — the worst case, with unbounded blast
    radius ("bad metadata can cause the loss of an entire file system").
 
-Experiments classify every ground-truth corruption into one of these
-classes by *when and whether* any detector noticed it.
+E2 classifies every ground-truth corruption into one of these classes
+by *when and whether* any detector noticed it.
 """
 
 from __future__ import annotations
@@ -43,35 +43,3 @@ _RISK_ORDER = (
     Symptom.WRONG_ANSWER_LATE,
     Symptom.WRONG_ANSWER_UNDETECTED,
 )
-
-
-def risk_ordered() -> tuple[Symptom, ...]:
-    """All symptom classes in the paper's increasing-risk order."""
-    return _RISK_ORDER
-
-
-def classify(
-    detected: bool,
-    machine_check: bool = False,
-    detection_latency: float | None = None,
-    retry_window: float = 0.0,
-) -> Symptom:
-    """Classify one corruption by its detection outcome.
-
-    Args:
-        detected: whether any check ever caught the wrong answer.
-        machine_check: the failure surfaced as a machine check.
-        detection_latency: time (same units as ``retry_window``) between
-            the corruption and its detection; ``None`` if undetected.
-        retry_window: latency budget within which a retry is still
-            possible (e.g. the request deadline or transaction window).
-    """
-    if machine_check:
-        return Symptom.MACHINE_CHECK
-    if not detected:
-        return Symptom.WRONG_ANSWER_UNDETECTED
-    if detection_latency is None:
-        raise ValueError("detected corruptions need a detection_latency")
-    if detection_latency <= retry_window:
-        return Symptom.WRONG_ANSWER_IMMEDIATE
-    return Symptom.WRONG_ANSWER_LATE

@@ -11,9 +11,6 @@ pre/post-deployment, offline/online, infrastructure/application); see
   spare-cycle screening vs drain-and-sweep interrogation.
 - :mod:`repro.detection.signals` — crash/MCE/sanitizer log analysis
   into per-core suspicion.
-- :mod:`repro.detection.sanitizer` — the sanitizer signal model.
-- :mod:`repro.detection.lockstep` — dual-core lockstep, the hardware
-  baseline.
 - :mod:`repro.detection.quarantine` — core- and machine-level
   isolation with cost accounting, plus safe-task analysis (§6.1).
 - :mod:`repro.detection.fleetscreen` — SiliFuzz-style corpus
@@ -41,9 +38,7 @@ from repro.detection.fleetscreen import (
     RideAlongScreener,
     distill,
     full_battery,
-    screen_shard,
 )
-from repro.detection.lockstep import LockstepMismatch, LockstepPair
 from repro.detection.offline import OfflineScreener, OfflineScreenerConfig
 from repro.detection.online import OnlineScreener, OnlineScreenerConfig
 from repro.detection.quarantine import (
@@ -51,10 +46,7 @@ from repro.detection.quarantine import (
     IsolationCost,
     MachineQuarantine,
     heuristic_safe_op_mix,
-    safe_op_mix,
-    units_implicated,
 )
-from repro.detection.sanitizer import SanitizerModel
 from repro.detection.screener import (
     Automation,
     DeploymentPhase,
@@ -85,9 +77,6 @@ __all__ = [
     "RideAlongScreener",
     "distill",
     "full_battery",
-    "screen_shard",
-    "LockstepMismatch",
-    "LockstepPair",
     "OfflineScreener",
     "OfflineScreenerConfig",
     "OnlineScreener",
@@ -96,9 +85,6 @@ __all__ = [
     "IsolationCost",
     "MachineQuarantine",
     "heuristic_safe_op_mix",
-    "safe_op_mix",
-    "units_implicated",
-    "SanitizerModel",
     "Automation",
     "DeploymentPhase",
     "Level",

@@ -662,6 +662,17 @@ class RideAlongCampaign:
         self, horizon_days: float, tick_days: float = 1.0
     ) -> RideAlongReport:
         """Run the campaign; returns latency/exposure accounting."""
+        # Unchecked, a negative or NaN horizon yields an empty but
+        # plausible-looking report and a zero, negative or infinite tick
+        # breaks the tick count.
+        if not (math.isfinite(horizon_days) and horizon_days >= 0):
+            raise ValueError(
+                f"horizon_days must be finite and >= 0, got {horizon_days}"
+            )
+        if not (math.isfinite(tick_days) and tick_days > 0):
+            raise ValueError(
+                f"tick_days must be finite and > 0, got {tick_days}"
+            )
         columns = self.columns
         merc_flat = np.asarray(columns.merc_core, dtype=np.int64)
         merc_machine = columns.core_machine[merc_flat].astype(np.int64)
@@ -742,36 +753,6 @@ class RideAlongCampaign:
         )
 
 
-def screen_shard(
-    columns: FleetColumns,
-    battery: DistilledBattery,
-    shard: int,
-    n_shards: int,
-    now_days: float,
-    seed: int,
-    env_boost: float = 1.0,
-) -> FleetScreenResult:
-    """Screen one machine-contiguous shard of a fleet (worker kernel).
-
-    Designed for :func:`repro.engine.runner.run_fleet_trials` fan-out:
-    each worker attaches the shm snapshot zero-copy and screens its
-    machine range.  Sharding by machine keeps every core of a machine
-    in exactly one shard, so shard results concatenate into exactly a
-    whole-fleet screen.
-    """
-    if not 0 <= shard < n_shards:
-        raise ValueError("shard index out of range")
-    bounds = np.linspace(0, columns.n_machines, n_shards + 1).astype(int)
-    lo_machine, hi_machine = int(bounds[shard]), int(bounds[shard + 1])
-    lo = int(columns.machine_core_start[lo_machine])
-    hi = int(columns.machine_core_start[hi_machine])
-    subset = np.zeros(columns.n_cores, dtype=bool)
-    subset[lo:hi] = True
-    screener = FleetScreener(battery, env_boost=env_boost)
-    rng = np.random.default_rng(seed)
-    return screener.screen(columns, now_days, rng, subset=subset)
-
-
 __all__ = [
     "DistilledBattery",
     "FleetScreenResult",
@@ -784,6 +765,5 @@ __all__ = [
     "UNIT_ORDER",
     "distill",
     "full_battery",
-    "screen_shard",
     "unit_ops_vector",
 ]

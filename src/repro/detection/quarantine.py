@@ -115,41 +115,15 @@ class MachineQuarantine:
         )
 
 
-def safe_op_mix(core: Core, op_mix: dict[str, float], threshold: float = 1e-9) -> bool:
-    """Would this op mix be (approximately) safe on this core?
-
-    §6.1: "one might identify a set of tasks that can run safely on a
-    given mercurial core (if these tasks avoid a defective execution
-    unit) ... It is not clear, though, if we can reliably identify safe
-    tasks."  This function answers with the *simulator's* knowledge of
-    the defect's targeting — experiments use it as the oracle upper
-    bound on what such a scheme could save, and compare against
-    unit-level heuristics that only know which unit confessed.
-    """
-    return core.mean_rate(op_mix) < threshold
-
-
-def units_implicated(failed_test_units: list[frozenset]) -> frozenset:
-    """Intersect/union heuristic: which units do confessions implicate?
-
-    With one failed test the answer is its unit set; with several, the
-    union (the paper: "the mapping of instructions to possibly-defective
-    hardware is non-obvious", so we stay conservative).
-    """
-    implicated: set = set()
-    for units in failed_test_units:
-        implicated |= units
-    return frozenset(implicated)
-
-
 def heuristic_safe_op_mix(
     implicated_units: frozenset, op_mix: dict[str, float], tolerance: float = 0.0
 ) -> bool:
     """Unit-avoidance heuristic: mix is safe if it avoids implicated units.
 
-    Unlike :func:`safe_op_mix` this uses only observable information
-    (which tests failed).  ``tolerance`` permits a tiny fraction of ops
-    on implicated units (e.g. for mixes measured with noise).
+    It uses only observable information (which tests failed), never the
+    simulator's knowledge of the defect's targeting.  ``tolerance``
+    permits a tiny fraction of ops on implicated units (e.g. for mixes
+    measured with noise).
     """
     exposure = sum(
         fraction

@@ -185,20 +185,8 @@ def default_weights() -> dict[EventKind, float]:
     return {kind: entry.weight for kind, entry in SUSPICION_WEIGHTS.items()}
 
 
-def describe_weights() -> str:
-    """Human-readable weight table, heaviest first (for reports)."""
-    ordered = sorted(
-        SUSPICION_WEIGHTS.items(), key=lambda kv: kv[1].weight, reverse=True
-    )
-    return "\n".join(
-        f"{kind.value:<22} {entry.weight:>4.1f}  {entry.rationale}"
-        for kind, entry in ordered
-    )
-
-
 __all__ = [
     "SUSPICION_WEIGHTS",
     "SuspicionWeight",
     "default_weights",
-    "describe_weights",
 ]

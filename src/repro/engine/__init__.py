@@ -2,7 +2,6 @@
 
 from repro.engine.runner import (
     Trial,
-    TrialEngine,
     WorkerCrashError,
     WORKERS_ENV,
     derive_trial_seeds,
@@ -15,7 +14,6 @@ from repro.engine.runner import (
 
 __all__ = [
     "Trial",
-    "TrialEngine",
     "WorkerCrashError",
     "WORKERS_ENV",
     "derive_trial_seeds",

@@ -30,7 +30,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -297,28 +297,3 @@ def run_fleet_trials(
         )
     finally:
         snapshot.close()
-
-
-@dataclasses.dataclass(slots=True)
-class TrialEngine:
-    """A configured handle on the pool, for callers that fan out twice.
-
-    Thin convenience over :func:`run_tasks` / :func:`run_trials`; the
-    functions remain the primary API.
-    """
-
-    workers: int | None = None
-    chunk_size: int | None = None
-
-    def run_tasks(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        return run_tasks(
-            fn, items, workers=self.workers, chunk_size=self.chunk_size
-        )
-
-    def run_trials(
-        self, fn: Callable[[Trial], R], n_trials: int, *, seed: int = 0
-    ) -> list[R]:
-        return run_trials(
-            fn, n_trials, seed=seed,
-            workers=self.workers, chunk_size=self.chunk_size,
-        )

@@ -76,18 +76,3 @@ DEFAULT_PRODUCTS: tuple[CpuProduct, ...] = (
         onset=WeibullOnset(scale_days=500.0, shape=2.4, escape_fraction=0.25),
     ),
 )
-
-
-def blended_machine_prevalence(
-    products: tuple[CpuProduct, ...] = DEFAULT_PRODUCTS,
-    weights: tuple[float, ...] | None = None,
-) -> float:
-    """Fleet-level machine prevalence for a product mix."""
-    if weights is None:
-        weights = tuple(1.0 for _ in products)
-    if len(weights) != len(products):
-        raise ValueError("one weight per product")
-    total = sum(weights)
-    return sum(
-        w * p.machine_prevalence for w, p in zip(weights, products)
-    ) / total

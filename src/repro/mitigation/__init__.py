@@ -4,12 +4,14 @@
   unreliable-voter ablation.
 - :mod:`repro.mitigation.checkpoint` — granular execute-check-commit
   with restart-on-another-core.
-- :mod:`repro.mitigation.selfcheck` — self-checking crypto/compression
-  wrappers (same-core and cross-core verification).
-- :mod:`repro.mitigation.e2e` — end-to-end checksums and replicated
-  state machines (the Colossus/Spanner patterns).
-- :mod:`repro.mitigation.resilient` — ABFT matrix algorithms, resilient
-  sorting, Blum–Kannan checkers.
+- :mod:`repro.mitigation.selfcheck` — the self-checking cipher
+  (same-core and cross-core verification).
+- :mod:`repro.mitigation.resilient` — ABFT matrix algorithms and
+  resilient sorting.
+
+End-to-end checks (the Colossus/Spanner patterns) live where they run:
+E15's response validator, E16's verify-after-encrypt and CRC-framed
+write-ahead log (:mod:`repro.storage`) and E18's ``e2e`` arm.
 """
 
 from repro.mitigation.bft import (
@@ -22,12 +24,6 @@ from repro.mitigation.checkpoint import (
     CheckpointRuntime,
     CheckpointStats,
     GranuleFailedError,
-)
-from repro.mitigation.e2e import (
-    ChecksummedStore,
-    E2eStats,
-    IntegrityError,
-    ReplicatedStateMachine,
 )
 from repro.mitigation.redundancy import (
     DmrExecutor,
@@ -45,10 +41,8 @@ from repro.mitigation.selective import (
 )
 from repro.mitigation.selfcheck import (
     CheckedCipher,
-    CheckedCodec,
     SelfCheckError,
     SelfCheckStats,
-    selfchecked,
 )
 
 __all__ = [
@@ -65,17 +59,11 @@ __all__ = [
     "CheckpointRuntime",
     "CheckpointStats",
     "GranuleFailedError",
-    "ChecksummedStore",
-    "E2eStats",
-    "IntegrityError",
-    "ReplicatedStateMachine",
     "DmrExecutor",
     "RedundancyExhaustedError",
     "RedundantOutcome",
     "TmrExecutor",
     "CheckedCipher",
-    "CheckedCodec",
     "SelfCheckError",
     "SelfCheckStats",
-    "selfchecked",
 ]

@@ -1,18 +1,10 @@
 """SDC-resilient algorithms: the paper's §7/§9 algorithmic mitigations."""
 
-from repro.mitigation.resilient.checkers import (
-    CheckFailedError,
-    checked_computation,
-    freivalds_check,
-    permutation_check,
-    sorting_checker,
-)
 from repro.mitigation.resilient.matfact import (
     AbftError,
     GF_PRIME,
     abft_matmul,
     checksummed_lu,
-    gf_matmul,
     matmul,
 )
 from repro.mitigation.resilient.sorting import (
@@ -24,16 +16,10 @@ from repro.mitigation.resilient.sorting import (
 )
 
 __all__ = [
-    "CheckFailedError",
-    "checked_computation",
-    "freivalds_check",
-    "permutation_check",
-    "sorting_checker",
     "AbftError",
     "GF_PRIME",
     "abft_matmul",
     "checksummed_lu",
-    "gf_matmul",
     "matmul",
     "SortVerificationError",
     "multiset_checksums",

@@ -10,7 +10,7 @@ silicon:
   addition mod 2**64 is exact, so a single corrupted output element is
   detected, located (row × column checksum intersection) and corrected
   arithmetically — no re-execution needed.
-- :class:`GfMatrix` / :func:`checksummed_lu` — LU factorization over
+- :func:`checksummed_lu` — LU factorization over
   the prime field GF(2**61 − 1) with an appended checksum column
   maintained through elimination.  The field gives exact division
   (modular inverse), so checksum validity is an invariant of every
@@ -204,20 +204,6 @@ def _gf_inv(core: CoreLike, a: int) -> int:
     return result
 
 
-class GfMatrix:
-    """A matrix over GF(2^61 - 1) with core-routed arithmetic."""
-
-    def __init__(self, core: CoreLike, rows: Sequence[Sequence[int]]):
-        self.core = core
-        self.rows: Matrix = [[v % GF_PRIME for v in row] for row in rows]
-        if not self.rows or any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise ValueError("matrix must be rectangular and non-empty")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
-
-
 def checksummed_lu(
     core: CoreLike, matrix: Sequence[Sequence[int]]
 ) -> tuple[Matrix, Matrix, int]:
@@ -270,17 +256,3 @@ def checksummed_lu(
                 )
     upper = [[work[i][j] if j >= i else 0 for j in range(n)] for i in range(n)]
     return lower, upper, checks
-
-
-def gf_matmul(core: CoreLike, a: Matrix, b: Matrix) -> Matrix:
-    """Multiply over GF(p) (used to verify L·U == A in tests)."""
-    n, k = len(a), len(a[0])
-    m = len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                acc = _gf_add(core, acc, _gf_mul(core, a[i][t], b[t][j]))
-            out[i][j] = acc
-    return out

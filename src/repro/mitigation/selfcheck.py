@@ -6,23 +6,22 @@ libraries with self-checking implementations of critical functions,
 such as encryption and compression, where one CEE could have a large
 blast radius."
 
-Two strengths of check are provided, because the paper's self-inverting
-AES defect (§2) defeats the naive one:
+:class:`CheckedCipher` is the encryption one.  Two strengths of check
+are provided, because the paper's self-inverting AES defect (§2)
+defeats the naive one:
 
 - *same-core* round-trip checks (cheap; catch intermittent defects);
-- *cross-core* verification (the decrypt/decompress runs on a different
-  core; catches even deterministic self-inverting defects, at the cost
-  of needing a second core — a small, targeted application of the
+- *cross-core* verification (the decrypt runs on a different core;
+  catches even deterministic self-inverting defects, at the cost of
+  needing a second core — a small, targeted application of the
   end-to-end argument).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 from repro.workloads.base import CoreLike
-from repro.workloads.compression import compress, decompress
 from repro.workloads.crypto import decrypt_ecb, encrypt_ecb
 
 
@@ -95,55 +94,3 @@ class CheckedCipher:
             self.stats.failures_caught += 1
             raise SelfCheckError("plaintext does not re-encrypt to ciphertext")
         return plaintext
-
-
-class CheckedCodec:
-    """Compression with compress-then-verify."""
-
-    def __init__(self, core: CoreLike, verify_core: CoreLike | None = None):
-        self.core = core
-        self.verify_core = verify_core if verify_core is not None else core
-        self.stats = SelfCheckStats()
-
-    def compress(self, data: bytes) -> bytes:
-        """Compress and verify by decompressing on ``verify_core``.
-
-        Raises:
-            SelfCheckError: round trip failed.
-        """
-        self.stats.operations += 1
-        blob = compress(self.core, data)
-        self.stats.verifications += 1
-        try:
-            restored = decompress(self.verify_core, blob)
-        except Exception as exc:
-            self.stats.failures_caught += 1
-            raise SelfCheckError(f"verification decompress failed: {exc}") from exc
-        if restored != data:
-            self.stats.failures_caught += 1
-            raise SelfCheckError("decompressed output differs from input")
-        return blob
-
-
-def selfchecked(
-    operation: Callable[[], object],
-    verify: Callable[[object], bool],
-    retries: int = 2,
-    on_failure: Callable[[], None] | None = None,
-) -> object:
-    """Generic execute-verify-retry combinator.
-
-    Runs ``operation`` and accepts the result only if ``verify`` does;
-    otherwise retries (optionally notifying ``on_failure``, e.g. to
-    file a :class:`~repro.core.report.Complaint`).
-
-    Raises:
-        SelfCheckError: every attempt failed verification.
-    """
-    for _ in range(retries + 1):
-        result = operation()
-        if verify(result):
-            return result
-        if on_failure is not None:
-            on_failure()
-    raise SelfCheckError(f"verification failed after {retries + 1} attempts")

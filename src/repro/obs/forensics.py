@@ -131,10 +131,6 @@ def span_stats(spans: list[Span]) -> dict[str, dict]:
     return dict(sorted(stats.items()))
 
 
-def _fmt_ms(value: float | None) -> str:
-    return "-" if value is None else f"{value:.1f} ms"
-
-
 def render_forensics(
     title: str,
     summary: dict[str, dict],

@@ -31,10 +31,6 @@ FLEET_EVENTS_TOTAL = "fleet_events_total"
 FLEET_QUARANTINES_TOTAL = "fleet_quarantines_total"
 FLEET_DETECTION_LATENCY_DAYS = "fleet_detection_latency_days"
 
-TELEMETRY_MCE_RECORDS_TOTAL = "telemetry_mce_records_total"
-TELEMETRY_MCE_EVENTS_TOTAL = "telemetry_mce_events_total"
-TELEMETRY_CRASH_DUMPS_TOTAL = "telemetry_crash_dumps_total"
-
 DETECTION_CONFUSION = "detection_confusion"
 DETECTION_ISOLATIONS_TOTAL = "detection_isolations_total"
 

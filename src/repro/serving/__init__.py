@@ -26,7 +26,6 @@ from repro.serving.cluster import (
     ConsistentHashRouter,
     DegradationPolicy,
     DegradationTier,
-    LeastLoadedRouter,
     ReplicaRouter,
     RetryBudget,
     RetryBudgetConfig,
@@ -89,7 +88,6 @@ __all__ = [
     "DegradationTier",
     "HardeningConfig",
     "HedgePolicy",
-    "LeastLoadedRouter",
     "LoadGenerator",
     "LoadPhase",
     "LoadProfile",

@@ -8,9 +8,9 @@ runs on:
 - **Pluggable routers** replacing the bare
   :class:`~repro.serving.service.RoundRobinRouter`:
   :class:`ConsistentHashRouter` (stable user→replica affinity, minimal
-  remap when replicas join or leave) and :class:`LeastLoadedRouter`
-  (hot-spot absorption).  All routers share one ``pick`` contract
-  including the exclusion set the retry/breaker machinery relies on.
+  remap when replicas join or leave) beside the round-robin control
+  arm.  All routers share one ``pick`` contract including the
+  exclusion set the retry/breaker machinery relies on.
 - **Per-shard state** — each :class:`Shard` owns its replica router,
   its own :class:`~repro.serving.robustness.BreakerBoard`, a request
   queue, a stale-response cache, and a degradation tier.
@@ -186,36 +186,10 @@ class ConsistentHashRouter(ReplicaRouter):
         return None
 
 
-class LeastLoadedRouter(ReplicaRouter):
-    """Power-of-all-choices: route to the least-assigned live replica.
-
-    Load is the monotone ``assigned`` counter on each replica (picks,
-    not completions — the simulation dispatches synchronously), with
-    the replica-list position as the deterministic tie-break.
-    """
-
-    def pick(
-        self,
-        exclude_core_ids: set[str] | None = None,
-        route_key: int | None = None,
-    ) -> ServerReplica | None:
-        exclude = exclude_core_ids or set()
-        best: ServerReplica | None = None
-        for replica in self.replicas:
-            if not replica.available or replica.core_id in exclude:
-                continue
-            if best is None or replica.assigned < best.assigned:
-                best = replica
-        if best is not None:
-            best.assigned += 1
-        return best
-
-
 #: router policy name → constructor (the E17 config knob)
 ROUTER_POLICIES: dict[str, type[ReplicaRouter]] = {
     "round-robin": ShardRoundRobinRouter,
     "consistent-hash": ConsistentHashRouter,
-    "least-loaded": LeastLoadedRouter,
 }
 
 
@@ -489,7 +463,6 @@ __all__ = [
     "ConsistentHashRouter",
     "DegradationPolicy",
     "DegradationTier",
-    "LeastLoadedRouter",
     "ROUTER_POLICIES",
     "ReplicaRouter",
     "RetryBudget",

@@ -6,8 +6,8 @@ Each mechanism is one §7-style defence, composable via
 - :class:`ResponseValidator` — the end-to-end argument applied to RPC:
   the *client* computes a checksum on its own (trusted) core before the
   request crosses a possibly-mercurial server core, and re-verifies the
-  response against it — the same mechanism as
-  :class:`repro.mitigation.e2e.ChecksummedStore`, reusing the same
+  response against it — the same mechanism as the CRC-framed records
+  of :mod:`repro.storage`, reusing the same
   :func:`~repro.workloads.hashing.crc64` primitive.
 - :class:`RetryPolicy` — exponential backoff with full jitter, with a
   *core-diversity* rule: a retry is never sent to a core that already

@@ -131,8 +131,8 @@ class ServerReplica:
         #: chaos hook: force the next N requests to raise machine checks
         self.forced_mce_remaining = 0
         self.requests_served = 0
-        #: attempts routed here (the least-loaded router's load proxy;
-        #: counts picks, not completions, so it is monotone per tick)
+        #: attempts routed here (counts picks, not completions, so it is
+        #: monotone per tick)
         self.assigned = 0
 
     @property

@@ -31,7 +31,6 @@ simulator can run months of simulated time without executing ops.
 from __future__ import annotations
 
 import abc
-import dataclasses
 from typing import FrozenSet, Iterable, Sequence
 
 import numpy as np
@@ -79,16 +78,6 @@ def resolve_target_ops(
 def flip_bit(value: int, bit: int) -> int:
     """Flip ``bit`` of a non-negative integer value."""
     return value ^ (1 << bit)
-
-
-@dataclasses.dataclass(slots=True)
-class CorruptionRecord:
-    """Ground-truth record of one induced corruption (for accounting)."""
-
-    defect_id: str
-    op: str
-    golden: object
-    corrupted: object
 
 
 class DefectModel(abc.ABC):

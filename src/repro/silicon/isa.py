@@ -100,8 +100,6 @@ FORMATS: dict[str, tuple[str, str | None]] = {
     "halt": ("", None),
 }
 
-ALL_MNEMONICS: tuple[str, ...] = tuple(FORMATS)
-
 
 def validate(instruction: Instruction) -> None:
     """Check operand count and register ranges; raise ValueError if bad."""

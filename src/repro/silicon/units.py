@@ -216,11 +216,6 @@ def unit_of(op: str) -> FunctionalUnit:
     return OP_UNIT[op]
 
 
-def logic_blocks_of(op: str) -> FrozenSet[LogicBlock]:
-    """Return the logic blocks an ``op`` result flows through."""
-    return OP_LOGIC_BLOCKS[op]
-
-
 def ops_touching(block: LogicBlock) -> tuple[str, ...]:
     """Return every operation whose datapath includes ``block``."""
     return tuple(op for op, blocks in OP_LOGIC_BLOCKS.items() if block in blocks)

@@ -28,7 +28,6 @@ from repro.workloads.copying import (
     copy_bytes,
     copy_words,
     copying_workload,
-    unchecked_copy_workload,
 )
 from repro.workloads.crypto import (
     crypto_workload,
@@ -43,7 +42,6 @@ from repro.workloads.database import (
     QueryStats,
     Record,
     Replica,
-    ReplicatedDb,
     database_workload,
     probe_replica,
 )
@@ -52,10 +50,8 @@ from repro.workloads.generator import (
     CALIBRATION_SEED,
     PINNED_OP_COUNTS,
     STANDARD_MIX,
-    WorkloadMixer,
     WorkloadSpec,
     blended_op_mix,
-    measured_mix,
     spec_by_name,
     spec_op_mix,
 )
@@ -68,10 +64,9 @@ from repro.workloads.locking import (
 from repro.workloads.sorting import (
     is_sorted_on,
     merge_sort,
-    quicksort,
     sorting_workload,
 )
-from repro.workloads.vectorops import axpy, dot, vector_workload, vsum, xor_fold
+from repro.workloads.vectorops import dot, vector_workload, xor_fold
 
 __all__ = [
     "CoreLike",
@@ -91,7 +86,6 @@ __all__ = [
     "copy_bytes",
     "copy_words",
     "copying_workload",
-    "unchecked_copy_workload",
     "crypto_workload",
     "decrypt_block",
     "decrypt_ecb",
@@ -102,7 +96,6 @@ __all__ = [
     "QueryStats",
     "Record",
     "Replica",
-    "ReplicatedDb",
     "database_workload",
     "probe_replica",
     "FsError",
@@ -111,10 +104,8 @@ __all__ = [
     "CALIBRATION_SEED",
     "PINNED_OP_COUNTS",
     "STANDARD_MIX",
-    "WorkloadMixer",
     "WorkloadSpec",
     "blended_op_mix",
-    "measured_mix",
     "spec_by_name",
     "spec_op_mix",
     "crc64",
@@ -126,11 +117,8 @@ __all__ = [
     "run_locked_counter",
     "is_sorted_on",
     "merge_sort",
-    "quicksort",
     "sorting_workload",
-    "axpy",
     "dot",
     "vector_workload",
-    "vsum",
     "xor_fold",
 ]

@@ -41,9 +41,9 @@ def credit_untargeted(core: CoreLike, ops: frozenset[str], n_ops: int) -> bool:
     """:meth:`Core.credit_untargeted` for any ``CoreLike``.
 
     The per-op wrappers (:class:`OpCountingCore`, the instruction
-    checkers, fault injectors, lockstep pairs, the VM) are not ``Core``
-    objects and must see every op, so for them the answer is False and
-    the primitive issues its ops one by one.
+    checkers, fault injectors, the VM) are not ``Core`` objects and
+    must see every op, so for them the answer is False and the
+    primitive issues its ops one by one.
     """
     return isinstance(core, Core) and core.credit_untargeted(ops, n_ops)
 

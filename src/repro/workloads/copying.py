@@ -65,20 +65,3 @@ def copying_workload(
         app_detected=corrupted,
         units=len(words),
     )
-
-
-def unchecked_copy_workload(
-    core: CoreLike, words: list[int], chunk: int = 64
-) -> WorkloadResult:
-    """Copy with *no* self-check: the §2 worst case.
-
-    Corruption here is silent; only cross-core comparison (the oracle)
-    or a downstream consumer ever notices.
-    """
-    copied = copy_words(core, words, chunk)
-    return WorkloadResult(
-        name="copying_unchecked",
-        output_digest=digest_ints(copied),
-        app_detected=False,
-        units=len(words),
-    )

@@ -173,24 +173,6 @@ class Replica:
         return self.heap[slot]
 
 
-class ReplicatedDb:
-    """N replicas of the same table, each indexed on its own core."""
-
-    def __init__(self, cores: list[CoreLike]):
-        if not cores:
-            raise ValueError("need at least one replica core")
-        self.replicas = [Replica(core) for core in cores]
-
-    def insert(self, key: int, payload: tuple[int, ...]) -> None:
-        """Insert into every replica (each on its own core)."""
-        for replica in self.replicas:
-            replica.insert(key, payload)
-
-    def query(self, key: int, replica_index: int) -> Record | None:
-        """Serve a query from the chosen replica — §2's nondeterminism."""
-        return self.replicas[replica_index % len(self.replicas)].get(key)
-
-
 @dataclasses.dataclass(frozen=True)
 class QueryStats:
     """Probe outcome counts for one replica."""

@@ -189,13 +189,6 @@ def spec_op_mix(
     return tuple(sorted(mix.items()))
 
 
-def measured_mix(
-    name: str, seed: int = CALIBRATION_SEED
-) -> tuple[tuple[str, float], ...]:
-    """:func:`spec_op_mix` of the standard-mix workload called ``name``."""
-    return spec_op_mix(spec_by_name(name), seed)
-
-
 def blended_op_mix(
     specs: tuple[WorkloadSpec, ...] = STANDARD_MIX, seed: int = CALIBRATION_SEED
 ) -> dict[str, float]:
@@ -210,31 +203,3 @@ def blended_op_mix(
         for op, fraction in spec_op_mix(spec, seed):
             blended[op] = blended.get(op, 0.0) + spec.weight * fraction / total_weight
     return blended
-
-
-class WorkloadMixer:
-    """Samples deterministic units of work from a weighted mix."""
-
-    def __init__(
-        self,
-        specs: tuple[WorkloadSpec, ...] = STANDARD_MIX,
-        rng: np.random.Generator | None = None,
-    ):
-        if not specs:
-            raise ValueError("need at least one workload spec")
-        self.specs = specs
-        self.rng = rng if rng is not None else np.random.default_rng(0)  # repro: noqa-DET004 -- documented fallback; campaigns pass a trial-derived rng
-        weights = np.array([spec.weight for spec in specs], dtype=float)
-        self._probabilities = weights / weights.sum()
-
-    def sample(self) -> tuple[WorkloadSpec, Callable[[CoreLike], WorkloadResult]]:
-        """Draw (spec, ready-to-run work closure)."""
-        index = int(self.rng.choice(len(self.specs), p=self._probabilities))
-        spec = self.specs[index]
-        seed = int(self.rng.integers(2**31))
-        return spec, spec.build(seed)
-
-    def run_random(self, core: CoreLike) -> WorkloadResult:
-        """Sample one unit of work and run it on ``core``."""
-        _, work = self.sample()
-        return work(core)

@@ -111,13 +111,6 @@ def mix64(core: CoreLike, x: int) -> int:
     return x
 
 
-def hash_stream(core: CoreLike, seeds: list[int]) -> list[int]:
-    """Mix a list of seeds; the vectorizable form of :func:`mix64`."""
-    if credit_untargeted(core, _MIX_OPS, _MIX_N_OPS * len(seeds)):
-        return [_golden_mix64(seed) for seed in seeds]
-    return [mix64(core, seed) for seed in seeds]
-
-
 def hashing_workload(core: CoreLike, data: bytes) -> WorkloadResult:
     """One unit of hash work with an internal cross-check.
 

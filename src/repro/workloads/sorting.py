@@ -1,7 +1,7 @@
 """Sorting through a possibly-defective comparator.
 
 Sorting is the canonical SDC-study algorithm (the paper cites empirical
-soft-error studies of sorting [11]).  Both sorts below funnel *every*
+soft-error studies of sorting [11]).  The sort below funnels *every*
 element comparison through the core's comparator, so a comparator
 defect yields misordered output — and, instructively, the natural
 "is it sorted?" self-check uses the same broken comparator and can be
@@ -42,30 +42,6 @@ def merge_sort(core: CoreLike, values: list[int]) -> list[int]:
             merged.extend(right[j:])
         items = merged
         width *= 2
-    return items
-
-
-def quicksort(core: CoreLike, values: list[int]) -> list[int]:
-    """Iterative Hoare-style quicksort; comparisons on the core."""
-    items = list(values)
-    stack = [(0, len(items) - 1)]
-    while stack:
-        low, high = stack.pop()
-        if low >= high:
-            continue
-        pivot = items[(low + high) // 2]
-        i, j = low, high
-        while i <= j:
-            while less_than(core, items[i], pivot):
-                i += 1
-            while less_than(core, pivot, items[j]):
-                j -= 1
-            if i <= j:
-                items[i], items[j] = items[j], items[i]
-                i += 1
-                j -= 1
-        stack.append((low, j))
-        stack.append((i, high))
     return items
 
 

@@ -23,14 +23,6 @@ def _chunks(values: list[int], width: int = VLEN):
         yield tuple(chunk)
 
 
-def vsum(core: CoreLike, values: list[int]) -> int:
-    """Horizontal sum via the vector unit."""
-    total = 0
-    for chunk in _chunks(values):
-        total = core.execute(Op.ADD, total, core.execute(Op.VSUM, chunk))
-    return total
-
-
 def dot(core: CoreLike, xs: list[int], ys: list[int]) -> int:
     """Dot product via lane-wise multiply + horizontal add."""
     if len(xs) != len(ys):
@@ -39,18 +31,6 @@ def dot(core: CoreLike, xs: list[int], ys: list[int]) -> int:
     for cx, cy in zip(_chunks(xs), _chunks(ys)):
         total = core.execute(Op.ADD, total, core.execute(Op.VDOT, cx, cy))
     return total
-
-
-def axpy(core: CoreLike, alpha: int, xs: list[int], ys: list[int]) -> list[int]:
-    """y <- alpha*x + y over vector lanes."""
-    if len(xs) != len(ys):
-        raise ValueError("length mismatch")
-    avec = (alpha,) * VLEN
-    out: list[int] = []
-    for cx, cy in zip(_chunks(xs), _chunks(ys)):
-        scaled = core.execute(Op.VMUL, cx, avec)
-        out.extend(core.execute(Op.VADD, scaled, cy))
-    return out[: len(xs)]
 
 
 def xor_fold(core: CoreLike, values: list[int]) -> int:

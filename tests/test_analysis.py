@@ -7,18 +7,14 @@ import pytest
 from repro.analysis.economics import (
     ScreeningPolicy,
     exposure_before_detection,
-    false_positive_cost,
     policy_frontier,
 )
 from repro.analysis.figures import (
-    normalize_series,
     render_fig1,
     render_series,
     render_table,
 )
 from repro.analysis.stats import (
-    binomial_ci,
-    exposure_needed,
     orders_of_magnitude_spread,
     poisson_rate_ci,
     trend_slope,
@@ -49,25 +45,6 @@ class TestPoissonCi:
     def test_validation(self):
         with pytest.raises(ValueError):
             poisson_rate_ci(1, 0.0)
-
-
-class TestBinomialCi:
-    def test_bounds(self):
-        lower, upper = binomial_ci(5, 10)
-        assert 0.0 < lower < 0.5 < upper < 1.0
-
-    def test_edge_cases(self):
-        assert binomial_ci(0, 10)[0] == 0.0
-        assert binomial_ci(10, 10)[1] == 1.0
-
-
-class TestExposureNeeded:
-    def test_rarer_rates_need_more_exposure(self):
-        assert exposure_needed(1e-6) > exposure_needed(1e-3)
-
-    def test_tighter_precision_needs_more_exposure(self):
-        assert exposure_needed(1e-3, relative_precision=0.1) > \
-            exposure_needed(1e-3, relative_precision=0.5)
 
 
 class TestTrendAndSpread:
@@ -120,20 +97,8 @@ class TestScreeningEconomics:
             assert row["detectable_fraction"] > 0
             assert row["compute_cost_fraction"] > 0
 
-    def test_false_positive_cost_scales(self):
-        policy = ScreeningPolicy(period_days=7.0, corpus_ops=1e5)
-        a = false_positive_cost(1e-6, policy, n_cores=1000, horizon_days=365.0)
-        b = false_positive_cost(1e-5, policy, n_cores=1000, horizon_days=365.0)
-        assert b == pytest.approx(10 * a)
-
 
 class TestFigures:
-    def test_normalize_series_first_nonzero_baseline(self):
-        series = [(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)]
-        normalized = normalize_series(series)
-        assert normalized[1][1] == pytest.approx(1.0)
-        assert normalized[2][1] == pytest.approx(2.0)
-
     def test_render_series_contains_values(self):
         text = render_series([(0.0, 1.0), (30.0, 2.0)], "title")
         assert "title" in text and "t=" in text

@@ -1,8 +1,8 @@
-"""Suspicion tracking and Bayesian posterior."""
+"""Suspicion tracking."""
 
 import pytest
 
-from repro.core.confidence import SuspicionTracker, posterior_mercurial
+from repro.core.confidence import SuspicionTracker
 
 
 class TestSuspicionTracker:
@@ -51,40 +51,3 @@ class TestSuspicionTracker:
     def test_invalid_half_life(self):
         with pytest.raises(ValueError):
             SuspicionTracker(half_life_days=0.0)
-
-
-class TestPosterior:
-    def test_no_signals_low_posterior(self):
-        p = posterior_mercurial(
-            signals=0, observation_days=30.0,
-            background_rate_per_day=0.01, mercurial_rate_per_day=1.0,
-        )
-        assert p < 1e-3
-
-    def test_many_signals_high_posterior(self):
-        p = posterior_mercurial(
-            signals=20, observation_days=30.0,
-            background_rate_per_day=0.01, mercurial_rate_per_day=1.0,
-        )
-        assert p > 0.99
-
-    def test_posterior_monotone_in_signals(self):
-        values = [
-            posterior_mercurial(
-                signals=k, observation_days=30.0,
-                background_rate_per_day=0.01, mercurial_rate_per_day=0.5,
-            )
-            for k in range(0, 10)
-        ]
-        assert values == sorted(values)
-
-    def test_zero_observation_returns_prior(self):
-        assert posterior_mercurial(
-            signals=0, observation_days=0.0,
-            background_rate_per_day=0.01, mercurial_rate_per_day=1.0,
-            prior=0.005,
-        ) == 0.005
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
-            posterior_mercurial(1, 1.0, 0.0, 1.0)

@@ -6,13 +6,9 @@ import pytest
 
 from repro.core.metrics import (
     Confusion,
-    FleetMetrics,
     confusion,
-    core_incidence_fraction,
     incidence_per_kmachine,
     onset_stats,
-    stickiness,
-    visible_corruption_rate,
 )
 
 
@@ -39,9 +35,6 @@ class TestIncidence:
     def test_per_kmachine(self):
         assert incidence_per_kmachine(4, 4000) == pytest.approx(1.0)
 
-    def test_core_fraction(self):
-        assert core_incidence_fraction(2, 1000) == pytest.approx(0.002)
-
     def test_zero_machines_rejected(self):
         with pytest.raises(ValueError):
             incidence_per_kmachine(1, 0)
@@ -59,46 +52,3 @@ class TestOnsetStats:
         stats = onset_stats([400.0], horizon_days=365.0)
         assert stats.observed == 0
         assert math.isnan(stats.mean_days)
-
-
-class TestRatesAndStickiness:
-    def test_visible_rate(self):
-        assert visible_corruption_rate(6, 3.0) == pytest.approx(2.0)
-
-    def test_visible_rate_needs_positive_hours(self):
-        with pytest.raises(ValueError):
-            visible_corruption_rate(1, 0.0)
-
-    def test_stickiness_amplification(self):
-        assert stickiness(2, 10) == pytest.approx(5.0)
-
-    def test_stickiness_no_roots(self):
-        assert stickiness(0, 5) == 0.0
-
-
-class TestFleetMetrics:
-    def _bundle(self):
-        return FleetMetrics(
-            machines=1000,
-            cores=32000,
-            mercurial_cores_truth=4,
-            mercurial_cores_detected=3,
-            detection=Confusion(3, 1, 1, 31995),
-            onset=onset_stats([0.0, 100.0, 200.0, 900.0], 365.0),
-            visible_rate_per_hour=0.01,
-            stickiness=2.5,
-        )
-
-    def test_per_kmachine_views(self):
-        bundle = self._bundle()
-        assert bundle.truth_per_kmachine == pytest.approx(4.0)
-        assert bundle.detected_per_kmachine == pytest.approx(3.0)
-
-    def test_coverage_shortfall(self):
-        assert self._bundle().coverage_shortfall == pytest.approx(0.25)
-
-    def test_render_mentions_key_numbers(self):
-        text = self._bundle().render()
-        assert "per 1000 machines" in text
-        assert "precision" in text
-        assert "stickiness" in text

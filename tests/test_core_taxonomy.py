@@ -1,13 +1,11 @@
-"""Symptom taxonomy and classification."""
+"""Symptom taxonomy."""
 
-import pytest
-
-from repro.core.taxonomy import Symptom, classify, risk_ordered
+from repro.core.taxonomy import Symptom
 
 
 class TestRiskOrdering:
     def test_four_classes_in_paper_order(self):
-        order = risk_ordered()
+        order = tuple(sorted(Symptom, key=lambda s: s.risk_rank))
         assert order == (
             Symptom.WRONG_ANSWER_IMMEDIATE,
             Symptom.MACHINE_CHECK,
@@ -16,7 +14,7 @@ class TestRiskOrdering:
         )
 
     def test_risk_rank_is_one_based_and_increasing(self):
-        ranks = [s.risk_rank for s in risk_ordered()]
+        ranks = [s.risk_rank for s in Symptom]
         assert ranks == [1, 2, 3, 4]
 
     def test_undetected_is_riskiest(self):
@@ -27,24 +25,3 @@ class TestRiskOrdering:
         assert Symptom.MACHINE_CHECK.retryable
         assert not Symptom.WRONG_ANSWER_LATE.retryable
         assert not Symptom.WRONG_ANSWER_UNDETECTED.retryable
-
-
-class TestClassify:
-    def test_machine_check_dominates(self):
-        assert classify(detected=True, machine_check=True,
-                        detection_latency=0.0) is Symptom.MACHINE_CHECK
-
-    def test_undetected(self):
-        assert classify(detected=False) is Symptom.WRONG_ANSWER_UNDETECTED
-
-    def test_immediate_within_retry_window(self):
-        symptom = classify(detected=True, detection_latency=1.0, retry_window=5.0)
-        assert symptom is Symptom.WRONG_ANSWER_IMMEDIATE
-
-    def test_late_beyond_retry_window(self):
-        symptom = classify(detected=True, detection_latency=10.0, retry_window=5.0)
-        assert symptom is Symptom.WRONG_ANSWER_LATE
-
-    def test_detected_requires_latency(self):
-        with pytest.raises(ValueError):
-            classify(detected=True)

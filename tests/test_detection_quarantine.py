@@ -6,8 +6,6 @@ from repro.detection.quarantine import (
     CoreQuarantine,
     MachineQuarantine,
     heuristic_safe_op_mix,
-    safe_op_mix,
-    units_implicated,
 )
 from repro.silicon.core import Core
 from repro.silicon.defects import StuckBitDefect
@@ -66,22 +64,6 @@ class TestMachineQuarantine:
 
 
 class TestSafeTasks:
-    def test_oracle_safe_op_mix(self):
-        core = _bad_core()
-        scalar_mix = {Op.ADD: 0.7, Op.MUL: 0.3}
-        vector_mix = {Op.VADD: 0.5, Op.ADD: 0.5}
-        assert safe_op_mix(core, scalar_mix)
-        assert not safe_op_mix(core, vector_mix)
-
-    def test_units_implicated_unions_failures(self):
-        implicated = units_implicated([
-            frozenset({FunctionalUnit.VECTOR}),
-            frozenset({FunctionalUnit.VECTOR, FunctionalUnit.LOAD_STORE}),
-        ])
-        assert implicated == frozenset(
-            {FunctionalUnit.VECTOR, FunctionalUnit.LOAD_STORE}
-        )
-
     def test_heuristic_rejects_mix_touching_implicated_unit(self):
         implicated = frozenset({FunctionalUnit.VECTOR})
         assert heuristic_safe_op_mix(implicated, {Op.ADD: 1.0})

@@ -1,15 +1,8 @@
-"""Signal analysis and the sanitizer model."""
+"""Signal analysis and the suspicion weight table."""
 
-import numpy as np
-
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
-from repro.detection.sanitizer import SanitizerModel
+from repro.core.events import CeeEvent, EventKind, Reporter
 from repro.detection.signals import DEFAULT_WEIGHTS, SignalAnalyzer
-from repro.detection.weights import (
-    SUSPICION_WEIGHTS,
-    default_weights,
-    describe_weights,
-)
+from repro.detection.weights import SUSPICION_WEIGHTS, default_weights
 
 
 def _event(core, kind=EventKind.CRASH, t=0.0, machine="m0", app="app"):
@@ -148,42 +141,3 @@ class TestSuspicionWeightTable:
         assert DEFAULT_WEIGHTS == {
             kind: entry.weight for kind, entry in SUSPICION_WEIGHTS.items()
         }
-
-    def test_describe_weights_lists_all_kinds_heaviest_first(self):
-        lines = describe_weights().splitlines()
-        assert len(lines) == len(EventKind)
-        weights = [float(line.split()[1]) for line in lines]
-        assert weights == sorted(weights, reverse=True)
-        for kind in EventKind:
-            assert any(line.startswith(kind.value) for line in lines)
-
-
-class TestSanitizerModel:
-    def test_catch_probability_respected(self):
-        log = EventLog()
-        model = SanitizerModel(np.random.default_rng(0), catch_probability=1.0)
-        assert model.observe_corruption(log, 1.0, "m0", "m0/c0", "app")
-        assert len(log) == 1
-        assert log.filter(kind=EventKind.SANITIZER)
-
-    def test_zero_catch_probability_never_emits(self):
-        log = EventLog()
-        model = SanitizerModel(np.random.default_rng(0), catch_probability=0.0)
-        for _ in range(50):
-            assert not model.observe_corruption(log, 1.0, "m0", "m0/c0", "a")
-        assert len(log) == 0
-
-    def test_background_noise_is_unattributed(self):
-        log = EventLog()
-        model = SanitizerModel(
-            np.random.default_rng(1), background_rate_per_machineday=0.5
-        )
-        emitted = model.emit_background(
-            log, time_days=0.0, machine_ids=["m0", "m1"], span_days=30.0
-        )
-        assert emitted == len(log) > 0
-        assert all(event.core_id is None for event in log)
-
-    def test_background_respects_empty_fleet(self):
-        model = SanitizerModel(np.random.default_rng(0))
-        assert model.emit_background(EventLog(), 0.0, [], 10.0) == 0

@@ -10,7 +10,6 @@ import pytest
 
 from repro.engine import (
     Trial,
-    TrialEngine,
     WorkerCrashError,
     derive_trial_seeds,
     resolve_workers,
@@ -113,12 +112,6 @@ class TestRunTrials:
         assert one == two
         assert [i for i, _ in one] == [0, 1, 2, 3, 4]
         assert [s for _, s in one] == derive_trial_seeds(33, 5)
-
-    def test_engine_wrapper(self):
-        engine = TrialEngine(workers=2, chunk_size=2)
-        assert engine.run_trials(_trial_tag, 3, seed=1) == \
-            run_trials(_trial_tag, 3, seed=1, workers=1)
-        assert engine.run_tasks(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_trial_is_frozen(self):
         trial = Trial(index=0, seed=5)

@@ -1,17 +1,11 @@
-"""Products, population synthesis, lifecycle."""
+"""Products, population synthesis, machines."""
 
 import numpy as np
 import pytest
 
-from repro.detection.corpus import TestCorpus
-from repro.fleet.lifecycle import RmaTracker, burn_in
 from repro.fleet.machine import Machine
 from repro.fleet.population import FleetBuilder, ground_truth_map
-from repro.fleet.product import (
-    CpuProduct,
-    DEFAULT_PRODUCTS,
-    blended_machine_prevalence,
-)
+from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.silicon.aging import WeibullOnset
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Chip, Core
@@ -34,7 +28,9 @@ class TestProducts:
 
     def test_blended_prevalence_in_paper_band(self):
         """'a few mercurial cores per several thousand machines'."""
-        per_kmachine = blended_machine_prevalence() * 1000
+        per_kmachine = 1000 * sum(
+            p.machine_prevalence for p in DEFAULT_PRODUCTS
+        ) / len(DEFAULT_PRODUCTS)
         assert 0.2 <= per_kmachine <= 5.0
 
     def test_validation(self):
@@ -134,49 +130,3 @@ class TestMachine:
         machine = self._machine()
         machine.cores[0].set_online(False)
         assert len(machine.online_cores()) == 3
-
-
-class TestLifecycle:
-    def test_burn_in_rejects_day_zero_defect(self):
-        machine = self._machine_with_defect()
-        report = burn_in(machine, corpus=TestCorpus.minimal(), repetitions=2)
-        assert report.rejected
-        assert "bi/c1" in report.confessing_cores
-
-    def test_burn_in_passes_healthy_machine(self):
-        cores = [Core(f"bh/c{i}", rng=np.random.default_rng(i)) for i in range(2)]
-        machine = Machine("bh", DEFAULT_PRODUCTS[0], Chip(cores))
-        report = burn_in(machine, corpus=TestCorpus.minimal())
-        assert not report.rejected
-
-    def test_burn_in_misses_latent_defect(self):
-        """Late-onset defects pass burn-in: §6's reason post-deployment
-        screening must exist."""
-        from repro.silicon.aging import AgingProfile
-        from repro.silicon.defects import StuckBitDefect
-        from repro.silicon.units import FunctionalUnit
-
-        latent = StuckBitDefect(
-            "latent", bit=3, base_rate=1e-2, unit=FunctionalUnit.ALU,
-            aging=AgingProfile(onset_days=500.0),
-        )
-        cores = [
-            Core("bl/c0", defects=[latent], rng=np.random.default_rng(0)),
-        ]
-        machine = Machine("bl", DEFAULT_PRODUCTS[0], Chip(cores))
-        report = burn_in(machine, corpus=TestCorpus.minimal())
-        assert not report.rejected  # escapes into the fleet
-
-    def test_rma_tracker(self):
-        tracker = RmaTracker(machine_cost_units=2.0, lead_time_days=20.0)
-        tracker.pull(3)
-        assert tracker.replacement_cost == 6.0
-        assert tracker.capacity_gap_machinedays == 60.0
-
-    def _machine_with_defect(self):
-        cores = [
-            Core("bi/c0", rng=np.random.default_rng(0)),
-            Core("bi/c1", defects=named_case("string_bit_flipper"),
-                 rng=np.random.default_rng(1)),
-        ]
-        return Machine("bi", DEFAULT_PRODUCTS[0], Chip(cores))

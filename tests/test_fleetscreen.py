@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.detection.fleetscreen import (
     UNIT_ORDER,
     distill,
     full_battery,
-    screen_shard,
     unit_ops_vector,
 )
 from repro.detection.weights import default_weights
@@ -153,19 +153,24 @@ class TestFleetScreener:
             snapshot.close()
 
     def test_shards_partition_the_fleet(self):
+        # Machine-contiguous shards keep every core of a machine in one
+        # shard, so per-shard screens add up to the whole-fleet screen.
         columns = _boosted_columns()
         battery = distill(TestCorpus.standard())
         n_shards = 4
-        results = [
-            screen_shard(columns, battery, shard, n_shards, 30.0, seed=shard)
-            for shard in range(n_shards)
-        ]
-        whole = FleetScreener(battery).screen(
-            columns, 30.0, np.random.default_rng(0)
-        )
+        bounds = np.linspace(0, columns.n_machines, n_shards + 1).astype(int)
+        screener = FleetScreener(battery)
+        results = []
+        for shard in range(n_shards):
+            lo = int(columns.machine_core_start[bounds[shard]])
+            hi = int(columns.machine_core_start[bounds[shard + 1]])
+            subset = np.zeros(columns.n_cores, dtype=bool)
+            subset[lo:hi] = True
+            results.append(screener.screen(
+                columns, 30.0, np.random.default_rng(shard), subset=subset
+            ))
+        whole = screener.screen(columns, 30.0, np.random.default_rng(0))
         assert sum(r.n_screened for r in results) == whole.n_screened
-        with pytest.raises(ValueError):
-            screen_shard(columns, battery, n_shards, n_shards, 30.0, seed=0)
 
 
 def _merc_ages(columns, day):
@@ -342,6 +347,22 @@ class TestRideAlongCampaign:
         assert 0.0 < report.detected_fraction <= 1.0
         assert report.machine_seconds <= report.budget_machine_seconds
         assert all(lat >= 0.0 for lat in report.detection_latency_days)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"horizon_days": -5.0}, "horizon_days"),
+        ({"horizon_days": 10.0, "tick_days": -1.0}, "tick_days"),
+        ({"horizon_days": 10.0, "tick_days": 0.0}, "tick_days"),
+        ({"horizon_days": 10.0, "tick_days": math.inf}, "tick_days"),
+    ])
+    def test_run_rejects_bad_horizon_and_tick(self, kwargs, name):
+        # refused by name, not a plausible-looking report or an unrelated
+        # IndexError / ZeroDivisionError / NaN conversion
+        screener = RideAlongScreener(
+            distill(TestCorpus.standard()), RideAlongConfig()
+        )
+        campaign = RideAlongCampaign(_boosted_columns(), screener, seed=3)
+        with pytest.raises(ValueError, match=name):
+            campaign.run(**kwargs)
 
     def test_weights_table_knows_the_new_events(self):
         weights = default_weights()

@@ -65,13 +65,13 @@ def _digest(result: dict) -> str:
     return hashlib.sha256(result["rendered"].encode()).hexdigest()
 
 
-def _failed(row_id: str, result: dict, names: tuple[str, ...] = ()) -> list[str]:
-    """Names of the row's claims (all, or just ``names``) that fail."""
-    verdicts = {
-        claim.name: held
+def _failed(row_id: str, result: dict) -> list[str]:
+    """Names of the row's claims that fail."""
+    return [
+        claim.name
         for claim, held in evaluate(EXPERIMENTS[row_id], result)
-    }
-    return [name for name in names or verdicts if not verdicts[name]]
+        if not held
+    ]
 
 
 @functools.cache
@@ -144,16 +144,8 @@ class TestRegistry:
             ), row_id
 
 
-# The per-experiment test ids below predate the registry.  Each is now a
-# by-name view of claims on the shared smoke-scale run: no runner is
-# re-run and no predicate restated, but a broken claim still fails under
-# the name of the paper observation it carries.
-
-def view(row_id: str, *names: str):
-    def test(self):
-        assert _failed(row_id, smoke(row_id), names) == []
-    return test
-
+# Two checks a claim gate cannot express: E2's claim only bites at the
+# documented scale, and E12 must not count a harness bug as a detection.
 
 class TestE2Symptoms:
     def test_observes_multiple_symptom_classes(self):
@@ -162,63 +154,8 @@ class TestE2Symptoms:
         assert len(result["per_core_rates"]) >= 20
         assert _failed("E2", result) == []
 
-    test_rendered_table_lists_risk_ranks = view("E2", "risk_ranks_listed")
-
-
-class TestE3AesCase:
-    test_all_five_observations_hold = view("E3")
-
-
-class TestE4Propagation:
-    test_bit_flips_at_single_position = view("E4", "flips_at_one_bit_position")
-    test_only_defective_replica_errs = view("E4", "only_defective_replica_errs")
-    test_gc_loses_live_blocks = view("E4", "gc_loses_live_data")
-
-
-class TestE5RedundancyCost:
-    test_factors_match_section3 = view("E5")
-
-
-class TestE6RateSpread:
-    test_many_orders_of_magnitude = view("E6")
-
-
-class TestE7Fvt:
-    test_frequency_sensitive_rate_rises_with_frequency = view(
-        "E7", "faster_clock_more_errors")
-    test_voltage_defect_shows_low_frequency_anomaly = view(
-        "E7", "lower_frequency_worse_anomaly")
-    test_shared_logic_hits_both_families = view(
-        "E7", "shared_logic_hits_copy_and_vector")
-
-
-class TestE8Triage:
-    test_roughly_half_confirmed = view("E8", "roughly_half_confirmed")
-
-
-class TestE9Screening:
-    test_offline_catches_what_online_misses = view(
-        "E9", "offline_catches_what_online_misses")
-    test_faster_cadence_detects_sooner = view(
-        "E9", "faster_cadence_detects_sooner")
-    test_cost_ordering = view("E9", "faster_cadence_costs_more")
-
-
-class TestE10Isolation:
-    test_core_quarantine_strands_far_less = view(
-        "E10", "core_quarantine_strands_far_less",
-        "machine_quarantine_strands_healthy_cores")
-    test_safe_tasks_reclaim_capacity = view(
-        "E10", "safe_tasks_reclaim_capacity")
-
-
-class TestE11MitigationLadder:
-    test_redundancy_eliminates_escapes = view("E11")
-
 
 class TestE12Abft:
-    test_vanilla_wrong_abft_never_silent = view("E12")
-
     def test_a_harness_bug_is_not_counted_as_a_detection(self, monkeypatch):
         def broken(core, matrix):
             raise TypeError("harness bug")
@@ -226,15 +163,3 @@ class TestE12Abft:
         monkeypatch.setattr(experiments, "checksummed_lu", broken)
         with pytest.raises(TypeError):
             EXPERIMENTS["E12"].run()
-
-
-class TestE13Reports:
-    test_concentrated_core_is_top_suspect = view("E13")
-
-
-class TestE14Aging:
-    test_model_and_empirical_cdf_agree = view(
-        "E14", "half_of_onsets_within_a_year")
-    test_escalation_monotone = view("E14", "rates_escalate_after_onset")
-    test_censoring_reported = view(
-        "E14", "some_onsets_are_later_than_two_years")

@@ -1,23 +1,11 @@
-"""Self-checking libraries and end-to-end integrity."""
+"""The self-checking cipher: same-core versus cross-core verification."""
 
 import numpy as np
 import pytest
 
-from repro.mitigation.e2e import (
-    ChecksummedStore,
-    IntegrityError,
-    ReplicatedStateMachine,
-)
-from repro.mitigation.selfcheck import (
-    CheckedCipher,
-    CheckedCodec,
-    SelfCheckError,
-    selfchecked,
-)
+from repro.mitigation.selfcheck import CheckedCipher, SelfCheckError
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Core
-from repro.silicon.defects import SharedLogicDefect, StuckBitDefect
-from repro.silicon.units import FunctionalUnit, Op
 
 KEY = bytes(range(16))
 
@@ -56,204 +44,3 @@ class TestCheckedCipher:
     def test_cross_core_flag(self, healthy_core, reference_core):
         assert CheckedCipher(healthy_core, reference_core).cross_core
         assert not CheckedCipher(healthy_core).cross_core
-
-
-class TestCheckedCodec:
-    def test_healthy_compress_verifies(self, healthy_core):
-        codec = CheckedCodec(healthy_core)
-        blob = codec.compress(b"aaaabbbbccccdddd" * 10)
-        assert blob
-
-    def test_comparator_defect_caught_on_verify(self, healthy_core):
-        bad = Core(
-            "sc/cmp", defects=named_case("comparator_flip"),
-            rng=np.random.default_rng(1),
-        )
-        codec = CheckedCodec(bad, verify_core=healthy_core)
-        caught = 0
-        for seed in range(8):
-            data = np.random.default_rng(seed).integers(
-                0, 256, 400, dtype=np.uint8
-            ).tobytes()
-            try:
-                codec.compress(data)
-            except SelfCheckError:
-                caught += 1
-        assert caught >= 0  # compressor may still round-trip; stats recorded
-        assert codec.stats.verifications == codec.stats.operations
-
-
-class TestSelfcheckedCombinator:
-    def test_retries_until_verified(self):
-        attempts = []
-
-        def operation():
-            attempts.append(1)
-            return len(attempts)
-
-        result = selfchecked(operation, verify=lambda r: r >= 3, retries=4)
-        assert result == 3
-
-    def test_raises_after_budget(self):
-        with pytest.raises(SelfCheckError):
-            selfchecked(lambda: 0, verify=lambda r: False, retries=1)
-
-    def test_on_failure_callback_fires(self):
-        failures = []
-        selfchecked(
-            lambda: len(failures),
-            verify=lambda r: r >= 1,
-            retries=2,
-            on_failure=lambda: failures.append(1),
-        )
-        assert failures
-
-
-class TestChecksummedStore:
-    def _bad_server(self, rate=5e-3, seed=2):
-        return Core(
-            "e2e/server",
-            defects=[SharedLogicDefect("d", bit=9, base_rate=rate)],
-            rng=np.random.default_rng(seed),
-        )
-
-    def test_healthy_put_get(self, healthy_core, reference_core):
-        store = ChecksummedStore(healthy_core, reference_core)
-        store.put("blob", b"contents")
-        assert store.get("blob") == b"contents"
-
-    def test_corrupt_write_caught_and_dropped(self, healthy_core):
-        store = ChecksummedStore(healthy_core, self._bad_server(rate=0.05))
-        caught = 0
-        for index in range(20):
-            try:
-                store.put(f"b{index}", bytes([index]) * 256)
-            except IntegrityError:
-                caught += 1
-        assert caught > 0
-        assert store.stats.write_failures_caught == caught
-
-    def test_corrupt_read_never_returned_silently(self, healthy_core):
-        store = ChecksummedStore(
-            healthy_core, self._bad_server(rate=0.02), verify_on_write=False
-        )
-        for index in range(10):
-            store.put(f"b{index}", bytes([index]) * 256)
-        wrong_returns = 0
-        for index in range(10):
-            for _ in range(5):
-                try:
-                    data = store.get(f"b{index}")
-                    if data != bytes([index]) * 256:
-                        wrong_returns += 1
-                except IntegrityError:
-                    pass
-        assert wrong_returns == 0  # the end-to-end guarantee
-
-    def test_unknown_blob_raises_key_error(self, healthy_core, reference_core):
-        with pytest.raises(KeyError):
-            ChecksummedStore(healthy_core, reference_core).get("ghost")
-
-    def _always_bad_server(self):
-        # Deterministic: every word moved through this core is corrupted.
-        return Core(
-            "e2e/server",
-            defects=[StuckBitDefect(
-                "d", bit=7, base_rate=1.0, unit=FunctionalUnit.LOAD_STORE
-            )],
-            rng=np.random.default_rng(0),
-        )
-
-    def test_corruption_after_checksum_caught_at_write_verify(
-        self, healthy_core
-    ):
-        # The checksum seals the bytes *before* they cross the server
-        # core, so downstream corruption can never match it.
-        store = ChecksummedStore(healthy_core, self._always_bad_server())
-        with pytest.raises(IntegrityError):
-            store.put("blob", b"\x00" * 64)
-        assert store.stats.write_failures_caught == 1
-        with pytest.raises(KeyError):
-            store.get("blob")                 # corrupt blob was dropped
-
-    def test_corruption_after_checksum_caught_at_read(self, healthy_core):
-        store = ChecksummedStore(
-            healthy_core, self._always_bad_server(), verify_on_write=False
-        )
-        store.put("blob", b"\x00" * 64)       # corrupt bytes stored...
-        with pytest.raises(IntegrityError):   # ...but never served
-            store.get("blob")
-        assert store.stats.read_failures_caught == 1
-
-    def test_corruption_before_checksum_is_sealed_in(
-        self, healthy_core, reference_core
-    ):
-        # The end-to-end check protects everything *downstream* of the
-        # checksum computation.  Bytes corrupted upstream — before the
-        # client sealed them — verify perfectly: the checksum faithfully
-        # covers garbage.  This ordering blindness is why the storage
-        # stack also votes across replicas.
-        store = ChecksummedStore(healthy_core, reference_core)
-        corrupted_upstream = b"\xff" + b"\x00" * 63
-        store.put("blob", corrupted_upstream)
-        assert store.get("blob") == corrupted_upstream   # no error raised
-        assert store.stats.write_failures_caught == 0
-        assert store.stats.read_failures_caught == 0
-
-
-class TestReplicatedStateMachine:
-    def _update(self, key, delta):
-        def apply(core, state):
-            state[key] = core.execute(Op.ADD, state.get(key, 0), delta)
-            return state
-        return apply
-
-    def test_healthy_replicas_agree(self, healthy_pool):
-        rsm = ReplicatedStateMachine(healthy_pool[:3])
-        state = rsm.apply(self._update("x", 5))
-        assert state == {"x": 5}
-        assert rsm.divergences == []
-
-    def test_divergent_replica_detected_and_repaired(self, healthy_pool):
-        bad = Core(
-            "e2e/bad",
-            defects=[StuckBitDefect("d", bit=20, base_rate=1.0,
-                                    unit=FunctionalUnit.ALU)],
-            rng=np.random.default_rng(0),
-        )
-        rsm = ReplicatedStateMachine([healthy_pool[0], bad, healthy_pool[1]])
-        state = rsm.apply(self._update("x", 5))
-        assert state == {"x": 5}  # majority wins
-        assert rsm.divergences[0].minority_replicas == [1]
-        # The divergent replica was repaired from the majority.
-        assert rsm.states[1] == {"x": 5}
-
-    def test_recidivist_replica_identified(self, healthy_pool):
-        bad = Core(
-            "e2e/bad2",
-            defects=[StuckBitDefect("d", bit=20, base_rate=1.0,
-                                    unit=FunctionalUnit.ALU)],
-            rng=np.random.default_rng(1),
-        )
-        rsm = ReplicatedStateMachine([healthy_pool[0], healthy_pool[1], bad])
-        for index in range(5):
-            rsm.apply(self._update(f"k{index}", index + 1))
-        assert rsm.suspect_replicas() == {2: 5}
-
-    def test_no_majority_raises(self, healthy_pool):
-        cores = [
-            Core(
-                f"e2e/b{i}",
-                defects=[StuckBitDefect("d", bit=10 + i, base_rate=1.0,
-                                        unit=FunctionalUnit.ALU)],
-                rng=np.random.default_rng(i),
-            )
-            for i in range(2)
-        ]
-        rsm = ReplicatedStateMachine(cores)
-        with pytest.raises(IntegrityError):
-            rsm.apply(self._update("x", 1))
-
-    def test_needs_two_replicas(self, healthy_core):
-        with pytest.raises(ValueError):
-            ReplicatedStateMachine([healthy_core])

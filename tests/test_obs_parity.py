@@ -129,29 +129,3 @@ class TestTelemetryLeakRegression:
         results = run_trials(_counting_trial, 4, seed=5, workers=1)
         assert results == [0, 1, 2, 3]
         assert obs.metrics.counter("parity_trial_ops_total").value() == 0.0
-
-
-class TestAnalyzerPerTrialIsolation:
-    """The analyzers' cached handles stay valid across registry resets."""
-
-    def test_mce_analyzer_counts_survive_reset_cycle(self, obs_state):
-        from repro.core.events import EventLog
-        from repro.fleet.telemetry import MceLogAnalyzer, MceRecord
-
-        obs.set_enabled(True)
-        obs.metrics.reset()
-        analyzer = MceLogAnalyzer()
-        record = MceRecord(
-            time_days=1.0, machine_id="m0", bank=0,
-            core_id="m0/c0", corrected=False,
-        )
-        analyzer.analyze([record], EventLog())
-        assert obs.metrics.counter(
-            "telemetry_mce_records_total"
-        ).value() == 1.0
-        obs.metrics.reset()  # per-trial reset
-        analyzer.analyze([record], EventLog())
-        # handle cached at construction still writes post-reset
-        assert obs.metrics.counter(
-            "telemetry_mce_records_total"
-        ).value() == 1.0

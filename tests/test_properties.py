@@ -12,7 +12,7 @@ from repro.workloads.copying import copy_bytes
 from repro.workloads.crypto import decrypt_ecb, encrypt_ecb
 from repro.workloads.database import BTreeIndex
 from repro.workloads.hashing import crc64, fnv1a
-from repro.workloads.sorting import merge_sort, quicksort
+from repro.workloads.sorting import merge_sort
 
 u64 = st.integers(min_value=0, max_value=MASK64)
 small_bytes = st.binary(min_size=0, max_size=300)
@@ -94,11 +94,6 @@ class TestSortingProperties:
     @given(values=st.lists(u64, max_size=120))
     def test_merge_sort_matches_sorted(self, values):
         assert merge_sort(_core(), values) == sorted(values)
-
-    @settings(max_examples=40, deadline=None)
-    @given(values=st.lists(u64, max_size=120))
-    def test_quicksort_matches_sorted(self, values):
-        assert quicksort(_core(), values) == sorted(values)
 
 
 class TestBTreeProperties:

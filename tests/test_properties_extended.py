@@ -32,7 +32,7 @@ from repro.workloads.compression import (
 )
 from repro.workloads.copying import copy_bytes
 from repro.workloads.crypto import decrypt_block, encrypt_block, expand_key
-from repro.workloads.hashing import crc64, fnv1a, hash_stream, mix64
+from repro.workloads.hashing import crc64, fnv1a, mix64
 
 gf_element = st.integers(min_value=0, max_value=GF_PRIME - 1)
 
@@ -290,7 +290,6 @@ class TestKernelsMatchThePerOpPath:
         primitives = (
             lambda core: crc64(core, data),
             lambda core: fnv1a(core, data),
-            lambda core: hash_stream(core, seeds),
             lambda core: [mix64(core, x) for x in seeds],
             _aes_round_trip(key, block),
             # on their own: a crypto-unit machine check leaves the round
@@ -338,8 +337,6 @@ class TestKernelsMatchThePerOpPath:
         empty_then_not = (
             (lambda core: crc64(core, b""), lambda core: crc64(core, b"x")),
             (lambda core: fnv1a(core, b""), lambda core: fnv1a(core, b"x")),
-            (lambda core: hash_stream(core, []),
-             lambda core: hash_stream(core, [1])),
             (lambda core: compress(core, b""), lambda core: compress(core, b"x")),
             (lambda core: decompress(core, b""),
              lambda core: decompress(core, blob)),

@@ -1,15 +1,8 @@
-"""ABFT matrix algorithms, resilient sorting, Blum–Kannan checkers."""
+"""ABFT matrix algorithms and resilient sorting."""
 
 import numpy as np
 import pytest
 
-from repro.mitigation.resilient.checkers import (
-    CheckFailedError,
-    checked_computation,
-    freivalds_check,
-    permutation_check,
-    sorting_checker,
-)
 from repro.mitigation.resilient.matfact import (
     AbftError,
     GF_PRIME,
@@ -17,7 +10,6 @@ from repro.mitigation.resilient.matfact import (
     _gf_mul,
     abft_matmul,
     checksummed_lu,
-    gf_matmul,
     matmul,
 )
 from repro.mitigation.resilient.sorting import (
@@ -118,7 +110,12 @@ class TestChecksummedLu:
         m = self._dd_matrix(rng)
         lower, upper, checks = checksummed_lu(healthy_core, m)
         assert checks > 0
-        reconstructed = gf_matmul(healthy_core, lower, upper)
+        n = len(m)
+        reconstructed = [
+            [sum(lower[i][t] * upper[t][j] for t in range(n)) % GF_PRIME
+             for j in range(n)]
+            for i in range(n)
+        ]
         assert reconstructed == [[v % GF_PRIME for v in row] for row in m]
 
     def test_lower_is_unit_triangular(self, healthy_core, rng):
@@ -186,58 +183,3 @@ class TestResilientSort:
         a = multiset_checksums(healthy_core, [1, 2, 3])
         b = multiset_checksums(healthy_core, [3, 1, 2])
         assert a == b
-
-
-class TestCheckers:
-    def test_freivalds_accepts_correct_product(self, healthy_core, rng):
-        a, b = _matrices(rng, n=4)
-        c = matmul(healthy_core, a, b)
-        assert freivalds_check(healthy_core, a, b, c)
-
-    def test_freivalds_rejects_single_bit_error(self, healthy_core, rng):
-        a, b = _matrices(rng, n=4)
-        c = matmul(healthy_core, a, b)
-        c[1][2] ^= 1
-        assert not freivalds_check(
-            healthy_core, a, b, c, rng=np.random.default_rng(0)
-        )
-
-    def test_permutation_check(self, healthy_core, rng):
-        values = [int(x) for x in rng.integers(0, 2**40, 100)]
-        assert permutation_check(healthy_core, values, sorted(values))
-        tampered = sorted(values)
-        tampered[0] ^= 1
-        assert not permutation_check(healthy_core, values, tampered)
-
-    def test_permutation_check_length_mismatch(self, healthy_core):
-        assert not permutation_check(healthy_core, [1, 2], [1])
-
-    def test_sorting_checker(self, healthy_core, rng):
-        values = [int(x) for x in rng.integers(0, 2**40, 80)]
-        assert sorting_checker(healthy_core, values, sorted(values))
-        assert not sorting_checker(healthy_core, values, values)
-
-    def test_checked_computation_retries_to_success(self, healthy_pool, rng):
-        bad = Core(
-            "rs/cc", defects=named_case("comparator_flip"),
-            rng=np.random.default_rng(5),
-        )
-        values = [int(x) for x in rng.integers(0, 2**40, 200)]
-        from repro.workloads.sorting import merge_sort
-
-        result, attempts = checked_computation(
-            compute=lambda core: merge_sort(core, values),
-            check=lambda core, out: sorting_checker(core, values, out),
-            pool=[bad] + healthy_pool[:2],
-        )
-        assert result == sorted(values)
-        assert attempts >= 2  # first attempt (bad core) was rejected
-
-    def test_checked_computation_exhaustion(self, healthy_pool):
-        with pytest.raises(CheckFailedError):
-            checked_computation(
-                compute=lambda core: 0,
-                check=lambda core, out: False,
-                pool=healthy_pool[:2],
-                max_attempts=2,
-            )

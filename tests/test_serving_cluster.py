@@ -13,7 +13,6 @@ from repro.serving.cluster import (
     ConsistentHashRouter,
     DegradationPolicy,
     DegradationTier,
-    LeastLoadedRouter,
     RetryBudget,
     RetryBudgetConfig,
     Shard,
@@ -52,10 +51,8 @@ class TestStableHashes:
 
 
 class TestRouterRegistry:
-    def test_all_three_policies_are_registered(self):
-        assert set(ROUTER_POLICIES) == {
-            "round-robin", "consistent-hash", "least-loaded"
-        }
+    def test_both_policies_are_registered(self):
+        assert set(ROUTER_POLICIES) == {"round-robin", "consistent-hash"}
         for cls in ROUTER_POLICIES.values():
             router = cls(_replicas(2))
             assert router.pick(route_key=1) is not None
@@ -129,31 +126,6 @@ class TestConsistentHashRouter:
             router.pick(route_key=k).replica_id for k in range(500)
         }
         assert "s0/r9" in owners
-
-
-class TestLeastLoadedRouter:
-    def test_routes_to_the_least_assigned_replica(self):
-        router = LeastLoadedRouter(_replicas(3))
-        router.replicas[0].assigned = 5
-        router.replicas[1].assigned = 1
-        router.replicas[2].assigned = 3
-        assert router.pick().replica_id == "s0/r1"
-
-    def test_tie_breaks_on_list_position(self):
-        router = LeastLoadedRouter(_replicas(3))
-        assert router.pick().replica_id == "s0/r0"
-
-    def test_spreads_a_burst_evenly(self):
-        router = LeastLoadedRouter(_replicas(3))
-        for _ in range(9):
-            router.pick()
-        assert [r.assigned for r in router.replicas] == [3, 3, 3]
-
-    def test_respects_exclusions_and_liveness(self):
-        router = LeastLoadedRouter(_replicas(3))
-        router.replicas[0].core.set_online(False)
-        picked = router.pick(exclude_core_ids={"s0/r1"})
-        assert picked.replica_id == "s0/r2"
 
 
 class TestRetryBudget:

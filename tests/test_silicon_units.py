@@ -10,7 +10,6 @@ from repro.silicon.units import (
     OP_LOGIC_BLOCKS,
     OP_UNIT,
     UNIT_OPS,
-    logic_blocks_of,
     ops_touching,
     unit_of,
 )
@@ -55,9 +54,6 @@ class TestSharedLogic:
         assert Op.ADD in adder_ops
         assert Op.VADD in adder_ops
         assert Op.VSUM in adder_ops
-
-    def test_logic_blocks_of_matches_table(self):
-        assert logic_blocks_of(Op.MUL) == frozenset({LogicBlock.BOOTH_MULTIPLIER})
 
     def test_ops_touching_unused_block_can_be_empty(self):
         for block in LogicBlock:

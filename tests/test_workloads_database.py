@@ -1,14 +1,12 @@
 """B-tree database and replica divergence."""
 
 import numpy as np
-import pytest
 
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Core
 from repro.workloads.database import (
     BTreeIndex,
     Replica,
-    ReplicatedDb,
     database_workload,
     probe_replica,
 )
@@ -80,30 +78,22 @@ class TestReplicaDivergence:
             "db/bad", defects=named_case("comparator_flip"),
             rng=np.random.default_rng(0),
         )
-        db = ReplicatedDb([
-            Core("db/r0", rng=np.random.default_rng(1)),
-            bad,
-            Core("db/r2", rng=np.random.default_rng(2)),
-        ])
+        replicas = [
+            Replica(Core("db/r0", rng=np.random.default_rng(1))),
+            Replica(bad),
+            Replica(Core("db/r2", rng=np.random.default_rng(2))),
+        ]
         keys = [int(k) for k in rng.integers(0, 2**40, 400)]
         for key in keys:
-            db.insert(key, (key,))
+            for replica in replicas:
+                replica.insert(key, (key,))
         probes = keys[::2]
         errors = [
-            probe_replica(db.replicas[i], probes).error_fraction
+            probe_replica(replicas[i], probes).error_fraction
             for i in range(3)
         ]
         assert errors[0] == 0.0 and errors[2] == 0.0
         assert errors[1] > 0.0
-
-    def test_replicated_db_needs_cores(self):
-        with pytest.raises(ValueError):
-            ReplicatedDb([])
-
-    def test_query_wraps_replica_index(self, healthy_core):
-        db = ReplicatedDb([healthy_core, healthy_core])
-        db.insert(1, (1,))
-        assert db.query(1, 5).key == 1
 
 
 class TestDatabaseWorkload:

@@ -5,7 +5,7 @@ import numpy as np
 from repro.silicon.core import Core
 from repro.silicon.defects import StuckBitDefect
 from repro.silicon.units import FunctionalUnit
-from repro.workloads.hashing import crc64, fnv1a, hash_stream, hashing_workload, mix64
+from repro.workloads.hashing import crc64, fnv1a, hashing_workload, mix64
 
 
 class TestGoldenHashes:
@@ -28,12 +28,6 @@ class TestGoldenHashes:
     def test_mix64_is_bijective_looking(self, healthy_core):
         outputs = {mix64(healthy_core, x) for x in range(200)}
         assert len(outputs) == 200
-
-    def test_hash_stream_matches_pointwise(self, healthy_core):
-        seeds = [1, 2, 3]
-        assert hash_stream(healthy_core, seeds) == [
-            mix64(healthy_core, s) for s in seeds
-        ]
 
 
 class TestHashingWorkload:
