@@ -15,7 +15,6 @@ from repro.analysis.stats import trend_slope
 from repro.core.events import Reporter
 from repro.core.metrics import confusion
 from repro.fleet import DEFAULT_PRODUCTS, FleetBuilder, FleetSimulator, SimulatorConfig
-from repro.fleet.population import ground_truth_map
 
 N_MACHINES = 3000
 HORIZON_DAYS = 360.0
@@ -31,14 +30,14 @@ def main() -> None:
         deployment_window=(-800.0, HORIZON_DAYS),
         technology_refresh=True,
     )
-    machines, truth = builder.build(N_MACHINES)
-    n_cores = sum(len(m.cores) for m in machines)
-    print(f"fleet: {N_MACHINES} machines, {n_cores} cores, "
-          f"{truth.n_mercurial} mercurial "
-          f"({1000 * truth.n_mercurial / N_MACHINES:.2f}/1000 machines)")
+    fleet = builder.build_columns(N_MACHINES)
+    print(f"fleet: {N_MACHINES} machines, {fleet.n_cores} cores, "
+          f"{fleet.n_mercurial} mercurial "
+          f"({1000 * fleet.n_mercurial / N_MACHINES:.2f}/1000 machines)")
+    truth_map = fleet.ground_truth_map()
 
     simulator = FleetSimulator(
-        machines, truth,
+        fleet,
         SimulatorConfig(horizon_days=HORIZON_DAYS, warmup_days=120.0),
         seed=7,
     )
@@ -51,7 +50,7 @@ def main() -> None:
     print(f"\nautomated-series trend: {trend_slope(auto):+.2e}/day "
           "(paper: 'gradually increasing')")
 
-    detection = confusion(ground_truth_map(machines), result.flagged())
+    detection = confusion(truth_map, result.flagged())
     print(f"\nquarantine scoreboard after {HORIZON_DAYS:.0f} days:")
     print(f"  quarantined cores: {len(result.quarantined_cores)}")
     print(f"  precision: {detection.precision:.2f}  "

@@ -808,45 +808,40 @@ def run_screening_tradeoff(seed: int = 29, n_rates: int = 120) -> dict:
 
 def run_isolation(n_machines: int = 40, seed: int = 31) -> dict:
     """E10: capacity saved by core quarantine, plus safe-task placement."""
-    builder = FleetBuilder(seed=seed)
-    machines, _ = builder.build(n_machines)
-    # Plant one mercurial core on a few machines deterministically.
+    fleet = FleetBuilder(seed=seed).build_columns(n_machines)
+    # Quarantine one seeded core on each of the first (up to) six
+    # machines.  No defect is planted: the fleet's own mercurial cores
+    # (none at the default sizes) decide which strandings are healthy.
     rng = np.random.default_rng(seed)
-    planted: list[tuple] = []
-    for machine in machines[:6]:
-        core = machine.cores[int(rng.integers(len(machine.cores)))]
-        planted.append((machine, core))
-
-    def fresh() -> list:
-        ms, _ = FleetBuilder(seed=seed).build(n_machines)
-        return ms
+    planted: list[tuple[int, int]] = []
+    for machine in range(min(6, n_machines)):
+        start, stop = fleet.machine_core_range(machine)
+        planted.append((machine, start + int(rng.integers(stop - start))))
 
     # Strategy A: machine-level quarantine.
-    machines_a = fresh()
+    fleet_a = fleet.thaw()
     mq = MachineQuarantine()
-    for machine, core in planted:
-        target = next(m for m in machines_a if m.machine_id == machine.machine_id)
-        mq.remove(target.machine_id, target.cores, running_tasks=8)
-    scheduler_a = FleetScheduler(machines_a)
-    _, stats_a = scheduler_a.schedule([Task(f"t{i}") for i in range(10)])
+    for machine, _ in planted:
+        mq.remove(fleet_a, machine, running_tasks=8)
+    _, stats_a = FleetScheduler(fleet_a).schedule(
+        [Task(f"t{i}") for i in range(10)]
+    )
 
     # Strategy B: core-level quarantine (CSR).
-    machines_b = fresh()
+    fleet_b = fleet.thaw()
     cq = CoreQuarantine()
     implicated = {}
-    for machine, core in planted:
-        target = next(m for m in machines_b if m.machine_id == machine.machine_id)
-        target_core = next(c for c in target.cores if c.core_id == core.core_id)
-        cq.remove(target_core, running_tasks=1)
-        implicated[target_core.core_id] = frozenset({FunctionalUnit.VECTOR})
-    scheduler_b = FleetScheduler(machines_b)
+    for _, flat in planted:
+        cq.remove(fleet_b, flat, running_tasks=1)
+        implicated[fleet_b.core_id(flat)] = frozenset({FunctionalUnit.VECTOR})
+    scheduler_b = FleetScheduler(fleet_b)
     _, stats_b = scheduler_b.schedule([Task(f"t{i}") for i in range(10)])
 
     # Strategy C: core quarantine + safe tasks (§6.1 speculation).
     total_slots = stats_b.slots_total
     scalar_mix = {Op.ADD: 0.5, Op.XOR: 0.3, Op.MUL: 0.2}
     scheduler_c = FleetScheduler(
-        machines_b, allow_safe_tasks=True,
+        fleet_b, allow_safe_tasks=True,
         implicated_units_by_core=implicated,
     )
     online_b, _ = scheduler_b.capacity()
@@ -865,7 +860,7 @@ def run_isolation(n_machines: int = 40, seed: int = 31) -> dict:
              f"{(stats_b.slots_stranded - stats_c.placed_on_quarantined) / total_slots:.4f}",
              cq.cost.migrations],
         ],
-        title="E10: isolation strategies (6 bad cores)",
+        title=f"E10: isolation strategies ({len(planted)} bad cores)",
     )
     return {
         "machine_stranded": mq.cost.cores_stranded,

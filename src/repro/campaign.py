@@ -40,7 +40,6 @@ from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
 from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
 from repro.detection.signals import SignalAnalyzer, SignalAnalyzerConfig
 from repro.fleet.machine import Machine
-from repro.fleet.product import CpuProduct
 from repro.fleet.scheduler import FleetScheduler, Task
 from repro.obs.forensics import MS_PER_DAY, detection_latency_summary
 from repro.silicon.core import Chip, Core
@@ -304,10 +303,8 @@ class Campaign:
 def build_small_fleet(
     n_machines: int,
     cores_per_machine: int,
-    sku: str,
     seed: int | np.random.Generator,
     defects_for: Callable[[str, int], Sequence[DefectModel]],
-    core_prevalence: float = 0.0,
 ) -> tuple[list[Machine], list[str]]:
     """The object fleet every campaign experiment runs on.
 
@@ -316,10 +313,6 @@ def build_small_fleet(
     drew bad slots from; each core's stream is then drawn from it in
     (machine, core) order.  Returns (machines, defective core ids).
     """
-    product = CpuProduct(
-        vendor="sim", sku=f"{sku}-{cores_per_machine}c",
-        cores_per_machine=cores_per_machine, core_prevalence=core_prevalence,
-    )
     root = np.random.default_rng(seed)
     machines: list[Machine] = []
     bad_core_ids: list[str] = []
@@ -334,7 +327,7 @@ def build_small_fleet(
             rng = np.random.default_rng(root.integers(2**63))
             cores.append(Core(core_id, defects=defects, rng=rng))
         machines.append(
-            Machine(machine_id=machine_id, product=product, chip=Chip(cores))
+            Machine(machine_id=machine_id, chip=Chip(cores))
         )
     return machines, bad_core_ids
 

@@ -78,7 +78,7 @@ def _program_test(
 
     def runner(core: Core) -> bool:
         if golden_digest[0] is None:
-            reference = Core("oracle/screen", rng=np.random.default_rng(0))  # repro: noqa-DET004 -- golden-oracle core: healthy reference with no defects, its rng is never consulted
+            reference = Core("oracle/screen")
             golden = Vm(reference).run(program, memory_image=memory_image)
             if golden.trap is not None:
                 raise AssertionError(
@@ -90,7 +90,7 @@ def _program_test(
         return _vm_digest(observed) == golden_digest[0]
 
     # Approximate dynamic op count from one golden run.
-    reference = Core("oracle/cost", rng=np.random.default_rng(0))  # repro: noqa-DET004 -- golden-oracle core for op-count estimation; healthy, rng never consulted
+    reference = Core("oracle/cost")
     golden_run = Vm(reference).run(program, memory_image=memory_image)
     return ScreeningTest(
         name=name,
@@ -302,7 +302,7 @@ def _aes_cross_check(seed: int) -> ScreeningTest:
 
     def runner(core: Core) -> bool:
         if expected[0] is None:
-            reference = Core("oracle/aes", rng=np.random.default_rng(0))  # repro: noqa-DET004 -- golden-oracle core: healthy reference, rng never consulted
+            reference = Core("oracle/aes")
             expected[0] = encrypt_ecb(reference, data, key)
         return encrypt_ecb(core, data, key) == expected[0]
 
@@ -326,7 +326,7 @@ def _compression_roundtrip(seed: int) -> ScreeningTest:
 
     def runner(core: Core) -> bool:
         if expected[0] is None:
-            reference = Core("oracle/lz", rng=np.random.default_rng(0))  # repro: noqa-DET004 -- golden-oracle core: healthy reference, rng never consulted
+            reference = Core("oracle/lz")
             expected[0] = digest_bytes(compress(reference, data))
         try:
             blob = compress(core, data)

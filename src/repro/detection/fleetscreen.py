@@ -47,6 +47,7 @@ from repro.detection.corpus import ScreeningTest, TestCorpus
 from repro.detection.weights import default_weights
 from repro.fleet.columns import FleetColumns
 from repro.silicon.defects import MachineCheckDefect
+from repro.silicon.environment import NOMINAL
 from repro.silicon.units import ALL_OPS, UNIT_OPS, FunctionalUnit
 
 #: fixed functional-unit axis for every ops/rate vector in this module
@@ -270,7 +271,7 @@ class FleetScreener:
                     [
                         (defect, plan)
                         for defect in columns.merc_defects(i)
-                        if (plan := defect.rate_plan(mix, columns.merc_env(i)))
+                        if (plan := defect.rate_plan(mix, NOMINAL))
                     ]
                     for mix in unit_mixes
                 ]
@@ -650,9 +651,8 @@ class RideAlongCampaign:
         mix = {op: 1.0 / len(ALL_OPS) for op in ALL_OPS}
         rates = np.zeros(n_merc)
         for i in range(n_merc):
-            env = columns.merc_env(i)
             rates[i] = sum(
-                defect.mean_rate(mix, env, 0.0)
+                defect.mean_rate(mix, NOMINAL, 0.0)
                 for defect in columns.merc_defects(i)
                 if not isinstance(defect, MachineCheckDefect)
             )

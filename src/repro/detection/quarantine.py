@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro import obs
-from repro.silicon.core import Core
+from repro.fleet.columns import FleetColumns
 from repro.silicon.units import unit_of
 
 
@@ -63,30 +63,33 @@ class CoreQuarantine:
     def __init__(self, migration_coreseconds_per_task: float = 30.0):
         self.migration_cost = migration_coreseconds_per_task
         self.cost = IsolationCost()
-        self.removed: set[str] = set()
+        self.removed: set[int] = set()
 
-    def remove(self, core: Core, running_tasks: int = 0) -> None:
+    def remove(
+        self, columns: FleetColumns, flat: int, running_tasks: int = 0
+    ) -> None:
         """Take one core out of service, migrating its tasks."""
-        if core.core_id in self.removed:
+        if flat in self.removed:
             return
-        core.set_online(False)
-        self.removed.add(core.core_id)
+        columns.online[flat] = False
+        self.removed.add(flat)
+        mercurial = bool(columns.mercurial[flat])
         self.cost.cores_stranded += 1
-        if not core.is_mercurial:
+        if not mercurial:
             self.cost.healthy_cores_stranded += 1
         self.cost.migrations += running_tasks
         self.cost.migration_coreseconds += running_tasks * self.migration_cost
         _record_isolation(
-            "core", core.core_id, core.is_mercurial, running_tasks
+            "core", columns.core_id(flat), mercurial, running_tasks
         )
 
-    def restore(self, core: Core) -> None:
-        if core.core_id not in self.removed:
+    def restore(self, columns: FleetColumns, flat: int) -> None:
+        if flat not in self.removed:
             return
-        core.set_online(True)
-        self.removed.discard(core.core_id)
+        columns.online[flat] = True
+        self.removed.discard(flat)
         self.cost.cores_stranded -= 1
-        if not core.is_mercurial:
+        if not columns.mercurial[flat]:
             self.cost.healthy_cores_stranded -= 1
 
 
@@ -96,22 +99,25 @@ class MachineQuarantine:
     def __init__(self, migration_coreseconds_per_task: float = 30.0):
         self.migration_cost = migration_coreseconds_per_task
         self.cost = IsolationCost()
-        self.removed_machines: set[str] = set()
+        self.removed_machines: set[int] = set()
 
-    def remove(self, machine_id: str, cores: list[Core], running_tasks: int = 0) -> None:
-        if machine_id in self.removed_machines:
+    def remove(
+        self, columns: FleetColumns, machine: int, running_tasks: int = 0
+    ) -> None:
+        """Take every core of one machine out of service."""
+        if machine in self.removed_machines:
             return
-        self.removed_machines.add(machine_id)
-        for core in cores:
-            core.set_online(False)
-            self.cost.cores_stranded += 1
-            if not core.is_mercurial:
-                self.cost.healthy_cores_stranded += 1
+        self.removed_machines.add(machine)
+        start, stop = columns.machine_core_range(machine)
+        columns.online[start:stop] = False
+        n_mercurial = int(columns.mercurial[start:stop].sum())
+        self.cost.cores_stranded += stop - start
+        self.cost.healthy_cores_stranded += stop - start - n_mercurial
         self.cost.migrations += running_tasks
         self.cost.migration_coreseconds += running_tasks * self.migration_cost
         _record_isolation(
-            "machine", machine_id,
-            any(core.is_mercurial for core in cores), running_tasks,
+            "machine", columns.machine_id(machine), n_mercurial > 0,
+            running_tasks,
         )
 
 

@@ -13,7 +13,7 @@ from repro.fleet.columns import (
     defect_mode_code,
 )
 from repro.fleet.machine import Machine
-from repro.fleet.population import FleetBuilder, FleetGroundTruth, ground_truth_map
+from repro.fleet.population import FleetBuilder, FleetGroundTruth
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.fleet.scheduler import (
     FleetScheduler,
@@ -35,7 +35,6 @@ __all__ = [
     "Machine",
     "FleetBuilder",
     "FleetGroundTruth",
-    "ground_truth_map",
     "CpuProduct",
     "DEFAULT_PRODUCTS",
     "FleetScheduler",

@@ -12,10 +12,10 @@ pool worker costs a full pickle round-trip.
 arrays — machine columns, per-core columns, and dense per-mercurial
 columns (the mercurial population is tiny, so everything a defect model
 needs lives in arrays sized by *defective* cores, not total cores).
-``to_machines()`` materializes the fleet as ``Machine``/``Core``
-objects for the consumers that execute real operations on it (it is
-what :meth:`repro.fleet.population.FleetBuilder.build` returns), and
-:meth:`from_machines` goes the other way.
+A generated fleet never leaves this form: the simulator, the screeners
+and the scheduler all run on the columns, and ``Machine``/``Core``
+objects exist only in the small campaign fleets whose cores execute
+real operations (:mod:`repro.campaign`).
 
 Memory layout (1M cores ≈ 7 MB, vs ≈ 1 GB of ``Core`` objects):
 
@@ -34,7 +34,6 @@ merc_onset             float64    earliest defect onset age (days)
 merc_defect_mode       int16      archetype code of the primary defect
 merc_age               float64    current core age in days
 merc_sample_seed       uint64     seed that regenerates the defect set
-merc_core_seed         uint64     seed of the core's own defect RNG
 =====================  =========  ===========================================
 
 Everything above is a flat buffer, so a fleet can be handed to pool
@@ -52,11 +51,8 @@ import numpy as np
 
 from repro.fleet.product import CpuProduct
 from repro.silicon.catalog import sample_core_defects
-from repro.silicon.core import Chip, Core
-from repro.silicon.environment import NOMINAL, OperatingPoint
 
 if TYPE_CHECKING:
-    from repro.fleet.machine import Machine
     from repro.fleet.population import FleetGroundTruth
     from repro.silicon.defects import DefectModel
 
@@ -84,7 +80,6 @@ SNAPSHOT_FIELDS: tuple[str, ...] = (
     "merc_defect_mode",
     "merc_age",
     "merc_sample_seed",
-    "merc_core_seed",
 )
 
 
@@ -100,9 +95,8 @@ class FleetColumns:
     """A whole fleet as struct-of-arrays (see module docstring).
 
     Instances come from :meth:`repro.fleet.population.FleetBuilder.build_columns`
-    (seeded synthesis), :meth:`from_machines` (adapting an object
-    fleet), or :func:`repro.fleet.shm.attach` (zero-copy view of a
-    shared-memory snapshot; arrays arrive read-only).
+    (seeded synthesis) or :func:`repro.fleet.shm.attach` (zero-copy
+    view of a shared-memory snapshot; arrays arrive read-only).
     """
 
     products: tuple[CpuProduct, ...]
@@ -117,21 +111,12 @@ class FleetColumns:
     merc_defect_mode: np.ndarray
     merc_age: np.ndarray
     merc_sample_seed: np.ndarray
-    merc_core_seed: np.ndarray
-    #: machine ids; generated fleets use ``m%05d`` but adapted object
-    #: fleets keep whatever ids they had
+    #: machine ids; ``m%05d`` unless the fleet was given its own
     machine_ids: np.ndarray = dataclasses.field(default=None)  # type: ignore[assignment]
-    #: defect models per mercurial core.  Builder fleets regenerate them
-    #: lazily from ``merc_sample_seed``; adapted fleets carry the actual
-    #: object tuples; snapshot-attached fleets get them from the handle
-    #: sidecar.  ``None`` entries mean "not materialized yet".
+    #: defect models per mercurial core: the builder's samples, or the
+    #: handle sidecar's on snapshot-attached fleets.  ``None`` entries
+    #: mean "not materialized yet" (regenerated from ``merc_sample_seed``)
     _merc_defects: list | None = dataclasses.field(default=None, repr=False)
-    #: per-mercurial operating points (NOMINAL unless adapted from
-    #: objects that were moved off the nominal point)
-    _merc_env: list | None = dataclasses.field(default=None, repr=False)
-    #: explicit per-core id strings, only when the fleet does not follow
-    #: the generated ``<machine>/cNN`` pattern
-    _core_ids: list | None = dataclasses.field(default=None, repr=False)
     #: lazily built id → index maps.  A field, so ``thaw()`` hands the
     #: same dict to the copy: the ids the maps index are shared and
     #: immutable, and whichever copy needs a map first builds it for all
@@ -176,16 +161,12 @@ class FleetColumns:
 
     def core_id(self, flat_index: int) -> str:
         """Stable core id for a flat core index."""
-        if self._core_ids is not None:
-            return self._core_ids[flat_index]
         machine = int(self.core_machine[flat_index])
         within = flat_index - int(self.machine_core_start[machine])
         return f"{self.machine_ids[machine]}/c{within:02d}"
 
     def core_index(self, core_id: str) -> int | None:
         """Flat index for a core id; ``None`` if the id is unknown."""
-        if self._core_ids is not None:
-            return self._explicit_core_index_map().get(core_id)
         machine_part, _, core_part = core_id.rpartition("/c")
         if not machine_part:
             return None
@@ -207,15 +188,6 @@ class FleetColumns:
             cached = self._index_maps["machine"] = {
                 str(machine_id): index
                 for index, machine_id in enumerate(self.machine_ids.tolist())
-            }
-        return cached
-
-    def _explicit_core_index_map(self) -> dict[str, int]:
-        cached = self._index_maps.get("core")
-        if cached is None:
-            assert self._core_ids is not None
-            cached = self._index_maps["core"] = {
-                core_id: flat for flat, core_id in enumerate(self._core_ids)
             }
         return cached
 
@@ -249,12 +221,6 @@ class FleetColumns:
             self._merc_defects[merc_index] = cached
         return cached
 
-    def merc_env(self, merc_index: int) -> OperatingPoint:
-        """Operating point of one mercurial core (NOMINAL unless adapted)."""
-        if self._merc_env is None:
-            return NOMINAL
-        return self._merc_env[merc_index]
-
     def ground_truth(self) -> "FleetGroundTruth":
         """What the detectors must discover, derived from the columns."""
         from repro.fleet.population import FleetGroundTruth
@@ -275,145 +241,6 @@ class FleetColumns:
             self.core_id(flat): bool(flags[flat])
             for flat in range(self.n_cores)
         }
-
-    # -- conversions ----------------------------------------------------
-
-    @classmethod
-    def from_machines(
-        cls, machines: Sequence["Machine"], products: Sequence[CpuProduct] | None = None
-    ) -> "FleetColumns":
-        """Adapt an object fleet into columns (the objects keep working).
-
-        The adapted columns reference the fleet's *actual* defect model
-        objects (no resampling), so analytic rates match the objects
-        exactly.  ``to_machines()`` on an adapted instance is refused —
-        the original objects are the materialization.
-        """
-        if products is None:
-            seen: dict[int, CpuProduct] = {}
-            for machine in machines:
-                seen.setdefault(id(machine.product), machine.product)
-            products = tuple(seen.values())
-        product_index = {id(p): i for i, p in enumerate(products)}
-
-        n_machines = len(machines)
-        machine_product = np.zeros(n_machines, dtype=np.int16)
-        machine_deploy_day = np.zeros(n_machines, dtype=np.float64)
-        counts = np.zeros(n_machines, dtype=np.int64)
-        machine_ids = []
-        for index, machine in enumerate(machines):
-            machine_product[index] = product_index[id(machine.product)]
-            machine_deploy_day[index] = machine.deploy_day
-            counts[index] = len(machine.cores)
-            machine_ids.append(machine.machine_id)
-        machine_core_start = np.zeros(n_machines + 1, dtype=np.int64)
-        np.cumsum(counts, out=machine_core_start[1:])
-        n_cores = int(machine_core_start[-1])
-
-        core_machine = np.repeat(
-            np.arange(n_machines, dtype=np.int32), counts
-        )
-        mercurial = np.zeros(n_cores, dtype=bool)
-        online = np.ones(n_cores, dtype=bool)
-        merc_core_list: list[int] = []
-        merc_defects: list = []
-        merc_env: list = []
-        merc_onset_list: list[float] = []
-        merc_age_list: list[float] = []
-        merc_mode_list: list[int] = []
-        pattern_ok = True
-        core_ids: list[str] = []
-        flat = 0
-        for m_index, machine in enumerate(machines):
-            for within, core in enumerate(machine.cores):  # repro: noqa-PERF002 -- the one sanctioned object->columns adaptation pass
-                expected = f"{machine.machine_id}/c{within:02d}"
-                if core.core_id != expected:
-                    pattern_ok = False
-                core_ids.append(core.core_id)
-                online[flat] = core.online
-                if core.is_mercurial:
-                    mercurial[flat] = True
-                    merc_core_list.append(flat)
-                    merc_defects.append(core.defects)
-                    merc_env.append(core.env)
-                    merc_onset_list.append(
-                        min(d.aging.onset_days for d in core.defects)
-                    )
-                    merc_age_list.append(core.age_days)
-                    merc_mode_list.append(defect_mode_code(core.defects))
-                flat += 1
-
-        columns = cls(
-            products=tuple(products),
-            machine_product=machine_product,
-            machine_deploy_day=machine_deploy_day,
-            machine_core_start=machine_core_start,
-            core_machine=core_machine,
-            mercurial=mercurial,
-            online=online,
-            merc_core=np.array(merc_core_list, dtype=np.int64),
-            merc_onset=np.array(merc_onset_list, dtype=np.float64),
-            merc_defect_mode=np.array(merc_mode_list, dtype=np.int16),
-            merc_age=np.array(merc_age_list, dtype=np.float64),
-            merc_sample_seed=np.zeros(len(merc_core_list), dtype=np.uint64),
-            merc_core_seed=np.zeros(len(merc_core_list), dtype=np.uint64),
-            machine_ids=np.array(machine_ids) if machine_ids else np.array([], dtype="<U1"),
-            _merc_defects=merc_defects,
-            _merc_env=merc_env,
-            _core_ids=None if pattern_ok else core_ids,
-        )
-        object.__setattr__(columns, "_adapted", True)
-        return columns
-
-    def to_machines(self) -> tuple[list["Machine"], "FleetGroundTruth"]:
-        """Materialize the object fleet these columns describe: ids,
-        defect parameters, per-core RNG seeding (``merc_core_seed``),
-        ages, online flags and deploy days all come from the columns.
-        Healthy cores get no Generator of their own (they never draw).
-        """
-        from repro.fleet.machine import Machine
-
-        if getattr(self, "_adapted", False):
-            raise ValueError(
-                "columns adapted from an object fleet cannot re-materialize "
-                "one (no regeneration seeds); use the original machines"
-            )
-        merc_by_flat = {
-            int(flat): index for index, flat in enumerate(self.merc_core)
-        }
-        machines: list[Machine] = []
-        for m_index in range(self.n_machines):
-            machine_id = self.machine_id(m_index)
-            product = self.products[int(self.machine_product[m_index])]
-            start, stop = self.machine_core_range(m_index)
-            cores = []
-            for flat in range(start, stop):
-                core_id = self.core_id(flat)
-                merc_index = merc_by_flat.get(flat)
-                if merc_index is not None:
-                    core = Core(
-                        core_id,
-                        defects=self.merc_defects(merc_index),
-                        env=NOMINAL,
-                        rng=np.random.default_rng(
-                            int(self.merc_core_seed[merc_index])
-                        ),
-                        age_days=float(self.merc_age[merc_index]),
-                    )
-                    core.online = bool(self.online[flat])
-                else:
-                    core = Core(core_id, env=NOMINAL)
-                    core.online = bool(self.online[flat])
-                cores.append(core)
-            machines.append(
-                Machine(
-                    machine_id=machine_id,
-                    product=product,
-                    chip=Chip(cores),
-                    deploy_day=float(self.machine_deploy_day[m_index]),
-                )
-            )
-        return machines, self.ground_truth()
 
     # -- mutability -----------------------------------------------------
 

@@ -1,31 +1,24 @@
-"""Machines: a chip, an identity, an age, an operating point."""
+"""Machines: a chip and an identity."""
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.fleet.product import CpuProduct
 from repro.silicon.core import Chip, Core
-from repro.silicon.environment import DvfsTable, NOMINAL, OperatingPoint
+from repro.silicon.environment import NOMINAL, OperatingPoint
 
 
 @dataclasses.dataclass(slots=True)
 class Machine:
-    """One server in the fleet.
+    """One server in a campaign fleet.
 
     Attributes:
         machine_id: stable id, e.g. ``"m00017"``.
-        product: the CPU SKU installed.
         chip: the simulated silicon.
-        deploy_day: fleet time the machine entered service.
-        dvfs: the DVFS ladder this machine runs.
     """
 
     machine_id: str
-    product: CpuProduct
     chip: Chip
-    deploy_day: float = 0.0
-    dvfs: DvfsTable = dataclasses.field(default_factory=DvfsTable)
 
     @property
     def cores(self) -> list[Core]:
@@ -43,18 +36,8 @@ class Machine:
     def is_mercurial(self) -> bool:
         return bool(self.chip.mercurial_cores)
 
-    def age_days(self, now_days: float) -> float:
-        return max(0.0, now_days - self.deploy_day)
-
     def online_cores(self) -> list[Core]:
         return [core for core in self.chip.cores if core.online]
 
     def set_environment(self, env: OperatingPoint = NOMINAL) -> None:
         self.chip.set_environment(env)
-
-    def advance_to(self, now_days: float) -> None:
-        """Advance every core's age to match fleet time."""
-        target = self.age_days(now_days)
-        for core in self.chip.cores:
-            if core.age_days < target:
-                core.advance_age(target - core.age_days)

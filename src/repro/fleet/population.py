@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.fleet.columns import FleetColumns, defect_mode_code
-from repro.fleet.machine import Machine
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.silicon.catalog import sample_core_defects
 
@@ -83,9 +82,8 @@ class FleetBuilder:
         The single source of the builder's RNG-consumption order.
 
         Returns ``(product_indices, deploy_days, cores_per_machine,
-        mercurial_flags, mercurial_seeds)``; seeds come two per
-        mercurial core — defect sampling and the core's own
-        defect-randomness stream.
+        mercurial_flags, mercurial_seeds)``; column 0 of the seeds
+        samples each mercurial core's defects.
         """
         if n_machines < 1:
             raise ValueError("need at least one machine")
@@ -119,6 +117,7 @@ class FleetBuilder:
             root.random(total_cores) < np.repeat(prevalence, cores_per_machine)
         )
         n_mercurial = int(mercurial_flags.sum())
+        # Two per core, one unused: drawing one would resample every defect.
         mercurial_seeds = root.integers(2**63, size=(n_mercurial, 2))
         return (
             product_indices,
@@ -127,12 +126,6 @@ class FleetBuilder:
             mercurial_flags,
             mercurial_seeds,
         )
-
-    def build(self, n_machines: int) -> tuple[list[Machine], FleetGroundTruth]:
-        """The fleet as ``Machine``/``Core`` objects, plus its ground
-        truth: :meth:`build_columns` materialized through
-        :meth:`FleetColumns.to_machines`."""
-        return self.build_columns(n_machines).to_machines()
 
     def build_columns(self, n_machines: int) -> FleetColumns:
         """Create the fleet directly as columns, skipping objects entirely.
@@ -158,12 +151,7 @@ class FleetBuilder:
 
         merc_core = np.nonzero(mercurial_flags)[0].astype(np.int64)
         n_mercurial = int(merc_core.shape[0])
-        if n_mercurial:
-            merc_sample_seed = mercurial_seeds[:, 0].astype(np.uint64)
-            merc_core_seed = mercurial_seeds[:, 1].astype(np.uint64)
-        else:
-            merc_sample_seed = np.zeros(0, dtype=np.uint64)
-            merc_core_seed = np.zeros(0, dtype=np.uint64)
+        merc_sample_seed = mercurial_seeds[:, 0].astype(np.uint64)
         merc_onset = np.zeros(n_mercurial, dtype=np.float64)
         merc_defect_mode = np.zeros(n_mercurial, dtype=np.int16)
         merc_defects: list = []
@@ -196,15 +184,6 @@ class FleetBuilder:
             merc_defect_mode=merc_defect_mode,
             merc_age=np.zeros(n_mercurial, dtype=np.float64),
             merc_sample_seed=merc_sample_seed,
-            merc_core_seed=merc_core_seed,
             _merc_defects=merc_defects,
         )
 
-
-def ground_truth_map(machines: list[Machine]) -> dict[str, bool]:
-    """core id → is mercurial, for scoring detectors."""
-    truth: dict[str, bool] = {}
-    for machine in machines:
-        for core in machine.cores:  # repro: noqa-PERF002 -- object-substrate scoring API; columnar callers use FleetColumns.ground_truth_map()
-            truth[core.core_id] = core.is_mercurial
-    return truth

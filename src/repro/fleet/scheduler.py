@@ -65,9 +65,8 @@ class ScheduleStats:
 class FleetScheduler:
     """Slot-per-core scheduler over a heterogeneous (post-quarantine) fleet.
 
-    Works on either substrate: a sequence of ``Machine`` objects (the
-    original overload, pinned by tests) or a
-    :class:`~repro.fleet.columns.FleetColumns` fleet.  Placement order
+    Works on either substrate: the campaigns' ``Machine`` lists or a
+    :class:`~repro.fleet.columns.FleetColumns` fleet (E10).  Placement order
     is identical across substrates — free slots are consumed in flat
     core order — so results don't depend on the representation.
     """

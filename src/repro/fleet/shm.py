@@ -38,7 +38,6 @@ import dataclasses
 import os
 import pickle
 from multiprocessing import resource_tracker, shared_memory
-from typing import Sequence
 
 import numpy as np
 
@@ -74,9 +73,9 @@ class SnapshotHandle:
     fields: tuple[SnapshotField, ...]
     products: tuple[CpuProduct, ...]
     machine_ids_field: SnapshotField
-    #: pickled ``(defect tuples, envs)`` for the mercurial population,
-    #: so attached columns never resample and analytic rates match the
-    #: publisher's bit for bit
+    #: pickled defect tuples of the mercurial population, so attached
+    #: columns never resample and analytic rates match the publisher's
+    #: bit for bit
     defect_sidecar: bytes
 
     @property
@@ -146,16 +145,8 @@ def publish(columns: FleetColumns) -> FleetSnapshot:
     """Copy a fleet's columns into one shared-memory segment.
 
     The publish itself is the only copy in the whole hand-off; attaching
-    is zero-copy.  Columns adapted from arbitrary object fleets must
-    follow the generated core-id pattern (they do for all builder
-    fleets) — explicit per-core id lists are refused rather than
-    silently exploded into a giant string column.
+    is zero-copy.
     """
-    if columns._core_ids is not None:
-        raise ValueError(
-            "cannot snapshot a fleet with non-standard core ids; "
-            "only pattern-derived ids are supported in shared memory"
-        )
     arrays: list[tuple[str, np.ndarray]] = [
         (name, np.ascontiguousarray(getattr(columns, name)))
         for name in SNAPSHOT_FIELDS
@@ -185,10 +176,7 @@ def publish(columns: FleetColumns) -> FleetSnapshot:
         view[...] = array
 
     sidecar = pickle.dumps(
-        (
-            [columns.merc_defects(i) for i in range(columns.n_mercurial)],
-            [columns.merc_env(i) for i in range(columns.n_mercurial)],
-        ),
+        [columns.merc_defects(i) for i in range(columns.n_mercurial)],
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     handle = SnapshotHandle(
@@ -256,12 +244,10 @@ def attach(handle: SnapshotHandle) -> AttachedFleet:
         return array
 
     columns_kwargs = {field.name: view(field) for field in handle.fields}
-    merc_defects, merc_env = pickle.loads(handle.defect_sidecar)
     columns = FleetColumns(
         products=handle.products,
         machine_ids=view(handle.machine_ids_field),
-        _merc_defects=list(merc_defects),
-        _merc_env=list(merc_env),
+        _merc_defects=pickle.loads(handle.defect_sidecar),
         **columns_kwargs,
     )
     return AttachedFleet(columns, shm)

@@ -34,9 +34,9 @@ from repro.core.report import Complaint, CoreComplaintService
 from repro.core.triage import HumanTriageModel, TriageOutcome
 from repro.detection.signals import SignalAnalyzer  # repro: noqa-ARCH001 -- the simulator drives the real detection stack (the paper's point is testing production detectors, not mocks)
 from repro.fleet.columns import FleetColumns
-from repro.fleet.machine import Machine
 from repro.fleet.population import FleetGroundTruth
 from repro.silicon.defects import MachineCheckDefect
+from repro.silicon.environment import NOMINAL
 from repro.workloads.generator import blended_op_mix  # repro: noqa-ARCH001 -- fleet days replay the production workload blend so corruption rates match the serving mix
 
 
@@ -176,13 +176,8 @@ class SimulationResult:
 class FleetSimulator:
     """Drives a fleet through a detection campaign.
 
-    The simulator runs on :class:`~repro.fleet.columns.FleetColumns`
-    only.  An object fleet (``list[Machine]``) is adapted once, here,
-    through :meth:`FleetColumns.from_machines`; the event stream is
-    bit-identical either way (pinned by the parity tests).  The
-    adaptation is one-way: quarantines and aging land in the
-    simulator's own columns and in the :class:`SimulationResult`, never
-    back in ``Core`` objects it was handed.  Read-only columns
+    The simulator runs on :class:`~repro.fleet.columns.FleetColumns`,
+    and its ground truth is the columns' own.  Read-only columns
     (shared-memory snapshots) are thawed automatically; writable
     columns are mutated in place (``online``, ``merc_age``).
 
@@ -196,17 +191,14 @@ class FleetSimulator:
 
     def __init__(
         self,
-        fleet: list[Machine] | FleetColumns,
-        truth: FleetGroundTruth | None = None,
+        fleet: FleetColumns,
         config: SimulatorConfig | None = None,
         seed: int = 0,
     ):
         self.config = config or SimulatorConfig()
-        if not isinstance(fleet, FleetColumns):
-            fleet = FleetColumns.from_machines(fleet)
         columns = fleet.thaw() if fleet.read_only else fleet
         self.columns = columns
-        self.truth = truth if truth is not None else columns.ground_truth()
+        self.truth = columns.ground_truth()
         self.n_machines = columns.n_machines
         self.n_cores = columns.n_cores
         self.rng = np.random.default_rng(seed)
@@ -278,15 +270,15 @@ class FleetSimulator:
         # a core is as old as its last rate refresh.
         self._merc_synced_age = self._merc_age.copy()
         # Per core, per defect: (fails noisily?, defect, the age-free
-        # half of its mean_rate under the production mix).  Defects and
-        # operating points never change, so a refresh pays only the
-        # age step.
+        # half of its mean_rate under the production mix; every
+        # generated core runs at NOMINAL).  Defects never change, so a
+        # refresh pays only the age step.
         self._merc_rate_plans = [
             [
                 (
                     isinstance(defect, MachineCheckDefect),
                     defect,
-                    defect.rate_plan(self.production_mix, columns.merc_env(i)),
+                    defect.rate_plan(self.production_mix, NOMINAL),
                 )
                 for defect in columns.merc_defects(i)
             ]

@@ -173,9 +173,7 @@ _INPLACE_METHODS = frozenset({
 _INPLACE_FUNCTIONS = frozenset({"copyto", "put", "place", "putmask"})
 
 #: calls that produce a private mutable copy — taint stops here
-_COPY_TAILS = frozenset({
-    "thaw", "copy", "deepcopy", "to_machines", "from_machines",
-})
+_COPY_TAILS = frozenset({"thaw", "copy", "deepcopy"})
 
 
 def _attach_names(nodes: tuple[ast.AST, ...]) -> frozenset[str]:

@@ -700,7 +700,7 @@ def build_instrcheck_fleet(
         )
 
     return build_small_fleet(
-        n_machines, cores_per_machine, "instrcheck", seed, defects_for
+        n_machines, cores_per_machine, seed, defects_for
     )
 
 

@@ -29,9 +29,9 @@ from repro.serving.cluster import (
     ReplicaRouter,
     RetryBudget,
     RetryBudgetConfig,
+    RoundRobinRouter,
     Shard,
     ShardedCluster,
-    ShardRoundRobinRouter,
 )
 from repro.serving.loadgen import (
     DEFAULT_COHORTS,
@@ -65,7 +65,6 @@ from repro.serving.service import (
     Request,
     Response,
     ResponseStatus,
-    RoundRobinRouter,
     ServerReplica,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "ServerReplica",
     "ServingCampaign",
     "Shard",
-    "ShardRoundRobinRouter",
     "ShardedCluster",
     "SloScorecard",
     "UserCohort",

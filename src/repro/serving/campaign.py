@@ -43,6 +43,7 @@ from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
 from repro.fleet.scheduler import Task
 from repro.obs import names
+from repro.serving.cluster import RoundRobinRouter
 from repro.serving.robustness import (
     BreakerBoard,
     HardeningConfig,
@@ -55,7 +56,6 @@ from repro.serving.service import (
     Request,
     Response,
     ResponseStatus,
-    RoundRobinRouter,
     ServerReplica,
 )
 from repro.silicon.aging import AgingProfile
@@ -577,7 +577,7 @@ def build_serving_fleet(
         return copy_path_defect(core_id, base_rate, onset_days)
 
     machines, bad = build_small_fleet(
-        n_machines, cores_per_machine, "serving", seed, defects_for
+        n_machines, cores_per_machine, seed, defects_for
     )
     return machines, bad[0] if bad else ""
 

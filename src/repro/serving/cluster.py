@@ -1,16 +1,15 @@
 """The sharded serving cluster: routing, budgets, degradation, scaling.
 
-:mod:`repro.serving.service` models one replica set behind one
-round-robin balancer — enough for E15's four replicas, nowhere near a
-planet-scale service.  This module is the serve-at-scale layer E17
-runs on:
+:mod:`repro.serving.service` models one replica;
+E15 puts four of them behind one :class:`RoundRobinRouter` — nowhere
+near a planet-scale service.  This module is the serve-at-scale layer
+E17 runs on:
 
-- **Pluggable routers** replacing the bare
-  :class:`~repro.serving.service.RoundRobinRouter`:
-  :class:`ConsistentHashRouter` (stable user→replica affinity, minimal
-  remap when replicas join or leave) beside the round-robin control
-  arm.  All routers share one ``pick`` contract including the
-  exclusion set the retry/breaker machinery relies on.
+- **Pluggable routers**: :class:`ConsistentHashRouter` (stable
+  user→replica affinity, minimal remap when replicas join or leave)
+  beside the round-robin control arm.  All routers share one ``pick``
+  contract including the exclusion set the retry/breaker machinery
+  relies on.
 - **Per-shard state** — each :class:`Shard` owns its replica router,
   its own :class:`~repro.serving.robustness.BreakerBoard`, a request
   queue, a stale-response cache, and a degradation tier.
@@ -100,8 +99,8 @@ class ReplicaRouter:
         self.replicas[self.replicas.index(old)] = new
 
 
-class ShardRoundRobinRouter(ReplicaRouter):
-    """The E15 policy behind the shared contract (the control arm)."""
+class RoundRobinRouter(ReplicaRouter):
+    """Cursor walk over the replica set (E15's router, E17's control arm)."""
 
     def __init__(self, replicas: list[ServerReplica]):
         super().__init__(replicas)
@@ -188,7 +187,7 @@ class ConsistentHashRouter(ReplicaRouter):
 
 #: router policy name → constructor (the E17 config knob)
 ROUTER_POLICIES: dict[str, type[ReplicaRouter]] = {
-    "round-robin": ShardRoundRobinRouter,
+    "round-robin": RoundRobinRouter,
     "consistent-hash": ConsistentHashRouter,
 }
 
@@ -468,7 +467,7 @@ __all__ = [
     "RetryBudget",
     "RetryBudgetConfig",
     "Shard",
-    "ShardRoundRobinRouter",
+    "RoundRobinRouter",
     "ShardedCluster",
     "TIER_ORDER",
     "stable_key_hash",

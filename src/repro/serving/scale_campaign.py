@@ -765,6 +765,8 @@ def build_scale_fleet(
     starts clean and rots while under load.  Returns
     (machines, bad core ids).
     """
+    if not 0.0 <= prevalence <= 1.0:
+        raise ValueError(f"prevalence must be in [0, 1], got {prevalence}")
     root = np.random.default_rng(seed)
     n_cores = n_machines * cores_per_machine
     n_bad = max(1, int(round(prevalence * n_cores)))
@@ -776,8 +778,7 @@ def build_scale_fleet(
         return copy_path_defect(core_id, base_rate, onset_days)
 
     return build_small_fleet(
-        n_machines, cores_per_machine, "scale", root, defects_for,
-        core_prevalence=prevalence,
+        n_machines, cores_per_machine, root, defects_for
     )
 
 

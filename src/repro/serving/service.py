@@ -172,45 +172,11 @@ class ServerReplica:
             return echoed, latency
 
 
-class RoundRobinRouter:
-    """Client-side load balancer over the live replica set.
-
-    ``pick`` honours an exclusion set (cores already tried — the retry
-    policy's *core-diversity* rule — or cores whose circuit breaker is
-    open), so a retry is never sent back to the suspect core.
-    """
-
-    def __init__(self, replicas: list[ServerReplica]):
-        self.replicas = list(replicas)
-        self._cursor = 0
-
-    def live_replicas(self) -> list[ServerReplica]:
-        return [r for r in self.replicas if r.available]
-
-    def pick(self, exclude_core_ids: set[str] | None = None) -> ServerReplica | None:
-        """Next available replica not in the exclusion set, or None."""
-        exclude = exclude_core_ids or set()
-        n = len(self.replicas)
-        for offset in range(n):
-            replica = self.replicas[(self._cursor + offset) % n]
-            if not replica.available or replica.core_id in exclude:
-                continue
-            self._cursor = (self._cursor + offset + 1) % n
-            return replica
-        return None
-
-    def replace(self, old: ServerReplica, new: ServerReplica) -> None:
-        """Swap a replica (re-placement after quarantine/crash)."""
-        index = self.replicas.index(old)
-        self.replicas[index] = new
-
-
 __all__ = [
     "Attempt",
     "AttemptOutcome",
     "Request",
     "Response",
     "ResponseStatus",
-    "RoundRobinRouter",
     "ServerReplica",
 ]

@@ -170,9 +170,7 @@ class InjectionCampaign:
     ):
         self.work = work
         if make_core is None:
-            make_core = lambda: Core(  # noqa: E731 — trivial default
-                "inject/base", rng=np.random.default_rng(0)  # repro: noqa-DET004 -- fixed-oracle base core: the healthy reference every injection differs from
-            )
+            make_core = lambda: Core("inject/base")  # noqa: E731 — trivial default
         self.make_core = make_core
 
     def count_sites(self, ops: frozenset | None = None) -> int:

@@ -655,7 +655,7 @@ def build_storage_fleet(
         )
 
     machines, bad = build_small_fleet(
-        n_machines, cores_per_machine, "storage", seed, defects_for
+        n_machines, cores_per_machine, seed, defects_for
     )
     return machines, bad[0] if bad else ""
 

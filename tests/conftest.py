@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.fleet.shm import SEGMENT_PREFIX, leaked_segments
 from repro.silicon.core import Core
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_stray_workers_or_segments():
+    """The session leaves no child process and no fleet segment of its
+    own behind (other processes' segments are theirs)."""
+    yield
+    children = multiprocessing.active_children()
+    assert not children, f"child processes left running: {children}"
+    ours = leaked_segments(f"{SEGMENT_PREFIX}{os.getpid()}_")
+    assert not ours, f"shared-memory segments left behind: {ours}"
 
 
 @pytest.fixture(autouse=True)

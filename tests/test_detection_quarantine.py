@@ -1,66 +1,66 @@
 """Isolation mechanisms and safe-task analysis."""
 
-import numpy as np
-
 from repro.detection.quarantine import (
     CoreQuarantine,
     MachineQuarantine,
     heuristic_safe_op_mix,
 )
-from repro.silicon.core import Core
-from repro.silicon.defects import StuckBitDefect
+from repro.fleet.population import FleetBuilder
+from repro.fleet.product import CpuProduct
 from repro.silicon.units import FunctionalUnit, Op
 
+BAD = 0  # flat index of the one core the fleet marks mercurial
 
-def _bad_core(seed=0):
-    return Core(
-        "q/bad",
-        defects=[StuckBitDefect("d", bit=1, base_rate=1e-3,
-                                unit=FunctionalUnit.VECTOR)],
-        rng=np.random.default_rng(seed),
-    )
+
+def _fleet():
+    """Two 4-core machines; core 0 is the (flagged) mercurial one."""
+    product = CpuProduct("sim", "q", cores_per_machine=4, core_prevalence=0.0)
+    columns = FleetBuilder(products=[product], seed=0).build_columns(2)
+    columns.mercurial[BAD] = True
+    return columns
 
 
 class TestCoreQuarantine:
     def test_remove_takes_core_offline(self):
         quarantine = CoreQuarantine()
-        core = _bad_core()
-        quarantine.remove(core, running_tasks=3)
-        assert not core.online
+        columns = _fleet()
+        quarantine.remove(columns, BAD, running_tasks=3)
+        assert not columns.online[BAD]
+        assert int(columns.online.sum()) == columns.n_cores - 1
         assert quarantine.cost.cores_stranded == 1
+        assert quarantine.cost.healthy_cores_stranded == 0
         assert quarantine.cost.migrations == 3
 
     def test_double_remove_is_idempotent(self):
         quarantine = CoreQuarantine()
-        core = _bad_core()
-        quarantine.remove(core)
-        quarantine.remove(core)
+        columns = _fleet()
+        quarantine.remove(columns, BAD)
+        quarantine.remove(columns, BAD)
         assert quarantine.cost.cores_stranded == 1
 
     def test_healthy_strandings_tracked_separately(self):
         quarantine = CoreQuarantine()
-        healthy = Core("q/h", rng=np.random.default_rng(0))
-        quarantine.remove(healthy)
+        quarantine.remove(_fleet(), 5)
         assert quarantine.cost.healthy_cores_stranded == 1
 
     def test_restore(self):
         quarantine = CoreQuarantine()
-        core = _bad_core()
-        quarantine.remove(core)
-        quarantine.restore(core)
-        assert core.online
+        columns = _fleet()
+        quarantine.remove(columns, BAD)
+        quarantine.restore(columns, BAD)
+        assert columns.online[BAD]
         assert quarantine.cost.cores_stranded == 0
 
 
 class TestMachineQuarantine:
     def test_remove_strands_all_cores(self):
         quarantine = MachineQuarantine()
-        cores = [Core(f"m0/c{i}", rng=np.random.default_rng(i)) for i in range(4)]
-        cores[0] = _bad_core()
-        quarantine.remove("m0", cores, running_tasks=10)
+        columns = _fleet()
+        quarantine.remove(columns, 0, running_tasks=10)
         assert quarantine.cost.cores_stranded == 4
         assert quarantine.cost.healthy_cores_stranded == 3
-        assert all(not core.online for core in cores)
+        assert not columns.online[:4].any()
+        assert columns.online[4:].all()
 
 
 class TestSafeTasks:

@@ -16,17 +16,17 @@ from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 
 def _run(build_seed=11, sim_seed=3):
     # Rebuilt per run so the builder's determinism is under test too
-    # (the simulator itself never writes into the objects it is handed).
+    # (and because the simulator quarantines in the columns it is handed).
     products = tuple(
         dataclasses.replace(p, core_prevalence=p.core_prevalence * 40.0)
         for p in DEFAULT_PRODUCTS
     )
-    machines, truth = FleetBuilder(
+    columns = FleetBuilder(
         products=products, seed=build_seed,
         deployment_window=(-700.0, 0.0),
-    ).build(150)
+    ).build_columns(150)
     config = SimulatorConfig(horizon_days=60.0, warmup_days=0.0)
-    return FleetSimulator(machines, truth, config, seed=sim_seed).run()
+    return FleetSimulator(columns, config, seed=sim_seed).run()
 
 
 def _event_stream(result):

@@ -1,10 +1,9 @@
-"""Columnar fleet substrate: build parity, adapters, simulator parity.
+"""Columnar fleet substrate: shape, indexing, simulator digests.
 
-The simulator runs on columns only; an object fleet enters through
-``FleetColumns.from_machines`` and leaves through ``to_machines()``.
-Neither hop may change a single draw: the event-stream digests below
-were captured at the commit that still had the object tick tiers
-(PR 15's tree), for the production tick and for the scalar reference.
+A generated fleet is columns from the builder on.  The event-stream
+digests below were captured when the simulator still ran object
+fleets too, for the production tick and for the scalar reference; the
+columnar path has reproduced them draw for draw ever since.
 """
 
 import dataclasses
@@ -12,10 +11,9 @@ import hashlib
 import json
 
 import numpy as np
-import pytest
 
-from repro.fleet.columns import DEFECT_MODE_CODES, FleetColumns, defect_mode_code
-from repro.fleet.population import FleetBuilder, ground_truth_map
+from repro.fleet.columns import DEFECT_MODE_CODES, defect_mode_code
+from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
 from repro.fleet.reference import ScalarReferenceSimulator
 from repro.fleet.simulator import FleetSimulator, SimulatorConfig
@@ -36,22 +34,6 @@ def _boosted_products(boost=40.0):
     )
 
 
-def _machine_fingerprint(machine):
-    return (
-        machine.machine_id,
-        machine.product.sku,
-        machine.deploy_day,
-        tuple(
-            (
-                core.core_id,
-                core.is_mercurial,
-                tuple(repr(d) for d in core.defects),
-            )
-            for core in machine.cores
-        ),
-    )
-
-
 def _event_stream(result):
     return [
         (e.time_days, e.machine_id, e.core_id, str(e.kind), str(e.reporter),
@@ -61,24 +43,6 @@ def _event_stream(result):
 
 
 class TestBuildParity:
-    def test_to_machines_matches_object_builder(self):
-        machines, truth = _builder().build(N_MACHINES)
-        columns = _builder().build_columns(N_MACHINES)
-        col_machines, col_truth = columns.to_machines()
-        assert [_machine_fingerprint(m) for m in machines] == [
-            _machine_fingerprint(m) for m in col_machines
-        ]
-        assert truth.n_mercurial == col_truth.n_mercurial
-        assert sorted(truth.mercurial_core_ids) == sorted(
-            col_truth.mercurial_core_ids
-        )
-        assert truth.onset_days_by_core == col_truth.onset_days_by_core
-
-    def test_ground_truth_map_matches_object(self):
-        machines, _ = _builder().build(N_MACHINES)
-        columns = _builder().build_columns(N_MACHINES)
-        assert columns.ground_truth_map() == ground_truth_map(machines)
-
     def test_counts_and_sizes(self):
         columns = _builder().build_columns(N_MACHINES)
         assert columns.n_machines == N_MACHINES
@@ -110,31 +74,6 @@ class TestIndexing:
 
 
 class TestAdapters:
-    def test_from_machines_round_trips_ids(self):
-        machines, _ = _builder().build(20)
-        columns = FleetColumns.from_machines(machines)
-        assert columns.n_cores == sum(len(m.cores) for m in machines)
-        assert columns.ground_truth_map() == ground_truth_map(machines)
-
-    def test_from_machines_indexes_off_pattern_core_ids(self):
-        # The simulator finds cores through core_index(); an adapted
-        # fleet whose ids are not ``<machine>/cNN`` must still resolve.
-        machines, _ = _builder().build(3)
-        for machine in machines:
-            for within, core in enumerate(machine.cores):
-                core.core_id = f"socket-{machine.machine_id}-{within}"
-        columns = FleetColumns.from_machines(machines)
-        for flat in (0, 7, columns.n_cores - 1):
-            assert columns.core_index(columns.core_id(flat)) == flat
-        assert columns.core_id(7) == machines[0].cores[7].core_id
-        assert columns.core_index("m00000/c07") is None
-
-    def test_adapted_columns_refuse_to_materialize(self):
-        machines, _ = _builder().build(5)
-        columns = FleetColumns.from_machines(machines)
-        with pytest.raises(ValueError):
-            columns.to_machines()
-
     def test_defect_mode_codes_distinct_and_nonzero(self):
         codes = set(DEFECT_MODE_CODES.values())
         assert len(codes) == len(DEFECT_MODE_CODES)
@@ -167,26 +106,16 @@ class TestAdapters:
         assert fresh._machine_index_map() is first._machine_index_map()
         assert fresh.thaw()._machine_index_map() is first._machine_index_map()
 
-        machines, _ = _builder().build(3)
-        for machine in machines:
-            for within, core in enumerate(machine.cores):
-                core.core_id = f"socket-{machine.machine_id}-{within}"
-        adapted = FleetColumns.from_machines(machines)
-        assert adapted.core_index(adapted.core_id(7)) == 7
-        assert adapted.thaw()._explicit_core_index_map() is \
-            adapted._explicit_core_index_map()
-
     def test_machine_index_map_is_the_str_keyed_enumeration(self):
         """Built from ``machine_ids.tolist()``; the same dict the
-        per-numpy-scalar walk gave, for generated and adopted ids."""
-        machines, _ = _builder().build(4)
-        for index, machine in enumerate(machines):
-            machine.machine_id = f"rack{index % 2}.host-{index}"
-            for within, core in enumerate(machine.cores):
-                core.core_id = f"{machine.machine_id}/c{within:02d}"
-        adapted = FleetColumns.from_machines(machines)
-        assert adapted._core_ids is None  # still the <machine>/cNN pattern
-        for columns in (_builder().build_columns(40), adapted):
+        per-numpy-scalar walk gave, for generated and given ids."""
+        renamed = dataclasses.replace(
+            _builder().build_columns(4),
+            machine_ids=np.array(
+                [f"rack{index % 2}.host-{index}" for index in range(4)]
+            ),
+        )
+        for columns in (_builder().build_columns(40), renamed):
             expected = {
                 str(machine_id): index
                 for index, machine_id in enumerate(columns.machine_ids)
@@ -195,8 +124,8 @@ class TestAdapters:
             assert built == expected
             assert list(built) == list(expected)
             assert all(type(key) is str for key in built)
-        assert adapted.core_index("rack1.host-3/c02") == (
-            adapted.machine_core_range(3)[0] + 2
+        assert renamed.core_index("rack1.host-3/c02") == (
+            renamed.machine_core_range(3)[0] + 2
         )
 
 
@@ -227,39 +156,12 @@ class TestSimulatorParity:
     def _parity_builder():
         return _builder(products=_boosted_products())
 
-    def _object_result(self):
-        machines, truth = self._parity_builder().build(150)
-        return FleetSimulator(machines, truth, self.CONFIG, seed=3).run()
-
     def _columnar_result(self):
         columns = self._parity_builder().build_columns(150)
         return FleetSimulator(columns, config=self.CONFIG, seed=3).run()
 
-    def test_event_streams_bit_identical(self):
-        obj = self._object_result()
-        col = self._columnar_result()
-        assert _event_stream(obj) == _event_stream(col)
-        assert sorted(obj.quarantined_cores) == sorted(col.quarantined_cores)
-        assert obj.quarantine_day == col.quarantine_day
-        assert obj.detection_latency_days == col.detection_latency_days
-        assert obj.total_corruptions == col.total_corruptions
-        assert obj.app_visible_corruptions == col.app_visible_corruptions
-        assert obj.screening_ops_spent == col.screening_ops_spent
-
     def test_production_tick_digest_pinned(self):
         assert _event_sha(self._columnar_result()) == self.PRODUCTION_SHA
-        # an object fleet handed in (truth derived, not passed)...
-        machines, _ = self._parity_builder().build(150)
-        assert _event_sha(
-            FleetSimulator(machines, config=self.CONFIG, seed=3).run()
-        ) == self.PRODUCTION_SHA
-        # ...and the explicit to_machines() round trip
-        machines, truth = (
-            self._parity_builder().build_columns(150).to_machines()
-        )
-        assert _event_sha(
-            FleetSimulator(machines, truth, self.CONFIG, seed=3).run()
-        ) == self.PRODUCTION_SHA
 
     def test_scalar_reference_digest_pinned(self):
         columns = self._parity_builder().build_columns(150)
@@ -267,13 +169,6 @@ class TestSimulatorParity:
             columns, config=self.CONFIG, seed=3
         ).run()
         assert _event_sha(result) == self.REFERENCE_SHA
-
-    def test_simulator_does_not_write_back_into_objects(self):
-        machines, truth = self._parity_builder().build(150)
-        result = FleetSimulator(machines, truth, self.CONFIG, seed=3).run()
-        assert result.quarantined_cores
-        assert all(core.online for m in machines for core in m.cores)
-        assert all(core.age_days == 0.0 for m in machines for core in m.cores)
 
     def test_truth_derived_from_columns(self):
         columns = _builder().build_columns(40)
@@ -287,23 +182,15 @@ class TestSimulatorParity:
             columns.core_id(int(flat)) for flat in columns.merc_core
         )
 
-    def test_explicit_truth_wins(self):
-        machines, truth = _builder().build(5)
-        sim = FleetSimulator(machines, truth, self.CONFIG, seed=1)
-        assert sim.truth is truth
-
 
 class TestMercurialViews:
     def test_merc_defects_match_materialized_cores(self):
+        """The lazy path (``merc_sample_seed``) regenerates exactly the
+        defects the builder sampled."""
         columns = _builder(products=_boosted_products()).build_columns(60)
-        machines, _ = _builder(products=_boosted_products()).build(60)
-        core_by_id = {
-            c.core_id: c for m in machines for c in m.cores
-        }
         assert columns.n_mercurial > 0
+        lazy = dataclasses.replace(columns, _merc_defects=None)
         for index in range(columns.n_mercurial):
-            flat = int(columns.merc_core[index])
-            core = core_by_id[columns.core_id(flat)]
-            assert tuple(repr(d) for d in columns.merc_defects(index)) == (
-                tuple(repr(d) for d in core.defects)
+            assert tuple(repr(d) for d in lazy.merc_defects(index)) == (
+                tuple(repr(d) for d in columns.merc_defects(index))
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fleet.machine import Machine
-from repro.fleet.population import FleetBuilder, ground_truth_map
+from repro.fleet.population import FleetBuilder
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.silicon.aging import WeibullOnset
 from repro.silicon.catalog import named_case
@@ -42,57 +42,50 @@ class TestProducts:
 
 class TestFleetBuilder:
     def test_deterministic_under_seed(self):
-        a_machines, a_truth = FleetBuilder(seed=5).build(200)
-        b_machines, b_truth = FleetBuilder(seed=5).build(200)
-        assert a_truth.mercurial_core_ids == b_truth.mercurial_core_ids
-        assert [m.product.sku for m in a_machines] == \
-            [m.product.sku for m in b_machines]
+        a = FleetBuilder(seed=5).build_columns(200)
+        b = FleetBuilder(seed=5).build_columns(200)
+        assert a.ground_truth().mercurial_core_ids == \
+            b.ground_truth().mercurial_core_ids
+        assert a.machine_product.tolist() == b.machine_product.tolist()
 
     def test_ground_truth_matches_cores(self):
-        machines, truth = FleetBuilder(seed=3).build(300)
+        columns = FleetBuilder(seed=3).build_columns(300)
         actual = {
-            core.core_id
-            for machine in machines
-            for core in machine.cores
-            if core.is_mercurial
+            columns.core_id(int(flat))
+            for flat in np.nonzero(columns.mercurial)[0]
         }
-        assert actual == truth.mercurial_core_ids
+        assert actual == columns.ground_truth().mercurial_core_ids
 
     def test_incidence_scales_with_prevalence(self):
         dense = [
             CpuProduct("v", "dense", 32, core_prevalence=5e-3,
                        onset=WeibullOnset())
         ]
-        machines, truth = FleetBuilder(products=dense, seed=1).build(300)
-        assert truth.n_mercurial > 10
+        columns = FleetBuilder(products=dense, seed=1).build_columns(300)
+        assert columns.n_mercurial > 10
 
     def test_deployment_window(self):
         builder = FleetBuilder(seed=2, deployment_window=(-100.0, 50.0))
-        machines, _ = builder.build(100)
-        deploys = [m.deploy_day for m in machines]
-        assert min(deploys) >= -100.0 and max(deploys) <= 50.0
+        deploys = builder.build_columns(100).machine_deploy_day
+        assert deploys.min() >= -100.0 and deploys.max() <= 50.0
 
     def test_technology_refresh_orders_deployments(self):
         builder = FleetBuilder(
             seed=4, deployment_window=(0.0, 1000.0), technology_refresh=True
         )
-        machines, _ = builder.build(800)
-        by_product: dict[str, list[float]] = {}
-        for machine in machines:
-            by_product.setdefault(machine.product.sku, []).append(
-                machine.deploy_day
-            )
+        columns = builder.build_columns(800)
         means = [
-            sum(by_product[p.sku]) / len(by_product[p.sku])
-            for p in DEFAULT_PRODUCTS
-            if p.sku in by_product
+            float(columns.machine_deploy_day[columns.machine_product == p].mean())
+            for p in range(len(DEFAULT_PRODUCTS))
+            if (columns.machine_product == p).any()
         ]
         assert means == sorted(means)  # newer SKUs deploy later on average
 
     def test_ground_truth_map(self):
-        machines, truth = FleetBuilder(seed=6).build(100)
-        truth_map = ground_truth_map(machines)
-        assert sum(truth_map.values()) == truth.n_mercurial
+        columns = FleetBuilder(seed=6).build_columns(100)
+        truth_map = columns.ground_truth_map()
+        assert len(truth_map) == columns.n_cores
+        assert sum(truth_map.values()) == columns.ground_truth().n_mercurial
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +93,7 @@ class TestFleetBuilder:
 
     def test_needs_positive_machines(self):
         with pytest.raises(ValueError):
-            FleetBuilder().build(0)
+            FleetBuilder().build_columns(0)
 
 
 class TestMachine:
@@ -111,16 +104,7 @@ class TestMachine:
                 "mx/c2", defects=named_case("string_bit_flipper"),
                 rng=np.random.default_rng(9),
             )
-        return Machine("mx", DEFAULT_PRODUCTS[0], Chip(cores), deploy_day=-30.0)
-
-    def test_age_days(self):
-        machine = self._machine()
-        assert machine.age_days(now_days=70.0) == 100.0
-
-    def test_advance_to_syncs_core_ages(self):
-        machine = self._machine()
-        machine.advance_to(20.0)
-        assert all(core.age_days == 50.0 for core in machine.cores)
+        return Machine("mx", Chip(cores))
 
     def test_mercurial_detection(self):
         assert not self._machine().is_mercurial

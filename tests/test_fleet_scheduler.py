@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.campaign import build_small_fleet
 from repro.fleet.population import FleetBuilder
+from repro.fleet.product import CpuProduct
 from repro.fleet.scheduler import FleetScheduler, Task
 from repro.silicon.units import FunctionalUnit, Op
 
+CORES_PER_MACHINE = 16
+
 
 def _small_fleet(n=4, seed=0):
-    machines, _ = FleetBuilder(seed=seed).build(n)
+    """The object fleet the campaigns hand the scheduler."""
+    machines, _ = build_small_fleet(
+        n, CORES_PER_MACHINE, seed, lambda *_: ()
+    )
     return machines
 
 
@@ -118,13 +125,13 @@ class TestColumnarScheduler:
     """FleetColumns overload: identical placement, no Core objects."""
 
     def _both(self, n=4, seed=0):
-        machines, _ = FleetBuilder(
-            seed=seed, deployment_window=(-700.0, 0.0)
-        ).build(n)
-        columns = FleetBuilder(
-            seed=seed, deployment_window=(-700.0, 0.0)
-        ).build_columns(n)
-        return machines, columns
+        """A campaign fleet and a one-product builder fleet of the same
+        shape: the same ids, core for core."""
+        product = CpuProduct(
+            "sim", "sched", CORES_PER_MACHINE, core_prevalence=0.0
+        )
+        columns = FleetBuilder(products=[product], seed=seed).build_columns(n)
+        return _small_fleet(n, seed), columns
 
     def test_placements_match_object_overload(self):
         machines, columns = self._both()

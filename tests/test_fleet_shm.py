@@ -18,7 +18,7 @@ from repro.detection.corpus import TestCorpus
 from repro.detection.fleetscreen import distill
 from repro.engine.runner import WorkerCrashError, run_fleet_trials, run_tasks
 from repro.fleet import shm
-from repro.fleet.columns import SNAPSHOT_FIELDS, FleetColumns
+from repro.fleet.columns import SNAPSHOT_FIELDS
 from repro.fleet.population import FleetBuilder
 from repro.workloads.generator import blended_op_mix
 
@@ -273,14 +273,3 @@ class TestRunFleetTrials:
         with pytest.raises(WorkerCrashError, match="worker process"):
             run_fleet_trials(_crash, columns, 4, seed=0, workers=2)
         assert shm.leaked_segments() == []
-
-    def test_nonstandard_ids_refuse_snapshot(self):
-        machines, _ = FleetBuilder(
-            seed=1, deployment_window=(-700.0, 0.0)
-        ).build(3)
-        for machine in machines:
-            for core in machine.cores:
-                core.core_id = "x-" + core.core_id
-        adapted = FleetColumns.from_machines(machines)
-        with pytest.raises(ValueError):
-            shm.publish(adapted)

@@ -8,17 +8,12 @@ import pytest
 from repro.core.events import EventKind, Reporter
 from repro.core.metrics import confusion
 from repro.core.policy import PolicyConfig
-from repro.fleet.machine import Machine
-from repro.fleet.population import (
-    FleetBuilder,
-    FleetGroundTruth,
-    ground_truth_map,
-)
+from repro.fleet.columns import FleetColumns, defect_mode_code
+from repro.fleet.population import FleetBuilder
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.fleet.reference import ScalarReferenceSimulator
 from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 from repro.silicon.aging import AgingProfile, WeibullOnset
-from repro.silicon.core import Chip, Core
 from repro.silicon.defects import StuckBitDefect
 from repro.silicon.units import FunctionalUnit
 
@@ -36,11 +31,10 @@ def small_campaign():
         products=_dense_products(), seed=11,
         deployment_window=(-700.0, 0.0),
     )
-    machines, truth = builder.build(400)
+    columns = builder.build_columns(400)
     config = SimulatorConfig(horizon_days=120.0, warmup_days=0.0)
-    simulator = FleetSimulator(machines, truth, config, seed=3)
-    result = simulator.run()
-    return machines, truth, result
+    result = FleetSimulator(columns, config, seed=3).run()
+    return columns, result.truth, result
 
 
 class TestCampaign:
@@ -49,8 +43,8 @@ class TestCampaign:
         assert len(result.events) > 0
 
     def test_quarantines_only_with_evidence(self, small_campaign):
-        machines, truth, result = small_campaign
-        detection = confusion(ground_truth_map(machines), result.flagged())
+        columns, _, result = small_campaign
+        detection = confusion(columns.ground_truth_map(), result.flagged())
         # With confession-gated policy, precision should be high.
         if result.quarantined_cores:
             assert detection.precision >= 0.8
@@ -114,12 +108,12 @@ class TestConfigKnobs:
 
     def test_zero_background_noise_yields_no_bg_crashes(self):
         builder = FleetBuilder(products=_dense_products(), seed=13)
-        machines, truth = builder.build(100)
+        columns = builder.build_columns(100)
         config = SimulatorConfig(
             horizon_days=30.0, warmup_days=0.0,
             bg_crash_rate=0.0, bg_user_rate=0.0,
         )
-        result = FleetSimulator(machines, truth, config, seed=1).run()
+        result = FleetSimulator(columns, config, seed=1).run()
         software_bug_crashes = [
             e for e in result.events
             if e.kind is EventKind.CRASH and e.detail == "software bug"
@@ -128,13 +122,13 @@ class TestConfigKnobs:
 
     def test_coverage_expansion_steps(self):
         builder = FleetBuilder(products=_dense_products(), seed=13)
-        machines, truth = builder.build(50)
+        columns = builder.build_columns(50)
         config = SimulatorConfig(
             horizon_days=10.0, warmup_days=0.0,
             coverage_initial=0.4, coverage_step=0.2,
             coverage_expansions_per_year=2.0,
         )
-        simulator = FleetSimulator(machines, truth, config, seed=1)
+        simulator = FleetSimulator(columns, config, seed=1)
         assert simulator._coverage(0.0) == pytest.approx(0.4)
         assert simulator._coverage(183.0) == pytest.approx(0.6)
         assert simulator._coverage(2000.0) == 1.0  # capped
@@ -149,7 +143,7 @@ class TestConfigKnobs:
                 onset=WeibullOnset(),
             ),
         )
-        machines, truth = FleetBuilder(products=quiet, seed=17).build(150)
+        columns = FleetBuilder(products=quiet, seed=17).build_columns(150)
         config = SimulatorConfig(
             horizon_days=60.0, warmup_days=0.0,
             online_corpus_ops=0.0, offline_corpus_ops=0.0,
@@ -158,81 +152,76 @@ class TestConfigKnobs:
             p_user_surface=0.0,
             bg_crash_rate=0.0, bg_user_rate=0.0,
         )
-        result = FleetSimulator(machines, truth, config, seed=2).run()
-        assert truth.n_mercurial > 0
+        result = FleetSimulator(columns, config, seed=2).run()
+        assert result.truth.n_mercurial > 0
         assert result.total_corruptions > 0  # damage is real...
         # ...and invisible — except for fail-noisy (machine-check)
         # defects, which are detectable by construction (§2: machine
         # checks are disruptive but at least observable).
         from repro.silicon.defects import MachineCheckDefect
 
-        core_by_id = {
-            core.core_id: core
-            for machine in machines
-            for core in machine.cores
+        defects_by_id = {
+            columns.core_id(int(flat)): columns.merc_defects(index)
+            for index, flat in enumerate(columns.merc_core)
         }
         for core_id in result.quarantined_cores:
-            defects = core_by_id[core_id].defects
+            defects = defects_by_id[core_id]
             assert any(isinstance(d, MachineCheckDefect) for d in defects)
 
     def test_app_selfchecks_alone_catch_loud_cores(self):
         """Even with zero screening, application-level checks (§6's
         'many of our applications already checked for SDCs') surface
         the loud mercurial cores."""
-        machines, truth = FleetBuilder(
+        columns = FleetBuilder(
             products=_dense_products(), seed=17,
             deployment_window=(-700.0, 0.0),
-        ).build(200)
+        ).build_columns(200)
         config = SimulatorConfig(
             horizon_days=60.0, warmup_days=0.0,
             online_corpus_ops=0.0, offline_corpus_ops=0.0,
         )
-        result = FleetSimulator(machines, truth, config, seed=2).run()
-        detected = result.quarantined_cores & truth.mercurial_core_ids
+        result = FleetSimulator(columns, config, seed=2).run()
+        detected = result.quarantined_cores & result.truth.mercurial_core_ids
         assert detected
 
 
 def _bespoke_fleet(n_bad=3, onset_days=0.0, base_rate=1e-4):
-    """Two 4-core machines; the first carries ``n_bad`` loud mercurial
-    cores (c00..), so the machine_core_limit escalation is reachable
-    deterministically."""
+    """Two 4-core machines deployed 60 days before t=0; the first
+    carries ``n_bad`` loud mercurial cores (c00..), so the
+    machine_core_limit escalation is reachable deterministically."""
     product = CpuProduct(
         vendor="sim", sku="bespoke-4c", cores_per_machine=4,
         core_prevalence=0.0,
     )
-    machines, mercurial, onsets = [], set(), {}
-    for m in range(2):
-        machine_id = f"m{m:05d}"
-        cores = []
-        for c in range(4):
-            core_id = f"{machine_id}/c{c:02d}"
-            defects = ()
-            if m == 0 and c < n_bad:
-                defects = (
-                    StuckBitDefect(
-                        f"d/{core_id}", bit=3, base_rate=base_rate,
-                        unit=FunctionalUnit.LOAD_STORE,
-                        aging=AgingProfile(onset_days=onset_days),
-                    ),
-                )
-                mercurial.add(core_id)
-                onsets[core_id] = onset_days
-            cores.append(
-                Core(
-                    core_id, defects=defects,
-                    rng=np.random.default_rng(100 + m * 4 + c),
-                )
-            )
-        machines.append(
-            Machine(
-                machine_id=machine_id, product=product, chip=Chip(cores),
-                deploy_day=-60.0,
-            )
+    defects = [
+        (
+            StuckBitDefect(
+                f"d/m00000/c{c:02d}", bit=3, base_rate=base_rate,
+                unit=FunctionalUnit.LOAD_STORE,
+                aging=AgingProfile(onset_days=onset_days),
+            ),
         )
-    truth = FleetGroundTruth(
-        mercurial_core_ids=mercurial, onset_days_by_core=onsets
+        for c in range(n_bad)
+    ]
+    mercurial = np.zeros(8, dtype=bool)
+    mercurial[:n_bad] = True
+    return FleetColumns(
+        products=(product,),
+        machine_product=np.zeros(2, dtype=np.int16),
+        machine_deploy_day=np.full(2, -60.0),
+        machine_core_start=np.array([0, 4, 8], dtype=np.int64),
+        core_machine=np.repeat(np.arange(2, dtype=np.int32), 4),
+        mercurial=mercurial,
+        online=np.ones(8, dtype=bool),
+        merc_core=np.arange(n_bad, dtype=np.int64),
+        merc_onset=np.full(n_bad, onset_days),
+        merc_defect_mode=np.array(
+            [defect_mode_code(d) for d in defects], dtype=np.int16
+        ),
+        merc_age=np.zeros(n_bad),
+        merc_sample_seed=np.zeros(n_bad, dtype=np.uint64),
+        _merc_defects=defects,
     )
-    return machines, truth
 
 
 def _quiet_config(**overrides):
@@ -253,12 +242,13 @@ class TestQuarantineMachine:
 
     @pytest.fixture(scope="class")
     def escalated(self):
-        machines, truth = _bespoke_fleet(n_bad=3)
-        result = FleetSimulator(machines, truth, _quiet_config(), seed=5).run()
-        return machines, truth, result
+        result = FleetSimulator(
+            _bespoke_fleet(n_bad=3), _quiet_config(), seed=5
+        ).run()
+        return result.truth, result
 
     def test_third_bad_core_pulls_the_whole_machine(self, escalated):
-        _, truth, result = escalated
+        truth, result = escalated
         assert truth.mercurial_core_ids <= result.quarantined_cores
         # The healthy sibling goes down with the machine...
         assert "m00000/c03" in result.quarantined_cores
@@ -271,7 +261,7 @@ class TestQuarantineMachine:
     def test_sibling_gets_a_quarantine_day_but_no_latency_entry(
         self, escalated
     ):
-        _, _, result = escalated
+        _, result = escalated
         # detection_latency_days is a *detection* metric: only truly
         # mercurial cores belong in it; collateral siblings do not.
         assert "m00000/c03" in result.quarantine_day
@@ -280,16 +270,17 @@ class TestQuarantineMachine:
     def test_sibling_quarantined_same_day_as_the_escalating_core(
         self, escalated
     ):
-        _, truth, result = escalated
+        truth, result = escalated
         escalation_day = max(
             result.quarantine_day[c] for c in truth.mercurial_core_ids
         )
         assert result.quarantine_day["m00000/c03"] == escalation_day
 
     def test_below_the_limit_no_machine_escalation(self):
-        machines, truth = _bespoke_fleet(n_bad=2)
-        result = FleetSimulator(machines, truth, _quiet_config(), seed=5).run()
-        assert truth.mercurial_core_ids <= result.quarantined_cores
+        result = FleetSimulator(
+            _bespoke_fleet(n_bad=2), _quiet_config(), seed=5
+        ).run()
+        assert result.truth.mercurial_core_ids <= result.quarantined_cores
         assert "m00000/c03" not in result.quarantined_cores
 
 
@@ -299,15 +290,17 @@ class TestDetectionLatencyAccounting:
         # 50 days predates the campaign: the core was already bad when
         # observation started and the latency clamp must hold at zero
         # (a negative "latency" would poison the E-series averages).
-        machines, truth = _bespoke_fleet(n_bad=1, onset_days=50.0)
-        result = FleetSimulator(machines, truth, _quiet_config(), seed=5).run()
+        result = FleetSimulator(
+            _bespoke_fleet(n_bad=1, onset_days=50.0), _quiet_config(), seed=5
+        ).run()
         assert "m00000/c00" in result.detection_latency_days
         assert result.quarantine_day["m00000/c00"] < 50.0
         assert result.detection_latency_days["m00000/c00"] == 0.0
 
     def test_day_one_defect_latency_equals_quarantine_day(self):
-        machines, truth = _bespoke_fleet(n_bad=1, onset_days=0.0)
-        result = FleetSimulator(machines, truth, _quiet_config(), seed=5).run()
+        result = FleetSimulator(
+            _bespoke_fleet(n_bad=1, onset_days=0.0), _quiet_config(), seed=5
+        ).run()
         latency = result.detection_latency_days["m00000/c00"]
         assert latency == pytest.approx(
             result.quarantine_day["m00000/c00"]

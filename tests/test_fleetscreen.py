@@ -39,6 +39,7 @@ from repro.detection.fleetscreen import (
 from repro.detection.weights import default_weights
 from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
+from repro.silicon.environment import NOMINAL
 from repro.silicon.units import UNIT_OPS
 
 
@@ -254,7 +255,7 @@ class TestUnitRateReuse:
         ages = _merc_ages(columns, 130.0)
         expected = np.zeros((columns.n_mercurial, len(UNIT_ORDER)))
         for i in range(columns.n_mercurial):
-            env, age = columns.merc_env(i), float(ages[i])
+            env, age = NOMINAL, float(ages[i])
             for u, unit in enumerate(UNIT_ORDER):
                 ops = UNIT_OPS[unit]
                 expected[i, u] = sum(

@@ -144,8 +144,9 @@ class TestRegistry:
             ), row_id
 
 
-# Two checks a claim gate cannot express: E2's claim only bites at the
-# documented scale, and E12 must not count a harness bug as a detection.
+# Checks a claim gate cannot express: E2's claim only bites at the
+# documented scale, E10 must size itself to a tiny fleet, and E12 must
+# not count a harness bug as a detection.
 
 class TestE2Symptoms:
     def test_observes_multiple_symptom_classes(self):
@@ -153,6 +154,15 @@ class TestE2Symptoms:
         result = documented("E2")
         assert len(result["per_core_rates"]) >= 20
         assert _failed("E2", result) == []
+
+
+class TestE10Isolation:
+    def test_fewer_machines_than_bad_cores(self):
+        # one quarantined core per machine, and the title counts them
+        result = experiments.run_isolation(n_machines=3)
+        assert result["core_stranded"] == 3
+        assert "(3 bad cores)" in result["rendered"]
+        assert result["machine_stranded"] == result["machine_healthy_stranded"]
 
 
 class TestE12Abft:

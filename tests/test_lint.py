@@ -561,8 +561,8 @@ class TestMetaGate:
         assert result.new == [], f"new lint findings:\n{rendered}"
         assert result.files_scanned > 150
         # every accepted site is a noqa comment; the count moves only
-        # with a reviewed edit (ARCH001 3, DET002 2, DET004 9, PERF002 3)
-        assert result.suppressed == 17
+        # with a reviewed edit (ARCH001 3, DET002 2, DET004 4, PERF002 1)
+        assert result.suppressed == 10
 
 
 class TestDet004SeedProvenance:

@@ -15,7 +15,8 @@ from repro.serving.robustness import (
     ResponseValidator,
     RetryPolicy,
 )
-from repro.serving.service import Request, RoundRobinRouter, ServerReplica
+from repro.serving.cluster import RoundRobinRouter
+from repro.serving.service import Request, ServerReplica
 from repro.silicon.core import Core
 from repro.silicon.defects import StuckBitDefect
 from repro.silicon.errors import CoreOfflineError, MachineCheckError

@@ -15,9 +15,9 @@ from repro.serving.cluster import (
     DegradationTier,
     RetryBudget,
     RetryBudgetConfig,
+    RoundRobinRouter,
     Shard,
     ShardedCluster,
-    ShardRoundRobinRouter,
     stable_key_hash,
     stable_str_hash,
 )
@@ -60,13 +60,13 @@ class TestRouterRegistry:
 
 class TestShardRoundRobinRouter:
     def test_cycles_and_counts_assignments(self):
-        router = ShardRoundRobinRouter(_replicas(3))
+        router = RoundRobinRouter(_replicas(3))
         picks = [router.pick().replica_id for _ in range(6)]
         assert picks == ["s0/r0", "s0/r1", "s0/r2"] * 2
         assert all(r.assigned == 2 for r in router.replicas)
 
     def test_returns_none_when_everyone_is_excluded(self):
-        router = ShardRoundRobinRouter(_replicas(2))
+        router = RoundRobinRouter(_replicas(2))
         assert router.pick(exclude_core_ids={"s0/r0", "s0/r1"}) is None
 
 
@@ -189,7 +189,7 @@ class TestDegradationPolicy:
 
 def _shard(n_replicas=3, breaker=None, **kwargs):
     return Shard(
-        "shard/0", ShardRoundRobinRouter(_replicas(n_replicas)),
+        "shard/0", RoundRobinRouter(_replicas(n_replicas)),
         breaker, **kwargs,
     )
 
@@ -272,7 +272,7 @@ class TestShardedCluster:
     def test_key_to_shard_assignment_is_stable_and_covers_all(self):
         shards = [
             Shard(f"shard/{i}",
-                  ShardRoundRobinRouter(_replicas(2, prefix=f"s{i}/r")),
+                  RoundRobinRouter(_replicas(2, prefix=f"s{i}/r")),
                   None)
             for i in range(3)
         ]
@@ -285,7 +285,7 @@ class TestShardedCluster:
     def test_distress_is_the_worst_of_the_three_signals(self):
         shards = [
             Shard(f"shard/{i}",
-                  ShardRoundRobinRouter(_replicas(2, prefix=f"s{i}/r")),
+                  RoundRobinRouter(_replicas(2, prefix=f"s{i}/r")),
                   None)
             for i in range(2)
         ]
@@ -300,7 +300,7 @@ class TestShardedCluster:
     def test_live_capacity_sums_across_shards(self):
         shards = [
             Shard(f"shard/{i}",
-                  ShardRoundRobinRouter(_replicas(3, prefix=f"s{i}/r")),
+                  RoundRobinRouter(_replicas(3, prefix=f"s{i}/r")),
                   None)
             for i in range(2)
         ]

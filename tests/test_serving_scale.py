@@ -56,6 +56,11 @@ class TestScaleFleet:
         _, bad = build_scale_fleet(prevalence=0.001, seed=7)
         assert len(bad) == 1
 
+    @pytest.mark.parametrize("prevalence", [1.5, -0.2, float("nan")])
+    def test_prevalence_outside_unit_interval_rejected(self, prevalence):
+        with pytest.raises(ValueError, match="prevalence"):
+            build_scale_fleet(prevalence=prevalence)
+
 
 class TestScaleHardening:
     def test_baseline_turns_everything_off(self):

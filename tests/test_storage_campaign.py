@@ -168,7 +168,7 @@ class TestCallCounts:
             ),)
 
         machines, bad = build_small_fleet(
-            4, 4, "storage", 7, load_store_defect_only
+            4, 4, 7, load_store_defect_only
         )
         calls = []
         golden_mix = crypto._golden_mix
