@@ -53,7 +53,9 @@ class SuspicionTracker:
         source: str | None = None,
     ) -> float:
         """Add one signal; returns the updated score."""
-        state = self._cores.setdefault(core_id, _CoreState(last_update_days=now_days))
+        state = self._cores.get(core_id)
+        if state is None:
+            state = self._cores[core_id] = _CoreState(last_update_days=now_days)
         self._decay(state, now_days)
         bonus = 0.0
         if source is not None and source not in state.distinct_sources:
@@ -80,12 +82,20 @@ class SuspicionTracker:
         return len(state.distinct_sources) if state else 0
 
     def suspects(self, now_days: float, threshold: float) -> list[tuple[str, float]]:
-        """Cores at/above threshold, most suspicious first."""
-        ranked = [
-            (core_id, self.score(core_id, now_days))
-            for core_id in list(self._cores)
-        ]
-        ranked = [(c, s) for c, s in ranked if s >= threshold]
+        """Cores at/above threshold, most suspicious first.
+
+        Decays every tracked core to ``now_days`` (the same arithmetic
+        as :meth:`score`) and thresholds it in the same pass.
+        """
+        half_life = self.half_life_days
+        ranked = []
+        for core_id, state in self._cores.items():
+            elapsed = now_days - state.last_update_days
+            if elapsed > 0:
+                state.score *= 0.5 ** (elapsed / half_life)
+                state.last_update_days = now_days
+            if state.score >= threshold:
+                ranked.append((core_id, state.score))
         ranked.sort(key=lambda item: item[1], reverse=True)
         return ranked
 

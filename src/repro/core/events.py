@@ -10,10 +10,12 @@ consume only these events, never ground truth.
 
 from __future__ import annotations
 
-import collections
 import enum
+import itertools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 
 class EventKind(enum.Enum):
@@ -77,11 +79,50 @@ class CeeEvent(NamedTuple):
     detail: str = ""
 
 
+class _Batch(NamedTuple):
+    """Records that share everything but the machine, kept as a count.
+
+    One tick's background crashes: unattributed, so no detector reads
+    them one by one, and built as :class:`CeeEvent` values only when
+    someone iterates the log.
+    """
+
+    time_days: float
+    kind: EventKind
+    reporter: Reporter
+    detail: str
+    #: one machine index per record, into ``machine_ids``
+    machine_index: np.ndarray
+    machine_ids: Sequence[str]
+
+    def records(self) -> list[CeeEvent]:
+        time_days, kind, reporter, detail = (
+            self.time_days, self.kind, self.reporter, self.detail
+        )
+        machine_ids = self.machine_ids
+        return [
+            CeeEvent(time_days, machine_ids[i], None, kind, reporter,
+                     None, detail)
+            for i in self.machine_index.tolist()
+        ]
+
+
 class EventLog:
-    """Append-only log of :class:`CeeEvent` with simple analytics."""
+    """Append-only log of :class:`CeeEvent`.
+
+    Besides single records, the log holds *batches*
+    (:meth:`append_batch`): many unattributed records that differ only
+    in their machine.  A batch keeps its place in append order, counts
+    in :meth:`__len__` and :meth:`rate_timeline` as its records would,
+    and is built into records only by :meth:`__iter__` and
+    :meth:`tail`.
+    """
 
     def __init__(self) -> None:
         self._events: list[CeeEvent] = []
+        #: (index into ``_events`` the batch sits before, batch)
+        self._batches: list[tuple[int, _Batch]] = []
+        self._batched = 0
 
     def append(self, event: CeeEvent) -> None:
         self._events.append(event)
@@ -89,61 +130,50 @@ class EventLog:
     def extend(self, events: Iterable[CeeEvent]) -> None:
         self._events.extend(events)
 
+    def append_batch(
+        self,
+        time_days: float,
+        kind: EventKind,
+        reporter: Reporter,
+        detail: str,
+        machine_index: np.ndarray,
+        machine_ids: Sequence[str],
+    ) -> None:
+        """Append one unattributed record per entry of ``machine_index``
+        (each naming ``machine_ids[i]``), stored as one entry."""
+        self._batches.append((
+            len(self._events),
+            _Batch(time_days, kind, reporter, detail, machine_index,
+                   machine_ids),
+        ))
+        self._batched += len(machine_index)
+
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._events) + self._batched
 
     def __iter__(self) -> Iterator[CeeEvent]:
-        return iter(self._events)
+        return iter(self._records())
 
-    def filter(
-        self,
-        predicate: Callable[[CeeEvent], bool] | None = None,
-        kind: EventKind | None = None,
-        reporter: Reporter | None = None,
-        since: float | None = None,
-        until: float | None = None,
-    ) -> list[CeeEvent]:
-        """Select events; all criteria are ANDed."""
-        selected = []
-        for event in self._events:
-            if kind is not None and event.kind is not kind:
-                continue
-            if reporter is not None and event.reporter is not reporter:
-                continue
-            if since is not None and event.time_days < since:
-                continue
-            if until is not None and event.time_days >= until:
-                continue
-            if predicate is not None and not predicate(event):
-                continue
-            selected.append(event)
-        return selected
-
-    def per_core_counts(
-        self, kind: EventKind | None = None
-    ) -> collections.Counter:
-        """Events per attributed core (unattributed events are skipped)."""
-        counts: collections.Counter = collections.Counter()
-        for event in self._events:
-            if kind is not None and event.kind is not kind:
-                continue
-            if event.core_id is not None:
-                counts[event.core_id] += 1
-        return counts
-
-    def per_machine_counts(
-        self, kind: EventKind | None = None
-    ) -> collections.Counter:
-        counts: collections.Counter = collections.Counter()
-        for event in self._events:
-            if kind is not None and event.kind is not kind:
-                continue
-            counts[event.machine_id] += 1
-        return counts
+    def _records(self) -> list[CeeEvent]:
+        """Every record in append order, batches built in place."""
+        if not self._batches:
+            return self._events
+        records: list[CeeEvent] = []
+        start = 0
+        for position, batch in self._batches:
+            records.extend(self._events[start:position])
+            records.extend(batch.records())
+            start = position
+        records.extend(self._events[start:])
+        return records
 
     def tail(self, start: int) -> list[CeeEvent]:
-        """Events appended at or after index ``start`` (cheap slice)."""
-        return self._events[start:]
+        """Records appended at or after index ``start``: a slice when
+        no batch lies in that range."""
+        batches_end = self._batches[-1][0] + self._batched if self._batches else 0
+        if start >= batches_end:
+            return self._events[start - self._batched:]
+        return self._records()[start:]
 
     def rate_timeline(
         self,
@@ -154,20 +184,32 @@ class EventLog:
         kinds: set[EventKind] | None = None,
     ) -> list[tuple[float, float]]:
         """(bucket start, events per machine per day) series — Fig. 1's shape."""
+        for name, value in (("bucket_days", bucket_days),
+                            ("horizon_days", horizon_days)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if bucket_days <= 0:
-            raise ValueError("bucket_days must be positive")
+            raise ValueError(f"bucket_days must be positive, got {bucket_days}")
+        if horizon_days < 0:
+            raise ValueError(f"horizon_days must be >= 0, got {horizon_days}")
         n_buckets = max(1, int(horizon_days / bucket_days))
         counts = [0] * n_buckets
-        for event in self._events:
-            if reporter is not None and event.reporter is not reporter:
+        # (time, kind, reporter, how many records): a batch is one row
+        rows: Iterable[tuple[float, EventKind, Reporter, int]] = itertools.chain(
+            ((e.time_days, e.kind, e.reporter, 1) for e in self._events),
+            ((b.time_days, b.kind, b.reporter, len(b.machine_index))
+             for _, b in self._batches),
+        )
+        for time_days, kind, event_reporter, n in rows:
+            if reporter is not None and event_reporter is not reporter:
                 continue
-            if kinds is not None and event.kind not in kinds:
+            if kinds is not None and kind not in kinds:
                 continue
             # floor, not int(): warmup events at negative times must land
             # in negative buckets, not be truncated into bucket 0
-            bucket = math.floor(event.time_days / bucket_days)
+            bucket = math.floor(time_days / bucket_days)
             if 0 <= bucket < n_buckets:
-                counts[bucket] += 1
+                counts[bucket] += n
         return [
             (i * bucket_days, counts[i] / (bucket_days * max(machines, 1)))
             for i in range(n_buckets)

@@ -103,22 +103,24 @@ class CoreComplaintService:
         # answer
         self._analyzed: tuple[tuple[int, int], list[SuspectCore]] | None = None
 
-    def report(self, complaint: Complaint) -> None:
-        """File one complaint (the paper's RPC endpoint)."""
+    def report(self, complaint: Complaint) -> CeeEvent | None:
+        """File one complaint (the paper's RPC endpoint); returns the
+        ``APP_REPORT`` event it logged, if there is a log."""
         self._complaints.append(complaint)
         self._by_core[complaint.core_id].append(complaint)
-        if self.event_log is not None:
-            self.event_log.append(
-                CeeEvent(
-                    time_days=complaint.time_days,
-                    machine_id=complaint.machine_id,
-                    core_id=complaint.core_id,
-                    kind=EventKind.APP_REPORT,
-                    reporter=Reporter.AUTOMATED,
-                    application=complaint.application,
-                    detail=complaint.detail,
-                )
-            )
+        if self.event_log is None:
+            return None
+        event = CeeEvent(
+            time_days=complaint.time_days,
+            machine_id=complaint.machine_id,
+            core_id=complaint.core_id,
+            kind=EventKind.APP_REPORT,
+            reporter=Reporter.AUTOMATED,
+            application=complaint.application,
+            detail=complaint.detail,
+        )
+        self.event_log.append(event)
+        return event
 
     def report_many(self, complaints: Iterable[Complaint]) -> None:
         for complaint in complaints:

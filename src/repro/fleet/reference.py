@@ -92,7 +92,7 @@ class ScalarReferenceSimulator(FleetSimulator):
         for _ in range(surfaced_selfcheck):
             attributed = self.rng.random() < cfg.p_attribute_selfcheck
             if attributed:
-                self.complaints.report(
+                self._complain(
                     Complaint(
                         time_days=now,
                         application=f"app{int(self.rng.integers(8))}",

@@ -223,8 +223,12 @@ class FleetSimulator:
         self.detection_latency: dict[str, float] = {}
         # The current tick's attributed USER_REPORT events, in append
         # order (triage's draw order): collected where they are built,
-        # they are a handful among the tick's ~250 events.
+        # they are a handful among the tick's ~100 events.
         self._user_reports: list[CeeEvent] = []
+        # The current tick's attributed events in log order: what the
+        # analyzer ingests (it has no machine map, so an unattributed
+        # event has nowhere to land).
+        self._attributed: list[CeeEvent] = []
 
         self._m_ticks = obs.metrics.counter(
             "fleet_ticks_total", help="simulator ticks run", unit="ticks",
@@ -312,12 +316,27 @@ class FleetSimulator:
 
     def _emit(self, **kwargs) -> None:
         """Append one event (the policy step's and the scalar
-        reference tick's path), queueing it for triage if it is an
-        attributed user report."""
+        reference tick's path), queueing it for the analyzer if it is
+        attributed and for triage if it is an attributed user report."""
         event = CeeEvent(**kwargs)
         self.events.append(event)
-        if event.kind is EventKind.USER_REPORT and event.core_id is not None:
-            self._user_reports.append(event)
+        if event.core_id is not None:
+            self._attributed.append(event)
+            if event.kind is EventKind.USER_REPORT:
+                self._user_reports.append(event)
+
+    def _complain(self, complaint: Complaint) -> None:
+        """File a complaint; the service logs it as an attributed
+        ``APP_REPORT``, which the analyzer ingests with the tick."""
+        event = self.complaints.report(complaint)
+        if event is not None:
+            self._attributed.append(event)
+
+    def _log_records(self, records: list[CeeEvent]) -> None:
+        """Append a batched tick's records, queueing the attributed
+        ones for the analyzer."""
+        self.events.extend(records)
+        self._attributed.extend([e for e in records if e.core_id is not None])
 
     # -- policy + triage ----------------------------------------------------
 
@@ -468,7 +487,8 @@ class FleetSimulator:
 
         The Poisson/binomial/attribution sampling happens as numpy
         array draws over the currently-active mercurial cores, and
-        events are built positionally and appended in one ``extend``.
+        events are built positionally and appended with ``extend``; the
+        background crashes are one :meth:`EventLog.append_batch` entry.
         Same channels, caps and attribution probabilities as the
         per-core form in :mod:`repro.fleet.reference`, drawn in a
         different order.
@@ -555,7 +575,7 @@ class FleetSimulator:
                     continue
                 for _ in range(count):
                     if selfcheck_attr[cursor]:
-                        self.complaints.report(
+                        self._complain(
                             Complaint(
                                 time_days=now,
                                 application=f"app{app_ids[drawn_apps]}",
@@ -609,20 +629,18 @@ class FleetSimulator:
                     cursor += 1
 
         # Background noise (software bugs, misfiled user suspicion).
+        # The crashes are unattributed and only ever counted, so they
+        # are one batch entry, logged after the mercurial channels'
+        # records and before the background user reports.
+        self._log_records(events)
+        events.clear()
         n_machines = self.n_machines
         n_bg_crash = int(rng.poisson(cfg.bg_crash_rate * n_machines * tick))
         if n_bg_crash:
-            machine_ids = self._machine_ids
-            events.extend([
-                CeeEvent(
-                    now, machine_ids[machine_index], None,
-                    crash, automated,
-                    None, "software bug",
-                )
-                for machine_index in rng.integers(
-                    n_machines, size=n_bg_crash
-                ).tolist()
-            ])
+            self.events.append_batch(
+                now, crash, automated, "software bug",
+                rng.integers(n_machines, size=n_bg_crash), self._machine_ids,
+            )
         n_bg_user = int(rng.poisson(cfg.bg_user_rate * n_machines * tick))
         if n_bg_user:
             machine_indices = rng.integers(n_machines, size=n_bg_user).tolist()
@@ -680,7 +698,7 @@ class FleetSimulator:
                         None, label,
                     ))
 
-        self.events.extend(events)
+        self._log_records(events)
 
     def run(self) -> SimulationResult:
         """Run the whole campaign and return the results bundle."""
@@ -691,18 +709,20 @@ class FleetSimulator:
             now += tick
             events_before = len(self.events)
             self._user_reports = []
+            self._attributed = []
             self._tick(now, tick)
-            new_events = self.events.tail(events_before)
             self._m_ticks.inc()
-            if new_events:
-                self._m_events.inc(len(new_events))
-            self.analyzer.ingest_all(new_events)
+            self.analyzer.ingest_all(self._attributed)
             for suspect in self.complaints.quarantine_candidates():
                 self.analyzer.tracker.record(
                     suspect.core_id, now, weight=2.0, source="complaint-service"
                 )
+            # Confessions the policy emits are not ingested: it acts on them itself.
             self._apply_policy(now)
             self._run_triage(now, self._user_reports)
+            logged = len(self.events) - events_before
+            if logged:
+                self._m_events.inc(logged)
 
         # The tick ages cores in a private array; leave the columns
         # holding the ages the campaign ended at.

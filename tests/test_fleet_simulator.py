@@ -5,7 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.events import EventKind, Reporter
+from repro import obs
+from repro.obs import names
+from repro.core.confidence import SuspicionTracker
+from repro.core.events import CeeEvent, EventKind, Reporter
 from repro.core.metrics import confusion
 from repro.core.policy import PolicyConfig
 from repro.fleet.columns import FleetColumns, defect_mode_code
@@ -318,7 +321,8 @@ class TestTickPaysForWhatChanged:
         from repro.detection.signals import SignalAnalyzer
         from repro.silicon.defects import DefectModel
 
-        counts = {"tail": 0, "plan": 0, "effective_rate": 0, "age_step": 0}
+        counts = {"tail": 0, "plan": 0, "effective_rate": 0, "age_step": 0,
+                  "score": 0, "record": 0}
         ingested = []
 
         def count(owner, name, key):
@@ -333,6 +337,15 @@ class TestTickPaysForWhatChanged:
         count(report, "_binomial_tail", "tail")
         count(DefectModel, "effective_rate", "effective_rate")
         count(DefectModel, "rate_at_age", "age_step")
+        count(SuspicionTracker, "score", "score")
+        real_new = CeeEvent.__new__
+
+        def new(cls, *args, **kwargs):
+            counts["record"] += 1
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CeeEvent, "__new__", new)
+        monkeypatch.setattr(obs.metrics, "enabled", True)
         real_ingest = SignalAnalyzer.ingest
 
         def ingest(self, event):
@@ -352,7 +365,12 @@ class TestTickPaysForWhatChanged:
         )
         # only now: the plans are built with the simulator, not per tick
         count(DefectModel, "rate_plan", "plan")
+        logged = obs.metrics.counter(names.FLEET_EVENTS_TOTAL)
+        logged_before = logged.value()
         result = simulator.run()
+        # what run() built and logged; iterating the log builds more
+        counts["records_in_run"] = counts["record"]
+        counts["logged"] = logged.value() - logged_before
         return simulator, result, counts, ingested
 
     def test_concentration_test_runs_once_per_new_report_batch(
@@ -389,6 +407,22 @@ class TestTickPaysForWhatChanged:
         ]
         assert ingested == attributed
         assert len(attributed) < len(result.events)
+
+    def test_background_crashes_build_no_record(self, counted_run):
+        _, result, counts, _ = counted_run
+        batched = sum(1 for e in result.events if e.detail == "software bug")
+        assert batched > len(result.events) // 2
+        assert counts["records_in_run"] == len(result.events) - batched
+
+    def test_suspects_decay_without_score_calls(self, counted_run):
+        simulator, _, counts, _ = counted_run
+        assert simulator.analyzer.tracker.tracked_cores()
+        assert counts["score"] == 0
+
+    def test_events_counter_counts_policy_confessions(self, counted_run):
+        _, result, counts, _ = counted_run
+        assert any(e.detail == "confession" for e in result.events)
+        assert counts["logged"] == len(result.events)
 
     @pytest.mark.parametrize(
         "simulator_cls", [FleetSimulator, ScalarReferenceSimulator]
