@@ -14,10 +14,11 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import sys
+from pathlib import Path
 
-from gen_api_docs import REPO, write_or_check
-
+REPO = Path(__file__).resolve().parent.parent
 OUT = REPO / "docs" / "experiments.md"
 sys.path.insert(0, str(REPO / "src"))
 
@@ -50,6 +51,32 @@ def generate() -> str:
             f"{claims}"
         )
     return "\n\n".join(sections) + "\n"
+
+
+def write_or_check(out: Path, text: str, argv: list[str] | None,
+                   description: str) -> int:
+    """Write ``text`` to ``out``, or with ``--check`` exit 1 if ``out``
+    does not already hold it."""
+    name = out.relative_to(REPO)
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"fail (exit 1) if {name} is out of date",
+    )
+    if parser.parse_args(argv).check:
+        if not out.exists() or out.read_text() != text:
+            print(
+                f"{name} is stale; regenerate with "
+                f"`python scripts/{Path(sys.argv[0]).name}`",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"{name} is up to date")
+        return 0
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    print(f"wrote {name} ({len(text.splitlines())} lines)")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

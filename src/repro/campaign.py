@@ -74,6 +74,14 @@ class CampaignScorecard:
         }
 
 
+def check_at_least(name: str, value: float, low: float) -> None:
+    """Reject a run-config value below ``low`` (or NaN), naming the
+    field: a negative tick count runs nothing and still returns a
+    plausible-looking scorecard."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 class Published(NamedTuple):
     """One campaign metric, read off the scorecard at ``finish()``."""
 
@@ -332,4 +340,10 @@ def build_small_fleet(
     return machines, bad_core_ids
 
 
-__all__ = ["Campaign", "CampaignScorecard", "Published", "build_small_fleet"]
+__all__ = [
+    "Campaign",
+    "CampaignScorecard",
+    "Published",
+    "build_small_fleet",
+    "check_at_least",
+]

@@ -40,7 +40,7 @@ from repro.detection.fleetscreen import (
     full_battery,
 )
 from repro.detection.offline import OfflineScreener, OfflineScreenerConfig
-from repro.detection.online import OnlineScreener, OnlineScreenerConfig
+from repro.detection.online import OnlineScreener
 from repro.detection.quarantine import (
     CoreQuarantine,
     IsolationCost,
@@ -80,7 +80,6 @@ __all__ = [
     "OfflineScreener",
     "OfflineScreenerConfig",
     "OnlineScreener",
-    "OnlineScreenerConfig",
     "CoreQuarantine",
     "IsolationCost",
     "MachineQuarantine",

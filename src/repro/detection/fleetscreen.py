@@ -388,18 +388,17 @@ class FleetScreener:
 class RideAlongConfig:
     """Budget and pacing for in-production ride-along screening.
 
+    In-production screens run at nominal conditions (the
+    :class:`FleetScreener` default ``env_boost`` of 1.0) and at its
+    default battery speed.
+
     Attributes:
         budget_fraction: fraction of the fleet's machine-seconds per
             day that screening may consume (the headline knob —
             Facebook reports sub-percent budgets sufficing).
-        ops_per_coresecond: battery execution speed.
-        env_boost: in-prod screens run at nominal conditions (1.0);
-            raise only for modeling opportunistic stress windows.
     """
 
     budget_fraction: float = 0.01
-    ops_per_coresecond: float = 5e6
-    env_boost: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.budget_fraction <= 1.0:
@@ -446,11 +445,7 @@ class RideAlongScreener:
     def __init__(self, battery: DistilledBattery,
                  config: RideAlongConfig | None = None):
         self.config = config or RideAlongConfig()
-        self.screener = FleetScreener(
-            battery,
-            env_boost=self.config.env_boost,
-            ops_per_coresecond=self.config.ops_per_coresecond,
-        )
+        self.screener = FleetScreener(battery)
         self._cursor = 0
 
     @property
@@ -459,7 +454,7 @@ class RideAlongScreener:
 
     def per_core_seconds(self) -> float:
         """Machine-seconds one core's battery pass costs."""
-        return self.battery.total_ops / self.config.ops_per_coresecond
+        return self.battery.total_ops / self.screener.ops_per_coresecond
 
     def budget_machine_seconds(
         self, columns: FleetColumns, tick_days: float

@@ -11,7 +11,7 @@ corpus at every DVFS state plus out-of-envelope stress points —
 catching environment-gated defects the online screener can never see.
 Sweep order matters ("the order in which the tests are run and swept
 through the (f, V, T) space can impact time-to-failure", §4), so the
-sweep schedule is explicit and configurable.
+sweep schedule is explicit.
 
 The columnar analogue of the envelope sweep is the ``env_boost``
 multiplier in :mod:`repro.detection.fleetscreen`, which prices the
@@ -21,7 +21,6 @@ same out-of-envelope advantage without per-core object churn.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 from repro.detection.corpus import TestCorpus
 from repro.detection.screener import (
@@ -44,23 +43,24 @@ AXES = ScreenerAxes(
 )
 
 
+#: capacity cost of migrating work off a core before testing (the §6
+#: drain-cost concern)
+DRAIN_CORESECONDS = 120.0
+#: temperatures swept at each DVFS state; the sweep then adds the
+#: out-of-envelope stress points
+TEMPERATURES_C = (45.0, 85.0)
+
+
 @dataclasses.dataclass
 class OfflineScreenerConfig:
     """Tunables for drain-and-sweep screening.
 
     Attributes:
-        drain_coreseconds: capacity cost of migrating work off a core
-            before testing (the §6 drain-cost concern).
         repetitions_per_point: corpus repetitions at each operating
             point.
-        include_stress_points: also test outside the normal envelope.
-        temperatures_c: temperatures swept at each DVFS state.
     """
 
-    drain_coreseconds: float = 120.0
     repetitions_per_point: int = 1
-    include_stress_points: bool = True
-    temperatures_c: tuple[float, ...] = (45.0, 85.0)
 
 
 class OfflineScreener:
@@ -81,9 +81,8 @@ class OfflineScreener:
 
     def sweep_schedule(self) -> list[OperatingPoint]:
         """The explicit (f, V, T) interrogation order."""
-        points = list(self.dvfs.sweep(self.config.temperatures_c))
-        if self.config.include_stress_points:
-            points.extend(stress_points(self.dvfs))
+        points = list(self.dvfs.sweep(TEMPERATURES_C))
+        points.extend(stress_points(self.dvfs))
         return points
 
     def screen_core(self, core: Core) -> ScreenResult:
@@ -99,7 +98,7 @@ class OfflineScreener:
         merged = ScreenResult(
             core_id=core.core_id,
             passed=True,
-            drain_cost_coreseconds=self.config.drain_coreseconds,
+            drain_cost_coreseconds=DRAIN_CORESECONDS,
         )
         try:
             for point in self.sweep_schedule():
@@ -122,7 +121,3 @@ class OfflineScreener:
             core.set_online(was_online)
         self.budget.add(merged)
         return merged
-
-    def screen_population(self, cores: Sequence[Core]) -> list[ScreenResult]:
-        """Ensure-coverage mode: every core, one by one."""
-        return [self.screen_core(core) for core in cores]

@@ -29,6 +29,10 @@ from repro.detection.weights import default_weights
 #: analyzer consumes.
 DEFAULT_WEIGHTS: Mapping[EventKind, float] = default_weights()
 
+#: weight multiplier when an event lacks core attribution and is
+#: spread over the machine's cores
+UNATTRIBUTED_DILUTION = 0.25
+
 
 @dataclasses.dataclass
 class SignalAnalyzerConfig:
@@ -37,9 +41,6 @@ class SignalAnalyzerConfig:
     weights: Mapping[EventKind, float] = dataclasses.field(
         default_factory=lambda: dict(DEFAULT_WEIGHTS)
     )
-    #: weight multiplier when an event lacks core attribution and is
-    #: spread over the machine's cores
-    unattributed_dilution: float = 0.25
 
 
 class SignalAnalyzer:
@@ -79,7 +80,7 @@ class SignalAnalyzer:
         cores = self.cores_by_machine.get(event.machine_id)
         if not cores:
             return
-        diluted = weight * self.config.unattributed_dilution / len(cores)
+        diluted = weight * UNATTRIBUTED_DILUTION / len(cores)
         for core_id in cores:
             self.tracker.record(
                 core_id,

@@ -21,7 +21,17 @@ import math
 
 from repro.core.events import EventKind, Reporter
 from repro.core.report import Complaint
-from repro.fleet.simulator import FleetSimulator
+from repro.fleet.simulator import (
+    MAX_SURFACED_PER_CHANNEL_PER_DAY,
+    OFFLINE_ENV_BOOST,
+    OFFLINE_SCREEN_PERIOD_DAYS,
+    ONLINE_SCREEN_PERIOD_DAYS,
+    P_ATTRIBUTE_CRASH,
+    P_ATTRIBUTE_MCE,
+    P_ATTRIBUTE_SELFCHECK,
+    P_ATTRIBUTE_USER,
+    FleetSimulator,
+)
 
 
 class ScalarReferenceSimulator(FleetSimulator):
@@ -64,11 +74,11 @@ class ScalarReferenceSimulator(FleetSimulator):
         n_corruptions = int(self.rng.poisson(silent_rate * exposed))
         n_mce = int(self.rng.poisson(mce_rate * exposed))
         self.total_corruptions += n_corruptions
-        cap = max(1, int(cfg.max_surfaced_per_channel_per_day * tick))
+        cap = max(1, int(MAX_SURFACED_PER_CHANNEL_PER_DAY * tick))
         n_mce = min(n_mce, cap)
 
         for _ in range(n_mce):
-            attributed = self.rng.random() < cfg.p_attribute_mce
+            attributed = self.rng.random() < P_ATTRIBUTE_MCE
             self._emit(
                 time_days=now, machine_id=machine_id,
                 core_id=core_id if attributed else None,
@@ -90,7 +100,7 @@ class ScalarReferenceSimulator(FleetSimulator):
         self.app_visible += surfaced_selfcheck
 
         for _ in range(surfaced_selfcheck):
-            attributed = self.rng.random() < cfg.p_attribute_selfcheck
+            attributed = self.rng.random() < P_ATTRIBUTE_SELFCHECK
             if attributed:
                 self._complain(
                     Complaint(
@@ -108,7 +118,7 @@ class ScalarReferenceSimulator(FleetSimulator):
                     reporter=Reporter.AUTOMATED, detail="self-check failure",
                 )
         for _ in range(surfaced_crash):
-            attributed = self.rng.random() < cfg.p_attribute_crash
+            attributed = self.rng.random() < P_ATTRIBUTE_CRASH
             self._emit(
                 time_days=now, machine_id=machine_id,
                 core_id=core_id if attributed else None,
@@ -116,7 +126,7 @@ class ScalarReferenceSimulator(FleetSimulator):
                 detail="process crash",
             )
         for _ in range(surfaced_user):
-            attributed = self.rng.random() < cfg.p_attribute_user
+            attributed = self.rng.random() < P_ATTRIBUTE_USER
             self._emit(
                 time_days=now, machine_id=machine_id,
                 core_id=core_id if attributed else None,
@@ -145,7 +155,7 @@ class ScalarReferenceSimulator(FleetSimulator):
             core_id = columns.core_id(
                 start + int(self.rng.integers(stop - start))
             )
-            attributed = self.rng.random() < cfg.p_attribute_user
+            attributed = self.rng.random() < P_ATTRIBUTE_USER
             self._emit(
                 time_days=now, machine_id=self._machine_ids[machine_index],
                 core_id=core_id if attributed else None,
@@ -167,18 +177,18 @@ class ScalarReferenceSimulator(FleetSimulator):
         cfg = self.config
         coverage = self._coverage(now)
         self.screening_ops += (
-            self.n_cores * tick / cfg.online_screen_period_days
+            self.n_cores * tick / ONLINE_SCREEN_PERIOD_DAYS
             * cfg.online_corpus_ops
         )
         self.screening_ops += (
-            self.n_cores * tick / cfg.offline_screen_period_days
+            self.n_cores * tick / OFFLINE_SCREEN_PERIOD_DAYS
             * cfg.offline_corpus_ops
         )
         schedules = (
-            (cfg.online_screen_period_days, cfg.online_corpus_ops,
+            (ONLINE_SCREEN_PERIOD_DAYS, cfg.online_corpus_ops,
              1.0, "online screen"),
-            (cfg.offline_screen_period_days, cfg.offline_corpus_ops,
-             cfg.offline_env_boost, "offline screen"),
+            (OFFLINE_SCREEN_PERIOD_DAYS, cfg.offline_corpus_ops,
+             OFFLINE_ENV_BOOST, "offline screen"),
         )
         for index in active:
             total_rate = float(self._merc_silent[index]) + float(

@@ -40,6 +40,35 @@ from repro.silicon.environment import NOMINAL
 from repro.workloads.generator import blended_op_mix  # repro: noqa-ARCH001 -- fleet days replay the production workload blend so corruption rates match the serving mix
 
 
+#: simulated days per tick
+TICK_DAYS = 1.0
+# attribution: which surfaced events carry a core id
+P_ATTRIBUTE_SELFCHECK = 0.9
+P_ATTRIBUTE_CRASH = 0.35
+P_ATTRIBUTE_MCE = 0.9
+P_ATTRIBUTE_USER = 0.5
+#: cap on surfaced events per core per channel per day — a core
+#: corrupting millions of ops/day takes its machine out of
+#: service long before millions of tickets get filed
+MAX_SURFACED_PER_CHANNEL_PER_DAY = 12
+# screening cadence, and the offline screen's out-of-envelope stress
+ONLINE_SCREEN_PERIOD_DAYS = 7.0
+OFFLINE_SCREEN_PERIOD_DAYS = 90.0
+OFFLINE_ENV_BOOST = 6.0
+# §6: corpus coverage expands "a few times per year"
+COVERAGE_INITIAL = 0.30
+COVERAGE_STEP = 0.10
+COVERAGE_EXPANSIONS_PER_YEAR = 3.0
+#: confession runs per policy RETEST decision
+CONFESSION_ATTEMPTS = 3
+#: suspicion score at which the policy step considers a core
+SUSPICION_RETEST_THRESHOLD = 2.0
+#: how stale a cached (silent, mce) rate split may get before the
+#: tick recomputes it from the defect models.  Defect aging curves
+#: move on week scales, so 7 days loses nothing.
+RATE_REFRESH_DAYS = 7.0
+
+
 @dataclasses.dataclass
 class SimulatorConfig:
     """Calibration knobs; defaults land in the paper's bands."""
@@ -50,64 +79,30 @@ class SimulatorConfig:
     #: reported [0, horizon) timelines, so Fig. 1 shows a managed
     #: fleet, not the first-ever screening sweep of an unmanaged one
     warmup_days: float = 180.0
-    tick_days: float = 1.0
     #: effective operations/day per core counted against defect rates
     exposed_ops_per_day: float = 2e7
     # surfacing probabilities per silent corruption
     p_selfcheck_surface: float = 2e-3
     p_crash_surface: float = 6e-4
     p_user_surface: float = 6e-4
-    # attribution: which events carry a core id
-    p_attribute_selfcheck: float = 0.9
-    p_attribute_crash: float = 0.35
-    p_attribute_mce: float = 0.9
-    p_attribute_user: float = 0.5
-    #: cap on surfaced events per core per channel per day — a core
-    #: corrupting millions of ops/day takes its machine out of
-    #: service long before millions of tickets get filed
-    max_surfaced_per_channel_per_day: int = 12
     # background noise from plain software bugs, per machine-day
     bg_crash_rate: float = 8e-3
     bg_user_rate: float = 2e-5
-    # screening cadence and effort
-    online_screen_period_days: float = 7.0
+    # screening and confession effort
     online_corpus_ops: float = 2e5
-    offline_screen_period_days: float = 90.0
     offline_corpus_ops: float = 2e6
-    offline_env_boost: float = 6.0
-    # §6: corpus coverage expands "a few times per year"
-    coverage_initial: float = 0.30
-    coverage_step: float = 0.10
-    coverage_expansions_per_year: float = 3.0
-    # confession testing triggered by the policy
     confession_corpus_ops: float = 2e6
-    confession_attempts: int = 3
     policy: PolicyConfig = dataclasses.field(default_factory=PolicyConfig)
-    suspicion_retest_threshold: float = 2.0
-    #: how stale a cached (silent, mce) rate split may get before the
-    #: tick recomputes it from the defect models.  Defect aging curves
-    #: move on week scales, so 7 days loses nothing.
-    rate_refresh_days: float = 7.0
 
     def __post_init__(self) -> None:
-        # A zero tick never advances the clock (run() would spin
-        # forever) and a NaN horizon ends the loop before it starts,
-        # returning an empty but plausible-looking result.
-        if not (math.isfinite(self.tick_days) and self.tick_days > 0):
-            raise ValueError(
-                f"tick_days must be finite and > 0, got {self.tick_days}"
-            )
+        # A NaN horizon ends the loop before it starts, returning an
+        # empty but plausible-looking result.
         for name in ("horizon_days", "warmup_days"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and >= 0, got {value}"
                 )
-        if not self.rate_refresh_days >= 0:
-            raise ValueError(
-                "rate_refresh_days must be >= 0, "
-                f"got {self.rate_refresh_days}"
-            )
 
 
 @dataclasses.dataclass
@@ -255,7 +250,7 @@ class FleetSimulator:
         # core's defects), so activity and aging never need a per-core
         # Python trip; the (silent, mce) rate splits are cached,
         # refreshed on defect onset and then at most every
-        # ``rate_refresh_days`` of core age.
+        # ``RATE_REFRESH_DAYS`` of core age.
         n_mercurial = columns.n_mercurial
         self._machine_ids = [str(m) for m in columns.machine_ids.tolist()]
         merc_flat = np.asarray(columns.merc_core, dtype=np.int64)
@@ -306,11 +301,9 @@ class FleetSimulator:
         """Automated corpus coverage: stepwise expansion (§6)."""
         elapsed = now_days + self.config.warmup_days
         steps = max(
-            0,
-            math.floor(elapsed / 365.0 * self.config.coverage_expansions_per_year),
+            0, math.floor(elapsed / 365.0 * COVERAGE_EXPANSIONS_PER_YEAR)
         )
-        return min(1.0, self.config.coverage_initial
-                   + steps * self.config.coverage_step)
+        return min(1.0, COVERAGE_INITIAL + steps * COVERAGE_STEP)
 
     # -- event emission ---------------------------------------------------
 
@@ -351,7 +344,7 @@ class FleetSimulator:
         mce_rate = float(self._merc_mce[merc_index])
         rate = (
             (silent_rate + mce_rate)
-            * cfg.offline_env_boost
+            * OFFLINE_ENV_BOOST
             * self._coverage(now)
         )
         return 1.0 - math.exp(-rate * cfg.confession_corpus_ops)
@@ -374,7 +367,7 @@ class FleetSimulator:
     def _apply_policy(self, now: float) -> None:
         columns = self.columns
         suspects = self.analyzer.suspects(
-            now, threshold=self.config.suspicion_retest_threshold
+            now, threshold=SUSPICION_RETEST_THRESHOLD
         )
         for core_id, score in suspects:
             flat = columns.core_index(core_id)
@@ -392,7 +385,7 @@ class FleetSimulator:
                     p = self._confession_probability_cached(
                         self._merc_index_by_flat[flat], now
                     )
-                for _ in range(self.config.confession_attempts):
+                for _ in range(CONFESSION_ATTEMPTS):
                     self.screening_ops += self.config.confession_corpus_ops
                     if self.rng.random() < p:
                         confessed = True
@@ -517,14 +510,14 @@ class FleetSimulator:
             ages = self._merc_age
             active_mask = online & (ages >= self._merc_onset)
             stale = active_mask & (
-                (ages - self._merc_rate_age >= cfg.rate_refresh_days)
+                (ages - self._merc_rate_age >= RATE_REFRESH_DAYS)
                 | ~np.isfinite(self._merc_rate_age)
             )
             for index in np.nonzero(stale)[0].tolist():
                 self._refresh_rate(index, float(ages[index]))
             active = np.nonzero(active_mask)[0].tolist()
 
-        cap = max(1, int(cfg.max_surfaced_per_channel_per_day * tick))
+        cap = max(1, int(MAX_SURFACED_PER_CHANNEL_PER_DAY * tick))
         if active:
             idx = np.array(active)
             silent = self._merc_silent[idx]
@@ -550,7 +543,7 @@ class FleetSimulator:
 
             machine_of = self._merc_machine_id
             core_of = self._merc_core_id
-            mce_attr = channel_attribution(n_mce, cfg.p_attribute_mce)
+            mce_attr = channel_attribution(n_mce, P_ATTRIBUTE_MCE)
             cursor = 0
             for j, count in zip(active, n_mce.tolist()):
                 if not count:
@@ -565,7 +558,7 @@ class FleetSimulator:
                     cursor += 1
 
             selfcheck_attr = channel_attribution(
-                surfaced_selfcheck, cfg.p_attribute_selfcheck
+                surfaced_selfcheck, P_ATTRIBUTE_SELFCHECK
             )
             app_ids = rng.integers(8, size=int(selfcheck_attr.sum())).tolist()
             cursor = 0
@@ -594,7 +587,7 @@ class FleetSimulator:
                     cursor += 1
 
             crash_attr = channel_attribution(
-                surfaced_crash, cfg.p_attribute_crash
+                surfaced_crash, P_ATTRIBUTE_CRASH
             )
             cursor = 0
             for j, count in zip(active, surfaced_crash.tolist()):
@@ -610,7 +603,7 @@ class FleetSimulator:
                     cursor += 1
 
             user_attr = channel_attribution(
-                surfaced_user, cfg.p_attribute_user
+                surfaced_user, P_ATTRIBUTE_USER
             )
             cursor = 0
             for j, count in zip(active, surfaced_user.tolist()):
@@ -645,7 +638,7 @@ class FleetSimulator:
         if n_bg_user:
             machine_indices = rng.integers(n_machines, size=n_bg_user).tolist()
             core_picks = rng.random(n_bg_user).tolist()
-            user_attr = (rng.random(n_bg_user) < cfg.p_attribute_user).tolist()
+            user_attr = (rng.random(n_bg_user) < P_ATTRIBUTE_USER).tolist()
             for k, machine_index in enumerate(machine_indices):
                 start, stop = columns.machine_core_range(machine_index)
                 bad_core_id = columns.core_id(
@@ -665,20 +658,20 @@ class FleetSimulator:
         n_cores = self.n_cores
         coverage = self._coverage(now)
         self.screening_ops += (
-            n_cores * tick / cfg.online_screen_period_days
+            n_cores * tick / ONLINE_SCREEN_PERIOD_DAYS
             * cfg.online_corpus_ops
         )
         self.screening_ops += (
-            n_cores * tick / cfg.offline_screen_period_days
+            n_cores * tick / OFFLINE_SCREEN_PERIOD_DAYS
             * cfg.offline_corpus_ops
         )
         if active:
             total_rate = self._merc_silent[idx] + self._merc_mce[idx]
             schedules = (
-                (cfg.online_screen_period_days, cfg.online_corpus_ops,
+                (ONLINE_SCREEN_PERIOD_DAYS, cfg.online_corpus_ops,
                  1.0, "online screen"),
-                (cfg.offline_screen_period_days, cfg.offline_corpus_ops,
-                 cfg.offline_env_boost, "offline screen"),
+                (OFFLINE_SCREEN_PERIOD_DAYS, cfg.offline_corpus_ops,
+                 OFFLINE_ENV_BOOST, "offline screen"),
             )
             for period, corpus_ops, env_boost, label in schedules:
                 due = rng.random(len(active)) < tick / period
@@ -705,7 +698,7 @@ class FleetSimulator:
         cfg = self.config
         now = -cfg.warmup_days
         while now < cfg.horizon_days:
-            tick = min(cfg.tick_days, cfg.horizon_days - now)
+            tick = min(TICK_DAYS, cfg.horizon_days - now)
             now += tick
             events_before = len(self.events)
             self._user_reports = []

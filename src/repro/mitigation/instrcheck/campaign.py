@@ -51,6 +51,7 @@ through the fleet scheduler.
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from repro.campaign import (
     CampaignScorecard,
     Published,
     build_small_fleet,
+    check_at_least,
 )
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
@@ -96,31 +98,46 @@ UNIT_OPS: tuple[str, ...] = (
 )
 
 
+#: ops per generated work unit
+OPS_PER_UNIT = 16
+#: worker lanes, one core each
+N_LANES = 4
+#: MEEK: bounded check-lag queue length per lane
+LAG_LIMIT = 64
+#: MEEK: checker-core drain budget per lane per tick
+DRAIN_PER_TICK = 12
+#: RepTFD: units per checkpoint-delimited granule
+GRANULE_UNITS = 4
+#: screen arm: ops per battery
+SCREEN_OPS = 24
+#: operand magnitude for generated units
+OPERAND_BITS = 20
+
+
 @dataclasses.dataclass(slots=True)
 class InstrCheckConfig:
-    """Workload, capacity and timing knobs for one instrcheck campaign."""
+    """Workload size, sampling rate and screening cadence for one
+    instrcheck campaign."""
 
     units: int = 320
-    unit_ops: int = 16
-    n_lanes: int = 4
     sample_rate: float = 0.33
-    tick_ms: float = 2.0
-    #: MEEK: bounded check-lag queue length per lane
-    lag_limit: int = 64
-    #: MEEK: checker-core drain budget per lane per tick
-    drain_per_tick: int = 12
-    #: RepTFD: units per checkpoint-delimited granule
-    granule_units: int = 4
     #: screen arm: ticks between screening batteries (per lane core)
     screen_interval_ticks: int = 4
-    #: screen arm: ops per battery
-    screen_ops: int = 24
-    #: operand magnitude for generated units
-    operand_bits: int = 20
     #: quarantine capacity sized for multi-bad-core prevalence cells
     policy: PolicyConfig = dataclasses.field(
         default_factory=lambda: PolicyConfig(max_quarantined_fraction=0.5)
     )
+    #: a constant, not an option; read through the config like the
+    #: other runners' tick length
+    tick_ms: ClassVar[float] = 2.0
+
+    def __post_init__(self) -> None:
+        check_at_least("units", self.units, 0)
+        if not 0.0 <= self.sample_rate <= 1.0:
+            raise ValueError(
+                f"sample_rate must be in [0, 1], got {self.sample_rate}"
+            )
+        check_at_least("screen_interval_ticks", self.screen_interval_ticks, 1)
 
 
 @dataclasses.dataclass(slots=True)
@@ -275,11 +292,11 @@ class InstrCheckCampaign(Campaign):
 
         # Deterministic workload: units and expected digests up front.
         rng = np.random.default_rng(seed)
-        hi = 2 ** self.config.operand_bits
+        hi = 2 ** OPERAND_BITS
         self.units: list[WorkUnit] = []
         for _ in range(self.config.units):
             unit = []
-            for _ in range(self.config.unit_ops):
+            for _ in range(OPS_PER_UNIT):
                 op = UNIT_OPS[int(rng.integers(len(UNIT_OPS)))]
                 a = int(rng.integers(hi))
                 b = int(rng.integers(hi))
@@ -291,9 +308,9 @@ class InstrCheckCampaign(Campaign):
 
         # Lane placement through the scheduler; the MEEK/RepTFD checker
         # core is drawn with the worker cores excluded.
-        tasks = [Task(f"lane/{i}") for i in range(self.config.n_lanes)]
+        tasks = [Task(f"lane/{i}") for i in range(N_LANES)]
         placements, _ = self.scheduler.schedule(tasks)
-        if len(placements) < self.config.n_lanes:
+        if len(placements) < N_LANES:
             raise ValueError("fleet too small for the requested lane count")
         self.lanes = [
             _Lane(i, self._core_by_id[p.core_id])
@@ -354,7 +371,7 @@ class InstrCheckCampaign(Campaign):
             assert self.checker_core is not None
             lane.wrapper = MeekCheckedCore(
                 lane.core, self.checker_core, cfg.sample_rate,
-                lag_limit=cfg.lag_limit, seed=sampler_seed,
+                lag_limit=LAG_LIMIT, seed=sampler_seed,
                 stats=self.stats, on_mismatch=self._on_mismatch,
                 on_overflow=self._on_overflow,
             )
@@ -478,13 +495,12 @@ class InstrCheckCampaign(Campaign):
     # -- screening (E9 reference arm) ----------------------------------
 
     def _run_screen(self, tick: int) -> None:
-        cfg = self.config
-        hi = 2 ** cfg.operand_bits
+        hi = 2 ** OPERAND_BITS
         for lane in self.lanes:
             core = lane.core
             failed = False
             try:
-                for _ in range(cfg.screen_ops):
+                for _ in range(SCREEN_OPS):
                     op = UNIT_OPS[int(self._screen_rng.integers(
                         len(UNIT_OPS)
                     ))]
@@ -609,7 +625,7 @@ class InstrCheckCampaign(Campaign):
                 ):
                     self._run_unit(lane, tag)
             for lane in self.lanes:
-                self._drain(lane, cfg.drain_per_tick)
+                self._drain(lane, DRAIN_PER_TICK)
             if (
                 self.arm == "screen"
                 and tick % cfg.screen_interval_ticks == 0
@@ -630,7 +646,7 @@ class InstrCheckCampaign(Campaign):
         elif self.arm == "reptfd":
             lane.buffer.append(self.units[tag])
             lane.buffer_tags.append(tag)
-            if len(lane.buffer) >= self.config.granule_units:
+            if len(lane.buffer) >= GRANULE_UNITS:
                 self._flush_reptfd(lane)
         else:
             self._execute_plain(lane, tag)

@@ -22,13 +22,10 @@ from repro.serving.campaign import (
 from repro.serving.cluster import (
     ROUTER_POLICIES,
     Autoscaler,
-    AutoscalerConfig,
     ConsistentHashRouter,
-    DegradationPolicy,
     DegradationTier,
     ReplicaRouter,
     RetryBudget,
-    RetryBudgetConfig,
     RoundRobinRouter,
     Shard,
     ShardedCluster,
@@ -42,15 +39,11 @@ from repro.serving.loadgen import (
 )
 from repro.serving.robustness import (
     BreakerBoard,
-    BreakerConfig,
     BreakerState,
     CircuitBreaker,
     HardeningConfig,
-    HedgePolicy,
-    LoadShedConfig,
     LoadShedder,
     ResponseValidator,
-    RetryPolicy,
 )
 from repro.serving.scale_campaign import (
     ScaleConfig,
@@ -72,9 +65,7 @@ __all__ = [
     "Attempt",
     "AttemptOutcome",
     "Autoscaler",
-    "AutoscalerConfig",
     "BreakerBoard",
-    "BreakerConfig",
     "BreakerState",
     "CampaignConfig",
     "ChaosAction",
@@ -83,14 +74,11 @@ __all__ = [
     "CircuitBreaker",
     "ConsistentHashRouter",
     "DEFAULT_COHORTS",
-    "DegradationPolicy",
     "DegradationTier",
     "HardeningConfig",
-    "HedgePolicy",
     "LoadGenerator",
     "LoadPhase",
     "LoadProfile",
-    "LoadShedConfig",
     "LoadShedder",
     "ROUTER_POLICIES",
     "ReplicaRouter",
@@ -99,8 +87,6 @@ __all__ = [
     "ResponseStatus",
     "ResponseValidator",
     "RetryBudget",
-    "RetryBudgetConfig",
-    "RetryPolicy",
     "RoundRobinRouter",
     "ScaleConfig",
     "ScaleHardening",

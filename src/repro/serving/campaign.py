@@ -36,6 +36,7 @@ from repro.campaign import (
     CampaignScorecard,
     Published,
     build_small_fleet,
+    check_at_least,
 )
 from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
@@ -45,10 +46,13 @@ from repro.fleet.scheduler import Task
 from repro.obs import names
 from repro.serving.cluster import RoundRobinRouter
 from repro.serving.robustness import (
+    HEDGE_DELAY_MS,
+    RETRY_MAX_ATTEMPTS,
     BreakerBoard,
     HardeningConfig,
     LoadShedder,
     ResponseValidator,
+    backoff_ms,
 )
 from repro.serving.service import (
     Attempt,
@@ -84,6 +88,9 @@ class CampaignConfig:
     #: machine-check penalty (the OS eats the fault and kills the RPC)
     mce_penalty_ms: float = 2.0
     policy: PolicyConfig = dataclasses.field(default_factory=PolicyConfig)
+
+    def __post_init__(self) -> None:
+        check_at_least("ticks", self.ticks, 0)
 
     @property
     def capacity_per_tick(self) -> int:
@@ -329,13 +336,11 @@ class ServingCampaign(RequestCampaign):
         )
         self.breakers = (
             BreakerBoard(
-                hardening.breaker,
-                event_log=self.events,
-                machine_of=self._machine_by_core,
+                event_log=self.events, machine_of=self._machine_by_core
             )
             if hardening.breaker else None
         )
-        self.shedder = LoadShedder(hardening.shed) if hardening.shed else None
+        self.shedder = LoadShedder() if hardening.shed else None
         self.router = RoundRobinRouter(self._place_initial_replicas())
         self._queue: list[Request] = []
         self._next_request_id = 0
@@ -388,15 +393,14 @@ class ServingCampaign(RequestCampaign):
             self.validator.checksum(request.payload)
             if self.validator is not None else None
         )
-        max_attempts = hardening.retry.max_attempts if hardening.retry else 1
+        max_attempts = RETRY_MAX_ATTEMPTS if hardening.retry else 1
         attempts: list[Attempt] = []
         tried: set[str] = set()
         total_latency = queue_wait_ms
 
         for attempt_index in range(max_attempts):
-            exclude = set(tried) if (
-                hardening.retry and hardening.retry.core_diversity
-            ) else set()
+            # core diversity: never retry on an already-tried core
+            exclude = set(tried)
             if self.breakers:
                 exclude |= self.breakers.open_core_ids(now_ms)
             replica = self.router.pick(exclude)
@@ -404,9 +408,7 @@ class ServingCampaign(RequestCampaign):
                 break
             if attempt_index > 0:
                 self.scorecard.retries += 1
-                total_latency += hardening.retry.backoff_ms(
-                    attempt_index - 1, self.rng
-                )
+                total_latency += backoff_ms(attempt_index - 1, self.rng)
             attempt, payload = self._attempt_once(
                 self.breakers, replica, request, expected
             )
@@ -419,7 +421,7 @@ class ServingCampaign(RequestCampaign):
             if (
                 hardening.hedge
                 and attempt.outcome is AttemptOutcome.OK
-                and attempt.latency_ms > hardening.hedge.hedge_delay_ms
+                and attempt.latency_ms > HEDGE_DELAY_MS
             ):
                 hedge_exclude = exclude | {replica.core_id}
                 hedge_replica = self.router.pick(hedge_exclude)
@@ -432,10 +434,7 @@ class ServingCampaign(RequestCampaign):
                     attempts.append(h_attempt)
                     tried.add(hedge_replica.core_id)
                     if h_attempt.outcome is AttemptOutcome.OK:
-                        h_effective = (
-                            hardening.hedge.hedge_delay_ms
-                            + h_attempt.latency_ms
-                        )
+                        h_effective = HEDGE_DELAY_MS + h_attempt.latency_ms
                         if h_effective < effective:
                             effective = h_effective
                             payload = h_payload

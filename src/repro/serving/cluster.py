@@ -18,7 +18,7 @@ E17 runs on:
   accrue as a fraction of admitted requests and every retry spends
   one; an empty bucket refuses the retry and emits
   ``RETRY_BUDGET_EXHAUSTED``.
-- **Graceful degradation** — :class:`DegradationPolicy` maps the
+- **Graceful degradation** — :func:`tier_for` maps the
   cluster-wide fraction of open breakers (plus shard capacity loss)
   onto tiers: ``NORMAL → SHED → SERVE_STALE → FAIL_CLOSED``.  Shedding
   tightens admission; serve-stale answers from the last validated
@@ -39,11 +39,10 @@ the request stream it is fed.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import enum
 import zlib
 
-from repro.serving.robustness import BreakerBoard, BreakerConfig
+from repro.serving.robustness import BreakerBoard
 from repro.serving.service import ServerReplica
 
 
@@ -196,40 +195,26 @@ ROUTER_POLICIES: dict[str, type[ReplicaRouter]] = {
 # retry budgets
 # ---------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class RetryBudgetConfig:
-    """Token bucket sizing (per shard).
-
-    Attributes:
-        ratio: tokens earned per admitted request (0.1 = retries may
-            amplify load by at most ~10% in steady state).
-        burst: bucket capacity (and the initial balance), so a short
-            incident can still retry aggressively.
-    """
-
-    ratio: float = 0.1
-    burst: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.ratio < 0:
-            raise ValueError("ratio must be non-negative")
-        if self.burst <= 0:
-            raise ValueError("burst must be positive")
+#: retry-budget tokens earned per admitted request (0.1 = retries may
+#: amplify load by at most ~10% in steady state)
+RETRY_BUDGET_RATIO = 0.1
+#: bucket capacity (and the initial balance), so a short incident can
+#: still retry aggressively
+RETRY_BUDGET_BURST = 10.0
 
 
 class RetryBudget:
-    """The anti-retry-storm token bucket."""
+    """The anti-retry-storm token bucket (one per shard)."""
 
-    def __init__(self, config: RetryBudgetConfig):
-        self.config = config
-        self.tokens = config.burst
+    def __init__(self):
+        self.tokens = RETRY_BUDGET_BURST
         self.spent = 0
         self.exhausted = 0
 
     def deposit(self, admitted: int = 1) -> None:
         """Earn tokens from admitted first attempts."""
         self.tokens = min(
-            self.config.burst, self.tokens + self.config.ratio * admitted
+            RETRY_BUDGET_BURST, self.tokens + RETRY_BUDGET_RATIO * admitted
         )
 
     def try_spend(self) -> bool:
@@ -264,86 +249,64 @@ TIER_ORDER: dict[DegradationTier, int] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class DegradationPolicy:
-    """Maps cluster distress (fraction of breakers open, capacity lost)
-    onto a degradation tier.  Thresholds are inclusive lower bounds."""
+# Cluster distress (fraction of breakers open, capacity lost) maps onto
+# a degradation tier; the thresholds are inclusive lower bounds.
+SHED_AT = 0.25
+SERVE_STALE_AT = 0.5
+FAIL_CLOSED_AT = 0.9
+#: admission queue factor while in SHED or worse (vs the shedder's
+#: ``MAX_QUEUE_FACTOR`` in NORMAL)
+SHED_QUEUE_FACTOR = 1.0
 
-    shed_at: float = 0.25
-    serve_stale_at: float = 0.5
-    fail_closed_at: float = 0.9
-    #: admission queue factor while in SHED or worse (vs the shedder's
-    #: configured factor in NORMAL)
-    shed_queue_factor: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not 0 < self.shed_at <= self.serve_stale_at <= self.fail_closed_at:
-            raise ValueError(
-                "thresholds must satisfy 0 < shed <= stale <= fail"
-            )
-
-    def tier_for(self, distress: float) -> DegradationTier:
-        if distress >= self.fail_closed_at:
-            return DegradationTier.FAIL_CLOSED
-        if distress >= self.serve_stale_at:
-            return DegradationTier.SERVE_STALE
-        if distress >= self.shed_at:
-            return DegradationTier.SHED
-        return DegradationTier.NORMAL
+def tier_for(distress: float) -> DegradationTier:
+    """The degradation tier a shard's distress grades to."""
+    if distress >= FAIL_CLOSED_AT:
+        return DegradationTier.FAIL_CLOSED
+    if distress >= SERVE_STALE_AT:
+        return DegradationTier.SERVE_STALE
+    if distress >= SHED_AT:
+        return DegradationTier.SHED
+    return DegradationTier.NORMAL
 
 
 # ---------------------------------------------------------------------
 # autoscaling
 # ---------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class AutoscalerConfig:
-    """Utilization-band autoscaling with cooldown.
-
-    Utilization is admitted work over live capacity, EWMA-smoothed
-    with ``smoothing``; a shard above ``scale_up_at`` asks for one more
-    replica, below ``scale_down_at`` drains one, never leaving the
-    ``[min_replicas, max_replicas]`` band, and never acting twice
-    within ``cooldown_ticks``.
-    """
-
-    scale_up_at: float = 0.85
-    scale_down_at: float = 0.3
-    min_replicas: int = 2
-    max_replicas: int = 6
-    cooldown_ticks: int = 25
-    smoothing: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.scale_down_at < self.scale_up_at:
-            raise ValueError("need 0 <= scale_down_at < scale_up_at")
-        if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
-            raise ValueError("need 1 <= min_replicas <= max_replicas")
-        if not 0 < self.smoothing <= 1:
-            raise ValueError("smoothing must be in (0, 1]")
+# Utilization-band autoscaling with cooldown.  Utilization is admitted
+# work over live capacity, EWMA-smoothed with ``AUTOSCALE_SMOOTHING``; a
+# shard above ``SCALE_UP_AT`` asks for one more replica, below
+# ``SCALE_DOWN_AT`` drains one, never leaving the
+# ``[MIN_REPLICAS, MAX_REPLICAS]`` band, and never acting twice within
+# ``COOLDOWN_TICKS``.
+SCALE_UP_AT = 0.85
+SCALE_DOWN_AT = 0.3
+MIN_REPLICAS = 2
+MAX_REPLICAS = 6
+COOLDOWN_TICKS = 25
+AUTOSCALE_SMOOTHING = 0.2
 
 
 class Autoscaler:
     """Per-shard scale decisions; the campaign executes them."""
 
-    def __init__(self, config: AutoscalerConfig):
-        self.config = config
+    def __init__(self):
         self._last_action_tick: dict[str, int] = {}
         self.scale_ups = 0
         self.scale_downs = 0
 
     def decide(self, shard: "Shard", tick: int) -> int:
         """+1 (add a replica), -1 (drain one), or 0 (hold)."""
-        cfg = self.config
         last = self._last_action_tick.get(shard.shard_id)
-        if last is not None and tick - last < cfg.cooldown_ticks:
+        if last is not None and tick - last < COOLDOWN_TICKS:
             return 0
         n_live = len(shard.router.live_replicas())
-        if shard.utilization >= cfg.scale_up_at and n_live < cfg.max_replicas:
+        if shard.utilization >= SCALE_UP_AT and n_live < MAX_REPLICAS:
             self._last_action_tick[shard.shard_id] = tick
             self.scale_ups += 1
             return 1
-        if shard.utilization <= cfg.scale_down_at and n_live > cfg.min_replicas:
+        if shard.utilization <= SCALE_DOWN_AT and n_live > MIN_REPLICAS:
             self._last_action_tick[shard.shard_id] = tick
             self.scale_downs += 1
             return -1
@@ -361,35 +324,30 @@ class Shard:
         self,
         shard_id: str,
         router: ReplicaRouter,
-        breaker_config: BreakerConfig | None,
+        breakers: bool,
         event_log=None,
         machine_of: dict[str, str] | None = None,
-        retry_budget: RetryBudgetConfig | None = None,
-        smoothing: float = 0.2,
+        retry_budget: bool = False,
     ):
         self.shard_id = shard_id
         self.router = router
         self.breakers = (
-            BreakerBoard(breaker_config, event_log=event_log,
-                         machine_of=machine_of)
-            if breaker_config is not None else None
+            BreakerBoard(event_log=event_log, machine_of=machine_of)
+            if breakers else None
         )
-        self.budget = (
-            RetryBudget(retry_budget) if retry_budget is not None else None
-        )
+        self.budget = RetryBudget() if retry_budget else None
         self.queue: list = []
         #: route_key → last validated OK payload (the serve-stale source)
         self.stale_cache: dict[int, bytes] = {}
         self.tier = DegradationTier.NORMAL
         self.utilization = 0.0
-        self._smoothing = smoothing
         #: replicas the baseline placement put here (autoscale floor ref)
         self.configured_replicas = len(router.replicas)
 
     def note_utilization(self, admitted: int, capacity: int) -> None:
         """EWMA-update the utilization estimate for the autoscaler."""
         instant = admitted / capacity if capacity > 0 else 1.0
-        alpha = self._smoothing
+        alpha = AUTOSCALE_SMOOTHING
         self.utilization = (1 - alpha) * self.utilization + alpha * instant
 
     def open_breaker_fraction(self, now_ms: float) -> float:
@@ -458,18 +416,16 @@ class ShardedCluster:
 
 __all__ = [
     "Autoscaler",
-    "AutoscalerConfig",
     "ConsistentHashRouter",
-    "DegradationPolicy",
     "DegradationTier",
     "ROUTER_POLICIES",
     "ReplicaRouter",
     "RetryBudget",
-    "RetryBudgetConfig",
     "Shard",
     "RoundRobinRouter",
     "ShardedCluster",
     "TIER_ORDER",
     "stable_key_hash",
+    "tier_for",
     "stable_str_hash",
 ]

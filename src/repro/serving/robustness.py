@@ -9,13 +9,13 @@ Each mechanism is one §7-style defence, composable via
   response against it — the same mechanism as the CRC-framed records
   of :mod:`repro.storage`, reusing the same
   :func:`~repro.workloads.hashing.crc64` primitive.
-- :class:`RetryPolicy` — exponential backoff with full jitter, with a
+- retries — exponential backoff with jitter (:func:`backoff_ms`), with a
   *core-diversity* rule: a retry is never sent to a core that already
   served (and failed) this request, because a mercurial core fails
   "repeatedly and intermittently" (§2) — retrying in place converts an
   intermittent corruption into a repeated one.
-- :class:`HedgePolicy` — tail-latency hedging: when the primary attempt
-  is predicted slow, a duplicate is issued to a *different* core and the
+- tail-latency hedging: when the primary attempt is slower than
+  :data:`HEDGE_DELAY_MS`, a duplicate is issued to a *different* core and the
   first valid response wins (which also happens to be a cheap dual
   execution for the hedged fraction of traffic).
 - :class:`CircuitBreaker` / :class:`BreakerBoard` — per-core failure
@@ -71,47 +71,30 @@ class ResponseValidator:
 # retries with backoff + jitter + core diversity
 # ---------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with full jitter (AWS-style).
-
-    Attributes:
-        max_attempts: total tries including the first.
-        base_backoff_ms: delay scale for the first retry.
-        multiplier: exponential growth per retry.
-        max_backoff_ms: backoff cap.
-        jitter: fraction of the delay randomized away (1.0 = full
-            jitter in ``[delay/2, delay]``... we use ``delay * (1 - j*u)``).
-        core_diversity: never retry on an already-tried core.
-    """
-
-    max_attempts: int = 3
-    base_backoff_ms: float = 2.0
-    multiplier: float = 2.0
-    max_backoff_ms: float = 40.0
-    jitter: float = 0.5
-    core_diversity: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def backoff_ms(self, retry_index: int, rng: np.random.Generator) -> float:
-        """Delay before retry ``retry_index`` (0 = first retry)."""
-        delay = min(
-            self.max_backoff_ms,
-            self.base_backoff_ms * self.multiplier ** retry_index,
-        )
-        return delay * (1.0 - self.jitter * float(rng.random()))
+#: total tries including the first
+RETRY_MAX_ATTEMPTS = 3
+#: delay scale for the first retry
+RETRY_BASE_BACKOFF_MS = 2.0
+#: exponential growth per retry
+RETRY_MULTIPLIER = 2.0
+#: backoff cap
+RETRY_MAX_BACKOFF_MS = 40.0
+#: fraction of the delay randomized away: ``delay * (1 - jitter * u)``
+RETRY_JITTER = 0.5
 
 
-@dataclasses.dataclass(frozen=True)
-class HedgePolicy:
-    """Send a duplicate to another core when the primary looks slow."""
+def backoff_ms(retry_index: int, rng: np.random.Generator) -> float:
+    """Exponential backoff with jitter (AWS-style) before retry
+    ``retry_index`` (0 = first retry)."""
+    delay = min(
+        RETRY_MAX_BACKOFF_MS,
+        RETRY_BASE_BACKOFF_MS * RETRY_MULTIPLIER ** retry_index,
+    )
+    return delay * (1.0 - RETRY_JITTER * float(rng.random()))
 
-    hedge_delay_ms: float = 6.0
+
+#: a duplicate goes to another core when the primary takes longer
+HEDGE_DELAY_MS = 6.0
 
 
 # ---------------------------------------------------------------------
@@ -126,26 +109,18 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
-@dataclasses.dataclass(frozen=True)
-class BreakerConfig:
-    """Trip after ``failure_threshold`` failures inside ``window_ms``;
-    stay open for ``cooldown_ms``, then allow probes (half-open)."""
-
-    failure_threshold: int = 3
-    window_ms: float = 400.0
-    cooldown_ms: float = 200.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
+#: a breaker trips after this many failures inside the window...
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_WINDOW_MS = 400.0
+#: ...and stays open this long before allowing probes (half-open)
+BREAKER_COOLDOWN_MS = 200.0
 
 
 class CircuitBreaker:
     """Failure accounting for one server core."""
 
-    def __init__(self, core_id: str, config: BreakerConfig):
+    def __init__(self, core_id: str):
         self.core_id = core_id
-        self.config = config
         self.state = BreakerState.CLOSED
         self.trips = 0
         self._failure_times: list[float] = []
@@ -156,7 +131,7 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
-            if now_ms - self._opened_at >= self.config.cooldown_ms:
+            if now_ms - self._opened_at >= BREAKER_COOLDOWN_MS:
                 self.state = BreakerState.HALF_OPEN
                 return True
             return False
@@ -175,14 +150,14 @@ class CircuitBreaker:
             self._opened_at = now_ms
             self.trips += 1
             return True
-        window_start = now_ms - self.config.window_ms
+        window_start = now_ms - BREAKER_WINDOW_MS
         self._failure_times = [
             t for t in self._failure_times if t >= window_start
         ]
         self._failure_times.append(now_ms)
         if (
             self.state is BreakerState.CLOSED
-            and len(self._failure_times) >= self.config.failure_threshold
+            and len(self._failure_times) >= BREAKER_FAILURE_THRESHOLD
         ):
             self.state = BreakerState.OPEN
             self._opened_at = now_ms
@@ -203,12 +178,10 @@ class BreakerBoard:
 
     def __init__(
         self,
-        config: BreakerConfig,
         event_log: EventLog | None = None,
         machine_of: dict[str, str] | None = None,
         ms_per_day: float = 86_400_000.0,
     ):
-        self.config = config
         self.event_log = event_log
         self.machine_of = machine_of or {}
         self.ms_per_day = ms_per_day
@@ -216,7 +189,7 @@ class BreakerBoard:
 
     def breaker(self, core_id: str) -> CircuitBreaker:
         if core_id not in self._breakers:
-            self._breakers[core_id] = CircuitBreaker(core_id, self.config)
+            self._breakers[core_id] = CircuitBreaker(core_id)
         return self._breakers[core_id]
 
     def allows(self, core_id: str, now_ms: float) -> bool:
@@ -262,28 +235,20 @@ class BreakerBoard:
 # load shedding
 # ---------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class LoadShedConfig:
-    """Admission control: refuse work beyond ``max_queue_factor`` ×
-    per-tick service capacity so the served remainder stays in SLO."""
-
-    max_queue_factor: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.max_queue_factor <= 0:
-            raise ValueError("max_queue_factor must be positive")
+#: admission control refuses work beyond this many ticks of service
+#: capacity, so the served remainder stays in SLO
+MAX_QUEUE_FACTOR = 3.0
 
 
 class LoadShedder:
     """Queue-depth admission control (newest arrivals shed first)."""
 
-    def __init__(self, config: LoadShedConfig):
-        self.config = config
+    def __init__(self):
         self.shed_count = 0
 
     def admit(self, queue_len: int, arrivals: int, capacity: int) -> int:
         """How many of ``arrivals`` to admit given the current backlog."""
-        limit = max(capacity, int(self.config.max_queue_factor * capacity))
+        limit = int(MAX_QUEUE_FACTOR * capacity)
         room = max(0, limit - queue_len)
         admitted = min(arrivals, room)
         self.shed_count += arrivals - admitted
@@ -300,21 +265,17 @@ class HardeningConfig:
 
     name: str = "hardened"
     validate: bool = True
-    retry: RetryPolicy | None = dataclasses.field(default_factory=RetryPolicy)
-    hedge: HedgePolicy | None = dataclasses.field(default_factory=HedgePolicy)
-    breaker: BreakerConfig | None = dataclasses.field(
-        default_factory=BreakerConfig
-    )
-    shed: LoadShedConfig | None = dataclasses.field(
-        default_factory=LoadShedConfig
-    )
+    retry: bool = True
+    hedge: bool = True
+    breaker: bool = True
+    shed: bool = True
 
     @classmethod
     def unhardened(cls) -> "HardeningConfig":
         """The naive service: trust every response, never reroute."""
         return cls(
-            name="unhardened", validate=False, retry=None, hedge=None,
-            breaker=None, shed=None,
+            name="unhardened", validate=False, retry=False, hedge=False,
+            breaker=False, shed=False,
         )
 
     @classmethod
@@ -329,18 +290,15 @@ class HardeningConfig:
         The ablation used to show that breaker trips *accelerate*
         quarantine beyond what per-response validation signals achieve.
         """
-        return cls(name="validator-only", breaker=None)
+        return cls(name="validator-only", breaker=False)
 
 
 __all__ = [
     "BreakerBoard",
-    "BreakerConfig",
     "BreakerState",
     "CircuitBreaker",
     "HardeningConfig",
-    "HedgePolicy",
-    "LoadShedConfig",
     "LoadShedder",
     "ResponseValidator",
-    "RetryPolicy",
+    "backoff_ms",
 ]

@@ -37,11 +37,12 @@ byte-identical with observability on or off, and across worker counts.
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 
 from repro import obs
-from repro.campaign import Published, build_small_fleet
+from repro.campaign import Published, build_small_fleet, check_at_least
 from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
@@ -55,21 +56,20 @@ from repro.serving.campaign import (
 )
 from repro.serving.cluster import (
     ROUTER_POLICIES,
+    SHED_QUEUE_FACTOR,
     Autoscaler,
-    AutoscalerConfig,
-    DegradationPolicy,
     DegradationTier,
-    RetryBudgetConfig,
     Shard,
     ShardedCluster,
     TIER_ORDER,
+    tier_for,
 )
 from repro.serving.loadgen import DEFAULT_COHORTS, LoadGenerator, LoadProfile, UserCohort
 from repro.serving.robustness import (
-    BreakerConfig,
-    HedgePolicy,
-    LoadShedConfig,
-    RetryPolicy,
+    HEDGE_DELAY_MS,
+    MAX_QUEUE_FACTOR,
+    RETRY_MAX_ATTEMPTS,
+    backoff_ms,
 )
 from repro.serving.service import (
     Attempt,
@@ -88,33 +88,40 @@ from repro.silicon.units import Op
 # configuration
 # ---------------------------------------------------------------------
 
+# The cluster and traffic shape of every E17 run.
+N_SHARDS = 3
+REPLICAS_PER_SHARD = 3
+N_REPLICAS = N_SHARDS * REPLICAS_PER_SHARD
+PER_REPLICA_PER_TICK = 2
+#: the default load ramp's arrivals per tick, start and peak
+BASE_RATE = 6.0
+PEAK_RATE = 14.0
+#: latency of a stale-cache hit (no core in the path)
+STALE_LATENCY_MS = 0.3
+
+
 @dataclasses.dataclass
 class ScaleConfig:
-    """Cluster shape, traffic shape and timing for one E17 run."""
+    """Run length and quarantine budget for one E17 run."""
 
     ticks: int = 600
-    tick_ms: float = 2.0
-    n_shards: int = 3
-    replicas_per_shard: int = 3
-    per_replica_per_tick: int = 2
-    base_rate: float = 6.0
-    peak_rate: float = 14.0
-    base_latency_ms: float = 1.0
-    straggler_prob: float = 0.03
-    straggler_factor: float = 12.0
-    offline_penalty_ms: float = 0.5
-    mce_penalty_ms: float = 2.0
-    #: latency of a stale-cache hit (no core in the path)
-    stale_latency_ms: float = 0.3
     #: the multi-bad-core fleet needs a wider quarantine budget than the
     #: single-defect default (2% of 32 cores rounds to one core)
     policy: PolicyConfig = dataclasses.field(
         default_factory=lambda: PolicyConfig(max_quarantined_fraction=0.3)
     )
+    # Timing and service-time shape: constants, not options.  They are
+    # read through the config because the request path E15 shares
+    # reads them off ``CampaignConfig``.
+    tick_ms: ClassVar[float] = 2.0
+    base_latency_ms: ClassVar[float] = 1.0
+    straggler_prob: ClassVar[float] = 0.03
+    straggler_factor: ClassVar[float] = 12.0
+    offline_penalty_ms: ClassVar[float] = 0.5
+    mce_penalty_ms: ClassVar[float] = 2.0
 
-    @property
-    def n_replicas(self) -> int:
-        return self.n_shards * self.replicas_per_shard
+    def __post_init__(self) -> None:
+        check_at_least("ticks", self.ticks, 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,23 +130,13 @@ class ScaleHardening:
 
     name: str = "full"
     validate: bool = True
-    retry: RetryPolicy | None = dataclasses.field(default_factory=RetryPolicy)
-    retry_budget: RetryBudgetConfig | None = dataclasses.field(
-        default_factory=RetryBudgetConfig
-    )
-    hedge: HedgePolicy | None = dataclasses.field(default_factory=HedgePolicy)
-    breaker: BreakerConfig | None = dataclasses.field(
-        default_factory=BreakerConfig
-    )
-    shed: LoadShedConfig | None = dataclasses.field(
-        default_factory=LoadShedConfig
-    )
-    degradation: DegradationPolicy | None = dataclasses.field(
-        default_factory=DegradationPolicy
-    )
-    autoscale: AutoscalerConfig | None = dataclasses.field(
-        default_factory=AutoscalerConfig
-    )
+    retry: bool = True
+    retry_budget: bool = True
+    hedge: bool = True
+    breaker: bool = True
+    shed: bool = True
+    degradation: bool = True
+    autoscale: bool = True
     router_policy: str = "consistent-hash"
 
     def __post_init__(self) -> None:
@@ -150,9 +147,9 @@ class ScaleHardening:
     def baseline(cls) -> "ScaleHardening":
         """The naive cluster: trust every response, never reroute."""
         return cls(
-            name="baseline", validate=False, retry=None, retry_budget=None,
-            hedge=None, breaker=None, shed=None, degradation=None,
-            autoscale=None, router_policy="round-robin",
+            name="baseline", validate=False, retry=False, retry_budget=False,
+            hedge=False, breaker=False, shed=False, degradation=False,
+            autoscale=False, router_policy="round-robin",
         )
 
     @classmethod
@@ -161,8 +158,8 @@ class ScaleHardening:
         degradation ladder — the middle rung of the mitigation-spend
         grid."""
         return cls(
-            name="retries+breakers", hedge=None, degradation=None,
-            autoscale=None,
+            name="retries+breakers", hedge=False, degradation=False,
+            autoscale=False,
         )
 
     @classmethod
@@ -326,22 +323,18 @@ class ServeScaleCampaign(RequestCampaign):
         )
         cfg = self.config
         self.loadgen = LoadGenerator(
-            profile or LoadProfile.ramp(cfg.base_rate, cfg.peak_rate,
-                                        cfg.ticks),
+            profile or LoadProfile.ramp(BASE_RATE, PEAK_RATE, cfg.ticks),
             cohorts=cohorts,
             seed=seed + 11,
         )
         self.cluster = self._build_cluster()
-        self.autoscaler = (
-            Autoscaler(self.hardening.autoscale)
-            if self.hardening.autoscale else None
-        )
+        self.autoscaler = Autoscaler() if self.hardening.autoscale else None
 
         for cohort in cohorts:
             self.scorecard.per_cohort[cohort.name] = {
                 "arrivals": 0, "ok": 0, "corrupt_escapes": 0,
             }
-        self._replica_seq = cfg.n_replicas
+        self._replica_seq = N_REPLICAS
         # The two families no scorecard field carries, counted inline:
         # tier *transitions* (the card has ticks-in-tier) and autoscale
         # actions actually *performed*.
@@ -359,21 +352,20 @@ class ServeScaleCampaign(RequestCampaign):
     # -- placement -----------------------------------------------------
 
     def _build_cluster(self) -> ShardedCluster:
-        cfg = self.config
         hardening = self.hardening
         tasks = [
             Task(f"shard/{g}/r{i}", op_mix={Op.COPY: 1.0})
-            for g in range(cfg.n_shards)
-            for i in range(cfg.replicas_per_shard)
+            for g in range(N_SHARDS)
+            for i in range(REPLICAS_PER_SHARD)
         ]
         placements, _ = self.scheduler.schedule(tasks)
         if len(placements) < len(tasks):
             raise ValueError("fleet too small for the requested cluster")
         router_cls = ROUTER_POLICIES[hardening.router_policy]
         shards = []
-        for g in range(cfg.n_shards):
+        for g in range(N_SHARDS):
             chunk = placements[
-                g * cfg.replicas_per_shard:(g + 1) * cfg.replicas_per_shard
+                g * REPLICAS_PER_SHARD:(g + 1) * REPLICAS_PER_SHARD
             ]
             replicas = [
                 self._make_replica(
@@ -430,7 +422,7 @@ class ServeScaleCampaign(RequestCampaign):
             self.validator.checksum(request.payload)
             if self.validator is not None else None
         )
-        max_attempts = hardening.retry.max_attempts if hardening.retry else 1
+        max_attempts = RETRY_MAX_ATTEMPTS if hardening.retry else 1
         attempts: list[Attempt] = []
         tried: set[str] = set()
         total_latency = queue_wait_ms
@@ -449,12 +441,9 @@ class ServeScaleCampaign(RequestCampaign):
                     )
                     break
                 card.retries += 1
-                total_latency += hardening.retry.backoff_ms(
-                    attempt_index - 1, self.rng
-                )
-            exclude = set(tried) if (
-                hardening.retry and hardening.retry.core_diversity
-            ) else set()
+                total_latency += backoff_ms(attempt_index - 1, self.rng)
+            # core diversity: never retry on an already-tried core
+            exclude = set(tried)
             if shard.breakers:
                 exclude |= shard.breakers.open_core_ids(now_ms)
             replica = shard.router.pick(exclude, route_key=request.route_key)
@@ -473,9 +462,8 @@ class ServeScaleCampaign(RequestCampaign):
             if (
                 hardening.hedge
                 and attempt.outcome is AttemptOutcome.OK
-                and attempt.latency_ms > hardening.hedge.hedge_delay_ms
-                and total_latency + hardening.hedge.hedge_delay_ms
-                    < request.deadline_ms
+                and attempt.latency_ms > HEDGE_DELAY_MS
+                and total_latency + HEDGE_DELAY_MS < request.deadline_ms
             ):
                 hedge_exclude = exclude | {replica.core_id}
                 hedge_replica = shard.router.pick(
@@ -494,10 +482,7 @@ class ServeScaleCampaign(RequestCampaign):
                     attempts.append(h_attempt)
                     tried.add(hedge_replica.core_id)
                     if h_attempt.outcome is AttemptOutcome.OK:
-                        h_effective = (
-                            hardening.hedge.hedge_delay_ms
-                            + h_attempt.latency_ms
-                        )
+                        h_effective = HEDGE_DELAY_MS + h_attempt.latency_ms
                         if h_effective < effective:
                             effective = h_effective
                             payload = h_payload
@@ -537,13 +522,13 @@ class ServeScaleCampaign(RequestCampaign):
                 card.stale_served += 1
                 return Response(
                     request.request_id, ResponseStatus.OK, cached, None,
-                    queue_wait + cfg.stale_latency_ms, [], stale=True,
+                    queue_wait + STALE_LATENCY_MS, [], stale=True,
                 )
             # cache miss: fall through to a (risky) live attempt
 
         response = self._dispatch(shard, request, now_ms, queue_wait)
         if (
-            self.hardening.degradation is not None
+            self.hardening.degradation
             and response.status is ResponseStatus.OK
             and not response.stale
             and response.payload is not None
@@ -554,13 +539,13 @@ class ServeScaleCampaign(RequestCampaign):
     # -- degradation ---------------------------------------------------
 
     def _update_tiers(self, tick: int, now_ms: float) -> None:
-        policy = self.hardening.degradation
+        degradation = self.hardening.degradation
         card = self.scorecard
         for shard in self.cluster.shards:
-            if policy is None:
+            if not degradation:
                 tier = DegradationTier.NORMAL
             else:
-                tier = policy.tier_for(self.cluster.distress(shard, now_ms))
+                tier = tier_for(self.cluster.distress(shard, now_ms))
             if TIER_ORDER[tier] > TIER_ORDER[shard.tier]:
                 # escalation is the alarm-worthy transition
                 self.emit(
@@ -643,8 +628,7 @@ class ServeScaleCampaign(RequestCampaign):
             for shard in self.cluster.shards:
                 mine = per_shard[shard.shard_id]
                 capacity = (
-                    len(shard.router.live_replicas())
-                    * cfg.per_replica_per_tick
+                    len(shard.router.live_replicas()) * PER_REPLICA_PER_TICK
                 )
 
                 if shard.tier is DegradationTier.FAIL_CLOSED:
@@ -703,15 +687,14 @@ class ServeScaleCampaign(RequestCampaign):
         """Admission control for one shard's arrivals; returns admitted."""
         card = self.scorecard
         hardening = self.hardening
-        degradation = hardening.degradation
-        if shard.tier is not DegradationTier.NORMAL and degradation is not None:
-            factor = degradation.shed_queue_factor
-        elif hardening.shed is not None:
-            factor = hardening.shed.max_queue_factor
+        if shard.tier is not DegradationTier.NORMAL and hardening.degradation:
+            factor = SHED_QUEUE_FACTOR
+        elif hardening.shed:
+            factor = MAX_QUEUE_FACTOR
         else:
             shard.queue.extend(arrivals)
             return len(arrivals)
-        limit = max(capacity, int(factor * capacity))
+        limit = int(factor * capacity)
         room = max(0, limit - len(shard.queue))
         admitted = arrivals[:room]
         card.shed += len(arrivals) - len(admitted)

@@ -37,6 +37,7 @@ corruptor keeps serving.
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from repro.campaign import (
     CampaignScorecard,
     Published,
     build_small_fleet,
+    check_at_least,
 )
 from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
@@ -65,7 +67,7 @@ from repro.silicon.units import FunctionalUnit, Op
 from repro.storage.antientropy import AntiEntropy
 from repro.storage.replica import StorageReplica
 from repro.storage.scrub import Scrubber
-from repro.storage.store import ReplicatedKVStore, StoreConfig
+from repro.storage.store import N_REPLICAS, ReplicatedKVStore, StoreConfig
 from repro.workloads.crypto import BLOCK_BYTES
 
 #: the storage-originated suspicion signals (satellite of the E16 loop)
@@ -135,24 +137,29 @@ class StorageProtections:
         return cls(name="generic-weights", dedicated_weights=False)
 
 
+# Traffic shape: Poisson arrivals per tick, one AES block per value.
+WRITES_PER_TICK = 1.0
+READS_PER_TICK = 2.0
+PAYLOAD_BYTES = BLOCK_BYTES
+# Maintenance cadence, in ticks, and the scrubber's keys per round.
+SCRUB_INTERVAL = 25
+SCRUB_KEYS_PER_ROUND = 16
+ANTIENTROPY_INTERVAL = 40
+COMPACT_INTERVAL = 50
+
+
 @dataclasses.dataclass
 class StorageCampaignConfig:
-    """Traffic, maintenance cadence and policy knobs for one campaign."""
+    """Run length and quarantine policy for one storage campaign."""
 
     ticks: int = 600
-    tick_ms: float = 2.0
-    writes_per_tick: float = 1.0
-    reads_per_tick: float = 2.0
-    payload_blocks: int = 1
-    scrub_interval: int = 25
-    scrub_keys_per_round: int = 16
-    antientropy_interval: int = 40
-    compact_interval: int = 50
     policy: PolicyConfig = dataclasses.field(default_factory=PolicyConfig)
+    #: a constant, not an option; read through the config like the
+    #: other runners' tick length
+    tick_ms: ClassVar[float] = 2.0
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.payload_blocks * BLOCK_BYTES
+    def __post_init__(self) -> None:
+        check_at_least("ticks", self.ticks, 0)
 
 
 @dataclasses.dataclass
@@ -356,7 +363,7 @@ class StorageCampaign(Campaign):
             on_repair=self._on_repair,
         )
         self.scrubber = (
-            Scrubber(self.store, self.config.scrub_keys_per_round)
+            Scrubber(self.store, SCRUB_KEYS_PER_ROUND)
             if self.protections.scrub else None
         )
         self.antientropy = (
@@ -384,10 +391,12 @@ class StorageCampaign(Campaign):
         return replica
 
     def _place_initial_replicas(self) -> list[StorageReplica]:
-        n = self.protections.store.n_replicas
-        tasks = [Task(f"store/{i}", op_mix={Op.COPY: 1.0}) for i in range(n)]
+        tasks = [
+            Task(f"store/{i}", op_mix={Op.COPY: 1.0})
+            for i in range(N_REPLICAS)
+        ]
         placements, _ = self.scheduler.schedule(tasks)
-        if len(placements) < n:
+        if len(placements) < N_REPLICAS:
             raise ValueError("fleet too small for the replica count")
         return [
             self._make_replica(self._core_by_id[p.core_id])
@@ -466,12 +475,12 @@ class StorageCampaign(Campaign):
     def _do_writes(self) -> None:
         card = self.scorecard
         arrivals = int(self.rng.poisson(
-            self.config.writes_per_tick * self.burst_multiplier
+            WRITES_PER_TICK * self.burst_multiplier
         ))
         for _ in range(arrivals):
             key = f"k{self._key_seq:06d}"
             self._key_seq += 1
-            value = self.rng.bytes(self.config.payload_bytes)
+            value = self.rng.bytes(PAYLOAD_BYTES)
             card.writes_attempted += 1
             result = self.store.put(key, value)
             card.encrypt_attempts += result.encrypt_attempts
@@ -491,7 +500,7 @@ class StorageCampaign(Campaign):
         if not self._keys:
             return
         arrivals = int(self.rng.poisson(
-            self.config.reads_per_tick * self.burst_multiplier
+            READS_PER_TICK * self.burst_multiplier
         ))
         for _ in range(arrivals):
             key = self._keys[int(self.rng.integers(len(self._keys)))]
@@ -515,10 +524,9 @@ class StorageCampaign(Campaign):
 
     def _maintenance(self, tick: int) -> None:
         card = self.scorecard
-        cfg = self.config
         if (
             self.scrubber is not None
-            and tick % cfg.scrub_interval == cfg.scrub_interval - 1
+            and tick % SCRUB_INTERVAL == SCRUB_INTERVAL - 1
         ):
             report = self.scrubber.scrub_round()
             card.scrub_mismatches += report.mismatches
@@ -526,13 +534,13 @@ class StorageCampaign(Campaign):
             card.machine_checks += report.machine_checks
         if (
             self.antientropy is not None
-            and tick % cfg.antientropy_interval == cfg.antientropy_interval - 1
+            and tick % ANTIENTROPY_INTERVAL == ANTIENTROPY_INTERVAL - 1
         ):
             report = self.antientropy.sync_round()
             card.backfills += report.backfills
-        if tick % cfg.compact_interval == cfg.compact_interval - 1:
+        if tick % COMPACT_INTERVAL == COMPACT_INTERVAL - 1:
             replicas = self.store.replicas
-            replica = replicas[(tick // cfg.compact_interval) % len(replicas)]
+            replica = replicas[(tick // COMPACT_INTERVAL) % len(replicas)]
             if replica.available:
                 try:
                     replica.compact()
@@ -592,7 +600,6 @@ class StorageCampaign(Campaign):
         gone.
         """
         card = self.scorecard
-        encrypt = self.protections.store.encrypt
         for key in self._keys:
             truth = self.truth[key]
             recovered = False
@@ -601,9 +608,7 @@ class StorageCampaign(Campaign):
                 payload = replica.table.get(key)
                 if payload is None:
                     continue
-                if not encrypt:
-                    value = payload
-                elif payload in decrypted_cache:
+                if payload in decrypted_cache:
                     value = decrypted_cache[payload]
                 else:
                     value = self.store._decrypt(self.client_core, payload)

@@ -11,7 +11,7 @@ The write path mirrors the paper's §5.2/§7 hazards end to end:
    miscomputing core (encryptor vs verifier) — this single check is
    what turns the unrecoverable incident into a retried write;
 3. the framed record (host-side CRC sealed before any storage core
-   touches the bytes) is written to ``n_replicas`` replicas and acked
+   touches the bytes) is written to ``N_REPLICAS`` replicas and acked
    at ``write_quorum``.
 
 The read path votes: every online replica serves its copy through its
@@ -45,32 +45,35 @@ EmitFn = Callable[[str, EventKind, str], None]
 #: on_repair(replica_id, key) — ground-truth repair-latency accounting
 RepairFn = Callable[[str, str], None]
 
+#: replicas every store writes to and votes over
+N_REPLICAS = 3
+#: re-encryptions (on the advanced coordinator rotation) after a
+#: ciphertext fails its decrypt-elsewhere check
+ENCRYPT_RETRIES = 3
+
 
 @dataclasses.dataclass(frozen=True)
 class StoreConfig:
     """Which durable-path defences the store runs (the E16 knob).
 
-    Values must be a whole number of AES blocks (16 bytes); the store
-    deliberately uses un-padded block encryption so a corrupted record
-    stays *well-formed* — the paper's silent hazard — instead of
-    tripping a padding error by accident.
+    Every value is encrypted, and must be a whole number of AES blocks
+    (16 bytes); the store deliberately uses un-padded block encryption
+    so a corrupted record stays *well-formed* — the paper's silent
+    hazard — instead of tripping a padding error by accident.
     """
 
-    n_replicas: int = 3
     write_quorum: int = 2
     read_quorum: int = 2
-    encrypt: bool = True
     encrypt_verify: bool = True
-    encrypt_retries: int = 3
     vote_reads: bool = True
     verify_read_crc: bool = True
     key: bytes = bytes(range(16))
 
     def __post_init__(self) -> None:
-        if not 1 <= self.write_quorum <= self.n_replicas:
-            raise ValueError("write_quorum must be in [1, n_replicas]")
-        if not 1 <= self.read_quorum <= self.n_replicas:
-            raise ValueError("read_quorum must be in [1, n_replicas]")
+        if not 1 <= self.write_quorum <= N_REPLICAS:
+            raise ValueError("write_quorum must be in [1, N_REPLICAS]")
+        if not 1 <= self.read_quorum <= N_REPLICAS:
+            raise ValueError("read_quorum must be in [1, N_REPLICAS]")
 
     @classmethod
     def unprotected(cls) -> "StoreConfig":
@@ -131,10 +134,9 @@ class ReplicatedKVStore:
         on_repair: RepairFn | None = None,
     ):
         self.config = config or StoreConfig()
-        if len(replicas) != self.config.n_replicas:
+        if len(replicas) != N_REPLICAS:
             raise ValueError(
-                f"expected {self.config.n_replicas} replicas, "
-                f"got {len(replicas)}"
+                f"expected {N_REPLICAS} replicas, got {len(replicas)}"
             )
         if not coordinator_cores:
             raise ValueError("need at least one coordinator core")
@@ -185,7 +187,7 @@ class ReplicatedKVStore:
         actually miscomputed (the self-inverting AES defect makes the
         encryptor's own decrypt useless as a check).
         """
-        for _ in range(self.config.encrypt_retries + 1):
+        for _ in range(ENCRYPT_RETRIES + 1):
             enc_core = self._next_coordinator()
             if enc_core is None:
                 return None
@@ -238,13 +240,10 @@ class ReplicatedKVStore:
     # -- writes --------------------------------------------------------
 
     def put(self, key: str, value: bytes) -> WriteResult:
-        """Quorum write of one (optionally encrypted) framed record."""
+        """Quorum write of one encrypted framed record."""
         with obs.tracer.span("storage.put", key=key) as sp:
             result = WriteResult(ok=False)
-            payload = (
-                self._encrypt_verified(value, result)
-                if self.config.encrypt else value
-            )
+            payload = self._encrypt_verified(value, result)
             if payload is not None:
                 result.ciphertext = payload
                 crc = host_crc64(payload)
@@ -300,10 +299,7 @@ class ReplicatedKVStore:
                 return result
             payload, _ = response
             result.responses = 1
-            value = (
-                self._decrypt(replica.core, payload)
-                if self.config.encrypt else payload
-            )
+            value = self._decrypt(replica.core, payload)
             if value is None:
                 return result
             result.value = value
@@ -368,10 +364,7 @@ class ReplicatedKVStore:
             replica.repair(key, majority_payload, majority_crc)
             result.repaired_replicas.append(replica.replica_id)
             self.on_repair(replica.replica_id, key)
-        value = (
-            self._decrypt(self.trusted_core, majority_payload)
-            if self.config.encrypt else majority_payload
-        )
+        value = self._decrypt(self.trusted_core, majority_payload)
         if value is None:
             return result
         result.value = value

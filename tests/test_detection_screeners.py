@@ -1,10 +1,14 @@
 """Online and offline screeners."""
 
 import numpy as np
-import pytest
 
-from repro.detection.offline import OfflineScreener, OfflineScreenerConfig
-from repro.detection.online import OnlineScreener, OnlineScreenerConfig
+from repro.detection.offline import (
+    DRAIN_CORESECONDS,
+    TEMPERATURES_C,
+    OfflineScreener,
+    OfflineScreenerConfig,
+)
+from repro.detection.online import OnlineScreener
 from repro.detection.screener import (
     Automation,
     Mode,
@@ -53,28 +57,11 @@ class TestOnlineScreener:
     def test_misses_environment_gated_defect(self):
         assert not OnlineScreener().screen_core(_gated_core()).confessed
 
-    def test_round_skips_offline_cores(self, healthy_pool):
-        healthy_pool[0].set_online(False)
-        results = OnlineScreener().round(healthy_pool, fraction=1.0)
-        screened = {r.core_id for r in results}
-        assert healthy_pool[0].core_id not in screened
-
-    def test_round_fraction_validated(self, healthy_pool):
-        with pytest.raises(ValueError):
-            OnlineScreener().round(healthy_pool, fraction=0.0)
-
-    def test_duty_cycle_drives_repetitions(self):
-        lean = OnlineScreenerConfig(duty_cycle=0.001)
-        rich = OnlineScreenerConfig(duty_cycle=0.05)
-        core = Core("scr/h", rng=np.random.default_rng(0))
-        ops_lean = OnlineScreener(config=lean).screen_core(core).ops_cost
-        ops_rich = OnlineScreener(config=rich).screen_core(core).ops_cost
-        assert ops_rich > ops_lean
-
     def test_budget_accumulates(self, healthy_pool):
         screener = OnlineScreener()
-        screener.round(healthy_pool)
-        assert screener.budget.cores_screened == len(healthy_pool)
+        for core in healthy_pool[:2]:
+            screener.screen_core(core)
+        assert screener.budget.cores_screened == 2
         assert screener.budget.total_ops > 0
 
 
@@ -99,18 +86,15 @@ class TestOfflineScreener:
         assert core.online
 
     def test_charges_drain_cost(self):
-        config = OfflineScreenerConfig(drain_coreseconds=240.0)
-        result = OfflineScreener(config=config).screen_core(
+        result = OfflineScreener().screen_core(
             Core("scr/h2", rng=np.random.default_rng(0))
         )
-        assert result.drain_cost_coreseconds == 240.0
+        assert result.drain_cost_coreseconds == DRAIN_CORESECONDS > 0
 
     def test_sweep_schedule_includes_stress_points(self):
         screener = OfflineScreener()
         points = screener.sweep_schedule()
-        nominal_count = len(screener.dvfs.states) * len(
-            screener.config.temperatures_c
-        )
+        nominal_count = len(screener.dvfs.states) * len(TEMPERATURES_C)
         assert len(points) == nominal_count + 3  # 3 stress points
 
     def test_thermal_gated_defect_caught_by_temperature_sweep(self):
@@ -126,13 +110,6 @@ class TestOfflineScreener:
             rng=np.random.default_rng(3),
         )
         assert OfflineScreener().screen_core(core).confessed
-
-    def test_screen_population_covers_everyone(self, healthy_pool):
-        screener = OfflineScreener(
-            config=OfflineScreenerConfig(repetitions_per_point=1)
-        )
-        results = screener.screen_population(healthy_pool[:2])
-        assert len(results) == 2
 
 
 class TestScreeningBudget:

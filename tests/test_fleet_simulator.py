@@ -15,7 +15,13 @@ from repro.fleet.columns import FleetColumns, defect_mode_code
 from repro.fleet.population import FleetBuilder
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.fleet.reference import ScalarReferenceSimulator
-from repro.fleet.simulator import FleetSimulator, SimulatorConfig
+from repro.fleet.simulator import (
+    COVERAGE_EXPANSIONS_PER_YEAR,
+    COVERAGE_INITIAL,
+    COVERAGE_STEP,
+    FleetSimulator,
+    SimulatorConfig,
+)
 from repro.silicon.aging import AgingProfile, WeibullOnset
 from repro.silicon.defects import StuckBitDefect
 from repro.silicon.units import FunctionalUnit
@@ -87,27 +93,22 @@ class TestCampaign:
 
 class TestConfigKnobs:
     @pytest.mark.parametrize("field, value", [
-        # tick_days <= 0 never advances run()'s clock (a hang)
-        ("tick_days", 0.0),
-        ("tick_days", -1.0),
-        ("tick_days", float("nan")),
-        ("tick_days", float("inf")),
         # a NaN horizon skips the loop and returns an empty result
         ("horizon_days", float("nan")),
         ("horizon_days", float("inf")),
         ("horizon_days", -1.0),
         ("warmup_days", float("nan")),
         ("warmup_days", -1.0),
-        ("rate_refresh_days", -1.0),
-        ("rate_refresh_days", float("nan")),
     ])
     def test_clock_fields_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimulatorConfig(**{field: value})
 
     def test_zero_horizon_and_refresh_are_legal(self):
-        SimulatorConfig(horizon_days=0.0, warmup_days=0.0,
-                        rate_refresh_days=0.0)
+        config = SimulatorConfig(horizon_days=0.0, warmup_days=0.0)
+        columns = FleetBuilder(products=_dense_products(), seed=13).build_columns(10)
+        result = FleetSimulator(columns, config, seed=1).run()
+        assert len(result.events) == 0
 
     def test_zero_background_noise_yields_no_bg_crashes(self):
         builder = FleetBuilder(products=_dense_products(), seed=13)
@@ -126,14 +127,16 @@ class TestConfigKnobs:
     def test_coverage_expansion_steps(self):
         builder = FleetBuilder(products=_dense_products(), seed=13)
         columns = builder.build_columns(50)
-        config = SimulatorConfig(
-            horizon_days=10.0, warmup_days=0.0,
-            coverage_initial=0.4, coverage_step=0.2,
-            coverage_expansions_per_year=2.0,
-        )
+        config = SimulatorConfig(horizon_days=10.0, warmup_days=0.0)
         simulator = FleetSimulator(columns, config, seed=1)
-        assert simulator._coverage(0.0) == pytest.approx(0.4)
-        assert simulator._coverage(183.0) == pytest.approx(0.6)
+        step_days = 365.0 / COVERAGE_EXPANSIONS_PER_YEAR
+        assert simulator._coverage(0.0) == pytest.approx(COVERAGE_INITIAL)
+        assert simulator._coverage(step_days - 1.0) == pytest.approx(
+            COVERAGE_INITIAL
+        )
+        assert simulator._coverage(step_days + 1.0) == pytest.approx(
+            COVERAGE_INITIAL + COVERAGE_STEP
+        )
         assert simulator._coverage(2000.0) == 1.0  # capped
 
     def test_no_detectors_means_no_detection(self):

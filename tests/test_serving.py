@@ -5,15 +5,15 @@ import pytest
 
 from repro.core.events import EventKind, EventLog
 from repro.serving.robustness import (
+    BREAKER_COOLDOWN_MS,
+    BREAKER_FAILURE_THRESHOLD,
     BreakerBoard,
-    BreakerConfig,
     BreakerState,
     CircuitBreaker,
     HardeningConfig,
-    LoadShedConfig,
     LoadShedder,
     ResponseValidator,
-    RetryPolicy,
+    backoff_ms,
 )
 from repro.serving.cluster import RoundRobinRouter
 from repro.serving.service import Request, ServerReplica
@@ -112,31 +112,36 @@ class TestValidator:
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            base_backoff_ms=2.0, multiplier=2.0, max_backoff_ms=10.0,
-            jitter=0.0,
-        )
-        rng = np.random.default_rng(0)
-        delays = [policy.backoff_ms(i, rng) for i in range(4)]
-        assert delays == [2.0, 4.0, 8.0, 10.0]
+        class NoJitter:
+            def random(self):
+                return 0.0
+
+        delays = [backoff_ms(i, NoJitter()) for i in range(6)]
+        assert delays == [2.0, 4.0, 8.0, 16.0, 32.0, 40.0]
 
     def test_jitter_stays_in_band(self):
-        policy = RetryPolicy(base_backoff_ms=8.0, jitter=0.5)
+        # jitter 0.5 keeps each delay in [delay / 2, delay]
         rng = np.random.default_rng(0)
         for _ in range(100):
-            delay = policy.backoff_ms(0, rng)
-            assert 4.0 <= delay <= 8.0
+            assert 1.0 <= backoff_ms(0, rng) <= 2.0
+            assert 20.0 <= backoff_ms(9, rng) <= 40.0
 
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
+
+def _trip(breaker, at=0.0):
+    """Record the failures that trip a closed breaker at ``at``."""
+    tripped = [
+        breaker.record_failure(at) for _ in range(BREAKER_FAILURE_THRESHOLD)
+    ]
+    assert tripped[-1] and not any(tripped[:-1])
+
+
+#: the first moment a breaker tripped at 0 lets probes through
+PROBE_MS = BREAKER_COOLDOWN_MS + 10.0
 
 
 class TestCircuitBreaker:
     def test_trips_after_threshold_within_window(self):
-        breaker = CircuitBreaker(
-            "c0", BreakerConfig(failure_threshold=3, window_ms=100.0)
-        )
+        breaker = CircuitBreaker("c0")
         assert not breaker.record_failure(0.0)
         assert not breaker.record_failure(10.0)
         assert breaker.record_failure(20.0)
@@ -144,94 +149,72 @@ class TestCircuitBreaker:
         assert not breaker.allows(50.0)
 
     def test_old_failures_age_out_of_window(self):
-        breaker = CircuitBreaker(
-            "c0", BreakerConfig(failure_threshold=3, window_ms=100.0)
-        )
+        breaker = CircuitBreaker("c0")
         breaker.record_failure(0.0)
         breaker.record_failure(10.0)
         assert not breaker.record_failure(500.0)  # first two aged out
         assert breaker.state is BreakerState.CLOSED
 
     def test_half_open_probe_then_close_on_success(self):
-        config = BreakerConfig(
-            failure_threshold=1, window_ms=100.0, cooldown_ms=50.0
-        )
-        breaker = CircuitBreaker("c0", config)
-        breaker.record_failure(0.0)
+        breaker = CircuitBreaker("c0")
+        _trip(breaker)
         assert not breaker.allows(10.0)
-        assert breaker.allows(60.0)  # cooldown elapsed -> half-open probe
-        breaker.record_success(61.0)
+        assert breaker.allows(PROBE_MS)  # cooldown elapsed -> half-open probe
+        breaker.record_success(PROBE_MS + 1)
         assert breaker.state is BreakerState.CLOSED
 
     def test_failed_probe_reopens(self):
-        config = BreakerConfig(
-            failure_threshold=1, window_ms=100.0, cooldown_ms=50.0
-        )
-        breaker = CircuitBreaker("c0", config)
-        breaker.record_failure(0.0)
-        assert breaker.allows(60.0)
-        assert breaker.record_failure(61.0)
+        breaker = CircuitBreaker("c0")
+        _trip(breaker)
+        assert breaker.allows(PROBE_MS)
+        assert breaker.record_failure(PROBE_MS + 1)
         assert breaker.state is BreakerState.OPEN
 
     def test_open_to_half_open_exactly_at_cooldown_boundary(self):
-        config = BreakerConfig(
-            failure_threshold=1, window_ms=100.0, cooldown_ms=50.0
-        )
-        breaker = CircuitBreaker("c0", config)
-        breaker.record_failure(0.0)
-        assert not breaker.allows(49.9)          # still cooling
+        breaker = CircuitBreaker("c0")
+        _trip(breaker)
+        assert not breaker.allows(BREAKER_COOLDOWN_MS - 0.1)  # still cooling
         assert breaker.state is BreakerState.OPEN
-        assert breaker.allows(50.0)              # inclusive boundary
+        assert breaker.allows(BREAKER_COOLDOWN_MS)   # inclusive boundary
         assert breaker.state is BreakerState.HALF_OPEN
 
     def test_half_open_survives_repeated_allows_until_verdict(self):
-        config = BreakerConfig(
-            failure_threshold=1, window_ms=100.0, cooldown_ms=50.0
-        )
-        breaker = CircuitBreaker("c0", config)
-        breaker.record_failure(0.0)
-        assert breaker.allows(60.0)
+        breaker = CircuitBreaker("c0")
+        _trip(breaker)
+        assert breaker.allows(PROBE_MS)
         # more probe traffic is allowed while the verdict is pending
-        assert breaker.allows(61.0)
-        assert breaker.allows(62.0)
+        assert breaker.allows(PROBE_MS + 1)
+        assert breaker.allows(PROBE_MS + 2)
         assert breaker.state is BreakerState.HALF_OPEN
 
     def test_probe_success_clears_failure_history(self):
-        config = BreakerConfig(
-            failure_threshold=2, window_ms=1000.0, cooldown_ms=50.0
-        )
-        breaker = CircuitBreaker("c0", config)
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)              # trips (threshold 2)
+        breaker = CircuitBreaker("c0")
+        _trip(breaker)
         assert breaker.state is BreakerState.OPEN
-        assert breaker.allows(60.0)              # half-open probe
-        breaker.record_success(61.0)
+        assert breaker.allows(PROBE_MS)              # half-open probe
+        breaker.record_success(PROBE_MS + 1)
         assert breaker.state is BreakerState.CLOSED
-        # the pre-trip failures must not count toward the next trip
-        assert not breaker.record_failure(62.0)
+        # the pre-trip failures (still inside the window) must not
+        # count toward the next trip
+        for t in range(BREAKER_FAILURE_THRESHOLD - 1):
+            assert not breaker.record_failure(PROBE_MS + 2 + t)
         assert breaker.state is BreakerState.CLOSED
 
     def test_failed_probe_reopens_and_restarts_cooldown(self):
-        config = BreakerConfig(
-            failure_threshold=1, window_ms=100.0, cooldown_ms=50.0
-        )
-        breaker = CircuitBreaker("c0", config)
-        breaker.record_failure(0.0)
-        assert breaker.allows(60.0)
-        assert breaker.record_failure(70.0)      # failed probe re-trips
+        breaker = CircuitBreaker("c0")
+        _trip(breaker)
+        assert breaker.allows(PROBE_MS)
+        reopened = PROBE_MS + 10.0
+        assert breaker.record_failure(reopened)      # failed probe re-trips
         assert breaker.trips == 2
-        assert not breaker.allows(119.9)         # cooldown from 70.0
-        assert breaker.allows(120.0)
+        assert not breaker.allows(reopened + BREAKER_COOLDOWN_MS - 0.1)
+        assert breaker.allows(reopened + BREAKER_COOLDOWN_MS)
 
     def test_board_emits_trip_event(self):
         log = EventLog()
-        board = BreakerBoard(
-            BreakerConfig(failure_threshold=2, window_ms=100.0),
-            event_log=log,
-            machine_of={"m0/c00": "m0"},
-        )
-        board.record_failure("m0/c00", 1.0, "checksum mismatch")
-        board.record_failure("m0/c00", 2.0, "checksum mismatch")
+        board = BreakerBoard(event_log=log, machine_of={"m0/c00": "m0"})
+        for t in range(BREAKER_FAILURE_THRESHOLD):
+            board.record_failure("m0/c00", 1.0 + t, "checksum mismatch")
         trips = [e for e in log if e.kind is EventKind.BREAKER_TRIP]
         assert len(trips) == 1
         assert trips[0].core_id == "m0/c00"
@@ -240,55 +223,53 @@ class TestCircuitBreaker:
 
 
 class TestLoadShedder:
+    """Admission refuses work beyond ``MAX_QUEUE_FACTOR`` (3) ticks of
+    capacity: 30 queued requests at a capacity of 10."""
+
     def test_admits_everything_under_capacity(self):
-        shedder = LoadShedder(LoadShedConfig(max_queue_factor=3.0))
+        shedder = LoadShedder()
         assert shedder.admit(queue_len=0, arrivals=5, capacity=10) == 5
         assert shedder.shed_count == 0
 
     def test_sheds_past_queue_limit(self):
-        shedder = LoadShedder(LoadShedConfig(max_queue_factor=2.0))
-        admitted = shedder.admit(queue_len=18, arrivals=10, capacity=10)
-        assert admitted == 2   # limit 20, room for 2
+        shedder = LoadShedder()
+        admitted = shedder.admit(queue_len=28, arrivals=10, capacity=10)
+        assert admitted == 2   # limit 30, room for 2
         assert shedder.shed_count == 8
 
     def test_queue_exactly_at_limit_admits_nothing(self):
-        shedder = LoadShedder(LoadShedConfig(max_queue_factor=2.0))
-        assert shedder.admit(queue_len=20, arrivals=5, capacity=10) == 0
+        shedder = LoadShedder()
+        assert shedder.admit(queue_len=30, arrivals=5, capacity=10) == 0
         assert shedder.shed_count == 5
 
     def test_one_slot_below_limit_admits_exactly_one(self):
-        shedder = LoadShedder(LoadShedConfig(max_queue_factor=2.0))
-        assert shedder.admit(queue_len=19, arrivals=5, capacity=10) == 1
+        shedder = LoadShedder()
+        assert shedder.admit(queue_len=29, arrivals=5, capacity=10) == 1
         assert shedder.shed_count == 4
 
     def test_arrivals_filling_queue_to_exactly_the_limit_all_admit(self):
-        shedder = LoadShedder(LoadShedConfig(max_queue_factor=2.0))
-        assert shedder.admit(queue_len=15, arrivals=5, capacity=10) == 5
+        shedder = LoadShedder()
+        assert shedder.admit(queue_len=25, arrivals=5, capacity=10) == 5
         assert shedder.shed_count == 0
 
     def test_limit_never_drops_below_one_ticks_capacity(self):
-        # A sub-1.0 factor would starve the service; the floor is the
-        # per-tick capacity itself.
-        shedder = LoadShedder(LoadShedConfig(max_queue_factor=0.5))
-        assert shedder.admit(queue_len=0, arrivals=12, capacity=10) == 10
-        assert shedder.shed_count == 2
-
-    def test_rejects_non_positive_factor(self):
-        with pytest.raises(ValueError):
-            LoadShedConfig(max_queue_factor=0.0)
+        # a full tick's arrivals into an empty queue are never shed
+        shedder = LoadShedder()
+        assert shedder.admit(queue_len=0, arrivals=10, capacity=10) == 10
+        assert shedder.shed_count == 0
 
 
 class TestHardeningConfig:
     def test_unhardened_disables_everything(self):
         config = HardeningConfig.unhardened()
         assert not config.validate
-        assert config.retry is None
-        assert config.hedge is None
-        assert config.breaker is None
-        assert config.shed is None
+        assert not config.retry
+        assert not config.hedge
+        assert not config.breaker
+        assert not config.shed
 
     def test_validator_only_drops_breaker_keeps_validation(self):
         config = HardeningConfig.validator_only()
         assert config.validate
-        assert config.breaker is None
-        assert config.retry is not None
+        assert not config.breaker
+        assert config.retry

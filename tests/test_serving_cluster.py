@@ -8,20 +8,26 @@ import pytest
 from repro.serving.cluster import (
     ROUTER_POLICIES,
     TIER_ORDER,
+    AUTOSCALE_SMOOTHING,
+    COOLDOWN_TICKS,
+    MAX_REPLICAS,
+    MIN_REPLICAS,
+    RETRY_BUDGET_BURST,
+    RETRY_BUDGET_RATIO,
+    SCALE_DOWN_AT,
+    SCALE_UP_AT,
     Autoscaler,
-    AutoscalerConfig,
     ConsistentHashRouter,
-    DegradationPolicy,
     DegradationTier,
     RetryBudget,
-    RetryBudgetConfig,
     RoundRobinRouter,
     Shard,
     ShardedCluster,
     stable_key_hash,
     stable_str_hash,
+    tier_for,
 )
-from repro.serving.robustness import BreakerConfig
+from repro.serving.robustness import BREAKER_FAILURE_THRESHOLD
 from repro.serving.service import ServerReplica
 from repro.silicon.core import Core
 
@@ -130,54 +136,44 @@ class TestConsistentHashRouter:
 
 class TestRetryBudget:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudgetConfig(ratio=-0.1)
-        with pytest.raises(ValueError):
-            RetryBudgetConfig(burst=0.0)
+        assert RETRY_BUDGET_RATIO >= 0
+        assert RETRY_BUDGET_BURST >= 1  # a full bucket affords a retry
 
     def test_starts_with_a_full_burst(self):
-        budget = RetryBudget(RetryBudgetConfig(ratio=0.1, burst=3.0))
-        assert budget.try_spend()
-        assert budget.try_spend()
-        assert budget.try_spend()
+        budget = RetryBudget()
+        burst = int(RETRY_BUDGET_BURST)
+        for _ in range(burst):
+            assert budget.try_spend()
         assert not budget.try_spend()             # bucket dry
-        assert budget.spent == 3
+        assert budget.spent == burst
         assert budget.exhausted == 1
 
     def test_deposits_accrue_at_the_configured_ratio(self):
-        budget = RetryBudget(RetryBudgetConfig(ratio=0.1, burst=5.0))
-        for _ in range(5):
+        budget = RetryBudget()
+        for _ in range(int(RETRY_BUDGET_BURST)):
             budget.try_spend()
         assert not budget.try_spend()
-        budget.deposit(admitted=10)               # earns exactly one token
+        # earns exactly one token
+        budget.deposit(admitted=round(1 / RETRY_BUDGET_RATIO))
         assert budget.try_spend()
         assert not budget.try_spend()
 
     def test_deposits_cap_at_the_burst(self):
-        budget = RetryBudget(RetryBudgetConfig(ratio=0.5, burst=2.0))
+        budget = RetryBudget()
         budget.deposit(admitted=1000)
-        assert budget.tokens == 2.0
+        assert budget.tokens == RETRY_BUDGET_BURST
 
 
 class TestDegradationPolicy:
     def test_thresholds_are_inclusive_lower_bounds(self):
-        policy = DegradationPolicy(
-            shed_at=0.25, serve_stale_at=0.5, fail_closed_at=0.9
-        )
-        assert policy.tier_for(0.0) is DegradationTier.NORMAL
-        assert policy.tier_for(0.2499) is DegradationTier.NORMAL
-        assert policy.tier_for(0.25) is DegradationTier.SHED
-        assert policy.tier_for(0.4999) is DegradationTier.SHED
-        assert policy.tier_for(0.5) is DegradationTier.SERVE_STALE
-        assert policy.tier_for(0.8999) is DegradationTier.SERVE_STALE
-        assert policy.tier_for(0.9) is DegradationTier.FAIL_CLOSED
-        assert policy.tier_for(1.0) is DegradationTier.FAIL_CLOSED
-
-    def test_rejects_misordered_thresholds(self):
-        with pytest.raises(ValueError):
-            DegradationPolicy(shed_at=0.6, serve_stale_at=0.5)
-        with pytest.raises(ValueError):
-            DegradationPolicy(shed_at=0.0)
+        assert tier_for(0.0) is DegradationTier.NORMAL
+        assert tier_for(0.2499) is DegradationTier.NORMAL
+        assert tier_for(0.25) is DegradationTier.SHED
+        assert tier_for(0.4999) is DegradationTier.SHED
+        assert tier_for(0.5) is DegradationTier.SERVE_STALE
+        assert tier_for(0.8999) is DegradationTier.SERVE_STALE
+        assert tier_for(0.9) is DegradationTier.FAIL_CLOSED
+        assert tier_for(1.0) is DegradationTier.FAIL_CLOSED
 
     def test_tier_order_escalates_along_the_ladder(self):
         ladder = [
@@ -187,10 +183,10 @@ class TestDegradationPolicy:
         assert [TIER_ORDER[t] for t in ladder] == [0, 1, 2, 3]
 
 
-def _shard(n_replicas=3, breaker=None, **kwargs):
+def _shard(n_replicas=3, breakers=False, **kwargs):
     return Shard(
         "shard/0", RoundRobinRouter(_replicas(n_replicas)),
-        breaker, **kwargs,
+        breakers, **kwargs,
     )
 
 
@@ -201,48 +197,46 @@ class TestAutoscaler:
         return shard
 
     def test_scales_up_on_high_utilization(self):
-        scaler = Autoscaler(AutoscalerConfig(max_replicas=6))
+        scaler = Autoscaler()
         assert scaler.decide(self._hot_shard(), tick=0) == 1
         assert scaler.scale_ups == 1
 
     def test_cooldown_blocks_back_to_back_actions(self):
-        scaler = Autoscaler(AutoscalerConfig(cooldown_ticks=25))
+        scaler = Autoscaler()
         shard = self._hot_shard()
         assert scaler.decide(shard, tick=0) == 1
         assert scaler.decide(shard, tick=10) == 0
-        assert scaler.decide(shard, tick=24) == 0
-        assert scaler.decide(shard, tick=25) == 1
+        assert scaler.decide(shard, tick=COOLDOWN_TICKS - 1) == 0
+        assert scaler.decide(shard, tick=COOLDOWN_TICKS) == 1
 
     def test_never_scales_past_the_band(self):
-        scaler = Autoscaler(AutoscalerConfig(min_replicas=2, max_replicas=3))
-        assert scaler.decide(self._hot_shard(n=3), tick=0) == 0
-        cold = _shard(2)
+        scaler = Autoscaler()
+        assert scaler.decide(self._hot_shard(n=MAX_REPLICAS), tick=0) == 0
+        cold = _shard(MIN_REPLICAS)
         cold.utilization = 0.05
         assert scaler.decide(cold, tick=0) == 0
 
     def test_scales_down_when_idle(self):
-        scaler = Autoscaler(AutoscalerConfig(min_replicas=2))
-        shard = _shard(4)
+        scaler = Autoscaler()
+        shard = _shard(MIN_REPLICAS + 2)
         shard.utilization = 0.1
         assert scaler.decide(shard, tick=0) == -1
         assert scaler.scale_downs == 1
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(scale_up_at=0.3, scale_down_at=0.5)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_replicas=4, max_replicas=2)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(smoothing=0.0)
+        assert 0 <= SCALE_DOWN_AT < SCALE_UP_AT
+        assert 1 <= MIN_REPLICAS <= MAX_REPLICAS
+        assert 0 < AUTOSCALE_SMOOTHING <= 1
 
 
 class TestShard:
     def test_utilization_is_ewma_smoothed(self):
-        shard = _shard(smoothing=0.5)
+        alpha = AUTOSCALE_SMOOTHING
+        shard = _shard()
         shard.note_utilization(admitted=6, capacity=6)
-        assert shard.utilization == 0.5
+        assert shard.utilization == pytest.approx(alpha)
         shard.note_utilization(admitted=6, capacity=6)
-        assert shard.utilization == 0.75
+        assert shard.utilization == pytest.approx(alpha + (1 - alpha) * alpha)
 
     def test_capacity_loss_tracks_dark_replicas(self):
         shard = _shard(3)
@@ -251,15 +245,14 @@ class TestShard:
         assert shard.capacity_loss_fraction() == pytest.approx(1 / 3)
 
     def test_open_breaker_fraction_counts_blocked_cores(self):
-        shard = _shard(3, breaker=BreakerConfig(
-            failure_threshold=1, window_ms=100.0, cooldown_ms=1000.0
-        ))
+        shard = _shard(3, breakers=True)
         assert shard.open_breaker_fraction(0.0) == 0.0
-        shard.breakers.record_failure("s0/r1", 1.0, "checksum mismatch")
-        assert shard.open_breaker_fraction(2.0) == pytest.approx(1 / 3)
+        for t in range(BREAKER_FAILURE_THRESHOLD):
+            shard.breakers.record_failure("s0/r1", 1.0 + t, "checksum mismatch")
+        assert shard.open_breaker_fraction(10.0) == pytest.approx(1 / 3)
 
     def test_no_breakers_means_no_breaker_distress(self):
-        shard = _shard(3, breaker=None)
+        shard = _shard(3, breakers=False)
         assert shard.breakers is None
         assert shard.open_breaker_fraction(0.0) == 0.0
 
@@ -273,7 +266,7 @@ class TestShardedCluster:
         shards = [
             Shard(f"shard/{i}",
                   RoundRobinRouter(_replicas(2, prefix=f"s{i}/r")),
-                  None)
+                  False)
             for i in range(3)
         ]
         cluster = ShardedCluster(shards)
@@ -286,7 +279,7 @@ class TestShardedCluster:
         shards = [
             Shard(f"shard/{i}",
                   RoundRobinRouter(_replicas(2, prefix=f"s{i}/r")),
-                  None)
+                  False)
             for i in range(2)
         ]
         cluster = ShardedCluster(shards)
@@ -301,7 +294,7 @@ class TestShardedCluster:
         shards = [
             Shard(f"shard/{i}",
                   RoundRobinRouter(_replicas(3, prefix=f"s{i}/r")),
-                  None)
+                  False)
             for i in range(2)
         ]
         cluster = ShardedCluster(shards)

@@ -68,22 +68,22 @@ class TestScaleHardening:
         assert not arm.validate
         for knob in ("retry", "retry_budget", "hedge", "breaker",
                      "shed", "degradation", "autoscale"):
-            assert getattr(arm, knob) is None
+            assert getattr(arm, knob) is False
         assert arm.router_policy == "round-robin"
 
     def test_middle_rung_has_budgeted_retries_but_no_hedging(self):
         arm = ScaleHardening.retries_breakers()
         assert arm.validate
-        assert arm.retry is not None and arm.retry_budget is not None
-        assert arm.breaker is not None
-        assert arm.hedge is None and arm.degradation is None
-        assert arm.autoscale is None
+        assert arm.retry and arm.retry_budget
+        assert arm.breaker
+        assert not arm.hedge and not arm.degradation
+        assert not arm.autoscale
 
     def test_full_turns_everything_on(self):
         arm = ScaleHardening.full()
         for knob in ("retry", "retry_budget", "hedge", "breaker",
                      "shed", "degradation", "autoscale"):
-            assert getattr(arm, knob) is not None
+            assert getattr(arm, knob) is True
 
     def test_unknown_router_policy_is_rejected(self):
         with pytest.raises(ValueError):
