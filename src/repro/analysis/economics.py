@@ -19,6 +19,11 @@ import math
 
 import numpy as np
 
+#: a core's op throughput per day, the denominator of the compute bill
+OPS_PER_COREDAY = 5e9
+#: production ops per core-day a live defect can corrupt
+EXPOSED_OPS_PER_DAY = 2e7
+
 
 @dataclasses.dataclass(frozen=True)
 class ScreeningPolicy:
@@ -28,6 +33,22 @@ class ScreeningPolicy:
     corpus_ops: float           # effort per screen
     env_boost: float = 1.0      # offline stress multiplier (1.0 = online)
     drain_coreseconds: float = 0.0  # per screen (offline only)
+
+    def __post_init__(self) -> None:
+        # Unchecked, a negative period reports negative days-to-detect
+        # and cost, a zero period divides by zero, and NaN runs through.
+        for name, positive in (
+            ("period_days", True),
+            ("corpus_ops", False),
+            ("env_boost", True),
+            ("drain_coreseconds", False),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                bound = ">" if positive else ">="
+                raise ValueError(
+                    f"{name} must be finite and {bound} 0, got {value}"
+                )
 
     def detection_probability(self, rate_per_op: float) -> float:
         """P(one screen catches a defect of the given observable rate)."""
@@ -47,13 +68,13 @@ class ScreeningPolicy:
         # On average the defect onsets mid-period, then waits.
         return (screens - 0.5) * self.period_days
 
-    def compute_cost_per_coreday(self, ops_per_coreday: float = 5e9) -> float:
+    def compute_cost_per_coreday(self) -> float:
         """Fraction of a core's capacity spent being screened."""
         screen_ops_per_day = self.corpus_ops / self.period_days
         drain_ops = (
-            self.drain_coreseconds / 86400.0 * ops_per_coreday / self.period_days
+            self.drain_coreseconds / 86400.0 * OPS_PER_COREDAY / self.period_days
         )
-        return (screen_ops_per_day + drain_ops) / ops_per_coreday
+        return (screen_ops_per_day + drain_ops) / OPS_PER_COREDAY
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,23 +87,19 @@ class ExposureEstimate:
 
 
 def exposure_before_detection(
-    policy: ScreeningPolicy,
-    rate_per_op: float,
-    exposed_ops_per_day: float = 2e7,
+    policy: ScreeningPolicy, rate_per_op: float
 ) -> ExposureEstimate:
     """Corrupt results the fleet absorbs before the screen catches on."""
     days = policy.expected_days_to_detect(rate_per_op)
     corruptions = (
         math.inf if math.isinf(days)
-        else rate_per_op * exposed_ops_per_day * days
+        else rate_per_op * EXPOSED_OPS_PER_DAY * days
     )
     return ExposureEstimate(rate_per_op, days, corruptions)
 
 
 def policy_frontier(
-    policies: list[ScreeningPolicy],
-    rates_per_op: list[float],
-    exposed_ops_per_day: float = 2e7,
+    policies: list[ScreeningPolicy], rates_per_op: list[float]
 ) -> list[dict]:
     """Evaluate policies over a defect-rate distribution.
 
@@ -92,7 +109,7 @@ def policy_frontier(
     rows = []
     for policy in policies:
         exposures = [
-            exposure_before_detection(policy, rate, exposed_ops_per_day)
+            exposure_before_detection(policy, rate)
             for rate in rates_per_op
         ]
         finite_days = [e.days_to_detect for e in exposures

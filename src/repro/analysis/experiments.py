@@ -186,12 +186,15 @@ def _pool(n: int, seed: int = 100) -> list[Core]:
 # F1 — Figure 1: reported CEE rates (normalized)
 # ---------------------------------------------------------------------
 
+#: width (days) of Fig. 1's report-rate buckets
+FIG1_BUCKET_DAYS = 60.0
+
+
 def run_fig1(
     n_machines: int = 12000,
     horizon_days: float = 540.0,
     warmup_days: float = 240.0,
     prevalence_scale: float = 8.0,
-    bucket_days: float = 60.0,
     seed: int = 42,
 ) -> dict:
     """Fig. 1: user- vs automatically-reported CEE rates over time.
@@ -221,8 +224,8 @@ def run_fig1(
     )
     truth = simulator.truth
     result = simulator.run()
-    auto = result.cee_report_series(Reporter.AUTOMATED, bucket_days)
-    human = result.cee_report_series(Reporter.HUMAN, bucket_days)
+    auto = result.cee_report_series(Reporter.AUTOMATED, FIG1_BUCKET_DAYS)
+    human = result.cee_report_series(Reporter.HUMAN, FIG1_BUCKET_DAYS)
     return {
         "auto_series": auto,
         "human_series": human,
@@ -451,7 +454,11 @@ def run_aes_case(seed: int = 5) -> dict:
 # E4 — propagation case studies
 # ---------------------------------------------------------------------
 
-def run_propagation(seed: int = 11, n_strings: int = 300) -> dict:
+#: word strings E4 copies through the bit-flipping core
+PROPAGATION_STRINGS = 300
+
+
+def run_propagation(seed: int = 11) -> dict:
     """E4: fixed-position bit flips, per-replica DB corruption, GC loss."""
     # (a) repeated bit-flips at a particular bit position
     flipper = Core(
@@ -460,7 +467,7 @@ def run_propagation(seed: int = 11, n_strings: int = 300) -> dict:
     )
     rng = np.random.default_rng(seed)
     flip_positions: list[int] = []
-    for _ in range(n_strings):
+    for _ in range(PROPAGATION_STRINGS):
         words = [int(x) for x in rng.integers(0, 2**60, size=32)]
         copied = copy_words(flipper, words)
         for original, observed in zip(words, copied):
@@ -532,7 +539,11 @@ def run_propagation(seed: int = 11, n_strings: int = 300) -> dict:
 # E5 — the factor-of-two / factor-of-three redundancy bill
 # ---------------------------------------------------------------------
 
-def run_redundancy_cost(seed: int = 13, n_units: int = 6) -> dict:
+#: work units E5 runs under each redundancy scheme
+REDUNDANCY_UNITS = 6
+
+
+def run_redundancy_cost(seed: int = 13) -> dict:
     """E5: measured op-cost of DMR and TMR vs unchecked execution."""
     spec = STANDARD_MIX[0]  # hashing: deterministic, cheap
 
@@ -544,17 +555,17 @@ def run_redundancy_cost(seed: int = 13, n_units: int = 6) -> dict:
         return sum(c.total_ops for c in counters)
 
     def run_unchecked(cores: list[OpCountingCore]) -> None:
-        for unit in range(n_units):
+        for unit in range(REDUNDANCY_UNITS):
             spec.build(seed + unit)(cores[0])
 
     def run_dmr(cores: list[OpCountingCore]) -> None:
         executor = DmrExecutor(cores)
-        for unit in range(n_units):
+        for unit in range(REDUNDANCY_UNITS):
             executor.run(spec.build(seed + unit))
 
     def run_tmr(cores: list[OpCountingCore]) -> None:
         executor = TmrExecutor(cores)
-        for unit in range(n_units):
+        for unit in range(REDUNDANCY_UNITS):
             executor.run(spec.build(seed + unit))
 
     base = measure(run_unchecked, 1)
@@ -680,9 +691,11 @@ def run_fvt(seed: int = 19) -> dict:
 # E8 — half of human-identified suspects are proven mercurial
 # ---------------------------------------------------------------------
 
-def run_triage(
-    n_incidents: int = 250, cee_fraction: float = 0.45, seed: int = 23
-) -> dict:
+#: share of E8's production incidents that a mercurial core caused
+TRIAGE_CEE_FRACTION = 0.45
+
+
+def run_triage(n_incidents: int = 250, seed: int = 23) -> dict:
     """E8: the human-triage funnel with real confession tests.
 
     A stream of production incidents (a calibrated mix of genuine
@@ -696,7 +709,7 @@ def run_triage(
     healthy_pool = _pool(8, seed)
     investigated = 0
     for index in range(n_incidents):
-        is_cee = rng.random() < cee_fraction
+        is_cee = rng.random() < TRIAGE_CEE_FRACTION
         if not triage.files_suspect(incident_is_cee=is_cee):
             continue
         if is_cee and triage.attributed_core_is_right():
@@ -875,9 +888,11 @@ def run_isolation(n_machines: int = 40, seed: int = 31) -> dict:
 # E11 — end-to-end mitigation effectiveness
 # ---------------------------------------------------------------------
 
-def run_mitigation_ladder(
-    n_units: int = 40, seed: int = 37, defect_rate: float = 2e-4
-) -> dict:
+#: per-op rate of E11's bit-flipping ALU defect
+LADDER_DEFECT_RATE = 2e-4
+
+
+def run_mitigation_ladder(n_units: int = 40, seed: int = 37) -> dict:
     """E11: escaped corruptions under increasingly strong mitigations.
 
     One core of the worker pool is mercurial (bit-flipping ALU/copy
@@ -891,7 +906,7 @@ def run_mitigation_ladder(
             "pool/c00",
             defects=[
                 StuckBitDefect(
-                    "e11/bit", bit=21, base_rate=defect_rate,
+                    "e11/bit", bit=21, base_rate=LADDER_DEFECT_RATE,
                     unit=FunctionalUnit.ALU,
                 )
             ],
@@ -963,7 +978,11 @@ def run_mitigation_ladder(
 # E12 — ABFT and resilient algorithms
 # ---------------------------------------------------------------------
 
-def run_abft(seed: int = 41, n_trials: int = 8, size: int = 6) -> dict:
+#: side of E12's square operand matrices
+ABFT_SIZE = 6
+
+
+def run_abft(seed: int = 41, n_trials: int = 8) -> dict:
     """E12: vanilla vs checksummed algorithms on a defective core."""
     rng = np.random.default_rng(seed)
     bad = Core(
@@ -980,8 +999,10 @@ def run_abft(seed: int = 41, n_trials: int = 8, size: int = 6) -> dict:
     abft_corrected = 0
     abft_flagged = 0
     for _ in range(n_trials):
-        a = [[int(x) for x in row] for row in rng.integers(0, 2**30, (size, size))]
-        b = [[int(x) for x in row] for row in rng.integers(0, 2**30, (size, size))]
+        a = [[int(x) for x in row]
+             for row in rng.integers(0, 2**30, (ABFT_SIZE, ABFT_SIZE))]
+        b = [[int(x) for x in row]
+             for row in rng.integers(0, 2**30, (ABFT_SIZE, ABFT_SIZE))]
         expected = matmul(healthy, a, b)
         if matmul(bad, a, b) != expected:
             vanilla_wrong += 1
@@ -1086,15 +1107,19 @@ def run_report_concentration(seed: int = 43) -> dict:
 # E14 — aging: onset and escalation
 # ---------------------------------------------------------------------
 
-def run_aging(seed: int = 47, n_defects: int = 3000) -> dict:
+#: onset ages E14 samples for its empirical CDF
+AGING_DEFECTS = 3000
+
+
+def run_aging(seed: int = 47) -> dict:
     """E14: onset-age distribution and post-onset escalation."""
     rng = np.random.default_rng(seed)
     onset = WeibullOnset()
-    onsets = [onset.sample(rng) for _ in range(n_defects)]
+    onsets = [onset.sample(rng) for _ in range(AGING_DEFECTS)]
     horizons = [0.0, 180.0, 365.0, 730.0, 1460.0]
     cdf_rows = [
         [f"{h:.0f}d", f"{onset.cdf(h):.2f}",
-         f"{sum(1 for o in onsets if o <= h) / n_defects:.2f}"]
+         f"{sum(1 for o in onsets if o <= h) / AGING_DEFECTS:.2f}"]
         for h in horizons
     ]
     stats = onset_stats(onsets, horizon_days=730.0)
@@ -1275,12 +1300,7 @@ def campaign_arm(
 
 
 def run_serving_under_cee(
-    ticks: int = 1000,
-    n_machines: int = 4,
-    cores_per_machine: int = 4,
-    defect_rate: float = 0.05,
-    seed: int = 0,
-    workers: int | None = None,
+    ticks: int = 1000, seed: int = 0, workers: int | None = None
 ) -> dict:
     """E15: a CEE-hardened RPC service vs a naive one, under chaos.
 
@@ -1303,10 +1323,6 @@ def run_serving_under_cee(
         campaign_arm,
         experiment_id="E15",
         seed=seed,
-        fleet=dict(
-            n_machines=n_machines, cores_per_machine=cores_per_machine,
-            base_rate=defect_rate,
-        ),
         ticks=ticks,
     )
     arms = run_tasks(
@@ -1373,12 +1389,7 @@ def run_serving_under_cee(
 # ---------------------------------------------------------------------
 
 def run_storage_under_cee(
-    ticks: int = 600,
-    n_machines: int = 4,
-    cores_per_machine: int = 4,
-    defect_rate: float = 0.05,
-    seed: int = 0,
-    workers: int | None = None,
+    ticks: int = 600, seed: int = 0, workers: int | None = None
 ) -> dict:
     """E16: corruption-tolerant replicated storage vs a trusting one.
 
@@ -1413,10 +1424,6 @@ def run_storage_under_cee(
         campaign_arm,
         experiment_id="E16",
         seed=seed,
-        fleet=dict(
-            n_machines=n_machines, cores_per_machine=cores_per_machine,
-            base_rate=defect_rate,
-        ),
         ticks=ticks,
     )
     arms = run_tasks(
@@ -1535,22 +1542,19 @@ SCALE_ARMS: tuple[str, ...] = ("baseline", "retries_breakers", "full")
 
 
 def _scale_cell(
-    cell: tuple[float, str], *, seed: int, fleet: dict, ticks: int
+    cell: tuple[float, str], *, seed: int, ticks: int
 ) -> "ScaleScorecard":
     """One (prevalence, hardening) E17 cell of :func:`campaign_arm`."""
     prevalence, arm_name = cell
     card, _events, _bad = campaign_arm(
         arm_name, experiment_id="E17", seed=seed,
-        fleet=dict(fleet, prevalence=prevalence), ticks=ticks,
+        fleet=dict(prevalence=prevalence), ticks=ticks,
     )
     return card
 
 
 def run_serve_at_scale(
     ticks: int = 600,
-    n_machines: int = 4,
-    cores_per_machine: int = 4,
-    defect_rate: float = 0.05,
     prevalences: tuple[float, ...] = (0.1, 0.2, 0.4),
     seed: int = 0,
     workers: int | None = None,
@@ -1574,12 +1578,8 @@ def run_serve_at_scale(
     user-visible corruption (escape rate) versus baseline, with the
     latency bill quantified at p99/p99.9.
     """
-    fleet = dict(
-        n_machines=n_machines, cores_per_machine=cores_per_machine,
-        base_rate=defect_rate,
-    )
     grid = run_grid(
-        functools.partial(_scale_cell, seed=seed, fleet=fleet, ticks=ticks),
+        functools.partial(_scale_cell, seed=seed, ticks=ticks),
         (prevalences, SCALE_ARMS),
         workers,
     )
@@ -1592,7 +1592,7 @@ def run_serve_at_scale(
         comparisons[key] = {
             # the bad-core count is a function of the fleet shape alone
             "n_bad_cores": len(
-                build_scale_fleet(prevalence=prevalence, **fleet)[1]
+                build_scale_fleet(prevalence=prevalence)[1]
             ),
             "escape_rate_baseline": base.escape_rate,
             "escape_rate_retries_breakers":
@@ -1652,12 +1652,13 @@ def _instrcheck_cell(
     return card
 
 
+#: E18's grid axes: mercurial-core prevalence, per-op sampling rate
+INSTRCHECK_PREVALENCES: tuple[float, ...] = (0.125, 0.25)
+INSTRCHECK_RATES: tuple[float, ...] = (0.1, 0.33, 1.0)
+
+
 def run_instrcheck_grid(
-    units: int = 320,
-    prevalences: tuple[float, ...] = (0.125, 0.25),
-    rates: tuple[float, ...] = (0.1, 0.33, 1.0),
-    seed: int = 0,
-    workers: int | None = None,
+    units: int = 320, seed: int = 0, workers: int | None = None
 ) -> dict:
     """E18: instruction-level checking arms on a cost-vs-coverage grid.
 
@@ -1680,18 +1681,19 @@ def run_instrcheck_grid(
     """
     grid = run_grid(
         functools.partial(_instrcheck_cell, units=units, seed=seed),
-        (prevalences, INSTRCHECK_ARMS, rates),
+        (INSTRCHECK_PREVALENCES, INSTRCHECK_ARMS, INSTRCHECK_RATES),
         workers,
     )
 
     rows = []
     comparisons: dict[str, dict] = {}
-    for prevalence, (key, arms) in zip(prevalences, grid.items()):
+    full_rate = f"{INSTRCHECK_RATES[-1]:g}"
+    for prevalence, (key, arms) in zip(INSTRCHECK_PREVALENCES, grid.items()):
         rows += [
             [key] + card.summary_row()
             for cards in arms.values() for card in cards.values()
         ]
-        full = {arm: cards[f"{rates[-1]:g}"] for arm, cards in arms.items()}
+        full = {arm: cards[full_rate] for arm, cards in arms.items()}
         comparisons[key] = {
             # the bad-core count is a function of the fleet shape alone
             "n_bad_cores": len(
@@ -1724,9 +1726,9 @@ def run_instrcheck_grid(
     return {
         "grid": grid,
         "comparisons": comparisons,
-        "prevalences": [f"{p:g}" for p in prevalences],
+        "prevalences": [f"{p:g}" for p in INSTRCHECK_PREVALENCES],
         "arms": list(INSTRCHECK_ARMS),
-        "rates": [f"{r:g}" for r in rates],
+        "rates": [f"{r:g}" for r in INSTRCHECK_RATES],
         "rendered": rendered,
     }
 
@@ -1802,11 +1804,15 @@ def _fleetscreen_cell(
     }
 
 
+#: E19's grid axes: screening budget (fraction of a day's
+#: machine-seconds), mercurial-prevalence densification
+FLEETSCREEN_BUDGETS: tuple[float, ...] = (2.5e-7, 2e-6, 2e-5)
+FLEETSCREEN_PREVALENCE_SCALES: tuple[float, ...] = (200.0, 800.0)
+
+
 def run_fleetscreen_grid(
     n_machines: int = 120,
     horizon_days: float = 120.0,
-    budgets: tuple[float, ...] = (2.5e-7, 2e-6, 2e-5),
-    prevalence_scales: tuple[float, ...] = (200.0, 800.0),
     seed: int = 0,
     workers: int | None = None,
 ) -> dict:
@@ -1836,7 +1842,8 @@ def run_fleetscreen_grid(
             _fleetscreen_cell,
             n_machines=n_machines, horizon_days=horizon_days, seed=seed,
         ),
-        (budgets, prevalence_scales, FLEETSCREEN_CORPORA),
+        (FLEETSCREEN_BUDGETS, FLEETSCREEN_PREVALENCE_SCALES,
+         FLEETSCREEN_CORPORA),
         workers,
     )
 
@@ -1865,7 +1872,9 @@ def run_fleetscreen_grid(
         for scale, corpora in scales.items()
         for corpus_kind, cell in corpora.items()
     ]
-    sample = grid[f"{budgets[0]:g}"][f"{prevalence_scales[0]:g}"]
+    sample = grid[f"{FLEETSCREEN_BUDGETS[0]:g}"][
+        f"{FLEETSCREEN_PREVALENCE_SCALES[0]:g}"
+    ]
 
     rendered = render_table(
         ["budget", "prev×", "corpus", "detected", "median days",
@@ -1884,8 +1893,10 @@ def run_fleetscreen_grid(
     )
     return {
         "grid": grid,
-        "budgets": [f"{b:g}" for b in budgets],
-        "prevalence_scales": [f"{s:g}" for s in prevalence_scales],
+        "budgets": [f"{b:g}" for b in FLEETSCREEN_BUDGETS],
+        "prevalence_scales": [
+            f"{s:g}" for s in FLEETSCREEN_PREVALENCE_SCALES
+        ],
         "corpora": list(FLEETSCREEN_CORPORA),
         "baseline": baseline,
         "baseline_labels": baseline_labels,

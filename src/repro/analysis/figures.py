@@ -10,35 +10,29 @@ from __future__ import annotations
 from typing import Sequence
 
 _BAR = "▏▎▍▌▋▊▉█"
+#: characters in a full-scale bar
+BAR_WIDTH = 40
 
 
-def render_series(
-    series: Sequence[tuple[float, float]],
-    title: str,
-    width: int = 40,
-    value_format: str = "{:.2f}",
-) -> str:
+def render_series(series: Sequence[tuple[float, float]], title: str) -> str:
     """One horizontal bar per bucket, labeled with time and value."""
     lines = [title]
     values = [v for _, v in series]
     peak = max(values) if values and max(values) > 0 else 1.0
     for t, v in series:
-        filled = v / peak * width
+        filled = v / peak * BAR_WIDTH
         whole = int(filled)
         fraction = filled - whole
         bar = "█" * whole
-        if fraction > 0 and whole < width:
+        if fraction > 0 and whole < BAR_WIDTH:
             bar += _BAR[int(fraction * len(_BAR))]
-        lines.append(
-            f"  t={t:>6.0f}d |{bar:<{width + 1}s}| " + value_format.format(v)
-        )
+        lines.append(f"  t={t:>6.0f}d |{bar:<{BAR_WIDTH + 1}s}| {v:.2f}")
     return "\n".join(lines)
 
 
 def render_fig1(
     auto_series: Sequence[tuple[float, float]],
     human_series: Sequence[tuple[float, float]],
-    width: int = 40,
 ) -> str:
     """Figure 1: normalized reported CEE rates, both series.
 
@@ -54,8 +48,8 @@ def render_fig1(
     human_n = [(t, v / baseline) for t, v in human_series]
     parts = [
         "Figure 1: Reported CEE rates (normalized)",
-        render_series(auto_n, "  automatically-reported:", width),
-        render_series(human_n, "  user-reported:", width),
+        render_series(auto_n, "  automatically-reported:"),
+        render_series(human_n, "  user-reported:"),
     ]
     return "\n".join(parts)
 

@@ -17,40 +17,33 @@ import math
 from scipy import stats as _scipy_stats
 
 
+#: two-sided coverage of every rate interval
+CONFIDENCE = 0.95
+
+
 @dataclasses.dataclass(frozen=True)
 class RateEstimate:
-    """A Poisson rate estimate with a confidence interval."""
+    """A Poisson rate estimate with its :data:`CONFIDENCE` interval."""
 
     events: int
     exposure: float          # e.g. machine-days or core-ops
     rate: float
     lower: float
     upper: float
-    confidence: float
-
-    def renders_per(self, unit: float, label: str) -> str:
-        return (
-            f"{self.rate * unit:.3g} per {label} "
-            f"[{self.lower * unit:.3g}, {self.upper * unit:.3g}] "
-            f"@{self.confidence:.0%}"
-        )
 
 
-def poisson_rate_ci(
-    events: int, exposure: float, confidence: float = 0.95
-) -> RateEstimate:
+def poisson_rate_ci(events: int, exposure: float) -> RateEstimate:
     """Exact (Garwood) Poisson rate confidence interval.
 
     Args:
         events: observed event count.
         exposure: total observation (machine-days, ops, ...).
-        confidence: two-sided coverage.
     """
     if exposure <= 0:
         raise ValueError("exposure must be positive")
     if events < 0:
         raise ValueError("events must be non-negative")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     if events == 0:
         lower = 0.0
     else:
@@ -62,7 +55,6 @@ def poisson_rate_ci(
         rate=events / exposure,
         lower=lower / exposure,
         upper=upper / exposure,
-        confidence=confidence,
     )
 
 

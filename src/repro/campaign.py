@@ -113,7 +113,6 @@ class Campaign:
         label: str,
         tick_ms: float,
         seed: int,
-        chaos: ChaosSchedule | None = None,
         weights: Mapping[EventKind, float] | None = None,
     ) -> None:
         """``label`` is the ``application`` of every emitted event;
@@ -122,8 +121,7 @@ class Campaign:
         self.scorecard = scorecard
         self.label = label
         self.tick_ms = tick_ms
-        self.chaos = chaos or ChaosSchedule()
-        self.chaos.reset()
+        self.chaos = ChaosSchedule()
         self.events = EventLog()
         self._core_by_id: dict[str, Core] = {}
         self._machine_by_core: dict[str, str] = {}

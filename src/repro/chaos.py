@@ -66,6 +66,10 @@ class ChaosAction:
     duration_ticks: int = 0
 
 
+#: age (days) the E17 script advances each mercurial core to
+SCALE_ONSET_AGE_DAYS = 400.0
+
+
 class ChaosSchedule:
     """An ordered script of :class:`ChaosAction`."""
 
@@ -138,7 +142,6 @@ class ChaosSchedule:
         shard_core_ids: list[str],
         storm_core_ids: list[str],
         ticks: int,
-        onset_age_days: float = 400.0,
     ) -> "ChaosSchedule":
         """The E17 serve-at-scale script: shard loss + breaker storm.
 
@@ -157,7 +160,7 @@ class ChaosSchedule:
                 at_tick=ticks // 4 + 3 * index,
                 kind=ChaosKind.ACTIVATE_DEFECT,
                 core_id=core_id,
-                magnitude=onset_age_days,
+                magnitude=SCALE_ONSET_AGE_DAYS,
             )
             for index, core_id in enumerate(bad_core_ids)
         ]

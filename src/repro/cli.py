@@ -9,10 +9,8 @@ Usage::
     python -m repro run E17 --scale ci    # serve-at-scale grid, smoke scale
     python -m repro run A3                # an ablation row
     python -m repro run all               # every row; exit 1 if a claim fails
-    python -m repro serve                 # the E15 chaos campaign, CI scale
-    python -m repro serve --json          # machine-readable SLO scorecards
-    python -m repro store                 # the E16 storage campaign, CI scale
-    python -m repro store --json          # machine-readable durability scorecards
+    python -m repro run E15 --scale ci    # the serving chaos campaign
+    python -m repro run E16 --scale ci --json   # machine-readable scorecards
     python -m repro cases                 # the §2 named defect case studies
     python -m repro run E19 --scale ci    # fleet-screening grid, smoke scale
     python -m repro trace e18             # instrcheck catch-attribution timeline
@@ -39,25 +37,6 @@ from typing import Sequence
 # The experiment registry (repro.analysis.experiments) pulls in scipy and
 # every simulator package, so it is imported inside the subcommands that
 # use it: ``repro lint`` never pays for it.
-
-#: campaign experiments with ``--json`` scorecard output: experiment id
-#: → (scorecard result keys, headline metric result keys)
-_CAMPAIGN_JSON_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "E15": (
-        ("unhardened", "hardened", "validator_only"),
-        ("bad_core_id", "escape_rate_unhardened", "escape_rate_hardened",
-         "escape_reduction", "p99_cost", "goodput_cost",
-         "quarantine_tick_breaker", "quarantine_tick_validator_only"),
-    ),
-    "E16": (
-        ("unprotected", "quorum_only", "no_encrypt_verify",
-         "generic_weights", "protected"),
-        ("bad_core_id", "escape_rate_unprotected", "escape_rate_protected",
-         "escape_reduction", "write_amp_cost", "unrecoverable_unprotected",
-         "unrecoverable_no_verify", "unrecoverable_protected",
-         "quarantine_tick_dedicated", "quarantine_tick_generic"),
-    ),
-}
 
 
 def _runner_kwargs(experiment_id: str, scale: str, seed: int | None,
@@ -87,11 +66,34 @@ def _runner_kwargs(experiment_id: str, scale: str, seed: int | None,
     return kwargs
 
 
+def _json_payload(experiment_id: str, title: str, result: dict) -> dict:
+    """A row's result as strict JSON: every value with ``to_json()``
+    is a scorecard, every other top-level scalar a metric, and a
+    non-finite float becomes null."""
+    metrics = {
+        key: None if isinstance(value, float) and not math.isfinite(value)
+        else value
+        for key, value in result.items()
+        if key != "rendered"
+        and isinstance(value, (bool, int, float, str, type(None)))
+    }
+    return {
+        "experiment": experiment_id,
+        "title": title,
+        "scorecards": {
+            key: value.to_json() for key, value in result.items()
+            if hasattr(value, "to_json")
+        },
+        "metrics": metrics,
+    }
+
+
 def _run_one(experiment_id: str, scale: str, seed: int | None = None,
              workers: int | None = None, trials: int | None = None,
-             gate: bool = True) -> int:
-    """Run one row and print its table; with ``gate``, also print one
-    verdict line per claim and return 1 unless every claim held."""
+             as_json: bool = False) -> int:
+    """Run one row, print its table (or, ``as_json``, its JSON
+    payload) and one verdict line per claim; return 1 unless every
+    claim held.  With ``as_json`` stdout carries only the payload."""
     from repro.analysis.experiments import EXPERIMENTS, evaluate
 
     try:
@@ -103,55 +105,34 @@ def _run_one(experiment_id: str, scale: str, seed: int | None = None,
     kwargs = _runner_kwargs(
         experiment_id, scale, seed, workers=workers, trials=trials
     )
-    print(f"== {experiment_id}: {experiment.title} ==")
+    report = sys.stderr if as_json else sys.stdout
+    print(f"== {experiment_id}: {experiment.title} ==", file=report)
     # operator-facing elapsed display, not simulated time
     started = time.time()    # repro: noqa-DET002 -- wall-clock UX only
     try:
         result = experiment.run(**kwargs)
         elapsed = time.time() - started    # repro: noqa-DET002 -- wall-clock UX only
-        print(result["rendered"])
-        verdicts = evaluate(experiment, result) if gate else []
+        if as_json:
+            json.dump(
+                _json_payload(experiment_id, experiment.title, result),
+                sys.stdout, indent=2, sort_keys=True,
+            )
+            print()
+        else:
+            print(result["rendered"])
+        verdicts = evaluate(experiment, result)
     except Exception:
         # a row that raises is a failed row: report it and let
         # ``run all`` reach the rows after it
         traceback.print_exc()
-        print(f"✘ {experiment_id} raised before its claims could be checked")
+        print(f"✘ {experiment_id} raised before its claims could be checked",
+              file=report)
         return 1
     for claim, held in verdicts:
-        print(f"{'✔' if held else '✘'} {claim.name} — {claim.paper}")
-    print(f"[{elapsed:.1f}s]")
+        print(f"{'✔' if held else '✘'} {claim.name} — {claim.paper}",
+              file=report)
+    print(f"[{elapsed:.1f}s]", file=report)
     return 0 if all(held for _, held in verdicts) else 1
-
-
-def _jsonable(value):
-    """Strict-JSON-safe scalar: non-finite floats become None."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _run_campaign_json(experiment_id: str, seed: int | None,
-                       workers: int | None = None) -> int:
-    """Run a chaos campaign and print its scorecards as strict JSON."""
-    from repro.analysis.experiments import EXPERIMENTS
-
-    experiment = EXPERIMENTS[experiment_id]
-    card_keys, metric_keys = _CAMPAIGN_JSON_KEYS[experiment_id]
-    kwargs = _runner_kwargs(experiment_id, "ci", seed, workers=workers)
-    result = experiment.run(**kwargs)
-    payload = {
-        "experiment": experiment_id,
-        "title": experiment.title,
-        "scorecards": {
-            key: result[key].to_json() for key in card_keys
-        },
-        "metrics": {
-            key: _jsonable(result[key]) for key in metric_keys
-        },
-    }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    print()
-    return 0
 
 
 def _obs_campaign(source: str, seed: int) -> tuple:
@@ -264,8 +245,10 @@ def _cmd_cases() -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit status."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.  Each subcommand that validates
+    further after parsing carries its own parser as ``command_parser``,
+    so the error reads like an argparse one."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction experiments for 'Cores that don't count'",
@@ -296,25 +279,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--trials", type=int, default=None,
         help="Monte-Carlo trial count for runners that support it",
     )
-    for name, experiment_id, help_text in (
-        ("serve", "E15",
-         "run the E15 serving-under-CEE chaos campaign at CI scale"),
-        ("store", "E16",
-         "run the E16 storage-under-CEE chaos campaign at CI scale"),
-    ):
-        campaign_parser = subparsers.add_parser(name, help=help_text)
-        campaign_parser.add_argument(
-            "--seed", type=int, default=None, help="campaign master seed",
-        )
-        campaign_parser.add_argument(
-            "--json", action="store_true",
-            help="print machine-readable scorecards instead of tables",
-        )
-        campaign_parser.add_argument(
-            "--workers", type=int, default=None,
-            help="process-pool size for the campaign arms",
-        )
-        campaign_parser.set_defaults(experiment_id=experiment_id)
+    run_parser.add_argument(
+        "--json", action="store_true",
+        help="print the row's scorecards and scalar results as strict "
+             "JSON instead of its table (one experiment ID only)",
+    )
 
     metrics_parser = subparsers.add_parser(
         "metrics",
@@ -349,8 +318,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.lint import cli as lint_cli
 
     lint_cli.add_arguments(lint_parser)
+    for command_parser in (run_parser, metrics_parser, trace_parser):
+        command_parser.set_defaults(command_parser=command_parser)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit status."""
+    from repro.lint import cli as lint_cli
+
+    args = build_parser().parse_args(argv)
     if args.command == "lint":
         return lint_cli.run(args)
     if args.command == "list":
@@ -358,22 +335,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "cases":
         return _cmd_cases()
     if args.command == "metrics":
-        _check_campaign(metrics_parser, "source", args.source, ("e1",))
+        _check_campaign(args.command_parser, "source", args.source, ("e1",))
         return _cmd_metrics(args)
     if args.command == "trace":
-        _check_campaign(trace_parser, "campaign", args.campaign)
+        _check_campaign(args.command_parser, "campaign", args.campaign)
         return _cmd_trace(args)
-    if args.command in ("serve", "store"):
-        if args.json:
-            return _run_campaign_json(
-                args.experiment_id, seed=args.seed, workers=args.workers
-            )
-        # an operator demo at any seed: the table, not the gate
-        return _run_one(
-            args.experiment_id, "ci", seed=args.seed, workers=args.workers,
-            gate=False,
-        )
     if args.experiment == "all":
+        if args.json:
+            args.command_parser.error(
+                "--json takes one experiment ID, not 'all'"
+            )
         from repro.analysis.experiments import EXPERIMENTS
 
         status = 0
@@ -385,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return status
     return _run_one(
         args.experiment.upper(), args.scale, seed=args.seed,
-        workers=args.workers, trials=args.trials,
+        workers=args.workers, trials=args.trials, as_json=args.json,
     )
 
 

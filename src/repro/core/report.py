@@ -18,7 +18,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
-from typing import Iterable
 
 from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
 
@@ -121,14 +120,6 @@ class CoreComplaintService:
         )
         self.event_log.append(event)
         return event
-
-    def report_many(self, complaints: Iterable[Complaint]) -> None:
-        for complaint in complaints:
-            self.report(complaint)
-
-    @property
-    def total_reports(self) -> int:
-        return len(self._complaints)
 
     def complaints_against(self, core_id: str) -> list[Complaint]:
         return list(self._by_core.get(core_id, ()))

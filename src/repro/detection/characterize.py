@@ -75,10 +75,6 @@ class DefectProfile:
     trigger_mask: int | None = None
     trigger_value: int | None = None
 
-    @property
-    def failing_ops(self) -> list[str]:
-        return [f.op for f in self.findings if f.failures or f.machine_checks]
-
     def render(self) -> str:
         lines = [f"defect profile for {self.core_id}:"]
         for finding in self.findings:
@@ -102,14 +98,11 @@ class DefectProfile:
 
 
 def probe_operations(
-    core: Core,
-    rng: np.random.Generator,
-    probes_per_op: int = 400,
-    ops: tuple[str, ...] = ALL_OPS,
+    core: Core, rng: np.random.Generator, probes_per_op: int = 400
 ) -> list[OpFinding]:
     """Black-box probe: which operations ever disagree with golden?"""
     findings = []
-    for op in ops:
+    for op in ALL_OPS:
         if op not in _SCALAR_BINOPS and op not in ("sbox", "inv_sbox"):
             continue
         failures = 0
@@ -135,12 +128,17 @@ def probe_operations(
     return findings
 
 
+#: re-executions per candidate bit before a gate bit is believed
+GATE_CONFIRMATIONS = 5
+#: vectors in a synthesized regression test
+REGRESSION_VECTORS = 32
+
+
 def recover_trigger_gate(
     core: Core,
     op: str,
     failing_operands: list[tuple],
     rng: np.random.Generator,
-    confirmations: int = 5,
 ) -> tuple[int, int] | None:
     """Recover an operand-pattern gate ``(mask, value)`` if one exists.
 
@@ -156,7 +154,7 @@ def recover_trigger_gate(
         return None
 
     def fails(operands: tuple) -> bool:
-        for _ in range(confirmations):
+        for _ in range(GATE_CONFIRMATIONS):
             try:
                 if core.execute(op, *operands) != golden_execute(op, *operands):
                     return True
@@ -218,10 +216,7 @@ def characterize(
 
 
 def synthesize_regression_test(
-    profile: DefectProfile,
-    name: str | None = None,
-    n_vectors: int = 32,
-    seed: int = 1,
+    profile: DefectProfile, seed: int = 1
 ) -> ScreeningTest | None:
     """Turn a profile into the 'new automatable test' for the corpus.
 
@@ -241,12 +236,12 @@ def synthesize_regression_test(
                 (int(rng.integers(2**63)) & ~mask) | value
                 for _ in finding.failing_operands[0]
             )
-            for _ in range(n_vectors)
+            for _ in range(REGRESSION_VECTORS)
         ]
     else:
-        vectors = list(finding.failing_operands[:n_vectors])
+        vectors = list(finding.failing_operands[:REGRESSION_VECTORS])
     return make_targeted_test(
-        name or f"targeted:{profile.core_id}:{finding.op}",
+        f"targeted:{profile.core_id}:{finding.op}",
         finding.op,
         vectors,
         {unit_of(finding.op)},

@@ -53,6 +53,17 @@ from repro.silicon.units import ALL_OPS, UNIT_OPS, FunctionalUnit
 #: fixed functional-unit axis for every ops/rate vector in this module
 UNIT_ORDER: tuple[FunctionalUnit, ...] = tuple(FunctionalUnit)
 
+#: battery execution speed, for machine-second cost accounting
+OPS_PER_CORESECOND = 5e6
+#: suspicion score at which the ride-along campaign isolates a core
+#: (the default policy's 6.0)
+RIDEALONG_QUARANTINE_THRESHOLD = 6.0
+#: production ops per core-day at risk while a defect goes undetected
+RIDEALONG_EXPOSED_OPS_PER_DAY = 2e7
+#: fraction of online slots occupied by scheduled production tasks each
+#: tick (they are not spare, so ride-along cannot screen them that tick)
+RIDEALONG_BUSY_FRACTION = 0.5
+
 #: column position of each unit on the :data:`UNIT_ORDER` axis
 UNIT_INDEX: dict[FunctionalUnit, int] = {
     unit: index for index, unit in enumerate(UNIT_ORDER)
@@ -226,19 +237,11 @@ class FleetScreener:
         env_boost: environment stress multiplier (offline-style screens
             run hotter/faster, boosting defect rates — §2's "outside
             normal operating conditions").
-        ops_per_coresecond: battery execution speed, for machine-second
-            cost accounting.
     """
 
-    def __init__(
-        self,
-        battery: DistilledBattery,
-        env_boost: float = 1.0,
-        ops_per_coresecond: float = 5e6,
-    ):
+    def __init__(self, battery: DistilledBattery, env_boost: float = 1.0):
         self.battery = battery
         self.env_boost = env_boost
-        self.ops_per_coresecond = ops_per_coresecond
         self._unit_ops = battery.ops_by_unit()
         # What _unit_rates remembers belongs to one fleet, recognised by
         # its ``merc_core`` array: immutable, shared by ``thaw()``, and
@@ -318,7 +321,7 @@ class FleetScreener:
             mask = mask & subset
         n_screened = int(mask.sum())
         cost_ops = float(n_screened) * self.battery.total_ops
-        machine_seconds = cost_ops / self.ops_per_coresecond
+        machine_seconds = cost_ops / OPS_PER_CORESECOND
 
         merc_flat = np.asarray(columns.merc_core, dtype=np.int64)
         events: list[CeeEvent] = []
@@ -454,7 +457,7 @@ class RideAlongScreener:
 
     def per_core_seconds(self) -> float:
         """Machine-seconds one core's battery pass costs."""
-        return self.battery.total_ops / self.screener.ops_per_coresecond
+        return self.battery.total_ops / OPS_PER_CORESECOND
 
     def budget_machine_seconds(
         self, columns: FleetColumns, tick_days: float
@@ -610,12 +613,6 @@ class RideAlongCampaign:
         columns: the fleet (thawed to writable state internally).
         screener: the budgeted ride-along screener to drive.
         seed: campaign RNG seed (confession draws).
-        quarantine_threshold: suspicion score that isolates a core
-            (the default policy's 6.0).
-        exposed_ops_per_day: production ops per core-day at risk.
-        busy_fraction: fraction of online slots occupied by scheduled
-            production tasks each tick (they are not spare, so
-            ride-along cannot screen them that tick).
     """
 
     def __init__(
@@ -623,16 +620,10 @@ class RideAlongCampaign:
         columns: FleetColumns,
         screener: RideAlongScreener,
         seed: int = 0,
-        quarantine_threshold: float = 6.0,
-        exposed_ops_per_day: float = 2e7,
-        busy_fraction: float = 0.5,
     ):
         self.columns = columns.thaw() if columns.read_only else columns
         self.screener = screener
         self.rng = np.random.default_rng(seed)
-        self.quarantine_threshold = quarantine_threshold
-        self.exposed_ops_per_day = exposed_ops_per_day
-        self.busy_fraction = busy_fraction
         self.weights = default_weights()
 
     def _production_silent_rates(self) -> np.ndarray:
@@ -697,12 +688,12 @@ class RideAlongCampaign:
                 active = (age >= columns.merc_onset) & columns.online[merc_flat]
                 escaped += float(
                     (silent_rates[active]
-                     * self.exposed_ops_per_day * tick_days).sum()
+                     * RIDEALONG_EXPOSED_OPS_PER_DAY * tick_days).sum()
                 )
             # Production tasks occupy a deterministic prefix of online
             # slots (the scheduler consumes free slots in flat order).
             online_flat = np.nonzero(columns.online)[0]
-            n_busy = int(online_flat.shape[0] * self.busy_fraction)
+            n_busy = int(online_flat.shape[0] * RIDEALONG_BUSY_FRACTION)
             busy = np.zeros(columns.n_cores, dtype=bool)
             busy[online_flat[:n_busy]] = True
 
@@ -718,7 +709,7 @@ class RideAlongCampaign:
             for flat in result.screen.confessed_flat:
                 weight = self.weights[EventKind.FLEETSCREEN_FAIL]
                 scores[flat] = scores.get(flat, 0.0) + weight
-                if (scores[flat] >= self.quarantine_threshold
+                if (scores[flat] >= RIDEALONG_QUARANTINE_THRESHOLD
                         and flat not in detected):
                     columns.online[flat] = False
                     detected[flat] = now

@@ -68,15 +68,10 @@ class OfflineScreener:
 
     axes = AXES
 
-    def __init__(
-        self,
-        corpus: TestCorpus | None = None,
-        config: OfflineScreenerConfig | None = None,
-        dvfs: DvfsTable | None = None,
-    ):
-        self.corpus = corpus or TestCorpus.standard()
+    def __init__(self, config: OfflineScreenerConfig | None = None):
+        self.corpus = TestCorpus.standard()
         self.config = config or OfflineScreenerConfig()
-        self.dvfs = dvfs or DvfsTable()
+        self.dvfs = DvfsTable()
         self.budget = ScreeningBudget()
 
     def sweep_schedule(self) -> list[OperatingPoint]:

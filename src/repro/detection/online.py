@@ -56,8 +56,8 @@ class OnlineScreener:
 
     axes = AXES
 
-    def __init__(self, corpus: TestCorpus | None = None):
-        self.corpus = corpus or TestCorpus.minimal()
+    def __init__(self) -> None:
+        self.corpus = TestCorpus.minimal()
         self.budget = ScreeningBudget()
 
     def screen_core(self, core: Core) -> ScreenResult:

@@ -47,6 +47,10 @@ def _record_isolation(
         pass
 
 
+#: core-seconds to migrate one running task off an isolated core
+MIGRATION_CORESECONDS_PER_TASK = 30.0
+
+
 @dataclasses.dataclass
 class IsolationCost:
     """Accumulated capacity/migration cost of isolation actions."""
@@ -60,8 +64,7 @@ class IsolationCost:
 class CoreQuarantine:
     """Single-core surprise removal (CSR-style)."""
 
-    def __init__(self, migration_coreseconds_per_task: float = 30.0):
-        self.migration_cost = migration_coreseconds_per_task
+    def __init__(self) -> None:
         self.cost = IsolationCost()
         self.removed: set[int] = set()
 
@@ -78,7 +81,9 @@ class CoreQuarantine:
         if not mercurial:
             self.cost.healthy_cores_stranded += 1
         self.cost.migrations += running_tasks
-        self.cost.migration_coreseconds += running_tasks * self.migration_cost
+        self.cost.migration_coreseconds += (
+            running_tasks * MIGRATION_CORESECONDS_PER_TASK
+        )
         _record_isolation(
             "core", columns.core_id(flat), mercurial, running_tasks
         )
@@ -96,8 +101,7 @@ class CoreQuarantine:
 class MachineQuarantine:
     """Whole-machine removal: the blunt instrument."""
 
-    def __init__(self, migration_coreseconds_per_task: float = 30.0):
-        self.migration_cost = migration_coreseconds_per_task
+    def __init__(self) -> None:
         self.cost = IsolationCost()
         self.removed_machines: set[int] = set()
 
@@ -114,7 +118,9 @@ class MachineQuarantine:
         self.cost.cores_stranded += stop - start
         self.cost.healthy_cores_stranded += stop - start - n_mercurial
         self.cost.migrations += running_tasks
-        self.cost.migration_coreseconds += running_tasks * self.migration_cost
+        self.cost.migration_coreseconds += (
+            running_tasks * MIGRATION_CORESECONDS_PER_TASK
+        )
         _record_isolation(
             "machine", columns.machine_id(machine), n_mercurial > 0,
             running_tasks,

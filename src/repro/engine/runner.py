@@ -71,9 +71,7 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def effective_workers(
-    workers: int | None = None, n_items: int | None = None
-) -> int:
+def effective_workers(workers: int | None = None) -> int:
     """Worker count clamped to what the host can actually parallelize.
 
     A pool wider than ``os.cpu_count()`` is pure overhead: the extra
@@ -83,10 +81,7 @@ def effective_workers(
     worker counts in tests still exercise the real pool.
     """
     workers = resolve_workers(workers)
-    effective = min(workers, os.cpu_count() or 1)
-    if n_items is not None:
-        effective = min(effective, max(1, n_items))
-    return max(1, effective)
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def derive_trial_seeds(seed: int, n_trials: int) -> list[int]:
@@ -190,7 +185,6 @@ def run_trials(
     *,
     seed: int = 0,
     workers: int | None = None,
-    chunk_size: int | None = None,
 ) -> list[R]:
     """Run ``fn`` over ``n_trials`` seeded :class:`Trial` objects.
 
@@ -209,14 +203,14 @@ def run_trials(
         for index, trial_seed in enumerate(derive_trial_seeds(seed, n_trials))
     ]
     if not obs.enabled():
-        return run_tasks(fn, trials, workers=workers, chunk_size=chunk_size)
+        return run_tasks(fn, trials, workers=workers)
     # Preserve whatever the parent already recorded this session: trials
     # replace the registry contents while they run, then everything is
     # merged back in a deterministic (trial-index) order.
     base_spans = obs.tracer.drain()
     base_metrics = obs.metrics.snapshot()
     wrapped = functools.partial(_obs_trial, fn)
-    outcomes = run_tasks(wrapped, trials, workers=workers, chunk_size=chunk_size)
+    outcomes = run_tasks(wrapped, trials, workers=workers)
     obs.metrics.reset()
     obs.metrics.merge(base_metrics)
     obs.tracer.adopt(base_spans)
@@ -263,7 +257,6 @@ def run_fleet_trials(
     *,
     seed: int = 0,
     workers: int | None = None,
-    chunk_size: int | None = None,
 ):
     """Fan ``fn(trial, columns)`` over trials sharing one fleet.
 
@@ -284,16 +277,12 @@ def run_fleet_trials(
     workers = resolve_workers(workers)
     if workers == 1 or n_trials <= 1:
         bound = functools.partial(_inline_fleet_trial, fn, fleet)
-        return run_trials(
-            bound, n_trials, seed=seed, workers=1, chunk_size=chunk_size
-        )
+        return run_trials(bound, n_trials, seed=seed, workers=1)
     from repro.fleet import shm as fleet_shm
 
     snapshot = fleet_shm.publish(fleet)
     try:
         bound = functools.partial(_shared_fleet_trial, fn, snapshot.handle)
-        return run_trials(
-            bound, n_trials, seed=seed, workers=workers, chunk_size=chunk_size
-        )
+        return run_trials(bound, n_trials, seed=seed, workers=workers)
     finally:
         snapshot.close()

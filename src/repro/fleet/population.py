@@ -33,8 +33,7 @@ class FleetBuilder:
     """Seeded generator of machine populations.
 
     Args:
-        products: SKU portfolio.
-        weights: machine-count mix over the portfolio.
+        products: SKU portfolio; machines are drawn from it uniformly.
         seed: master seed; everything derives from it.
         deployment_window: (earliest, latest) deploy day; machines enter
             service uniformly over this window.  Negative values mean
@@ -46,7 +45,6 @@ class FleetBuilder:
     def __init__(
         self,
         products: Sequence[CpuProduct] = DEFAULT_PRODUCTS,
-        weights: Sequence[float] | None = None,
         seed: int = 0,
         deployment_window: tuple[float, float] = (0.0, 0.0),
         technology_refresh: bool = False,
@@ -61,14 +59,10 @@ class FleetBuilder:
                 over the campaign — one of the drivers behind Fig. 1's
                 gradually-increasing automated detection rate.
         """
-        if weights is None:
-            weights = [1.0] * len(products)
-        if len(weights) != len(products):
-            raise ValueError("one weight per product")
         if deployment_window[0] > deployment_window[1]:
             raise ValueError("deployment_window must be (earliest, latest)")
         self.products = list(products)
-        probabilities = np.array(weights, dtype=float)
+        probabilities = np.ones(len(products))
         self._probabilities = probabilities / probabilities.sum()
         self.seed = seed
         self.deployment_window = deployment_window

@@ -125,17 +125,6 @@ class SimulationResult:
     def flagged(self) -> set[str]:
         return set(self.quarantined_cores)
 
-    def reported_rate_series(
-        self, reporter: Reporter, bucket_days: float = 30.0
-    ) -> list[tuple[float, float]]:
-        """All-event rate per machine-day, bucketed."""
-        return self.events.rate_timeline(
-            bucket_days=bucket_days,
-            horizon_days=self.config.horizon_days,
-            reporter=reporter,
-            machines=self.n_machines,
-        )
-
     #: event kinds that count as a *CEE incident report* (Fig. 1's
     #: y-axis counts suspected-CEE reports, not every crash in the
     #: fleet — background software-bug crashes are excluded because

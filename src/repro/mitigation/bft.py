@@ -29,6 +29,9 @@ from typing import Callable, Sequence
 from repro.silicon.core import Core
 from repro.silicon.errors import MachineCheckError
 
+#: quorum dissents that make a replica a suspect
+MIN_DISSENTS = 2
+
 
 class QuorumError(RuntimeError):
     """No f+1 matching certificates: safety cannot be established."""
@@ -137,15 +140,16 @@ class QuorumReplicatedService:
         self.commits.append(commit)
         return committed
 
-    def suspect_replicas(self, min_dissents: int = 2) -> list[int]:
+    def suspect_replicas(self) -> list[int]:
         """Recidivist dissenters — BFT as a CEE *detector* for free.
 
-        A replica that repeatedly lands outside the quorum is either
-        mercurial or partitioned; in this simulation there are no
-        partitions, so dissent recidivism is a high-precision signal.
+        A replica that lands outside the quorum :data:`MIN_DISSENTS`
+        times or more is either mercurial or partitioned; in this
+        simulation there are no partitions, so dissent recidivism is a
+        high-precision signal.
         """
         return [
             index
             for index, count in self._dissent_counts.most_common()
-            if count >= min_dissents
+            if count >= MIN_DISSENTS
         ]

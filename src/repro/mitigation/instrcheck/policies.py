@@ -159,11 +159,11 @@ class InstrCheckStats:
 class IthicaCheckedCore:
     """ITHICA arm: same-core duplicate execution of sampled ops.
 
-    Wraps a core; a sampled fraction of executed ops (optionally
-    restricted to an op class) is immediately re-executed on the *same*
-    core and the two results digest-compared.  A disagreement means the
-    core is non-deterministically miscomputing — a probabilistic CEE
-    caught before the result leaves the thread.  Deterministic defects
+    Wraps a core; a sampled fraction of executed ops is immediately
+    re-executed on the *same* core and the two results digest-compared.
+    A disagreement means the core is non-deterministically
+    miscomputing — a probabilistic CEE caught before the result leaves
+    the thread.  Deterministic defects
     corrupt both executions identically and are invisible by design.
     """
 
@@ -171,14 +171,13 @@ class IthicaCheckedCore:
         self,
         inner: CoreLike,
         sample_rate: float,
-        ops: Iterable[str] | None = None,
         seed: int = 0,
         stats: InstrCheckStats | None = None,
         on_mismatch: MismatchHook | None = None,
     ):
         self.inner = inner
         self.core_id = inner.core_id
-        self.sampler = OpSampler(sample_rate, ops=ops, seed=seed)
+        self.sampler = OpSampler(sample_rate, seed=seed)
         self.stats = stats if stats is not None else InstrCheckStats()
         self.on_mismatch = on_mismatch
         #: campaign-settable tag attributed to mismatches (unit index)
@@ -243,7 +242,6 @@ class MeekCheckedCore:
         checker: CoreLike,
         sample_rate: float,
         lag_limit: int = 64,
-        ops: Iterable[str] | None = None,
         seed: int = 0,
         stats: InstrCheckStats | None = None,
         on_mismatch: MismatchHook | None = None,
@@ -255,7 +253,7 @@ class MeekCheckedCore:
         self.core_id = inner.core_id
         self.checker = checker
         self.lag_limit = lag_limit
-        self.sampler = OpSampler(sample_rate, ops=ops, seed=seed)
+        self.sampler = OpSampler(sample_rate, seed=seed)
         self.stats = stats if stats is not None else InstrCheckStats()
         self.on_mismatch = on_mismatch
         self.on_overflow = on_overflow
@@ -308,6 +306,10 @@ class MeekCheckedCore:
         return drained
 
 
+#: runs of one granule (first try plus rollbacks) before RepTFD gives up
+REPLAY_MAX_ATTEMPTS = 4
+
+
 class ReplayChecker:
     """RepTFD arm: checkpoint-delimited replay with rollback.
 
@@ -326,7 +328,6 @@ class ReplayChecker:
         replay_core: CoreLike,
         sample_rate: float = 1.0,
         seed: int = 0,
-        max_attempts: int = 4,
         stats: InstrCheckStats | None = None,
         on_divergence: MismatchHook | None = None,
         on_replay: Callable[[int, int], None] | None = None,
@@ -339,7 +340,6 @@ class ReplayChecker:
         self.replay_core = replay_core
         self.sample_rate = sample_rate
         self.seed = seed
-        self.max_attempts = max_attempts
         self.stats = stats if stats is not None else InstrCheckStats()
         self.on_divergence = on_divergence
         self.on_replay = on_replay
@@ -427,7 +427,7 @@ class ReplayChecker:
                 check=self._check,
                 granule=max(1, len(self._units)),
                 checkpoint_cost_items=0.0,
-                max_attempts_per_granule=self.max_attempts,
+                max_attempts_per_granule=REPLAY_MAX_ATTEMPTS,
             )
         )
         digests = runtime.run((), self._units)

@@ -70,14 +70,17 @@ def _run_once(work: Callable[[CoreLike], WorkloadResult], core: Core) -> Workloa
         return None
 
 
+#: core pairs DMR tries before giving up
+DMR_MAX_ROUNDS = 3
+
+
 class DmrExecutor:
     """Run twice, compare, retry elsewhere on disagreement."""
 
-    def __init__(self, pool: Sequence[Core], max_rounds: int = 3):
+    def __init__(self, pool: Sequence[Core]):
         if len(pool) < 2:
             raise ValueError("DMR needs at least two cores")
         self.pool = list(pool)
-        self.max_rounds = max_rounds
 
     def run(self, work: Callable[[CoreLike], WorkloadResult]) -> RedundantOutcome:
         """Execute with dual redundancy.
@@ -88,7 +91,7 @@ class DmrExecutor:
         executions = 0
         disagreements = 0
         used: list[str] = []
-        for round_index in range(self.max_rounds):
+        for round_index in range(DMR_MAX_ROUNDS):
             offset = 2 * round_index
             if offset + 1 >= len(self.pool):
                 break

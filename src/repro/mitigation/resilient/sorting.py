@@ -69,29 +69,24 @@ def verify_sorted(
     )
 
 
-def resilient_sort(
-    pool: Sequence[Core],
-    values: Sequence[int],
-    max_attempts: int | None = None,
-) -> list[int]:
+def resilient_sort(pool: Sequence[Core], values: Sequence[int]) -> list[int]:
     """Sort with verify-and-migrate.
 
     Each attempt sorts on one pool core and verifies on the *next*
     (distinct verifier, so a single mercurial core cannot both corrupt
-    and approve).
+    and approve); every core gets one attempt as the sorter.
 
     Raises:
         SortVerificationError: no attempt verified.
     """
     if not pool:
         raise ValueError("need at least one core")
-    attempts = max_attempts if max_attempts is not None else len(pool)
-    for attempt in range(attempts):
+    for attempt in range(len(pool)):
         worker = pool[attempt % len(pool)]
         verifier = pool[(attempt + 1) % len(pool)]
         output = merge_sort(worker, list(values))
         if verify_sorted(verifier, values, output):
             return output
     raise SortVerificationError(
-        f"no verified sort in {attempts} attempts over {len(pool)} cores"
+        f"no verified sort with any of the {len(pool)} cores sorting"
     )

@@ -79,9 +79,9 @@ def to_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
+def to_json(registry: MetricsRegistry) -> str:
     """Render the registry snapshot as a JSON document."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
+    return json.dumps(registry.snapshot(), indent=2, sort_keys=True)
 
 
 __all__ = ["to_json", "to_prometheus"]

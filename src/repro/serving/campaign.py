@@ -38,7 +38,6 @@ from repro.campaign import (
     build_small_fleet,
     check_at_least,
 )
-from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
@@ -91,10 +90,6 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         check_at_least("ticks", self.ticks, 0)
-
-    @property
-    def capacity_per_tick(self) -> int:
-        return self.n_replicas * self.per_replica_per_tick
 
 
 @dataclasses.dataclass
@@ -245,12 +240,11 @@ class RequestCampaign(Campaign):
         config,
         hardening,
         scorecard: SloScorecard,
-        chaos: ChaosSchedule | None,
         seed: int,
     ):
         super().__init__(
             machines, scorecard, config.policy, label="serving",
-            tick_ms=config.tick_ms, seed=seed, chaos=chaos,
+            tick_ms=config.tick_ms, seed=seed,
         )
         self.config = config
         self.hardening = hardening
@@ -326,13 +320,12 @@ class ServingCampaign(RequestCampaign):
         machines: list[Machine],
         config: CampaignConfig | None = None,
         hardening: HardeningConfig | None = None,
-        chaos: ChaosSchedule | None = None,
         seed: int = 0,
     ):
         hardening = hardening or HardeningConfig.hardened()
         super().__init__(
             machines, config or CampaignConfig(), hardening,
-            SloScorecard(name=hardening.name), chaos, seed,
+            SloScorecard(name=hardening.name), seed,
         )
         self.breakers = (
             BreakerBoard(

@@ -122,10 +122,14 @@ class RoundRobinRouter(ReplicaRouter):
         return None
 
 
+#: ring points per replica on the consistent-hash ring
+VNODES = 16
+
+
 class ConsistentHashRouter(ReplicaRouter):
     """Hash-ring routing: stable affinity, minimal remap on change.
 
-    Each replica owns ``vnodes`` points on a 32-bit ring (hashed from
+    Each replica owns :data:`VNODES` points on a 32-bit ring (hashed from
     its replica id, so placement survives process boundaries); a
     request walks clockwise from ``stable_key_hash(route_key)`` to the
     first distinct live replica not in the exclusion set.  Removing a
@@ -133,8 +137,7 @@ class ConsistentHashRouter(ReplicaRouter):
     keep their affinity through churn.
     """
 
-    def __init__(self, replicas: list[ServerReplica], vnodes: int = 16):
-        self.vnodes = vnodes
+    def __init__(self, replicas: list[ServerReplica]):
         self._ring: list[tuple[int, ServerReplica]] = []
         super().__init__(replicas)
         self._rebuild()
@@ -142,7 +145,7 @@ class ConsistentHashRouter(ReplicaRouter):
     def _rebuild(self) -> None:
         ring = []
         for replica in self.replicas:
-            for vnode in range(self.vnodes):
+            for vnode in range(VNODES):
                 point = stable_str_hash(f"{replica.replica_id}#{vnode}")
                 ring.append((point, replica))
         # replica_id tie-break keeps the ring order deterministic even

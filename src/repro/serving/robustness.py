@@ -38,6 +38,7 @@ import enum
 import numpy as np
 
 from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
+from repro.obs.forensics import MS_PER_DAY
 from repro.workloads.base import CoreLike
 from repro.workloads.hashing import crc64
 
@@ -180,11 +181,9 @@ class BreakerBoard:
         self,
         event_log: EventLog | None = None,
         machine_of: dict[str, str] | None = None,
-        ms_per_day: float = 86_400_000.0,
     ):
         self.event_log = event_log
         self.machine_of = machine_of or {}
-        self.ms_per_day = ms_per_day
         self._breakers: dict[str, CircuitBreaker] = {}
 
     def breaker(self, core_id: str) -> CircuitBreaker:
@@ -213,7 +212,7 @@ class BreakerBoard:
         if tripped and self.event_log is not None:
             self.event_log.append(
                 CeeEvent(
-                    time_days=now_ms / self.ms_per_day,
+                    time_days=now_ms / MS_PER_DAY,
                     machine_id=self.machine_of.get(
                         core_id, core_id.rsplit("/", 1)[0]
                     ),

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro import obs
 from repro.campaign import Published, build_small_fleet, check_at_least
-from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
@@ -64,7 +63,7 @@ from repro.serving.cluster import (
     TIER_ORDER,
     tier_for,
 )
-from repro.serving.loadgen import DEFAULT_COHORTS, LoadGenerator, LoadProfile, UserCohort
+from repro.serving.loadgen import LoadGenerator, LoadProfile
 from repro.serving.robustness import (
     HEDGE_DELAY_MS,
     MAX_QUEUE_FACTOR,
@@ -311,26 +310,21 @@ class ServeScaleCampaign(RequestCampaign):
         machines: list[Machine],
         config: ScaleConfig | None = None,
         hardening: ScaleHardening | None = None,
-        chaos: ChaosSchedule | None = None,
-        profile: LoadProfile | None = None,
-        cohorts: tuple[UserCohort, ...] = DEFAULT_COHORTS,
         seed: int = 0,
     ):
         hardening = hardening or ScaleHardening.full()
         super().__init__(
             machines, config or ScaleConfig(), hardening,
-            ScaleScorecard(name=hardening.name), chaos, seed,
+            ScaleScorecard(name=hardening.name), seed,
         )
-        cfg = self.config
         self.loadgen = LoadGenerator(
-            profile or LoadProfile.ramp(BASE_RATE, PEAK_RATE, cfg.ticks),
-            cohorts=cohorts,
+            LoadProfile.ramp(BASE_RATE, PEAK_RATE, self.config.ticks),
             seed=seed + 11,
         )
         self.cluster = self._build_cluster()
         self.autoscaler = Autoscaler() if self.hardening.autoscale else None
 
-        for cohort in cohorts:
+        for cohort in self.loadgen.cohorts:
             self.scorecard.per_cohort[cohort.name] = {
                 "arrivals": 0, "ok": 0, "corrupt_escapes": 0,
             }

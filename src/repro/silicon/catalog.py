@@ -184,11 +184,14 @@ def sample_defect(
     )
 
 
+#: most defects one mercurial core carries
+MAX_DEFECTS_PER_CORE = 2
+
+
 def sample_core_defects(
     rng: np.random.Generator,
     defect_id_prefix: str,
     onset: WeibullOnset | None = None,
-    max_defects: int = 2,
     rate_decades: tuple[float, float] = (-7.5, -2.5),
 ) -> list[DefectModel]:
     """Draw the defect set for one mercurial core (usually a single defect).
@@ -198,7 +201,10 @@ def sample_core_defects(
     (the copy+vector case), which the shared-logic archetype covers with
     a single defect object, so multi-defect cores are uncommon here too.
     """
-    n = 1 if rng.random() < 0.85 else int(rng.integers(2, max_defects + 1))
+    n = (
+        1 if rng.random() < 0.85
+        else int(rng.integers(2, MAX_DEFECTS_PER_CORE + 1))
+    )
     return [
         sample_defect(rng, f"{defect_id_prefix}/d{i}", onset, rate_decades)
         for i in range(n)

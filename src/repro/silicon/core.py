@@ -259,7 +259,6 @@ class Chip:
         defects_by_core: dict[int, Sequence[DefectModel]] | None = None,
         env: OperatingPoint = NOMINAL,
         seed: int = 0,
-        age_days: float = 0.0,
     ) -> "Chip":
         """Construct a chip with ``n_cores`` and optional defects.
 
@@ -278,7 +277,6 @@ class Chip:
                     defects=defects_by_core.get(index, ()),
                     env=env,
                     rng=core_rng,
-                    age_days=age_days,
                 )
             )
         return cls(cores)

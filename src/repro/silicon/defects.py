@@ -263,7 +263,6 @@ class StuckBitDefect(DefectModel):
         base_rate: float = 1e-6,
         ops: Iterable[str] | None = None,
         unit: FunctionalUnit | None = None,
-        block: LogicBlock | None = None,
         sensitivity: EnvironmentSensitivity | None = None,
         aging: AgingProfile = IMMEDIATE,
     ):
@@ -271,11 +270,11 @@ class StuckBitDefect(DefectModel):
             raise ValueError(f"mode must be one of {self.MODES}")
         if not 0 <= bit < 64:
             raise ValueError("bit must be in [0, 64)")
-        if ops is None and unit is None and block is None:
+        if ops is None and unit is None:
             unit = FunctionalUnit.ALU
         super().__init__(
             defect_id,
-            resolve_target_ops(ops, unit, block),
+            resolve_target_ops(ops, unit),
             base_rate,
             sensitivity,
             aging,
@@ -382,15 +381,14 @@ class OperandPatternDefect(DefectModel):
         base_rate: float = 1.0,
         ops: Iterable[str] | None = None,
         unit: FunctionalUnit | None = None,
-        block: LogicBlock | None = None,
         sensitivity: EnvironmentSensitivity | None = None,
         aging: AgingProfile = IMMEDIATE,
     ):
-        if ops is None and unit is None and block is None:
+        if ops is None and unit is None:
             unit = FunctionalUnit.MUL_DIV
         super().__init__(
             defect_id,
-            resolve_target_ops(ops, unit, block),
+            resolve_target_ops(ops, unit),
             base_rate,
             sensitivity,
             aging,
@@ -502,15 +500,14 @@ class MachineCheckDefect(DefectModel):
         base_rate: float = 1e-6,
         ops: Iterable[str] | None = None,
         unit: FunctionalUnit | None = None,
-        block: LogicBlock | None = None,
         sensitivity: EnvironmentSensitivity | None = None,
         aging: AgingProfile = IMMEDIATE,
     ):
-        if ops is None and unit is None and block is None:
+        if ops is None and unit is None:
             unit = FunctionalUnit.LOAD_STORE
         super().__init__(
             defect_id,
-            resolve_target_ops(ops, unit, block),
+            resolve_target_ops(ops, unit),
             base_rate,
             sensitivity,
             aging,

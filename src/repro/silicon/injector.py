@@ -159,24 +159,18 @@ class InjectionCampaign:
     Args:
         work: ``work(core) -> WorkloadResult`` — must be deterministic
             given the core (seed any randomness outside).
-        make_core: factory for fresh healthy cores (each trial needs an
-            un-perturbed substrate).
+
+    Every trial runs on a fresh healthy core: each needs an
+    un-perturbed substrate.
     """
 
-    def __init__(
-        self,
-        work: Callable[[CoreLike], WorkloadResult],
-        make_core: Callable[[], Core] | None = None,
-    ):
+    def __init__(self, work: Callable[[CoreLike], WorkloadResult]):
         self.work = work
-        if make_core is None:
-            make_core = lambda: Core("inject/base")  # noqa: E731 — trivial default
-        self.make_core = make_core
 
     def count_sites(self, ops: frozenset | None = None) -> int:
         """Dry-run to count injectable dynamic operations."""
         probe = FaultInjector(
-            self.make_core(), InjectionPlan(at_op_index=None, ops=ops)
+            Core("inject/base"), InjectionPlan(at_op_index=None, ops=ops)
         )
         # Count by running with an impossible index: op_index advances
         # only for ops matching the filter.
@@ -191,7 +185,7 @@ class InjectionCampaign:
         ops: frozenset | None = None,
     ) -> SusceptibilityReport:
         """Inject at ``n_sites`` random dynamic sites; classify each."""
-        reference = self.work(self.make_core())
+        reference = self.work(Core("inject/base"))
         total_sites = self.count_sites(ops)
         if total_sites == 0:
             raise ValueError("work executes no injectable operations")
@@ -201,7 +195,7 @@ class InjectionCampaign:
         for _ in range(n_sites):
             site = int(rng.integers(total_sites))
             injector = FaultInjector(
-                self.make_core(),
+                Core("inject/base"),
                 InjectionPlan(at_op_index=site, ops=ops),
                 rng=np.random.default_rng(int(rng.integers(2**63))),
             )

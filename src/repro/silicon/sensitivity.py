@@ -41,82 +41,64 @@ class FlatSensitivity:
 
 
 class FrequencySensitivity:
-    """Rate scales exponentially with frequency above a reference.
+    """Rate scales exponentially with frequency above nominal.
 
     ``factor_per_ghz > 1`` is the common case (timing-marginal paths
     fail more when clocked faster); ``factor_per_ghz < 1`` produces a
     directly frequency-inverted defect.
     """
 
-    def __init__(
-        self,
-        factor_per_ghz: float = 4.0,
-        reference_ghz: float = NOMINAL.frequency_ghz,
-    ):
+    def __init__(self, factor_per_ghz: float = 4.0):
         if factor_per_ghz <= 0:
             raise ValueError("factor_per_ghz must be positive")
         self.factor_per_ghz = factor_per_ghz
-        self.reference_ghz = reference_ghz
 
     def multiplier(self, env: OperatingPoint) -> float:
-        return self.factor_per_ghz ** (env.frequency_ghz - self.reference_ghz)
+        return self.factor_per_ghz ** (
+            env.frequency_ghz - NOMINAL.frequency_ghz
+        )
 
     def __repr__(self) -> str:
-        return (
-            f"FrequencySensitivity(factor_per_ghz={self.factor_per_ghz}, "
-            f"reference_ghz={self.reference_ghz})"
-        )
+        return f"FrequencySensitivity(factor_per_ghz={self.factor_per_ghz})"
 
 
 class VoltageMarginSensitivity:
     """Rate grows as voltage drops below nominal (margin erosion).
 
-    Every 50 mV *below* ``nominal_v`` multiplies the rate by
+    Every 50 mV *below* nominal multiplies the rate by
     ``factor_per_50mv``; voltage above nominal divides it.
     """
 
-    def __init__(
-        self,
-        factor_per_50mv: float = 3.0,
-        nominal_v: float = NOMINAL.voltage_v,
-    ):
+    def __init__(self, factor_per_50mv: float = 3.0):
         if factor_per_50mv <= 0:
             raise ValueError("factor_per_50mv must be positive")
         self.factor_per_50mv = factor_per_50mv
-        self.nominal_v = nominal_v
 
     def multiplier(self, env: OperatingPoint) -> float:
-        deficit_50mv = (self.nominal_v - env.voltage_v) / 0.050
+        deficit_50mv = (NOMINAL.voltage_v - env.voltage_v) / 0.050
         return self.factor_per_50mv ** deficit_50mv
 
     def __repr__(self) -> str:
         return (
-            f"VoltageMarginSensitivity(factor_per_50mv={self.factor_per_50mv}, "
-            f"nominal_v={self.nominal_v})"
+            f"VoltageMarginSensitivity(factor_per_50mv={self.factor_per_50mv})"
         )
 
 
 class ThermalSensitivity:
-    """Rate scales with temperature above a reference (per 10 °C)."""
+    """Rate scales with temperature above nominal (per 10 °C)."""
 
-    def __init__(
-        self,
-        factor_per_10c: float = 1.8,
-        reference_c: float = NOMINAL.temperature_c,
-    ):
+    def __init__(self, factor_per_10c: float = 1.8):
         if factor_per_10c <= 0:
             raise ValueError("factor_per_10c must be positive")
         self.factor_per_10c = factor_per_10c
-        self.reference_c = reference_c
 
     def multiplier(self, env: OperatingPoint) -> float:
-        return self.factor_per_10c ** ((env.temperature_c - self.reference_c) / 10.0)
+        return self.factor_per_10c ** (
+            (env.temperature_c - NOMINAL.temperature_c) / 10.0
+        )
 
     def __repr__(self) -> str:
-        return (
-            f"ThermalSensitivity(factor_per_10c={self.factor_per_10c}, "
-            f"reference_c={self.reference_c})"
-        )
+        return f"ThermalSensitivity(factor_per_10c={self.factor_per_10c})"
 
 
 class ComposedSensitivity:

@@ -27,7 +27,8 @@ from repro.silicon.units import Op
 if TYPE_CHECKING:  # annotation-only: keeps silicon below workloads
     from repro.workloads.base import CoreLike
 
-DEFAULT_MEMORY_WORDS = 4096
+#: words of data memory every program runs against
+MEMORY_WORDS = 4096
 DEFAULT_STEP_BUDGET = 200_000
 
 
@@ -65,11 +66,9 @@ class Vm:
     def __init__(
         self,
         core: Core | CoreLike,
-        memory_words: int = DEFAULT_MEMORY_WORDS,
         step_budget: int = DEFAULT_STEP_BUDGET,
     ):
         self.core = core
-        self.memory_words = memory_words
         self.step_budget = step_budget
 
     def run(
@@ -83,7 +82,7 @@ class Vm:
         for index, value in enumerate(registers):
             regs[index] = value
         vregs: list[tuple[int, ...]] = [(0,) * VLEN for _ in range(N_VECTOR_REGS)]
-        memory = [0] * self.memory_words
+        memory = [0] * MEMORY_WORDS
         for index, value in enumerate(memory_image):
             memory[index] = value
 

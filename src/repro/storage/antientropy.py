@@ -31,17 +31,21 @@ class MerkleTree:
     root: int
 
 
+#: Merkle fanout (coarser = cheaper roots, finer = smaller repair ranges)
+MERKLE_BUCKETS = 16
+
+
 def bucket_of(key: str, n_buckets: int) -> int:
     """Deterministic key → bucket placement (shared by all replicas)."""
     return host_crc64(key.encode()) % n_buckets
 
 
-def build_merkle_tree(table: dict[str, bytes], n_buckets: int = 16) -> MerkleTree:
+def build_merkle_tree(table: dict[str, bytes]) -> MerkleTree:
     """Digest a replica's at-rest table into a fixed-fanout Merkle tree."""
-    payloads: list[bytearray] = [bytearray() for _ in range(n_buckets)]
+    payloads: list[bytearray] = [bytearray() for _ in range(MERKLE_BUCKETS)]
     for key in sorted(table):
         value = table[key]
-        payloads[bucket_of(key, n_buckets)].extend(
+        payloads[bucket_of(key, MERKLE_BUCKETS)].extend(
             key.encode() + b"\x00" + value + b"\x01"
         )
     buckets = tuple(host_crc64(bytes(payload)) for payload in payloads)
@@ -69,13 +73,10 @@ class AntiEntropy:
     Args:
         store: the store to synchronise; its ``emit``/``on_repair``
             hooks receive divergence events and repair notifications.
-        n_buckets: Merkle fanout (coarser = cheaper roots, finer =
-            smaller repair ranges).
     """
 
-    def __init__(self, store: ReplicatedKVStore, n_buckets: int = 16):
+    def __init__(self, store: ReplicatedKVStore):
         self.store = store
-        self.n_buckets = n_buckets
         self.rounds = 0
 
     def _sync_key(
@@ -125,7 +126,7 @@ class AntiEntropy:
         if len(replicas) < 2:
             report.root_match = True
             return report
-        trees = [build_merkle_tree(r.table, self.n_buckets) for r in replicas]
+        trees = [build_merkle_tree(r.table) for r in replicas]
         if len({tree.root for tree in trees}) == 1:
             report.root_match = True  # O(1) fast path: all identical
             return report
@@ -133,8 +134,8 @@ class AntiEntropy:
         # round; repairs and backfills never add a key outside it.
         keys_in: dict[int, list[str]] = {}
         for key in dict.fromkeys(k for r in replicas for k in r.table):
-            keys_in.setdefault(bucket_of(key, self.n_buckets), []).append(key)
-        for bucket in range(self.n_buckets):
+            keys_in.setdefault(bucket_of(key, MERKLE_BUCKETS), []).append(key)
+        for bucket in range(MERKLE_BUCKETS):
             digests = {tree.buckets[bucket] for tree in trees}
             if len(digests) == 1:
                 continue

@@ -48,7 +48,6 @@ from repro.campaign import (
     build_small_fleet,
     check_at_least,
 )
-from repro.chaos import ChaosSchedule
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.detection.weights import default_weights
@@ -327,7 +326,6 @@ class StorageCampaign(Campaign):
         machines: list[Machine],
         protections: StorageProtections | None = None,
         config: StorageCampaignConfig | None = None,
-        chaos: ChaosSchedule | None = None,
         seed: int = 0,
     ):
         self.protections = protections or StorageProtections.protected()
@@ -342,8 +340,7 @@ class StorageCampaign(Campaign):
         super().__init__(
             machines, StorageScorecard(name=self.protections.name),
             self.config.policy, label="storage",
-            tick_ms=self.config.tick_ms, seed=seed, chaos=chaos,
-            weights=weights,
+            tick_ms=self.config.tick_ms, seed=seed, weights=weights,
         )
         self.rng = np.random.default_rng(seed)
 

@@ -53,11 +53,9 @@ def copy_bytes(core: CoreLike, data: bytes, chunk: int = 64) -> bytes:
     return bytes(out[: len(data)])
 
 
-def copying_workload(
-    core: CoreLike, words: list[int], chunk: int = 64
-) -> WorkloadResult:
+def copying_workload(core: CoreLike, words: list[int]) -> WorkloadResult:
     """Copy a buffer and self-check with a host-side checksum."""
-    copied = copy_words(core, words, chunk)
+    copied = copy_words(core, words)
     corrupted = copied != [w & 0xFFFFFFFFFFFFFFFF for w in words]
     return WorkloadResult(
         name="copying",

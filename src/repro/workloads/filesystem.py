@@ -166,27 +166,32 @@ class MiniFs:
         return problems
 
 
+#: delete/rewrite rounds :func:`filesystem_workload` runs before reading
+CHURN_ROUNDS = 3
+
+
 def filesystem_workload(
-    core: CoreLike, files: dict[str, bytes], churn: int = 3
+    core: CoreLike, files: dict[str, bytes]
 ) -> WorkloadResult:
     """Write files, churn + GC, then read everything back and verify.
 
-    ``churn`` delete/rewrite rounds create real garbage so the GC has
-    work to do; data loss shows up as read-time checksum failures.
+    :data:`CHURN_ROUNDS` delete/rewrite rounds create real garbage so
+    the GC has work to do; data loss shows up as read-time checksum
+    failures.
     """
     fs = MiniFs(core)
     try:
         for name, data in files.items():
             fs.write_file(name, data)
         names = list(files)
-        for round_index in range(churn):
+        for round_index in range(CHURN_ROUNDS):
             victim = names[round_index % len(names)]
             fs.write_file(victim, files[victim] + b"!" * (round_index + 1))
             fs.gc()
         failures = 0
         contents: list[bytes] = []
         for position, name in enumerate(names):
-            rewritten = position < churn
+            rewritten = position < CHURN_ROUNDS
             try:
                 content = fs.read_file(name)
                 contents.append(content)

@@ -190,7 +190,7 @@ def spec_op_mix(
 
 
 def blended_op_mix(
-    specs: tuple[WorkloadSpec, ...] = STANDARD_MIX, seed: int = CALIBRATION_SEED
+    specs: tuple[WorkloadSpec, ...] = STANDARD_MIX
 ) -> dict[str, float]:
     """Weight-blend the op mixes of a workload set.
 
@@ -200,6 +200,6 @@ def blended_op_mix(
     total_weight = sum(spec.weight for spec in specs)
     blended: dict[str, float] = {}
     for spec in specs:
-        for op, fraction in spec_op_mix(spec, seed):
+        for op, fraction in spec_op_mix(spec):
             blended[op] = blended.get(op, 0.0) + spec.weight * fraction / total_weight
     return blended

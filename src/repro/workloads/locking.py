@@ -85,17 +85,16 @@ def run_locked_counter(
     core: CoreLike,
     n_threads: int = 4,
     iterations: int = 32,
-    step_budget: int | None = None,
 ) -> tuple[SharedState, bool]:
     """Run the workload to completion or budget exhaustion.
 
-    Returns ``(shared_state, hung)``; ``hung`` is True when the budget
-    ran out with threads still spinning (the deadlock symptom).
+    The budget is 60 steps per thread-iteration.  Returns
+    ``(shared_state, hung)``; ``hung`` is True when the budget ran out
+    with threads still spinning (the deadlock symptom).
     """
     if n_threads < 1 or iterations < 1:
         raise ValueError("need at least one thread and one iteration")
-    if step_budget is None:
-        step_budget = 60 * n_threads * iterations
+    step_budget = 60 * n_threads * iterations
     shared = SharedState()
     threads = [_Thread(tid=tid + 1, remaining=iterations) for tid in range(n_threads)]
     steps = 0

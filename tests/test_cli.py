@@ -147,34 +147,9 @@ class TestClaimGate:
         assert captured.out.count("✔ stub_claim") == 1
 
 
-class TestServeCommand:
-    def test_serve_runs_the_chaos_campaign(self, capsys):
-        assert main(["serve"]) == 0
-        out = capsys.readouterr().out
-        assert "E15" in out
-        assert "hardened" in out
-        assert "✔" not in out      # an operator demo, not the claim gate
-
-    def test_serve_accepts_a_seed(self, capsys):
-        assert main(["serve", "--seed", "4"]) == 0
-        assert "E15" in capsys.readouterr().out
-
-
-class TestStoreCommand:
-    def test_store_runs_the_chaos_campaign(self, capsys, quick_store):
-        assert main(["store"]) == 0
-        out = capsys.readouterr().out
-        assert "E16" in out
-        assert "protected" in out
-
-    def test_store_is_listed(self, capsys):
-        assert main(["list"]) == 0
-        assert "E16" in capsys.readouterr().out
-
-
 class TestJsonScorecards:
     def test_serve_json_is_strict_and_parseable(self, capsys):
-        assert main(["serve", "--json"]) == 0
+        assert main(["run", "E15", "--scale", "ci", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["experiment"] == "E15"
         assert set(payload["scorecards"]) == {
@@ -184,7 +159,7 @@ class TestJsonScorecards:
         assert "escape_reduction" in payload["metrics"]
 
     def test_store_json_is_strict_and_parseable(self, capsys, quick_store):
-        assert main(["store", "--json"]) == 0
+        assert main(["run", "E16", "--scale", "ci", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["experiment"] == "E16"
         assert set(payload["scorecards"]) == {
@@ -204,9 +179,10 @@ class TestJsonScorecards:
         assert "escape_reduction" in payload["metrics"]
 
     def test_json_seed_is_reproducible(self, capsys, quick_store):
-        assert main(["store", "--json", "--seed", "5"]) == 0
+        argv = ["run", "E16", "--scale", "ci", "--json", "--seed", "5"]
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(["store", "--json", "--seed", "5"]) == 0
+        assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
 

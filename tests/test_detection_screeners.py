@@ -1,6 +1,7 @@
 """Online and offline screeners."""
 
 import numpy as np
+import pytest
 
 from repro.detection.offline import (
     DRAIN_CORESECONDS,
@@ -65,30 +66,35 @@ class TestOnlineScreener:
         assert screener.budget.total_ops > 0
 
 
+@pytest.fixture(scope="class")
+def gated_screen():
+    """One full-envelope screen of the gated core, started at NOMINAL:
+    ``(core, result)``, shared by the tests that only read it."""
+    core = _gated_core()
+    core.set_environment(NOMINAL)
+    screener = OfflineScreener(
+        config=OfflineScreenerConfig(repetitions_per_point=1)
+    )
+    return core, screener.screen_core(core)
+
+
 class TestOfflineScreener:
     def test_axes_declaration(self):
         assert OfflineScreener.axes.mode is Mode.OFFLINE
 
-    def test_catches_environment_gated_defect(self):
-        screener = OfflineScreener(
-            config=OfflineScreenerConfig(repetitions_per_point=1)
-        )
-        result = screener.screen_core(_gated_core())
+    def test_catches_environment_gated_defect(self, gated_screen):
+        _core, result = gated_screen
         assert result.confessed
         # Confession happened at a named out-of-nominal condition.
         assert any("@" in name for name in result.failed_tests)
 
-    def test_restores_environment_and_online_state(self):
-        core = _gated_core()
-        core.set_environment(NOMINAL)
-        OfflineScreener().screen_core(core)
+    def test_restores_environment_and_online_state(self, gated_screen):
+        core, _result = gated_screen
         assert core.env == NOMINAL
         assert core.online
 
-    def test_charges_drain_cost(self):
-        result = OfflineScreener().screen_core(
-            Core("scr/h2", rng=np.random.default_rng(0))
-        )
+    def test_charges_drain_cost(self, gated_screen):
+        _core, result = gated_screen
         assert result.drain_cost_coreseconds == DRAIN_CORESECONDS > 0
 
     def test_sweep_schedule_includes_stress_points(self):

@@ -1,22 +1,28 @@
 """Documentation freshness and coverage gates.
 
-Three contracts keep the operator docs honest:
+Four contracts keep the operator docs honest:
 
 - every metric family and span name declared in ``repro.obs.names``
   (which ``repro lint`` holds equal to what the source tree emits) is
   documented in OBSERVABILITY.md (the catalog is the interface);
 - docs/experiments.md matches what scripts/gen_experiment_docs.py
   emits from the registry today;
-- every relative markdown link (and anchor) in the repo resolves.
+- every relative markdown link (and anchor) in the repo resolves;
+- every documented ``python -m repro …`` command parses with the real
+  CLI parser, so a deleted subcommand or flag cannot stay documented.
 """
 
 from __future__ import annotations
 
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro import cli
 from repro.obs import names
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,3 +123,38 @@ class TestGeneratedDocs:
 
     def test_observability_linked_from_readme(self):
         assert "OBSERVABILITY.md" in (REPO / "README.md").read_text()
+
+
+#: a command line as written in a doc: optional ``VAR=value`` prefixes,
+#: then ``python -m repro`` and its arguments, then an optional comment
+_REPRO_COMMAND = re.compile(
+    r"^\s*(?:[A-Z_]+=\S+\s+)*python -m repro\b(?P<args>[^#]*)"
+)
+_COMMAND_DOCS = (
+    "README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md",
+    "OBSERVABILITY.md", "SCREENING.md", "src/repro/cli.py",
+)
+
+
+def _documented_commands() -> list[tuple[str, str]]:
+    found = set()
+    for doc in _COMMAND_DOCS:
+        for line in (REPO / doc).read_text().splitlines():
+            match = _REPRO_COMMAND.match(line)
+            if match:
+                found.add((doc, match["args"].strip()))
+    return sorted(found)
+
+
+class TestDocumentedCommands:
+    def test_readme_and_cli_docstring_document_commands(self):
+        docs = {doc for doc, _ in _documented_commands()}
+        assert {"README.md", "src/repro/cli.py"} <= docs
+
+    @pytest.mark.parametrize("doc, args", _documented_commands())
+    def test_command_parses(self, doc, args):
+        try:
+            cli.build_parser().parse_args(shlex.split(args))
+        except SystemExit as exit_:
+            pytest.fail(f"{doc}: `python -m repro {args}` does not parse "
+                        f"(exit {exit_.code})")

@@ -386,10 +386,7 @@ def _e19_fingerprint() -> str:
     from repro.analysis.experiments import EXPERIMENTS, evaluate
 
     experiment = EXPERIMENTS["E19"]
-    result = experiment.run(
-        n_machines=30, horizon_days=30.0, budgets=(2.5e-7, 2e-5),
-        prevalence_scales=(800.0,),
-    )
+    result = experiment.run(n_machines=30, horizon_days=30.0)
     payload = {
         "grid": result["grid"],
         "baseline": [

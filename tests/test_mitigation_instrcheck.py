@@ -291,8 +291,7 @@ class TestReplayChecker:
             _deterministic_bad(f"ic/det{i}", seed=i) for i in range(2)
         ]
         checker = ReplayChecker(
-            pool, _healthy("ic/replay", seed=5),
-            sample_rate=1.0, max_attempts=2,
+            pool, _healthy("ic/replay", seed=5), sample_rate=1.0,
         )
         with pytest.raises(GranuleFailedError):
             checker.run_granule([_unit(6)])

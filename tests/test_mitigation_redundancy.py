@@ -55,7 +55,7 @@ class TestDmr:
             for i in range(4)
         ]
         with pytest.raises(RedundancyExhaustedError):
-            DmrExecutor(pool, max_rounds=2).run(_work())
+            DmrExecutor(pool).run(_work())
 
     def test_needs_two_cores(self, healthy_core):
         with pytest.raises(ValueError):

@@ -1,24 +1,35 @@
 """The option inventory: every knob a caller can set, pinned by name.
 
-An option is a field of a ``*Config``, ``*Policy``, ``*Hardening`` or
-``*Protections`` dataclass under ``src/repro``.  Each one is a
-configuration some row, CLI flag, example or benchmark has to exercise,
-or nobody measures it; a value nothing varies is a module constant
-instead.  ``OPTIONS`` is the committed table, so adding (or removing)
-an option shows up as an edit to it in the diff.
+Two kinds of option live under ``src/repro``, and both are pinned:
+
+- a field of a ``*Config``, ``*Policy``, ``*Hardening`` or
+  ``*Protections`` dataclass.  ``OPTIONS`` is the committed table, so
+  adding (or removing) one shows up as an edit to it in the diff;
+- a defaulted parameter of a public callable (a module-level function,
+  or a method or ``__init__`` of a module-level class).
+  ``KEYWORD_DEFAULTS`` pins their count and the sha256 of the sorted
+  ``module.qualname:param`` list.
+
+Each one is a configuration some row, CLI flag, example or benchmark
+has to exercise, or nobody measures it; a value nothing varies is a
+module constant instead.
 
 The options that survive are validated where a bad value would
 otherwise run and return a plausible-looking result.
 """
 
+import ast
 import dataclasses
+import hashlib
 import importlib
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.analysis.economics import ScreeningPolicy
 from repro.mitigation.instrcheck import InstrCheckConfig
 from repro.serving import CampaignConfig, ScaleConfig
 from repro.storage import StorageCampaignConfig
@@ -103,6 +114,55 @@ def test_option_inventory_is_pinned():
     assert _option_classes() == OPTIONS
 
 
+#: (count, sha256 of the sorted ``module.qualname:param`` lines) of the
+#: defaulted parameters of public callables; re-pin on purpose when a
+#: keyword option is added or retired
+KEYWORD_DEFAULTS = (
+    330, "194e794ee99cf16f352ec2d327be50c4bce538a2b552af628c55e971759c342d",
+)
+
+
+def _keyword_defaults() -> list[str]:
+    """Every defaulted parameter of a public module-level function, or
+    of a public method (``__init__`` included) of a public module-level
+    class, under ``src/repro``."""
+    root = Path(repro.__file__).parent
+
+    def defaulted(fn: ast.FunctionDef) -> list[str]:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        tail = positional[len(positional) - len(args.defaults):]
+        keyword = [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        return [arg.arg for arg in tail + keyword]
+
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found += [f"{module}.{node.name}:{p}" for p in defaulted(node)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("_")
+                    ):
+                        qualname = f"{node.name}.{item.name}"
+                        found += [
+                            f"{module}.{qualname}:{p}" for p in defaulted(item)
+                        ]
+    return sorted(found)
+
+
+def test_keyword_default_inventory_is_pinned():
+    found = _keyword_defaults()
+    digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
+    assert (len(found), digest) == KEYWORD_DEFAULTS, "\n".join(found)
+
+
 @pytest.mark.parametrize("config_cls, field, value", [
     # a negative run length runs nothing and returns a scorecard
     (ScaleConfig, "ticks", -5),
@@ -115,10 +175,25 @@ def test_option_inventory_is_pinned():
     (InstrCheckConfig, "sample_rate", -0.2),
     # a zero cadence was a bare ZeroDivisionError mid-run
     (InstrCheckConfig, "screen_interval_ticks", 0),
+    # a negative period reported negative days-to-detect and cost, a
+    # zero one was a bare ZeroDivisionError, and NaN ran through
+    (ScreeningPolicy, "period_days", -7.0),
+    (ScreeningPolicy, "period_days", 0.0),
+    (ScreeningPolicy, "period_days", float("nan")),
+    (ScreeningPolicy, "period_days", float("inf")),
+    (ScreeningPolicy, "corpus_ops", -1.0),
+    (ScreeningPolicy, "corpus_ops", float("nan")),
+    (ScreeningPolicy, "env_boost", 0.0),
+    (ScreeningPolicy, "env_boost", float("inf")),
+    (ScreeningPolicy, "drain_coreseconds", -1.0),
+    (ScreeningPolicy, "drain_coreseconds", float("nan")),
 ])
 def test_surviving_options_are_validated(config_cls, field, value):
+    kwargs = {field: value}
+    if config_cls is ScreeningPolicy:  # the two fields without a default
+        kwargs = {"period_days": 7.0, "corpus_ops": 2e5, **kwargs}
     with pytest.raises(ValueError, match=field):
-        config_cls(**{field: value})
+        config_cls(**kwargs)
 
 
 @pytest.mark.parametrize("config_cls, field", [

@@ -165,7 +165,7 @@ class TestResilientSort:
         ]
         values = [int(x) for x in rng.integers(0, 2**48, 300)]
         with pytest.raises(SortVerificationError):
-            resilient_sort(pool, values, max_attempts=2)
+            resilient_sort(pool, values)
 
     def test_verify_rejects_dropped_element(self, healthy_core, rng):
         values = [int(x) for x in rng.integers(0, 2**48, 50)]
