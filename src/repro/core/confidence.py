@@ -8,6 +8,7 @@ per-core exponentially-decayed suspicion score.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 @dataclasses.dataclass
@@ -33,8 +34,16 @@ class SuspicionTracker:
 
     def __init__(self, half_life_days: float = 30.0,
                  source_bonus: float = 0.5) -> None:
-        if half_life_days <= 0:
-            raise ValueError("half_life_days must be positive")
+        # A NaN half-life passes a bare ``<= 0`` test and turns every
+        # score NaN: ``suspects()`` would then flag nothing, forever.
+        if not (math.isfinite(half_life_days) and half_life_days > 0):
+            raise ValueError(
+                f"half_life_days must be finite and > 0, got {half_life_days}"
+            )
+        if not (math.isfinite(source_bonus) and source_bonus >= 0):
+            raise ValueError(
+                f"source_bonus must be finite and >= 0, got {source_bonus}"
+            )
         self.half_life_days = half_life_days
         self.source_bonus = source_bonus
         self._cores: dict[str, _CoreState] = {}
@@ -65,6 +74,12 @@ class SuspicionTracker:
         state.score += weight + bonus
         state.total_signals += 1
         return state.score
+
+    def forget(self, core_id: str) -> None:
+        """Drop a core's state (a quarantined core has left the
+        fleet).  Every core's state is its own, so the others' scores
+        and ranking order are untouched."""
+        self._cores.pop(core_id, None)
 
     def score(self, core_id: str, now_days: float) -> float:
         state = self._cores.get(core_id)

@@ -240,16 +240,21 @@ class FleetScreener:
     """
 
     def __init__(self, battery: DistilledBattery, env_boost: float = 1.0):
+        # A NaN, zero or negative boost runs and confesses nothing.
+        if not (math.isfinite(env_boost) and env_boost > 0):
+            raise ValueError(
+                f"env_boost must be finite and > 0, got {env_boost}"
+            )
         self.battery = battery
         self.env_boost = env_boost
         self._unit_ops = battery.ops_by_unit()
         # What _unit_rates remembers belongs to one fleet, recognised by
         # its ``merc_core`` array: immutable, shared by ``thaw()``, and
         # kept alive here so its identity cannot be recycled.  Per
-        # (mercurial core, unit): the age-free rate plans of the defects
-        # that touch the unit.
+        # mercurial core, per unit its defects touch: the unit's index
+        # and the age-free rate plans of those defects.
         self._planned_for: np.ndarray | None = None
-        self._rate_plans: list[list[list[tuple]]] = []
+        self._rate_plans: list[list[tuple[int, list[tuple]]]] = []
         # (mercurial × unit) per-op rate cache, keyed by rounded age so
         # week-scale aging refreshes it (the simulator's refresh cadence)
         self._rate_cache: dict[int, np.ndarray] = {}
@@ -271,12 +276,13 @@ class FleetScreener:
             ]
             self._rate_plans = [
                 [
-                    [
+                    (u, plans)
+                    for u, mix in enumerate(unit_mixes)
+                    if (plans := [
                         (defect, plan)
                         for defect in columns.merc_defects(i)
                         if (plan := defect.rate_plan(mix, NOMINAL))
-                    ]
-                    for mix in unit_mixes
+                    ])
                 ]
                 for i in range(n_merc)
             ]
@@ -289,8 +295,9 @@ class FleetScreener:
         rates = np.zeros((n_merc, len(UNIT_ORDER)))
         for i, unit_plans in enumerate(self._rate_plans):
             age = float(age_days[i])
-            for u, plans in enumerate(unit_plans):
-                # a defect that misses the unit would add an exact 0.0
+            # a unit no defect touches keeps its exact 0.0, and a defect
+            # that misses the unit would add an exact 0.0
+            for u, plans in unit_plans:
                 rates[i, u] = sum(
                     defect.rate_at_age(plan, age) for defect, plan in plans
                 )
@@ -316,10 +323,13 @@ class FleetScreener:
             subset: optional per-core boolean mask (e.g. a shard's
                 slice, or ride-along spare slots).
         """
+        # A NaN time ages no defect past onset: cost, no confessions.
+        if not math.isfinite(now_days):
+            raise ValueError(f"now_days must be finite, got {now_days}")
         mask = columns.online
         if subset is not None:
             mask = mask & subset
-        n_screened = int(mask.sum())
+        n_screened = int(np.count_nonzero(mask))
         cost_ops = float(n_screened) * self.battery.total_ops
         machine_seconds = cost_ops / OPS_PER_CORESECOND
 

@@ -117,9 +117,9 @@ class FleetColumns:
     #: handle sidecar's on snapshot-attached fleets.  ``None`` entries
     #: mean "not materialized yet" (regenerated from ``merc_sample_seed``)
     _merc_defects: list | None = dataclasses.field(default=None, repr=False)
-    #: lazily built id → index maps.  A field, so ``thaw()`` hands the
-    #: same dict to the copy: the ids the maps index are shared and
-    #: immutable, and whichever copy needs a map first builds it for all
+    #: lazily built id → index maps and the ``str`` id list.  A field,
+    #: so ``thaw()`` hands the same dict to the copy: the ids are shared
+    #: and immutable, and whichever copy needs one first builds it for all
     _index_maps: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -182,12 +182,22 @@ class FleetColumns:
             return None
         return start + within
 
+    def machine_id_list(self) -> list[str]:
+        """The machine ids as ``str``, by machine index; built once and
+        shared like the index maps.  Callers must not mutate it."""
+        cached = self._index_maps.get("machine_ids")
+        if cached is None:
+            cached = self._index_maps["machine_ids"] = [
+                str(machine_id) for machine_id in self.machine_ids.tolist()
+            ]
+        return cached
+
     def _machine_index_map(self) -> dict[str, int]:
         cached = self._index_maps.get("machine")
         if cached is None:
             cached = self._index_maps["machine"] = {
-                str(machine_id): index
-                for index, machine_id in enumerate(self.machine_ids.tolist())
+                machine_id: index
+                for index, machine_id in enumerate(self.machine_id_list())
             }
         return cached
 

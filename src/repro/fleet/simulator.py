@@ -241,7 +241,7 @@ class FleetSimulator:
         # refreshed on defect onset and then at most every
         # ``RATE_REFRESH_DAYS`` of core age.
         n_mercurial = columns.n_mercurial
-        self._machine_ids = [str(m) for m in columns.machine_ids.tolist()]
+        self._machine_ids = columns.machine_id_list()
         merc_flat = np.asarray(columns.merc_core, dtype=np.int64)
         self._merc_flat = merc_flat
         self._merc_machine_index = columns.core_machine[merc_flat].astype(
@@ -347,6 +347,8 @@ class FleetSimulator:
         self.columns.online[flat] = False
         is_mercurial = bool(self.columns.mercurial[flat])
         self.quarantine_day[core_id] = now
+        # Offline for good: nothing the tracker holds on it can act.
+        self.analyzer.tracker.forget(core_id)
         self._m_quarantines.inc(mercurial="yes" if is_mercurial else "no")
         if is_mercurial:
             onset = self.truth.onset_days_by_core.get(core_id, 0.0)
@@ -414,6 +416,10 @@ class FleetSimulator:
         ``USER_REPORT`` events in append order."""
         columns = self.columns
         for event in reports:
+            if event.core_id in self.quarantine_day:
+                # A misfiled background report can name an offline
+                # core; the tick's ingest recorded it, so drop it again.
+                self.analyzer.tracker.forget(event.core_id)
             is_cee = self._is_cee_core(event.core_id)
             if not self.triage.files_suspect(incident_is_cee=is_cee):
                 continue
@@ -440,10 +446,9 @@ class FleetSimulator:
                 started_days=now,
             )
             if investigation.outcome is TriageOutcome.CONFIRMED:
-                self.analyzer.tracker.record(
-                    suspect_id, now, weight=self.config.policy.quarantine_threshold,
-                    source="human-triage",
-                )
+                # Straight to quarantine, which drops the core from the
+                # tracker: a human-triage signal recorded first would
+                # be forgotten unread.
                 self._quarantine(suspect_id, now)
 
     # -- main loop --------------------------------------------------------------
@@ -498,9 +503,9 @@ class FleetSimulator:
             )
             ages = self._merc_age
             active_mask = online & (ages >= self._merc_onset)
+            # A never-refreshed core's rate age is -inf: its gap is +inf.
             stale = active_mask & (
-                (ages - self._merc_rate_age >= RATE_REFRESH_DAYS)
-                | ~np.isfinite(self._merc_rate_age)
+                ages - self._merc_rate_age >= RATE_REFRESH_DAYS
             )
             for index in np.nonzero(stale)[0].tolist():
                 self._refresh_rate(index, float(ages[index]))
@@ -685,26 +690,35 @@ class FleetSimulator:
     def run(self) -> SimulationResult:
         """Run the whole campaign and return the results bundle."""
         cfg = self.config
+        tracker = self.analyzer.tracker
+        quarantined = self.quarantine_day
+        events_before = len(self.events)
+        ticks = 0
         now = -cfg.warmup_days
         while now < cfg.horizon_days:
             tick = min(TICK_DAYS, cfg.horizon_days - now)
             now += tick
-            events_before = len(self.events)
+            ticks += 1
             self._user_reports = []
             self._attributed = []
             self._tick(now, tick)
-            self._m_ticks.inc()
             self.analyzer.ingest_all(self._attributed)
+            # The service keeps re-nominating the cores it already had
+            # taken offline; those have left suspicion for good.
             for suspect in self.complaints.quarantine_candidates():
-                self.analyzer.tracker.record(
-                    suspect.core_id, now, weight=2.0, source="complaint-service"
-                )
+                if suspect.core_id not in quarantined:
+                    tracker.record(
+                        suspect.core_id, now, weight=2.0,
+                        source="complaint-service",
+                    )
             # Confessions the policy emits are not ingested: it acts on them itself.
             self._apply_policy(now)
             self._run_triage(now, self._user_reports)
-            logged = len(self.events) - events_before
-            if logged:
-                self._m_events.inc(logged)
+        if ticks:
+            self._m_ticks.inc(ticks)
+        logged = len(self.events) - events_before
+        if logged:
+            self._m_events.inc(logged)
 
         # The tick ages cores in a private array; leave the columns
         # holding the ages the campaign ended at.

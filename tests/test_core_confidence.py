@@ -1,5 +1,7 @@
 """Suspicion tracking."""
 
+import math
+
 import pytest
 
 from repro.core.confidence import SuspicionTracker
@@ -51,3 +53,42 @@ class TestSuspicionTracker:
     def test_invalid_half_life(self):
         with pytest.raises(ValueError):
             SuspicionTracker(half_life_days=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"half_life_days": math.nan}, "half_life_days"),
+            ({"half_life_days": math.inf}, "half_life_days"),
+            ({"half_life_days": -1.0}, "half_life_days"),
+            ({"source_bonus": math.nan}, "source_bonus"),
+            ({"source_bonus": math.inf}, "source_bonus"),
+            ({"source_bonus": -0.5}, "source_bonus"),
+        ],
+    )
+    def test_invalid_parameters_name_their_field(self, kwargs, field):
+        # A NaN half-life made every score NaN, so suspects() returned
+        # [] forever: a detector that silently never flags.
+        with pytest.raises(ValueError, match=field):
+            SuspicionTracker(**kwargs)
+
+    def test_zero_source_bonus_is_legal(self):
+        tracker = SuspicionTracker(source_bonus=0.0)
+        tracker.record("a", 0.0, source="app-a")
+        tracker.record("a", 0.0, source="app-b")
+        assert tracker.score("a", 0.0) == pytest.approx(2.0)
+
+    def test_forget_drops_one_core_and_keeps_the_rest(self):
+        tracker = SuspicionTracker()
+        for core_id, weight in (("a", 5.0), ("b", 1.0), ("c", 3.0), ("d", 3.0)):
+            tracker.record(core_id, 0.0, weight=weight)
+        tracker.forget("c")
+        tracker.forget("never-seen")
+        assert tracker.tracked_cores() == ["a", "b", "d"]
+        assert tracker.score("c", 0.0) == 0.0
+        assert tracker.signals("c") == 0
+        assert tracker.suspects(10.0, threshold=1.0) == [
+            ("a", pytest.approx(5.0 * 0.5 ** (10.0 / 30.0))),
+            ("d", pytest.approx(3.0 * 0.5 ** (10.0 / 30.0))),
+        ]
+        # a forgotten core that signals again starts from nothing
+        assert tracker.record("c", 10.0) == 1.0

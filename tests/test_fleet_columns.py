@@ -11,6 +11,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from repro.fleet.columns import DEFECT_MODE_CODES, defect_mode_code
 from repro.fleet.population import FleetBuilder
@@ -194,3 +195,74 @@ class TestMercurialViews:
             assert tuple(repr(d) for d in lazy.merc_defects(index)) == (
                 tuple(repr(d) for d in columns.merc_defects(index))
             )
+
+
+def _result_sha(result):
+    """Digest of everything a campaign reports: the event stream plus
+    the per-core quarantine days and detection latencies that
+    :func:`_event_sha` leaves out, and the three effort totals."""
+    payload = {
+        "events": [list(row) for row in _event_stream(result)],
+        "quarantine_day": sorted(result.quarantine_day.items()),
+        "detection_latency_days": sorted(
+            result.detection_latency_days.items()
+        ),
+        "total_corruptions": result.total_corruptions,
+        "app_visible_corruptions": result.app_visible_corruptions,
+        "screening_ops_spent": result.screening_ops_spent,
+    }
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestResultDigests:
+    """Whole-result digests of both ticks on four generated fleets
+    (build seed × prevalence boost; 400 machines, 60 warmup days, 120
+    horizon days, sim seed 5).  Warmup makes the suspicion loop run
+    long past each quarantine, so a change to how quarantined cores
+    are tracked that moves any day, latency or draw fails here."""
+
+    CONFIG = SimulatorConfig(horizon_days=120.0, warmup_days=60.0)
+    DIGESTS = {
+        (11, 20.0, "production"): (
+            "b479fc3c434e22adba59dd4666923138bc49f0cf4e2de08aa91cf86ad01e7f77"
+        ),
+        (11, 20.0, "reference"): (
+            "cb5be6085ad0d6581f9477fc703e4cb6b8582f5c25361b9ede89e383fc4ea468"
+        ),
+        (11, 60.0, "production"): (
+            "196e9f42b8dc9584d3d2a673b228d2498a6238ff54652645208252f4ef1e3a9e"
+        ),
+        (11, 60.0, "reference"): (
+            "d883aa1f7f31abe7cc1dfa4157f9e92eccd25768d7e304a262987f63f8e88f7d"
+        ),
+        (23, 20.0, "production"): (
+            "a678e9ce586bd4dc31f8463f9493cbc805f215db8bf1725337b3cc14c0e70f1f"
+        ),
+        (23, 20.0, "reference"): (
+            "ccbebc6f97142019979cb5d9bf7043c2ebe56cebfe7778802363a5108e6ef631"
+        ),
+        (23, 60.0, "production"): (
+            "74046f8f54198aaca31ab12c800fa234e04a4fa4eace2e7a935e0eb416f5c50a"
+        ),
+        (23, 60.0, "reference"): (
+            "6ee73a9d996e5b74148d8c8a67b6284ab8facb5a90ef850cf411120bf9fc44bd"
+        ),
+    }
+    SIMULATORS = {
+        "production": FleetSimulator,
+        "reference": ScalarReferenceSimulator,
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_result_digest_pinned(self, key):
+        build_seed, boost, tick = key
+        columns = _builder(
+            seed=build_seed, products=_boosted_products(boost)
+        ).build_columns(400)
+        result = self.SIMULATORS[tick](
+            columns, config=self.CONFIG, seed=5
+        ).run()
+        assert result.quarantine_day
+        assert _result_sha(result) == self.DIGESTS[key]

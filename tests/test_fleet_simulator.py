@@ -468,3 +468,82 @@ class TestTickPaysForWhatChanged:
         assert counts["age_step"] > 0
         assert counts["plan"] == 0
         assert counts["effective_rate"] == 0
+
+    @pytest.fixture
+    def recorded_run(self, monkeypatch):
+        """The counted fleet, logging each tracker record with whether
+        its core was already quarantined when it was made."""
+        columns = FleetBuilder(
+            products=_dense_products(), seed=11,
+            deployment_window=(-700.0, 0.0),
+        ).build_columns(400)
+        simulator = FleetSimulator(
+            columns,
+            config=SimulatorConfig(horizon_days=90.0, warmup_days=0.0),
+            seed=3,
+        )
+        records = []
+        real_record = SuspicionTracker.record
+
+        def record(self, core_id, now_days, *args, **kwargs):
+            records.append((core_id, core_id in simulator.quarantine_day))
+            return real_record(self, core_id, now_days, *args, **kwargs)
+
+        monkeypatch.setattr(SuspicionTracker, "record", record)
+        return simulator, simulator.run(), records
+
+    def test_no_record_for_a_quarantined_core(self, recorded_run):
+        """The complaint service re-nominates the cores it had taken
+        offline on every tick; none of that reaches the tracker.  The
+        one record a quarantined core may still get is the ingest of a
+        misfiled background user report naming it — none in this run."""
+        _, result, records = recorded_run
+        assert len(result.quarantine_day) >= 3
+        misfiled = [
+            e for e in result.events
+            if e.kind is EventKind.USER_REPORT
+            and e.core_id in result.quarantine_day
+            and e.time_days > result.quarantine_day[e.core_id]
+        ]
+        assert misfiled == []
+        assert records
+        assert [core_id for core_id, offline in records if offline] == []
+
+    def test_tracker_holds_no_quarantined_core(self, recorded_run):
+        simulator, result, _ = recorded_run
+        tracked = set(simulator.analyzer.tracker.tracked_cores())
+        assert tracked
+        assert not tracked & set(result.quarantine_day)
+
+    @pytest.mark.parametrize(
+        "simulator_cls", [FleetSimulator, ScalarReferenceSimulator]
+    )
+    def test_misfiled_report_on_an_offline_core_is_forgotten(
+        self, simulator_cls
+    ):
+        """Background user reports pick any core of a random machine,
+        offline ones included, and the ingest records every attributed
+        event; triage drops such a core again the same tick."""
+        simulator = simulator_cls(
+            _bespoke_fleet(n_bad=3),
+            _quiet_config(horizon_days=60.0, bg_user_rate=2.0),
+            seed=5,
+        )
+        result = simulator.run()
+        assert any(
+            e.detail == "suspected bad machine"
+            and e.core_id in result.quarantine_day
+            and e.time_days > result.quarantine_day[e.core_id]
+            for e in result.events
+        )
+        tracked = set(simulator.analyzer.tracker.tracked_cores())
+        assert not tracked & set(result.quarantine_day)
+
+    def test_thawed_copies_share_one_machine_id_list(self):
+        columns = FleetBuilder(seed=11).build_columns(40)
+        first = FleetSimulator(columns.thaw(), seed=1)
+        second = FleetSimulator(columns.thaw(), seed=2)
+        assert first._machine_ids is second._machine_ids
+        assert first._machine_ids == [
+            columns.machine_id(m) for m in range(columns.n_machines)
+        ]

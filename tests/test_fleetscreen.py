@@ -122,6 +122,20 @@ class TestFleetScreener:
             e.kind is EventKind.FLEETSCREEN_FAIL for e in result.events
         )
 
+    @pytest.mark.parametrize("env_boost", [math.nan, math.inf, -6.0, 0.0])
+    def test_env_boost_validated(self, env_boost):
+        # each of these used to screen the fleet and confess nothing
+        with pytest.raises(ValueError, match="env_boost"):
+            FleetScreener(distill(TestCorpus.standard()), env_boost=env_boost)
+
+    @pytest.mark.parametrize("now_days", [math.nan, math.inf, -math.inf])
+    def test_now_days_validated(self, now_days):
+        screener = FleetScreener(distill(TestCorpus.standard()))
+        with pytest.raises(ValueError, match="now_days"):
+            screener.screen(
+                _boosted_columns(), now_days, np.random.default_rng(0)
+            )
+
     def test_battery_missing_the_unit_detects_nothing(self):
         # a battery whose tests target no units has zero per-unit ops,
         # so every defect's confession probability is exactly zero
