@@ -20,14 +20,19 @@ produce identical artifacts.  Instead:
   their simulated-time counter (ticks x tick_ms); the default clock
   returns 0.0 so spans created outside any campaign stay deterministic.
 
-Spans survive the process pool: a worker's spans are plain picklable
-dataclasses, drained with :meth:`Tracer.drain` and re-attached on the
-parent with :meth:`Tracer.adopt` (see ``repro.engine.runner``).
+Ids are hashed the first time they are read, not when a span opens: a
+span keeps a reference to its parent and its child index, which is all
+the formula needs, and nothing on the request path reads an id.  A
+span is its own context manager and drops its tracer when it closes.
+
+Spans survive the process pool: pickling a span resolves its ids, so a
+worker's spans, drained with :meth:`Tracer.drain` and re-attached on
+the parent with :meth:`Tracer.adopt` (see ``repro.engine.runner``),
+carry the same ids as spans recorded inline.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import Callable
 
@@ -40,17 +45,56 @@ def _hash_id(*parts: object, digest_size: int = 8) -> str:
     return hashlib.blake2b(text.encode(), digest_size=digest_size).hexdigest()
 
 
-@dataclasses.dataclass
 class Span:
-    """One recorded operation: name, ids, simulated-time bounds, attrs."""
+    """One recorded operation: name, ids, simulated-time bounds, attrs.
 
-    name: str
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    start_ms: float
-    end_ms: float | None = None
-    attrs: dict = dataclasses.field(default_factory=dict)
+    Opened by :meth:`Tracer.span`; ``span_id`` and ``parent_id`` are
+    hashed from the span's position in the call tree on first read.
+    """
+
+    __slots__ = (
+        "name", "trace_id", "start_ms", "end_ms", "attrs",
+        "_parent", "_parent_id", "_index", "_span_id", "_children",
+        "_tracer",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        trace_id: str,
+        start_ms: float,
+        attrs: dict,
+        parent: Span | None,
+        index: int,
+        tracer: Tracer | None,
+    ) -> None:
+        self.name = name
+        self.trace_id = trace_id
+        self.start_ms = start_ms
+        self.end_ms: float | None = None
+        self.attrs = attrs
+        self._parent = parent
+        #: a root's parent id, or a resolved one after unpickling
+        self._parent_id: str | None = None
+        self._index = index
+        self._span_id: str | None = None
+        #: child spans opened under this one so far
+        self._children = 0
+        self._tracer = tracer
+
+    @property
+    def span_id(self) -> str:
+        span_id = self._span_id
+        if span_id is None:
+            span_id = self._span_id = _hash_id(
+                self.trace_id, self.parent_id or _ROOT, self.name, self._index
+            )
+        return span_id
+
+    @property
+    def parent_id(self) -> str | None:
+        parent = self._parent
+        return self._parent_id if parent is None else parent.span_id
 
     @property
     def duration_ms(self) -> float:
@@ -68,6 +112,41 @@ class Span:
             "end_ms": self.end_ms,
             "attrs": dict(sorted(self.attrs.items())),
         }
+
+    def __reduce__(self) -> tuple[type[Span], tuple, tuple[None, dict]]:
+        # a closed, parentless copy carrying its ids already resolved
+        resolved = {
+            "end_ms": self.end_ms,
+            "_span_id": self.span_id,
+            "_parent_id": self.parent_id,
+        }
+        return Span, (
+            self.name, self.trace_id, self.start_ms, self.attrs, None, 0, None
+        ), (None, resolved)
+
+    def __enter__(self) -> Span:
+        if self._tracer is not None:
+            self._tracer._stack.append(self)
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: object,
+    ) -> bool:
+        tracer = self._tracer
+        if tracer is None:
+            return False
+        self._tracer = None
+        self.end_ms = tracer._clock()
+        if exc is not None:
+            self.attrs.setdefault("error", type(exc).__name__)
+        stack = tracer._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        tracer._spans.append(self)
+        return False
 
 
 class _NullSpan:
@@ -93,36 +172,6 @@ class _NullSpan:
         return False
 
 
-class _ActiveSpan:
-    """Context manager that opens/closes one real span on its tracer."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._tracer._stack.append(self._span)
-        return self._span
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: object,
-    ) -> bool:
-        span = self._span
-        span.end_ms = self._tracer._clock()
-        if exc is not None:
-            span.attrs.setdefault("error", type(exc).__name__)
-        stack = self._tracer._stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        self._tracer._spans.append(span)
-        return False
-
-
 class Tracer:
     """Collects spans for the current process; one per obs singleton."""
 
@@ -130,7 +179,8 @@ class Tracer:
         self.enabled = enabled
         self._spans: list[Span] = []
         self._stack: list[Span] = []
-        self._child_counts: dict[str, int] = {}
+        #: root spans opened in the current trace
+        self._roots = 0
         self._trace_id = _hash_id("trace", 0)
         self._clock: Callable[[], float] = lambda: 0.0
         self._null = _NullSpan()
@@ -160,7 +210,7 @@ class Tracer:
         self._trace_id = _hash_id("trace", seed)
         self._spans.clear()
         self._stack.clear()
-        self._child_counts.clear()
+        self._roots = 0
         return self._trace_id
 
     def reset(self) -> None:
@@ -170,23 +220,22 @@ class Tracer:
 
     # -- recording ------------------------------------------------------
 
-    def span(self, name: str, **attrs: object) -> "_ActiveSpan | _NullSpan":
+    def span(self, name: str, **attrs: object) -> Span | _NullSpan:
         """Open a child span of whatever span is currently on the stack."""
         if not self.enabled:
             return self._null
-        parent = self._stack[-1] if self._stack else None
-        parent_id = parent.span_id if parent is not None else _ROOT
-        index = self._child_counts.get(parent_id, 0)
-        self._child_counts[parent_id] = index + 1
-        span = Span(
-            name=name,
-            trace_id=self._trace_id,
-            span_id=_hash_id(self._trace_id, parent_id, name, index),
-            parent_id=parent.span_id if parent is not None else None,
-            start_ms=self._clock(),
-            attrs=dict(attrs),
+        stack = self._stack
+        if stack:
+            parent: Span | None = stack[-1]
+            index = parent._children
+            parent._children = index + 1
+        else:
+            parent = None
+            index = self._roots
+            self._roots = index + 1
+        return Span(
+            name, self._trace_id, self._clock(), attrs, parent, index, self
         )
-        return _ActiveSpan(self, span)
 
     # -- gather ---------------------------------------------------------
 

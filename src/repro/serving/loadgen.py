@@ -31,7 +31,9 @@ bit-identical across worker counts.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import math
 
 import numpy as np
 
@@ -59,8 +61,10 @@ class UserCohort:
     n_users: int = 256
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("cohort weight must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(
+                f"cohort weight must be positive and finite, got {self.weight}"
+            )
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
 
@@ -90,8 +94,13 @@ class LoadPhase:
     def __post_init__(self) -> None:
         if self.ticks < 1:
             raise ValueError("phase ticks must be >= 1")
-        if self.start_rate < 0 or self.end_rate < 0:
-            raise ValueError("arrival rates must be non-negative")
+        for field, rate in (
+            ("start_rate", self.start_rate), ("end_rate", self.end_rate)
+        ):
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(
+                    f"{field} must be finite and non-negative, got {rate}"
+                )
 
     def rate_at(self, offset: int) -> float:
         if self.ticks == 1:
@@ -165,11 +174,24 @@ class LoadGenerator:
     ):
         if not cohorts:
             raise ValueError("need at least one cohort")
+        names = [c.name for c in cohorts]
+        if len(set(names)) < len(names):
+            raise ValueError(f"cohort names must be unique, got {names}")
         self.profile = profile
         self.cohorts = tuple(cohorts)
         self.rng = np.random.default_rng(seed)
+        # Generator.choice(n, p=...)'s own cdf: a right-bisect of one
+        # random() double over it draws the index choice would draw
         weights = np.array([c.weight for c in self.cohorts], dtype=float)
-        self._cohort_p = weights / weights.sum()
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._cohort_cdf: list[float] = cdf.tolist()
+        # cohorts get disjoint key spaces so "interactive user 7" and
+        # "batch user 7" are different users
+        self._key_offsets = [
+            sum(c.n_users for c in self.cohorts if c.name < cohort.name)
+            for cohort in self.cohorts
+        ]
         self._next_request_id = 0
         self.generated = 0
 
@@ -181,9 +203,8 @@ class LoadGenerator:
         count = int(self.rng.poisson(rate)) if rate > 0 else 0
         requests: list[Request] = []
         for _ in range(count):
-            cohort = self.cohorts[
-                int(self.rng.choice(len(self.cohorts), p=self._cohort_p))
-            ]
+            index = bisect.bisect_right(self._cohort_cdf, self.rng.random())
+            cohort = self.cohorts[index]
             user = int(self.rng.integers(cohort.n_users))
             requests.append(
                 Request(
@@ -191,14 +212,7 @@ class LoadGenerator:
                     payload=self.rng.bytes(cohort.payload_bytes),
                     deadline_ms=cohort.deadline_ms,
                     arrival_tick=tick,
-                    # cohorts get disjoint key spaces so "interactive
-                    # user 7" and "batch user 7" are different users
-                    route_key=(
-                        user + sum(
-                            c.n_users for c in self.cohorts
-                            if c.name < cohort.name
-                        )
-                    ),
+                    route_key=user + self._key_offsets[index],
                     cohort=cohort.name,
                 )
             )

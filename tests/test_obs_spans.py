@@ -5,12 +5,15 @@ position) — never of wall clock, RNG state, or worker placement — so
 that campaign artifacts stay bit-identical for any worker count.
 """
 
+import hashlib
+import json
 import pickle
 
 import pytest
 
 from repro import obs
 from repro.engine.runner import run_trials
+from repro.obs import spans as spans_module
 from repro.obs.spans import Tracer
 
 
@@ -142,3 +145,92 @@ class TestWorkerCountInvariance:
         # distinct trials are distinct traces (seed-derived trace ids)
         trace_ids = {trace for _, trace, *_ in serial}
         assert len(trace_ids) == 4
+
+
+def _nested_tree(tracer: Tracer) -> None:
+    """Two roots, a three-deep chain and repeated names under one parent."""
+    tracer.start_trace(7)
+    with tracer.span("request", id=0):
+        with tracer.span("attempt"):
+            with tracer.span("serve", core="c1"):
+                pass
+        with tracer.span("attempt"):
+            pass
+    with tracer.span("request", id=1):
+        pass
+
+
+class TestIdsOnRead:
+    """Ids are a function of tree position; pickling must not lose them."""
+
+    def test_pickle_before_any_read_keeps_the_ids(self):
+        in_place = Tracer()
+        _nested_tree(in_place)
+        expected = [s.to_json() for s in in_place.spans()]
+
+        pickled = Tracer()
+        _nested_tree(pickled)
+        # no id was read before the hand-off
+        restored = pickle.loads(pickle.dumps(pickled.drain()))
+        assert [s.to_json() for s in restored] == expected
+        assert len({s["span_id"] for s in expected}) == len(expected)
+
+
+#: (arm, fleet, ci kwargs) come from the campaign table; the digest is
+#: sha256 of the json of every span's ``to_json()`` at seed 0, captured
+#: before span ids became lazy, with the count of spans recorded
+SPAN_PINS = {
+    "E15": (1742, "4caafbd5cb7152a85ec676b43b8efda8a9c3a9a963c40eb335abd336fad5d9a7"),
+    "E17": (4587, "ec38cead230e3ff86c47c4e6e36e7b938bfaaf75f3b47e1e61b4631b7351b826"),
+}
+
+
+def _traced_arm(experiment_id: str) -> None:
+    from repro.analysis.experiments import CAMPAIGNS, EXPERIMENTS, campaign_arm
+
+    spec = CAMPAIGNS[experiment_id]
+    campaign_arm(
+        spec.trace_arm, experiment_id=experiment_id, seed=0,
+        fleet=spec.trace_fleet, **EXPERIMENTS[experiment_id].ci,
+    )
+
+
+@pytest.fixture
+def obs_on():
+    prior = obs.enabled()
+    obs.set_enabled(True)
+    obs.metrics.reset()
+    obs.tracer.reset()
+    yield
+    obs.set_enabled(prior)
+
+
+@pytest.mark.parametrize("experiment_id", sorted(SPAN_PINS))
+class TestCampaignSpans:
+    def test_span_json_digest_is_pinned(self, experiment_id, obs_on):
+        _traced_arm(experiment_id)
+        spans = [s.to_json() for s in obs.tracer.spans()]
+        blob = json.dumps(spans, sort_keys=True).encode()
+        assert (len(spans), hashlib.sha256(blob).hexdigest()) == (
+            SPAN_PINS[experiment_id]
+        )
+
+    def test_no_id_is_hashed_until_read(
+        self, experiment_id, obs_on, monkeypatch
+    ):
+        hashed = []
+        real = spans_module._hash_id
+
+        def counting(*parts: object) -> str:
+            hashed.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(spans_module, "_hash_id", counting)
+        _traced_arm(experiment_id)
+        spans = obs.tracer.spans()
+        assert len(spans) == SPAN_PINS[experiment_id][0]
+        assert hashed == []
+        for span in spans:
+            span.to_json()
+        # one hash per span: a parent's id is read from its cache
+        assert len(hashed) == len(spans)

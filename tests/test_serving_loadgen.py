@@ -1,7 +1,11 @@
 """Open-loop load generation: profiles, cohorts, and determinism."""
 
+import bisect
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serving.loadgen import (
     DEFAULT_COHORTS,
@@ -148,3 +152,135 @@ class TestLoadGenerator:
         gen = LoadGenerator(LoadProfile.steady(8.0, 500), seed=6)
         counts = [len(gen.arrivals(t)) for t in range(500)]
         assert abs(float(np.mean(counts)) - 8.0) < 0.5
+
+
+class TestInputHoles:
+    """Inputs that used to pass construction and misbehave later."""
+
+    @pytest.mark.parametrize("start, end, field", [
+        (math.nan, math.nan, "start_rate"),
+        (math.inf, 1.0, "start_rate"),
+        (1.0, math.nan, "end_rate"),
+        (1.0, -math.inf, "end_rate"),
+    ])
+    def test_phase_rejects_non_finite_rates(self, start, end, field):
+        # a nan rate used to give a silent zero-traffic phase
+        with pytest.raises(ValueError, match=field):
+            LoadPhase(10, start, end)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_cohort_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="weight"):
+            UserCohort("bad", weight=weight)
+
+    @pytest.mark.parametrize("names", [("x", "x"), ("a", "b", "a")])
+    def test_generator_rejects_duplicate_cohort_names(self, names):
+        # same-named cohorts would share one route_key range
+        cohorts = tuple(UserCohort(name, n_users=4) for name in names)
+        with pytest.raises(ValueError, match="name"):
+            LoadGenerator(LoadProfile.steady(1.0, 10), cohorts=cohorts)
+
+
+_weights = st.lists(
+    st.floats(min_value=1e-9, max_value=1e9), min_size=1, max_size=6
+)
+
+
+def _choice_arrivals(profile, cohorts, seed, ticks):
+    """The request stream drawn with ``Generator.choice``: the oracle."""
+    rng = np.random.default_rng(seed)
+    weights = np.array([c.weight for c in cohorts], dtype=float)
+    p = weights / weights.sum()
+    out = []
+    for tick in range(ticks):
+        rate = profile.rate_at(tick)
+        for _ in range(int(rng.poisson(rate)) if rate > 0 else 0):
+            cohort = cohorts[int(rng.choice(len(cohorts), p=p))]
+            user = int(rng.integers(cohort.n_users))
+            payload = rng.bytes(cohort.payload_bytes)
+            offset = sum(c.n_users for c in cohorts if c.name < cohort.name)
+            out.append((cohort.name, user + offset, payload))
+    return out, rng.bit_generator.state
+
+
+class TestCohortDrawMatchesChoice:
+    """One ``random()`` double and a right-bisect of numpy's own cdf
+    draw exactly what ``Generator.choice(n, p=...)`` draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=_weights, seed=st.integers(0, 2**32 - 1),
+           draws=st.integers(1, 50))
+    def test_bisect_equals_choice(self, weights, seed, draws):
+        w = np.array(weights, dtype=float)
+        p = w / w.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
+        by_choice = np.random.default_rng(seed)
+        by_bisect = np.random.default_rng(seed)
+        for _ in range(draws):
+            assert bisect.bisect_right(cdf, by_bisect.random()) == int(
+                by_choice.choice(len(weights), p=p)
+            )
+            # interleaved draws of another kind stay in step
+            assert by_bisect.integers(97) == by_choice.integers(97)
+        assert by_bisect.bit_generator.state == by_choice.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cohorts=st.lists(
+            st.builds(
+                UserCohort,
+                name=st.text("abcdef", min_size=1, max_size=3),
+                weight=st.floats(min_value=1e-6, max_value=1e6),
+                payload_bytes=st.integers(0, 8),
+                n_users=st.integers(1, 40),
+            ),
+            min_size=1, max_size=6, unique_by=lambda c: c.name,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generator_stream_equals_choice_stream(self, cohorts, seed):
+        profile = LoadProfile.ramp(1.0, 6.0, 12)
+        gen = LoadGenerator(profile, cohorts=tuple(cohorts), seed=seed)
+        stream = [
+            (req.cohort, req.route_key, req.payload)
+            for tick in range(12) for req in gen.arrivals(tick)
+        ]
+        expected, state = _choice_arrivals(profile, cohorts, seed, 12)
+        assert stream == expected
+        assert gen.rng.bit_generator.state == state
+
+
+class _CountingGenerator(np.random.Generator):
+    """A ``Generator`` over the same bit generator that counts ``choice``."""
+
+    calls = 0
+
+    def choice(self, *args, **kwargs):
+        type(self).calls += 1
+        return super().choice(*args, **kwargs)
+
+
+def test_serve_at_scale_arm_makes_no_choice_call(monkeypatch):
+    """The E17 arm at seed 0 draws every cohort without ``choice``
+    (E15 has no load generator: its arrivals come from the campaign)."""
+    from repro.analysis.experiments import CAMPAIGNS, EXPERIMENTS, campaign_arm
+
+    built = []
+    real_init = LoadGenerator.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self.rng = _CountingGenerator(self.rng.bit_generator)
+        built.append(self)
+
+    monkeypatch.setattr(LoadGenerator, "__init__", init)
+    monkeypatch.setattr(_CountingGenerator, "calls", 0)
+    spec = CAMPAIGNS["E17"]
+    campaign_arm(
+        spec.trace_arm, experiment_id="E17", seed=0,
+        fleet=spec.trace_fleet, **EXPERIMENTS["E17"].ci,
+    )
+    assert len(built) == 1 and built[0].generated > 0
+    assert _CountingGenerator.calls == 0
