@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Markdown doc checks: links resolve, lint rules are documented.
+"""Markdown doc checks: relative links and anchors resolve.
 
 Scans every tracked ``*.md`` file (repo root + docs/) for inline links
 and validates the repo-relative ones:
@@ -11,12 +11,7 @@ and validates the repo-relative ones:
 External links (http/https/mailto) are not fetched — CI must not
 depend on the network.
 
-It also enforces the lint docs-coverage contract (same pattern as the
-metric/span gate in ``tests/test_docs.py``): every rule id registered
-in ``src/repro/lint/rules_*.py`` must appear in CONTRIBUTING.md's rule
-table, so a rule cannot ship without operator documentation.
-
-Exit status 1 lists every broken link / undocumented rule.
+Exit status 1 lists every broken link.
 
 Usage::
 
@@ -25,7 +20,6 @@ Usage::
 
 from __future__ import annotations
 
-import ast
 import re
 import sys
 from pathlib import Path
@@ -86,46 +80,8 @@ def check() -> list[str]:
     return errors
 
 
-def _registered_rule_ids() -> set[str]:
-    """Rule ids declared in the lint rule modules (AST, no imports)."""
-    ids: set[str] = set()
-    for path in sorted((REPO / "src" / "repro" / "lint").glob("rules_*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.Assign)
-                    and any(
-                        isinstance(t, ast.Name) and t.id == "rule_id"
-                        for t in stmt.targets
-                    )
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)
-                ):
-                    ids.add(stmt.value.value)
-    return ids
-
-
-def check_rule_docs() -> list[str]:
-    """Every registered lint rule id is documented in CONTRIBUTING.md."""
-    contributing = REPO / "CONTRIBUTING.md"
-    if not contributing.exists():
-        return ["CONTRIBUTING.md is missing (lint rule docs live there)"]
-    text = contributing.read_text()
-    rule_ids = _registered_rule_ids()
-    if not rule_ids:
-        return ["no lint rule ids found under src/repro/lint/rules_*.py"]
-    return [
-        f"CONTRIBUTING.md: lint rule `{rule_id}` is registered but "
-        "undocumented"
-        for rule_id in sorted(rule_ids)
-        if f"`{rule_id}`" not in text
-    ]
-
-
 def main() -> int:
-    errors = check() + check_rule_docs()
+    errors = check()
     for error in errors:
         print(error, file=sys.stderr)
     checked = len(_markdown_files())
@@ -133,10 +89,7 @@ def main() -> int:
         print(f"{len(errors)} broken link(s) across {checked} files",
               file=sys.stderr)
         return 1
-    print(
-        f"all relative links OK across {checked} markdown files; "
-        f"{len(_registered_rule_ids())} lint rule id(s) documented"
-    )
+    print(f"all relative links OK across {checked} markdown files")
     return 0
 
 

@@ -85,9 +85,6 @@ class ChaosSchedule:
         self._fired = max(self._fired, end)
         return due
 
-    def reset(self) -> None:
-        self._fired = 0
-
     def __len__(self) -> int:
         return len(self.actions)
 

@@ -19,8 +19,6 @@ Usage::
     python -m repro metrics e15           # Prometheus-text metric dump
     python -m repro metrics e16 --format json   # JSON metric snapshot
     python -m repro trace e15             # corruption-forensics timeline
-    python -m repro lint                  # static invariant checks
-    python -m repro lint --json src       # machine-readable findings
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import Sequence
 
 # The experiment registry (repro.analysis.experiments) pulls in scipy and
 # every simulator package, so it is imported inside the subcommands that
-# use it: ``repro lint`` never pays for it.
+# use it.
 
 
 def _runner_kwargs(experiment_id: str, scale: str, seed: int | None,
@@ -108,10 +106,10 @@ def _run_one(experiment_id: str, scale: str, seed: int | None = None,
     report = sys.stderr if as_json else sys.stdout
     print(f"== {experiment_id}: {experiment.title} ==", file=report)
     # operator-facing elapsed display, not simulated time
-    started = time.time()    # repro: noqa-DET002 -- wall-clock UX only
+    started = time.time()
     try:
         result = experiment.run(**kwargs)
-        elapsed = time.time() - started    # repro: noqa-DET002 -- wall-clock UX only
+        elapsed = time.time() - started
         if as_json:
             json.dump(
                 _json_payload(experiment_id, experiment.title, result),
@@ -233,7 +231,8 @@ def _cmd_cases() -> int:
     for name in NAMED_CASES:
         core = Core(
             f"cases/{name}", defects=named_case(name),
-            rng=np.random.default_rng(0),  # repro: noqa-DET004 -- operator demo listing; fixed seed so the printed case table is stable across runs
+            # fixed seed: the printed case table is stable across runs
+            rng=np.random.default_rng(0),
         )
         screen = corpus.screen(core, repetitions=2)
         descriptions = "; ".join(d.describe() for d in core.defects)
@@ -311,13 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--seed", type=int, default=None, help="campaign master seed",
     )
-    lint_parser = subparsers.add_parser(
-        "lint",
-        help="run the static invariant linter (AST rule pack)",
-    )
-    from repro.lint import cli as lint_cli
-
-    lint_cli.add_arguments(lint_parser)
     for command_parser in (run_parser, metrics_parser, trace_parser):
         command_parser.set_defaults(command_parser=command_parser)
     return parser
@@ -325,11 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit status."""
-    from repro.lint import cli as lint_cli
-
     args = build_parser().parse_args(argv)
-    if args.command == "lint":
-        return lint_cli.run(args)
     if args.command == "list":
         return _cmd_list()
     if args.command == "cases":

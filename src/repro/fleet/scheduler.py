@@ -21,7 +21,7 @@ from typing import Any, Callable, Collection, Sequence
 
 import numpy as np
 
-from repro.detection.quarantine import heuristic_safe_op_mix  # repro: noqa-ARCH001 -- the scheduler steers suspect cores onto the same safe mix the quarantine policy defines, by design
+from repro.detection.quarantine import heuristic_safe_op_mix  # allowlisted in tests/test_invariants.py
 from repro.fleet.columns import FleetColumns
 from repro.fleet.machine import Machine
 from repro.silicon.core import Core
@@ -94,7 +94,7 @@ class FleetScheduler:
         self.implicated_units_by_core = implicated_units_by_core or {}
 
     def _all_cores(self) -> list[Core]:
-        return [core for machine in self.machines for core in machine.cores]  # repro: noqa-PERF002 -- object-substrate slot scan (compat path)
+        return [core for machine in self.machines for core in machine.cores]  # allowlisted in tests/test_invariants.py
 
     def _exclude_mask(
         self,

@@ -32,12 +32,12 @@ from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
 from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
 from repro.core.report import Complaint, CoreComplaintService
 from repro.core.triage import HumanTriageModel, TriageOutcome
-from repro.detection.signals import SignalAnalyzer  # repro: noqa-ARCH001 -- the simulator drives the real detection stack (the paper's point is testing production detectors, not mocks)
+from repro.detection.signals import SignalAnalyzer  # allowlisted in tests/test_invariants.py
 from repro.fleet.columns import FleetColumns
 from repro.fleet.population import FleetGroundTruth
 from repro.silicon.defects import MachineCheckDefect
 from repro.silicon.environment import NOMINAL
-from repro.workloads.generator import blended_op_mix  # repro: noqa-ARCH001 -- fleet days replay the production workload blend so corruption rates match the serving mix
+from repro.workloads.generator import blended_op_mix  # allowlisted in tests/test_invariants.py
 
 
 #: simulated days per tick

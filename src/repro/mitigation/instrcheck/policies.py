@@ -30,7 +30,7 @@ All digest comparisons are host-side FNV-1a
 :mod:`repro.mitigation.redundancy`): the oracle hash is never routed
 through a possibly-mercurial core.  Sampling is a deterministic
 counter-hash, not an RNG stream, so wrapping a core never perturbs the
-defect randomness of the underlying run (DET001 by construction).
+defect randomness of the underlying run.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 
 Every metric family and span name the framework emits through the
 :data:`repro.obs.metrics` / :data:`repro.obs.tracer` singletons is
-declared here as a constant.  The ``SAFE002`` lint rule statically
-cross-references each emission site's name literal against this module,
-so a typo'd name (``serving_request_total`` vs
-``serving_requests_total``) fails ``repro lint`` instead of silently
+declared here as a constant.  ``tests/test_invariants.py`` holds the
+names emitted across ``src/repro`` equal to the names declared here, so
+a typo'd name (``serving_request_total`` vs ``serving_requests_total``)
+or a constant nothing emits any more fails a test instead of silently
 shipping a metric no dashboard, alert, or OBSERVABILITY.md entry knows
 about.  The docs-coverage tests (``tests/test_docs.py``) close the
-other half of the loop: every name here that is actually emitted must
-appear in OBSERVABILITY.md.
+loop: every name here must appear in OBSERVABILITY.md.
 
 Adding a metric or span is therefore three edits, each machine-checked:
 declare the constant here (a ``SPAN_`` prefix makes it a span;
@@ -99,7 +98,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
     if constant.startswith("SPAN_")
 )
 
-#: the full declared-name contract SAFE002 checks against
+#: every declared name
 DECLARED_NAMES: frozenset[str] = METRIC_NAMES | SPAN_NAMES
 
 __all__ = sorted(

@@ -386,12 +386,6 @@ class ShardedCluster:
     def replicas(self) -> list[ServerReplica]:
         return [r for shard in self.shards for r in shard.router.replicas]
 
-    def live_capacity(self, per_replica_per_tick: int) -> int:
-        return sum(
-            len(shard.router.live_replicas()) * per_replica_per_tick
-            for shard in self.shards
-        )
-
     def open_breaker_fraction(self, now_ms: float) -> float:
         """Cluster-wide fraction of replica cores behind open breakers."""
         total = 0

@@ -85,7 +85,8 @@ class MatrixAccelerator:
         self.accel_id = accel_id
         self.size = size
         self.defects = tuple(defects)
-        self.rng = rng if rng is not None else np.random.default_rng(0)  # repro: noqa-DET004 -- documented fallback; campaigns pass a trial-derived rng
+        # documented fallback; campaigns pass a trial-derived rng
+        self.rng = rng if rng is not None else np.random.default_rng(0)
         self.tiles_executed = 0
         self.corruptions_induced = 0
 

@@ -101,7 +101,9 @@ class Core:
         """Defect randomness source, created on first use."""
         rng = self._rng
         if rng is None:
-            rng = self._rng = np.random.default_rng(0)  # repro: noqa-DET004 -- lazy fallback for cores built without an rng; trial paths inject theirs
+            # lazy fallback for cores built without an rng; trial paths
+            # inject theirs
+            rng = self._rng = np.random.default_rng(0)
         return rng
 
     @rng.setter
@@ -225,12 +227,6 @@ class Core:
         for defect in self._defects:
             total += defect.mean_rate(op_mix, self.env, self.age_days)
         return min(total, 1.0)
-
-    def reset_counters(self) -> None:
-        """Zero the ground-truth accounting."""
-        self.ops_executed = 0
-        self.corruptions_induced = 0
-        self.machine_checks_raised = 0
 
     def __repr__(self) -> str:
         kind = "mercurial" if self.is_mercurial else "healthy"

@@ -79,7 +79,8 @@ class FaultInjector:
         self.inner = inner
         self.core_id = f"inject({inner.core_id})"
         self.plan = plan
-        self.rng = rng if rng is not None else np.random.default_rng(0)  # repro: noqa-DET004 -- documented fallback; campaigns pass a trial-derived rng
+        # documented fallback; campaigns pass a trial-derived rng
+        self.rng = rng if rng is not None else np.random.default_rng(0)
         self.op_index = -1
         self.injected = False
         self.injected_op: str | None = None

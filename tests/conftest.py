@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.fleet.shm import SEGMENT_PREFIX, leaked_segments
 from repro.silicon.core import Core
+from repro.silicon.golden import golden_cache_enabled
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -22,6 +23,15 @@ def _no_stray_workers_or_segments():
     assert not children, f"child processes left running: {children}"
     ours = leaked_segments(f"{SEGMENT_PREFIX}{os.getpid()}_")
     assert not ours, f"shared-memory segments left behind: {ours}"
+
+
+@pytest.fixture(autouse=True)
+def _golden_cache_switch_restored():
+    """A test that flips the golden-cache switch puts it back: the next
+    test must run on the path ``REPRO_GOLDEN_CACHE`` selected."""
+    was = golden_cache_enabled()
+    yield
+    assert golden_cache_enabled() == was, "test left the golden-cache switch changed"
 
 
 @pytest.fixture(autouse=True)

@@ -1,18 +1,12 @@
 """CLI entry point."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import repro.analysis.experiments
 from repro.analysis.experiments import EXPERIMENTS, Claim, Experiment
 from repro.cli import main
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -51,23 +45,6 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_lint_does_not_load_the_experiment_registry(self):
-        # the registry drags in scipy and every simulator package;
-        # a fresh interpreter proves `repro lint` never imports it
-        code = (
-            "import sys\n"
-            "from repro.cli import main\n"
-            "assert main(['lint', '--list-rules']) == 0\n"
-            "heavy = ('repro.analysis', 'repro.engine', 'scipy', 'numpy')\n"
-            "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert out.splitlines()[-1] == "[]"
 
     def test_cases_screens_all(self, capsys):
         assert main(["cases"]) == 0

@@ -3,8 +3,9 @@
 Four contracts keep the operator docs honest:
 
 - every metric family and span name declared in ``repro.obs.names``
-  (which ``repro lint`` holds equal to what the source tree emits) is
-  documented in OBSERVABILITY.md (the catalog is the interface);
+  (which ``tests/test_invariants.py`` holds equal to what the source
+  tree emits) is documented in OBSERVABILITY.md (the catalog is the
+  interface);
 - docs/experiments.md matches what scripts/gen_experiment_docs.py
   emits from the registry today;
 - every relative markdown link (and anchor) in the repo resolves;
@@ -38,8 +39,8 @@ _SPAN_CALL = re.compile(r"\.span\(\s*\n?\s*\"([a-z0-9_.]+)\"")
 
 
 class TestObservabilityCatalog:
-    """OBSERVABILITY.md covers the declared names; ``repro lint`` proves
-    those equal the emitted ones (SAFE002 one way, OBS003 the other)."""
+    """OBSERVABILITY.md covers the declared names;
+    ``tests/test_invariants.py`` holds those equal to the emitted ones."""
 
     def test_source_actually_emits_metrics(self):
         # Guard the derivation itself: an empty declared set would make

@@ -19,6 +19,7 @@ from repro.engine import (
 from repro.silicon.golden import (
     GOLDEN,
     golden_cache_clear,
+    golden_cache_enabled,
     golden_cache_info,
     golden_call,
     golden_execute,
@@ -163,8 +164,9 @@ class TestGoldenCache:
         assert info.hits == 0 and info.misses == 0
 
     def test_disable_falls_back_to_direct(self):
+        was = golden_cache_enabled()
         set_golden_cache(False)
         try:
             assert golden_call(Op.MUL, (6, 7)) == golden_execute(Op.MUL, 6, 7)
         finally:
-            set_golden_cache(True)
+            set_golden_cache(was)

@@ -8,6 +8,7 @@ every pool run, and results must be byte-identical for any worker
 count.
 """
 
+import dataclasses
 import functools
 import os
 
@@ -20,6 +21,8 @@ from repro.engine.runner import WorkerCrashError, run_fleet_trials, run_tasks
 from repro.fleet import shm
 from repro.fleet.columns import SNAPSHOT_FIELDS
 from repro.fleet.population import FleetBuilder
+from repro.fleet.product import DEFAULT_PRODUCTS
+from repro.fleet.simulator import FleetSimulator, SimulatorConfig
 from repro.workloads.generator import blended_op_mix
 
 
@@ -235,6 +238,36 @@ def _crash(trial, columns):
     import os
 
     os._exit(3)
+
+
+class TestSimulatorOnSnapshot:
+    def test_attached_columns_run_like_thawed_ones(self):
+        """A simulator handed read-only columns quarantines on a private
+        copy: the segment stays as published and the result is a run on
+        ``thaw()``'s."""
+        products = tuple(
+            dataclasses.replace(p, core_prevalence=p.core_prevalence * 40.0)
+            for p in DEFAULT_PRODUCTS
+        )
+        columns = FleetBuilder(
+            products=products, seed=11, deployment_window=(-700.0, 0.0)
+        ).build_columns(40)
+        config = SimulatorConfig(horizon_days=30.0, warmup_days=0.0)
+
+        def outcome(fleet):
+            result = FleetSimulator(fleet, config=config, seed=5).run()
+            return (
+                list(result.events), result.quarantine_day,
+                result.detection_latency_days, result.total_corruptions,
+                result.app_visible_corruptions, result.screening_ops_spent,
+            )
+
+        with shm.publish(columns) as snapshot, shm.attach(snapshot.handle) as view:
+            published = view.online.tobytes(), view.merc_age.tobytes()
+            on_snapshot = outcome(view)
+            assert (view.online.tobytes(), view.merc_age.tobytes()) == published
+            assert on_snapshot == outcome(view.thaw())
+        assert on_snapshot[1], "no core was quarantined: the run wrote nothing"
 
 
 class TestRunFleetTrials:

@@ -54,11 +54,6 @@ OPTIONS: dict[str, tuple[str, ...]] = {
         "bg_crash_rate", "bg_user_rate", "online_corpus_ops",
         "offline_corpus_ops", "confession_corpus_ops", "policy",
     ),
-    "repro.lint.engine.LintConfig": (
-        "select", "wallclock_allowed", "slots_modules",
-        "percore_loop_modules", "layers", "events_path", "weights_path",
-        "obs_names_path",
-    ),
     "repro.mitigation.instrcheck.campaign.InstrCheckConfig": (
         "units", "sample_rate", "screen_interval_ticks", "policy",
     ),
@@ -118,7 +113,7 @@ def test_option_inventory_is_pinned():
 #: defaulted parameters of public callables; re-pin on purpose when a
 #: keyword option is added or retired
 KEYWORD_DEFAULTS = (
-    330, "194e794ee99cf16f352ec2d327be50c4bce538a2b552af628c55e971759c342d",
+    324, "d3f7ecbdc03e9098ac430bcf186eaf8eb7a0d8690301559c41cf5c78f259b686",
 )
 
 

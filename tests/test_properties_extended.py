@@ -14,7 +14,7 @@ from repro.silicon.core import Core
 from repro.silicon.defects import MachineCheckDefect, StuckBitDefect
 from repro.silicon.environment import DvfsTable
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.golden import set_golden_cache
+from repro.silicon.golden import golden_cache_enabled, set_golden_cache
 from repro.silicon.sensitivity import (
     ComposedSensitivity,
     FrequencySensitivity,
@@ -244,11 +244,12 @@ def _kernel_core(case, age_days, seed, online=True):
 
 def _per_op(run):
     """``run()`` with the memo switch off: the per-op reference path."""
+    was = golden_cache_enabled()
     set_golden_cache(False)
     try:
         return run()
     finally:
-        set_golden_cache(True)
+        set_golden_cache(was)
 
 
 def _observe(core, work):

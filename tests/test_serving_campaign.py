@@ -55,14 +55,6 @@ class TestChaosSchedule:
         )
         assert len(schedule.due(100)) == 1
 
-    def test_reset_rearms_the_script(self):
-        schedule = ChaosSchedule(
-            [ChaosAction(1, ChaosKind.CRASH_CORE, "c0")]
-        )
-        assert len(schedule.due(1)) == 1
-        schedule.reset()
-        assert len(schedule.due(1)) == 1
-
     def test_standard_script_covers_all_fault_kinds(self):
         schedule = ChaosSchedule.standard("bad", "victim", 800)
         kinds = {a.kind for a in schedule.actions}

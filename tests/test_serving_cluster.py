@@ -289,15 +289,3 @@ class TestShardedCluster:
         shards[0].router.replicas[0].core.set_online(False)
         assert cluster.distress(shards[0], 0.0) == pytest.approx(0.5)
         assert cluster.distress(shards[1], 0.0) == 0.0
-
-    def test_live_capacity_sums_across_shards(self):
-        shards = [
-            Shard(f"shard/{i}",
-                  RoundRobinRouter(_replicas(3, prefix=f"s{i}/r")),
-                  False)
-            for i in range(2)
-        ]
-        cluster = ShardedCluster(shards)
-        assert cluster.live_capacity(per_replica_per_tick=2) == 12
-        shards[1].router.replicas[0].core.set_online(False)
-        assert cluster.live_capacity(per_replica_per_tick=2) == 10

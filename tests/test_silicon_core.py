@@ -7,7 +7,7 @@ from repro.silicon.core import Chip, Core
 from repro.silicon.defects import MachineCheckDefect, StuckBitDefect
 from repro.silicon.environment import NOMINAL
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.golden import golden_execute, set_golden_cache
+from repro.silicon.golden import golden_cache_enabled, golden_execute, set_golden_cache
 from repro.silicon.units import Op
 from repro.workloads.hashing import crc64, fnv1a
 
@@ -72,13 +72,6 @@ class TestMercurialCore:
         with pytest.raises(CoreOfflineError):
             core.execute(Op.ADD, 1, 1)
 
-    def test_reset_counters(self):
-        core = self._bad_core()
-        core.execute(Op.ADD, 1, 1)
-        core.reset_counters()
-        assert core.ops_executed == 0
-        assert core.corruptions_induced == 0
-
     def test_age_cannot_decrease(self, healthy_core):
         with pytest.raises(ValueError):
             healthy_core.advance_age(-1.0)
@@ -108,11 +101,12 @@ class TestCreditUntargeted:
 
     def test_memo_switch_off_forces_the_per_op_path(self):
         core = Core("t/h")
+        was = golden_cache_enabled()
         set_golden_cache(False)
         try:
             assert not core.credit_untargeted(self.ALU_STREAM, 40)
         finally:
-            set_golden_cache(True)
+            set_golden_cache(was)
         assert core.ops_executed == 0
 
     def test_subclass_is_refused(self):

@@ -50,11 +50,12 @@ def _per_op(fn, *args):
     for tests under ``kernels_on``."""
     core = Core("fast/ref")
     # Disabling the golden cache forces the per-op reference path.
+    was = golden_cache_enabled()
     set_golden_cache(False)
     try:
         result = fn(core, *args)
     finally:
-        set_golden_cache(True)
+        set_golden_cache(was)
     return result, core.ops_executed
 
 
