@@ -12,7 +12,7 @@ form 'this code has miscomputed (or crashed) on that core'").
 
 from __future__ import annotations
 
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Collection, Sequence
 
 import numpy as np
 
@@ -208,6 +208,40 @@ class Core:
                 raise CoreOfflineError(self.core_id)
             return False
         self.ops_executed += n_ops
+        return True
+
+    def credit_quiet(self, op: str, values: Collection[int]) -> bool:
+        """Charge one ``op`` per operand in ``values`` in one step, if
+        every defect is :meth:`~DefectModel.quiet` on all of them.
+
+        :meth:`credit_untargeted` for a stage of one-operand lookups
+        whose op a defect targets only for some operands (an S-box swap
+        hits 2 of 256 bytes): on True the caller computes the stage
+        from the golden table.  The same guards hold, and so does the
+        same exactness argument: a quiet defect's ``apply`` returns the
+        golden result without a draw, so each defect in turn sees the
+        golden result, no corruption is counted and the rng is not
+        touched.  An untargeted ``op`` is quiet on every defect, so this
+        subsumes :meth:`credit_untargeted` for a one-op stage.
+
+        Raises:
+            CoreOfflineError: the core is offline and ``values`` is not
+                empty — where the first per-op ``execute`` would have
+                raised.
+        """
+        if (
+            type(self) is not Core
+            or not golden_cache_enabled()
+            or op in self._targeted and not all(
+                defect.quiet(op, values) for defect in self._defects
+            )
+        ):
+            return False
+        if not self.online:
+            if values:
+                raise CoreOfflineError(self.core_id)
+            return False
+        self.ops_executed += len(values)
         return True
 
     def golden(self, op: str, *operands):

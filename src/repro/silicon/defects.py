@@ -31,13 +31,15 @@ simulator can run months of simulated time without executing ops.
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Iterable, Sequence
+import functools
+from typing import Collection, FrozenSet, Iterable, Sequence
 
 import numpy as np
 
 from repro.silicon.aging import IMMEDIATE, AgingProfile
 from repro.silicon.environment import OperatingPoint
 from repro.silicon.errors import MachineCheckError
+from repro.silicon.golden import AES_INV_SBOX, AES_SBOX
 from repro.silicon.sensitivity import EnvironmentSensitivity, FlatSensitivity
 from repro.silicon.units import (
     FunctionalUnit,
@@ -181,6 +183,16 @@ class DefectModel(abc.ABC):
 
     # -- sampled interface (used when actually executing work) ---------
 
+    def quiet(self, op: str, values: Collection[int]) -> bool:
+        """Whether :meth:`apply` leaves every one-operand ``op`` alone.
+
+        True means that for each operand in ``values`` ``apply`` returns
+        the golden result without drawing from the rng, whatever the
+        environment and age, so a caller may skip it.  The default
+        answers for the op alone; operand-gated defects refine it.
+        """
+        return op not in self.target_ops
+
     def apply(
         self,
         op: str,
@@ -293,6 +305,22 @@ class StuckBitDefect(DefectModel):
         return _corrupt_scalar_or_vector(result, self._corrupt_lane, rng)
 
 
+# A function, not an attribute: a defect's ``vars`` are its identity
+# (fleet digests hash them), and this is derived from ``_swapped``.
+@functools.lru_cache(maxsize=64)
+def swap_triggers(swapped: FrozenSet[int], op: str) -> FrozenSet[int]:
+    """The operand bytes whose ``op`` lookup reads a swapped S-box entry.
+
+    A forward lookup reads address ``x``; an inverse lookup of ``y`` is
+    perturbed when its *golden output* ``S^-1(y)`` is a swapped address
+    (p applied on the way out), that is when ``y == S(s)`` for a swapped
+    ``s``.
+    """
+    if op == Op.SBOX:
+        return swapped
+    return frozenset(AES_SBOX[s] for s in swapped)
+
+
 class SboxPermutationDefect(DefectModel):
     """Deterministic wrong S-box entries: the self-inverting AES defect.
 
@@ -327,6 +355,8 @@ class SboxPermutationDefect(DefectModel):
             sensitivity=sensitivity,
             aging=aging,
         )
+        if not swaps:
+            raise ValueError("an S-box defect needs at least one swap")
         mapping = list(range(256))
         touched: set[int] = set()
         for a, b in swaps:
@@ -342,19 +372,17 @@ class SboxPermutationDefect(DefectModel):
     def trigger_fraction(self, op: str) -> float:
         return len(self._swapped) / 256.0
 
-    def _triggered(self, op: str, operands: tuple) -> bool:
-        from repro.silicon.golden import AES_INV_SBOX
+    def quiet(self, op: str, values: Collection[int]) -> bool:
+        """An S-box lookup is quiet unless its byte reads a swapped entry:
+        :meth:`apply` returns before drawing when ``_triggered`` is False."""
+        if op not in self.target_ops:
+            return True
+        return swap_triggers(self._swapped, op).isdisjoint(values)
 
-        value = operands[0] & 0xFF
-        if op == Op.SBOX:
-            return value in self._swapped
-        # Inverse lookup is perturbed when its *golden output* is a
-        # swapped address (p applied on the way out).
-        return AES_INV_SBOX[value] in self._swapped
+    def _triggered(self, op: str, operands: tuple) -> bool:
+        return operands[0] & 0xFF in swap_triggers(self._swapped, op)
 
     def _corrupt(self, op, operands, result, rng):
-        from repro.silicon.golden import AES_INV_SBOX, AES_SBOX
-
         value = operands[0] & 0xFF
         if op == Op.SBOX:
             return AES_SBOX[self.permutation[value]]

@@ -126,9 +126,13 @@ class AntiEntropy:
         if len(replicas) < 2:
             report.root_match = True
             return report
+        first = replicas[0].table
+        if all(r.table == first for r in replicas[1:]):
+            report.root_match = True  # equal tables give equal trees
+            return report
         trees = [build_merkle_tree(r.table) for r in replicas]
         if len({tree.root for tree in trees}) == 1:
-            report.root_match = True  # O(1) fast path: all identical
+            report.root_match = True  # O(1) fast path: digests agree
             return report
         # Placement of every key any replica holds, hashed once per
         # round; repairs and backfills never add a key outside it.

@@ -555,14 +555,27 @@ class StorageCampaign(Campaign):
         WAL tail, post-crash amnesia, a freshly-placed replacement).
         """
         divergent = self._divergent_since
+        truth = self._truth_payload
         for replica in self.store.replicas:
             if not replica.available:
                 continue
-            for key, expected in self._truth_payload.items():
-                if replica.table.get(key) != expected:
-                    divergent.setdefault((replica.replica_id, key), tick)
-                elif divergent:  # almost always empty: nothing to clear
-                    divergent.pop((replica.replica_id, key), None)
+            if not truth.items() <= replica.table.items():
+                self._scan_keys(replica, tick)
+            elif divergent:
+                # Every acked key matches: the per-key scan would only
+                # stop this replica's clocks (all of them acked keys).
+                replica_id = replica.replica_id
+                for entry in [e for e in divergent if e[0] == replica_id]:
+                    del divergent[entry]
+
+    def _scan_keys(self, replica: StorageReplica, tick: int) -> None:
+        """Start or stop ``replica``'s clock for each acked key."""
+        divergent = self._divergent_since
+        for key, expected in self._truth_payload.items():
+            if replica.table.get(key) != expected:
+                divergent.setdefault((replica.replica_id, key), tick)
+            elif divergent:  # almost always empty: nothing to clear
+                divergent.pop((replica.replica_id, key), None)
 
     # -- the main loop -------------------------------------------------
 

@@ -74,6 +74,10 @@ class StoreConfig:
             raise ValueError("write_quorum must be in [1, N_REPLICAS]")
         if not 1 <= self.read_quorum <= N_REPLICAS:
             raise ValueError("read_quorum must be in [1, N_REPLICAS]")
+        if len(self.key) != 16:
+            raise ValueError(
+                f"key must be 16 bytes (AES-128), got {len(self.key)}"
+            )
 
     @classmethod
     def unprotected(cls) -> "StoreConfig":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Collection, Mapping, Protocol
 
 import numpy as np
 
@@ -46,6 +46,12 @@ def credit_untargeted(core: CoreLike, ops: frozenset[str], n_ops: int) -> bool:
     primitive issues its ops one by one.
     """
     return isinstance(core, Core) and core.credit_untargeted(ops, n_ops)
+
+
+def credit_quiet(core: CoreLike, op: str, values: Collection[int]) -> bool:
+    """:meth:`Core.credit_quiet` for any ``CoreLike``; False, as for
+    :func:`credit_untargeted`, on anything but a ``Core``."""
+    return isinstance(core, Core) and core.credit_quiet(op, values)
 
 
 @dataclasses.dataclass(slots=True)

@@ -24,6 +24,7 @@ from repro.silicon.units import Op
 from repro.workloads.base import (
     CoreLike,
     WorkloadResult,
+    credit_quiet,
     credit_untargeted,
     digest_bytes,
 )
@@ -62,21 +63,22 @@ _INV_SHIFT_ROWS = tuple(_SHIFT_ROWS.index(i) for i in range(16))
 # A core whose defect targets some of the ops falls back to one question
 # per stage, asked in program order: each stage (the XORs of AddRoundKey
 # and the key schedule, a SubBytes, a MixColumns) declares its own op
-# set and count, so an S-box-swap core pays per op for its 160 lookups
-# per block and runs the other 1 328 ops from the golden tables
-# (``_golden_mix`` is MixColumns for that path alone), and a machine
-# check that leaves a block mid-stream finds every earlier stage already
-# credited.  A targeted op stays per-op even before onset, so defect
-# behaviour and rng streams are untouched.  Exact op counts and results
-# are pinned to the per-op path by tests/test_workloads_crypto.py and the
-# differential test in tests/test_properties_extended.py.
+# set and count, so the stages a defect cannot reach run from the golden
+# tables (``_golden_mix`` is MixColumns for that path alone), and a
+# machine check that leaves a block mid-stream finds every earlier stage
+# already credited.  A SubBytes stage also hands over its bytes
+# (``credit_quiet``): an S-box-swap core reads a swapped entry in a few
+# of its 160 lookups per block, and only a stage holding such a byte
+# runs per op.  A lookup that reads a swap stays per-op even before
+# onset, so defect behaviour and rng streams are untouched.  Exact op
+# counts and results are pinned to the per-op path by
+# tests/test_workloads_crypto.py and the differential test in
+# tests/test_properties_extended.py.
 
 _EXPAND_OPS = frozenset({Op.XOR, Op.SBOX})
 _ENCRYPT_OPS = frozenset({Op.XOR, Op.SBOX, Op.GFMUL})
 _DECRYPT_OPS = frozenset({Op.XOR, Op.INV_SBOX, Op.GFMUL})
 _XOR_OPS = frozenset({Op.XOR})
-_SBOX_OPS = frozenset({Op.SBOX})
-_INV_SBOX_OPS = frozenset({Op.INV_SBOX})
 #: GFMUL and XOR alternate one for one, so MixColumns is free only whole
 _MIX_OPS = frozenset({Op.GFMUL, Op.XOR})
 #: ops per expand_key: 40 words x 4 XOR + 10 RotWord steps x (4 SBOX + 1 XOR)
@@ -221,13 +223,13 @@ def _add_round_key(core: CoreLike, state: list[int], round_key: bytes) -> list[i
 
 
 def _sub_bytes(core: CoreLike, state: list[int]) -> list[int]:
-    if credit_untargeted(core, _SBOX_OPS, len(state)):
+    if credit_quiet(core, Op.SBOX, state):
         return [AES_SBOX[b] for b in state]
     return [core.execute(Op.SBOX, b) & 0xFF for b in state]
 
 
 def _inv_sub_bytes(core: CoreLike, state: list[int]) -> list[int]:
-    if credit_untargeted(core, _INV_SBOX_OPS, len(state)):
+    if credit_quiet(core, Op.INV_SBOX, state):
         return [AES_INV_SBOX[b] for b in state]
     return [core.execute(Op.INV_SBOX, b) & 0xFF for b in state]
 

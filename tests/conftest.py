@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.fleet.shm import SEGMENT_PREFIX, leaked_segments
 from repro.silicon.core import Core
-from repro.silicon.golden import golden_cache_enabled
+from repro.silicon.golden import golden_cache_enabled, set_golden_cache
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -32,6 +32,18 @@ def _golden_cache_switch_restored():
     was = golden_cache_enabled()
     yield
     assert golden_cache_enabled() == was, "test left the golden-cache switch changed"
+
+
+@pytest.fixture
+def kernels_on():
+    """The golden-cache switch on for one test, whatever
+    ``REPRO_GOLDEN_CACHE`` says, and back after: for a test that asserts
+    a kernel or a bulk credit was taken, which the per-op reference
+    path turns off by design.  CI runs the whole suite both ways."""
+    was = golden_cache_enabled()
+    set_golden_cache(True)
+    yield
+    set_golden_cache(was)
 
 
 @pytest.fixture(autouse=True)
@@ -79,3 +91,23 @@ def execute_calls(monkeypatch):
 
     monkeypatch.setattr(core_module, "golden_call", counting)
     return calls
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps the function ``owner.name`` (a
+    module global, or a method looked up on its class) for one test and
+    returns the list each call appends to."""
+
+    def install(owner, name):
+        calls = []
+        inner = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    return install

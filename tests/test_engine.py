@@ -148,6 +148,7 @@ class TestGoldenCache:
         with pytest.raises(KeyError):
             golden_call("NOT_AN_OP", (1, 2))
 
+    @pytest.mark.usefixtures("kernels_on")
     def test_cache_hit_counted(self):
         # GFMUL is in MEMOIZED_OPS (bit-loop golden fn); trivial scalar
         # ops like ADD dispatch directly and never touch the LRUs.

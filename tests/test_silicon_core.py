@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from repro.silicon.core import Chip, Core
-from repro.silicon.defects import MachineCheckDefect, StuckBitDefect
+from repro.silicon.defects import (
+    MachineCheckDefect,
+    SboxPermutationDefect,
+    StuckBitDefect,
+)
 from repro.silicon.environment import NOMINAL
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.golden import golden_cache_enabled, golden_execute, set_golden_cache
+from repro.silicon.golden import (
+    AES_SBOX,
+    golden_cache_enabled,
+    golden_execute,
+    set_golden_cache,
+)
 from repro.silicon.units import Op
 from repro.workloads.hashing import crc64, fnv1a
 
@@ -89,6 +98,7 @@ class TestCreditUntargeted:
             rng=np.random.default_rng(0),
         )
 
+    @pytest.mark.usefixtures("kernels_on")
     def test_disjoint_stream_is_credited_in_one_step(self):
         for core in (Core("t/h"), self._add_defect_core()):
             assert core.credit_untargeted(self.ALU_STREAM, 40)
@@ -115,6 +125,7 @@ class TestCreditUntargeted:
 
         assert not Traced("t/sub").credit_untargeted(self.ALU_STREAM, 40)
 
+    @pytest.mark.usefixtures("kernels_on")
     def test_offline_core_raises_before_any_credit(self):
         core = Core("t/off")
         core.set_online(False)
@@ -131,6 +142,57 @@ class TestCreditUntargeted:
         assert not core.credit_untargeted(self.ALU_STREAM, 0)
         assert crc64(core, b"") == 0
         assert fnv1a(core, b"") == 0xCBF29CE484222325
+        assert core.ops_executed == 0
+
+
+@pytest.mark.usefixtures("kernels_on")
+class TestCreditQuiet:
+    """Bulk accounting for S-box stages whose bytes miss every swap."""
+
+    def _swap_core(self, *extra):
+        return Core(
+            "t/swap",
+            defects=[SboxPermutationDefect("d", swaps=((1, 2),)), *extra],
+            rng=np.random.default_rng(0),
+        )
+
+    def test_missing_bytes_are_credited_in_one_step(self):
+        for core in (Core("t/h"), self._swap_core()):
+            assert core.credit_quiet(Op.SBOX, [0, 3, 255])
+            assert core.ops_executed == 3
+
+    def test_a_swapped_byte_is_refused_without_credit(self):
+        core = self._swap_core()
+        assert not core.credit_quiet(Op.SBOX, [0, 2])
+        assert not core.credit_quiet(Op.INV_SBOX, [AES_SBOX[1]])
+        assert core.ops_executed == 0
+
+    def test_every_defect_must_be_quiet(self):
+        core = self._swap_core(StuckBitDefect("s", bit=0, ops=(Op.SBOX,)))
+        assert not core.credit_quiet(Op.SBOX, [0])
+        assert core.credit_quiet(Op.INV_SBOX, [0])
+
+    def test_memo_switch_off_forces_the_per_op_path(self):
+        core = self._swap_core()
+        set_golden_cache(False)
+        try:
+            assert not core.credit_quiet(Op.SBOX, [0])
+        finally:
+            set_golden_cache(True)
+        assert core.ops_executed == 0
+
+    def test_subclass_is_refused(self):
+        class Traced(Core):
+            __slots__ = ()
+
+        assert not Traced("t/sub").credit_quiet(Op.SBOX, [0])
+
+    def test_offline_core_raises_only_with_lookups_to_run(self):
+        core = self._swap_core()
+        core.set_online(False)
+        with pytest.raises(CoreOfflineError):
+            core.credit_quiet(Op.SBOX, [0])
+        assert not core.credit_quiet(Op.SBOX, [])
         assert core.ops_executed == 0
 
 

@@ -127,6 +127,48 @@ class TestSboxPermutation:
         with pytest.raises(ValueError):
             SboxPermutationDefect("d", swaps=((5, 5),))
 
+    def test_no_swaps_rejected(self):
+        # a "mercurial" core that could never miscompute
+        with pytest.raises(ValueError, match="at least one swap"):
+            SboxPermutationDefect("d", swaps=())
+
+    @pytest.mark.parametrize("swaps", [
+        ((0x3A, 0xC5),), ((0x3A, 0xC5), (0x11, 0x7E)), ((0, 255), (1, 99)),
+    ])
+    @pytest.mark.parametrize("onset_days", [0.0, 100.0])
+    def test_quiet_means_golden_without_a_draw(self, swaps, onset_days):
+        """Byte by byte: ``quiet`` is True exactly where ``apply`` hands
+        back the golden result and leaves the rng alone — before onset a
+        swapped lookup draws, after it one miscomputes."""
+        defect = SboxPermutationDefect(
+            "d", swaps=swaps, aging=AgingProfile(onset_days=onset_days),
+        )
+        for op, table in ((Op.SBOX, AES_SBOX), (Op.INV_SBOX, AES_INV_SBOX)):
+            for value in range(256):
+                rng = np.random.default_rng(0)
+                state = rng.bit_generator.state
+                out = defect.apply(op, (value,), table[value], NOMINAL, 50.0, rng)
+                untouched = out == table[value] and rng.bit_generator.state == state
+                assert defect.quiet(op, [value]) == untouched, (op, value)
+            assert not defect.quiet(op, range(256))
+            assert defect.quiet(op, [])
+        assert defect.quiet(Op.XOR, range(256))
+
+    def test_quiet_leaves_no_trace_on_the_defect(self):
+        """The trigger sets are cached beside the class: ``vars`` of a
+        defect, which fleet digests hash, do not change when it is asked."""
+        defect = SboxPermutationDefect("d", swaps=((1, 2),))
+        before = dict(vars(defect))
+        defect.quiet(Op.INV_SBOX, [AES_SBOX[1]])
+        defect.apply(Op.SBOX, (1,), AES_SBOX[1], NOMINAL, 0.0,
+                     np.random.default_rng(0))
+        assert vars(defect) == before
+
+    def test_other_defects_are_quiet_only_off_their_ops(self):
+        defect = StuckBitDefect("d", bit=0, ops=(Op.SBOX,))
+        assert not defect.quiet(Op.SBOX, [0x3A])
+        assert defect.quiet(Op.INV_SBOX, [0x3A])
+
 
 class TestOperandPattern:
     def test_fires_only_on_matching_pattern(self, rng):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.events import EventKind
 from repro.silicon.core import Core
@@ -136,6 +137,14 @@ def make_store(config=None, events=None, coordinators=None):
         emit=emit,
     )
     return store, replicas
+
+
+class TestStoreConfig:
+    @pytest.mark.parametrize("key", [b"", bytes(15), bytes(32)])
+    def test_a_key_that_is_not_aes_128_is_refused_at_construction(self, key):
+        # not at the campaign's first put
+        with pytest.raises(ValueError, match="key must be 16 bytes"):
+            StoreConfig(key=key)
 
 
 class TestReplicatedKVStore:
@@ -343,6 +352,34 @@ class TestAntiEntropy:
         assert report.divergent_buckets == report.keys_repaired == divergent
         # once per replica for its tree, once more for the round's grouping
         assert len(calls) == (len(replicas) + 1) * len(keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base=st.dictionaries(st.sampled_from("abcdef"), st.sampled_from((VALUE, OTHER))),
+        edits=st.lists(
+            st.dictionaries(
+                st.sampled_from("abcdefg"), st.sampled_from((None, VALUE, OTHER)),
+                max_size=2,
+            ),
+            min_size=3, max_size=3,
+        ),
+    )
+    def test_root_match_is_what_the_trees_say(self, base, edits):
+        """Generated replica tables (a key dropped, rewritten or added per
+        replica): a round reports ``root_match`` exactly when every
+        table's Merkle root agrees, and then touches nothing."""
+        store, replicas = make_store()
+        for replica, edit in zip(replicas, edits):
+            for key, value in {**base, **edit}.items():
+                if value is not None:
+                    replica.repair(key, value, host_crc64(value))
+        tables = [dict(r.table) for r in replicas]
+        match = len({build_merkle_tree(t).root for t in tables}) == 1
+        report = AntiEntropy(store).sync_round()
+        assert report.root_match == match
+        if match:
+            assert [r.table for r in replicas] == tables
+            assert report.keys_compared == 0
 
     def test_merkle_tree_is_deterministic_and_value_sensitive(self):
         table = {"a": VALUE, "b": OTHER}

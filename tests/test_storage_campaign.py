@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.campaign import build_small_fleet
 from repro.chaos import ChaosKind, ChaosSchedule
 from repro.core.events import EventKind
@@ -14,6 +16,7 @@ from repro.storage import (
     StorageProtections,
     build_storage_fleet,
 )
+from repro.storage.antientropy import SyncReport, build_merkle_tree
 from repro.storage.campaign import STORAGE_EVENT_KINDS
 
 TICKS = 200
@@ -199,3 +202,89 @@ class TestCallCounts:
         assert card.keys_written > 0 and card.lasting_divergence == 0
         campaign._divergent_since = Untouchable()
         campaign._monitor(20)
+
+
+#: every preset of the defence stack
+ALL_PROTECTIONS = (
+    StorageProtections.protected,
+    StorageProtections.unprotected,
+    StorageProtections.quorum_only,
+    StorageProtections.no_encrypt_verify,
+    StorageProtections.generic_weights,
+)
+
+
+def _full_scan_monitor(campaign, divergent, tick):
+    """The divergence watcher as one compare per acked key per replica."""
+    for replica in campaign.store.replicas:
+        if not replica.available:
+            continue
+        for key, expected in campaign._truth_payload.items():
+            if replica.table.get(key) != expected:
+                divergent.setdefault((replica.replica_id, key), tick)
+            else:
+                divergent.pop((replica.replica_id, key), None)
+
+
+@pytest.mark.usefixtures("kernels_on")
+class TestShortcutsMatchTheFullScans:
+    """The monitor's and anti-entropy's shortcuts sit above the cores;
+    the per-op reference path would only make these runs slower."""
+
+    def test_monitor_stops_the_clocks_of_a_replica_that_converged(self):
+        """A replica whose copies all match again, with no repair hook to
+        stop its clocks, has them stopped; other replicas' stay."""
+        machines, _ = build_storage_fleet(bad_machine=-1)  # all healthy
+        campaign = StorageCampaign(
+            machines, StorageProtections.protected(),
+            StorageCampaignConfig(ticks=20), seed=3,
+        )
+        campaign.run()
+        replica_id = campaign.store.replicas[0].replica_id
+        keys = list(campaign._truth_payload)
+        first, last = keys[0], keys[-1]
+        campaign._divergent_since = {
+            (replica_id, first): 4, ("store/retired", first): 5,
+            (replica_id, last): 6,
+        }
+        campaign._monitor(20)
+        assert campaign._divergent_since == {("store/retired", first): 5}
+
+    def test_monitor_and_sync_round_match_full_scan_oracles_tick_by_tick(self):
+        seen = {"diverged": 0, "converged": 0, "roots_differ": 0,
+                "roots_match": 0}
+        for protections in ALL_PROTECTIONS:
+            for seed in (3, 4, 5):
+                campaign, _ = _campaign(protections(), seed=seed)
+                monitor = campaign._monitor
+
+                def checked_monitor(tick, campaign=campaign, monitor=monitor):
+                    want = dict(campaign._divergent_since)
+                    _full_scan_monitor(campaign, want, tick)
+                    seen["diverged" if want else "converged"] += 1
+                    monitor(tick)
+                    assert list(campaign._divergent_since.items()) == \
+                        list(want.items()), (protections, seed, tick)
+
+                campaign._monitor = checked_monitor
+                if campaign.antientropy is not None:
+                    sync_round = campaign.antientropy.sync_round
+
+                    def checked_sync(campaign=campaign, sync_round=sync_round):
+                        replicas = [
+                            r for r in campaign.store.replicas if r.available
+                        ]
+                        tables = [dict(r.table) for r in replicas]
+                        roots = {build_merkle_tree(t).root for t in tables}
+                        match = len(replicas) < 2 or len(roots) == 1
+                        seen["roots_match" if match else "roots_differ"] += 1
+                        report = sync_round()
+                        assert report.root_match == match
+                        if match:
+                            assert report == SyncReport(root_match=True)
+                            assert [r.table for r in replicas] == tables
+                        return report
+
+                    campaign.antientropy.sync_round = checked_sync
+                campaign.run()
+        assert all(seen.values()), seen

@@ -140,6 +140,7 @@ class TestCompressKernel:
         b"the quick brown fox jumps over the lazy dog " * 10,
     )
 
+    @pytest.mark.usefixtures("kernels_on")
     @pytest.mark.parametrize("window", [1, 2, 7, 255])
     @pytest.mark.parametrize("case", [None, "string_bit_flipper"])
     def test_no_per_op_trip_where_untargeted(self, execute_calls, case, window):

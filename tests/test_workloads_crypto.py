@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.silicon.aging import AgingProfile
 from repro.silicon.catalog import named_case
 from repro.silicon.core import Core
-from repro.silicon.golden import golden_cache_enabled, set_golden_cache
-from repro.silicon.units import Op
+from repro.silicon.defects import (
+    MachineCheckDefect,
+    SboxPermutationDefect,
+    StuckBitDefect,
+)
+from repro.silicon.errors import CoreOfflineError, MachineCheckError
+from repro.silicon.golden import (
+    AES_SBOX,
+    golden_cache_enabled,
+    set_golden_cache,
+)
+from repro.silicon.units import FunctionalUnit, Op
 from repro.workloads.crypto import (
     _golden_decrypt_block,
     _golden_encrypt_block,
@@ -33,16 +44,6 @@ FIPS_VECTORS = [
     ))),
     (FIPS_KEY, FIPS_PLAINTEXT, FIPS_CIPHERTEXT),
 ]
-
-
-@pytest.fixture(scope="class")
-def kernels_on():
-    """The switch on whatever ``REPRO_GOLDEN_CACHE`` says, and back after:
-    CI also runs this file with the per-op path as the default."""
-    was = golden_cache_enabled()
-    set_golden_cache(True)
-    yield
-    set_golden_cache(was)
 
 
 def _per_op(fn, *args):
@@ -181,20 +182,27 @@ class TestHealthyFastPath:
         assert core.ops_executed - before == want_ops
 
     def test_sbox_defect_core_stays_per_op_for_aes(self, execute_calls):
-        """Per op for the lookups its defect targets and for nothing else:
-        the XOR and MixColumns stages around them are credited whole."""
+        """Per op for the S-box stages whose bytes read a swapped entry
+        and for nothing else: the FIPS vectors miss the swaps and run
+        from the tables; a block whose first SubBytes reads entry 0x3A
+        pays per op for that stage, and its decryption for the mirror."""
         defective = Core(
             "fast/bad", defects=named_case("self_inverting_aes"),
             rng=np.random.default_rng(1),
         )
         round_keys = expand_key(defective, FIPS_KEY)
-        assert execute_calls == [Op.SBOX] * 40
         assert defective.ops_executed == 210
         encrypt_block(defective, FIPS_PLAINTEXT, round_keys)
         decrypt_block(defective, FIPS_CIPHERTEXT, round_keys)
-        assert set(execute_calls) == {Op.SBOX, Op.INV_SBOX}
-        assert len(execute_calls) == 40 + 160 + 160
+        assert execute_calls == []
         assert defective.ops_executed == 210 + 2 * 1488
+        hits_0x3a = bytes([0x3A ^ FIPS_KEY[0]]) + FIPS_PLAINTEXT[1:]
+        ciphertext = encrypt_block(defective, hits_0x3a, round_keys)
+        assert execute_calls == [Op.SBOX] * 16
+        assert ciphertext != encrypt_block(Core("fast/a"), hits_0x3a, round_keys)
+        assert decrypt_block(defective, ciphertext, round_keys) == hits_0x3a
+        assert execute_calls == [Op.SBOX] * 16 + [Op.INV_SBOX] * 16
+        assert defective.ops_executed == 210 + 4 * 1488
 
     def test_lock_violator_core_takes_the_aes_and_crc_kernels(
         self, execute_calls
@@ -285,3 +293,106 @@ class TestBlockKernels:
         assert with_corrupted == \
             _per_op(decrypt_block, FIPS_CIPHERTEXT, corrupted)[0]
         assert with_corrupted != with_true
+
+
+# -- S-box swap cores: stage credits vs. the per-op path -----------------
+
+ONSET_DAYS = 400.0
+byte = st.integers(min_value=0, max_value=255)
+#: a second defect sharing the core's rng beside the swap: one outside
+#: AES's ops, one on the S-box itself, a fail-noisy one on the crypto unit
+SECOND_DEFECTS = {
+    "none": lambda: [],
+    "stuck_load_store": lambda: [StuckBitDefect(
+        "swap:ls", bit=3, base_rate=0.05, unit=FunctionalUnit.LOAD_STORE)],
+    "stuck_sbox": lambda: [StuckBitDefect(
+        "swap:sbox", bit=3, base_rate=0.05, ops={Op.SBOX})],
+    "mce_crypto": lambda: [MachineCheckDefect(
+        "swap:mce", base_rate=0.002, unit=FunctionalUnit.CRYPTO)],
+}
+
+
+@st.composite
+def swap_cases(draw):
+    """(swaps, key, block) with the key's first SubWord and each
+    direction's first S-box stage biased to read swapped entries."""
+    touched = draw(st.lists(byte, min_size=2, max_size=8, unique=True))
+    touched = touched[:len(touched) // 2 * 2]
+    swaps = tuple(zip(touched[::2], touched[1::2]))
+    hit = st.sampled_from(touched)
+    key = bytes(draw(st.lists(byte, min_size=12, max_size=12))) + bytes(
+        draw(st.lists(st.one_of(byte, hit), min_size=4, max_size=4))
+    )
+    last_key = _golden_round_keys(key)[10]
+    block = bytes(
+        draw(st.one_of(
+            byte,
+            hit.map(lambda s, i=i: key[i] ^ s),  # encryption's round 1
+            hit.map(lambda s, i=i: last_key[i] ^ AES_SBOX[s]),  # decryption's
+        ))
+        for i in range(16)
+    )
+    return swaps, key, block
+
+
+def _swap_core(swaps, second, sbox_first, age_days, online, seed):
+    defects = [SboxPermutationDefect("swap:aes", swaps=swaps),
+               *SECOND_DEFECTS[second]()]
+    if not sbox_first:
+        defects.reverse()
+    for defect in defects:
+        defect.aging = AgingProfile(onset_days=ONSET_DAYS)
+    core = Core(
+        "swap/core", defects=defects, rng=np.random.default_rng(seed),
+        age_days=age_days,
+    )
+    core.set_online(online)
+    return core
+
+
+def _observe(core, work):
+    try:
+        result = work(core)
+    except (MachineCheckError, CoreOfflineError) as error:
+        result = (type(error).__name__, str(error))
+    return (
+        result, core.ops_executed, core.corruptions_induced,
+        core.machine_checks_raised, core.rng.bit_generator.state,
+    )
+
+
+@pytest.mark.usefixtures("kernels_on")
+class TestSwapCoresMatchThePerOpPath:
+    """A core with S-box swaps, alone or beside a second rng-sharing
+    defect, before and after onset, online or not: the switch on gives
+    the results, counters and rng state of the switch off."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=swap_cases(), second=st.sampled_from(sorted(SECOND_DEFECTS)),
+        sbox_first=st.booleans(), seed=st.integers(0, 2**32),
+    )
+    def test_expand_encrypt_decrypt(self, case, second, sbox_first, seed):
+        swaps, key, block = case
+        round_keys = _golden_round_keys(key)
+        works = (
+            lambda core: expand_key(core, key),
+            lambda core: encrypt_block(core, block, round_keys),
+            lambda core: decrypt_block(core, block, round_keys),
+        )
+        for age_days in (0.0, 2 * ONSET_DAYS):
+            for online in (True, False):
+                def observe(work):
+                    return _observe(_swap_core(
+                        swaps, second, sbox_first, age_days, online, seed,
+                    ), work)
+
+                for work in works:
+                    fast = observe(work)
+                    was = golden_cache_enabled()
+                    set_golden_cache(False)
+                    try:
+                        reference = observe(work)
+                    finally:
+                        set_golden_cache(was)
+                    assert fast == reference, (age_days, online)

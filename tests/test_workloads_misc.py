@@ -45,6 +45,7 @@ class TestCopying:
         with pytest.raises(ValueError):
             copy_bytes(healthy_core, b"payload", chunk=0)
 
+    @pytest.mark.usefixtures("kernels_on")
     @pytest.mark.parametrize("size", [0, 1, 8, 35, 512, 520])
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_copy_bytes_pays_per_op_only_where_copy_is_targeted(
