@@ -30,6 +30,9 @@ REPO = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: an inline code span renders its brackets literally: ``GOLDEN[op](x)``
+#: is code, not a link (a link whose text is code keeps its target)
+_CODE_SPAN = re.compile(r"`[^`\n]*`")
 
 
 def _slug(heading: str) -> str:
@@ -52,12 +55,16 @@ def _markdown_files() -> list[Path]:
     return files
 
 
+def link_targets(text: str) -> list[str]:
+    """Targets of the inline links markdown ``text`` renders."""
+    text = _CODE_SPAN.sub("", _CODE_FENCE.sub("", text))
+    return [match.group(1) for match in _LINK.finditer(text)]
+
+
 def check() -> list[str]:
     errors: list[str] = []
     for md_file in _markdown_files():
-        text = _CODE_FENCE.sub("", md_file.read_text())
-        for match in _LINK.finditer(text):
-            target = match.group(1)
+        for target in link_targets(md_file.read_text()):
             if target.startswith(("http://", "https://", "mailto:")):
                 continue
             path_part, _, anchor = target.partition("#")

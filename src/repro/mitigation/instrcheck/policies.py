@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.mitigation.checkpoint import CheckpointRuntime
+from repro.silicon.core import Core
 from repro.workloads.base import CoreLike, digest_ints
 
 #: one primitive operation of a work unit: (mnemonic, operands)
@@ -112,6 +113,27 @@ class OpSampler:
         if counter > self._block_end:
             self._decide_block()
         return self._block[counter - self._block_end - 1]
+
+    def take_count(self, n: int) -> int:
+        """How many of the next ``n`` occurrences :meth:`take` selects,
+        for an op the filter admits, advancing the sampler past them
+        exactly as ``n`` calls of :meth:`take` would."""
+        if self.rate >= 1.0:
+            return n
+        if self.rate <= 0.0:
+            return 0
+        counter = self._counter
+        end = self._counter = counter + n
+        taken = 0
+        while counter < end:
+            if counter >= self._block_end:
+                self._decide_block()
+            # the block holds counters first + 1 .. _block_end
+            first = self._block_end - _SAMPLER_BLOCK
+            stop = min(end, self._block_end)
+            taken += self._block[counter - first:stop - first].count(True)
+            counter = stop
+        return taken
 
     def _decide_block(self) -> None:
         """``_hash01(seed, counter) < rate`` for the next block of counters.
@@ -200,6 +222,33 @@ class IthicaCheckedCore:
                 if self.on_mismatch is not None:
                     self.on_mismatch(self.core_id, op, self.tag)
         return result
+
+    def credit_untargeted(self, ops: AbstractSet[str], n_ops: int) -> bool:
+        """Charge ``n_ops`` executions of ``ops`` and their sampled
+        duplicates in one step, if the wrapped core credits them.
+
+        True only for a plain :class:`Core` that accepts ``ops`` and a
+        sampler with no op filter.  Both executions of an untargeted op
+        are golden, so a duplicate never disagrees: the ``k`` sampled
+        occurrences (:meth:`OpSampler.take_count`) cost the inner core
+        ``k`` more ops, count as sampled and checked, and record no
+        mismatch — what ``n_ops`` calls of :meth:`execute` would do.
+        An offline core refuses, so the first per-op ``execute`` raises.
+        """
+        inner = self.inner
+        if (
+            not isinstance(inner, Core)
+            or self.sampler.ops is not None
+            or not inner.credit_untargeted(ops, 0)
+        ):
+            return False
+        sampled = self.sampler.take_count(n_ops)
+        inner.credit_untargeted(ops, n_ops + sampled)
+        stats = self.stats
+        stats.payload_ops += n_ops
+        stats.ops_sampled += sampled
+        stats.check_ops += sampled
+        return True
 
     def golden(self, op: str, *operands):
         """Defect-free semantics via the wrapped core."""

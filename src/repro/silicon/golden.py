@@ -14,9 +14,10 @@ the expected results".
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 from repro.silicon.units import Op
 
@@ -231,15 +232,22 @@ _dispatch: dict[str, Callable] = (
 )
 
 
-def set_golden_cache(enabled: bool) -> None:
-    """Enable/disable golden memoization.
+@contextlib.contextmanager
+def golden_cache(enabled: bool) -> Iterator[None]:
+    """Golden memoization on or off inside the ``with`` block, then back
+    to whatever it was before.
 
     Off also forces every library primitive onto the per-op path (see
     :meth:`repro.silicon.core.Core.credit_untargeted`): it is the
     reference the kernels are tested against.
     """
     global _dispatch
+    was = _dispatch
     _dispatch = _MEMOIZED_GOLDEN if enabled else GOLDEN
+    try:
+        yield
+    finally:
+        _dispatch = was
 
 
 def golden_cache_enabled() -> bool:

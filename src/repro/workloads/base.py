@@ -13,18 +13,30 @@ real one would.  The module provides:
   tier;
 - :func:`run_with_oracle` — run the same work on a suspect core and a
   known-good reference and diff the outputs (ground-truth scoring and
-  the basis of dual-execution detection).
+  the basis of dual-execution detection);
+- :func:`credit_untargeted` and :func:`on_host` — where no defect of
+  the core targets a stream's ops, the stream runs at host speed and
+  the core is charged its op count in one step.  A fixed-length
+  primitive (CRC, AES, LZ) asks :func:`credit_untargeted` with its
+  count; a data-dependent one (a sort, the B-tree, the lock simulator)
+  runs its one body through :func:`on_host`.  A plain ``Core`` and an
+  ITHICA checker around one can credit; every other wrapper sees each
+  op.  Results, counters, rng state and ITHICA statistics equal the
+  per-op path's exactly.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Callable, Collection, Mapping, Protocol
+from typing import AbstractSet, Callable, Collection, Mapping, Protocol, TypeVar
 
 import numpy as np
 
 from repro.silicon.core import Core
+from repro.silicon.golden import GOLDEN
+
+_T = TypeVar("_T")
 
 
 class CoreLike(Protocol):
@@ -37,21 +49,75 @@ class CoreLike(Protocol):
         ...
 
 
-def credit_untargeted(core: CoreLike, ops: frozenset[str], n_ops: int) -> bool:
+def credit_untargeted(
+    core: CoreLike, ops: AbstractSet[str], n_ops: int
+) -> bool:
     """:meth:`Core.credit_untargeted` for any ``CoreLike``.
 
-    The per-op wrappers (:class:`OpCountingCore`, the instruction
-    checkers, fault injectors, the VM) are not ``Core`` objects and
-    must see every op, so for them the answer is False and the
-    primitive issues its ops one by one.
+    A plain ``Core`` is asked first and directly.  Any other
+    ``CoreLike`` is asked only if its *type* defines
+    ``credit_untargeted`` (the ITHICA checker does); the per-op
+    wrappers that do not (:class:`OpCountingCore`, MEEK, RepTFD, fault
+    injectors, the VM) must see every op, so for them the answer is
+    False and the primitive issues its ops one by one.
     """
-    return isinstance(core, Core) and core.credit_untargeted(ops, n_ops)
+    if isinstance(core, Core):
+        return core.credit_untargeted(ops, n_ops)
+    credit = getattr(type(core), "credit_untargeted", None)
+    return credit is not None and credit(core, ops, n_ops)
 
 
 def credit_quiet(core: CoreLike, op: str, values: Collection[int]) -> bool:
     """:meth:`Core.credit_quiet` for any ``CoreLike``; False, as for
     :func:`credit_untargeted`, on anything but a ``Core``."""
     return isinstance(core, Core) and core.credit_quiet(op, values)
+
+
+class _GoldenCounter:
+    """A ``CoreLike`` that returns the golden result of each op and
+    counts them: what a core no defect of which targets ``ops`` does,
+    less the bookkeeping."""
+
+    __slots__ = ("core_id", "n_ops", "_golden")
+
+    def __init__(self, core_id: str, ops: AbstractSet[str]):
+        self.core_id = core_id
+        self.n_ops = 0
+        # only the declared ops: any other raises KeyError, so a body
+        # cannot run an op its credit did not cover
+        self._golden = {op: GOLDEN[op] for op in ops}
+
+    def execute(self, op: str, *operands):
+        self.n_ops += 1
+        return self._golden[op](*operands)
+
+
+def on_host(
+    core: CoreLike,
+    ops: AbstractSet[str],
+    run: Callable[..., _T],
+    *args,
+) -> _T:
+    """``run(core, *args)`` at host speed where no defect can act on ``ops``.
+
+    For an algorithm whose op count depends on its data (a sort, a tree
+    descent, a spinlock): ask :func:`credit_untargeted` for zero ops; on
+    True run the *same* body against a counter that returns golden
+    results, then credit the ops it counted; on False run it on
+    ``core``, one ``execute`` per op.  Results, counters and rng state
+    equal the per-op path's because untargeted ops are golden and
+    never draw.  The count is credited when ``run`` raises too, as the
+    per-op path charges every op issued before a raise; so no op of
+    ``ops`` may raise itself (BLT, BEQ and the lock ops cannot), since
+    an ITHICA checker charges no payload for an op that raised.
+    """
+    if not credit_untargeted(core, ops, 0):
+        return run(core, *args)
+    counter = _GoldenCounter(core.core_id, ops)
+    try:
+        return run(counter, *args)
+    finally:
+        credit_untargeted(core, ops, counter.n_ops)
 
 
 @dataclasses.dataclass(slots=True)

@@ -18,7 +18,7 @@ import dataclasses
 from typing import Iterator
 
 from repro.silicon.units import Op
-from repro.workloads.base import CoreLike, WorkloadResult, digest_ints
+from repro.workloads.base import CoreLike, WorkloadResult, digest_ints, on_host
 
 ORDER = 8  # max keys per node
 
@@ -34,6 +34,24 @@ class _Node:
         return not self.children
 
 
+_INDEX_OPS = frozenset({Op.BLT, Op.BEQ})
+
+
+def _less(core: CoreLike, a: int, b: int) -> bool:
+    return core.execute(Op.BLT, a, b) == 1
+
+
+def _equal(core: CoreLike, a: int, b: int) -> bool:
+    return core.execute(Op.BEQ, a, b) == 1
+
+
+def _position(core: CoreLike, node: _Node, key: int) -> int:
+    index = 0
+    while index < len(node.keys) and _less(core, node.keys[index], key):
+        index += 1
+    return index
+
+
 class BTreeIndex:
     """Key → record-slot index; all comparisons through the core."""
 
@@ -42,26 +60,17 @@ class BTreeIndex:
         self.root = _Node()
         self.size = 0
 
-    def _less(self, a: int, b: int) -> bool:
-        return self.core.execute(Op.BLT, a, b) == 1
-
-    def _equal(self, a: int, b: int) -> bool:
-        return self.core.execute(Op.BEQ, a, b) == 1
-
-    def _position(self, node: _Node, key: int) -> int:
-        index = 0
-        while index < len(node.keys) and self._less(node.keys[index], key):
-            index += 1
-        return index
-
     def insert(self, key: int, slot: int) -> None:
         """Insert or overwrite ``key`` pointing at record ``slot``."""
+        on_host(self.core, _INDEX_OPS, self._insert, key, slot)
+
+    def _insert(self, core: CoreLike, key: int, slot: int) -> None:
         root = self.root
         if len(root.keys) >= ORDER:
             new_root = _Node(children=[root])
             self._split_child(new_root, 0)
             self.root = new_root
-        self._insert_nonfull(self.root, key, slot)
+        self._insert_nonfull(core, self.root, key, slot)
 
     def _split_child(self, parent: _Node, index: int) -> None:
         # Classic B-tree split with data in all nodes: keys and values
@@ -84,9 +93,11 @@ class BTreeIndex:
         parent.values.insert(index, sep_value)
         parent.children.insert(index + 1, right)
 
-    def _insert_nonfull(self, node: _Node, key: int, slot: int) -> None:
-        index = self._position(node, key)
-        if index < len(node.keys) and self._equal(node.keys[index], key):
+    def _insert_nonfull(
+        self, core: CoreLike, node: _Node, key: int, slot: int
+    ) -> None:
+        index = _position(core, node, key)
+        if index < len(node.keys) and _equal(core, node.keys[index], key):
             node.values[index] = slot
             return
         if node.is_leaf:
@@ -97,19 +108,22 @@ class BTreeIndex:
         child = node.children[index]
         if len(child.keys) >= ORDER:
             self._split_child(node, index)
-            if self._less(node.keys[index], key):
+            if _less(core, node.keys[index], key):
                 index += 1
-            elif self._equal(node.keys[index], key):
+            elif _equal(core, node.keys[index], key):
                 node.values[index] = slot
                 return
-        self._insert_nonfull(node.children[index], key, slot)
+        self._insert_nonfull(core, node.children[index], key, slot)
 
     def get(self, key: int) -> int | None:
         """Record slot for ``key``, or None if (apparently) absent."""
+        return on_host(self.core, _INDEX_OPS, self._get, key)
+
+    def _get(self, core: CoreLike, key: int) -> int | None:
         node = self.root
         while True:
-            index = self._position(node, key)
-            if index < len(node.keys) and self._equal(node.keys[index], key):
+            index = _position(core, node, key)
+            if index < len(node.keys) and _equal(core, node.keys[index], key):
                 return node.values[index]
             if node.is_leaf:
                 return None

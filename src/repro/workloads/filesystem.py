@@ -178,7 +178,12 @@ def filesystem_workload(
     :data:`CHURN_ROUNDS` delete/rewrite rounds create real garbage so
     the GC has work to do; data loss shows up as read-time checksum
     failures.
+
+    Raises:
+        ValueError: ``files`` is empty (the churn rounds need a victim).
     """
+    if not files:
+        raise ValueError("files must name at least one file")
     fs = MiniFs(core)
     try:
         for name, data in files.items():

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.silicon.units import Op
-from repro.workloads.base import CoreLike, WorkloadResult, digest_ints
+from repro.workloads.base import CoreLike, WorkloadResult, digest_ints, on_host
 
 UNLOCKED = 0
 
@@ -54,6 +54,10 @@ class SharedState:
     def leave_critical(self, tid: int) -> None:
         """Record exit from the critical section."""
         self._inside.discard(tid)
+
+
+#: every op a lock step issues
+_LOCK_OPS = frozenset({Op.CAS, Op.LOAD, Op.ADD, Op.STORE, Op.XCHG})
 
 
 def _step(core: CoreLike, thread: _Thread, shared: SharedState) -> None:
@@ -94,6 +98,12 @@ def run_locked_counter(
     """
     if n_threads < 1 or iterations < 1:
         raise ValueError("need at least one thread and one iteration")
+    return on_host(core, _LOCK_OPS, _run_locked_counter, n_threads, iterations)
+
+
+def _run_locked_counter(
+    core: CoreLike, n_threads: int, iterations: int
+) -> tuple[SharedState, bool]:
     step_budget = 60 * n_threads * iterations
     shared = SharedState()
     threads = [_Thread(tid=tid + 1, remaining=iterations) for tid in range(n_threads)]

@@ -12,7 +12,7 @@ fooled, which is why the resilient version in
 from __future__ import annotations
 
 from repro.silicon.units import Op
-from repro.workloads.base import CoreLike, WorkloadResult, digest_ints
+from repro.workloads.base import CoreLike, WorkloadResult, digest_ints, on_host
 
 
 def less_than(core: CoreLike, a: int, b: int) -> bool:
@@ -20,8 +20,10 @@ def less_than(core: CoreLike, a: int, b: int) -> bool:
     return core.execute(Op.BLT, a, b) == 1
 
 
-def merge_sort(core: CoreLike, values: list[int]) -> list[int]:
-    """Stable bottom-up merge sort; comparisons on the core."""
+_SORT_OPS = frozenset({Op.BLT})
+
+
+def _merge_sort(core: CoreLike, values: list[int]) -> list[int]:
     items = list(values)
     width = 1
     n = len(items)
@@ -45,12 +47,21 @@ def merge_sort(core: CoreLike, values: list[int]) -> list[int]:
     return items
 
 
-def is_sorted_on(core: CoreLike, values: list[int]) -> bool:
-    """Sortedness check using the same (possibly broken) comparator."""
+def merge_sort(core: CoreLike, values: list[int]) -> list[int]:
+    """Stable bottom-up merge sort; comparisons on the core."""
+    return on_host(core, _SORT_OPS, _merge_sort, values)
+
+
+def _is_sorted_on(core: CoreLike, values: list[int]) -> bool:
     for a, b in zip(values, values[1:]):
         if less_than(core, b, a):
             return False
     return True
+
+
+def is_sorted_on(core: CoreLike, values: list[int]) -> bool:
+    """Sortedness check using the same (possibly broken) comparator."""
+    return on_host(core, _SORT_OPS, _is_sorted_on, values)
 
 
 def sorting_workload(core: CoreLike, values: list[int]) -> WorkloadResult:

@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.fleet.shm import SEGMENT_PREFIX, leaked_segments
 from repro.silicon.core import Core
-from repro.silicon.golden import golden_cache_enabled, set_golden_cache
+from repro.silicon.golden import golden_cache, golden_cache_enabled
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -40,10 +40,8 @@ def kernels_on():
     ``REPRO_GOLDEN_CACHE`` says, and back after: for a test that asserts
     a kernel or a bulk credit was taken, which the per-op reference
     path turns off by design.  CI runs the whole suite both ways."""
-    was = golden_cache_enabled()
-    set_golden_cache(True)
-    yield
-    set_golden_cache(was)
+    with golden_cache(True):
+        yield
 
 
 @pytest.fixture(autouse=True)

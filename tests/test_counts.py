@@ -33,6 +33,7 @@ from repro.serving import (
 from repro.silicon.catalog import NAMED_CASES, named_case
 from repro.silicon.core import Core
 from repro.silicon.errors import MachineCheckError
+from repro.silicon.golden import golden_cache
 from repro.storage import (
     StorageCampaign,
     StorageCampaignConfig,
@@ -44,7 +45,7 @@ from repro.workloads.generator import STANDARD_MIX
 
 #: per pass at seed 0: what each probe counted
 COUNTS = {
-    "op_stream": {"execute": 86_102, "merkle_trees": 0, "monitor_scans": 0},
+    "op_stream": {"execute": 21_906, "merkle_trees": 0, "monitor_scans": 0},
     "serve_campaign": {"execute": 300, "merkle_trees": 0, "monitor_scans": 0},
     "store_campaign": {"execute": 1_226, "merkle_trees": 6, "monitor_scans": 27},
     "fleet_grid": {"execute": 0, "merkle_trees": 0, "monitor_scans": 0},
@@ -56,9 +57,24 @@ DEFECT_RATE = 0.05
 ONSET_AGE_DAYS = 400.0
 
 
+#: ground truth of one ``op_stream`` pass at seed 0, which no speed-up
+#: may move: ops every core executed, and the two ITHICA checkers' stats
+OP_STREAM_GROUND_TRUTH = {
+    "silicon.ops": 357_780,
+    "payload_ops": 21_744,
+    "check_ops": 7_176,
+    "mismatches": 1,
+}
+
+
 def _op_stream(seed):
+    return _op_stream_rack(seed)[0]
+
+
+def _op_stream_rack(seed):
     """Every standard-mix unit on a healthy core, each named case and two
-    ITHICA-checked cores; the two heavy units on their one bad core."""
+    ITHICA-checked cores; the two heavy units on their one bad core.
+    Returns the pass, its plain cores and its checkers."""
     heavy_unit_cores = {
         "compression": {"rack/string_bit_flipper"},
         "crypto": {"rack/self_inverting_aes"},
@@ -91,7 +107,8 @@ def _op_stream(seed):
                     except MachineCheckError:
                         pass
 
-    return run
+    cores = [healthy, *mercurial, *(checker.inner for checker in checked)]
+    return run, cores, checked
 
 
 def _serve_campaign(seed):
@@ -202,3 +219,14 @@ def test_one_pass_at_seed_0_counts_exactly(workload, execute_calls, count_calls)
     counts = {"execute": len(execute_calls)}
     counts.update((name, len(calls)) for name, calls in probes.items())
     assert counts == COUNTS[workload]
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "per_op"])
+def test_op_stream_ground_truth_does_not_move(kernels):
+    with golden_cache(kernels):
+        run, cores, checked = _op_stream_rack(0)
+        run()
+    counts = {"silicon.ops": sum(core.ops_executed for core in cores)}
+    for field in ("payload_ops", "check_ops", "mismatches"):
+        counts[field] = sum(getattr(c.stats, field) for c in checked)
+    assert counts == OP_STREAM_GROUND_TRUTH

@@ -15,6 +15,7 @@ Four contracts keep the operator docs honest:
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import shlex
 import subprocess
@@ -121,6 +122,17 @@ class TestGeneratedDocs:
             cwd=REPO, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_code_is_not_a_link_and_a_link_to_code_is(self):
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", REPO / "scripts" / "check_docs.py")
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        text = (
+            "`GOLDEN[op](*operands)` [gone](missing.md) [`x`](DESIGN.md#y)\n"
+            "```\n[fenced](nowhere.md)\n```\n"
+        )
+        assert check_docs.link_targets(text) == ["missing.md", "DESIGN.md#y"]
 
     def test_observability_linked_from_readme(self):
         assert "OBSERVABILITY.md" in (REPO / "README.md").read_text()

@@ -18,12 +18,11 @@ from repro.engine import (
 )
 from repro.silicon.golden import (
     GOLDEN,
+    golden_cache,
     golden_cache_clear,
-    golden_cache_enabled,
     golden_cache_info,
     golden_call,
     golden_execute,
-    set_golden_cache,
 )
 from repro.silicon.isa import Op
 
@@ -165,9 +164,5 @@ class TestGoldenCache:
         assert info.hits == 0 and info.misses == 0
 
     def test_disable_falls_back_to_direct(self):
-        was = golden_cache_enabled()
-        set_golden_cache(False)
-        try:
+        with golden_cache(False):
             assert golden_call(Op.MUL, (6, 7)) == golden_execute(Op.MUL, 6, 7)
-        finally:
-            set_golden_cache(was)

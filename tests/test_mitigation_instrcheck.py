@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.core.events import EventKind
@@ -39,6 +40,8 @@ from repro.silicon.defects import OperandPatternDefect, StuckBitDefect
 from repro.silicon.golden import golden_execute
 from repro.silicon.units import FunctionalUnit, Op
 from repro.silicon.vm import Vm
+from repro.workloads.base import OpCountingCore
+from repro.workloads.hashing import crc64
 
 
 def _healthy(core_id="ic/h", seed=0):
@@ -134,6 +137,33 @@ class TestOpSampler:
         assert got_first == want
         assert got_second == want[:len(got_second)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.sampled_from((0.0, 0.01, 0.33, 0.99, 1.0)),
+        seed=st.integers(min_value=0, max_value=2**64),
+        runs=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=2500)),
+            max_size=6,
+        ),
+    )
+    @example(rate=0.33, seed=0, runs=[(True, 1023), (False, 1), (True, 1)])
+    @example(rate=0.33, seed=0, runs=[(True, 1024), (False, 1)])
+    @example(rate=0.33, seed=0, runs=[(False, 1023), (True, 2), (False, 1)])
+    @example(rate=0.33, seed=0, runs=[(True, 2 * 1024 + 7), (False, 3)])
+    def test_take_count_equals_that_many_takes(self, rate, seed, runs):
+        """Runs counted in bulk and runs taken one by one, interleaved
+        across block edges, select what ``take`` alone selects and leave
+        the sampler where it leaves it."""
+        bulk, single = OpSampler(rate, seed=seed), OpSampler(rate, seed=seed)
+        for counted, n in runs:
+            want = sum(single.take(Op.ADD) for _ in range(n))
+            if counted:
+                got = bulk.take_count(n)
+            else:
+                got = sum(bulk.take(Op.ADD) for _ in range(n))
+            assert got == want
+            assert bulk._counter == single._counter
+
 
 class TestResultDigest:
     def test_scalar_and_tuple(self):
@@ -200,6 +230,29 @@ class TestIthica:
             wrapper.execute(op, *operands)
         assert core.corruptions_induced > 0  # it IS miscomputing
         assert wrapper.stats.mismatches == 0  # and ITHICA cannot see it
+
+    @pytest.mark.usefixtures("kernels_on")
+    def test_credit_needs_a_plain_core_and_no_op_filter(self, execute_calls):
+        """An untargeted stream through ITHICA on a plain core is one
+        credit; a filtered sampler, a wrapped inner core and MEEK see
+        every op."""
+        data = b"sixteen bytes..."
+        credited = IthicaCheckedCore(_healthy(), sample_rate=0.33, seed=3)
+        crc64(credited, data)
+        assert execute_calls == []
+        assert credited.stats.payload_ops == 4 * len(data)
+        assert credited.inner.ops_executed == 4 * len(data) + credited.stats.check_ops
+
+        filtered = IthicaCheckedCore(_healthy(), sample_rate=0.33, seed=3)
+        filtered.sampler = OpSampler(0.33, ops=(Op.XOR,), seed=3)
+        nested = IthicaCheckedCore(OpCountingCore(_healthy()), 0.33, seed=3)
+        meek = MeekCheckedCore(_healthy(), _healthy("ic/checker"), 0.33, seed=3)
+        for wrapper in (filtered, nested, meek):
+            execute_calls.clear()
+            crc64(wrapper, data)
+            assert wrapper.stats.payload_ops == 4 * len(data)
+            assert len(execute_calls) == 4 * len(data) + (
+                0 if wrapper is meek else wrapper.stats.check_ops)
 
 
 class TestMeek:

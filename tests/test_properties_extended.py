@@ -1,6 +1,7 @@
 """Second property-test battery: invariants of the defense stack."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.confidence import SuspicionTracker
@@ -14,7 +15,7 @@ from repro.silicon.core import Core
 from repro.silicon.defects import MachineCheckDefect, StuckBitDefect
 from repro.silicon.environment import DvfsTable
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.golden import golden_cache_enabled, set_golden_cache
+from repro.silicon.golden import golden_cache
 from repro.silicon.sensitivity import (
     ComposedSensitivity,
     FrequencySensitivity,
@@ -32,7 +33,10 @@ from repro.workloads.compression import (
 )
 from repro.workloads.copying import copy_bytes
 from repro.workloads.crypto import decrypt_block, encrypt_block, expand_key
+from repro.workloads.database import BTreeIndex, database_workload
 from repro.workloads.hashing import crc64, fnv1a, mix64
+from repro.workloads.locking import run_locked_counter
+from repro.workloads.sorting import is_sorted_on, merge_sort
 
 gf_element = st.integers(min_value=0, max_value=GF_PRIME - 1)
 
@@ -190,12 +194,15 @@ class TestDefectRateBounds:
 KERNEL_ONSET_DAYS = 400.0
 #: a healthy core, every §2 case study, and a rate-drawing stuck bit in
 #: each unit the streams cross (no named case sits in the ALU, the named
-#: multiplier defect never triggers on the hashes' constants, and the
-#: named AES defect is deterministic)
+#: multiplier defect never triggers on the hashes' constants, the named
+#: AES defect is deterministic, and the named comparator and lock
+#: defects hardly ever fire on a short sort or lock run)
 STUCK_UNITS = {
     "stuck_alu": FunctionalUnit.ALU,
     "stuck_mul": FunctionalUnit.MUL_DIV,
     "stuck_crypto": FunctionalUnit.CRYPTO,
+    "stuck_branch": FunctionalUnit.BRANCH,
+    "stuck_atomics": FunctionalUnit.ATOMICS,
 }
 #: fail-noisy cores that raise often enough to leave a primitive
 #: mid-stream (the named machine_checker, rate 1e-4, hardly ever does):
@@ -244,12 +251,8 @@ def _kernel_core(case, age_days, seed, online=True):
 
 def _per_op(run):
     """``run()`` with the memo switch off: the per-op reference path."""
-    was = golden_cache_enabled()
-    set_golden_cache(False)
-    try:
+    with golden_cache(False):
         return run()
-    finally:
-        set_golden_cache(was)
 
 
 def _observe(core, work):
@@ -400,3 +403,178 @@ class TestKernelsMatchThePerOpPath:
         assert stats.payload_ops == 4 * len(data)
         assert observed[1] == stats.payload_ops + stats.check_ops
         assert (observed, stats) == _per_op(checked)
+
+
+# -- data-dependent streams and the ITHICA checker vs. the per-op path --
+
+#: the comparators compare low 64 bits, so negatives and integers of
+#: 2**64 and above are where a host-side compare would go wrong
+masked_int = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+masked_ints = st.lists(masked_int, max_size=24)
+
+
+def _btree(keys, probes):
+    def work(core):
+        index = BTreeIndex(core)
+        for slot, key in enumerate(keys):
+            index.insert(key, slot)
+        return [index.get(key) for key in probes], list(index.items()), index.size
+
+    return work
+
+
+def _locked_counter(n_threads, iterations):
+    def work(core):
+        shared, hung = run_locked_counter(core, n_threads, iterations)
+        return shared.counter, shared.lock, shared.mutual_exclusion_violations, hung
+
+    return work
+
+
+def _data_dependent(values, probes, n_threads, iterations):
+    return (
+        lambda core: merge_sort(core, values),
+        lambda core: is_sorted_on(core, values),
+        lambda core: is_sorted_on(core, sorted(values, key=lambda v: v % 2**64)),
+        _btree(values, probes),
+        lambda core: database_workload(core, values, probes),
+        _locked_counter(n_threads, iterations),
+    )
+
+
+class TestHostPathMatchesThePerOpPath:
+    """Sorting, the B-tree and the lock simulator on the host (the same
+    body against a golden counter, then one credit) against one
+    ``execute`` per op: same results, counters and rng state on every
+    kind of core, online or offline, before and after onset."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        values=masked_ints, probes=masked_ints,
+        n_threads=st.integers(min_value=1, max_value=4),
+        iterations=st.integers(min_value=1, max_value=6),
+        case=st.sampled_from(KERNEL_CASES),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(
+        values=[-1, 3, 2**64 + 1, 0], probes=[2**64 + 3, 3, -1, 1],
+        n_threads=4, iterations=6, case="comparator_flip", seed=0,
+    )
+    def test_data_dependent_streams_on_every_core(
+        self, values, probes, n_threads, iterations, case, seed,
+    ):
+        for age_days in (0.0, 2 * KERNEL_ONSET_DAYS):
+            for online in (True, False):
+                for work in _data_dependent(values, probes, n_threads, iterations):
+                    host = _observe(
+                        _kernel_core(case, age_days, seed, online), work)
+                    per_op = _per_op(lambda: _observe(
+                        _kernel_core(case, age_days, seed, online), work))
+                    assert host == per_op, (case, age_days, online)
+
+    def test_comparators_mask_to_64_bits_on_both_paths(self):
+        values = [-1, 3, 2**64 + 1, 0]
+        for run in (lambda f: f(), _per_op):
+            core = Core("propx/h")
+            assert run(lambda: merge_sort(core, values)) == [0, 2**64 + 1, 3, -1]
+            assert run(lambda: is_sorted_on(core, [0, 2**64 + 1, 3, -1]))
+
+    def test_offline_core_raises_on_the_first_op_and_not_before(self):
+        no_ops = (
+            lambda core: merge_sort(core, [7]),
+            lambda core: is_sorted_on(core, [7]),
+            lambda core: BTreeIndex(core).get(7),
+        )
+        first_op = (
+            lambda core: merge_sort(core, [2, 1]),
+            lambda core: is_sorted_on(core, [1, 2]),
+            _btree([1, 2], []),
+            lambda core: database_workload(core, [1], [1]),
+            _locked_counter(1, 1),
+        )
+        for case in KERNEL_CASES:
+            for works, raises in ((no_ops, False), (first_op, True)):
+                for work in works:
+                    host = _observe(_kernel_core(case, 0.0, 1, online=False), work)
+                    per_op = _per_op(lambda: _observe(
+                        _kernel_core(case, 0.0, 1, online=False), work))
+                    assert host == per_op, case
+                    assert host[1] == 0
+                    offline = ("CoreOfflineError", str(CoreOfflineError(f"propx/{case}")))
+                    assert (host[0] == offline) == raises, (case, host[0])
+
+    def test_a_lock_that_never_releases_hangs_on_both_paths(self):
+        def observe():
+            core = Core(
+                "propx/xchg",
+                defects=[StuckBitDefect("d", bit=3, base_rate=1.0, ops=(Op.XCHG,))],
+                rng=np.random.default_rng(5),
+            )
+            return _observe(core, _locked_counter(3, 4))
+
+        hung = observe()
+        assert hung[0][3] is True
+        assert hung[1] == 60 * 3 * 4
+        assert hung == _per_op(observe)
+
+    @pytest.mark.usefixtures("kernels_on")
+    def test_untargeted_streams_never_reach_execute(self, execute_calls):
+        values = list(range(40, 0, -1))
+        healthy = Core("propx/h")
+        for work in _data_dependent(values, values[:5], 3, 4):
+            work(healthy)
+        assert execute_calls == []
+        assert healthy.ops_executed > 0
+        comparator = _kernel_core("comparator_flip", 0.0, 1)
+        merge_sort(comparator, values)
+        assert len(execute_calls) == comparator.ops_executed > 0
+
+
+#: the ITHICA arm's cores: healthy, one defect in the load/store path,
+#: one in the multiplier
+ITHICA_CASES = (None, "string_bit_flipper", "multiplier_pattern")
+
+#: long enough that its credit alone crosses a 1024-counter sampler block
+LONG_STREAM = bytes(range(256)) + b"tail"
+
+
+class TestIthicaCreditMatchesThePerOpPath:
+    """Every primitive through one ``IthicaCheckedCore``, credited and
+    per-op streams interleaved on one sampler: the checker's stats and
+    sampler position, and the inner core's ground truth, equal the
+    per-op path's."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        data=codec_bytes, values=masked_ints, key=aes_block, block=aes_block,
+        case=st.sampled_from(ITHICA_CASES),
+        rate=st.sampled_from((0.0, 0.33, 1.0)),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_every_stream_through_the_checker(
+        self, data, values, key, block, case, rate, seed,
+    ):
+        works = (
+            lambda core: crc64(core, data),
+            lambda core: fnv1a(core, data),
+            lambda core: compress(core, data),
+            lambda core: copy_bytes(core, data, 3),
+            _aes_round_trip(key, block),
+            lambda core: crc64(core, LONG_STREAM),
+            *_data_dependent(values, values[:4], 2, 3),
+        )
+
+        def checked():
+            core = _kernel_core(case, 2 * KERNEL_ONSET_DAYS, seed)
+            wrapper = IthicaCheckedCore(core, rate, seed=seed)
+            observed = [
+                _observe(core, lambda _: work(wrapper)) for work in works
+            ]
+            return observed, wrapper.stats, wrapper.sampler._counter
+
+        observed, stats, counter = checked()
+        assert (observed, stats, counter) == _per_op(checked), (case, rate)
+        assert stats.payload_ops + stats.check_ops == observed[-1][1]

@@ -13,9 +13,8 @@ from repro.silicon.environment import NOMINAL
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
 from repro.silicon.golden import (
     AES_SBOX,
-    golden_cache_enabled,
+    golden_cache,
     golden_execute,
-    set_golden_cache,
 )
 from repro.silicon.units import Op
 from repro.workloads.hashing import crc64, fnv1a
@@ -111,12 +110,8 @@ class TestCreditUntargeted:
 
     def test_memo_switch_off_forces_the_per_op_path(self):
         core = Core("t/h")
-        was = golden_cache_enabled()
-        set_golden_cache(False)
-        try:
+        with golden_cache(False):
             assert not core.credit_untargeted(self.ALU_STREAM, 40)
-        finally:
-            set_golden_cache(was)
         assert core.ops_executed == 0
 
     def test_subclass_is_refused(self):
@@ -174,11 +169,8 @@ class TestCreditQuiet:
 
     def test_memo_switch_off_forces_the_per_op_path(self):
         core = self._swap_core()
-        set_golden_cache(False)
-        try:
+        with golden_cache(False):
             assert not core.credit_quiet(Op.SBOX, [0])
-        finally:
-            set_golden_cache(True)
         assert core.ops_executed == 0
 
     def test_subclass_is_refused(self):

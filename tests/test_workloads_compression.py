@@ -6,7 +6,7 @@ import pytest
 from repro.silicon.core import Core
 from repro.silicon.catalog import named_case
 from repro.silicon.defects import StuckBitDefect
-from repro.silicon.golden import golden_cache_enabled, set_golden_cache
+from repro.silicon.golden import golden_cache
 from repro.silicon.units import Op
 from repro.workloads.compression import (
     MAX_MATCH,
@@ -121,12 +121,8 @@ class TestDefectiveCore:
 
 
 def _per_op_compress(core, data, window):
-    was = golden_cache_enabled()
-    set_golden_cache(False)
-    try:
+    with golden_cache(False):
         return compress(core, data, window), core.ops_executed
-    finally:
-        set_golden_cache(was)
 
 
 class TestCompressKernel:

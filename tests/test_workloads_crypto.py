@@ -13,11 +13,7 @@ from repro.silicon.defects import (
     StuckBitDefect,
 )
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.golden import (
-    AES_SBOX,
-    golden_cache_enabled,
-    set_golden_cache,
-)
+from repro.silicon.golden import AES_SBOX, golden_cache
 from repro.silicon.units import FunctionalUnit, Op
 from repro.workloads.crypto import (
     _golden_decrypt_block,
@@ -51,12 +47,8 @@ def _per_op(fn, *args):
     for tests under ``kernels_on``."""
     core = Core("fast/ref")
     # Disabling the golden cache forces the per-op reference path.
-    was = golden_cache_enabled()
-    set_golden_cache(False)
-    try:
+    with golden_cache(False):
         result = fn(core, *args)
-    finally:
-        set_golden_cache(was)
     return result, core.ops_executed
 
 
@@ -389,10 +381,6 @@ class TestSwapCoresMatchThePerOpPath:
 
                 for work in works:
                     fast = observe(work)
-                    was = golden_cache_enabled()
-                    set_golden_cache(False)
-                    try:
+                    with golden_cache(False):
                         reference = observe(work)
-                    finally:
-                        set_golden_cache(was)
                     assert fast == reference, (age_days, online)

@@ -111,3 +111,8 @@ class TestFilesystemWorkload:
         files = {f"f{i}": bytes([i]) * 120 for i in range(5)}
         result = filesystem_workload(healthy_core, files)
         assert not result.app_detected and not result.crashed
+
+    def test_empty_files_is_rejected_before_any_op(self, healthy_core):
+        with pytest.raises(ValueError, match="files"):
+            filesystem_workload(healthy_core, {})
+        assert healthy_core.ops_executed == 0
