@@ -244,7 +244,7 @@ def run_fig1(
 def _incidence_trial(
     trial: Trial, *, n_machines: int, horizon_days: float,
 ) -> dict:
-    """One seeded E1 campaign; module-level so the pool can pickle it.
+    """One seeded E1 campaign.
 
     Runs entirely on the columnar substrate (no ``Core`` objects).
     """
@@ -1281,8 +1281,7 @@ def campaign_arm(
     fleet: dict | None = None,
     **config,
 ) -> tuple:
-    """Run one arm of a campaign experiment; module-level so the pool
-    can pickle it.
+    """Run one arm of a campaign experiment.
 
     Fleet and campaign seeds depend only on ``seed`` — every arm at one
     seed (and one ``fleet``) faces the *identical* fleet, traffic and
@@ -1504,9 +1503,9 @@ def run_grid(
 ) -> dict:
     """Run ``cell_fn`` over the product of ``axes`` (fanned out over
     ``workers``) and nest the results as ``grid[a][b]…`` in axis order,
-    float coordinates keyed ``f"{value:g}"``.  ``cell_fn`` must be
-    picklable; insertion order is the product order, so walking the
-    grid walks the axes."""
+    float coordinates keyed ``f"{value:g}"``.  ``cell_fn``'s results
+    must be picklable; insertion order is the product order, so walking
+    the grid walks the axes."""
     cells = list(itertools.product(*axes))
     leaves = run_tasks(cell_fn, cells, workers=workers)
     grid: dict = {}
@@ -1759,8 +1758,7 @@ def _fleetscreen_cell(
     horizon_days: float,
     seed: int,
 ) -> dict:
-    """Run one (budget, prevalence scale, corpus) E19 cell; module-level
-    so the pool can pickle it.
+    """Run one (budget, prevalence scale, corpus) E19 cell.
 
     The fleet seed depends only on the campaign seed and the prevalence
     scale, so both corpus arms at every budget face the *identical*

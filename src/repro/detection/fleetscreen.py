@@ -28,9 +28,9 @@ both on the columnar substrate:
   simulator runs, specialized to screening-only detection so E19 can
   price screening policies against E9's online/offline baseline.
 
-Workers screen shards zero-copy: a :class:`FleetScreener` accepts
-snapshot-attached (read-only) columns from :func:`repro.fleet.shm.attach`
-directly, because screening never mutates fleet state.
+Screening never mutates fleet state, so a :class:`FleetScreener`
+accepts read-only columns directly — the arrays a forked worker
+inherits, or a shared-memory snapshot view (:mod:`repro.fleet.shm`).
 """
 
 from __future__ import annotations
@@ -313,11 +313,11 @@ class FleetScreener:
     ) -> FleetScreenResult:
         """Screen every online core (optionally restricted to a mask).
 
-        Accepts read-only snapshot-attached columns — screening never
-        writes fleet state, so shm shards screen zero-copy.
+        Accepts read-only columns — screening never writes fleet
+        state, so a read-only view screens without a copy.
 
         Args:
-            columns: the fleet (or an attached shard view).
+            columns: the fleet (or a read-only view of one).
             now_days: fleet time; defect ages derive from deploy days.
             rng: seeded generator for the confession draws.
             subset: optional per-core boolean mask (e.g. a shard's

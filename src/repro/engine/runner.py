@@ -2,39 +2,49 @@
 
 The experiments in :mod:`repro.analysis.experiments` are Monte-Carlo
 campaigns: independent trials that differ only in their seed.  This
-module is the one place that knows how to fan such trials out over a
-process pool while keeping the contract that matters for a
-reproduction: **parallelism changes latency, never results**.
+module is the one place that knows how to fan such trials out over
+processes while keeping the contract that matters for a reproduction:
+**parallelism changes latency, never results**.
 
 Three rules enforce that contract:
 
 1. Per-trial seeds come from :func:`derive_trial_seeds`
    (``numpy.random.SeedSequence.spawn``), so trial *i*'s seed depends
-   only on the master seed and *i* — not on the worker count, the chunk
-   size, or how many trials run alongside it.
-2. Work is chunked and futures are gathered by **submission index**,
-   so results come back in trial order regardless of completion order.
-3. Workers that die (OOM-kill, ``os._exit`` in native code) surface as
-   a :class:`WorkerCrashError` immediately — the pool never hangs.
+   only on the master seed and *i*, not on the worker count.
+2. Work is striped: with ``W = min(workers, len(items))``, worker *w*
+   runs ``items[w::W]``.  The caller is worker 0 and runs its share
+   itself; workers 1..W-1 are children forked at the call, which
+   inherit ``fn`` and the items copy-on-write and send one pickled
+   result list back over a pipe.  Results come back in item order.
+3. ``fn``'s exceptions propagate unchanged, from any share.  A child
+   that dies (OOM kill, a signal, ``os._exit`` in native code) raises
+   :class:`WorkerCrashError` naming its items, never a hang; on every
+   way out the caller kills and reaps the children still running.  A
+   hard crash in the caller's own share ends the caller, as it does at
+   ``workers=1``.
 
-``workers=1`` (the default unless ``REPRO_WORKERS`` says otherwise)
-bypasses the pool entirely and runs inline, so serial callers pay no
-pickling or fork cost.
+Every call forks afresh, so children see the caller's state as of
+the call (monkeypatches, the obs and golden-cache switches).  POSIX
+only.  ``workers=1`` (the default unless ``REPRO_WORKERS`` says
+otherwise) or a single item forks nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, TypeVar
+import pickle
+import signal
+import sys
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, TypeVar
 
 import numpy as np
 
 from repro import obs
+
+if TYPE_CHECKING:
+    from repro.fleet.columns import FleetColumns
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -46,12 +56,8 @@ _SEED_MASK = (1 << 63) - 1
 
 
 class WorkerCrashError(RuntimeError):
-    """A pool worker died without returning a result.
-
-    Raised instead of letting :class:`BrokenProcessPool` propagate so
-    callers get an actionable message (which chunk was lost, likely
-    causes) rather than a bare pool error — and never a hang.
-    """
+    """A forked worker died without returning a result; the message
+    names its pid, how it died and its items."""
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -74,11 +80,11 @@ def resolve_workers(workers: int | None = None) -> int:
 def effective_workers(workers: int | None = None) -> int:
     """Worker count clamped to what the host can actually parallelize.
 
-    A pool wider than ``os.cpu_count()`` is pure overhead: the extra
-    processes time-slice one CPU while every chunk still pays pickling
-    and IPC.  Benchmarks and campaign entry points use
-    this; :func:`run_tasks` itself deliberately does not, so explicit
-    worker counts in tests still exercise the real pool.
+    A fan-out wider than ``os.cpu_count()`` is pure overhead: the extra
+    processes time-slice one CPU while each still pays its fork and
+    its result pickle.  Benchmarks and campaign entry points use this;
+    :func:`run_tasks` itself deliberately does not, so explicit worker
+    counts in tests still fork real children.
     """
     workers = resolve_workers(workers)
     return max(1, min(workers, os.cpu_count() or 1))
@@ -101,8 +107,46 @@ def derive_trial_seeds(seed: int, n_trials: int) -> list[int]:
     ]
 
 
-def _run_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
-    return [fn(item) for item in chunk]
+def _fork_share(fn: Callable[[T], R], share: list[T]) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``fn`` over ``share``; its pid and the
+    caller's end of the pipe that carries ``(True, results)`` or
+    ``(False, exception)`` back, pickled."""
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: leaves only through os._exit
+        status = 1
+        try:
+            os.close(reader)
+            try:
+                payload = pickle.dumps((True, [fn(item) for item in share]), -1)
+            except BaseException as error:
+                payload = pickle.dumps((False, error), -1)
+            with open(writer, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            try:
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+    os.close(writer)
+    return pid, open(reader, "rb")
+
+
+def _share_results(payload: bytes, status: int, pid: int, items: range) -> list:
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:
+        cause = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerCrashError(
+            f"worker process {pid} died ({cause}) while running items "
+            f"{list(items)}; typical causes: OOM kill, os._exit in native "
+            "code, or an exception that does not pickle"
+        )
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
 
 
 def run_tasks(
@@ -110,67 +154,56 @@ def run_tasks(
     items: Iterable[T],
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
 ) -> list[R]:
-    """Map ``fn`` over ``items``, optionally on a process pool.
-
-    Results are returned in item order.  With ``workers=1`` (or a
-    single item) everything runs inline in this process.  ``fn`` and
-    the items must be picklable when ``workers > 1`` — module-level
-    functions and :func:`functools.partial` over them qualify,
-    closures do not.
-
-    Exceptions raised *by* ``fn`` propagate unchanged; a worker process
-    dying raises :class:`WorkerCrashError`.
+    """Map ``fn`` over ``items`` in item order, striped over forked
+    workers (inline at ``workers=1`` or for a single item).  ``fn`` and
+    the items are inherited, not pickled, so closures qualify; only the
+    results, and any exception a child raises, must pickle.  ``fn``'s
+    exceptions propagate unchanged; a worker process dying raises
+    :class:`WorkerCrashError`.
     """
     items = list(items)
-    if not items:
-        return []
-    workers = resolve_workers(workers)
-    if workers == 1 or len(items) == 1:
+    width = min(resolve_workers(workers), len(items))
+    if width <= 1:
         return [fn(item) for item in items]
-    if chunk_size is None:
-        # ~4 chunks per worker: coarse enough to amortize pickling,
-        # fine enough that a slow trial doesn't straggle a whole arm.
-        chunk_size = max(1, math.ceil(len(items) / (workers * 4)))
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    chunks = [
-        items[start:start + chunk_size]
-        for start in range(0, len(items), chunk_size)
-    ]
-    results: list[list[R] | None] = [None] * len(chunks)
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        futures = {
-            pool.submit(_run_chunk, fn, chunk): position
-            for position, chunk in enumerate(chunks)
-        }
-        for future in as_completed(futures):
-            position = futures[future]
-            try:
-                results[position] = future.result()
-            except BrokenProcessPool as error:
-                first = position * chunk_size
-                raise WorkerCrashError(
-                    f"worker process died while running chunk {position} "
-                    f"(items {first}..{first + len(chunks[position]) - 1}); "
-                    "typical causes: OOM kill, os._exit in native code, "
-                    "or an unpicklable result"
-                ) from error
-    return [result for chunk in results for result in chunk]  # type: ignore[union-attr]
+    # A child inherits the stdio buffers: flushed now, nothing the
+    # caller wrote before the call is written twice.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: list[tuple[int, int, BinaryIO]] = []
+    try:
+        for share in range(1, width):
+            children.append((share, *_fork_share(fn, items[share::width])))
+        shares = [[fn(item) for item in items[::width]]]
+        while children:
+            share, pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            shares.append(_share_results(
+                payload, status, pid, range(share, len(items), width)))
+    finally:
+        # Killed before they are reaped: a child blocked writing a
+        # result no one will read would otherwise never exit.
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[index % width][index // width] for index in range(len(items))]
 
 
 def _obs_trial(fn: Callable[[Trial], R], trial: Trial) -> tuple[R, list, dict]:
     """Run one trial inside a fresh observability scope.
 
     Resetting the process-global registry *before* the trial is the
-    fix for the telemetry-leak bug: pool workers are long-lived, so
-    without the reset a worker's counters accumulate across every
-    trial it happens to execute and the merged totals depend on the
-    worker count.  After the trial we hand back a snapshot (to merge
-    in the parent) plus the drained spans (so traces survive the
-    pickle boundary).  Trace/span ids derive from the trial seed
-    alone, so they are identical for any worker count.
+    fix for the telemetry-leak bug: every process runs a share of
+    several trials, so without the reset its counters accumulate
+    across them and the merged totals depend on the worker count.
+    After the trial we hand back a snapshot (to merge in the caller)
+    plus the drained spans (so traces survive the pickle boundary).
+    Trace/span ids derive from the trial seed alone, so they are
+    identical for any worker count.
     """
     obs.metrics.reset()
     obs.tracer.start_trace(trial.seed)
@@ -222,67 +255,32 @@ def run_trials(
     return results
 
 
-#: per-process cache of attached fleet snapshots, keyed by segment
-#: name.  Pool workers are long-lived within one fan-out; attaching
-#: once per worker (not per trial) keeps the hand-off zero-copy and
-#: O(1).  Mappings are reclaimed when the worker process exits.
-_ATTACH_CACHE: dict = {}
-
-
-def _attached_columns(handle):
-    cached = _ATTACH_CACHE.get(handle.segment_name)
-    if cached is None:
-        from repro.fleet import shm as fleet_shm
-
-        cached = fleet_shm.attach(handle)
-        _ATTACH_CACHE[handle.segment_name] = cached
-    return cached.columns
-
-
-def _shared_fleet_trial(fn, handle, trial: Trial):
-    return fn(trial, _attached_columns(handle))
-
-
-def _inline_fleet_trial(fn, columns, trial: Trial):
-    # Fresh mutable-state copy per trial, so inline (workers=1) trials
-    # are as independent as pool trials attaching the read-only
-    # snapshot — worker-invariance depends on it.
+def _thawed_fleet_trial(
+    fn: Callable[[Trial, FleetColumns], R], columns: FleetColumns, trial: Trial,
+) -> R:
+    # A fresh mutable-state copy per trial: every trial starts from the
+    # caller's fleet, whichever process runs it.
     return fn(trial, columns.thaw())
 
 
 def run_fleet_trials(
-    fn,
-    fleet,
+    fn: Callable[[Trial, FleetColumns], R],
+    fleet: FleetColumns,
     n_trials: int,
     *,
     seed: int = 0,
     workers: int | None = None,
-):
+) -> list[R]:
     """Fan ``fn(trial, columns)`` over trials sharing one fleet.
 
-    The fleet (:class:`repro.fleet.columns.FleetColumns`) crosses the
-    process boundary exactly once, as a
-    :mod:`multiprocessing.shared_memory` snapshot published here and
-    attached read-only per worker — per-trial pickling of fleet state
-    is gone entirely.  ``fn`` must treat the columns as immutable (or
-    ``thaw()`` them; :class:`~repro.fleet.simulator.FleetSimulator`
-    does this automatically for read-only columns).
+    Each trial gets its own ``fleet.thaw()`` of the
+    :class:`repro.fleet.columns.FleetColumns`.  Forked workers read the
+    caller's columns and warm id→index maps copy-on-write: nothing of
+    the fleet is pickled or copied into another segment.
 
     Seed contract and result ordering are exactly
     :func:`run_trials`'s: trial *i*'s seed depends only on
     ``(seed, i)``, results are bit-identical for any worker count.
-    The snapshot is unlinked on the way out even when a worker dies
-    (:class:`WorkerCrashError`), so no ``/dev/shm`` segments leak.
     """
-    workers = resolve_workers(workers)
-    if workers == 1 or n_trials <= 1:
-        bound = functools.partial(_inline_fleet_trial, fn, fleet)
-        return run_trials(bound, n_trials, seed=seed, workers=1)
-    from repro.fleet import shm as fleet_shm
-
-    snapshot = fleet_shm.publish(fleet)
-    try:
-        bound = functools.partial(_shared_fleet_trial, fn, snapshot.handle)
-        return run_trials(bound, n_trials, seed=seed, workers=workers)
-    finally:
-        snapshot.close()
+    bound = functools.partial(_thawed_fleet_trial, fn, fleet)
+    return run_trials(bound, n_trials, seed=seed, workers=workers)

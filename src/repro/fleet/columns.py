@@ -6,7 +6,7 @@ fleet size.  Per-object fleets top out well below the O(10^5-10^6)
 cores that SiliFuzz and the Facebook SDC paper operate at: building a
 ``Core`` instance per hardware thread costs a Python allocation, a
 dict/slots layout and a GC header each, and shipping such a fleet to a
-pool worker costs a full pickle round-trip.
+worker process costs a full pickle round-trip.
 
 :class:`FleetColumns` stores the same fleet as a handful of numpy
 arrays — machine columns, per-core columns, and dense per-mercurial
@@ -36,10 +36,12 @@ merc_age               float64    current core age in days
 merc_sample_seed       uint64     seed that regenerates the defect set
 =====================  =========  ===========================================
 
-Everything above is a flat buffer, so a fleet can be handed to pool
-workers as a zero-copy :mod:`multiprocessing.shared_memory` snapshot
-(see :mod:`repro.fleet.shm`) — workers attach read-only and materialize
-no per-core objects at all.
+Everything above is a flat buffer, so a fleet costs a forked worker
+nothing to inherit: :func:`repro.engine.run_fleet_trials` forks its
+workers from the caller, which read the arrays copy-on-write and
+materialize no per-core objects at all.  A read-only view of a
+:mod:`multiprocessing.shared_memory` snapshot is also a fleet (see
+:mod:`repro.fleet.shm`).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ archaeology.
 Components
 ----------
 - :mod:`repro.obs.registry` — counters / gauges / histograms with
-  labeled series, bounded cardinality, snapshot/merge for the process
-  pool.  Singleton: :data:`metrics`.
+  labeled series, bounded cardinality, snapshot/merge for forked
+  workers.  Singleton: :data:`metrics`.
 - :mod:`repro.obs.spans` — context-manager trace spans with ids derived
   deterministically from the trial seed.  Singleton: :data:`tracer`.
 - :mod:`repro.obs.export` — Prometheus-text and JSON exporters
@@ -34,7 +34,7 @@ Call sites therefore emit unconditionally — no cached flags, no
 measured against the on mode as the benchmark's
 ``obs.on_overhead_pct`` (``benchmarks/perf``).  The only outside reader
 of the flag is ``engine.runner.run_trials``, where it decides whether
-snapshots cross the process pool at all.  Observability never touches
+snapshots cross the fork boundary at all.  Observability never touches
 an RNG or a control-flow decision: campaign scorecards are
 byte-identical with obs on or off (pinned by
 ``tests/test_obs_parity.py``).
@@ -78,7 +78,7 @@ def enabled() -> bool:
 
 
 def set_enabled(flag: bool) -> None:
-    """Flip observability for this process (and future pool workers).
+    """Flip observability for this process (and workers forked later).
 
     Takes effect at once for every existing object: emission sites hold
     no copy of the flag.  Also writes :data:`ENV_VAR` so spawned worker

@@ -242,7 +242,7 @@ class MetricsRegistry:
             metric.clear()
 
     def snapshot(self) -> dict:
-        """JSON/pickle-safe dump of every series, for pool gather."""
+        """JSON/pickle-safe dump of every series, for worker gather."""
         out: dict[str, dict] = {}
         for metric in self.collect():
             entry: dict = {

@@ -25,7 +25,7 @@ span keeps a reference to its parent and its child index, which is all
 the formula needs, and nothing on the request path reads an id.  A
 span is its own context manager and drops its tracer when it closes.
 
-Spans survive the process pool: pickling a span resolves its ids, so a
+Spans survive the fork boundary: pickling a span resolves its ids, so a
 worker's spans, drained with :meth:`Tracer.drain` and re-attached on
 the parent with :meth:`Tracer.adopt` (see ``repro.engine.runner``),
 carry the same ids as spans recorded inline.
@@ -244,7 +244,7 @@ class Tracer:
         return list(self._spans)
 
     def drain(self) -> list[Span]:
-        """Remove and return all recorded spans (pool hand-off)."""
+        """Remove and return all recorded spans (worker hand-off)."""
         out = self._spans
         self._spans = []
         return out

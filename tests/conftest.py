@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -14,15 +14,32 @@ from repro.silicon.core import Core
 from repro.silicon.golden import golden_cache, golden_cache_enabled
 
 
+def _assert_no_child_left() -> None:
+    """No child of this process is left, running or unreaped.  The
+    resource tracker a shared-memory segment starts is a child too: it
+    is stopped first, and the next segment starts it again."""
+    resource_tracker._resource_tracker._stop()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _no_stray_workers_or_segments():
     """The session leaves no child process and no fleet segment of its
     own behind (other processes' segments are theirs)."""
     yield
-    children = multiprocessing.active_children()
-    assert not children, f"child processes left running: {children}"
+    # Segments first: the resource tracker unlinks what it still holds
+    # when it stops.
     ours = leaked_segments(f"{SEGMENT_PREFIX}{os.getpid()}_")
     assert not ours, f"shared-memory segments left behind: {ours}"
+    _assert_no_child_left()
+
+
+@pytest.fixture
+def children_reaped():
+    """After the test, no forked worker is left running or unreaped."""
+    yield
+    _assert_no_child_left()
 
 
 @pytest.fixture(autouse=True)

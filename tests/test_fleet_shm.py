@@ -234,10 +234,13 @@ def _fresh_worker_mix_cost(_item):
     return calls["measure"], calls["execute"], os.getpid()
 
 
-def _crash(trial, columns):
-    import os
+#: the test process: share 0 of every fan-out runs here
+_CALLER = os.getpid()
 
-    os._exit(3)
+
+def _crash(trial, columns):
+    if os.getpid() != _CALLER:
+        os._exit(3)
 
 
 class TestSimulatorOnSnapshot:
@@ -291,9 +294,9 @@ class TestRunFleetTrials:
 
     def test_fresh_worker_builds_a_simulator_without_measuring_the_mix(self):
         costs = run_tasks(_fresh_worker_mix_cost, [0, 1], workers=2)
-        assert all(pid != os.getpid() for _, _, pid in costs)
-        assert [(measured, executed) for measured, executed, _ in costs] == [
-            (0, 0), (0, 0),
+        forked = [cost for cost in costs if cost[2] != _CALLER]
+        assert [(measured, executed) for measured, executed, _ in forked] == [
+            (0, 0),
         ]
 
     def test_no_segment_leak_after_pool_run(self):

@@ -113,7 +113,7 @@ def test_option_inventory_is_pinned():
 #: defaulted parameters of public callables; re-pin on purpose when a
 #: keyword option is added or retired
 KEYWORD_DEFAULTS = (
-    324, "d3f7ecbdc03e9098ac430bcf186eaf8eb7a0d8690301559c41cf5c78f259b686",
+    323, "80d6ea376f93689c8d21c53a360d191329d343b3245940d347f70d3209dc971e",
 )
 
 
