@@ -268,7 +268,7 @@ class RequestCampaign(Campaign):
         breakers: BreakerBoard | None,
         replica: ServerReplica,
         request: Request,
-        expected_checksum: int | None,
+        expected_checksum: int | bytes | None,
         hedged: bool = False,
     ) -> tuple[Attempt, bytes | None]:
         cfg = self.config
@@ -310,6 +310,27 @@ class RequestCampaign(Campaign):
         if breakers:
             breakers.record_success(core_id, now_ms)
         return Attempt(core_id, AttemptOutcome.OK, latency, hedged), payload
+
+
+def _draw_payloads(
+    rng: np.random.Generator, count: int, payload_bytes: int
+) -> list[bytes]:
+    """``count`` calls of ``rng.bytes(payload_bytes)`` in one draw.
+
+    ``Generator.bytes(n)`` takes ``max(1, ceil(n / 4))`` 32-bit words
+    and keeps the first ``n`` bytes, so slicing one draw of ``count``
+    such strides gives the same payloads and leaves the bit generator
+    in the same state.  No call at all for ``count == 0``: even
+    ``bytes(0)`` takes a word.
+    """
+    if count == 0:
+        return []
+    stride = max(1, -(-payload_bytes // 4)) * 4
+    blob = rng.bytes(count * stride)
+    return [
+        blob[start:start + payload_bytes]
+        for start in range(0, count * stride, stride)
+    ]
 
 
 class ServingCampaign(RequestCampaign):
@@ -475,8 +496,7 @@ class ServingCampaign(RequestCampaign):
                     len(self._queue), arrivals, max(capacity, 1)
                 )
                 card.shed += arrivals - admitted
-            for _ in range(admitted):
-                payload = self.rng.bytes(cfg.payload_bytes)
+            for payload in _draw_payloads(self.rng, admitted, cfg.payload_bytes):
                 self._queue.append(
                     Request(
                         request_id=self._next_request_id,

@@ -139,6 +139,7 @@ class ConsistentHashRouter(ReplicaRouter):
 
     def __init__(self, replicas: list[ServerReplica]):
         self._ring: list[tuple[int, ServerReplica]] = []
+        self._points: list[int] = []
         super().__init__(replicas)
         self._rebuild()
 
@@ -152,6 +153,9 @@ class ConsistentHashRouter(ReplicaRouter):
         # on the (rare) CRC collision
         ring.sort(key=lambda entry: (entry[0], entry[1].replica_id))
         self._ring = ring
+        # bisected instead of the ring: a key landing on a ring point
+        # would compare a replica with the probe's second field
+        self._points = [point for point, _ in ring]
 
     def add(self, replica: ServerReplica) -> None:
         super().add(replica)
@@ -174,7 +178,7 @@ class ConsistentHashRouter(ReplicaRouter):
             return None
         exclude = exclude_core_ids or set()
         point = stable_key_hash(route_key or 0) & 0xFFFFFFFF
-        start = bisect.bisect_left(self._ring, (point, None)) % len(self._ring)
+        start = bisect.bisect_left(self._points, point) % len(self._ring)
         seen: set[str] = set()
         for offset in range(len(self._ring)):
             _, replica = self._ring[(start + offset) % len(self._ring)]

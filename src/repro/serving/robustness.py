@@ -8,7 +8,9 @@ Each mechanism is one §7-style defence, composable via
   request crosses a possibly-mercurial server core, and re-verifies the
   response against it — the same mechanism as the CRC-framed records
   of :mod:`repro.storage`, reusing the same
-  :func:`~repro.workloads.hashing.crc64` primitive.
+  :func:`~repro.workloads.hashing.crc64` primitive.  Where the client
+  core credits the CRC's ops, the client keeps the sent bytes and
+  computes CRCs only for a response that differs from them.
 - retries — exponential backoff with jitter (:func:`backoff_ms`), with a
   *core-diversity* rule: a retry is never sent to a core that already
   served (and failed) this request, because a mercurial core fails
@@ -40,29 +42,56 @@ import numpy as np
 from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
 from repro.obs.forensics import MS_PER_DAY
 from repro.workloads.base import CoreLike
-from repro.workloads.hashing import crc64
+from repro.workloads.hashing import crc64, crc64_credit, golden_crc64
 
 
 # ---------------------------------------------------------------------
 # end-to-end response validation
 # ---------------------------------------------------------------------
 
+def _crc_of(expected: int | bytes) -> int:
+    """The CRC a :meth:`ResponseValidator.checksum` result stands for."""
+    return golden_crc64(expected) if isinstance(expected, bytes) else expected
+
+
 class ResponseValidator:
-    """Client-side e2e checksum over the request/response payload."""
+    """Client-side e2e checksum over the request/response payload.
+
+    Both calls charge the client core ``crc64``'s ops.  Where the core
+    credits them (:func:`~repro.workloads.hashing.crc64_credit`: no
+    defect can act on them) the CRC is the golden one, so the bytes
+    decide: a response equal to the sent payload passes without a CRC,
+    and only a differing one compares the two golden CRCs, which keeps
+    the verdict on a collision exact.  Otherwise every op runs on the
+    core, as ``crc64`` does.  Verdicts, counters and the core's op
+    count and rng state equal the per-op path's.
+    """
 
     def __init__(self, client_core: CoreLike):
         self.client_core = client_core
         self.checks = 0
         self.mismatches = 0
 
-    def checksum(self, payload: bytes) -> int:
-        """Pre-send checksum, computed on the client's own core."""
+    def checksum(self, payload: bytes) -> int | bytes:
+        """Pre-send checksum, computed on the client's own core: the
+        CRC, or the payload itself where the CRC is credited."""
+        if crc64_credit(self.client_core, payload):
+            return payload
         return crc64(self.client_core, payload)
 
-    def validate(self, expected_checksum: int, response_payload: bytes) -> bool:
+    def validate(
+        self, expected_checksum: int | bytes, response_payload: bytes
+    ) -> bool:
         """Re-verify a response against the pre-send checksum."""
         self.checks += 1
-        ok = crc64(self.client_core, response_payload) == expected_checksum
+        if crc64_credit(self.client_core, response_payload):
+            ok = response_payload == expected_checksum or (
+                golden_crc64(response_payload) == _crc_of(expected_checksum)
+            )
+        else:
+            ok = crc64(self.client_core, response_payload) == _crc_of(
+                expected_checksum
+            )
         if not ok:
             self.mismatches += 1
         return ok
@@ -185,8 +214,13 @@ class BreakerBoard:
         self.event_log = event_log
         self.machine_of = machine_of or {}
         self._breakers: dict[str, CircuitBreaker] = {}
+        # the breakers that tripped and have not closed since: only a
+        # board-recorded failure opens one, only a success closes one
+        self._unclosed: dict[str, CircuitBreaker] = {}
 
     def breaker(self, core_id: str) -> CircuitBreaker:
+        """The breaker of ``core_id``; change its state only through the
+        board, which tracks the ones not closed."""
         if core_id not in self._breakers:
             self._breakers[core_id] = CircuitBreaker(core_id)
         return self._breakers[core_id]
@@ -195,20 +229,31 @@ class BreakerBoard:
         return self.breaker(core_id).allows(now_ms)
 
     def open_core_ids(self, now_ms: float) -> set[str]:
+        """Cores whose breaker refuses traffic now.  Asking moves a
+        cooled-down OPEN breaker to HALF_OPEN, as :meth:`allows` does; a
+        CLOSED breaker allows without a side effect, so it is not asked."""
+        if not self._unclosed:
+            return set()
         return {
             core_id
-            for core_id, breaker in self._breakers.items()
+            for core_id, breaker in self._unclosed.items()
             if not breaker.allows(now_ms)
         }
 
     def record_success(self, core_id: str, now_ms: float) -> None:
-        self.breaker(core_id).record_success(now_ms)
+        breaker = self.breaker(core_id)
+        breaker.record_success(now_ms)
+        if breaker.state is BreakerState.CLOSED:
+            self._unclosed.pop(core_id, None)
 
     def record_failure(
         self, core_id: str, now_ms: float, detail: str = ""
     ) -> bool:
         """Count a failure; on a trip, log the event.  Returns tripped."""
-        tripped = self.breaker(core_id).record_failure(now_ms)
+        breaker = self.breaker(core_id)
+        tripped = breaker.record_failure(now_ms)
+        if tripped:
+            self._unclosed[core_id] = breaker
         if tripped and self.event_log is not None:
             self.event_log.append(
                 CeeEvent(

@@ -79,9 +79,18 @@ def golden_crc64(data: bytes) -> int:
     return crc
 
 
+def crc64_credit(core: CoreLike, data: bytes) -> bool:
+    """Charge :func:`crc64`'s ``4 * len(data)`` ops in one step, if no
+    defect of ``core`` can act on them: on True the CRC is
+    :func:`golden_crc64`'s, and a caller may compute it later or not at
+    all.  On False nothing is charged and the ops must run per op; an
+    offline core raises here, where the first of them would."""
+    return credit_untargeted(core, _CRC_OPS, 4 * len(data))
+
+
 def crc64(core: CoreLike, data: bytes) -> int:
     """Table-driven CRC-64; the per-byte combine runs on the core."""
-    if credit_untargeted(core, _CRC_OPS, 4 * len(data)):
+    if crc64_credit(core, data):
         return golden_crc64(data)
     crc = 0
     for byte in data:

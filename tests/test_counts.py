@@ -4,11 +4,13 @@ Wall clock cannot gate on shared runners; these counts repeat exactly.
 Each workload's shape is rebuilt here (its constants mirror
 ``benchmarks/perf/workloads.py``) and run once under the probes of
 ``tests/conftest.py``.  Every count is semantic: ops through
-``Core.execute``, Merkle trees built, per-key monitor scans.  Python call
-totals, which differ between interpreter versions, are never pinned.  The
-fast-path counts need the golden cache, so the table runs under
-``kernels_on``.
+``Core.execute``, Merkle trees built, per-key monitor scans, golden
+CRCs computed.  Python call totals, which differ between interpreter
+versions, are never pinned.  The fast-path counts need the golden
+cache, so the table runs under ``kernels_on``.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.storage import (
     antientropy,
     build_storage_fleet,
 )
+from repro.workloads import hashing
 from repro.workloads.generator import STANDARD_MIX
 
 #: per pass at seed 0: what each probe counted
@@ -49,6 +52,15 @@ COUNTS = {
     "serve_campaign": {"execute": 300, "merkle_trees": 0, "monitor_scans": 0},
     "store_campaign": {"execute": 1_226, "merkle_trees": 6, "monitor_scans": 27},
     "fleet_grid": {"execute": 0, "merkle_trees": 0, "monitor_scans": 0},
+}
+
+#: per pass at seed 0: ``golden_crc64`` calls, through every module
+#: that binds it (``crc64``'s credit path, the storage ``host_crc64``)
+GOLDEN_CRCS = {
+    "op_stream": 10,
+    "serve_campaign": 24,
+    "store_campaign": 4_819,
+    "fleet_grid": 0,
 }
 
 MACHINES = 4
@@ -111,9 +123,19 @@ def _op_stream_rack(seed):
     return run, cores, checked
 
 
+#: ground truth of one ``serve_campaign`` pass at seed 0: ops the two
+#: runners' client cores executed for the e2e checksums
+SERVE_CLIENT_OPS = 742_080
+
+
 def _serve_campaign(seed):
+    return _serve_campaign_pair(seed)[0]
+
+
+def _serve_campaign_pair(seed):
     """The single-queue campaign for 800 ticks, then the sharded one for
-    150, each under its standard chaos script."""
+    150, each under its standard chaos script.  Returns the pass and its
+    two client cores."""
     serve_ticks, scale_ticks = 800, 150
     machines, bad_core_id = build_serving_fleet(
         n_machines=MACHINES, cores_per_machine=CORES_PER_MACHINE,
@@ -152,7 +174,7 @@ def _serve_campaign(seed):
         campaign.run()
         scale.run()
 
-    return run
+    return run, (campaign.client_core, scale.client_core)
 
 
 def _store_campaign(seed):
@@ -230,3 +252,32 @@ def test_op_stream_ground_truth_does_not_move(kernels):
     for field in ("payload_ops", "check_ops", "mismatches"):
         counts[field] = sum(getattr(c.stats, field) for c in checked)
     assert counts == OP_STREAM_GROUND_TRUTH
+
+
+def _count_golden_crcs(count_calls):
+    """One probe per module global bound to ``golden_crc64``."""
+    golden_crc64 = hashing.golden_crc64
+    return [
+        count_calls(module, name)
+        for module in list(sys.modules.values())
+        if getattr(module, "__name__", "").startswith("repro.")
+        for name, value in list(vars(module).items())
+        if value is golden_crc64
+    ]
+
+
+@pytest.mark.usefixtures("kernels_on")
+@pytest.mark.parametrize("workload", sorted(GOLDEN_CRCS))
+def test_one_pass_at_seed_0_computes_golden_crcs_exactly(workload, count_calls):
+    run = WORKLOADS[workload](0)
+    probes = _count_golden_crcs(count_calls)
+    run()
+    assert sum(map(len, probes)) == GOLDEN_CRCS[workload]
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "per_op"])
+def test_serve_client_ops_do_not_move(kernels):
+    with golden_cache(kernels):
+        run, clients = _serve_campaign_pair(0)
+        run()
+    assert sum(core.ops_executed for core in clients) == SERVE_CLIENT_OPS

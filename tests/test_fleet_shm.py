@@ -2,10 +2,10 @@
 
 The zero-copy hand-off contract: ``publish`` packs a
 :class:`FleetColumns` into one ``/dev/shm`` segment, workers ``attach``
-read-only views, and the parent's ``close`` unlinks the segment even
-when workers crash — ``leaked_segments`` must come back empty after
-every pool run, and results must be byte-identical for any worker
-count.
+read-only views, and the parent's ``close`` unlinks the segment.
+``run_fleet_trials`` publishes none (forked workers inherit the
+fleet): its results must be byte-identical for any worker count, and
+no forked child may be left running or unreaped, even after a crash.
 """
 
 import dataclasses
@@ -299,13 +299,19 @@ class TestRunFleetTrials:
             (0, 0),
         ]
 
-    def test_no_segment_leak_after_pool_run(self):
+    # The engine publishes no segment; what a fan-out can leave behind
+    # is a forked child, running or unreaped.
+    @pytest.mark.usefixtures("children_reaped")
+    def test_pool_run_leaves_no_child(self):
         columns = _columns(n_machines=10)
-        run_fleet_trials(_count_online, columns, 4, seed=0, workers=2)
-        assert shm.leaked_segments() == []
+        pooled = run_fleet_trials(_count_online, columns, 4, seed=0, workers=2)
+        assert [index for index, _, _ in pooled] == [0, 1, 2, 3]
 
+    @pytest.mark.usefixtures("children_reaped")
     def test_worker_crash_raises_and_cleans_up(self):
         columns = _columns(n_machines=10)
-        with pytest.raises(WorkerCrashError, match="worker process"):
+        with pytest.raises(
+            WorkerCrashError,
+            match=r"worker process \d+ died \(exit status 3\) .*items \[1, 3\]",
+        ):
             run_fleet_trials(_crash, columns, 4, seed=0, workers=2)
-        assert shm.leaked_segments() == []

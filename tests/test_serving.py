@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.events import EventKind, EventLog
 from repro.serving.robustness import (
@@ -20,7 +21,9 @@ from repro.serving.service import Request, ServerReplica
 from repro.silicon.core import Core
 from repro.silicon.defects import StuckBitDefect
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.units import FunctionalUnit
+from repro.silicon.golden import golden_cache
+from repro.silicon.units import FunctionalUnit, Op
+from repro.workloads.hashing import crc64, golden_crc64
 
 
 def _replica(core_id="srv/c00", defects=(), seed=0, **kwargs) -> ServerReplica:
@@ -108,6 +111,106 @@ class TestValidator:
         checksum = validator.checksum(b"hello world")
         assert not validator.validate(checksum, b"hellp world")
         assert validator.mismatches == 1
+
+
+#: CRC-64's generator polynomial as a 9-byte message: its CRC is 0, so
+#: any two 9-byte payloads that differ by it collide
+CRC64_POLY_BYTES = bytes.fromhex("0142F0E1EBA9EA3693")
+
+#: client-core defects on the ops the CRC combine runs: none, or one
+#: stuck bit on one of them (per-op path, rng draws on each op)
+CLIENT_DEFECTS = st.sampled_from([None, Op.XOR, Op.SHL, Op.SHR])
+
+
+def _client(defect_op, seed):
+    defects = () if defect_op is None else (
+        StuckBitDefect("d0", bit=5, base_rate=0.2, ops=[defect_op]),
+    )
+    return Core("client/c00", defects=defects, rng=np.random.default_rng(seed))
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    if not data:
+        return data
+    index = (bit // 8) % len(data)
+    return data[:index] + bytes([data[index] ^ 1 << bit % 8]) + data[index + 1:]
+
+
+@st.composite
+def sent_and_response(draw):
+    """Equal bytes, a one-bit flip, a random pair, or a CRC collision."""
+    sent = draw(st.binary(max_size=40))
+    kind = draw(st.sampled_from(["equal", "flip", "random", "collision"]))
+    if kind == "equal":
+        return sent, bytes(sent)
+    if kind == "flip":
+        return sent, _flip(sent, draw(st.integers(0, 319)))
+    if kind == "random":
+        return sent, draw(st.binary(max_size=40))
+    sent = draw(st.binary(min_size=9, max_size=9))
+    return sent, bytes(a ^ b for a, b in zip(sent, CRC64_POLY_BYTES))
+
+
+class TestValidatorDifferential:
+    """The validator with the golden cache on (CRCs computed only when
+    the bytes differ) against the per-op reference: each side's CRC
+    computed op by op on the client core, as ``crc64`` does with the
+    cache off."""
+
+    def test_the_polynomial_collides(self):
+        assert golden_crc64(CRC64_POLY_BYTES) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=sent_and_response(), defect_op=CLIENT_DEFECTS,
+           seed=st.integers(0, 2**16), repeats=st.integers(1, 3))
+    @example(pair=(b"hello world", b"hello world"), defect_op=None, seed=0,
+             repeats=1)
+    @example(pair=(bytes(9), CRC64_POLY_BYTES), defect_op=None, seed=0,
+             repeats=1)
+    def test_matches_the_per_op_reference(self, pair, defect_op, seed, repeats):
+        sent, response = pair
+        reference = _client(defect_op, seed)
+        with golden_cache(False):
+            expected = crc64(reference, sent)
+            verdicts = [
+                crc64(reference, response) == expected for _ in range(repeats)
+            ]
+        core = _client(defect_op, seed)
+        validator = ResponseValidator(core)
+        with golden_cache(True):
+            checksum = validator.checksum(sent)
+            got = [validator.validate(checksum, response) for _ in range(repeats)]
+        assert got == verdicts
+        assert validator.checks == repeats
+        assert validator.mismatches == verdicts.count(False)
+        assert core.ops_executed == reference.ops_executed
+        assert core.corruptions_induced == reference.corruptions_induced
+        assert core.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_healthy_client_keeps_the_bytes_and_crcs_only_a_mismatch(
+        self, kernels_on, count_calls
+    ):
+        from repro.serving import robustness
+
+        crcs = count_calls(robustness, "golden_crc64")
+        validator = ResponseValidator(Core("client/c00"))
+        checksum = validator.checksum(b"hello world")
+        assert checksum == b"hello world"
+        assert validator.validate(checksum, b"hello world")
+        assert len(crcs) == 0
+        assert not validator.validate(checksum, b"hellp world")
+        assert len(crcs) == 2
+        assert validator.client_core.ops_executed == 3 * 4 * 11
+
+    def test_offline_client_raises_where_the_per_op_path_does(self):
+        core = Core("client/c00")
+        core.set_online(False)
+        validator = ResponseValidator(core)
+        with pytest.raises(CoreOfflineError):
+            validator.checksum(b"x")
+        assert validator.checksum(b"") == 0  # no op issued, nothing raised
+        with pytest.raises(CoreOfflineError):
+            validator.validate(0, b"x")
 
 
 class TestRetryPolicy:
@@ -220,6 +323,85 @@ class TestCircuitBreaker:
         assert trips[0].core_id == "m0/c00"
         assert trips[0].machine_id == "m0"
         assert board.total_trips == 1
+
+
+class _ScanEveryBreaker(BreakerBoard):
+    """The reference board: asks every breaker it holds."""
+
+    def open_core_ids(self, now_ms: float) -> set[str]:
+        return {
+            core_id
+            for core_id, breaker in self._breakers.items()
+            if not breaker.allows(now_ms)
+        }
+
+
+BOARD_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("fail"), st.integers(0, 2)),
+        st.tuples(st.just("ok"), st.integers(0, 2)),
+        st.tuples(st.just("allows"), st.integers(0, 2)),
+        st.tuples(st.just("clock"), st.floats(0.0, 150.0)),
+        st.tuples(st.just("open"), st.none()),
+    ),
+    max_size=80,
+)
+
+#: three failures trip c00; a success while OPEN leaves it OPEN
+_SUCCESS_WHILE_OPEN = [("fail", 0)] * BREAKER_FAILURE_THRESHOLD + [
+    ("ok", 0), ("open", None), ("clock", PROBE_MS), ("open", None),
+    ("ok", 0), ("open", None),
+]
+
+
+class TestBreakerBoardDifferential:
+    """``open_core_ids`` asks only the breakers that tripped and have
+    not closed; a scan of every breaker must agree, side effects
+    included (asking a cooled-down OPEN breaker makes it HALF_OPEN)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=BOARD_STEPS)
+    @example(steps=_SUCCESS_WHILE_OPEN)
+    def test_matches_a_scan_of_every_breaker(self, steps):
+        board, reference = BreakerBoard(), _ScanEveryBreaker()
+        now = 0.0
+        for action, arg in steps:
+            if action == "clock":
+                now += arg
+                continue
+            if action == "open":
+                assert board.open_core_ids(now) == reference.open_core_ids(now)
+            else:
+                core_id = f"m0/c{arg:02d}"
+                if action == "fail":
+                    assert board.record_failure(core_id, now) == (
+                        reference.record_failure(core_id, now)
+                    )
+                elif action == "ok":
+                    board.record_success(core_id, now)
+                    reference.record_success(core_id, now)
+                else:
+                    assert board.allows(core_id, now) == (
+                        reference.allows(core_id, now)
+                    )
+            assert {
+                core_id: (breaker.state, breaker.trips)
+                for core_id, breaker in board._breakers.items()
+            } == {
+                core_id: (breaker.state, breaker.trips)
+                for core_id, breaker in reference._breakers.items()
+            }
+
+    def test_asking_moves_a_cooled_down_breaker_to_half_open(self):
+        board = BreakerBoard()
+        for t in range(BREAKER_FAILURE_THRESHOLD):
+            board.record_failure("m0/c00", float(t))
+        assert board.open_core_ids(10.0) == {"m0/c00"}
+        assert board.open_core_ids(PROBE_MS) == set()
+        assert board.breaker("m0/c00").state is BreakerState.HALF_OPEN
+        board.record_success("m0/c00", PROBE_MS + 1)
+        assert board.breaker("m0/c00").state is BreakerState.CLOSED
+        assert board._unclosed == {}
 
 
 class TestLoadShedder:

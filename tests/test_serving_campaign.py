@@ -1,9 +1,13 @@
 """Campaign-level behaviour: chaos schedule, hardening loop, determinism."""
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from repro.core.events import EventKind
 from repro.serving.campaign import (
     CampaignConfig,
     ServingCampaign,
+    _draw_payloads,
     build_serving_fleet,
 )
 from repro.chaos import ChaosAction, ChaosKind, ChaosSchedule
@@ -144,3 +148,26 @@ class TestCampaignDeterminism:
         assert self._fingerprint(first.run()) != (
             self._fingerprint(second.run())
         )
+
+
+class TestPayloadDraw:
+    """A tick's payloads come from one ``rng.bytes`` call; they must be
+    the bytes, and leave the state, of one call per request."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payload_bytes=st.integers(0, 70), count=st.integers(0, 8),
+        lead_bytes=st.integers(0, 13), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_draw_equals_one_draw_per_request(
+        self, payload_bytes, count, lead_bytes, seed
+    ):
+        # the lead draw leaves the generator on an odd 32-bit word for
+        # some sizes, with half a 64-bit output buffered
+        per_request = np.random.default_rng(seed)
+        batched = np.random.default_rng(seed)
+        per_request.bytes(lead_bytes)
+        batched.bytes(lead_bytes)
+        expected = [per_request.bytes(payload_bytes) for _ in range(count)]
+        assert _draw_payloads(batched, count, payload_bytes) == expected
+        assert batched.bit_generator.state == per_request.bit_generator.state

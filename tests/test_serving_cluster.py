@@ -76,7 +76,36 @@ class TestShardRoundRobinRouter:
         assert router.pick(exclude_core_ids={"s0/r0", "s0/r1"}) is None
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _unxorshift(z, shift):
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _key_hashing_to(low32):
+    """A route key whose ``stable_key_hash`` has low 32 bits ``low32``:
+    the splitmix finalizer run backwards from ``low32``."""
+    z = _unxorshift(low32, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & _MASK64
+
+
 class TestConsistentHashRouter:
+    def test_a_key_landing_on_a_ring_point_goes_to_that_point(self):
+        router = ConsistentHashRouter(_replicas(4))
+        for index in (0, 17, 63):
+            point = stable_str_hash(f"s0/r{index % 4}#{index // 4}")
+            key = _key_hashing_to(point)
+            assert stable_key_hash(key) & 0xFFFFFFFF == point
+            assert router.pick(route_key=key).replica_id == f"s0/r{index % 4}"
+
     def test_same_key_always_lands_on_the_same_replica(self):
         router = ConsistentHashRouter(_replicas(4))
         owners = {router.pick(route_key=77).replica_id for _ in range(10)}
