@@ -10,8 +10,8 @@ breakers wired into the quarantine policy, load shedding).
 
 The naive service silently returns corrupted-but-well-formed responses;
 the hardened one catches them at the client, trips a breaker on the
-offending core, and the quarantine loop pulls the core while the
-scheduler re-places the replica on a spare.
+offending core, and the quarantine loop pulls the core and re-places
+the replica on a spare.
 
 Run:  python examples/serving_chaos_campaign.py
 """

@@ -10,6 +10,13 @@ with :meth:`Campaign.begin_tick` (clock, chaos) and
 abstract hook :meth:`Campaign.replace_quarantined` plus, optionally,
 the chaos hooks ``hosted_on`` / ``on_crash`` / ``on_restore``.
 
+The kernel also picks cores: :meth:`Campaign.free_cores` lists the
+online, unquarantined, unoccupied cores in fleet order;
+:meth:`Campaign.place` takes the first ``n`` at construction and
+:meth:`Campaign.spare_core` the first one for a replacement.  (The
+slot scheduler in :mod:`repro.fleet.scheduler` is E10's model of what
+quarantine strands, not a placement service.)
+
 RNG order is part of the contract (scorecards are pinned byte-for-byte
 at equal seeds): :func:`build_small_fleet` seeds ``Core`` generators
 from one root stream in (machine, core) order, the trusted
@@ -40,7 +47,6 @@ from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
 from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
 from repro.detection.signals import SignalAnalyzer, SignalAnalyzerConfig
 from repro.fleet.machine import Machine
-from repro.fleet.scheduler import FleetScheduler, Task
 from repro.obs.forensics import MS_PER_DAY, detection_latency_summary
 from repro.silicon.core import Chip, Core
 from repro.silicon.defects import DefectModel
@@ -134,7 +140,6 @@ class Campaign:
             config=SignalAnalyzerConfig(weights=weights) if weights else None,
         )
         self.policy = QuarantinePolicy(policy, fleet_cores=len(self._core_by_id))
-        self.scheduler = FleetScheduler(machines)
         # Healthy by construction: the e2e argument's one honest endpoint.
         self.client_core = Core("client/c00", rng=np.random.default_rng(seed + 1))
 
@@ -264,14 +269,34 @@ class Campaign:
             ):
                 pass
 
-    def spare_core(self, task: Task, occupied: set[str]) -> Core | None:
-        """A scheduled core neither ``occupied`` nor quarantined, or
-        None when the fleet is drained (the runner degrades)."""
-        excluded = occupied | set(self.scorecard.quarantine_tick)
-        placements, _ = self.scheduler.schedule([task], exclude_core_ids=excluded)
-        if not placements:
-            return None
-        return self._core_by_id[placements[0].core_id]
+    # -- placement -----------------------------------------------------
+
+    def free_cores(self, occupied: Collection[str]) -> list[Core]:
+        """Online cores neither quarantined nor ``occupied``, in fleet
+        (machine, core) order."""
+        quarantined = self.scorecard.quarantine_tick
+        return [
+            core for core_id, core in self._core_by_id.items()
+            if core.online and core_id not in quarantined
+            and core_id not in occupied
+        ]
+
+    def place(self, n: int, what: str) -> list[Core]:
+        """The first ``n`` free cores, for ``n`` of ``what``; a fleet
+        with fewer is a configuration error."""
+        check_at_least(f"number of {what}", n, 0)
+        free = self.free_cores(())
+        if len(free) < n:
+            raise ValueError(
+                f"fleet too small for {n} {what}: {len(free)} free cores"
+            )
+        return free[:n]
+
+    def spare_core(self, occupied: Collection[str]) -> Core | None:
+        """The first free core outside ``occupied``, or None when the
+        fleet is drained (the runner degrades)."""
+        free = self.free_cores(occupied)
+        return free[0] if free else None
 
     def finish(self, ticks: int) -> None:
         """End-of-run bookkeeping every scorecard shares, then the one

@@ -128,18 +128,16 @@ class MachineQuarantine:
 
 
 def heuristic_safe_op_mix(
-    implicated_units: frozenset, op_mix: dict[str, float], tolerance: float = 0.0
+    implicated_units: frozenset, op_mix: dict[str, float]
 ) -> bool:
     """Unit-avoidance heuristic: mix is safe if it avoids implicated units.
 
     It uses only observable information (which tests failed), never the
-    simulator's knowledge of the defect's targeting.  ``tolerance``
-    permits a tiny fraction of ops on implicated units (e.g. for mixes
-    measured with noise).
+    simulator's knowledge of the defect's targeting.
     """
     exposure = sum(
         fraction
         for op, fraction in op_mix.items()
         if unit_of(op) in implicated_units
     )
-    return exposure <= tolerance
+    return exposure <= 0.0

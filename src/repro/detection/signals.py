@@ -10,14 +10,14 @@ also provide useful signals."
 :class:`SignalAnalyzer` consumes :class:`~repro.core.events.EventLog`
 entries and feeds a :class:`~repro.core.confidence.SuspicionTracker`
 with kind-specific weights.  Events without core attribution (many
-crashes) contribute a diluted weight to every core of the machine —
-the analyzer cannot conjure attribution the infrastructure lacks.
+crashes) are dropped — the analyzer cannot conjure attribution the
+infrastructure lacks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.core.confidence import SuspicionTracker
 from repro.core.events import CeeEvent, EventKind
@@ -28,10 +28,6 @@ from repro.detection.weights import default_weights
 #: :mod:`repro.detection.weights`; this is the flat mapping the
 #: analyzer consumes.
 DEFAULT_WEIGHTS: Mapping[EventKind, float] = default_weights()
-
-#: weight multiplier when an event lacks core attribution and is
-#: spread over the machine's cores
-UNATTRIBUTED_DILUTION = 0.25
 
 
 @dataclasses.dataclass
@@ -50,56 +46,34 @@ class SignalAnalyzer:
         self,
         tracker: SuspicionTracker | None = None,
         config: SignalAnalyzerConfig | None = None,
-        cores_by_machine: Mapping[str, Sequence[str]] | None = None,
     ):
         """
         Args:
             tracker: suspicion store (created if omitted).
-            cores_by_machine: machine id → core ids, used to spread
-                unattributed signals; unattributed events on unknown
-                machines are dropped (nothing to pin them on).
         """
         self.tracker = tracker or SuspicionTracker()
         self.config = config or SignalAnalyzerConfig()
-        self.cores_by_machine = dict(cores_by_machine or {})
-
-    def register_machine(self, machine_id: str, core_ids: Sequence[str]) -> None:
-        self.cores_by_machine[machine_id] = list(core_ids)
 
     def ingest(self, event: CeeEvent) -> None:
-        """Process one event into suspicion."""
-        weight = self.config.weights.get(event.kind, 1.0)
-        if event.core_id is not None:
-            self.tracker.record(
-                event.core_id,
-                now_days=event.time_days,
-                weight=weight,
-                source=event.application,
+        """Process one attributed event into suspicion."""
+        if event.core_id is None:
+            raise ValueError(
+                "an unattributed event names no core; ingest_all drops it"
             )
-            return
-        cores = self.cores_by_machine.get(event.machine_id)
-        if not cores:
-            return
-        diluted = weight * UNATTRIBUTED_DILUTION / len(cores)
-        for core_id in cores:
-            self.tracker.record(
-                core_id,
-                now_days=event.time_days,
-                weight=diluted,
-                source=event.application,
-            )
+        self.tracker.record(
+            event.core_id,
+            now_days=event.time_days,
+            weight=self.config.weights.get(event.kind, 1.0),
+            source=event.application,
+        )
 
-    def ingest_all(self, events) -> None:
-        """Process a batch of events into suspicion.
-
-        With no machine map there is nowhere to spread an unattributed
-        event, so only attributed ones reach :meth:`ingest` (which would
-        drop the rest one by one).
-        """
-        if not self.cores_by_machine:
-            events = [event for event in events if event.core_id is not None]
+    def ingest_all(self, events: Iterable[CeeEvent]) -> None:
+        """Process a batch of events into suspicion.  An unattributed
+        event has no core to pin it on, so it is dropped here and never
+        reaches :meth:`ingest`."""
         for event in events:
-            self.ingest(event)
+            if event.core_id is not None:
+                self.ingest(event)
 
     def suspects(self, now_days: float, threshold: float = 2.0) -> list[tuple[str, float]]:
         """Current suspects, most suspicious first."""

@@ -190,9 +190,9 @@ class FleetSimulator:
         self.production_mix = blended_op_mix()
 
         n_cores = self.n_cores
-        # Unattributed events are dropped rather than spread across a
-        # machine's cores: the dilution weight is negligible for 16-64
-        # cores and spreading is O(cores) per event at fleet scale.
+        # Unattributed events never reach the analyzer (it would drop
+        # them): spreading one over a machine's cores would add a
+        # negligible weight for 16-64 cores at O(cores) per event.
         self.analyzer = SignalAnalyzer(tracker=SuspicionTracker())
         self.complaints = CoreComplaintService(
             n_cores_visible=n_cores, event_log=self.events

@@ -18,9 +18,8 @@ Arms:
     per lane — same-core duplicate execution of sampled ops.
 ``meek``
     :class:`~repro.mitigation.instrcheck.policies.MeekCheckedCore`
-    per lane, all lanes sharing one checker core drawn via
-    :meth:`FleetScheduler.schedule(exclude_core_ids=...)
-    <repro.fleet.scheduler.FleetScheduler.schedule>` — the checker
+    per lane, all lanes sharing one checker core, the first free core
+    after theirs (:meth:`repro.campaign.Campaign.place`) — the checker
     drains each lane's bounded lag queue at a fixed per-tick budget.
 ``reptfd``
     :class:`~repro.mitigation.instrcheck.policies.ReplayChecker` per
@@ -45,7 +44,7 @@ Every catch becomes a weighted :class:`~repro.core.events.CeeEvent`
 the :class:`~repro.campaign.Campaign` kernel's analyzer → quarantine
 loop, so instrcheck catches are attributable in ``repro trace``
 forensics timelines and a condemned lane is re-placed on a spare core
-through the fleet scheduler.
+(:meth:`repro.campaign.Campaign.spare_core`).
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from repro.campaign import (
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
-from repro.fleet.scheduler import Task
 from repro.mitigation.checkpoint import GranuleFailedError
 from repro.mitigation.instrcheck.policies import (
     InstrCheckStats,
@@ -306,25 +304,15 @@ class InstrCheckCampaign(Campaign):
         self.expected = [self._golden_digest(u) for u in self.units]
         self._screen_rng = np.random.default_rng(seed + 11)
 
-        # Lane placement through the scheduler; the MEEK/RepTFD checker
-        # core is drawn with the worker cores excluded.
-        tasks = [Task(f"lane/{i}") for i in range(N_LANES)]
-        placements, _ = self.scheduler.schedule(tasks)
-        if len(placements) < N_LANES:
-            raise ValueError("fleet too small for the requested lane count")
-        self.lanes = [
-            _Lane(i, self._core_by_id[p.core_id])
-            for i, p in enumerate(placements)
-        ]
-        worker_ids = {lane.core.core_id for lane in self.lanes}
-        self.checker_core: Core | None = None
+        # Lanes take the first free cores; the MEEK/RepTFD checker the
+        # next one.
         if arm in ("meek", "reptfd"):
-            checker_placed, _ = self.scheduler.schedule(
-                [Task("checker")], exclude_core_ids=worker_ids
-            )
-            if not checker_placed:
-                raise ValueError("no spare core available as checker")
-            self.checker_core = self._core_by_id[checker_placed[0].core_id]
+            cores = self.place(N_LANES + 1, "lane and checker cores")
+            self.checker_core: Core | None = cores.pop()
+        else:
+            cores = self.place(N_LANES, "lanes")
+            self.checker_core = None
+        self.lanes = [_Lane(i, core) for i, core in enumerate(cores)]
 
         self._caught: set[int] = set()
         self._delivered: dict[int, int] = {}
@@ -348,15 +336,12 @@ class InstrCheckCampaign(Campaign):
 
     # -- lane equipment ------------------------------------------------
 
-    def _spare_cores(self) -> list[Core]:
-        """Online cores not hosting a lane and not the checker."""
+    def _busy(self) -> set[str]:
+        """The cores hosting a lane or the checker."""
         busy = {lane.core.core_id for lane in self.lanes}
         if self.checker_core is not None:
             busy.add(self.checker_core.core_id)
-        return [
-            core for core_id, core in self._core_by_id.items()
-            if core_id not in busy and core.online
-        ]
+        return busy
 
     def _equip_lane(self, lane: _Lane) -> None:
         """(Re)build a lane's arm wrapper around its current core."""
@@ -378,7 +363,7 @@ class InstrCheckCampaign(Campaign):
         elif self.arm == "reptfd":
             assert self.checker_core is not None
             lane.replayer = ReplayChecker(
-                [lane.core] + self._spare_cores(),
+                [lane.core] + self.free_cores(self._busy()),
                 self.checker_core, sample_rate=cfg.sample_rate,
                 seed=sampler_seed, stats=self.stats,
                 on_divergence=self._on_divergence,
@@ -480,7 +465,7 @@ class InstrCheckCampaign(Campaign):
             return
         replayer = lane.replayer
         assert replayer is not None
-        replayer.pool = [lane.core] + self._spare_cores()
+        replayer.pool = [lane.core] + self.free_cores(self._busy())
         replayer.tag = lane.buffer_tags[0]
         try:
             digests = replayer.run_granule(lane.buffer, tags=lane.buffer_tags)
@@ -551,9 +536,7 @@ class InstrCheckCampaign(Campaign):
         Lanes keep their wrappers (MEEK its unverified backlog) and are
         re-pointed at the new checker.
         """
-        new_core = self.spare_core(
-            Task("checker"), {lane.core.core_id for lane in self.lanes}
-        )
+        new_core = self.spare_core({lane.core.core_id for lane in self.lanes})
         if new_core is None:
             return  # degraded: nothing to check on, every lane is dark
         self.checker_core = new_core
@@ -574,7 +557,7 @@ class InstrCheckCampaign(Campaign):
             lane.wrapper.flush(budget)
 
     def _replace_lane(self, lane: _Lane) -> None:
-        """Re-place a quarantined lane on a spare core via the scheduler."""
+        """Re-place a quarantined lane on a spare core."""
         # A quarantined lane's granule buffer is abandoned: those units
         # were never committed past a checkpoint.
         if lane.buffer:
@@ -583,10 +566,7 @@ class InstrCheckCampaign(Campaign):
             lane.buffer_tags = []
         # The checker verifies the backlog before the lane moves.
         self._drain(lane, None)
-        occupied = {peer.core.core_id for peer in self.lanes}
-        if self.checker_core is not None:
-            occupied.add(self.checker_core.core_id)
-        new_core = self.spare_core(Task(f"lane/{lane.index}"), occupied)
+        new_core = self.spare_core(self._busy())
         if new_core is None:
             return  # degraded: the lane stays dark
         lane.core = new_core
@@ -686,7 +666,7 @@ def build_instrcheck_fleet(
     """A small fleet whose bad cores land among the worker lanes.
 
     ``round(prevalence * n_cores)`` cores are mercurial, placed at the
-    low global indices the scheduler hands to lanes first.  Defects
+    low global indices the kernel hands to lanes first.  Defects
     alternate between the two §2 archetypes the arms disagree about:
     a *probabilistic* stuck-bit on the ALU (ITHICA can catch it — the
     duplicate run re-rolls the dice) and a *deterministic*

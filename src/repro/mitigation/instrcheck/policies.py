@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 import numpy as np
 
@@ -77,22 +77,16 @@ _SAMPLER_BLOCK = 1024
 
 
 class OpSampler:
-    """Deterministic op sampler: rate plus optional op-class filter."""
+    """Deterministic op sampler: each occurrence is taken at ``rate``."""
 
     __slots__ = (
-        "rate", "ops", "seed", "_seed_state", "_counter", "_block", "_block_end",
+        "rate", "seed", "_seed_state", "_counter", "_block", "_block_end",
     )
 
-    def __init__(
-        self,
-        rate: float,
-        ops: Iterable[str] | None = None,
-        seed: int = 0,
-    ):
+    def __init__(self, rate: float, seed: int = 0):
         if not 0.0 <= rate <= 1.0:
             raise ValueError("sample rate must be a probability")
         self.rate = rate
-        self.ops = frozenset(ops) if ops is not None else None
         self.seed = seed
         #: FNV state after the seed word; ``_decide_block`` continues from it
         self._seed_state = digest_ints((seed,))
@@ -101,10 +95,8 @@ class OpSampler:
         self._block: list[bool] = []
         self._block_end = 0
 
-    def take(self, op: str) -> bool:
-        """Whether this op occurrence is selected for checking."""
-        if self.ops is not None and op not in self.ops:
-            return False
+    def take(self) -> bool:
+        """Whether the next op occurrence is selected for checking."""
         if self.rate >= 1.0:
             return True
         if self.rate <= 0.0:
@@ -116,8 +108,8 @@ class OpSampler:
 
     def take_count(self, n: int) -> int:
         """How many of the next ``n`` occurrences :meth:`take` selects,
-        for an op the filter admits, advancing the sampler past them
-        exactly as ``n`` calls of :meth:`take` would."""
+        advancing the sampler past them exactly as ``n`` calls of
+        :meth:`take` would."""
         if self.rate >= 1.0:
             return n
         if self.rate <= 0.0:
@@ -210,7 +202,7 @@ class IthicaCheckedCore:
         result = self.inner.execute(op, *operands)
         stats = self.stats
         stats.payload_ops += 1
-        if self.sampler.take(op):
+        if self.sampler.take():
             stats.ops_sampled += 1
             stats.check_ops += 1
             duplicate = self.inner.execute(op, *operands)
@@ -227,8 +219,7 @@ class IthicaCheckedCore:
         """Charge ``n_ops`` executions of ``ops`` and their sampled
         duplicates in one step, if the wrapped core credits them.
 
-        True only for a plain :class:`Core` that accepts ``ops`` and a
-        sampler with no op filter.  Both executions of an untargeted op
+        True only for a plain :class:`Core` that accepts ``ops``.  Both executions of an untargeted op
         are golden, so a duplicate never disagrees: the ``k`` sampled
         occurrences (:meth:`OpSampler.take_count`) cost the inner core
         ``k`` more ops, count as sampled and checked, and record no
@@ -236,11 +227,7 @@ class IthicaCheckedCore:
         An offline core refuses, so the first per-op ``execute`` raises.
         """
         inner = self.inner
-        if (
-            not isinstance(inner, Core)
-            or self.sampler.ops is not None
-            or not inner.credit_untargeted(ops, 0)
-        ):
+        if not isinstance(inner, Core) or not inner.credit_untargeted(ops, 0):
             return False
         sampled = self.sampler.take_count(n_ops)
         inner.credit_untargeted(ops, n_ops + sampled)
@@ -319,7 +306,7 @@ class MeekCheckedCore:
         result = self.inner.execute(op, *operands)
         stats = self.stats
         stats.payload_ops += 1
-        if self.sampler.take(op):
+        if self.sampler.take():
             stats.ops_sampled += 1
             if len(self._queue) >= self.lag_limit:
                 self._queue.popleft()

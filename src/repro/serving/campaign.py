@@ -41,7 +41,6 @@ from repro.campaign import (
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
-from repro.fleet.scheduler import Task
 from repro.obs import names
 from repro.serving.cluster import RoundRobinRouter
 from repro.serving.robustness import (
@@ -65,7 +64,7 @@ from repro.silicon.aging import AgingProfile
 from repro.silicon.core import Core
 from repro.silicon.defects import DefectModel, StuckBitDefect
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.units import FunctionalUnit, Op
+from repro.silicon.units import FunctionalUnit
 
 
 @dataclasses.dataclass
@@ -363,18 +362,11 @@ class ServingCampaign(RequestCampaign):
     # -- placement -----------------------------------------------------
 
     def _place_initial_replicas(self) -> list[ServerReplica]:
-        tasks = [
-            Task(f"replica/{i}", op_mix={Op.COPY: 1.0})
-            for i in range(self.config.n_replicas)
-        ]
-        placements, _ = self.scheduler.schedule(tasks)
-        if len(placements) < self.config.n_replicas:
-            raise ValueError(
-                "fleet too small for the requested replica count"
-            )
         return [
-            self._make_replica(self._core_by_id[p.core_id], f"replica/{i}")
-            for i, p in enumerate(placements)
+            self._make_replica(core, f"replica/{i}")
+            for i, core in enumerate(
+                self.place(self.config.n_replicas, "replicas")
+            )
         ]
 
     def hosted_on(self, core_id: str) -> list[ServerReplica]:
@@ -386,8 +378,7 @@ class ServingCampaign(RequestCampaign):
             if replica.core_id not in self.scorecard.quarantine_tick:
                 continue
             new_core = self.spare_core(
-                Task(replica.replica_id, op_mix={Op.COPY: 1.0}),
-                {r.core_id for r in self.router.replicas},
+                {r.core_id for r in self.router.replicas}
             )
             if new_core is None:
                 continue  # degraded: serve with fewer replicas

@@ -26,9 +26,9 @@ E17 runs on:
   fail-closed refuses outright — wrong-and-confident is the one
   §1-class outcome the ladder never permits.
 - **Autoscaling** — :class:`Autoscaler` watches per-shard utilization
-  (EWMA-smoothed) and asks the campaign to add or drain replicas off
-  the :class:`~repro.fleet.scheduler.FleetScheduler`, with a cooldown
-  so breaker storms don't make it flap.
+  (EWMA-smoothed) and asks the campaign to add replicas on free cores
+  (:meth:`repro.campaign.Campaign.free_cores`) or drain them, with a
+  cooldown so breaker storms don't make it flap.
 
 Everything here is deterministic: router hashes use explicit CRC/
 splitmix functions (never Python's salted ``hash``), and no component

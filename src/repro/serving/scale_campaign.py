@@ -16,9 +16,9 @@ would, against a fleet where *several* cores are mercurial at once:
   ``RETRY_BUDGET_EXHAUSTED`` instead of amplifying an incident), and a
   **graceful-degradation ladder** (shed → serve-stale → fail-closed)
   driven by the cluster-wide fraction of open breakers;
-- an :class:`~repro.serving.cluster.Autoscaler` adds and drains
-  replicas off the :class:`~repro.fleet.scheduler.FleetScheduler` as
-  utilization moves.
+- an :class:`~repro.serving.cluster.Autoscaler` adds replicas on the
+  fleet's free cores (:meth:`repro.campaign.Campaign.free_cores`) and
+  drains them as utilization moves.
 
 The scorecard extends E15's SLO view with the tail the paper's
 fleet-scale framing cares about — p99.9 latency, stale-served and
@@ -46,7 +46,6 @@ from repro.campaign import Published, build_small_fleet, check_at_least
 from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.fleet.machine import Machine
-from repro.fleet.scheduler import Task
 from repro.obs import names
 from repro.serving.campaign import (
     RequestCampaign,
@@ -80,7 +79,6 @@ from repro.serving.service import (
 )
 from repro.silicon.core import Core
 from repro.silicon.defects import DefectModel
-from repro.silicon.units import Op
 
 
 # ---------------------------------------------------------------------
@@ -347,25 +345,14 @@ class ServeScaleCampaign(RequestCampaign):
 
     def _build_cluster(self) -> ShardedCluster:
         hardening = self.hardening
-        tasks = [
-            Task(f"shard/{g}/r{i}", op_mix={Op.COPY: 1.0})
-            for g in range(N_SHARDS)
-            for i in range(REPLICAS_PER_SHARD)
-        ]
-        placements, _ = self.scheduler.schedule(tasks)
-        if len(placements) < len(tasks):
-            raise ValueError("fleet too small for the requested cluster")
+        cores = self.place(N_REPLICAS, "shard replicas")
         router_cls = ROUTER_POLICIES[hardening.router_policy]
         shards = []
         for g in range(N_SHARDS):
-            chunk = placements[
-                g * REPLICAS_PER_SHARD:(g + 1) * REPLICAS_PER_SHARD
-            ]
+            chunk = cores[g * REPLICAS_PER_SHARD:(g + 1) * REPLICAS_PER_SHARD]
             replicas = [
-                self._make_replica(
-                    self._core_by_id[p.core_id], f"shard/{g}/r{i}"
-                )
-                for i, p in enumerate(chunk)
+                self._make_replica(core, f"shard/{g}/r{i}")
+                for i, core in enumerate(chunk)
             ]
             shards.append(
                 Shard(
@@ -380,11 +367,8 @@ class ServeScaleCampaign(RequestCampaign):
         return ShardedCluster(shards)
 
     def _spare_core(self) -> Core | None:
-        """A scheduled spare core, or None when the fleet is drained."""
-        return self.spare_core(
-            Task("spare", op_mix={Op.COPY: 1.0}),
-            {r.core_id for r in self.cluster.replicas()},
-        )
+        """A spare core, or None when the fleet is drained."""
+        return self.spare_core({r.core_id for r in self.cluster.replicas()})
 
     def hosted_on(self, core_id: str) -> list[ServerReplica]:
         return [r for r in self.cluster.replicas() if r.core_id == core_id]

@@ -12,10 +12,10 @@ looks wrong.  This module models exactly that hazard:
   datapath (:func:`repro.workloads.copying.copy_bytes`), so a defective
   load/store or shared-logic unit corrupts real bytes exactly where a
   real one would;
-- an :class:`RpcService` routes requests across replicas placed on
-  fleet cores by the :class:`~repro.fleet.scheduler.FleetScheduler`,
-  applying whatever hardening (validation, retries, hedging, breakers)
-  the configuration enables — see :mod:`repro.serving.robustness`.
+- the serving campaigns route requests across replicas placed on
+  fleet cores by :meth:`repro.campaign.Campaign.place`, applying
+  whatever hardening (validation, retries, hedging, breakers) the
+  configuration enables — see :mod:`repro.serving.robustness`.
 
 Latency is a proxy model (milliseconds of simulated time), not wall
 clock: base service time plus seeded jitter, occasional stragglers

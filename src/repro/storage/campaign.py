@@ -52,7 +52,6 @@ from repro.core.events import EventKind
 from repro.core.policy import PolicyConfig
 from repro.detection.weights import default_weights
 from repro.fleet.machine import Machine
-from repro.fleet.scheduler import Task
 from repro.obs import names
 from repro.silicon.aging import AgingProfile
 from repro.silicon.core import Core
@@ -62,7 +61,7 @@ from repro.silicon.defects import (
     StuckBitDefect,
 )
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
-from repro.silicon.units import FunctionalUnit, Op
+from repro.silicon.units import FunctionalUnit
 from repro.storage.antientropy import AntiEntropy
 from repro.storage.replica import StorageReplica
 from repro.storage.scrub import Scrubber
@@ -388,16 +387,9 @@ class StorageCampaign(Campaign):
         return replica
 
     def _place_initial_replicas(self) -> list[StorageReplica]:
-        tasks = [
-            Task(f"store/{i}", op_mix={Op.COPY: 1.0})
-            for i in range(N_REPLICAS)
-        ]
-        placements, _ = self.scheduler.schedule(tasks)
-        if len(placements) < N_REPLICAS:
-            raise ValueError("fleet too small for the replica count")
         return [
-            self._make_replica(self._core_by_id[p.core_id])
-            for p in placements
+            self._make_replica(core)
+            for core in self.place(N_REPLICAS, "replicas")
         ]
 
     def replace_quarantined(self) -> None:
@@ -410,10 +402,7 @@ class StorageCampaign(Campaign):
         for index, old in enumerate(self.store.replicas):
             if old.core_id not in self.scorecard.quarantine_tick:
                 continue
-            new_core = self.spare_core(
-                Task(old.replica_id, op_mix={Op.COPY: 1.0}),
-                {r.core_id for r in self.store.replicas},
-            )
+            new_core = self.spare_core({r.core_id for r in self.store.replicas})
             if new_core is None:
                 continue  # degraded: run with fewer replicas
             self._retired_physical_bytes += old.stats.physical_bytes

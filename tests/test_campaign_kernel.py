@@ -634,6 +634,63 @@ class TestInstrcheckMachine:
         assert card.units_delivered + card.units_crashed == card.units_total
 
 
+#: what each runner places first, as its too-small-fleet error names it
+PLACES = {
+    "E15": "4 replicas", "E16": "3 replicas",
+    "E17": "9 shard replicas", "E18": "5 lane and checker cores",
+}
+
+
+@pytest.mark.parametrize("experiment_id", list(CAMPAIGNS))
+class TestPlacement:
+    """The kernel picks cores: the first free ones, in fleet order."""
+
+    @staticmethod
+    def _campaign(experiment_id, machines):
+        spec = CAMPAIGNS[experiment_id]
+        return spec.campaign(machines, spec.trace_arm, spec.config(), 3)
+
+    def _fleet_and_campaign(self, experiment_id):
+        spec = CAMPAIGNS[experiment_id]
+        machines, _bad = spec.build_fleet(seed=7, **spec.trace_fleet)
+        return machines, self._campaign(experiment_id, machines)
+
+    def test_too_small_fleet_names_what_it_places(self, experiment_id):
+        machines, _bad = build_small_fleet(1, 2, 0, lambda *_: ())
+        with pytest.raises(
+            ValueError,
+            match=f"fleet too small for {PLACES[experiment_id]}: 2 free",
+        ):
+            self._campaign(experiment_id, machines)
+
+    def test_free_cores_keep_fleet_order_and_skip_taken_cores(
+        self, experiment_id
+    ):
+        machines, campaign = self._fleet_and_campaign(experiment_id)
+        flat = [core for machine in machines for core in machine.cores]
+        crashed, quarantined, occupied = flat[0], flat[1], flat[2]
+        crashed.set_online(False)
+        campaign.quarantine(quarantined.core_id, 0)
+        # a quarantined core stays out even while a screener has it up
+        quarantined.set_online(True)
+        free = campaign.free_cores({occupied.core_id})
+        assert free == flat[3:]
+        assert campaign.spare_core({occupied.core_id}) is flat[3]
+        assert campaign.place(2, "tasks") == [occupied, flat[3]]
+
+    def test_spare_core_is_none_on_a_drained_fleet(self, experiment_id):
+        machines, campaign = self._fleet_and_campaign(experiment_id)
+        flat = [core for machine in machines for core in machine.cores]
+        for core in flat[1:]:
+            core.set_online(False)
+        assert campaign.free_cores(()) == [flat[0]]
+        assert campaign.spare_core({flat[0].core_id}) is None
+        with pytest.raises(ValueError, match="fleet too small for 2 tasks"):
+            campaign.place(2, "tasks")
+        with pytest.raises(ValueError, match="number of tasks must be >= 0"):
+            campaign.place(-1, "tasks")
+
+
 class TestFleet:
     @pytest.mark.parametrize(
         "name,variant",

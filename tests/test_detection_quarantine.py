@@ -68,8 +68,3 @@ class TestSafeTasks:
         implicated = frozenset({FunctionalUnit.VECTOR})
         assert heuristic_safe_op_mix(implicated, {Op.ADD: 1.0})
         assert not heuristic_safe_op_mix(implicated, {Op.VADD: 0.1, Op.ADD: 0.9})
-
-    def test_heuristic_tolerance(self):
-        implicated = frozenset({FunctionalUnit.VECTOR})
-        mix = {Op.VADD: 0.05, Op.ADD: 0.95}
-        assert heuristic_safe_op_mix(implicated, mix, tolerance=0.1)

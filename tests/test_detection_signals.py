@@ -1,5 +1,7 @@
 """Signal analysis and the suspicion weight table."""
 
+import pytest
+
 from repro.core.events import CeeEvent, EventKind, Reporter
 from repro.detection.signals import DEFAULT_WEIGHTS, SignalAnalyzer
 from repro.detection.weights import SUSPICION_WEIGHTS, default_weights
@@ -32,18 +34,12 @@ class TestSignalAnalyzer:
             DEFAULT_WEIGHTS.values()
         )
 
-    def test_unattributed_event_spread_over_machine(self):
-        analyzer = SignalAnalyzer(
-            cores_by_machine={"m0": ["m0/c0", "m0/c1"]}
-        )
-        analyzer.ingest(_event(None, EventKind.CRASH, machine="m0"))
-        assert analyzer.tracker.score("m0/c0", 0.0) > 0
-        assert analyzer.tracker.score("m0/c0", 0.0) == \
-            analyzer.tracker.score("m0/c1", 0.0)
-
-    def test_unattributed_event_on_unknown_machine_dropped(self):
+    def test_unattributed_event_changes_no_score(self):
         analyzer = SignalAnalyzer()
-        analyzer.ingest(_event(None, EventKind.CRASH, machine="ghost"))
+        analyzer.ingest_all([_event(None, EventKind.CRASH, machine="m0")])
+        assert analyzer.tracker.tracked_cores() == []
+        with pytest.raises(ValueError, match="unattributed"):
+            analyzer.ingest(_event(None, EventKind.CRASH, machine="m0"))
         assert analyzer.tracker.tracked_cores() == []
 
     def test_repeated_signals_become_suspects(self):
@@ -53,12 +49,6 @@ class TestSignalAnalyzer:
                                    t=float(t)))
         suspects = analyzer.suspects(now_days=3.0, threshold=2.0)
         assert suspects and suspects[0][0] == "m0/c7"
-
-    def test_register_machine_after_construction(self):
-        analyzer = SignalAnalyzer()
-        analyzer.register_machine("m9", ["m9/c0"])
-        analyzer.ingest(_event(None, machine="m9"))
-        assert analyzer.tracker.score("m9/c0", 0.0) > 0
 
     def test_ingest_all(self):
         analyzer = SignalAnalyzer()
@@ -75,10 +65,10 @@ class TestSignalAnalyzer:
             _event(None, EventKind.USER_REPORT, t=2.0, machine="m1"),
         ]
 
-    def test_ingest_all_without_machine_map_skips_unattributed(
+    def test_ingest_all_hands_ingest_only_attributed_events(
         self, monkeypatch
     ):
-        """Nowhere to spread them: they never cost an ``ingest`` call."""
+        """Nowhere to pin them: they never cost an ``ingest`` call."""
         seen = []
         real = SignalAnalyzer.ingest
 
@@ -93,32 +83,10 @@ class TestSignalAnalyzer:
 
         one_by_one = SignalAnalyzer()
         for event in self._batch():
-            real(one_by_one, event)
+            if event.core_id is not None:
+                real(one_by_one, event)
         assert analyzer.tracker.suspects(2.0, 0.0) == \
             one_by_one.tracker.suspects(2.0, 0.0)
-
-    def test_ingest_all_with_machine_map_still_dilutes(self, monkeypatch):
-        seen = []
-        real = SignalAnalyzer.ingest
-
-        def counting(self, event):
-            seen.append(event)
-            return real(self, event)
-
-        monkeypatch.setattr(SignalAnalyzer, "ingest", counting)
-        cores = {"m0": ["m0/c0", "m0/c1"], "m1": ["m1/c2"]}
-        analyzer = SignalAnalyzer(cores_by_machine=cores)
-        batch = self._batch()
-        analyzer.ingest_all(iter(batch))
-        assert seen == batch
-
-        one_by_one = SignalAnalyzer(cores_by_machine=cores)
-        for event in batch:
-            real(one_by_one, event)
-        assert analyzer.tracker.suspects(2.0, 0.0) == \
-            one_by_one.tracker.suspects(2.0, 0.0)
-        # m0/c1 is known only through m0's unattributed crash
-        assert analyzer.tracker.signals("m0/c1") == 1
 
 
 class TestSuspicionWeightTable:

@@ -59,10 +59,7 @@ COLUMNAR_MODULES = tuple(f"src/repro/{name}.py" for name in (
 ))
 
 #: per-core loops that stay, ``path::qualname`` of the enclosing def
-PER_CORE_LOOPS = {
-    "src/repro/fleet/scheduler.py::FleetScheduler._all_cores":
-    "object-substrate slot scan (compat path)",
-}
+PER_CORE_LOOPS: dict[str, str] = {}
 
 Trees = dict[str, ast.Module]
 

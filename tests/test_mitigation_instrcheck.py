@@ -80,22 +80,17 @@ def _unit(n_ops=12, seed=5):
 class TestOpSampler:
     def test_rate_one_takes_everything(self):
         sampler = OpSampler(1.0)
-        assert all(sampler.take(Op.ADD) for _ in range(50))
+        assert all(sampler.take() for _ in range(50))
 
     def test_rate_zero_takes_nothing(self):
         sampler = OpSampler(0.0)
-        assert not any(sampler.take(Op.ADD) for _ in range(50))
-
-    def test_op_class_filter(self):
-        sampler = OpSampler(1.0, ops=(Op.MUL,))
-        assert not sampler.take(Op.ADD)
-        assert sampler.take(Op.MUL)
+        assert not any(sampler.take() for _ in range(50))
 
     def test_fractional_rate_is_deterministic_and_plausible(self):
         sampler_a = OpSampler(0.33, seed=9)
         sampler_b = OpSampler(0.33, seed=9)
-        taken_a = [sampler_a.take(Op.ADD) for _ in range(600)]
-        taken_b = [sampler_b.take(Op.ADD) for _ in range(600)]
+        taken_a = [sampler_a.take() for _ in range(600)]
+        taken_b = [sampler_b.take() for _ in range(600)]
         assert taken_a == taken_b  # counter-hash, not RNG stream
         assert 0.2 < sum(taken_a) / 600 < 0.5
 
@@ -110,30 +105,20 @@ class TestOpSampler:
         be the scalar ``_hash01(seed, counter) < rate``, across blocks."""
         sampler = OpSampler(rate, seed=seed)
         n = 2 * policies._SAMPLER_BLOCK + 10
-        taken = [sampler.take(Op.ADD) for _ in range(n)]
+        taken = [sampler.take() for _ in range(n)]
         assert taken == [
             policies._hash01(seed, counter) < rate for counter in range(1, n + 1)
         ]
 
-    def test_filtered_op_does_not_advance_the_counter(self):
-        plain = OpSampler(0.33, seed=4)
-        filtered = OpSampler(0.33, ops=(Op.MUL,), seed=4)
-        want = [plain.take(Op.MUL) for _ in range(300)]
-        got = []
-        for _ in range(300):
-            assert not filtered.take(Op.ADD)
-            got.append(filtered.take(Op.MUL))
-        assert got == want
-
     def test_interleaved_samplers_with_one_seed_stay_independent(self):
         alone = OpSampler(0.33, seed=9)
-        want = [alone.take(Op.ADD) for _ in range(2500)]
+        want = [alone.take() for _ in range(2500)]
         first, second = OpSampler(0.33, seed=9), OpSampler(0.33, seed=9)
         got_first, got_second = [], []
         for index in range(2500):
-            got_first.append(first.take(Op.ADD))
+            got_first.append(first.take())
             if index % 3 == 0:
-                got_second.append(second.take(Op.ADD))
+                got_second.append(second.take())
         assert got_first == want
         assert got_second == want[:len(got_second)]
 
@@ -156,11 +141,11 @@ class TestOpSampler:
         the sampler where it leaves it."""
         bulk, single = OpSampler(rate, seed=seed), OpSampler(rate, seed=seed)
         for counted, n in runs:
-            want = sum(single.take(Op.ADD) for _ in range(n))
+            want = sum(single.take() for _ in range(n))
             if counted:
                 got = bulk.take_count(n)
             else:
-                got = sum(bulk.take(Op.ADD) for _ in range(n))
+                got = sum(bulk.take() for _ in range(n))
             assert got == want
             assert bulk._counter == single._counter
 
@@ -232,10 +217,9 @@ class TestIthica:
         assert wrapper.stats.mismatches == 0  # and ITHICA cannot see it
 
     @pytest.mark.usefixtures("kernels_on")
-    def test_credit_needs_a_plain_core_and_no_op_filter(self, execute_calls):
+    def test_credit_needs_a_plain_core(self, execute_calls):
         """An untargeted stream through ITHICA on a plain core is one
-        credit; a filtered sampler, a wrapped inner core and MEEK see
-        every op."""
+        credit; a wrapped inner core and MEEK see every op."""
         data = b"sixteen bytes..."
         credited = IthicaCheckedCore(_healthy(), sample_rate=0.33, seed=3)
         crc64(credited, data)
@@ -243,11 +227,9 @@ class TestIthica:
         assert credited.stats.payload_ops == 4 * len(data)
         assert credited.inner.ops_executed == 4 * len(data) + credited.stats.check_ops
 
-        filtered = IthicaCheckedCore(_healthy(), sample_rate=0.33, seed=3)
-        filtered.sampler = OpSampler(0.33, ops=(Op.XOR,), seed=3)
         nested = IthicaCheckedCore(OpCountingCore(_healthy()), 0.33, seed=3)
         meek = MeekCheckedCore(_healthy(), _healthy("ic/checker"), 0.33, seed=3)
-        for wrapper in (filtered, nested, meek):
+        for wrapper in (nested, meek):
             execute_calls.clear()
             crc64(wrapper, data)
             assert wrapper.stats.payload_ops == 4 * len(data)
@@ -370,7 +352,7 @@ class TestCampaign:
     def test_fleet_builder_places_bad_cores_in_lanes(self):
         machines, bad = build_instrcheck_fleet(prevalence=0.25)
         assert len(bad) == 2
-        # Low global indices: the scheduler hands these to lanes first.
+        # Low global indices: the kernel hands these to lanes first.
         assert all(core_id.startswith("m00000/") for core_id in bad)
 
     def test_scorecard_accounting_closes(self):

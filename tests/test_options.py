@@ -113,7 +113,7 @@ def test_option_inventory_is_pinned():
 #: defaulted parameters of public callables; re-pin on purpose when a
 #: keyword option is added or retired
 KEYWORD_DEFAULTS = (
-    323, "80d6ea376f93689c8d21c53a360d191329d343b3245940d347f70d3209dc971e",
+    319, "9faab1b97641b0c263184ffc2f0389856cdad0e24da2576b1af036c5e79d3511",
 )
 
 
