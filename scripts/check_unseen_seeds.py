@@ -4,9 +4,10 @@
 Every row of ``repro.analysis.experiments.EXPERIMENTS`` whose runner
 takes ``seed`` runs at ``ci`` scale twice per drawn seed: once with the
 kernels and credits on (``golden_cache(True)``) and once on the per-op
-reference path (``golden_cache(False)``).  The two ``sha256(rendered)``
-must be equal; the pinned digests only hold one seed per row, so a fast
-path exact at that seed alone passes every other test.
+reference path (``golden_cache(False)``).  The two digests of the whole
+result (its one JSON form, ``rendered`` included) must be equal; the
+pinned digests only hold one seed per row, so a fast path exact at that
+seed alone passes every other test.
 
 The seeds are drawn from ``GITHUB_RUN_ID`` (a fresh random draw when it
 is unset) and printed first, so a failure replays with ``--seeds``.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import json
 import os
 import secrets
 import sys
@@ -37,7 +39,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.analysis.experiments import EXPERIMENTS  # noqa: E402
+from repro.analysis.experiments import EXPERIMENTS, result_json  # noqa: E402
 from repro.silicon.golden import golden_cache  # noqa: E402
 
 #: seeds drawn per run
@@ -62,8 +64,9 @@ def seeded_rows() -> list[str]:
     ]
 
 
-def rendered_digest(row_id: str, seed: int, kernels: bool) -> str:
-    """``sha256(rendered)`` of one ``ci``-scale run, or what it raised."""
+def result_digest(row_id: str, seed: int, kernels: bool) -> str:
+    """sha256 of one ``ci``-scale run's whole result as JSON, or what it
+    raised."""
     row = EXPERIMENTS[row_id]
     try:
         with golden_cache(kernels):
@@ -71,7 +74,9 @@ def rendered_digest(row_id: str, seed: int, kernels: bool) -> str:
     except Exception as exc:  # a raise is a finding: report it, run on
         traceback.print_exc()
         return f"raised {type(exc).__name__}: {exc}"
-    return hashlib.sha256(result["rendered"].encode()).hexdigest()
+    return hashlib.sha256(
+        json.dumps(result_json(result), sort_keys=True).encode()
+    ).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,8 +108,8 @@ def main(argv: list[str] | None = None) -> int:
     for row_id in rows:
         for seed in seeds:
             start, n_failed = time.perf_counter(), len(failures)
-            kernels = rendered_digest(row_id, seed, True)
-            reference = rendered_digest(row_id, seed, False)
+            kernels = result_digest(row_id, seed, True)
+            reference = result_digest(row_id, seed, False)
             if kernels != reference:
                 failures.append(
                     f"{row_id} seed {seed}: kernels {kernels} "

@@ -14,7 +14,7 @@ Subpackages:
 - :mod:`repro.core` — the paper's conceptual contribution systematized:
   CEE taxonomy, events, metrics, suspicion scoring, report service,
   triage, quarantine policy.
-- :mod:`repro.detection` — screeners on the paper's four axes, signal
+- :mod:`repro.detection` — online and offline screeners, signal
   analysis, test corpus, quarantine mechanisms, fleet-scale screening.
 - :mod:`repro.mitigation` — redundant execution, checkpoint/restart,
   a self-checking cipher, ABFT-style resilient algorithms and

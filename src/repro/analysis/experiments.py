@@ -15,8 +15,8 @@ the row's ``ci`` kwargs are the only other scale.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -31,7 +31,7 @@ from repro.analysis.stats import (
     poisson_rate_ci,
     trend_slope,
 )
-from repro.campaign import Campaign
+from repro.campaign import Campaign, CampaignScorecard
 from repro.core.events import EventKind, Reporter
 from repro.core.metrics import (
     confusion,
@@ -158,6 +158,49 @@ def evaluate(experiment: Experiment, result: dict) -> list[tuple[Claim, bool]]:
     return [
         (claim, bool(claim.check(result))) for claim in experiment.claims
     ]
+
+
+def result_json(node: Any) -> Any:
+    """A row's result (or any part of it) as strict JSON data.
+
+    A scorecard becomes its ``to_json()`` and any other dataclass its
+    fields; an enum becomes its name, a tuple (``CeeEvent`` too) a
+    list, a set a sorted list, a numpy scalar its Python value and a
+    non-finite float ``None``.  Two keys with one JSON name, or a value
+    JSON has no form for, raise ``TypeError``.
+    """
+    if isinstance(node, CampaignScorecard):
+        node = node.to_json()
+    elif dataclasses.is_dataclass(node) and not isinstance(node, type):
+        node = {
+            field.name: getattr(node, field.name)
+            for field in dataclasses.fields(node)
+        }
+    if isinstance(node, dict):
+        plain: dict[str, Any] = {}
+        for key, value in node.items():
+            name = result_json(key)
+            if isinstance(name, (int, float)):
+                name = json.dumps(name)
+            if not isinstance(name, str):
+                raise TypeError(f"no JSON key for {key!r}")
+            if name in plain:
+                raise TypeError(f"two keys are named {name!r} in JSON")
+            plain[name] = result_json(value)
+        return plain
+    if isinstance(node, enum.Enum):
+        return node.name
+    if isinstance(node, np.generic):
+        node = node.item()
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if node is None or isinstance(node, (bool, int, str)):
+        return node
+    if isinstance(node, (list, tuple)):
+        return [result_json(item) for item in node]
+    if isinstance(node, (set, frozenset)):
+        return sorted(result_json(item) for item in node)
+    raise TypeError(f"no JSON form for {type(node).__name__}")
 
 
 def _healthy(core_id: str, seed: int = 0) -> Core:
@@ -1518,20 +1561,6 @@ def run_grid(
     return grid
 
 
-def grid_fingerprint(result: dict) -> str:
-    """sha256 of a grid runner's ``result["grid"]`` (scorecards as their
-    ``to_json()``, keys sorted): the worker-invariance gate the E17/E18/
-    E19 cards commit as ``grid_fingerprint``."""
-    def plain(node):
-        if isinstance(node, dict):
-            return {key: plain(value) for key, value in node.items()}
-        return node.to_json() if hasattr(node, "to_json") else node
-
-    return hashlib.sha256(
-        json.dumps(plain(result["grid"]), sort_keys=True).encode()
-    ).hexdigest()
-
-
 # ---------------------------------------------------------------------
 # E17 — serve at scale: sharded cluster across a prevalence × spend grid
 # ---------------------------------------------------------------------
@@ -1542,14 +1571,15 @@ SCALE_ARMS: tuple[str, ...] = ("baseline", "retries_breakers", "full")
 
 def _scale_cell(
     cell: tuple[float, str], *, seed: int, ticks: int
-) -> "ScaleScorecard":
-    """One (prevalence, hardening) E17 cell of :func:`campaign_arm`."""
+) -> tuple["ScaleScorecard", int]:
+    """One (prevalence, hardening) E17 cell of :func:`campaign_arm`:
+    its scorecard and the fleet's bad-core count."""
     prevalence, arm_name = cell
-    card, _events, _bad = campaign_arm(
+    card, _events, bad = campaign_arm(
         arm_name, experiment_id="E17", seed=seed,
         fleet=dict(prevalence=prevalence), ticks=ticks,
     )
-    return card
+    return card, len(bad)
 
 
 def run_serve_at_scale(
@@ -1577,22 +1607,21 @@ def run_serve_at_scale(
     user-visible corruption (escape rate) versus baseline, with the
     latency bill quantified at p99/p99.9.
     """
-    grid = run_grid(
+    cells = run_grid(
         functools.partial(_scale_cell, seed=seed, ticks=ticks),
         (prevalences, SCALE_ARMS),
         workers,
     )
 
+    grid: dict[str, dict] = {}
     rows = []
     comparisons: dict[str, dict] = {}
-    for prevalence, (key, cards) in zip(prevalences, grid.items()):
+    for key, arms in cells.items():
+        cards = grid[key] = {arm: card for arm, (card, _) in arms.items()}
         rows += [[key] + card.summary_row() for card in cards.values()]
         base, full = cards["baseline"], cards["full"]
         comparisons[key] = {
-            # the bad-core count is a function of the fleet shape alone
-            "n_bad_cores": len(
-                build_scale_fleet(prevalence=prevalence)[1]
-            ),
+            "n_bad_cores": arms["baseline"][1],
             "escape_rate_baseline": base.escape_rate,
             "escape_rate_retries_breakers":
                 cards["retries_breakers"].escape_rate,
@@ -1637,18 +1666,19 @@ def run_serve_at_scale(
 
 def _instrcheck_cell(
     cell: tuple[float, str, float], *, units: int, seed: int
-) -> InstrCheckScorecard:
+) -> tuple[InstrCheckScorecard, int]:
     """One (prevalence, arm, sampling rate) E18 cell of
-    :func:`campaign_arm`."""
+    :func:`campaign_arm`: its scorecard and the fleet's bad-core
+    count."""
     prevalence, arm, rate = cell
-    card, _events, _bad = campaign_arm(
+    card, _events, bad = campaign_arm(
         arm, experiment_id="E18", seed=seed,
         fleet=dict(prevalence=prevalence), units=units, sample_rate=rate,
         # The screening arm spends its budget as battery frequency, not
         # per-op duplication: a higher "rate" screens more often.
         screen_interval_ticks=max(1, round(1.0 / max(rate, 1e-9))),
     )
-    return card
+    return card, len(bad)
 
 
 #: E18's grid axes: mercurial-core prevalence, per-op sampling rate
@@ -1678,26 +1708,28 @@ def run_instrcheck_grid(
     catches (rollback re-run).  Screening catches cores, never
     in-flight results — its pre-propagation coverage is honestly ~0.
     """
-    grid = run_grid(
+    cells = run_grid(
         functools.partial(_instrcheck_cell, units=units, seed=seed),
         (INSTRCHECK_PREVALENCES, INSTRCHECK_ARMS, INSTRCHECK_RATES),
         workers,
     )
 
+    grid: dict[str, dict] = {}
     rows = []
     comparisons: dict[str, dict] = {}
     full_rate = f"{INSTRCHECK_RATES[-1]:g}"
-    for prevalence, (key, arms) in zip(INSTRCHECK_PREVALENCES, grid.items()):
+    for key, arm_cells in cells.items():
+        arms = grid[key] = {
+            arm: {rate: card for rate, (card, _) in rates.items()}
+            for arm, rates in arm_cells.items()
+        }
         rows += [
             [key] + card.summary_row()
             for cards in arms.values() for card in cards.values()
         ]
         full = {arm: cards[full_rate] for arm, cards in arms.items()}
         comparisons[key] = {
-            # the bad-core count is a function of the fleet shape alone
-            "n_bad_cores": len(
-                build_instrcheck_fleet(prevalence=prevalence)[1]
-            ),
+            "n_bad_cores": arm_cells["meek"][full_rate][1],
             "coverage_at_full_rate": {
                 arm: card.coverage for arm, card in full.items()
             },

@@ -31,6 +31,7 @@ import dataclasses
 from typing import (
     Any,
     Callable,
+    ClassVar,
     Collection,
     Iterable,
     Mapping,
@@ -56,6 +57,9 @@ from repro.silicon.defects import DefectModel
 class CampaignScorecard:
     """The fields every campaign scorecard carries; runners extend it."""
 
+    #: the derived properties ``to_json`` reports beside the fields
+    rates: ClassVar[tuple[str, ...]] = ()
+
     name: str
     ticks: int = 0
     quarantine_tick: dict[str, int] = dataclasses.field(default_factory=dict)
@@ -71,13 +75,16 @@ class CampaignScorecard:
             return 0.0
         return float(np.percentile(np.array(values), q))
 
-    def detection_json(self) -> dict[str, dict]:
-        """The closing ``to_json`` entries, shared by every scorecard."""
-        return {
-            "quarantine_tick": dict(sorted(self.quarantine_tick.items())),
-            "first_corrupt_tick": dict(sorted(self.first_corrupt_tick.items())),
-            "detection_latency_ms": self.detection_latency_ms,
+    def to_json(self) -> dict:
+        """Every field but the raw sample lists (reported through their
+        percentiles), then the derived ``rates`` the subclass names."""
+        payload = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+            if not isinstance(getattr(self, field.name), list)
         }
+        payload.update((name, getattr(self, name)) for name in self.rates)
+        return payload
 
 
 def check_at_least(name: str, value: float, low: float) -> None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 import time
 import traceback
@@ -65,25 +64,24 @@ def _runner_kwargs(experiment_id: str, scale: str, seed: int | None,
 
 
 def _json_payload(experiment_id: str, title: str, result: dict) -> dict:
-    """A row's result as strict JSON: every value with ``to_json()``
-    is a scorecard, every other top-level scalar a metric, and a
-    non-finite float becomes null."""
-    metrics = {
-        key: None if isinstance(value, float) and not math.isfinite(value)
-        else value
-        for key, value in result.items()
-        if key != "rendered"
-        and isinstance(value, (bool, int, float, str, type(None)))
+    """A row's whole result as strict JSON (see ``result_json``): its
+    top-level scorecards under ``scorecards``, every other key but
+    ``rendered`` under ``metrics``."""
+    from repro.analysis.experiments import result_json
+    from repro.campaign import CampaignScorecard
+
+    payload: dict = {
+        "experiment": experiment_id, "title": title,
+        "scorecards": {}, "metrics": {},
     }
-    return {
-        "experiment": experiment_id,
-        "title": title,
-        "scorecards": {
-            key: value.to_json() for key, value in result.items()
-            if hasattr(value, "to_json")
-        },
-        "metrics": metrics,
-    }
+    for key, value in result_json(result).items():
+        if key != "rendered":
+            kind = (
+                "scorecards" if isinstance(result[key], CampaignScorecard)
+                else "metrics"
+            )
+            payload[kind][key] = value
+    return payload
 
 
 def _run_one(experiment_id: str, scale: str, seed: int | None = None,
@@ -113,7 +111,7 @@ def _run_one(experiment_id: str, scale: str, seed: int | None = None,
         if as_json:
             json.dump(
                 _json_payload(experiment_id, experiment.title, result),
-                sys.stdout, indent=2, sort_keys=True,
+                sys.stdout, indent=2, sort_keys=True, allow_nan=False,
             )
             print()
         else:
@@ -280,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--json", action="store_true",
-        help="print the row's scorecards and scalar results as strict "
-             "JSON instead of its table (one experiment ID only)",
+        help="print the row's whole result (scorecards, grids, series; "
+             "non-finite numbers as null) as strict JSON instead of its "
+             "table (one experiment ID only)",
     )
 
     metrics_parser = subparsers.add_parser(

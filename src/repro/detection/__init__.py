@@ -1,14 +1,13 @@
 """Detection and isolation of mercurial cores (paper §6).
 
-Screeners are classified on the paper's four axes (automated/human,
-pre/post-deployment, offline/online, infrastructure/application); see
-:mod:`repro.detection.screener`.  The pieces:
+The pieces:
 
 - :mod:`repro.detection.corpus` — the screening-test corpus (ISA
   torture programs + real-library tests) and the targeted-test
   workflow for newly root-caused defect modes.
 - :mod:`repro.detection.online` / :mod:`repro.detection.offline` —
-  spare-cycle screening vs drain-and-sweep interrogation.
+  spare-cycle screening vs drain-and-sweep interrogation, each
+  returning a :class:`~repro.detection.screener.ScreenResult`.
 - :mod:`repro.detection.signals` — crash/MCE/sanitizer log analysis
   into per-core suspicion.
 - :mod:`repro.detection.quarantine` — core- and machine-level
@@ -47,15 +46,7 @@ from repro.detection.quarantine import (
     MachineQuarantine,
     heuristic_safe_op_mix,
 )
-from repro.detection.screener import (
-    Automation,
-    DeploymentPhase,
-    Level,
-    Mode,
-    ScreenerAxes,
-    ScreeningBudget,
-    ScreenResult,
-)
+from repro.detection.screener import ScreenResult
 from repro.detection.signals import DEFAULT_WEIGHTS, SignalAnalyzer, SignalAnalyzerConfig
 
 __all__ = [
@@ -84,12 +75,6 @@ __all__ = [
     "IsolationCost",
     "MachineQuarantine",
     "heuristic_safe_op_mix",
-    "Automation",
-    "DeploymentPhase",
-    "Level",
-    "Mode",
-    "ScreenerAxes",
-    "ScreeningBudget",
     "ScreenResult",
     "DEFAULT_WEIGHTS",
     "SignalAnalyzer",

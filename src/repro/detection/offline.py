@@ -23,25 +23,9 @@ from __future__ import annotations
 import dataclasses
 
 from repro.detection.corpus import TestCorpus
-from repro.detection.screener import (
-    Automation,
-    DeploymentPhase,
-    Level,
-    Mode,
-    ScreenerAxes,
-    ScreeningBudget,
-    ScreenResult,
-)
+from repro.detection.screener import ScreenResult
 from repro.silicon.core import Core
 from repro.silicon.environment import DvfsTable, OperatingPoint, stress_points
-
-AXES = ScreenerAxes(
-    automation=Automation.AUTOMATED,
-    phase=DeploymentPhase.POST_DEPLOYMENT,
-    mode=Mode.OFFLINE,
-    level=Level.INFRASTRUCTURE,
-)
-
 
 #: capacity cost of migrating work off a core before testing (the §6
 #: drain-cost concern)
@@ -66,13 +50,10 @@ class OfflineScreenerConfig:
 class OfflineScreener:
     """Full-corpus, full-envelope interrogation of one core at a time."""
 
-    axes = AXES
-
     def __init__(self, config: OfflineScreenerConfig | None = None):
         self.corpus = TestCorpus.standard()
         self.config = config or OfflineScreenerConfig()
         self.dvfs = DvfsTable()
-        self.budget = ScreeningBudget()
 
     def sweep_schedule(self) -> list[OperatingPoint]:
         """The explicit (f, V, T) interrogation order."""
@@ -114,5 +95,4 @@ class OfflineScreener:
         finally:
             core.set_environment(original_env)
             core.set_online(was_online)
-        self.budget.add(merged)
         return merged

@@ -19,24 +19,8 @@ batteries, explicit machine-second budgets).
 from __future__ import annotations
 
 from repro.detection.corpus import TestCorpus
-from repro.detection.screener import (
-    Automation,
-    DeploymentPhase,
-    Level,
-    Mode,
-    ScreenerAxes,
-    ScreeningBudget,
-    ScreenResult,
-)
+from repro.detection.screener import ScreenResult
 from repro.silicon.core import Core
-
-AXES = ScreenerAxes(
-    automation=Automation.AUTOMATED,
-    phase=DeploymentPhase.POST_DEPLOYMENT,
-    mode=Mode.ONLINE,
-    level=Level.INFRASTRUCTURE,
-)
-
 
 #: fraction of a core-day of spare capacity each screened core gets
 #: (0.01 = 1% of cycles devoted to tests, the knob §4 calls "how many
@@ -54,11 +38,8 @@ def ops_budget_per_core() -> int:
 class OnlineScreener:
     """Spare-cycle screening of one live core at a time."""
 
-    axes = AXES
-
     def __init__(self) -> None:
         self.corpus = TestCorpus.minimal()
-        self.budget = ScreeningBudget()
 
     def screen_core(self, core: Core) -> ScreenResult:
         """Screen one core within its spare-cycle op budget."""
@@ -66,5 +47,4 @@ class OnlineScreener:
         corpus_cost = max(self.corpus.total_ops(), 1)
         repetitions = max(1, ops_budget // corpus_cost)
         result = self.corpus.screen(core, repetitions=repetitions)
-        self.budget.add(result)
         return result

@@ -1,12 +1,7 @@
-"""Screener framework: the §6 classification axes, as code.
+"""What one screen of one core found, and what it cost.
 
-"We categorize detection processes on several axes: (1) automated vs.
-human; (2) pre-deployment vs. post-deployment; (3) offline vs. online;
-and (4) infrastructure-level vs. application-level."
-
-Every screener in this package declares where it sits on those axes
-(:class:`ScreenerAxes`) and produces :class:`ScreenResult` records that
-carry both the verdict and the *cost* — §6 is explicit that "the
+The online and offline screeners produce :class:`ScreenResult` records
+that carry both the verdict and the *cost* — §6 is explicit that "the
 non-trivial costs of the detection processes themselves" are part of
 the tradeoff, so cost accounting is not optional.
 """
@@ -14,52 +9,6 @@ the tradeoff, so cost accounting is not optional.
 from __future__ import annotations
 
 import dataclasses
-import enum
-
-
-class Automation(enum.Enum):
-    """Who drives the screen: tooling or a human operator (§6)."""
-
-    AUTOMATED = "automated"
-    HUMAN = "human"
-
-
-class DeploymentPhase(enum.Enum):
-    """When the screen runs: burn-in before deployment, or in the fleet."""
-
-    PRE_DEPLOYMENT = "pre_deployment"
-    POST_DEPLOYMENT = "post_deployment"
-
-
-class Mode(enum.Enum):
-    """Whether the core is out of production (offline) or serving (online)."""
-
-    OFFLINE = "offline"
-    ONLINE = "online"
-
-
-class Level(enum.Enum):
-    """Where the signal originates: infrastructure tests or applications."""
-
-    INFRASTRUCTURE = "infrastructure"
-    APPLICATION = "application"
-
-
-@dataclasses.dataclass(frozen=True)
-class ScreenerAxes:
-    """Position of a screener in the §6 taxonomy."""
-
-    automation: Automation
-    phase: DeploymentPhase
-    mode: Mode
-    level: Level
-
-    def describe(self) -> str:
-        """Render the four axis values as a compact slash-joined tag."""
-        return (
-            f"{self.automation.value}/{self.phase.value}/"
-            f"{self.mode.value}/{self.level.value}"
-        )
 
 
 @dataclasses.dataclass
@@ -92,32 +41,3 @@ class ScreenResult:
     def confessed(self) -> bool:
         """Did the core fail any test or raise a machine check?"""
         return bool(self.failed_tests) or self.machine_checks > 0
-
-
-@dataclasses.dataclass
-class ScreeningBudget:
-    """Aggregate cost accounting across a screening campaign."""
-
-    total_ops: int = 0
-    total_tests: int = 0
-    total_drain_coreseconds: float = 0.0
-    cores_screened: int = 0
-    confessions: int = 0
-
-    def add(self, result: ScreenResult) -> None:
-        """Fold one core's screen into the campaign totals."""
-        self.total_ops += result.ops_cost
-        self.total_tests += result.tests_run
-        self.total_drain_coreseconds += result.drain_cost_coreseconds
-        self.cores_screened += 1
-        if result.confessed:
-            self.confessions += 1
-
-    def render(self) -> str:
-        """One-line human summary of the campaign's cost and yield."""
-        return (
-            f"screened {self.cores_screened} cores, "
-            f"{self.total_tests} tests, {self.total_ops} ops, "
-            f"{self.total_drain_coreseconds:.0f} core-seconds drained, "
-            f"{self.confessions} confessions"
-        )

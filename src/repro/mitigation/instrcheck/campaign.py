@@ -142,6 +142,8 @@ class InstrCheckConfig:
 class InstrCheckScorecard(CampaignScorecard):
     """What one (arm, sampling rate) configuration achieved."""
 
+    rates = ("slowdown_factor", "coverage")
+
     sample_rate: float = 0.0
     units_total: int = 0
     units_delivered: int = 0
@@ -188,31 +190,6 @@ class InstrCheckScorecard(CampaignScorecard):
             str(self.lag_drops),
             str(len(self.quarantine_tick)),
         ]
-
-    def to_json(self) -> dict:
-        """Machine-readable scorecard (the E18 grid embeds these)."""
-        return {
-            "name": self.name,
-            "sample_rate": self.sample_rate,
-            "units_total": self.units_total,
-            "units_delivered": self.units_delivered,
-            "units_crashed": self.units_crashed,
-            "cees_caught": self.cees_caught,
-            "cees_escaped": self.cees_escaped,
-            "coverage": self.coverage,
-            "flagged_clean_units": self.flagged_clean_units,
-            "slowdown_factor": self.slowdown_factor,
-            "payload_ops": self.payload_ops,
-            "check_ops": self.check_ops,
-            "ops_sampled": self.ops_sampled,
-            "mismatches": self.mismatches,
-            "lag_drops": self.lag_drops,
-            "replays": self.replays,
-            "screen_fails": self.screen_fails,
-            "machine_checks": self.machine_checks,
-            "ticks": self.ticks,
-            **self.detection_json(),
-        }
 
 
 class _Lane:

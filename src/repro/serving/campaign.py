@@ -95,6 +95,9 @@ class CampaignConfig:
 class SloScorecard(CampaignScorecard):
     """What one campaign configuration achieved."""
 
+    rates = ("escape_rate", "availability", "p50_latency_ms",
+             "p99_latency_ms", "goodput_per_tick")
+
     total_arrivals: int = 0
     ok: int = 0
     corrupt_escapes: int = 0
@@ -165,31 +168,6 @@ class SloScorecard(CampaignScorecard):
             str(self.breaker_trips),
             str(len(self.quarantine_tick)),
         ]
-
-    def to_json(self) -> dict:
-        """Machine-readable SLO scorecard (CI asserts on these keys)."""
-        return {
-            "name": self.name,
-            "ticks": self.ticks,
-            "total_arrivals": self.total_arrivals,
-            "ok": self.ok,
-            "escape_rate": self.escape_rate,
-            "corrupt_escapes": self.corrupt_escapes,
-            "corrupt_caught": self.corrupt_caught,
-            "availability": self.availability,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "goodput_per_tick": self.goodput_per_tick,
-            "timeouts": self.timeouts,
-            "shed": self.shed,
-            "unavailable": self.unavailable,
-            "failed": self.failed,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "machine_checks": self.machine_checks,
-            "breaker_trips": self.breaker_trips,
-            **self.detection_json(),
-        }
 
 
 class RequestCampaign(Campaign):

@@ -178,6 +178,10 @@ class ScaleScorecard(SloScorecard):
     counts only wrong bytes delivered as *fresh* OK.
     """
 
+    rates = SloScorecard.rates + (
+        "answered_rate", "p999_latency_ms", "hedge_win_rate",
+    )
+
     fail_closed: int = 0
     stale_served: int = 0
     retry_budget_exhausted: int = 0
@@ -226,45 +230,6 @@ class ScaleScorecard(SloScorecard):
             str(self.retry_budget_exhausted),
             str(len(self.quarantine_tick)),
         ]
-
-    def to_json(self) -> dict:
-        """Machine-readable scorecard (CI asserts on these keys)."""
-        return {
-            "name": self.name,
-            "ticks": self.ticks,
-            "total_arrivals": self.total_arrivals,
-            "ok": self.ok,
-            "escape_rate": self.escape_rate,
-            "corrupt_escapes": self.corrupt_escapes,
-            "corrupt_caught": self.corrupt_caught,
-            "availability": self.availability,
-            "answered_rate": self.answered_rate,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "p999_latency_ms": self.p999_latency_ms,
-            "goodput_per_tick": self.goodput_per_tick,
-            "timeouts": self.timeouts,
-            "shed": self.shed,
-            "unavailable": self.unavailable,
-            "failed": self.failed,
-            "fail_closed": self.fail_closed,
-            "stale_served": self.stale_served,
-            "retries": self.retries,
-            "retry_budget_exhausted": self.retry_budget_exhausted,
-            "hedges": self.hedges,
-            "hedges_won": self.hedges_won,
-            "hedge_win_rate": self.hedge_win_rate,
-            "machine_checks": self.machine_checks,
-            "breaker_trips": self.breaker_trips,
-            "autoscale_ups": self.autoscale_ups,
-            "autoscale_downs": self.autoscale_downs,
-            "degraded_ticks": dict(sorted(self.degraded_ticks.items())),
-            "per_cohort": {
-                cohort: dict(sorted(stats.items()))
-                for cohort, stats in sorted(self.per_cohort.items())
-            },
-            **self.detection_json(),
-        }
 
 
 # ---------------------------------------------------------------------

@@ -164,6 +164,12 @@ class StorageCampaignConfig:
 class StorageScorecard(CampaignScorecard):
     """What one storage configuration achieved under chaos."""
 
+    rates = (
+        "escape_rate", "unrecoverable_loss_rate", "read_availability",
+        "write_amplification", "mean_repair_latency_ms",
+        "p99_repair_latency_ms",
+    )
+
     writes_attempted: int = 0
     keys_written: int = 0
     write_failures: int = 0
@@ -237,42 +243,6 @@ class StorageScorecard(CampaignScorecard):
             str(self.repairs_total),
             str(len(self.quarantine_tick)),
         ]
-
-    def to_json(self) -> dict:
-        """Machine-readable durability scorecard (CI asserts on these)."""
-        return {
-            "name": self.name,
-            "ticks": self.ticks,
-            "writes_attempted": self.writes_attempted,
-            "keys_written": self.keys_written,
-            "write_failures": self.write_failures,
-            "reads_attempted": self.reads_attempted,
-            "reads_ok": self.reads_ok,
-            "read_failures": self.read_failures,
-            "escape_rate": self.escape_rate,
-            "durable_escapes": self.durable_escapes,
-            "unrecoverable_loss_rate": self.unrecoverable_loss_rate,
-            "unrecoverable_keys": self.unrecoverable_keys,
-            "read_availability": self.read_availability,
-            "write_amplification": self.write_amplification,
-            "corrupt_reads_caught": self.corrupt_reads_caught,
-            "quorum_mismatches": self.quorum_mismatches,
-            "encrypt_attempts": self.encrypt_attempts,
-            "encrypt_verify_failures": self.encrypt_verify_failures,
-            "scrub_mismatches": self.scrub_mismatches,
-            "repairs_total": self.repairs_total,
-            "backfills": self.backfills,
-            "mean_repair_latency_ms": self.mean_repair_latency_ms,
-            "p99_repair_latency_ms": self.p99_repair_latency_ms,
-            "wal_corrupt_records": self.wal_corrupt_records,
-            "wal_torn_tails": self.wal_torn_tails,
-            "wal_records_truncated": self.wal_records_truncated,
-            "lasting_divergence": self.lasting_divergence,
-            "machine_checks": self.machine_checks,
-            "logical_bytes": self.logical_bytes,
-            "physical_bytes": self.physical_bytes,
-            **self.detection_json(),
-        }
 
 
 class StorageCampaign(Campaign):

@@ -349,10 +349,20 @@ def crypto_workload(core: CoreLike, data: bytes, key: bytes) -> WorkloadResult:
     inverting defect: the round trip on the defective core is the
     identity, so ``app_detected`` stays False even though the
     ciphertext is wrong for the rest of the world.  Experiment E3
-    exploits exactly this blindness.
+    exploits exactly this blindness.  A round trip whose padding a
+    defect broke is a crash, like the other workloads' exceptions.
     """
     ciphertext = encrypt_ecb(core, data, key)
-    round_trip = decrypt_ecb(core, ciphertext, key)
+    try:
+        round_trip = decrypt_ecb(core, ciphertext, key)
+    except ValueError as exc:
+        return WorkloadResult(
+            name="crypto",
+            output_digest=digest_bytes(ciphertext),
+            crashed=True,
+            detail=f"{type(exc).__name__}: {exc}",
+            units=len(ciphertext) // BLOCK_BYTES,
+        )
     return WorkloadResult(
         name="crypto",
         output_digest=digest_bytes(ciphertext),

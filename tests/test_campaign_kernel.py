@@ -31,6 +31,7 @@ from repro.core.policy import PolicyConfig
 from repro.mitigation.instrcheck import (
     InstrCheckCampaign,
     InstrCheckConfig,
+    InstrCheckScorecard,
     build_instrcheck_fleet,
 )
 from repro.serving import (
@@ -38,8 +39,10 @@ from repro.serving import (
     HardeningConfig,
     ScaleConfig,
     ScaleHardening,
+    ScaleScorecard,
     ServeScaleCampaign,
     ServingCampaign,
+    SloScorecard,
     build_scale_fleet,
     build_serving_fleet,
 )
@@ -47,6 +50,7 @@ from repro.storage import (
     StorageCampaign,
     StorageCampaignConfig,
     StorageProtections,
+    StorageScorecard,
     build_storage_fleet,
 )
 
@@ -377,6 +381,60 @@ class TestOracle:
             _run_digest(campaign)
             == RUN_DIGESTS[f"{name}/machine-quarantine/0"]
         )
+
+
+#: every scorecard's ``to_json()`` keys, as each card hand-listed them
+#: before the one ``CampaignScorecard.to_json``
+DETECTION_KEYS = {
+    "name", "ticks", "quarantine_tick", "first_corrupt_tick",
+    "detection_latency_ms",
+}
+SLO_KEYS = DETECTION_KEYS | {
+    "total_arrivals", "ok", "escape_rate", "corrupt_escapes",
+    "corrupt_caught", "availability", "p50_latency_ms", "p99_latency_ms",
+    "goodput_per_tick", "timeouts", "shed", "unavailable", "failed",
+    "retries", "hedges", "machine_checks", "breaker_trips",
+}
+SCORECARD_KEYS = {
+    SloScorecard: SLO_KEYS,
+    ScaleScorecard: SLO_KEYS | {
+        "answered_rate", "p999_latency_ms", "fail_closed", "stale_served",
+        "retry_budget_exhausted", "hedges_won", "hedge_win_rate",
+        "autoscale_ups", "autoscale_downs", "degraded_ticks", "per_cohort",
+    },
+    StorageScorecard: DETECTION_KEYS | {
+        "writes_attempted", "keys_written", "write_failures",
+        "reads_attempted", "reads_ok", "read_failures", "escape_rate",
+        "durable_escapes", "unrecoverable_loss_rate", "unrecoverable_keys",
+        "read_availability", "write_amplification", "corrupt_reads_caught",
+        "quorum_mismatches", "encrypt_attempts", "encrypt_verify_failures",
+        "scrub_mismatches", "repairs_total", "backfills",
+        "mean_repair_latency_ms", "p99_repair_latency_ms",
+        "wal_corrupt_records", "wal_torn_tails", "wal_records_truncated",
+        "lasting_divergence", "machine_checks", "logical_bytes",
+        "physical_bytes",
+    },
+    InstrCheckScorecard: DETECTION_KEYS | {
+        "sample_rate", "units_total", "units_delivered",
+        "units_crashed", "cees_caught", "cees_escaped", "coverage",
+        "flagged_clean_units", "slowdown_factor", "payload_ops",
+        "check_ops", "ops_sampled", "mismatches", "lag_drops", "replays",
+        "screen_fails", "machine_checks",
+    },
+}
+
+
+class TestScorecardJson:
+    @pytest.mark.parametrize("card_type", list(SCORECARD_KEYS),
+                             ids=lambda t: t.__name__)
+    def test_key_set_is_pinned(self, card_type):
+        assert set(card_type("x").to_json()) == SCORECARD_KEYS[card_type]
+
+    def test_raw_samples_stay_out(self):
+        card = StorageScorecard("x", repair_latency_ms=[1.0, 3.0])
+        payload = card.to_json()
+        assert "repair_latency_ms" not in payload
+        assert payload["mean_repair_latency_ms"] == 2.0
 
 
 @pytest.mark.parametrize("name", list(RUNNERS))

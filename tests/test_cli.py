@@ -1,12 +1,21 @@
 """CLI entry point."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 import repro.analysis.experiments
-from repro.analysis.experiments import EXPERIMENTS, Claim, Experiment
+from repro.analysis.experiments import (
+    EXPERIMENTS,
+    Claim,
+    Experiment,
+    result_json,
+)
 from repro.cli import main
+from repro.core.events import CeeEvent, EventKind, Reporter
+from repro.core.taxonomy import Symptom
 
 
 @pytest.fixture
@@ -162,6 +171,52 @@ class TestJsonScorecards:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestJsonGrids:
+    def test_grid_row_carries_every_cell(self, capsys):
+        assert main(["run", "E17", "--scale", "ci", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        json.dumps(payload, allow_nan=False)
+        grid = payload["metrics"]["grid"]
+        cells = [card for arms in grid.values() for card in arms.values()]
+        assert len(cells) == 9
+        assert all("escape_rate" in card for card in cells)
+        assert set(payload["metrics"]["comparisons"]) == set(grid)
+
+
+class TestResultJson:
+    def test_every_kind_has_one_form(self):
+        event = CeeEvent(
+            time_days=1.5, machine_id="m0", core_id=None,
+            kind=EventKind.CRASH, reporter=Reporter.AUTOMATED,
+            application="app", detail="",
+        )
+        result = {
+            "counts": {Symptom.MACHINE_CHECK: np.int64(2)},
+            "by_rate": {0.5: math.inf, 2: -math.inf, 3.0: math.nan},
+            "flips": {5, 1, 3},
+            "events": [event],
+            "pair": (np.float64(0.25), np.bool_(True)),
+        }
+        assert result_json(result) == {
+            "counts": {"MACHINE_CHECK": 2},
+            "by_rate": {"0.5": None, "2": None, "3.0": None},
+            "flips": [1, 3, 5],
+            "events": [
+                [1.5, "m0", None, "CRASH", "AUTOMATED", "app", ""]
+            ],
+            "pair": [0.25, True],
+        }
+        json.dumps(result_json(result), allow_nan=False)
+
+    def test_colliding_keys_raise(self):
+        with pytest.raises(TypeError, match="'1'"):
+            result_json({1: "int", "1": "str"})
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError, match="object"):
+            result_json({"x": object()})
 
 
 class TestMetricsCommand:

@@ -10,12 +10,6 @@ from repro.detection.offline import (
     OfflineScreenerConfig,
 )
 from repro.detection.online import OnlineScreener
-from repro.detection.screener import (
-    Automation,
-    Mode,
-    ScreeningBudget,
-    ScreenResult,
-)
 from repro.silicon.core import Core
 from repro.silicon.defects import StuckBitDefect
 from repro.silicon.environment import NOMINAL
@@ -48,22 +42,11 @@ def _loud_core(seed=0):
 
 
 class TestOnlineScreener:
-    def test_axes_declaration(self):
-        assert OnlineScreener.axes.mode is Mode.ONLINE
-        assert OnlineScreener.axes.automation is Automation.AUTOMATED
-
     def test_catches_loud_defect(self):
         assert OnlineScreener().screen_core(_loud_core()).confessed
 
     def test_misses_environment_gated_defect(self):
         assert not OnlineScreener().screen_core(_gated_core()).confessed
-
-    def test_budget_accumulates(self, healthy_pool):
-        screener = OnlineScreener()
-        for core in healthy_pool[:2]:
-            screener.screen_core(core)
-        assert screener.budget.cores_screened == 2
-        assert screener.budget.total_ops > 0
 
 
 @pytest.fixture(scope="class")
@@ -79,9 +62,6 @@ def gated_screen():
 
 
 class TestOfflineScreener:
-    def test_axes_declaration(self):
-        assert OfflineScreener.axes.mode is Mode.OFFLINE
-
     def test_catches_environment_gated_defect(self, gated_screen):
         _core, result = gated_screen
         assert result.confessed
@@ -117,10 +97,3 @@ class TestOfflineScreener:
         )
         assert OfflineScreener().screen_core(core).confessed
 
-
-class TestScreeningBudget:
-    def test_render_mentions_confessions(self):
-        budget = ScreeningBudget()
-        budget.add(ScreenResult("c", passed=False, failed_tests=["x"],
-                                tests_run=3, ops_cost=10))
-        assert "1 confessions" in budget.render()

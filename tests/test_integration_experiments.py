@@ -13,7 +13,10 @@ import inspect
 import pytest
 
 from repro.analysis import experiments
-from repro.analysis.experiments import EXPERIMENTS, evaluate, grid_fingerprint
+from repro.analysis.experiments import EXPERIMENTS, evaluate, result_json
+from repro.cli import _json_payload
+from repro.core.taxonomy import Symptom
+from repro.workloads.base import run_with_oracle
 
 PAPER_IDS = ["F1"] + [f"E{n}" for n in range(1, 20)]
 ABLATION_IDS = [f"A{n}" for n in range(1, 11)]
@@ -115,12 +118,40 @@ class TestEveryRow:
         else:
             kwargs, serial = row.ci, smoke(row_id)
         pooled = row.run(workers=2, **kwargs)
-        assert pooled["rendered"] == serial["rendered"]
+        assert result_json(pooled) == result_json(serial)
         assert evaluate(row, pooled) == evaluate(row, serial)
-        if "grid" in serial:
-            assert grid_fingerprint(pooled) == grid_fingerprint(serial)
-        if "per_trial" in serial:
-            assert pooled["per_trial"] == serial["per_trial"]
+
+    @pytest.mark.parametrize("row_id", PAPER_IDS + ABLATION_IDS)
+    def test_json_payload_carries_every_key(self, row_id):
+        """``repro run <ID> --json`` drops nothing the row measured:
+        every key but ``rendered`` arrives, in its one JSON form."""
+        result = smoke(row_id)
+        payload = _json_payload(row_id, EXPERIMENTS[row_id].title, result)
+        carried = {**payload["scorecards"], **payload["metrics"]}
+        assert set(carried) == set(result) - {"rendered"}
+        for key, value in carried.items():
+            assert value == result_json(result[key]), key
+
+
+class TestUnpinnedSeeds:
+    def test_e2_counts_a_crypto_crash_as_immediate(self, monkeypatch):
+        """At seed 18 a defect breaks one AES round trip's padding: the
+        workload reports a crash (§2: an exception is detected at once)
+        instead of raising out of the row."""
+        crashes = []
+
+        def spy(work, core, reference):
+            comparison = run_with_oracle(work, core, reference)
+            if comparison.suspect.crashed:
+                crashes.append(comparison.suspect)
+            return comparison
+
+        monkeypatch.setattr(experiments, "run_with_oracle", spy)
+        row = EXPERIMENTS["E2"]
+        result = row.run(**{**row.ci, "seed": 18})
+        assert any(crash.name == "crypto" for crash in crashes)
+        immediate = result["counts"][Symptom.WRONG_ANSWER_IMMEDIATE]
+        assert immediate >= len(crashes)
 
 
 class TestRegistry:
