@@ -150,6 +150,7 @@ def run_duty_cycle_ablation(seed=0, n_defects=150) -> dict:
             rates.append(rate)
     rows = []
     results = {}
+    costs = {}
     for duty_cycle in (0.001, 0.005, 0.02, 0.08):
         corpus_ops = duty_cycle * 5e6
         policy = ScreeningPolicy(period_days=7.0, corpus_ops=corpus_ops)
@@ -157,14 +158,16 @@ def run_duty_cycle_ablation(seed=0, n_defects=150) -> dict:
             1 for r in rates if policy.detection_probability(r) > 0.5
         )
         results[duty_cycle] = caught_weekly / len(rates)
+        costs[duty_cycle] = policy.compute_cost_per_coreday()
         rows.append([
             f"{duty_cycle:.1%}",
             f"{corpus_ops:.0e}",
             f"{caught_weekly / len(rates):.2f}",
-            f"{policy.compute_cost_per_coreday():.1e}",
+            f"{costs[duty_cycle]:.1e}",
         ])
     return {
         "caught_by_duty_cycle": results,
+        "compute_cost_by_duty_cycle": costs,
         "rendered": render_table(
             ["duty cycle", "ops/screen", "fraction caught within ~1 screen",
              "compute cost fraction"],
@@ -253,6 +256,9 @@ def run_granule_ablation(seed=0, n_items=192) -> dict:
     rows = []
     overheads = {}
     completed = {}
+    retried = {}
+    wasted = {}
+    checkpoint_cost = {}
     for granule in (4, 16, 64, n_items):
         runtime = CheckpointRuntime(
             _granule_pool(seed), step=_granule_step, check=_granule_check,
@@ -261,6 +267,9 @@ def run_granule_ablation(seed=0, n_items=192) -> dict:
         completed[granule] = len(runtime.run([], items))
         stats = runtime.stats
         overheads[granule] = stats.overhead_factor
+        retried[granule] = stats.granules_retried
+        wasted[granule] = stats.items_wasted
+        checkpoint_cost[granule] = stats.checkpoint_cost_items
         rows.append([
             granule,
             stats.granules_retried,
@@ -272,6 +281,9 @@ def run_granule_ablation(seed=0, n_items=192) -> dict:
         "n_items": n_items,
         "completed": completed,
         "overheads": overheads,
+        "retried": retried,
+        "items_wasted": wasted,
+        "checkpoint_cost": checkpoint_cost,
         "rendered": render_table(
             ["granule", "retries", "items wasted", "checkpoint cost",
              "total overhead"],
@@ -297,15 +309,18 @@ def run_sku_ablation(n_machines=6000, seed=5) -> dict:
     }
     rows = []
     rates = {}
+    counts = {}
     for label, products in portfolios.items():
         n_mercurial = FleetBuilder(
             products=products, seed=seed
         ).build_columns(n_machines).n_mercurial
         rate = 1000.0 * n_mercurial / n_machines
         rates[label] = rate
+        counts[label] = n_mercurial
         rows.append([label, n_mercurial, f"{rate:.2f}"])
     return {
         "per_kmachine": rates,
+        "n_mercurial": counts,
         "rendered": render_table(
             ["portfolio", "mercurial cores", "per 1000 machines"],
             rows,
@@ -353,21 +368,27 @@ def run_susceptibility(n_sites=120, seed=3) -> dict:
 
     rows = []
     sdc = {}
+    shares = {}
     for label, work in (("unchecked", unchecked),
                         ("naive self-check", self_checked),
                         ("resilient verify", resilient)):
         campaign = InjectionCampaign(work)
         report = campaign.run(n_sites=n_sites, rng=np.random.default_rng(seed))
         sdc[label] = report.sdc_fraction
+        shares[label] = {
+            outcome: report.fraction(outcome)
+            for outcome in (InjectionOutcome.BENIGN,
+                            InjectionOutcome.DETECTED,
+                            InjectionOutcome.CRASHED)
+        }
         rows.append([
             label,
-            f"{report.fraction(InjectionOutcome.BENIGN):.1%}",
-            f"{report.fraction(InjectionOutcome.DETECTED):.1%}",
-            f"{report.fraction(InjectionOutcome.CRASHED):.1%}",
+            *(f"{share:.1%}" for share in shares[label].values()),
             f"{report.sdc_fraction:.1%}",
         ])
     return {
         "sdc": sdc,
+        "shares": shares,
         "rendered": render_table(
             ["sort variant", "benign", "detected", "crashed", "SILENT (SDC)"],
             rows,
@@ -511,6 +532,7 @@ def run_bft(seed=0, n_commands=40) -> dict:
         ["suspect replicas (recidivist dissenters)", suspects],
     ]
     return {
+        "committed": service.stats.commands,
         "wrong_commits": wrong_commits,
         "cost": service.stats.cost_factor,
         "suspects": suspects,

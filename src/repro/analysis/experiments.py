@@ -166,8 +166,9 @@ def result_json(node: Any) -> Any:
     A scorecard becomes its ``to_json()`` and any other dataclass its
     fields; an enum becomes its name, a tuple (``CeeEvent`` too) a
     list, a set a sorted list, a numpy scalar its Python value and a
-    non-finite float ``None``.  Two keys with one JSON name, or a value
-    JSON has no form for, raise ``TypeError``.
+    non-finite float the string ``"inf"``, ``"-inf"`` or ``"nan"``, so
+    it stays apart from a real ``None``.  Two keys with one JSON name,
+    or a value JSON has no form for, raise ``TypeError``.
     """
     if isinstance(node, CampaignScorecard):
         node = node.to_json()
@@ -193,7 +194,7 @@ def result_json(node: Any) -> Any:
     if isinstance(node, np.generic):
         node = node.item()
     if isinstance(node, float):
-        return node if math.isfinite(node) else None
+        return node if math.isfinite(node) else str(node)
     if node is None or isinstance(node, (bool, int, str)):
         return node
     if isinstance(node, (list, tuple)):
@@ -625,6 +626,8 @@ def run_redundancy_cost(seed: int = 13) -> dict:
     )
     return {
         "base_ops": base,
+        "dmr_ops": dmr,
+        "tmr_ops": tmr,
         "dmr_factor": dmr / base,
         "tmr_factor": tmr / base,
         "rendered": rendered,
@@ -904,16 +907,23 @@ def run_isolation(n_machines: int = 40, seed: int = 31) -> dict:
     overload = [Task(f"t{i}", op_mix=scalar_mix) for i in range(online_b + 4)]
     _, stats_c = scheduler_c.schedule(overload)
 
+    stranded_fraction = {
+        "machine": stats_a.stranded_fraction,
+        "core": stats_b.stranded_fraction,
+        "safe_tasks": (
+            stats_b.slots_stranded - stats_c.placed_on_quarantined
+        ) / total_slots,
+    }
     rendered = render_table(
         ["strategy", "slots stranded", "stranded fraction", "migrations"],
         [
             ["machine quarantine", mq.cost.cores_stranded,
-             f"{stats_a.stranded_fraction:.4f}", mq.cost.migrations],
+             f"{stranded_fraction['machine']:.4f}", mq.cost.migrations],
             ["core quarantine (CSR)", cq.cost.cores_stranded,
-             f"{stats_b.stranded_fraction:.4f}", cq.cost.migrations],
+             f"{stranded_fraction['core']:.4f}", cq.cost.migrations],
             ["CSR + safe tasks",
              cq.cost.cores_stranded - stats_c.placed_on_quarantined,
-             f"{(stats_b.slots_stranded - stats_c.placed_on_quarantined) / total_slots:.4f}",
+             f"{stranded_fraction['safe_tasks']:.4f}",
              cq.cost.migrations],
         ],
         title=f"E10: isolation strategies ({len(planted)} bad cores)",
@@ -923,6 +933,9 @@ def run_isolation(n_machines: int = 40, seed: int = 31) -> dict:
         "core_stranded": cq.cost.cores_stranded,
         "safe_task_placements": stats_c.placed_on_quarantined,
         "machine_healthy_stranded": mq.cost.healthy_cores_stranded,
+        "machine_migrations": mq.cost.migrations,
+        "core_migrations": cq.cost.migrations,
+        "stranded_fraction": stranded_fraction,
         "rendered": rendered,
     }
 
@@ -1142,6 +1155,11 @@ def run_report_concentration(seed: int = 43) -> dict:
         "top_suspect": top.core_id if top else None,
         "candidates": [s.core_id for s in candidates],
         "n_suspects_over_threshold": len(candidates),
+        "suspects": [
+            [s.core_id, s.reports, s.applications, s.p_value,
+             s.grounds_for_quarantine]
+            for s in suspects[:5]
+        ],
         "rendered": rendered,
     }
 
@@ -1186,6 +1204,7 @@ def run_aging(seed: int = 47) -> dict:
     return {
         "onsets": onsets,
         "model_cdf_365": onset.cdf(365.0),
+        "model_cdf": {h: onset.cdf(h) for h in horizons},
         "censored_fraction_730": stats.censored_fraction,
         "escalation": escalation,
         "rendered": rendered,

@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--json", action="store_true",
         help="print the row's whole result (scorecards, grids, series; "
-             "non-finite numbers as null) as strict JSON instead of its "
-             "table (one experiment ID only)",
+             "non-finite numbers as the strings inf, -inf and nan) as "
+             "strict JSON instead of its table (one experiment ID only)",
     )
 
     metrics_parser = subparsers.add_parser(

@@ -620,7 +620,8 @@ class RideAlongCampaign:
     the quantity a screening budget is supposed to minimize.
 
     Args:
-        columns: the fleet (thawed to writable state internally).
+        columns: the fleet, writable: quarantine flips its ``online``
+            in place.
         screener: the budgeted ride-along screener to drive.
         seed: campaign RNG seed (confession draws).
     """
@@ -631,7 +632,7 @@ class RideAlongCampaign:
         screener: RideAlongScreener,
         seed: int = 0,
     ):
-        self.columns = columns.thaw() if columns.read_only else columns
+        self.columns = columns
         self.screener = screener
         self.rng = np.random.default_rng(seed)
         self.weights = default_weights()

@@ -161,9 +161,9 @@ class FleetSimulator:
     """Drives a fleet through a detection campaign.
 
     The simulator runs on :class:`~repro.fleet.columns.FleetColumns`,
-    and its ground truth is the columns' own.  Read-only columns
-    (shared-memory snapshots) are thawed automatically; writable
-    columns are mutated in place (``online``, ``merc_age``).
+    and its ground truth is the columns' own.  It mutates them in place
+    (``online``, ``merc_age``), so a caller that keeps the fleet hands
+    it ``columns.thaw()``; read-only columns fail on the first write.
 
     :meth:`_tick` batches every per-tick stochastic draw across the
     active mercurial population.  The per-core form of the same tick —
@@ -180,8 +180,7 @@ class FleetSimulator:
         seed: int = 0,
     ):
         self.config = config or SimulatorConfig()
-        columns = fleet.thaw() if fleet.read_only else fleet
-        self.columns = columns
+        columns = self.columns = fleet
         self.truth = columns.ground_truth()
         self.n_machines = columns.n_machines
         self.n_cores = columns.n_cores

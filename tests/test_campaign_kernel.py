@@ -2,11 +2,11 @@
 
 Three nets under :mod:`repro.campaign`:
 
-- **oracle** — sha256 of ``scorecard.to_json()`` plus the
+- **oracle** — the ``digest`` of ``scorecard.to_json()`` plus the
   ``(time, core, kind)`` event triples for every runner × named arm at
   CI scale, seeds 0 and 1, captured on the tree *before* the four
-  runners were moved onto the kernel (commit 2df6955).  Equal seeds must
-  keep producing these bytes.
+  runners were moved onto the kernel (commit 2df6955) and held in
+  ``PINS["runs"]``.  Equal seeds must keep producing these bytes.
 - **contract** — the behaviours every runner inherits from the one
   detect → quarantine → replace loop, asserted once over all of them.
 - **fixture** — ``build_small_fleet`` through each public builder:
@@ -17,8 +17,6 @@ Three nets under :mod:`repro.campaign`:
 """
 
 import bisect
-import hashlib
-import json
 
 import pytest
 
@@ -53,6 +51,7 @@ from repro.storage import (
     StorageScorecard,
     build_storage_fleet,
 )
+from tests.pins import PINS, digest
 
 ONSET_AGE_DAYS = 400.0
 
@@ -157,16 +156,13 @@ ROOMY = PolicyConfig(max_quarantined_fraction=0.5)
 
 def _run_digest(campaign) -> str:
     card = campaign.run()
-    payload = {
+    return digest({
         "card": card.to_json(),
         "events": [
             [event.time_days, event.core_id, event.kind.name]
             for event in campaign.events
         ],
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
+    })
 
 
 def _fleet_digest(machines, sku="t", prevalence=0.0) -> str:
@@ -192,131 +188,23 @@ def _fleet_digest(machines, sku="t", prevalence=0.0) -> str:
                     for defect in core.defects
                 ],
             ])
-    return hashlib.sha256(
-        json.dumps(rows, sort_keys=True).encode()
-    ).hexdigest()
-RUN_DIGESTS = {
-    "serving/unhardened/0":
-        "2bb8194ddd0f9ba3586142c1370f258baf601846a66274399b8a550ba1f7b7bd",
-    "serving/unhardened/1":
-        "68a05e04b23d84f67c8dfe722e3259cff3ce05f15be35206dc866308a058c938",
-    "serving/hardened/0":
-        "fd0ad883ec854eb72cb03b538652202ee50f61d4b95739fdd2fb336dd729402f",
-    "serving/hardened/1":
-        "0dac5336fcd37da68aea6c4520b773341459b8c7641ac49fccfd0b9fec4b4034",
-    "serving/validator_only/0":
-        "690c20e02aaf3a104916dbcefa1b5c72972195e37882b2aeed31b121fc53127f",
-    "serving/validator_only/1":
-        "d893fbff1f74fb96abe46a51316cf6ecd1eb367060696c3084bb5429f00748f5",
-    "scale/baseline/0":
-        "fee068e29ca3f035001425142a94ce5c96427236b70ac438f83e3f33ce807946",
-    "scale/baseline/1":
-        "3677b9f4a609958088201d704fd5e6daadb2dfbff1f9712f9da356e0e8db2585",
-    "scale/retries_breakers/0":
-        "5473d7a277edc6ce5fe85564dbdc24ead29cf5588871f443ff501f6155f7a328",
-    "scale/retries_breakers/1":
-        "a5514c60351744b5f01065cfebb9f50930dda1026919a19f98513f527964f894",
-    "scale/full/0":
-        "19f7c7c447d5aa1aca468408ad706dde604d23913c1fa538052844ed592213ae",
-    "scale/full/1":
-        "9b1d96ee9d547eed7e2b19e449350881c5697748c70802c4d6cfc2eb5e65f2b0",
-    "storage/unprotected/0":
-        "dd4c91a14191ec7aabb412d7baa649306cea59d4e496e86e1f096efddec85787",
-    "storage/unprotected/1":
-        "cf12b6afd32c74597861376209264f927bafca3939619658437f8cebc08e93ee",
-    "storage/quorum_only/0":
-        "5f146315b5edfbf14dc9244c848ca2d214527dd988be77394c27ae3a90919369",
-    "storage/quorum_only/1":
-        "e821688eba3720471a92f0e51168efd7bff676f47142005cee45b94dd7ac4e6f",
-    "storage/no_encrypt_verify/0":
-        "f25f8e5cff87f12804e9f8dbe839cb4bc596f38047ef20e079b3737ed10631d0",
-    "storage/no_encrypt_verify/1":
-        "ee35b6892ff8fd0293c0277c2f3a8a73ead5a96b730680f93b42cfbc665759c7",
-    "storage/generic_weights/0":
-        "b23016643a432230e4d24e7c171ee11797d49f17ee9991885174409ea57a933b",
-    "storage/generic_weights/1":
-        "e75222555710fee9d0ffabaaed2fb7a383fb0d3b1a12870f8ce517e6bc501613",
-    "storage/protected/0":
-        "c808f29972f7743769f633dad5efc3a5f0f6a7fd35ca5a0210db2b23332d2fa1",
-    "storage/protected/1":
-        "d318092078e2a3e2695629e4e67c5ea7d9b21b79af9d5b81ab33a2ed2825b491",
-    "instrcheck/screen/0":
-        "f3d14bc71dd86ffb9fd661b8ca06ffffb0cf3f6bd5be30c1bc214b7647c46920",
-    "instrcheck/screen/1":
-        "a4f82868b7ad31c54019e4734a6c90e1ecd764aa28b445b35a66a8863d359291",
-    "instrcheck/ithica/0":
-        "dd4d878aa345b8c9aac826f938e51d3bfee31232e3d03e97f7b11b1980b69d80",
-    "instrcheck/ithica/1":
-        "ec03b269e623f5989cc2d59ede11b718573b4b3578f07c82598117bdabe66765",
-    "instrcheck/reptfd/0":
-        "8711b8c24177b1e412451177821c93af33ecfe1ed4309efaf16fa154a39931ad",
-    "instrcheck/reptfd/1":
-        "c80276d5dcc8ec98b61cc3b2adde1525eb5d717be53f820ebeb1df05388b4dda",
-    "instrcheck/meek/0":
-        "439d96794f7b574cb45d812dab225c16d0b7e29da7c8121c62e16babe669b9bc",
-    "instrcheck/meek/1":
-        "1e9094909aa47e411ae04837d5eef254e5794f82a7fe2048205ec65a46c26fcd",
-    "instrcheck/e2e/0":
-        "eb5c76353988851e71a079513adc1596df17da30244163d3aa143ee8718382dd",
-    "instrcheck/e2e/1":
-        "cfa5b845c892dc931806b2db0c82f32b1f5d552289ae3c5148c6626ce4a9e80e",
-    "serving/machine-quarantine/0":
-        "127612fda8cb584f9c214b68399f8b047e8d78fe453d5520794f7097efbca978",
-    "scale/machine-quarantine/0":
-        "1d995abfeaf19425ad97ec60ded28bf821a98ba279f5cd3f266e77597837d04c",
-    "storage/machine-quarantine/0":
-        "c11960f142e213bde205f4c9c32f8e371e528c8fe43f7fd5b70ecd4fbab6f326",
-}
+    return digest(rows)
 
-FLEET_DIGESTS = {
-    "serving/0": (
-        "c3d998340e4152672c6702951390be9e1f70b3f3ebfc7af0a425083195a75d3e",
-        "m00000/c01",
-    ),
-    "serving/1": (
-        "8fb0593d171ed5100c5392bcaf2b506bab13606b64d78440536cf2e8277e0cd3",
-        "m00002/c05",
-    ),
-    "serving/2": (
-        "e32ff29d9510ad6f2c5d8200cd863f7f884187f67c974deb798fec4d9d285200",
-        "m00000/c00",
-    ),
-    "scale/0": (
-        "e2f6941eaaee0a94397aacc1d4fc1519517f8f95edee9fbf803298c6043bf0e2",
-        ["m00000/c03", "m00002/c02"],
-    ),
-    "scale/1": (
-        "a62046c26610f90a964b575d8a907f2cd69aa15c3dfd3dc508691fb3d701434b",
-        ["m00000/c01", "m00000/c02", "m00001/c00", "m00001/c02", "m00001/c03", "m00001/c05", "m00002/c05"],
-    ),
-    "scale/2": (
-        "bed383a31d8e073e3f1931595acddeaba6a5722e4a29f615512615c90146b75d",
-        ["m00000/c02"],
-    ),
-    "storage/0": (
-        "b07c3aef75e3eaf7cd3095611aff0e8d1875bd6815f3dcee22927540b9800c42",
-        "m00000/c01",
-    ),
-    "storage/1": (
-        "5e3a03960c11f313cab1a738e64184a9024c9c4942773513b935532381776dfe",
-        "m00002/c05",
-    ),
-    "storage/2": (
-        "1f369b545c99b604f171a83ce82ca4a1313833468301cf9cadcef585b879ce78",
-        "m00000/c00",
-    ),
-    "instrcheck/0": (
-        "40c45b03191e53a61df7507d2e25b00149adfc2da98d3ffa828fb86cd6ea896c",
-        ["m00000/c01"],
-    ),
-    "instrcheck/1": (
-        "8004c4a30d73c104a7032940e6d988a39e93c677fc6a60a946817233a2b1ac3c",
-        ["m00000/c01", "m00000/c02", "m00000/c03", "m00000/c04", "m00000/c05"],
-    ),
-    "instrcheck/2": (
-        "60bac3fb77c8f27a66330a1413ad6f6fa00d20312a597771a45f2a950725d512",
-        [],
-    ),
+
+#: each builder variant's bad core(s); its fleet digest is in ``PINS``
+FLEET_BAD_CORES = {
+    "serving/0": "m00000/c01",
+    "serving/1": "m00002/c05",
+    "serving/2": "m00000/c00",
+    "scale/0": ["m00000/c03", "m00002/c02"],
+    "scale/1": ["m00000/c01", "m00000/c02", "m00001/c00", "m00001/c02", "m00001/c03", "m00001/c05", "m00002/c05"],
+    "scale/2": ["m00000/c02"],
+    "storage/0": "m00000/c01",
+    "storage/1": "m00002/c05",
+    "storage/2": "m00000/c00",
+    "instrcheck/0": ["m00000/c01"],
+    "instrcheck/1": ["m00000/c01", "m00000/c02", "m00000/c03", "m00000/c04", "m00000/c05"],
+    "instrcheck/2": [],
 }
 
 #: builder -> (default arguments, two non-default argument sets)
@@ -366,12 +254,12 @@ def _short(name, **config):
 
 class TestOracle:
     @pytest.mark.parametrize(
-        "key", [k for k in RUN_DIGESTS if "machine-quarantine" not in k]
+        "key", [k for k in PINS["runs"] if "machine-quarantine" not in k]
     )
     def test_pinned_bytes(self, key):
         name, arm, seed = key.split("/")
         campaign = RUNNERS[name][0](arm, int(seed))
-        assert _run_digest(campaign) == RUN_DIGESTS[key]
+        assert _run_digest(campaign) == PINS["runs"][key]
 
     @pytest.mark.parametrize("name", ("serving", "scale", "storage"))
     def test_machine_quarantine_pinned_bytes(self, name):
@@ -379,7 +267,7 @@ class TestOracle:
         _accuse_machine(campaign)
         assert (
             _run_digest(campaign)
-            == RUN_DIGESTS[f"{name}/machine-quarantine/0"]
+            == PINS["runs"][f"{name}/machine-quarantine/0"]
         )
 
 
@@ -757,13 +645,15 @@ class TestFleet:
     def test_builder_reproduces_pinned_fleet(self, name, variant):
         builder, variants = FLEET_VARIANTS[name]
         machines, bad = builder(**variants[variant])
-        digest, pinned_bad = FLEET_DIGESTS[f"{name}/{variant}"]
-        assert bad == pinned_bad
+        assert bad == FLEET_BAD_CORES[f"{name}/{variant}"]
         prevalence = (
             variants[variant].get("prevalence", 0.1) if name == "scale"
             else 0.0
         )
-        assert _fleet_digest(machines, name, prevalence) == digest
+        assert (
+            _fleet_digest(machines, name, prevalence)
+            == PINS["fleets"][f"{name}/{variant}"]
+        )
 
     def test_defects_for_sees_fleet_order(self):
         seen = []

@@ -159,10 +159,10 @@ class TestJsonScorecards:
         ):
             assert field in card
         # Strict JSON end to end: metrics with non-finite values (an
-        # infinite escape-rate reduction) must arrive as null, and the
+        # infinite escape-rate reduction) must arrive as "inf", and the
         # whole document must survive a strict re-encode.
         json.dumps(payload, allow_nan=False)
-        assert "escape_reduction" in payload["metrics"]
+        assert payload["metrics"]["escape_reduction"] == "inf"
 
     def test_json_seed_is_reproducible(self, capsys, quick_store):
         argv = ["run", "E16", "--scale", "ci", "--json", "--seed", "5"]
@@ -198,15 +198,17 @@ class TestResultJson:
             "flips": {5, 1, 3},
             "events": [event],
             "pair": (np.float64(0.25), np.bool_(True)),
+            "undefined": None,
         }
         assert result_json(result) == {
             "counts": {"MACHINE_CHECK": 2},
-            "by_rate": {"0.5": None, "2": None, "3.0": None},
+            "by_rate": {"0.5": "inf", "2": "-inf", "3.0": "nan"},
             "flips": [1, 3, 5],
             "events": [
                 [1.5, "m0", None, "CRASH", "AUTOMATED", "app", ""]
             ],
             "pair": [0.25, True],
+            "undefined": None,
         }
         json.dumps(result_json(result), allow_nan=False)
 

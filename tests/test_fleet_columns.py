@@ -7,8 +7,6 @@ columnar path has reproduced them draw for draw ever since.
 """
 
 import dataclasses
-import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -18,6 +16,7 @@ from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
 from repro.fleet.reference import ScalarReferenceSimulator
 from repro.fleet.simulator import FleetSimulator, SimulatorConfig
+from tests.pins import PINS, digest
 
 N_MACHINES = 120
 
@@ -136,22 +135,11 @@ def _event_sha(result):
         "quarantined": sorted(result.quarantined_cores),
         "total_corruptions": result.total_corruptions,
     }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()
+    return digest(payload)
 
 
 class TestSimulatorParity:
     CONFIG = SimulatorConfig(horizon_days=60.0, warmup_days=0.0)
-    #: the production tick on the parity fleet (150 machines, x40
-    #: prevalence, build seed 11, sim seed 3)
-    PRODUCTION_SHA = (
-        "cd01d4e99202ddddc57abdea19735cabef8c6eebe1b201a9d5550305bb847e48"
-    )
-    #: the scalar per-core tick on the same fleet
-    REFERENCE_SHA = (
-        "ec600510c372a79d57e4cb86191c8e0fd6e8d3cdc1912bacc5d9341301c31e9a"
-    )
 
     @staticmethod
     def _parity_builder():
@@ -162,14 +150,16 @@ class TestSimulatorParity:
         return FleetSimulator(columns, config=self.CONFIG, seed=3).run()
 
     def test_production_tick_digest_pinned(self):
-        assert _event_sha(self._columnar_result()) == self.PRODUCTION_SHA
+        assert _event_sha(self._columnar_result()) == (
+            PINS["fleet_events"]["production"]
+        )
 
     def test_scalar_reference_digest_pinned(self):
         columns = self._parity_builder().build_columns(150)
         result = ScalarReferenceSimulator(
             columns, config=self.CONFIG, seed=3
         ).run()
-        assert _event_sha(result) == self.REFERENCE_SHA
+        assert _event_sha(result) == PINS["fleet_events"]["reference"]
 
     def test_truth_derived_from_columns(self):
         columns = _builder().build_columns(40)
@@ -211,9 +201,7 @@ def _result_sha(result):
         "app_visible_corruptions": result.app_visible_corruptions,
         "screening_ops_spent": result.screening_ops_spent,
     }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
+    return digest(payload)
 
 
 class TestResultDigests:
@@ -224,38 +212,12 @@ class TestResultDigests:
     are tracked that moves any day, latency or draw fails here."""
 
     CONFIG = SimulatorConfig(horizon_days=120.0, warmup_days=60.0)
-    DIGESTS = {
-        (11, 20.0, "production"): (
-            "b479fc3c434e22adba59dd4666923138bc49f0cf4e2de08aa91cf86ad01e7f77"
-        ),
-        (11, 20.0, "reference"): (
-            "cb5be6085ad0d6581f9477fc703e4cb6b8582f5c25361b9ede89e383fc4ea468"
-        ),
-        (11, 60.0, "production"): (
-            "196e9f42b8dc9584d3d2a673b228d2498a6238ff54652645208252f4ef1e3a9e"
-        ),
-        (11, 60.0, "reference"): (
-            "d883aa1f7f31abe7cc1dfa4157f9e92eccd25768d7e304a262987f63f8e88f7d"
-        ),
-        (23, 20.0, "production"): (
-            "a678e9ce586bd4dc31f8463f9493cbc805f215db8bf1725337b3cc14c0e70f1f"
-        ),
-        (23, 20.0, "reference"): (
-            "ccbebc6f97142019979cb5d9bf7043c2ebe56cebfe7778802363a5108e6ef631"
-        ),
-        (23, 60.0, "production"): (
-            "74046f8f54198aaca31ab12c800fa234e04a4fa4eace2e7a935e0eb416f5c50a"
-        ),
-        (23, 60.0, "reference"): (
-            "6ee73a9d996e5b74148d8c8a67b6284ab8facb5a90ef850cf411120bf9fc44bd"
-        ),
-    }
     SIMULATORS = {
         "production": FleetSimulator,
         "reference": ScalarReferenceSimulator,
     }
 
-    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    @pytest.mark.parametrize("key", sorted(PINS["fleet_results"]))
     def test_result_digest_pinned(self, key):
         build_seed, boost, tick = key
         columns = _builder(
@@ -265,4 +227,4 @@ class TestResultDigests:
             columns, config=self.CONFIG, seed=5
         ).run()
         assert result.quarantine_day
-        assert _result_sha(result) == self.DIGESTS[key]
+        assert _result_sha(result) == PINS["fleet_results"][key]

@@ -22,7 +22,7 @@ from repro.fleet import shm
 from repro.fleet.columns import SNAPSHOT_FIELDS
 from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
-from repro.fleet.simulator import FleetSimulator, SimulatorConfig
+from repro.fleet.simulator import FleetSimulator
 from repro.workloads.generator import blended_op_mix
 
 
@@ -67,6 +67,20 @@ class TestRoundTrip:
                 attached.close()
         finally:
             snapshot.close()
+
+    def test_simulator_fails_on_its_first_write_to_a_view(self):
+        """The simulator quarantines in place, so a caller hands it
+        ``thaw()``; an attached view raises instead of being copied."""
+        products = tuple(
+            dataclasses.replace(p, core_prevalence=p.core_prevalence * 40.0)
+            for p in DEFAULT_PRODUCTS
+        )
+        columns = FleetBuilder(
+            products=products, seed=11, deployment_window=(-700.0, 0.0)
+        ).build_columns(40)
+        with shm.publish(columns) as snapshot, shm.attach(snapshot.handle) as view:
+            with pytest.raises(ValueError, match="read-only"):
+                FleetSimulator(view, seed=5).run()
 
     def test_defect_sidecar_survives_the_boundary(self):
         columns = _columns(seed=3)
@@ -241,36 +255,6 @@ _CALLER = os.getpid()
 def _crash(trial, columns):
     if os.getpid() != _CALLER:
         os._exit(3)
-
-
-class TestSimulatorOnSnapshot:
-    def test_attached_columns_run_like_thawed_ones(self):
-        """A simulator handed read-only columns quarantines on a private
-        copy: the segment stays as published and the result is a run on
-        ``thaw()``'s."""
-        products = tuple(
-            dataclasses.replace(p, core_prevalence=p.core_prevalence * 40.0)
-            for p in DEFAULT_PRODUCTS
-        )
-        columns = FleetBuilder(
-            products=products, seed=11, deployment_window=(-700.0, 0.0)
-        ).build_columns(40)
-        config = SimulatorConfig(horizon_days=30.0, warmup_days=0.0)
-
-        def outcome(fleet):
-            result = FleetSimulator(fleet, config=config, seed=5).run()
-            return (
-                list(result.events), result.quarantine_day,
-                result.detection_latency_days, result.total_corruptions,
-                result.app_visible_corruptions, result.screening_ops_spent,
-            )
-
-        with shm.publish(columns) as snapshot, shm.attach(snapshot.handle) as view:
-            published = view.online.tobytes(), view.merc_age.tobytes()
-            on_snapshot = outcome(view)
-            assert (view.online.tobytes(), view.merc_age.tobytes()) == published
-            assert on_snapshot == outcome(view.thaw())
-        assert on_snapshot[1], "no core was quarantined: the run wrote nothing"
 
 
 class TestRunFleetTrials:

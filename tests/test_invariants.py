@@ -1,10 +1,11 @@
 """Source invariants no runtime test can see, checked on the AST.
 
-Each check returns the sites it finds in ``src/repro``; the repo must
-match its expected set exactly, so a new site fails and so does a stale
-allowlist entry.  Each check also runs on a seeded edit of a real file,
-so a check gone blind fails too.  Seeding and simulated time are held by
-the pinned digests, the weight table by ``TestSuspicionWeightTable``,
+Each check returns the sites it finds in ``src/repro`` (the tests-side
+rule: in ``tests``); the repo must match its expected set exactly, so a
+new site fails and so does a stale allowlist entry.  Each check also
+runs on a seeded edit of a real file, so a check gone blind fails too.
+Seeding and simulated time are held by the pins in ``tests/pins.py``,
+the weight table by ``TestSuspicionWeightTable``,
 snapshot writes by the read-only views ``repro.fleet.shm.attach``
 returns, and mutable defaults by ruff's B006.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -65,10 +67,10 @@ Trees = dict[str, ast.Module]
 
 
 @functools.cache
-def _repo_trees() -> Trees:
+def _repo_trees(root: str = "src/repro") -> Trees:
     return {
         path.relative_to(REPO).as_posix(): ast.parse(path.read_text())
-        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for path in sorted((REPO / root).rglob("*.py"))
     }
 
 
@@ -202,18 +204,47 @@ def undeclared_or_dead_names(trees: Trees) -> set[str]:
     return emitted ^ set(declared.values())
 
 
+#: the one module under ``tests`` that may hold a digest or hash one
+PINS_MODULE = "tests/pins.py"
+SHA256_HEX = re.compile(r"[0-9a-fA-F]{64}")
+
+
+def pins_outside_the_table(trees: Trees) -> set[str]:
+    """A 64-hex-digit literal or a ``hashlib`` import in a test module
+    other than ``tests/pins.py``: every pin lives in its ``PINS`` and is
+    hashed by its ``digest``, so a pin cannot hide in one file or hash
+    a second way."""
+    found = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree) if path != PINS_MODULE else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if SHA256_HEX.search(node.value):
+                    found.add(f"{path}:{node.lineno} digest literal")
+            elif "hashlib" in _imported(node):
+                found.add(f"{path}:{node.lineno} imports hashlib")
+    return found
+
+
 CHECKS = {
     unordered_iterations: set(),
     slotless_dataclasses: set(),
     per_core_loops: set(PER_CORE_LOOPS),
     upward_imports: set(UPWARD_IMPORTS),
     undeclared_or_dead_names: set(),
+    pins_outside_the_table: set(),
 }
+
+#: the checks that read ``tests`` instead of ``src/repro``
+TESTS_SIDE = {pins_outside_the_table}
+
+
+def _trees_for(check) -> Trees:
+    return _repo_trees("tests" if check in TESTS_SIDE else "src/repro")
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
 def test_repo_holds_the_invariant(check):
-    assert check(_repo_trees()) == CHECKS[check]
+    assert check(_trees_for(check)) == CHECKS[check]
 
 
 #: (check, file, text, replacement): an edit of a real file to catch
@@ -234,6 +265,11 @@ SEEDS = [
      "# -- span names", 'SPAN_FLEET_DEAD = "fleet.dead"\n# -- span names'),
     (undeclared_or_dead_names, "src/repro/storage/store.py",
      'span("storage.put"', 'span(f"storage.{key}"'),
+    (pins_outside_the_table, "tests/test_obs_spans.py",
+     "import json\n", "import hashlib\nimport json\n"),
+    (pins_outside_the_table, "tests/test_options.py",
+     "KEYWORD_DEFAULTS = 319",
+     'KEYWORD_DEFAULTS = (319, "' + "9f" * 32 + '")'),
 ]
 
 
@@ -242,5 +278,5 @@ SEEDS = [
 def test_seeded_violation_is_caught(check, path, text, replacement):
     source = (REPO / path).read_text()
     assert text in source, f"seed anchor gone from {path}; re-seed"
-    trees = {**_repo_trees(), path: ast.parse(source.replace(text, replacement, 1))}
+    trees = {**_trees_for(check), path: ast.parse(source.replace(text, replacement, 1))}
     assert check(trees) != CHECKS[check]

@@ -5,7 +5,6 @@ Prometheus-compatible histogram bucket semantics, a hard cardinality
 ceiling, and snapshot/merge round-trips that make pool gather exact.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -18,6 +17,7 @@ from repro.obs.registry import (
     MAX_LABEL_SETS,
     MetricsRegistry,
 )
+from tests.pins import PINS, digest
 
 
 @pytest.fixture
@@ -232,22 +232,15 @@ class TestDeclaredNames:
         }
 
     def test_derived_sets_are_the_hand_listed_ones(self):
-        # (count, sha256 of the sorted names) of the two frozensets as
-        # they were written out by hand at fa8b416, less the three
-        # telemetry_* families retired with the MCE/crash-dump analyzers;
-        # re-pin on purpose when a name is added or retired.
-        pinned = {
-            "METRIC_NAMES": (34, "db58170a118eded22e3021518079a8a5"
-                                 "1fd71c5ee197373bdf75756963bdd604"),
-            "SPAN_NAMES": (15, "37d3a7456d208b22a905bdff08eb30b5"
-                               "f67920326ed780f14c64d4028364e32f"),
-        }
-        for attr, (count, digest) in pinned.items():
+        # the count of the two frozensets as they were written out by
+        # hand at fa8b416, less the three telemetry_* families retired
+        # with the MCE/crash-dump analyzers; the digest of the sorted
+        # names is in PINS.  Re-pin on purpose when a name is added or
+        # retired.
+        for attr, count in (("METRIC_NAMES", 34), ("SPAN_NAMES", 15)):
             declared = sorted(getattr(names, attr))
             assert len(declared) == count, declared
-            assert hashlib.sha256(
-                "\n".join(declared).encode()
-            ).hexdigest() == digest, declared
+            assert digest(declared) == PINS["names"][attr], declared
         assert names.DECLARED_NAMES == names.METRIC_NAMES | names.SPAN_NAMES
 
     def test_every_constant_lands_in_exactly_one_set(self):

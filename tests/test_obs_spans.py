@@ -5,7 +5,6 @@ position) — never of wall clock, RNG state, or worker placement — so
 that campaign artifacts stay bit-identical for any worker count.
 """
 
-import hashlib
 import json
 import pickle
 
@@ -15,6 +14,7 @@ from repro import obs
 from repro.engine.runner import run_trials
 from repro.obs import spans as spans_module
 from repro.obs.spans import Tracer
+from tests.pins import PINS, digest
 
 
 @pytest.fixture
@@ -176,13 +176,10 @@ class TestIdsOnRead:
         assert len({s["span_id"] for s in expected}) == len(expected)
 
 
-#: (arm, fleet, ci kwargs) come from the campaign table; the digest is
-#: sha256 of the json of every span's ``to_json()`` at seed 0, captured
-#: before span ids became lazy, with the count of spans recorded
-SPAN_PINS = {
-    "E15": (1742, "4caafbd5cb7152a85ec676b43b8efda8a9c3a9a963c40eb335abd336fad5d9a7"),
-    "E17": (4587, "ec38cead230e3ff86c47c4e6e36e7b938bfaaf75f3b47e1e61b4631b7351b826"),
-}
+#: spans each traced arm records at seed 0 ((arm, fleet, ci kwargs) come
+#: from the campaign table); the digest of their ``to_json()``, captured
+#: before span ids became lazy, is ``PINS["spans"]``
+SPAN_COUNTS = {"E15": 1742, "E17": 4587}
 
 
 def _traced_arm(experiment_id: str) -> None:
@@ -205,14 +202,13 @@ def obs_on():
     obs.set_enabled(prior)
 
 
-@pytest.mark.parametrize("experiment_id", sorted(SPAN_PINS))
+@pytest.mark.parametrize("experiment_id", sorted(SPAN_COUNTS))
 class TestCampaignSpans:
     def test_span_json_digest_is_pinned(self, experiment_id, obs_on):
         _traced_arm(experiment_id)
         spans = [s.to_json() for s in obs.tracer.spans()]
-        blob = json.dumps(spans, sort_keys=True).encode()
-        assert (len(spans), hashlib.sha256(blob).hexdigest()) == (
-            SPAN_PINS[experiment_id]
+        assert (len(spans), digest(spans)) == (
+            SPAN_COUNTS[experiment_id], PINS["spans"][experiment_id]
         )
 
     def test_no_id_is_hashed_until_read(
@@ -228,7 +224,7 @@ class TestCampaignSpans:
         monkeypatch.setattr(spans_module, "_hash_id", counting)
         _traced_arm(experiment_id)
         spans = obs.tracer.spans()
-        assert len(spans) == SPAN_PINS[experiment_id][0]
+        assert len(spans) == SPAN_COUNTS[experiment_id]
         assert hashed == []
         for span in spans:
             span.to_json()

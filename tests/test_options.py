@@ -7,8 +7,8 @@ Two kinds of option live under ``src/repro``, and both are pinned:
   adding (or removing) one shows up as an edit to it in the diff;
 - a defaulted parameter of a public callable (a module-level function,
   or a method or ``__init__`` of a module-level class).
-  ``KEYWORD_DEFAULTS`` pins their count and the sha256 of the sorted
-  ``module.qualname:param`` list.
+  ``KEYWORD_DEFAULTS`` pins their count and ``PINS["keyword_defaults"]``
+  the digest of the sorted ``module.qualname:param`` list.
 
 Each one is a configuration some row, CLI flag, example or benchmark
 has to exercise, or nobody measures it; a value nothing varies is a
@@ -20,7 +20,6 @@ otherwise run and return a plausible-looking result.
 
 import ast
 import dataclasses
-import hashlib
 import importlib
 import pkgutil
 import re
@@ -33,6 +32,7 @@ from repro.analysis.economics import ScreeningPolicy
 from repro.mitigation.instrcheck import InstrCheckConfig
 from repro.serving import CampaignConfig, ScaleConfig
 from repro.storage import StorageCampaignConfig
+from tests.pins import PINS, digest
 
 OPTIONS: dict[str, tuple[str, ...]] = {
     "repro.analysis.economics.ScreeningPolicy": (
@@ -109,12 +109,11 @@ def test_option_inventory_is_pinned():
     assert _option_classes() == OPTIONS
 
 
-#: (count, sha256 of the sorted ``module.qualname:param`` lines) of the
-#: defaulted parameters of public callables; re-pin on purpose when a
-#: keyword option is added or retired
-KEYWORD_DEFAULTS = (
-    319, "9faab1b97641b0c263184ffc2f0389856cdad0e24da2576b1af036c5e79d3511",
-)
+#: how many defaulted parameters public callables have; the digest of
+#: their sorted ``module.qualname:param`` list is
+#: ``PINS["keyword_defaults"]``; re-pin both on purpose when a keyword
+#: option is added or retired
+KEYWORD_DEFAULTS = 319
 
 
 def _keyword_defaults() -> list[str]:
@@ -154,8 +153,9 @@ def _keyword_defaults() -> list[str]:
 
 def test_keyword_default_inventory_is_pinned():
     found = _keyword_defaults()
-    digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
-    assert (len(found), digest) == KEYWORD_DEFAULTS, "\n".join(found)
+    assert (len(found), digest(found)) == (
+        KEYWORD_DEFAULTS, PINS["keyword_defaults"]
+    ), "\n".join(found)
 
 
 @pytest.mark.parametrize("config_cls, field, value", [

@@ -28,6 +28,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.sorting import is_sorted_on, merge_sort
 from repro.workloads.vectorops import dot, vector_workload, xor_fold
+from tests.pins import PINS, digest
 
 
 class TestCopying:
@@ -203,29 +204,6 @@ class TestGenerator:
         assert sum(mix.values()) == pytest.approx(1.0, abs=1e-6)
 
 
-#: ``blended_op_mix()`` as ``float.hex``, in dict order, captured at the
-#: commit before the mix was pinned (PR 22's tree, measured per op)
-BLENDED_MIX_HEX = {
-    "mul": "0x1.92c5f92c5f92cp-4",
-    "shl": "0x1.70a3d70a3d70ap-6",
-    "shr": "0x1.70a3d70a3d70ap-6",
-    "xor": "0x1.20c862a9b7101p-3",
-    "add": "0x1.11fb81d9bd060p-4",
-    "beq": "0x1.4a54b8979bd5ap-3",
-    "copy": "0x1.5cc43edd9baf5p-3",
-    "load": "0x1.42174a253c8f7p-5",
-    "sub": "0x1.02cf2d148a88bp-11",
-    "gfmul": "0x1.3836beeed0190p-5",
-    "inv_sbox": "0x1.5ae77ed075711p-8",
-    "sbox": "0x1.6e2d3ebf98692p-8",
-    "cas": "0x1.0842108421084p-4",
-    "store": "0x1.38be6175a34f1p-6",
-    "xchg": "0x1.fb601fb601fb6p-9",
-    "vdot": "0x1.b4e81b4e81b4ep-8",
-    "blt": "0x1.12e86572ca9b7p-3",
-}
-
-
 def _two_adds(core):
     core.execute("add", 1, 2)
     core.execute("add", 3, 4)
@@ -265,9 +243,10 @@ class TestPinnedMix:
     def test_blended_mix_is_bit_identical_to_the_measured_one(
         self, measure_calls
     ):
+        # ``PINS["blended_mix"]`` holds the (op, share) pairs in dict
+        # order, measured per op on the tree before the mix was pinned
         mix = blended_op_mix()
-        assert {op: value.hex() for op, value in mix.items()} == BLENDED_MIX_HEX
-        assert list(mix) == list(BLENDED_MIX_HEX)
+        assert digest(list(mix.items())) == PINS["blended_mix"]
         assert measure_calls == []
 
     def test_another_seed_still_measures(self, measure_calls):
