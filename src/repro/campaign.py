@@ -44,12 +44,19 @@ import numpy as np
 from repro import obs
 from repro.chaos import ChaosKind, ChaosSchedule
 from repro.core.confidence import SuspicionTracker
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
+from repro.core.events import (
+    CeeEvent,
+    EventKind,
+    EventLog,
+    Reporter,
+    format_core_id,
+    machine_of,
+)
 from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
 from repro.detection.signals import SignalAnalyzer, SignalAnalyzerConfig
 from repro.fleet.machine import Machine
 from repro.obs.forensics import MS_PER_DAY, detection_latency_summary
-from repro.silicon.core import Chip, Core
+from repro.silicon.core import Core
 from repro.silicon.defects import DefectModel
 
 
@@ -136,12 +143,9 @@ class Campaign:
         self.tick_ms = tick_ms
         self.chaos = ChaosSchedule()
         self.events = EventLog()
-        self._core_by_id: dict[str, Core] = {}
-        self._machine_by_core: dict[str, str] = {}
-        for machine in machines:
-            for core in machine.cores:
-                self._core_by_id[core.core_id] = core
-                self._machine_by_core[core.core_id] = machine.machine_id
+        self._core_by_id: dict[str, Core] = {
+            core.core_id: core for machine in machines for core in machine.cores
+        }
         self.analyzer = SignalAnalyzer(
             tracker=SuspicionTracker(),
             config=SignalAnalyzerConfig(weights=weights) if weights else None,
@@ -185,9 +189,7 @@ class Campaign:
         self.events.append(
             CeeEvent(
                 time_days=self.now_ms / MS_PER_DAY,
-                machine_id=self._machine_by_core.get(
-                    core_id, core_id.rsplit("/", 1)[0]
-                ),
+                machine_id=machine_of(core_id),
                 core_id=core_id if attributed else None,
                 kind=kind,
                 reporter=Reporter.AUTOMATED,
@@ -257,10 +259,12 @@ class Campaign:
                 self.quarantine(core_id, tick)
             elif decision.action is Action.QUARANTINE_MACHINE:
                 self.quarantine(core_id, tick)
-                machine_id = self._machine_by_core[core_id]
-                for sibling_id, owner in self._machine_by_core.items():
-                    if owner == machine_id:
-                        self.quarantine(sibling_id, tick)
+                machine_id = machine_of(core_id)
+                machine = next(
+                    m for m in self.machines if m.machine_id == machine_id
+                )
+                for sibling in machine.cores:
+                    self.quarantine(sibling.core_id, tick)
         self.replace_quarantined()
 
     def quarantine(self, core_id: str, tick: int) -> None:
@@ -351,6 +355,7 @@ def build_small_fleet(
     drew bad slots from; each core's stream is then drawn from it in
     (machine, core) order.  Returns (machines, defective core ids).
     """
+    check_at_least("cores_per_machine", cores_per_machine, 1)
     root = np.random.default_rng(seed)
     machines: list[Machine] = []
     bad_core_ids: list[str] = []
@@ -358,15 +363,13 @@ def build_small_fleet(
         machine_id = f"m{m:05d}"
         cores = []
         for c in range(cores_per_machine):
-            core_id = f"{machine_id}/c{c:02d}"
+            core_id = format_core_id(machine_id, c)
             defects = defects_for(core_id, m * cores_per_machine + c)
             if defects:
                 bad_core_ids.append(core_id)
             rng = np.random.default_rng(root.integers(2**63))
             cores.append(Core(core_id, defects=defects, rng=rng))
-        machines.append(
-            Machine(machine_id=machine_id, chip=Chip(cores))
-        )
+        machines.append(Machine(machine_id, cores))
     return machines, bad_core_ids
 
 

@@ -85,9 +85,6 @@ class ChaosSchedule:
         self._fired = max(self._fired, end)
         return due
 
-    def __len__(self) -> int:
-        return len(self.actions)
-
     @classmethod
     def standard(
         cls,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import time
 import traceback
@@ -108,22 +109,20 @@ def _run_one(experiment_id: str, scale: str, seed: int | None = None,
     try:
         result = experiment.run(**kwargs)
         elapsed = time.time() - started
-        if as_json:
-            json.dump(
-                _json_payload(experiment_id, experiment.title, result),
-                sys.stdout, indent=2, sort_keys=True, allow_nan=False,
-            )
-            print()
-        else:
-            print(result["rendered"])
+        shown = json.dumps(
+            _json_payload(experiment_id, experiment.title, result),
+            indent=2, sort_keys=True, allow_nan=False,
+        ) if as_json else result["rendered"]
         verdicts = evaluate(experiment, result)
     except Exception:
         # a row that raises is a failed row: report it and let
-        # ``run all`` reach the rows after it
+        # ``run all`` reach the rows after it.  Output is written
+        # outside this block, so a closed stdout is not a row failure.
         traceback.print_exc()
         print(f"✘ {experiment_id} raised before its claims could be checked",
               file=report)
         return 1
+    print(shown)
     for claim, held in verdicts:
         print(f"{'✔' if held else '✘'} {claim.name} — {claim.paper}",
               file=report)
@@ -315,8 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit status."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns a process exit status.  A reader that
+    closes stdout early (``repro run E10 | head -1``) ends the command
+    quietly with status 1: no traceback, no verdict about the row."""
+    try:
+        return _dispatch(build_parser().parse_args(argv))
+    except BrokenPipeError:
+        # nothing more can be shown; stdout goes to devnull so the
+        # interpreter's flush at exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command; returns its exit status."""
     if args.command == "list":
         return _cmd_list()
     if args.command == "cases":

@@ -92,10 +92,6 @@ class SuspicionTracker:
         state = self._cores.get(core_id)
         return state.total_signals if state else 0
 
-    def distinct_sources(self, core_id: str) -> int:
-        state = self._cores.get(core_id)
-        return len(state.distinct_sources) if state else 0
-
     def suspects(self, now_days: float, threshold: float) -> list[tuple[str, float]]:
         """Cores at/above threshold, most suspicious first.
 

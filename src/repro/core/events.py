@@ -79,6 +79,17 @@ class CeeEvent(NamedTuple):
     detail: str = ""
 
 
+def format_core_id(machine_id: str, index: int) -> str:
+    """The id of core ``index`` of ``machine_id``, e.g. ``"m00017/c05"``;
+    every fleet names its cores this way, so :func:`machine_of` inverts it."""
+    return f"{machine_id}/c{index:02d}"
+
+
+def machine_of(core_id: str) -> str:
+    """The machine that holds ``core_id``: all before its last ``/``."""
+    return core_id.rsplit("/", 1)[0]
+
+
 class _Batch(NamedTuple):
     """Records that share everything but the machine, kept as a count.
 

@@ -43,11 +43,6 @@ class Confusion:
         denom = self.true_positives + self.false_negatives
         return self.true_positives / denom if denom else 0.0
 
-    @property
-    def false_positive_rate(self) -> float:
-        denom = self.false_positives + self.true_negatives
-        return self.false_positives / denom if denom else 0.0
-
 
 def confusion(
     ground_truth: Mapping[str, bool], flagged: Iterable[str]

@@ -20,6 +20,8 @@ import collections
 import dataclasses
 import enum
 
+from repro.core.events import machine_of
+
 
 class Action(enum.Enum):
     """What the quarantine policy decided to do about one core."""
@@ -88,11 +90,6 @@ class QuarantinePolicy:
         self.quarantined_machines: set[str] = set()
         self._per_machine: collections.Counter = collections.Counter()
 
-    @staticmethod
-    def machine_of(core_id: str) -> str:
-        """Machine id by convention: ``"<machine>/<core>"``."""
-        return core_id.rsplit("/", 1)[0]
-
     @property
     def capacity_exhausted(self) -> bool:
         limit = self.config.max_quarantined_fraction * self.fleet_cores
@@ -112,7 +109,7 @@ class QuarantinePolicy:
             confessed: a confession test has reproduced a failure.
         """
         config = self.config
-        machine_id = self.machine_of(core_id)
+        machine_id = machine_of(core_id)
         if core_id in self.quarantined or machine_id in self.quarantined_machines:
             return Decision(core_id, Action.NONE, "already quarantined")
 
@@ -144,12 +141,3 @@ class QuarantinePolicy:
         if score >= config.monitor_threshold:
             return Decision(core_id, Action.MONITOR, "weak signal; watch")
         return Decision(core_id, Action.NONE, "background noise")
-
-    def release(self, core_id: str) -> None:
-        """Un-quarantine (e.g. after exoneration or repair)."""
-        if core_id in self.quarantined:
-            self.quarantined.discard(core_id)
-            machine_id = self.machine_of(core_id)
-            self._per_machine[machine_id] -= 1
-            if self._per_machine[machine_id] < self.config.machine_core_limit:
-                self.quarantined_machines.discard(machine_id)

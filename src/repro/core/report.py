@@ -121,9 +121,6 @@ class CoreComplaintService:
         self.event_log.append(event)
         return event
 
-    def complaints_against(self, core_id: str) -> list[Complaint]:
-        return list(self._by_core.get(core_id, ()))
-
     def analyze(self, min_reports: int = 2) -> list[SuspectCore]:
         """Run the concentration test over all reported cores.
 

@@ -31,11 +31,6 @@ class Symptom(enum.Enum):
         """Position in the paper's increasing-risk ordering (1 = least)."""
         return _RISK_ORDER.index(self) + 1
 
-    @property
-    def retryable(self) -> bool:
-        """Whether automated retry can mask the failure (§2)."""
-        return self in (Symptom.WRONG_ANSWER_IMMEDIATE, Symptom.MACHINE_CHECK)
-
 
 _RISK_ORDER = (
     Symptom.WRONG_ANSWER_IMMEDIATE,

@@ -166,6 +166,3 @@ class HumanTriageModel:
             / total
             for outcome in TriageOutcome
         }
-
-    def confirmation_rate(self) -> float:
-        return self.outcome_fractions()[TriageOutcome.CONFIRMED]

@@ -75,27 +75,6 @@ class DefectProfile:
     trigger_mask: int | None = None
     trigger_value: int | None = None
 
-    def render(self) -> str:
-        lines = [f"defect profile for {self.core_id}:"]
-        for finding in self.findings:
-            if not finding.failures and not finding.machine_checks:
-                continue
-            lines.append(
-                f"  {finding.op:8s} rate~{finding.observed_rate:.2e} "
-                f"({finding.failures}/{finding.probes}, "
-                f"{finding.machine_checks} MCEs)"
-            )
-        lines.append(
-            "  implicated units: "
-            + ", ".join(sorted(u.value for u in self.implicated_units))
-        )
-        if self.trigger_mask is not None:
-            lines.append(
-                f"  operand gate: (x & {self.trigger_mask:#x}) == "
-                f"{self.trigger_value:#x}"
-            )
-        return "\n".join(lines)
-
 
 def probe_operations(
     core: Core, rng: np.random.Generator, probes_per_op: int = 400

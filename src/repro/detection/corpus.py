@@ -491,10 +491,6 @@ class TestCorpus:
             covered |= test.target_units
         return frozenset(covered)
 
-    def coverage_gaps(self) -> frozenset:
-        """Functional units no test targets: defects there are invisible."""
-        return frozenset(set(FunctionalUnit) - self.covered_units())
-
     def total_ops(self) -> int:
         """Run cost of one full battery pass, in primitive ops."""
         return sum(test.approx_ops for test in self.tests)

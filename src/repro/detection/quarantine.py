@@ -88,15 +88,6 @@ class CoreQuarantine:
             "core", columns.core_id(flat), mercurial, running_tasks
         )
 
-    def restore(self, columns: FleetColumns, flat: int) -> None:
-        if flat not in self.removed:
-            return
-        columns.online[flat] = True
-        self.removed.discard(flat)
-        self.cost.cores_stranded -= 1
-        if not columns.mercurial[flat]:
-            self.cost.healthy_cores_stranded -= 1
-
 
 class MachineQuarantine:
     """Whole-machine removal: the blunt instrument."""

@@ -82,8 +82,8 @@ def effective_workers(workers: int | None = None) -> int:
 
     A fan-out wider than ``os.cpu_count()`` is pure overhead: the extra
     processes time-slice one CPU while each still pays its fork and
-    its result pickle.  Benchmarks and campaign entry points use this;
-    :func:`run_tasks` itself deliberately does not, so explicit worker
+    its result pickle.  Only the benchmark's host report asks this;
+    :func:`run_tasks` deliberately does not clamp, so explicit worker
     counts in tests still fork real children.
     """
     workers = resolve_workers(workers)

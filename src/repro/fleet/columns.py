@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.events import format_core_id
 from repro.fleet.product import CpuProduct
 from repro.silicon.catalog import sample_core_defects
 
@@ -165,7 +166,7 @@ class FleetColumns:
         """Stable core id for a flat core index."""
         machine = int(self.core_machine[flat_index])
         within = flat_index - int(self.machine_core_start[machine])
-        return f"{self.machine_ids[machine]}/c{within:02d}"
+        return format_core_id(self.machine_ids[machine], within)
 
     def core_index(self, core_id: str) -> int | None:
         """Flat index for a core id; ``None`` if the id is unknown."""

@@ -1,11 +1,10 @@
-"""Machines: a chip and an identity."""
+"""Machines: an identity and the cores it holds."""
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.silicon.core import Chip, Core
-from repro.silicon.environment import NOMINAL, OperatingPoint
+from repro.silicon.core import Core
 
 
 @dataclasses.dataclass(slots=True)
@@ -14,30 +13,9 @@ class Machine:
 
     Attributes:
         machine_id: stable id, e.g. ``"m00017"``.
-        chip: the simulated silicon.
+        cores: the simulated cores in index order; core ``i`` is named
+            ``format_core_id(machine_id, i)`` (:mod:`repro.core.events`).
     """
 
     machine_id: str
-    chip: Chip
-
-    @property
-    def cores(self) -> list[Core]:
-        return self.chip.cores
-
-    @property
-    def core_ids(self) -> list[str]:
-        return [core.core_id for core in self.chip.cores]
-
-    @property
-    def mercurial_cores(self) -> list[Core]:
-        return self.chip.mercurial_cores
-
-    @property
-    def is_mercurial(self) -> bool:
-        return bool(self.chip.mercurial_cores)
-
-    def online_cores(self) -> list[Core]:
-        return [core for core in self.chip.cores if core.online]
-
-    def set_environment(self, env: OperatingPoint = NOMINAL) -> None:
-        self.chip.set_environment(env)
+    cores: list[Core]

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.events import format_core_id
 from repro.fleet.columns import FleetColumns, defect_mode_code
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.silicon.catalog import sample_core_defects
@@ -154,7 +155,7 @@ class FleetBuilder:
             machine_index = int(core_machine[flat])
             product = self.products[int(product_indices[machine_index])]
             within = flat - int(machine_core_start[machine_index])
-            core_id = f"m{machine_index:05d}/c{within:02d}"
+            core_id = format_core_id(f"m{machine_index:05d}", within)
             defects = tuple(
                 sample_core_defects(
                     np.random.default_rng(int(merc_sample_seed[index])),

@@ -45,11 +45,6 @@ class CpuProduct:
         if not 0.0 <= self.core_prevalence <= 1.0:
             raise ValueError("core_prevalence must be a probability")
 
-    @property
-    def machine_prevalence(self) -> float:
-        """Probability a machine has at least one mercurial core."""
-        return 1.0 - (1.0 - self.core_prevalence) ** self.cores_per_machine
-
 
 #: Default SKU portfolio.  Newer, denser nodes (smaller features, more
 #: cores) get higher prevalence — §5's scaling argument — and more

@@ -326,10 +326,7 @@ class ServingCampaign(RequestCampaign):
             SloScorecard(name=hardening.name), seed,
         )
         self.breakers = (
-            BreakerBoard(
-                event_log=self.events, machine_of=self._machine_by_core
-            )
-            if hardening.breaker else None
+            BreakerBoard(self.events) if hardening.breaker else None
         )
         self.shedder = LoadShedder() if hardening.shed else None
         self.router = RoundRobinRouter(self._place_initial_replicas())

@@ -333,15 +333,11 @@ class Shard:
         router: ReplicaRouter,
         breakers: bool,
         event_log=None,
-        machine_of: dict[str, str] | None = None,
         retry_budget: bool = False,
     ):
         self.shard_id = shard_id
         self.router = router
-        self.breakers = (
-            BreakerBoard(event_log=event_log, machine_of=machine_of)
-            if breakers else None
-        )
+        self.breakers = BreakerBoard(event_log) if breakers else None
         self.budget = RetryBudget() if retry_budget else None
         self.queue: list = []
         #: route_key → last validated OK payload (the serve-stale source)

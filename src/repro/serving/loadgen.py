@@ -117,10 +117,6 @@ class LoadProfile:
             raise ValueError("a LoadProfile needs at least one phase")
         self.phases = list(phases)
 
-    @property
-    def total_ticks(self) -> int:
-        return sum(phase.ticks for phase in self.phases)
-
     def rate_at(self, tick: int) -> float:
         """Arrival rate at ``tick``; the final rate holds past the end."""
         offset = tick

@@ -39,7 +39,13 @@ import enum
 
 import numpy as np
 
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
+from repro.core.events import (
+    CeeEvent,
+    EventKind,
+    EventLog,
+    Reporter,
+    machine_of,
+)
 from repro.obs.forensics import MS_PER_DAY
 from repro.workloads.base import CoreLike
 from repro.workloads.hashing import crc64, crc64_credit, golden_crc64
@@ -206,13 +212,8 @@ class BreakerBoard:
     trips accelerate the suspicion → quarantine loop.
     """
 
-    def __init__(
-        self,
-        event_log: EventLog | None = None,
-        machine_of: dict[str, str] | None = None,
-    ):
+    def __init__(self, event_log: EventLog | None = None):
         self.event_log = event_log
-        self.machine_of = machine_of or {}
         self._breakers: dict[str, CircuitBreaker] = {}
         # the breakers that tripped and have not closed since: only a
         # board-recorded failure opens one, only a success closes one
@@ -258,9 +259,7 @@ class BreakerBoard:
             self.event_log.append(
                 CeeEvent(
                     time_days=now_ms / MS_PER_DAY,
-                    machine_id=self.machine_of.get(
-                        core_id, core_id.rsplit("/", 1)[0]
-                    ),
+                    machine_id=machine_of(core_id),
                     core_id=core_id,
                     kind=EventKind.BREAKER_TRIP,
                     reporter=Reporter.AUTOMATED,

@@ -325,7 +325,6 @@ class ServeScaleCampaign(RequestCampaign):
                     router_cls(replicas),
                     hardening.breaker,
                     event_log=self.events,
-                    machine_of=self._machine_by_core,
                     retry_budget=hardening.retry_budget,
                 )
             )

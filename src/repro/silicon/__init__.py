@@ -3,7 +3,7 @@
 This package is the substitute for the real defective hardware the
 paper studied (see DESIGN.md §1).  The public surface:
 
-- :class:`Core` / :class:`Chip` — execution with defect injection.
+- :class:`Core` — execution with defect injection.
 - Defect models in :mod:`repro.silicon.defects` and the population
   sampler in :mod:`repro.silicon.catalog`.
 - Operating conditions in :mod:`repro.silicon.environment` and rate
@@ -28,7 +28,7 @@ from repro.silicon.catalog import (
     sample_core_defects,
     sample_defect,
 )
-from repro.silicon.core import Chip, Core
+from repro.silicon.core import Core
 from repro.silicon.defects import (
     AtomicsDefect,
     DefectModel,
@@ -73,7 +73,6 @@ __all__ = [
     "named_case",
     "sample_core_defects",
     "sample_defect",
-    "Chip",
     "Core",
     "AtomicsDefect",
     "DefectModel",

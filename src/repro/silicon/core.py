@@ -122,10 +122,6 @@ class Core:
         """Ground truth: does this core carry any defect at all?"""
         return bool(self._defects)
 
-    def is_defective_now(self) -> bool:
-        """Ground truth: any defect already past its onset age?"""
-        return any(d.aging.is_active(self.age_days) for d in self._defects)
-
     # -- environment / lifecycle ---------------------------------------
 
     def set_environment(self, env: OperatingPoint) -> None:
@@ -265,75 +261,3 @@ class Core:
     def __repr__(self) -> str:
         kind = "mercurial" if self.is_mercurial else "healthy"
         return f"<Core {self.core_id} ({kind}, {len(self._defects)} defects)>"
-
-
-class Chip:
-    """A multi-core CPU package.
-
-    The paper observes that CEEs "typically afflict specific cores on
-    multi-core CPUs, rather than the entire chip"; the natural object is
-    therefore a chip whose cores are mostly healthy with at most one or
-    two mercurial members.
-    """
-
-    def __init__(self, cores: Sequence[Core]):
-        if not cores:
-            raise ValueError("a chip needs at least one core")
-        self.cores = list(cores)
-
-    @classmethod
-    def build(
-        cls,
-        chip_id: str,
-        n_cores: int,
-        defects_by_core: dict[int, Sequence[DefectModel]] | None = None,
-        env: OperatingPoint = NOMINAL,
-        seed: int = 0,
-    ) -> "Chip":
-        """Construct a chip with ``n_cores`` and optional defects.
-
-        Args:
-            defects_by_core: maps core index → defect models; all other
-                cores are healthy.
-        """
-        defects_by_core = defects_by_core or {}
-        root = np.random.default_rng(seed)
-        cores = []
-        for index in range(n_cores):
-            core_rng = np.random.default_rng(root.integers(2**63))
-            cores.append(
-                Core(
-                    core_id=f"{chip_id}/c{index:02d}",
-                    defects=defects_by_core.get(index, ()),
-                    env=env,
-                    rng=core_rng,
-                )
-            )
-        return cls(cores)
-
-    @property
-    def mercurial_cores(self) -> list[Core]:
-        """Ground truth: the defective members of this chip."""
-        return [core for core in self.cores if core.is_mercurial]
-
-    def set_environment(self, env: OperatingPoint) -> None:
-        """Apply one operating point to every core of the chip."""
-        for core in self.cores:
-            core.set_environment(env)
-
-    def advance_age(self, days: float) -> None:
-        """Age all cores together (they share the package)."""
-        for core in self.cores:
-            core.advance_age(days)
-
-    def __len__(self) -> int:
-        return len(self.cores)
-
-    def __iter__(self):
-        return iter(self.cores)
-
-    def __repr__(self) -> str:
-        return (
-            f"<Chip {len(self.cores)} cores, "
-            f"{len(self.mercurial_cores)} mercurial>"
-        )

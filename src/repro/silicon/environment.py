@@ -82,13 +82,6 @@ class DvfsTable:
         """One DVFS state as (frequency_ghz, voltage_v)."""
         return self._states[index]
 
-    @property
-    def nominal_index(self) -> int:
-        """Index of the state closest to the nominal frequency."""
-        freqs = [f for f, _ in self._states]
-        diffs = [abs(f - NOMINAL.frequency_ghz) for f in freqs]
-        return diffs.index(min(diffs))
-
     def operating_point(
         self, index: int, temperature_c: float = NOMINAL.temperature_c
     ) -> OperatingPoint:

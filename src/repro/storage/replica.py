@@ -157,11 +157,6 @@ class StorageReplica:
         self.stats.repairs_applied += 1
         self.stats.physical_bytes += len(value)
 
-    def drop(self, key: str) -> None:
-        """Remove a record the quorum says should not exist."""
-        self.table.pop(key, None)
-        self.meta_crc.pop(key, None)
-
     def crash_recover(self) -> ReplayReport | None:
         """Rebuild state after a crash: memtable is gone, WAL replays.
 

@@ -173,7 +173,7 @@ PINS = {
         "SPAN_NAMES": "9f05a5dd99802bcae314fe13dd63b450af51be263441d6213dec8ad46a9a0e06",
     },
     #: the sorted ``module.qualname:param`` defaulted parameters
-    "keyword_defaults": "3e657009964e06e1a0cc0f0c85a6c03ec8a1a7b831daf6c71538d1c8dcc8ce92",
+    "keyword_defaults": "c31d46a0cf602575ea8ecb4d87e280e3263cb94bcf16288faa347d439931dbbb",
     #: ``blended_op_mix()``'s (op, share) pairs in dict order
     "blended_mix": "526c22bfe34acd66a87c95e00d4ef809c840c6a64cd420a26c629c15a014d960",
 }

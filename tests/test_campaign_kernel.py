@@ -24,7 +24,7 @@ from repro import obs
 from repro.analysis.experiments import CAMPAIGNS, EXPERIMENTS
 from repro.campaign import Campaign, CampaignScorecard, build_small_fleet
 from repro.chaos import ChaosAction, ChaosKind, ChaosSchedule
-from repro.core.events import CeeEvent, EventKind, Reporter
+from repro.core.events import CeeEvent, EventKind, Reporter, machine_of
 from repro.core.policy import PolicyConfig
 from repro.mitigation.instrcheck import (
     InstrCheckCampaign,
@@ -44,6 +44,8 @@ from repro.serving import (
     build_scale_fleet,
     build_serving_fleet,
 )
+from repro.silicon.defects import StuckBitDefect
+from repro.silicon.units import Op
 from repro.storage import (
     StorageCampaign,
     StorageCampaignConfig,
@@ -681,3 +683,43 @@ class TestFleet:
         again.permutation(8)
         replay, _ = build_small_fleet(2, 4, again, lambda *_: ())
         assert _fleet_digest(resumed) == _fleet_digest(replay)
+
+    def test_core_ids_are_stable(self):
+        machines, _ = build_small_fleet(2, 3, 0, lambda *_: ())
+        assert [m.machine_id for m in machines] == ["m00000", "m00001"]
+        assert [c.core_id for c in machines[1].cores] == [
+            "m00001/c00", "m00001/c01", "m00001/c02"
+        ]
+
+    def test_distinct_rngs_per_core(self):
+        """Cores must not share random streams (defect independence)."""
+        machines, _ = build_small_fleet(2, 2, 9, lambda *_: ())
+        draws = [int(c.rng.integers(2**32)) for m in machines for c in m.cores]
+        assert len(set(draws)) == len(draws)
+
+    def test_defects_land_on_the_named_slot(self):
+        defect = StuckBitDefect("d", bit=1, ops=(Op.ADD,))
+        machines, bad = build_small_fleet(
+            2, 4, 0, lambda _, index: [defect] if index == 6 else ()
+        )
+        assert bad == ["m00001/c02"]
+        assert [
+            c.core_id for m in machines for c in m.cores if c.is_mercurial
+        ] == bad
+        assert machines[1].cores[2].defects == (defect,)
+
+    def test_machine_without_cores_rejected(self):
+        with pytest.raises(ValueError, match="cores_per_machine"):
+            build_small_fleet(2, 0, 0, lambda *_: ())
+
+    @pytest.mark.parametrize(
+        "name,variant",
+        [(name, i) for name in FLEET_VARIANTS for i in range(3)],
+    )
+    def test_every_core_names_its_machine(self, name, variant):
+        builder, variants = FLEET_VARIANTS[name]
+        machines, _ = builder(**variants[variant])
+        for machine in machines:
+            assert machine.cores
+            for core in machine.cores:
+                assert machine_of(core.core_id) == machine.machine_id

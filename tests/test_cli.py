@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "self_inverting_aes" in out
         assert "confessed: True" in out
+
+
+class TestClosedPipe:
+    def test_reader_closing_after_one_line_ends_quietly(self):
+        """``repro run E2 | head -1``: the reader leaves while the row
+        still runs, so the table's write meets a closed pipe.  The CLI
+        stops with status 1, no traceback and no false "raised" line."""
+        src = str(Path(repro.analysis.experiments.__file__).parents[2])
+        env = {
+            **os.environ, "PYTHONUNBUFFERED": "1",
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "E2", "--scale", "ci"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert first.decode().startswith("== E2:")
+        assert "Traceback" not in err and "BrokenPipe" not in err, err
+        assert "raised" not in err, err
 
 
 class TestSeedFlag:

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.events import CeeEvent, EventKind, EventLog, Reporter
+from repro.core.events import (
+    CeeEvent,
+    EventKind,
+    EventLog,
+    Reporter,
+    format_core_id,
+    machine_of,
+)
 from repro.engine.runner import run_tasks
 
 
@@ -73,6 +80,19 @@ class TestCeeEventRecord:
         # comparisons EventLog.rate_timeline makes still hold
         assert returned[1].kind is EventKind.USER_REPORT
         assert returned[1].reporter is Reporter.HUMAN
+
+
+class TestCoreIdFormat:
+    """One format names every core; ``machine_of`` reads the machine back."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.integers(min_value=0, max_value=10_000))
+    def test_machine_of_inverts_the_format(self, machine_id, index):
+        assert machine_of(format_core_id(machine_id, index)) == machine_id
+
+    def test_two_digit_core_index(self):
+        assert format_core_id("m00017", 5) == "m00017/c05"
+        assert format_core_id("m00017", 123) == "m00017/c123"
 
 
 class TestEventLog:

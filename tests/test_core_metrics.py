@@ -23,7 +23,6 @@ class TestConfusion:
         result = Confusion(8, 2, 4, 100)
         assert result.precision == pytest.approx(0.8)
         assert result.recall == pytest.approx(8 / 12)
-        assert result.false_positive_rate == pytest.approx(2 / 102)
 
     def test_empty_denominators(self):
         empty = Confusion(0, 0, 0, 0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.events import machine_of
 from repro.core.policy import Action, PolicyConfig, QuarantinePolicy
 
 
@@ -77,19 +78,6 @@ class TestCapacityGuard:
         assert "capacity guard" in second.reason
 
 
-class TestRelease:
-    def test_release_reopens_capacity(self):
-        policy = QuarantinePolicy(
-            PolicyConfig(max_quarantined_fraction=0.01), fleet_cores=100
-        )
-        policy.decide("m0/c0", 10.0)
-        policy.release("m0/c0")
-        assert policy.decide("m1/c0", 10.0).action is Action.QUARANTINE_CORE
-
-    def test_release_unknown_core_is_noop(self):
-        make_policy().release("never/there")
-
-
 class TestConfigValidation:
     def test_thresholds_must_be_ordered(self):
         with pytest.raises(ValueError):
@@ -104,4 +92,4 @@ class TestConfigValidation:
             PolicyConfig(max_quarantined_fraction=0.0)
 
     def test_machine_of_convention(self):
-        assert QuarantinePolicy.machine_of("m0017/c05") == "m0017"
+        assert machine_of("m0017/c05") == "m0017"

@@ -104,12 +104,6 @@ class TestComplaintService:
         with pytest.raises(ValueError):
             CoreComplaintService(n_cores_visible=0)
 
-    def test_complaints_against(self):
-        service = CoreComplaintService(n_cores_visible=10)
-        service.report(_complaint("m0/c0"))
-        service.report(_complaint("m0/c1"))
-        assert len(service.complaints_against("m0/c0")) == 1
-
     def test_lone_visible_core_analyzes(self):
         """One visible core makes the uniform null p == 1: every report
         lands on it with certainty, so nothing is concentrated."""

@@ -19,9 +19,3 @@ class TestRiskOrdering:
 
     def test_undetected_is_riskiest(self):
         assert Symptom.WRONG_ANSWER_UNDETECTED.risk_rank == 4
-
-    def test_retryability(self):
-        assert Symptom.WRONG_ANSWER_IMMEDIATE.retryable
-        assert Symptom.MACHINE_CHECK.retryable
-        assert not Symptom.WRONG_ANSWER_LATE.retryable
-        assert not Symptom.WRONG_ANSWER_UNDETECTED.retryable

@@ -32,7 +32,7 @@ class TestInvestigation:
         for index in range(100):
             triage.investigate(f"c{index}", core_is_mercurial=True,
                                started_days=float(index))
-        assert triage.confirmation_rate() > 0.8
+        assert triage.outcome_fractions()[TriageOutcome.CONFIRMED] > 0.8
 
     def test_healthy_never_confirms(self):
         triage = make_triage()

@@ -115,8 +115,3 @@ class TestRegressionSynthesis:
     def test_profile_without_failures_yields_none(self):
         profile = characterize(_healthy(), probes_per_op=50)
         assert synthesize_regression_test(profile) is None
-
-    def test_render_includes_gate(self):
-        profile = characterize(_gated(), probes_per_op=600)
-        text = profile.render()
-        assert "operand gate" in text and "0x30" in text

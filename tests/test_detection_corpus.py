@@ -17,10 +17,10 @@ def corpus():
 
 class TestCorpusStructure:
     def test_standard_covers_every_unit(self, corpus):
-        assert corpus.coverage_gaps() == frozenset()
+        assert corpus.covered_units() == frozenset(FunctionalUnit)
 
     def test_minimal_covers_every_unit(self):
-        assert TestCorpus.minimal().coverage_gaps() == frozenset()
+        assert TestCorpus.minimal().covered_units() == frozenset(FunctionalUnit)
 
     def test_total_ops_positive(self, corpus):
         assert corpus.total_ops() > 10000

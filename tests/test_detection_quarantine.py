@@ -43,14 +43,6 @@ class TestCoreQuarantine:
         quarantine.remove(_fleet(), 5)
         assert quarantine.cost.healthy_cores_stranded == 1
 
-    def test_restore(self):
-        quarantine = CoreQuarantine()
-        columns = _fleet()
-        quarantine.remove(columns, BAD)
-        quarantine.restore(columns, BAD)
-        assert columns.online[BAD]
-        assert quarantine.cost.cores_stranded == 0
-
 
 class TestMachineQuarantine:
     def test_remove_strands_all_cores(self):

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.events import machine_of
 from repro.fleet.columns import DEFECT_MODE_CODES, defect_mode_code
 from repro.fleet.population import FleetBuilder
 from repro.fleet.product import DEFAULT_PRODUCTS
@@ -61,6 +62,18 @@ class TestIndexing:
         columns = _builder().build_columns(10)
         assert columns.core_index("m99999/c00") is None
         assert columns.core_index("garbage") is None
+
+    def test_every_core_names_its_machine(self):
+        renamed = dataclasses.replace(
+            _builder().build_columns(4),
+            machine_ids=np.array([f"rack{i % 2}.host-{i}" for i in range(4)]),
+        )
+        for columns in (_builder().build_columns(25), renamed):
+            for flat in range(columns.n_cores):
+                machine = int(columns.core_machine[flat])
+                assert machine_of(columns.core_id(flat)) == (
+                    columns.machine_id(machine)
+                )
 
     def test_machine_core_range_partitions_fleet(self):
         columns = _builder().build_columns(25)

@@ -1,14 +1,11 @@
-"""Products, population synthesis, machines."""
+"""Products and population synthesis."""
 
 import numpy as np
 import pytest
 
-from repro.fleet.machine import Machine
 from repro.fleet.population import FleetBuilder
 from repro.fleet.product import CpuProduct, DEFAULT_PRODUCTS
 from repro.silicon.aging import WeibullOnset
-from repro.silicon.catalog import named_case
-from repro.silicon.core import Chip, Core
 
 
 class TestProducts:
@@ -18,10 +15,6 @@ class TestProducts:
             assert product.cores_per_machine >= 16
             assert 0 < product.core_prevalence < 1e-3
 
-    def test_machine_prevalence_exceeds_core_prevalence(self):
-        product = DEFAULT_PRODUCTS[0]
-        assert product.machine_prevalence > product.core_prevalence
-
     def test_newer_nodes_have_higher_prevalence(self):
         prevalences = [p.core_prevalence for p in DEFAULT_PRODUCTS]
         assert prevalences == sorted(prevalences)
@@ -29,7 +22,8 @@ class TestProducts:
     def test_blended_prevalence_in_paper_band(self):
         """'a few mercurial cores per several thousand machines'."""
         per_kmachine = 1000 * sum(
-            p.machine_prevalence for p in DEFAULT_PRODUCTS
+            1.0 - (1.0 - p.core_prevalence) ** p.cores_per_machine
+            for p in DEFAULT_PRODUCTS
         ) / len(DEFAULT_PRODUCTS)
         assert 0.2 <= per_kmachine <= 5.0
 
@@ -94,23 +88,3 @@ class TestFleetBuilder:
     def test_needs_positive_machines(self):
         with pytest.raises(ValueError):
             FleetBuilder().build_columns(0)
-
-
-class TestMachine:
-    def _machine(self, defective=False):
-        cores = [Core(f"mx/c{i}", rng=np.random.default_rng(i)) for i in range(4)]
-        if defective:
-            cores[2] = Core(
-                "mx/c2", defects=named_case("string_bit_flipper"),
-                rng=np.random.default_rng(9),
-            )
-        return Machine("mx", Chip(cores))
-
-    def test_mercurial_detection(self):
-        assert not self._machine().is_mercurial
-        assert self._machine(defective=True).is_mercurial
-
-    def test_online_cores_excludes_quarantined(self):
-        machine = self._machine()
-        machine.cores[0].set_online(False)
-        assert len(machine.online_cores()) == 3

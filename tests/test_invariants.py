@@ -268,8 +268,8 @@ SEEDS = [
     (pins_outside_the_table, "tests/test_obs_spans.py",
      "import json\n", "import hashlib\nimport json\n"),
     (pins_outside_the_table, "tests/test_options.py",
-     "KEYWORD_DEFAULTS = 319",
-     'KEYWORD_DEFAULTS = (319, "' + "9f" * 32 + '")'),
+     "KEYWORD_DEFAULTS = 313",
+     'KEYWORD_DEFAULTS = (313, "' + "9f" * 32 + '")'),
 ]
 
 

@@ -113,7 +113,7 @@ def test_option_inventory_is_pinned():
 #: their sorted ``module.qualname:param`` list is
 #: ``PINS["keyword_defaults"]``; re-pin both on purpose when a keyword
 #: option is added or retired
-KEYWORD_DEFAULTS = 319
+KEYWORD_DEFAULTS = 313
 
 
 def _keyword_defaults() -> list[str]:

@@ -315,7 +315,7 @@ class TestCircuitBreaker:
 
     def test_board_emits_trip_event(self):
         log = EventLog()
-        board = BreakerBoard(event_log=log, machine_of={"m0/c00": "m0"})
+        board = BreakerBoard(event_log=log)
         for t in range(BREAKER_FAILURE_THRESHOLD):
             board.record_failure("m0/c00", 1.0 + t, "checksum mismatch")
         trips = [e for e in log if e.kind is EventKind.BREAKER_TRIP]

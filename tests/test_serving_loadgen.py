@@ -59,12 +59,12 @@ class TestLoadProfile:
 
     def test_steady_is_flat_and_holds_past_the_end(self):
         profile = LoadProfile.steady(4.0, ticks=10)
-        assert profile.total_ticks == 10
+        assert sum(phase.ticks for phase in profile.phases) == 10
         assert all(profile.rate_at(t) == 4.0 for t in range(20))
 
     def test_ramp_covers_exactly_the_requested_ticks(self):
         profile = LoadProfile.ramp(2.0, 10.0, ticks=100)
-        assert profile.total_ticks == 100
+        assert sum(phase.ticks for phase in profile.phases) == 100
 
     def test_ramp_warms_up_peaks_and_cools_down(self):
         profile = LoadProfile.ramp(2.0, 10.0, ticks=100)

@@ -1,15 +1,14 @@
-"""Core and Chip behaviour."""
+"""Core behaviour."""
 
 import numpy as np
 import pytest
 
-from repro.silicon.core import Chip, Core
+from repro.silicon.core import Core
 from repro.silicon.defects import (
     MachineCheckDefect,
     SboxPermutationDefect,
     StuckBitDefect,
 )
-from repro.silicon.environment import NOMINAL
 from repro.silicon.errors import CoreOfflineError, MachineCheckError
 from repro.silicon.golden import (
     AES_SBOX,
@@ -36,7 +35,6 @@ class TestHealthyCore:
 
     def test_is_not_mercurial(self, healthy_core):
         assert not healthy_core.is_mercurial
-        assert not healthy_core.is_defective_now()
 
     def test_golden_matches_execute(self, healthy_core):
         assert healthy_core.golden(Op.MUL, 6, 7) == healthy_core.execute(
@@ -220,41 +218,3 @@ class TestExecuteDispatchEdges:
                 core.execute(Op.ADD, "a", 1)
             with pytest.raises(TypeError):
                 core.execute(Op.GFMUL, "a", 1)
-
-
-class TestChip:
-    def test_build_places_defects_on_one_core(self):
-        chip = Chip.build(
-            "m0", n_cores=8,
-            defects_by_core={3: [StuckBitDefect("d", bit=1, ops=(Op.ADD,))]},
-        )
-        assert len(chip) == 8
-        assert [c.core_id for c in chip.mercurial_cores] == ["m0/c03"]
-
-    def test_core_ids_are_stable(self):
-        chip = Chip.build("m1", n_cores=4)
-        assert [c.core_id for c in chip] == [
-            "m1/c00", "m1/c01", "m1/c02", "m1/c03"
-        ]
-
-    def test_environment_propagates(self):
-        chip = Chip.build("m2", n_cores=2)
-        hot = NOMINAL.with_temperature(90.0)
-        chip.set_environment(hot)
-        assert all(core.env.temperature_c == 90.0 for core in chip)
-
-    def test_advance_age_propagates(self):
-        chip = Chip.build("m3", n_cores=2)
-        chip.advance_age(10.0)
-        assert all(core.age_days == 10.0 for core in chip)
-
-    def test_empty_chip_rejected(self):
-        with pytest.raises(ValueError):
-            Chip([])
-
-    def test_distinct_rngs_per_core(self):
-        """Cores must not share random streams (defect independence)."""
-        chip = Chip.build("m4", n_cores=2, seed=9)
-        a = chip.cores[0].rng.integers(2**32)
-        b = chip.cores[1].rng.integers(2**32)
-        assert a != b

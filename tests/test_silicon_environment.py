@@ -33,11 +33,6 @@ class TestDvfsTable:
         assert frequencies == sorted(frequencies)
         assert voltages == sorted(voltages)  # lower f implies lower V
 
-    def test_nominal_index_hits_3ghz(self):
-        table = DvfsTable()
-        f, _ = table.state(table.nominal_index)
-        assert f == pytest.approx(3.0)
-
     def test_operating_point_carries_temperature(self):
         table = DvfsTable()
         point = table.operating_point(0, temperature_c=80.0)

@@ -139,6 +139,12 @@ def make_store(config=None, events=None, coordinators=None):
     return store, replicas
 
 
+def _lose(replica, key):
+    """The replica no longer holds ``key``: record and checksum gone."""
+    del replica.table[key]
+    del replica.meta_crc[key]
+
+
 class TestStoreConfig:
     @pytest.mark.parametrize("key", [b"", bytes(15), bytes(32)])
     def test_a_key_that_is_not_aes_128_is_refused_at_construction(self, key):
@@ -186,7 +192,7 @@ class TestReplicatedKVStore:
     def test_voted_read_backfills_missing_replica(self):
         store, replicas = make_store()
         store.put("a", VALUE)
-        replicas[2].drop("a")
+        _lose(replicas[2], "a")
         result = store.get("a")
         assert result.ok
         assert replicas[2].replica_id in result.repaired_replicas
@@ -266,7 +272,7 @@ class TestScrubber:
     def test_scrub_backfills_missing_keys(self):
         store, replicas = make_store()
         store.put("a", VALUE)
-        replicas[2].drop("a")
+        _lose(replicas[2], "a")
         report = Scrubber(store).scrub_round()
         assert report.backfills == 1
         assert replicas[2].table["a"] == replicas[0].table["a"]
@@ -321,7 +327,7 @@ class TestAntiEntropy:
     def test_missing_keys_are_backfilled(self):
         store, replicas = make_store()
         store.put("a", VALUE)
-        replicas[1].drop("a")
+        _lose(replicas[1], "a")
         report = AntiEntropy(store).sync_round()
         assert report.backfills == 1
         assert replicas[1].table["a"] == replicas[0].table["a"]
