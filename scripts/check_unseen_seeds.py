@@ -7,7 +7,10 @@ kernels and credits on (``golden_cache(True)``) and once on the per-op
 reference path (``golden_cache(False)``).  The two digests of the whole
 result (its one JSON form, ``rendered`` included) must be equal; the
 pinned digests only hold one seed per row, so a fast path exact at that
-seed alone passes every other test.
+seed alone passes every other test.  The switch also selects the fleet
+simulator's every-tick form, so F1, E1 and the other fleet rows hold
+the lazy fleet tick (wake ticks, lazy ages, scalar channel draws)
+against it here.
 
 The seeds are drawn from ``GITHUB_RUN_ID`` (a fresh random draw when it
 is unset) and printed first, so a failure replays with ``--seeds``.

@@ -96,14 +96,23 @@ class SuspicionTracker:
         """Cores at/above threshold, most suspicious first.
 
         Decays every tracked core to ``now_days`` (the same arithmetic
-        as :meth:`score`) and thresholds it in the same pass.
+        as :meth:`score`) and thresholds it in the same pass.  Each
+        pass decays every core to ``now_days``, so the next pass sees
+        one ``elapsed`` for all but the cores recorded in between: the
+        decay factor is recomputed only when ``elapsed`` changes from
+        the previous core's.
         """
         half_life = self.half_life_days
+        last_elapsed = 0.0
+        factor = 1.0
         ranked = []
         for core_id, state in self._cores.items():
             elapsed = now_days - state.last_update_days
             if elapsed > 0:
-                state.score *= 0.5 ** (elapsed / half_life)
+                if elapsed != last_elapsed:
+                    last_elapsed = elapsed
+                    factor = 0.5 ** (elapsed / half_life)
+                state.score *= factor
                 state.last_update_days = now_days
             if state.score >= threshold:
                 ranked.append((core_id, state.score))

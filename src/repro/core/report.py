@@ -101,6 +101,8 @@ class CoreComplaintService:
         # the log is append-only, so an unchanged total is an unchanged
         # answer
         self._analyzed: tuple[tuple[int, int], list[SuspectCore]] | None = None
+        # quarantine_candidates()'s last answer, under analyze()'s key
+        self._candidates: tuple[tuple[int, int], tuple[SuspectCore, ...]] | None = None
 
     def report(self, complaint: Complaint) -> CeeEvent | None:
         """File one complaint (the paper's RPC endpoint); returns the
@@ -158,5 +160,14 @@ class CoreComplaintService:
         return list(suspects)
 
     def quarantine_candidates(self) -> list[SuspectCore]:
-        """Suspects meeting the paper's quarantine grounds."""
-        return [s for s in self.analyze() if s.grounds_for_quarantine]
+        """Suspects meeting the paper's quarantine grounds (a fresh
+        list, rebuilt only when a report has arrived since the last
+        call)."""
+        # analyze()'s key at its default min_reports
+        key = (len(self._complaints), 2)
+        if self._candidates is None or self._candidates[0] != key:
+            self._candidates = (key, tuple(
+                s for s in self.analyze(min_reports=2)
+                if s.grounds_for_quarantine
+            ))
+        return list(self._candidates[1])

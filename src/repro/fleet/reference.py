@@ -1,13 +1,16 @@
 """The fleet tick, one core and one draw at a time: the readable reference.
 
-:class:`~repro.fleet.simulator.FleetSimulator` batches a tick's
-Poisson, binomial and attribution draws across the whole active
-mercurial population.  :class:`ScalarReferenceSimulator` is the same
-campaign written the way the model is described — for each bad core:
+:class:`~repro.fleet.simulator.FleetSimulator` draws a tick's counts
+channel by channel across the active mercurial population, each
+channel's attribution as one array, and recomputes its mercurial
+bookkeeping only on wake ticks.  :class:`ScalarReferenceSimulator` is
+the same campaign written the way the model is described — for each bad core:
 how many corruptions today, how many surface on each channel, who gets
 blamed — drawing from the RNG once per decision.  It overrides only
 :meth:`_tick`; the fleet state (``_merc_*`` columns), the detection
-stack, policy, triage and ``run()`` are the base class's.
+stack, policy, triage and ``run()`` are the base class's.  It ages
+every online core on every tick itself and never wakes, so the base
+class's lazy-age settling leaves its ages alone.
 
 The two ticks consume the RNG stream in different orders, so equal
 seeds give different event realizations of the same distribution.

@@ -37,6 +37,7 @@ from repro.fleet.columns import FleetColumns
 from repro.fleet.population import FleetGroundTruth
 from repro.silicon.defects import MachineCheckDefect
 from repro.silicon.environment import NOMINAL
+from repro.silicon.golden import golden_cache_enabled
 from repro.workloads.generator import blended_op_mix  # allowlisted in tests/test_invariants.py
 
 
@@ -67,6 +68,11 @@ SUSPICION_RETEST_THRESHOLD = 2.0
 #: tick recomputes it from the defect models.  Defect aging curves
 #: move on week scales, so 7 days loses nothing.
 RATE_REFRESH_DAYS = 7.0
+#: a wake tick is scheduled this far ahead of the crossing it waits
+#: for, relative to the magnitudes in the crossing's test: the tick
+#: tests ``now - deploy`` while the schedule adds ``threshold + deploy``,
+#: and the two round differently by a few ulps at most
+WAKE_SLACK = 1e-9
 
 
 @dataclasses.dataclass
@@ -95,14 +101,19 @@ class SimulatorConfig:
     policy: PolicyConfig = dataclasses.field(default_factory=PolicyConfig)
 
     def __post_init__(self) -> None:
-        # A NaN horizon ends the loop before it starts, returning an
-        # empty but plausible-looking result.
-        for name in ("horizon_days", "warmup_days"):
-            value = getattr(self, name)
+        # A bad value fails no draw by itself: a NaN horizon ends the
+        # loop before it starts, a NaN corpus size makes the screening
+        # total NaN, a negative one makes screens never confess.
+        for field in dataclasses.fields(self):
+            if field.name == "policy":
+                continue
+            name, value = field.name, getattr(self, field.name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and >= 0, got {value}"
                 )
+            if name.startswith("p_") and value > 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclasses.dataclass
@@ -165,12 +176,17 @@ class FleetSimulator:
     (``online``, ``merc_age``), so a caller that keeps the fleet hands
     it ``columns.thaw()``; read-only columns fail on the first write.
 
-    :meth:`_tick` batches every per-tick stochastic draw across the
-    active mercurial population.  The per-core form of the same tick —
-    one draw at a time, readable top to bottom — is
+    :meth:`_tick` pays only for the mercurial state that changed: the
+    online/active masks, the stale-rate refresh and the active set are
+    recomputed on a wake tick (:meth:`_wake`), ages are settled lazily,
+    and the channel counts are scalar draws that skip what consumes
+    nothing.  The golden-cache switch off selects the every-tick form
+    (a wake every tick, each channel one array call), which the tests
+    hold the fast one against bit for bit.  The per-core form of the
+    same model — one draw at a time, in a different stream order,
+    readable top to bottom — is
     :class:`repro.fleet.reference.ScalarReferenceSimulator`, which
-    overrides only :meth:`_tick` and which the tests hold this one
-    against.
+    overrides only :meth:`_tick`.
     """
 
     def __init__(
@@ -284,6 +300,23 @@ class FleetSimulator:
         self._merc_silent = np.zeros(n_mercurial)
         self._merc_mce = np.zeros(n_mercurial)
         self._merc_rate_age = np.full(n_mercurial, -np.inf)
+        # Lazy ages.  A live core was online at the last wake, which
+        # wrote its age then; its age at fleet time ``now`` is
+        # ``max(_merc_age, now - deploy, 0)``: ``now - deploy`` only
+        # grows and ``max`` does not round, so that is the per-tick
+        # chain's value, taken when it is needed.  A quarantine settles
+        # the core's age and the end of ``run()`` settles the rest.  The
+        # per-core reference tick never wakes, so it keeps no live core
+        # and ages its own.
+        self._merc_live = np.zeros(n_mercurial, dtype=bool)
+        # The next tick that must wake (see _wake), and the active set
+        # as of the last one: merc indices, and their cached rates.
+        self._wake_at = -math.inf
+        self._active: list[int] = []
+        self._active_idx = np.empty(0, dtype=np.int64)
+        self._active_silent = np.empty(0)
+        self._active_mce = np.empty(0)
+        self._active_rate = np.empty(0)
 
     def _coverage(self, now_days: float) -> float:
         """Automated corpus coverage: stepwise expansion (§6)."""
@@ -345,6 +378,10 @@ class FleetSimulator:
             return
         self.columns.online[flat] = False
         is_mercurial = bool(self.columns.mercurial[flat])
+        if is_mercurial:
+            self._settle_age(self._merc_index_by_flat[flat], now)
+        # The online mask moved: the next tick recomputes the active set.
+        self._wake_at = -math.inf
         self.quarantine_day[core_id] = now
         # Offline for good: nothing the tracker holds on it can act.
         self.analyzer.tracker.forget(core_id)
@@ -468,16 +505,108 @@ class FleetSimulator:
         self._merc_mce[index] = mce
         self._merc_rate_age[index] = age_days
 
-    def _tick(self, now: float, tick: float) -> None:
-        """One tick with all stochastic draws batched across the fleet.
+    def _settle_age(self, index: int, now: float) -> None:
+        """Write a live core's age at ``now`` and stop aging it lazily:
+        the core is leaving service, and an offline core does not age."""
+        if self._merc_live[index]:
+            self._merc_live[index] = False
+            target = max(now - self._merc_deploy[index], 0.0)
+            self._merc_age[index] = max(self._merc_age[index], target)
 
-        The Poisson/binomial/attribution sampling happens as numpy
-        array draws over the currently-active mercurial cores, and
-        events are built positionally and appended with ``extend``; the
+    def _wake(self, now: float) -> None:
+        """Recompute the mercurial bookkeeping at ``now``: the online
+        and active masks, the stale-rate refreshes, the active set's
+        cached rates, and the next tick that must wake.
+
+        Between wakes none of it can change.  A pending core passes
+        onset at the earliest when ``now - deploy >= onset``, and an
+        active core's rates go stale at the earliest when ``now -
+        deploy >= rate_age + RATE_REFRESH_DAYS``; the next wake is the
+        earliest of those fleet times, less :data:`WAKE_SLACK`.  A
+        quarantine moves the online mask, so it wakes the next tick.
+        """
+        online = self.columns.online[self._merc_flat]
+        self._merc_live = online
+        deploy = self._merc_deploy
+        ages = self._merc_age = np.where(
+            online,
+            np.maximum(self._merc_age, np.maximum(now - deploy, 0.0)),
+            self._merc_age,
+        )
+        active_mask = online & (ages >= self._merc_onset)
+        # A never-refreshed core's rate age is -inf: its gap is +inf.
+        stale = active_mask & (ages - self._merc_rate_age >= RATE_REFRESH_DAYS)
+        for index in np.nonzero(stale)[0].tolist():
+            self._refresh_rate(index, float(ages[index]))
+        idx = np.nonzero(active_mask)[0]
+        self._active = idx.tolist()
+        self._active_idx = idx
+        self._active_silent = self._merc_silent[idx]
+        self._active_mce = self._merc_mce[idx]
+        self._active_rate = self._active_silent + self._active_mce
+
+        threshold = np.where(
+            active_mask, self._merc_rate_age + RATE_REFRESH_DAYS,
+            self._merc_onset,
+        )
+        with np.errstate(invalid="ignore"):
+            wake = threshold + deploy - WAKE_SLACK * (
+                1.0 + np.abs(threshold) + np.abs(deploy)
+            )
+        # An infinite onset is never reached; its slack made it NaN.
+        self._wake_at = float(
+            np.min(wake, initial=math.inf, where=online & ~np.isnan(wake))
+        )
+
+    def _channel_counts(
+        self, exposed: float, cap: int, every_tick: bool
+    ) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """The active cores' corruption, machine-check, and surfaced
+        self-check, crash and user counts, drawn channel-major: every
+        core's corruption Poisson, then every core's machine-check
+        Poisson, then each surfacing binomial in turn.
+
+        The fast form draws one scalar per core and skips a draw that
+        consumes nothing (a Poisson of 0, a binomial of 0 trials); the
+        every-tick form draws each channel as one array call.  Scalar
+        draws in array order give the array's values and leave the
+        generator in the array call's state.
+        """
+        rng = self.rng
+        cfg = self.config
+        surfacing = (
+            cfg.p_selfcheck_surface, cfg.p_crash_surface, cfg.p_user_surface,
+        )
+        if every_tick:
+            drawn = rng.poisson(self._active_silent * exposed)
+            mce = np.minimum(rng.poisson(self._active_mce * exposed), cap)
+            selfcheck, crash, user = (
+                np.minimum(rng.binomial(drawn, p), cap).tolist()
+                for p in surfacing
+            )
+            return drawn.tolist(), mce.tolist(), selfcheck, crash, user
+        poisson, binomial = rng.poisson, rng.binomial
+        lams = (self._active_silent * exposed).tolist()
+        corruptions = [poisson(lam) if lam else 0 for lam in lams]
+        lams = (self._active_mce * exposed).tolist()
+        machine_checks = [min(poisson(lam), cap) if lam else 0 for lam in lams]
+        selfcheck, crash, user = (
+            [min(binomial(n, p), cap) if n else 0 for n in corruptions]
+            for p in surfacing
+        )
+        return corruptions, machine_checks, selfcheck, crash, user
+
+    def _tick(self, now: float, tick: float) -> None:
+        """One tick: the mercurial channels, background noise, screens.
+
+        The mercurial bookkeeping wakes only when due (:meth:`_wake`),
+        the channel counts come from :meth:`_channel_counts`, the
+        attribution draws are one array call per channel, and events
+        are built positionally and appended with ``extend``; the
         background crashes are one :meth:`EventLog.append_batch` entry.
-        Same channels, caps and attribution probabilities as the
-        per-core form in :mod:`repro.fleet.reference`, drawn in a
-        different order.
+        With the golden-cache switch off the tick wakes every time and
+        draws each channel as one array call: the same values and the
+        same stream, the slow way.
         """
         cfg = self.config
         rng = self.rng
@@ -493,52 +622,31 @@ class FleetSimulator:
         crash, user_report = EventKind.CRASH, EventKind.USER_REPORT
         screen_fail = EventKind.SCREEN_FAIL
 
-        active: list[int] = []
-        if self._n_mercurial:
-            online = columns.online[self._merc_flat]
-            target = np.maximum(now - self._merc_deploy, 0.0)
-            self._merc_age = np.where(
-                online, np.maximum(self._merc_age, target), self._merc_age
-            )
-            ages = self._merc_age
-            active_mask = online & (ages >= self._merc_onset)
-            # A never-refreshed core's rate age is -inf: its gap is +inf.
-            stale = active_mask & (
-                ages - self._merc_rate_age >= RATE_REFRESH_DAYS
-            )
-            for index in np.nonzero(stale)[0].tolist():
-                self._refresh_rate(index, float(ages[index]))
-            active = np.nonzero(active_mask)[0].tolist()
+        every_tick = not golden_cache_enabled()
+        if self._n_mercurial and (every_tick or now >= self._wake_at):
+            self._wake(now)
+        active = self._active
 
         cap = max(1, int(MAX_SURFACED_PER_CHANNEL_PER_DAY * tick))
         if active:
-            idx = np.array(active)
-            silent = self._merc_silent[idx]
-            mce = self._merc_mce[idx]
-            exposed = cfg.exposed_ops_per_day * tick
-            n_corruptions = rng.poisson(silent * exposed)
-            n_mce = np.minimum(rng.poisson(mce * exposed), cap)
-            self.total_corruptions += int(n_corruptions.sum())
-            surfaced_selfcheck = np.minimum(
-                rng.binomial(n_corruptions, cfg.p_selfcheck_surface), cap
+            (
+                n_corruptions, n_mce, surfaced_selfcheck, surfaced_crash,
+                surfaced_user,
+            ) = self._channel_counts(
+                cfg.exposed_ops_per_day * tick, cap, every_tick
             )
-            surfaced_crash = np.minimum(
-                rng.binomial(n_corruptions, cfg.p_crash_surface), cap
-            )
-            surfaced_user = np.minimum(
-                rng.binomial(n_corruptions, cfg.p_user_surface), cap
-            )
-            self.app_visible += int(surfaced_selfcheck.sum())
+            self.total_corruptions += sum(n_corruptions)
+            self.app_visible += sum(surfaced_selfcheck)
 
-            def channel_attribution(counts: np.ndarray, p: float) -> np.ndarray:
-                total = int(counts.sum())
+            def channel_attribution(counts: list[int], p: float) -> np.ndarray:
+                total = sum(counts)
                 return rng.random(total) < p if total else np.empty(0, bool)
 
             machine_of = self._merc_machine_id
             core_of = self._merc_core_id
             mce_attr = channel_attribution(n_mce, P_ATTRIBUTE_MCE)
             cursor = 0
-            for j, count in zip(active, n_mce.tolist()):
+            for j, count in zip(active, n_mce):
                 if not count:
                     continue
                 for _ in range(count):
@@ -553,10 +661,11 @@ class FleetSimulator:
             selfcheck_attr = channel_attribution(
                 surfaced_selfcheck, P_ATTRIBUTE_SELFCHECK
             )
-            app_ids = rng.integers(8, size=int(selfcheck_attr.sum())).tolist()
+            n_apps = int(selfcheck_attr.sum())
+            app_ids = rng.integers(8, size=n_apps).tolist() if n_apps else []
             cursor = 0
             drawn_apps = 0
-            for j, count in zip(active, surfaced_selfcheck.tolist()):
+            for j, count in zip(active, surfaced_selfcheck):
                 if not count:
                     continue
                 for _ in range(count):
@@ -583,7 +692,7 @@ class FleetSimulator:
                 surfaced_crash, P_ATTRIBUTE_CRASH
             )
             cursor = 0
-            for j, count in zip(active, surfaced_crash.tolist()):
+            for j, count in zip(active, surfaced_crash):
                 if not count:
                     continue
                 for _ in range(count):
@@ -599,7 +708,7 @@ class FleetSimulator:
                 surfaced_user, P_ATTRIBUTE_USER
             )
             cursor = 0
-            for j, count in zip(active, surfaced_user.tolist()):
+            for j, count in zip(active, surfaced_user):
                 if not count:
                     continue
                 for _ in range(count):
@@ -618,8 +727,9 @@ class FleetSimulator:
         # The crashes are unattributed and only ever counted, so they
         # are one batch entry, logged after the mercurial channels'
         # records and before the background user reports.
-        self._log_records(events)
-        events.clear()
+        if events:
+            self._log_records(events)
+            events.clear()
         n_machines = self.n_machines
         n_bg_crash = int(rng.poisson(cfg.bg_crash_rate * n_machines * tick))
         if n_bg_crash:
@@ -659,7 +769,8 @@ class FleetSimulator:
             * cfg.offline_corpus_ops
         )
         if active:
-            total_rate = self._merc_silent[idx] + self._merc_mce[idx]
+            total_rate = self._active_rate
+            idx = self._active_idx
             schedules = (
                 (ONLINE_SCREEN_PERIOD_DAYS, cfg.online_corpus_ops,
                  1.0, "online screen"),
@@ -684,7 +795,8 @@ class FleetSimulator:
                         None, label,
                     ))
 
-        self._log_records(events)
+        if events:
+            self._log_records(events)
 
     def run(self) -> SimulationResult:
         """Run the whole campaign and return the results bundle."""
@@ -722,6 +834,8 @@ class FleetSimulator:
         # The tick ages cores in a private array; leave the columns
         # holding the ages the campaign ended at.
         if self._n_mercurial:
+            for index in np.nonzero(self._merc_live)[0].tolist():
+                self._settle_age(index, now)
             np.maximum(
                 self.columns.merc_age, self._merc_age,
                 out=self.columns.merc_age,

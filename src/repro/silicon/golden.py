@@ -42,13 +42,16 @@ def _gf256_mul(a: int, b: int) -> int:
 
 def _build_sbox() -> Tuple[int, ...]:
     """Derive the AES S-box: inverse in GF(2^8) then affine transform."""
-    # Multiplicative inverses via brute force (256 entries; done once).
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if _gf256_mul(x, y) == 1:
-                inverse[x] = y
-                break
+    # Inverses from exp/log tables over the generator 3: x = 3^i has
+    # the inverse 3^(255 - i).
+    exp = [0] * 255
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = x
+        log[x] = i
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)
+    inverse = [0] + [exp[(255 - log[x]) % 255] for x in range(1, 256)]
     box = []
     for x in range(256):
         b = inverse[x]
@@ -68,8 +71,9 @@ def _build_sbox() -> Tuple[int, ...]:
 
 
 AES_SBOX: Tuple[int, ...] = _build_sbox()
+#: the S-box inverted directly: entry y is the x that AES_SBOX maps to y
 AES_INV_SBOX: Tuple[int, ...] = tuple(
-    AES_SBOX.index(i) for i in range(256)
+    sorted(range(256), key=AES_SBOX.__getitem__)
 )
 
 
@@ -238,8 +242,11 @@ def golden_cache(enabled: bool) -> Iterator[None]:
     to whatever it was before.
 
     Off also forces every library primitive onto the per-op path (see
-    :meth:`repro.silicon.core.Core.credit_untargeted`): it is the
-    reference the kernels are tested against.
+    :meth:`repro.silicon.core.Core.credit_untargeted`), and the fleet
+    simulator's tick onto its every-tick form (mercurial bookkeeping
+    recomputed each tick, channel counts drawn as arrays; see
+    :meth:`repro.fleet.simulator.FleetSimulator._tick`): it is the
+    reference the kernels and the lazy fleet tick are tested against.
     """
     global _dispatch
     was = _dispatch

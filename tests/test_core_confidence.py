@@ -92,3 +92,19 @@ class TestSuspicionTracker:
         ]
         # a forgotten core that signals again starts from nothing
         assert tracker.record("c", 10.0) == 1.0
+
+    def test_suspects_decays_exactly_as_score(self):
+        """The pass shares one decay factor among the cores last touched
+        on the same day; every score must still be ``score()``'s, bit
+        for bit."""
+        ranked, scored = SuspicionTracker(), SuspicionTracker()
+        for tracker in (ranked, scored):
+            for index in range(12):
+                tracker.record(f"m{index}/c0", float(index % 3) + 0.1,
+                               weight=1.0 + index / 7.0)
+        suspects = ranked.suspects(9.7, threshold=0.0)
+        assert len(suspects) == 12
+        assert dict(suspects) == {
+            core_id: scored.score(core_id, 9.7)
+            for core_id in scored.tracked_cores()
+        }

@@ -163,6 +163,21 @@ class TestAnalyzeRecomputesOnlyOnNewReports:
         # one more report under the same null dilutes every p-value
         assert after[0].p_value > before[0].p_value
 
+    def test_candidates_rebuild_only_on_a_new_report(self, count_calls):
+        service = self._service()
+        analyzed = count_calls(CoreComplaintService, "analyze")
+        first = service.quarantine_candidates()
+        assert [s.core_id for s in first] == ["m1/c3", "m2/c0"]
+        # the caller owns the list it got
+        first.clear()
+        second = service.quarantine_candidates()
+        assert [s.core_id for s in second] == ["m1/c3", "m2/c0"]
+        assert second is not service.quarantine_candidates()
+        assert len(analyzed) == 1
+        service.report(_complaint("m5/c5", app="app1"))
+        service.quarantine_candidates()
+        assert len(analyzed) == 2
+
     def test_min_reports_is_part_of_the_key(self, tail_calls):
         service = self._service()
         assert len(service.analyze()) == 2

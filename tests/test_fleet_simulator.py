@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import obs
 from repro.obs import names
@@ -24,6 +25,7 @@ from repro.fleet.simulator import (
 )
 from repro.silicon.aging import AgingProfile, WeibullOnset
 from repro.silicon.defects import StuckBitDefect
+from repro.silicon.golden import golden_cache
 from repro.silicon.units import FunctionalUnit
 
 
@@ -103,6 +105,25 @@ class TestConfigKnobs:
     def test_clock_fields_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimulatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(SimulatorConfig)
+        if f.name != "policy"
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+    def test_every_numeric_field_validated(self, field, value):
+        # NaN corpus sizes ran to a NaN screening total, negative ones
+        # to screens that never confess, NaN rates died inside numpy
+        with pytest.raises(ValueError, match=field):
+            SimulatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "p_selfcheck_surface", "p_crash_surface", "p_user_surface",
+    ])
+    def test_probabilities_validated(self, field):
+        with pytest.raises(ValueError, match=field):
+            SimulatorConfig(**{field: 1.0 + 1e-9})
+        assert getattr(SimulatorConfig(**{field: 1.0}), field) == 1.0
 
     def test_zero_horizon_and_refresh_are_legal(self):
         config = SimulatorConfig(horizon_days=0.0, warmup_days=0.0)
@@ -189,6 +210,79 @@ class TestConfigKnobs:
         result = FleetSimulator(columns, config, seed=2).run()
         detected = result.quarantined_cores & result.truth.mercurial_core_ids
         assert detected
+
+
+def _simulated(columns, config, seed, fast):
+    """One campaign on ``columns`` with the fleet tick's fast paths on
+    (``fast``) or on the every-tick reference form."""
+    with golden_cache(fast):
+        simulator = FleetSimulator(columns, config, seed=seed)
+        return simulator, simulator.run()
+
+
+class TestLazyBookkeepingDifferential:
+    """The fast tick — mercurial bookkeeping recomputed only on a wake
+    tick, channel counts drawn as scalars with the no-op draws skipped —
+    against the reference form the golden-cache switch selects, which
+    recomputes every tick and draws each channel as one array call.
+    Everything a run leaves behind must be equal, down to the bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_machines=st.integers(20, 160),
+        prevalence=st.sampled_from([5.0, 40.0, 150.0]),
+        window=st.sampled_from(
+            [(0.0, 0.0), (-700.0, 0.0), (-20.0, 10.0), (-90.0, 45.0)]
+        ),
+        whole_days=st.integers(0, 100),
+        last_tick=st.sampled_from([0.0, 0.25, 0.5, 0.999]),
+        # a tick grid off the integers makes ``now - deploy`` round
+        warmup=st.sampled_from([0.0, 0.1, 2.7, 30.25]),
+        seed=st.integers(0, 2**16),
+    )
+    # two fleets where a wake scheduled at the exact crossing, without
+    # the slack, comes one tick after a stale-rate refresh is due
+    @example(n_machines=40, prevalence=150.0, window=(-700.0, 0.0),
+             whole_days=60, last_tick=0.5, warmup=2.7, seed=2)
+    @example(n_machines=40, prevalence=150.0, window=(-20.0, 10.0),
+             whole_days=60, last_tick=0.5, warmup=0.1, seed=5)
+    def test_fast_tick_equals_every_tick(
+        self, n_machines, prevalence, window, whole_days, last_tick,
+        warmup, seed,
+    ):
+        fleet = FleetBuilder(
+            products=_dense_products(prevalence), seed=seed,
+            deployment_window=window,
+        ).build_columns(n_machines)
+        config = SimulatorConfig(
+            horizon_days=whole_days + last_tick, warmup_days=warmup,
+        )
+        runs = [
+            _simulated(fleet.thaw(), config, seed, fast)
+            for fast in (True, False)
+        ]
+        (fast_sim, fast), (ref_sim, ref) = runs
+        for field in dataclasses.fields(fast):
+            if field.name not in ("events", "triage"):
+                assert getattr(fast, field.name) == getattr(ref, field.name), (
+                    field.name
+                )
+        assert list(fast.events) == list(ref.events)
+        assert fast.triage.investigations == ref.triage.investigations
+        for name in ("online", "merc_age"):
+            assert (getattr(fast_sim.columns, name).tobytes()
+                    == getattr(ref_sim.columns, name).tobytes()), name
+        # the rate cache and both streams: a missed refresh or a skipped
+        # draw that consumes shows here even when no event moved
+        for name in ("_merc_silent", "_merc_mce", "_merc_synced_age",
+                     "_merc_rate_age"):
+            assert (getattr(fast_sim, name).tobytes()
+                    == getattr(ref_sim, name).tobytes()), name
+        for fast_rng, ref_rng in (
+            (fast_sim.rng, ref_sim.rng),
+            (fast.triage.rng, ref.triage.rng),
+        ):
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _bespoke_fleet(n_bad=3, onset_days=0.0, base_rate=1e-4):
@@ -538,6 +632,80 @@ class TestTickPaysForWhatChanged:
         )
         tracked = set(simulator.analyzer.tracker.tracked_cores())
         assert not tracked & set(result.quarantine_day)
+
+    @pytest.fixture
+    def grid_pass(self, monkeypatch):
+        """``grid_pass(fast)``: the simulator half of one inline
+        ``fleet_grid`` pass at seed 0 — four trials of a 120-day horizon
+        (plus the default warmup) over 12 000 machines — counting the
+        ticks, the wakes, the ticks that draw channel counts, and the
+        Poisson and binomial calls whose arguments are arrays."""
+        from repro.engine import run_fleet_trials
+
+        counts = dict.fromkeys(("tick", "wake", "channels", "array_draws"), 0)
+
+        def count(name, key):
+            real = getattr(FleetSimulator, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(FleetSimulator, name, wrapper)
+
+        count("_tick", "tick")
+        count("_wake", "wake")
+        count("_channel_counts", "channels")
+
+        class CountingRng:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def poisson(self, lam):
+                counts["array_draws"] += np.ndim(lam) > 0
+                return self._rng.poisson(lam)
+
+            def binomial(self, n, p):
+                counts["array_draws"] += np.ndim(n) > 0
+                return self._rng.binomial(n, p)
+
+        def trial(trial, columns):
+            simulator = FleetSimulator(
+                columns, config=SimulatorConfig(horizon_days=120.0),
+                seed=trial.seed,
+            )
+            simulator.rng = CountingRng(simulator.rng)
+            simulator.run()
+
+        columns = FleetBuilder(seed=0).build_columns(12_000)
+
+        def run(fast):
+            with golden_cache(fast):
+                run_fleet_trials(trial, columns, 4, seed=0, workers=1)
+            return counts
+
+        return run
+
+    def test_fast_tick_wakes_and_draws_only_for_what_changed(self, grid_pass):
+        """Of 1 200 ticks, 58 have an active mercurial core.  The fast
+        tick recomputes the mercurial ages on 15 and draws every channel
+        count as a scalar."""
+        counts = grid_pass(True)
+        assert counts == {
+            "tick": 1_200, "wake": 15, "channels": 58, "array_draws": 0,
+        }
+
+    def test_every_tick_form_recomputes_and_draws_arrays(self, grid_pass):
+        """The reference form: ages on every tick, five channel arrays
+        (two Poisson, three binomial) on each active one."""
+        counts = grid_pass(False)
+        assert counts == {
+            "tick": 1_200, "wake": 1_200, "channels": 58,
+            "array_draws": 5 * 58,
+        }
 
     def test_thawed_copies_share_one_machine_id_list(self):
         columns = FleetBuilder(seed=11).build_columns(40)

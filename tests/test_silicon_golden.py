@@ -125,6 +125,25 @@ class TestAesPrimitives:
         for value in range(256):
             assert AES_INV_SBOX[AES_SBOX[value]] == value
 
+    def test_tables_match_the_brute_force_derivation(self):
+        """The oracle: each inverse found by trying every product, then
+        FIPS-197's affine map as rotations; the inverse box by search."""
+
+        def rotl8(b, n):
+            return ((b << n) | (b >> (8 - n))) & 0xFF
+
+        inverse = [0] * 256
+        for x in range(1, 256):
+            inverse[x] = next(
+                y for y in range(1, 256) if _gf256_mul(x, y) == 1
+            )
+        sbox = tuple(
+            b ^ rotl8(b, 1) ^ rotl8(b, 2) ^ rotl8(b, 3) ^ rotl8(b, 4) ^ 0x63
+            for b in inverse
+        )
+        assert AES_SBOX == sbox
+        assert AES_INV_SBOX == tuple(sbox.index(y) for y in range(256))
+
     def test_gfmul_identity(self):
         for value in range(256):
             assert _gf256_mul(value, 1) == value
